@@ -24,6 +24,7 @@ from .errors import (
     MonotonicityViolation,
     OutOfRange,
     TableExhausted,
+    VerificationFailed,
 )
 from .intervals import fraction_bounds, iv_from_fraction, workprec
 
@@ -284,7 +285,8 @@ def construct(target: DecayTarget, bit_budget: int = 4096) -> ConstructedAlpha:
     )
     quotients = _quotients_for(target, bit_budget)
     table = expand(spec, len(quotients) - 1)
-    assert all(a % 2 == 0 and a >= 2 for a in table.quotients[1:])
+    if not all(a % 2 == 0 and a >= 2 for a in table.quotients[1:]):
+        raise VerificationFailed("constructed quotients are not all even and >= 2")
     return ConstructedAlpha(
         spec=spec,
         table=table,

@@ -29,7 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import PhstabError, ValidationError
+from .errors import PhstabError, ValidationError, VerificationFailed
 from . import contfrac, diophantine, alpha_factory, spectral, rates, phs
 
 EXIT_OK = 0
@@ -38,10 +38,11 @@ EXIT_INPUT_ERROR = 2
 
 
 def _default_bits() -> int:
+    text = os.environ.get("PHSTAB_BITS", "128")
     try:
-        return int(os.environ.get("PHSTAB_BITS", "128"))
+        return int(text)
     except ValueError:
-        return 128
+        raise ValidationError(f"PHSTAB_BITS={text!r} is not an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +118,7 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str]) -> None:
 def cmd_cf(args: argparse.Namespace) -> int:
     alpha = _alpha_from_args(args)
     table = contfrac.expand(alpha, args.terms)
-    table.check_identity()
+    identity_ok = table.check_identity()
     # the two-sided bound lemma assumes an infinite expansion; a terminated
     # table is rational and only the exact recurrence identities apply
     report = (
@@ -130,6 +131,10 @@ def cmd_cf(args: argparse.Namespace) -> int:
     if table.terminated:
         print(f"# terminated after {len(table.quotients)} quotients (rational)",
               file=sys.stderr)
+    if not identity_ok:
+        print("# convergent identity p_n q_{n+1} - p_{n+1} q_n = (-1)^{n+1} "
+              "violated", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
     bad = [r for r in report if not r.passed]
     if bad:
         print(f"# convergent bounds violated at indices "
@@ -244,8 +249,8 @@ def _suite_appendix() -> list[tuple[str, bool]]:
     for name, spec in (("sqrt2", contfrac.SQRT2), ("golden", contfrac.GOLDEN)):
         table = contfrac.expand(spec, 50)
         try:
-            table.check_identity()
-            ok = all(r.passed for r in contfrac.check_bounds(table))
+            ok = table.check_identity() and all(
+                r.passed for r in contfrac.check_bounds(table))
         except PhstabError:
             ok = False
         results.append((f"appendix identities [{name}]", ok))
@@ -381,9 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except VerificationFailed as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
     except PhstabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

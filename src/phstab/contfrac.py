@@ -15,7 +15,12 @@ from fractions import Fraction
 from math import ceil, gcd, isqrt
 from typing import Callable, Iterator, Optional
 
-from .errors import BitBudgetExceeded, InsufficientPrecision, TableExhausted
+from .errors import (
+    BitBudgetExceeded,
+    InsufficientPrecision,
+    TableExhausted,
+    VerificationFailed,
+)
 from .intervals import RealBall
 
 # Registry of named quotient rules (populated e.g. by alpha_factory).
@@ -451,7 +456,7 @@ def legendre_is_convergent(p: int, q: int, alpha: IrrationalSpec) -> bool:
         )
         if d_hi < target:
             if not found:
-                raise AssertionError(
+                raise VerificationFailed(
                     "Legendre criterion violated: |alpha - p/q| < 1/(2q^2) "
                     "but p/q is not a convergent"
                 )
@@ -514,7 +519,10 @@ def eval_alpha(alpha: IrrationalSpec, bits: int) -> RealBall:
     if bits < 1:
         raise ValueError("bits must be >= 1")
     ball = alpha.enclosure(bits)
-    assert ball.err <= Fraction(1, 1 << bits) or ball.err == 0
+    if ball.err > Fraction(1, 1 << bits):
+        raise VerificationFailed(
+            f"enclosure error {float(ball.err):.3g} exceeds 2^-{bits}"
+        )
     return ball
 
 

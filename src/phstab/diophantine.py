@@ -20,7 +20,12 @@ from .contfrac import (
     IrrationalSpec,
     eval_alpha,
 )
-from .errors import BitBudgetExceeded, InsufficientPrecision, TableExhausted
+from .errors import (
+    BitBudgetExceeded,
+    InsufficientPrecision,
+    TableExhausted,
+    VerificationFailed,
+)
 from .intervals import RealBall
 
 
@@ -122,7 +127,7 @@ def odd_odd_stream(table: ConvergentTable, count: int) -> list[OddOddApproximant
             bound = Fraction(2, v * v)
             if d_hi >= bound:
                 if d_lo >= bound:
-                    raise AssertionError(
+                    raise VerificationFailed(
                         f"odd/odd approximant {u}/{v} violates err < 2/v^2"
                     )
                 undecided = True

@@ -59,3 +59,7 @@ class RankDeficient(PhstabError):
 
 class ValidationError(PhstabError):
     """A system invariant is violated; message names the offending matrix."""
+
+
+class VerificationFailed(PhstabError):
+    """A certified check of a proven statement came out false."""

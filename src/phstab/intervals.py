@@ -1,7 +1,9 @@
 """Thin certified-interval layer on top of mpmath's interval context.
 
-Everything downstream manipulates exact Fractions or interval enclosures;
-floats appear only in non-certified prescans and reports. The global
+Everything downstream manipulates exact Fractions or interval enclosures.
+This module is also the one place where they become floats: ``float_down``
+and ``float_up`` round an endpoint outward, and ``cos_sin`` encloses cosines
+and sines of float arrays with an error bound proven in advance. The global
 ``iv.prec`` is managed through ``workprec`` so nested evaluations restore
 the caller's precision.
 """
@@ -13,8 +15,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 from mpmath import iv
-from mpmath.libmp import to_rational
+from mpmath.libmp import round_ceiling, round_floor, to_float, to_rational
 
 
 @contextmanager
@@ -146,3 +150,139 @@ class ComplexIv:
 def unit_phase(theta) -> ComplexIv:
     """e^{i theta} for an interval angle."""
     return ComplexIv(iv.cos(theta), iv.sin(theta))
+
+
+# -- directed conversion to floats ------------------------------------------
+
+
+def _to_float(x, rnd, lower: bool) -> float:
+    if isinstance(x, (Fraction, int, float)):
+        f = float(x)
+        if lower and Fraction(f) > x:
+            return math.nextafter(f, -math.inf)
+        if not lower and Fraction(f) < x:
+            return math.nextafter(f, math.inf)
+        return f
+    if hasattr(x, "_mpi_"):
+        return to_float(x._mpi_[0 if lower else 1], rnd=rnd)
+    return to_float(x._mpf_, rnd=rnd)
+
+
+def float_down(x) -> float:
+    """Largest float <= x. For an interval, a float <= its lower endpoint.
+
+    ``float()`` of an mpmath value rounds toward zero and of a Fraction to
+    nearest, so neither is a bound on its own.
+    """
+    return _to_float(x, round_floor, True)
+
+
+def float_up(x) -> float:
+    """Smallest float >= x. For an interval, a float >= its upper endpoint."""
+    return _to_float(x, round_ceiling, False)
+
+
+# -- batched certified cos/sin -----------------------------------------------
+
+_U = 2.0**-53  # unit roundoff of binary64, round to nearest
+REDUCTION_RANGE = 2.0**22
+
+
+def _cody_waite_parts() -> tuple[float, float, float, float]:
+    """pi/2 = P1 + P2 + P3 + d with P1, P2 of 30 significant bits, P3 the
+    double nearest the rest, and |d| <= the fourth value."""
+    with mpmath.workprec(320):
+        rest = mpmath.pi / 2
+        parts = []
+        for _ in range(2):
+            scale = mpmath.mpf(2) ** (29 - int(mpmath.floor(mpmath.log(rest, 2))))
+            part = mpmath.floor(rest * scale) / scale
+            parts.append(float(part))  # 30 bits: exact
+            rest -= part
+        parts.append(float(rest))
+        rest -= parts[-1]
+        return parts[0], parts[1], parts[2], float_up(abs(rest))
+
+
+_P1, _P2, _P3, _P_ERR = _cody_waite_parts()
+_COS = [float(Fraction((-1) ** j, math.factorial(2 * j))) for j in range(9)]
+_SIN = [float(Fraction((-1) ** j, math.factorial(2 * j + 1))) for j in range(9)]
+
+
+def _poly_err() -> float:
+    """gamma_32 * cosh(0.8) + 0.8^18 / 18!: Horner rounding (coefficients,
+    r*r and 2 x 8 steps, Higham's gamma_n) plus the Taylor remainder."""
+    with mpmath.workprec(64):
+        gamma = 32 * mpmath.mpf(_U) / (1 - 32 * mpmath.mpf(_U))
+        r = mpmath.mpf("0.8")
+        bound = gamma * mpmath.cosh(r) + r**18 / mpmath.factorial(18)
+        return float_up(bound * (1 + mpmath.mpf(2) ** -20))
+
+
+_POLY_ERR = _poly_err()
+
+
+def cos_sin(x, arg_err=0.0):
+    """Enclose cos and sin of a float array without calling libm.
+
+    Returns ``(c, s, pad_c, pad_s)`` with |cos(y) - c| <= pad_c and
+    |sin(y) - s| <= pad_s for every real y with |y - x| <= arg_err,
+    elementwise. ``arg_err`` is the caller's argument error, for example
+    |t| * width(alpha) plus the rounding of ``alpha * t``.
+
+    Reduction range: |x| <= 2^22. There k = rint(x * 2/pi) has at most 22
+    bits, so k * P1 and k * P2 are exact (P1, P2 carry 30 bits of pi/2),
+    and x - k * P1 is exact by Sterbenz's lemma; the remainder
+    r = x - k (P1 + P2 + P3) lies in |r| <= 0.8. Outside that range (and
+    for non-finite x) the result is the trivial enclosure c = s = 0 with
+    pads 1; callers evaluate such points another way.
+
+    Pad budget, term by term (Cody-Waite reduction as in Muller,
+    *Elementary Functions*; Horner error as in Higham, *Accuracy and
+    Stability of Numerical Algorithms*). The error ``e`` of c and s as
+    values at x itself is the sum of
+
+    - reduction: |k| * |pi/2 - P1 - P2 - P3| for the split of pi/2, plus
+      2^-52 (|x - k P1 - k P2| + |k P3| + |r|) for the three rounded
+      operations that form r;
+    - polynomial: degree 16 (cos) and 17 (sin) Taylor polynomials in r,
+      Horner in r*r, rounding <= gamma_32 cosh(0.8), remainder
+      <= 0.8^18 / 18!.
+
+    The argument error d = ``arg_err`` then enters by Taylor's theorem:
+    pad_c = e + (|s| + e) d + d^2 / 2 and pad_s = e + (|c| + e) d + d^2 / 2,
+    so near a zero of sin (a resonance) cos pays d only to second order.
+    Each pad is inflated by 2^-50 to cover its own rounding.
+
+    Fallback rule of the branch-and-bound in ``spectral``: a point or cell
+    goes to the mpmath interval evaluation only when its argument leaves
+    the reduction range, or when this kernel's own error (everything but
+    the width of alpha's enclosure, which mpmath pays too) is what blocks
+    the decision. Every float a bracket reports is rounded outward, through
+    ``float_down``/``float_up`` or one ``nextafter`` per float operation.
+    """
+    x = np.asarray(x, dtype=float)
+    ok = np.abs(x) <= REDUCTION_RANGE
+    x = np.where(ok, x, 0.0)
+    k = np.rint(x * (2 / math.pi))
+    t2 = (x - k * _P1) - k * _P2
+    p3 = k * _P3
+    r = t2 - p3
+    z = r * r
+    c = _COS[8]
+    s = _SIN[8]
+    for j in range(7, -1, -1):
+        c = c * z + _COS[j]
+        s = s * z + _SIN[j]
+    s = s * r
+    e = np.abs(k) * _P_ERR + 2.0**-52 * (np.abs(t2) + np.abs(p3) + np.abs(r)) + _POLY_ERR
+    q = k.astype(np.int64) & 3
+    swap = (q & 1).astype(bool)
+    cc, ss = np.where(swap, s, c), np.where(swap, c, s)
+    c, s = np.where((q == 1) | (q == 2), -cc, cc), np.where(q >= 2, -ss, ss)
+    d = arg_err
+    tail = e + 0.5 * d * d
+    pad_c = (tail + (np.abs(s) + e) * d) * (1 + 2.0**-50)
+    pad_s = (tail + (np.abs(c) + e) * d) * (1 + 2.0**-50)
+    return (np.where(ok, c, 0.0), np.where(ok, s, 0.0),
+            np.where(ok, pad_c, 1.0), np.where(ok, pad_s, 1.0))

@@ -3,13 +3,16 @@
 T_{t,alpha} = M diag(e^{it}, e^{i alpha t}) + I with M = (1/2)[[1,1],[1,1]],
 det T = 1 + (e^{it} + e^{i alpha t})/2. The auxiliary functions are
 h(t) = |2 + e^{i pi t} + e^{i pi alpha t}| and g(t) = h(t/pi)/2 = |det T_t|.
-Infima of h and suprema of ||T_t^{-1}|| are bracketed by branch-and-bound
-with interval bounds, so every reported lower/upper pair is certified.
+Infima of h and suprema of ||T_t^{-1}|| are bracketed by level-synchronous
+branch-and-bound: each round bounds the whole surviving frontier with one
+call of the float kernel ``intervals.cos_sin``, and sends to the mpmath
+interval evaluation only what that kernel's own rounding pad cannot decide.
+Every float a bracket reports is rounded outward, so every reported
+lower/upper pair is certified.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +31,10 @@ from .errors import (
 from .intervals import (
     ComplexIv,
     RealBall,
+    REDUCTION_RANGE,
+    cos_sin,
+    float_down,
+    float_up,
     fraction_bounds,
     iv_hull,
     unit_phase,
@@ -62,9 +69,6 @@ class HEvaluator:
         """Interval enclosure of alpha at >= bits accuracy (current prec)."""
         return iv_hull(*self.alpha_bounds(bits))
 
-    def alpha_float(self) -> float:
-        return float(sum(self.alpha_bounds(64)) / 2)
-
     # -- pointwise evaluations (call inside workprec) -----------------------
 
     def phases(self, t, a):
@@ -91,7 +95,7 @@ class HEvaluator:
             raise SingularMatrix(f"|det|^2 enclosure {det2} touches zero at t={t}")
         disc = frob2 * frob2 - 4 * det2
         if disc.a < 0:
-            disc = iv.mpf([0, max(float(disc.b), 0.0)])
+            disc = iv.mpf([0, max(float_up(disc), 0.0)])
         sigma2 = (frob2 + iv.sqrt(disc)) / 2
         return iv.sqrt(sigma2 / det2)
 
@@ -114,46 +118,6 @@ def _t_float(t) -> float:
 
 def _bits_for(t_magnitude: float, bits: int) -> int:
     return required_bits(max(abs(t_magnitude), 1), bits)
-
-
-@dataclass(frozen=True)
-class BoundaryMatrix2:
-    """T_{t,alpha} with interval entries."""
-
-    t: float
-    entries: tuple  # ((ComplexIv, ComplexIv), (ComplexIv, ComplexIv))
-    bits: int
-
-    def det(self) -> ComplexIv:
-        (a, b), (c, d) = self.entries
-        return a * d - b * c
-
-    def max_entry_err(self) -> float:
-        return max(e.max_err() for row in self.entries for e in row)
-
-    def norm_upper(self) -> float:
-        """Upper bound on the spectral norm via the Frobenius norm."""
-        s = iv.mpf(0)
-        for row in self.entries:
-            for e in row:
-                s = s + e.abs2()
-        return float(iv.sqrt(s).b)
-
-
-def t_matrix(alpha: IrrationalSpec, t, bits: int = 128) -> BoundaryMatrix2:
-    ev = HEvaluator(alpha)
-    work = _bits_for(_t_float(t), bits)
-    with workprec(work):
-        a = ev.alpha_at(work)
-        ti = _as_iv(t)
-        e1, e2 = ev.phases(ti, a)
-        half = iv.mpf(1) / 2
-        one = iv.mpf(1)
-        entries = (
-            (ComplexIv(one + half * e1.re, half * e1.im), e2 * half),
-            (e1 * half, ComplexIv(one + half * e2.re, half * e2.im)),
-        )
-        return BoundaryMatrix2(t=_t_float(t), entries=entries, bits=bits)
 
 
 def det_t(alpha: IrrationalSpec, t, bits: int = 128) -> ComplexIv:
@@ -225,6 +189,86 @@ def g_at_witness(alpha: IrrationalSpec, u: int, v: int, bits: int = 128) -> Real
         work *= 2
 
 
+# -- float bounds shared by the kernel path and the mpmath fallback ---------
+
+# Each O(1) quantity formed below from kernel values (|det|^2, the squared
+# Frobenius norm, their slopes, w = 2 + e^{i pi t} + e^{i pi alpha t}) takes
+# at most 12 float operations on terms of magnitude at most 8, so its
+# rounding error is below 12 * 8 * 2^-53 < 2^-46.
+_SLACK = 2.0**-46
+# Relative allowance for the rounding of a handful (< 8) of operations on
+# nonnegative terms.
+_REL = 2.0**-50
+_PI_UP = math.nextafter(math.pi, math.inf)
+
+
+def _up(x):
+    return np.nextafter(x, np.inf)
+
+
+def _down(x):
+    return np.nextafter(x, -np.inf)
+
+
+def _sqrt_up(x):
+    return _up(np.sqrt(x))
+
+
+def _sqrt_down(x):
+    return np.maximum(_down(np.sqrt(x)), 0.0)
+
+
+def _minus_down(x, m):
+    """A float <= x - m' for every m' within relative error 4u of the float
+    m >= 0 (u = 2^-53), i.e. the subtraction rounded down."""
+    return x - m - (np.abs(x) + m) * _REL
+
+
+def _plus_up(x, m):
+    """A float >= x + m' for every m' within relative error 4u of m >= 0."""
+    return x + m + (np.abs(x) + m) * _REL
+
+
+def _scale(k) -> tuple[float, float, float]:
+    """(kf, own, width) for an interval constant k: |K - kf| <= own + width
+    for every K in k. ``width`` is k's radius, which an interval evaluation
+    pays too; ``own`` is the distance from its midpoint to the float kf."""
+    lo, hi = fraction_bounds(k)
+    mid = (lo + hi) / 2
+    kf = float(mid)
+    return kf, float_up(abs(mid - kf)), float_up((hi - lo) / 2)
+
+
+_EXACT = (1.0, 0.0, 0.0)
+
+
+def _phases(ts, scales):
+    """cos/sin of K t for every scale K and time t in one kernel call.
+
+    Returns per scale a tuple (cos, sin, pad_cos, pad_sin, wid_cos,
+    wid_sin), and a mask of the times at which some K t leaves the
+    kernel's reduction range. The wid_ terms are what K's enclosure width
+    alone costs, that is, what an interval evaluation pays too."""
+    at = np.abs(ts)
+    xs, errs, wides = [], [], []
+    for kf, own, wid in scales:
+        x = kf * ts
+        rnd = 0.0 if kf == 1.0 else 2.0**-52  # rounding of kf * t
+        xs.append(x)
+        errs.append((at * (own + wid) + np.abs(x) * rnd) * (1 + _REL))
+        wides.append(at * wid)
+    x = np.concatenate(xs)
+    parts = cos_sin(x, np.concatenate(errs))
+    n = len(ts)
+    out = []
+    for i, w in enumerate(wides):
+        c, s, pc, ps = (v[i * n:(i + 1) * n] for v in parts)
+        half = 0.5 * w * w
+        out.append((c, s, pc, ps, np.abs(s) * w + half, np.abs(c) * w + half))
+    oor = ~(np.abs(x) <= REDUCTION_RANGE).reshape(len(scales), n).all(axis=0)
+    return out, oor
+
+
 # -- certified infimum of h ------------------------------------------------
 
 
@@ -236,7 +280,6 @@ class CertifiedInf:
     upper: float
     witness: float
     grid_step: float
-    lipschitz: float
     bits: int
 
 
@@ -254,6 +297,41 @@ def _f_and_slope(ev: HEvaluator, c, a):
     return f, fp
 
 
+def _h_terms(ph, sa):
+    """Float bounds at the times of ``ph`` for F = h^2.
+
+    Returns (F_lo, F_up, |F'|, own, wid): ``wid`` is the width of the F
+    bracket that alpha's enclosure width alone causes (an interval
+    evaluation pays it too), ``own`` the rest of its width, which is the
+    kernel's own rounding."""
+    (c1, s1, pc1, ps1, wc1, ws1), (c2, s2, pc2, ps2, wc2, ws2) = ph
+    af, a_own, a_wid = sa
+    a_err = a_own + a_wid
+    ka = abs(af) + a_err
+    w_re, w_im = 2.0 + c1 + c2, s1 + s2
+    wr, wi = np.abs(w_re), np.abs(w_im)
+    er, ei = pc1 + pc2 + _SLACK, ps1 + ps2 + _SLACK
+    f_lo = (np.maximum(wr - er, 0.0) ** 2 + np.maximum(wi - ei, 0.0) ** 2) * (1 - _REL)
+    f_up = ((wr + er) ** 2 + (wi + ei) ** 2) * (1 + _REL)
+    wid = 4 * (wr * (wc1 + wc2) + wi * (ws1 + ws2))
+    # F' = 2 Re(conj(w) w') with w' = pi (v_r + i v_i):
+    # v_r = -(sin(pi t) + alpha sin(pi alpha t)), v_i = cos(..) + alpha cos(..)
+    vr, vi = -(s1 + af * s2), c1 + af * c2
+    evr = ps1 + ka * ps2 + a_err * (1 + ps2) + _SLACK
+    evi = pc1 + ka * pc2 + a_err * (1 + pc2) + _SLACK
+    dot = np.abs(w_re * vr + w_im * vi)
+    spread = (wr * evr + np.abs(vr) * er + er * evr
+              + wi * evi + np.abs(vi) * ei + ei * evi)
+    speed = 2 * _PI_UP * (dot + spread + 2.0**-44) * (1 + _REL)
+    return f_lo, f_up, speed, f_up - f_lo - wid, wid
+
+
+def _h_terms_mp(ev: HEvaluator, c: float, av):
+    """The same bounds from the mpmath interval evaluation at c."""
+    f, fp = _f_and_slope(ev, iv.mpf(c), av)
+    return max(float_down(f), 0.0), float_up(f), float_up(abs(fp))
+
+
 def inf_h_interval(
     alpha: IrrationalSpec, a: float, b: float, tol: float = 1e-6, bits: int = 128
 ) -> CertifiedInf:
@@ -262,6 +340,16 @@ def inf_h_interval(
     Branch-and-bound on F = h^2 with the second-order midpoint bound
     F(t) >= F(c) - |F'(c)| r - L2 r^2 / 2 on |t - c| <= r, where
     L2 >= sup |F''| = 2 pi^2 ((1+alpha)^2 + 4 (1+alpha^2)).
+
+    Level-synchronous: each round visits both children of every open cell
+    (point bound at the child's centre plus its cell bound) with one
+    ``cos_sin`` call. A cell is closed when pruned (bound >= the best upper
+    bound) or done (sqrt(best) - sqrt(bound) <= tol, rounded outward). A
+    visit goes to the mpmath evaluation when an argument leaves the
+    kernel's reduction range, or when its cell stays open and the kernel's
+    own rounding is the larger part of the bound's slack, so that splitting
+    cannot close it. Alpha's enclosure width counts with the slack: the
+    mpmath evaluation pays it too.
     """
     if not b > a:
         raise OutOfRange(f"degenerate interval [{a}, {b}]")
@@ -271,52 +359,64 @@ def inf_h_interval(
     work = _bits_for(max(abs(a), abs(b), 1.0), bits)
     with workprec(work):
         av = ev.alpha_at(work)
-        a_hi = float(av.b)
-        lips = math.pi * (1 + a_hi) * 1.0000001
+        a_hi = float_up(av)
         l2 = 2 * math.pi**2 * ((1 + a_hi) ** 2 + 4 * (1 + a_hi**2)) * 1.0000001
+        s_pi, s_pia = _scale(iv.pi), _scale(iv.pi * av)
+        sa = _scale(av)
 
         best_up = math.inf  # least certified upper bound on F at a point
         witness = a
-        finest = (b - a) / 2
 
-        def visit(c: float, r: float):
+        def is_open(lb, bu):
+            return (lb < bu) & (_sqrt_up(bu) - _sqrt_down(np.maximum(lb, 0.0)) > tol)
+
+        def visit(cs, rs):
+            """Cell lower bounds, updating best_up from the centres."""
             nonlocal best_up, witness
-            f, fp = _f_and_slope(ev, iv.mpf(c), av)
-            fu = float(f.b)
-            if fu < best_up:
-                best_up, witness = fu, c
-            speed = max(abs(float(fp.a)), abs(float(fp.b)))
-            lb = float(f.a) - speed * r - l2 * r * r / 2
+            ph, oor = _phases(cs, (s_pi, s_pia))
+            rb = rs + (np.abs(cs) + rs) * 2.0**-52  # covers rounded centres
+            f_lo, f_up, speed, own, wid = _h_terms(ph, sa)
+            centred = speed * rb + 0.5 * l2 * rb * rb
+            lb = _minus_down(f_lo, centred)
+            if f_up.size and f_up.min() < best_up:
+                i = int(np.argmin(f_up))
+                best_up, witness = float(f_up[i]), float(cs[i])
+            back = oor | (is_open(lb, best_up) & (own >= wid + centred))
+            for i in np.flatnonzero(back):
+                f_lo_i, f_up_i, speed_i = _h_terms_mp(ev, float(cs[i]), av)
+                lb[i] = _minus_down(f_lo_i, speed_i * rb[i] + 0.5 * l2 * rb[i] ** 2)
+                if f_up_i < best_up:
+                    best_up, witness = f_up_i, float(cs[i])
             return lb
 
         c0 = (a + b) / 2
-        heap = [(visit(c0, b - c0), c0, b - c0)]
-        lower = heap[0][0]
-        # A few extra seeds so best_up starts realistic.
-        for c in np.linspace(a, b, 17):
-            visit(float(c), 0.0)
-
-        while heap:
-            lb, c, r = heapq.heappop(heap)
-            lower = lb
-            if math.sqrt(best_up) - math.sqrt(max(lower, 0.0)) <= tol:
+        # A few extra seeds (radius 0) so best_up starts realistic.
+        seeds = np.linspace(a, b, 17)
+        lb = visit(np.append(c0, seeds), np.append(b - c0, np.zeros(17)))[:1]
+        c, r = np.array([c0]), np.array([b - c0])
+        finest = (b - a) / 2
+        done_lo = math.inf
+        while c.size:
+            live = lb < best_up
+            opened = is_open(lb, best_up)
+            done = live & ~opened
+            if done.any():
+                done_lo = min(done_lo, float(lb[done].min()))
+            c, r = c[opened], r[opened] / 2
+            if not c.size:
                 break
-            finest = min(finest, r / 2)
-            for cc in (c - r / 2, c + r / 2):
-                clb = visit(cc, r / 2)
-                if clb < best_up:
-                    heapq.heappush(heap, (clb, cc, r / 2))
-        else:
-            lower = best_up  # heap exhausted: every cell was pruned
+            finest = min(finest, float(r.min()))
+            c, r = np.concatenate([c - r, c + r]), np.concatenate([r, r])
+            lb = visit(c, r)
+        lower = min(done_lo, best_up)
 
         return CertifiedInf(
             a=a,
             b=b,
-            lower=math.sqrt(max(lower, 0.0)),
-            upper=math.sqrt(best_up),
+            lower=float(_sqrt_down(max(lower, 0.0))),
+            upper=float(_sqrt_up(best_up)),
             witness=witness,
             grid_step=finest,
-            lipschitz=lips,
             bits=work,
         )
 
@@ -349,7 +449,64 @@ class GrowthCurve:
 _MIN_CELL = 1e-13
 
 
-def _sup_inv_norm(ev, av, a: float, b: float, tol: float, seed: float):  # noqa: C901
+def _sup_terms(ph, sa, sb):
+    """Float bounds on |det|^2 = D, |D'|, F = ||T||_F^2 and |F'| at the times
+    of ``ph`` (phases of t, alpha t, (1 - alpha) t).
+
+    Returns ((D_lo, D_up, |D'|, F_lo, F_up, |F'|), own, wid), where ``wid``
+    is the part of D's error that alpha's enclosure width causes (an
+    interval evaluation pays it too) and ``own`` the rest, which is the
+    kernel's own rounding."""
+    (c1, s1, pc1, ps1, wc1, _), (c2, s2, pc2, ps2, wc2, _), (c3, s3, pc3, ps3, wc3, _) = ph
+    (af, a_own, a_wid), (bf, b_own, b_wid) = sa, sb
+    a_err, b_err = a_own + a_wid, b_own + b_wid
+    d = 1.5 + c1 + c2 + 0.5 * c3
+    ed = pc1 + pc2 + 0.5 * pc3 + _SLACK
+    wid = wc1 + wc2 + 0.5 * wc3
+    f = 3.0 + c1 + c2
+    ef = pc1 + pc2 + _SLACK
+    ka, kb = abs(af) + a_err, abs(bf) + b_err
+    # D' = -(sin t + alpha sin(alpha t) + (1 - alpha) sin((1 - alpha) t) / 2)
+    dd = (np.abs(s1 + af * s2 + 0.5 * bf * s3) + ps1 + ka * ps2 + 0.5 * kb * ps3
+          + a_err * (1 + ps2) + 0.5 * b_err * (1 + ps3) + _SLACK)
+    # F' = -(sin t + alpha sin(alpha t))
+    df = np.abs(s1 + af * s2) + ps1 + ka * ps2 + a_err * (1 + ps2) + _SLACK
+    bounds = (np.maximum(d - ed, 0.0), np.minimum(d + ed, 4.0), dd,
+              np.maximum(f - ef, 1.0), np.minimum(f + ef, 5.0), df)
+    return bounds, ed - wid, wid
+
+
+def _norm_up(d_lo, f_up):
+    """Upper bound on ||T^{-1}|| = sqrt(sigma_max^2 / D) given D >= d_lo and
+    F <= f_up, where sigma_max^2 = (F + sqrt(F^2 - 4 D)) / 2 rises with F
+    and falls with D; inf where d_lo <= 0. F <= 5, so F^2 - 4D is off by
+    less than 2^-47."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.maximum(f_up * f_up - 4 * d_lo, 0.0) + 2.0**-47
+        up = np.sqrt((f_up + np.sqrt(disc)) * 0.5 / d_lo) * (1 + 2.0**-49)
+    return np.where(d_lo > 0, up, np.inf)
+
+
+def _norm_lo(d_up, f_lo):
+    """Lower bound on ||T^{-1}|| given D <= d_up and F >= f_lo."""
+    disc = np.maximum(f_lo * f_lo - 4 * d_up - 2.0**-47, 0.0)
+    return np.sqrt((f_lo + np.sqrt(disc)) * 0.5 / d_up) * (1 - 2.0**-49)
+
+
+def _sup_terms_mp(c: float, av):
+    """The bounds of ``_sup_terms`` from the mpmath interval evaluation."""
+    ti = iv.mpf(c)
+    e1, e2 = unit_phase(ti), unit_phase(av * ti)
+    e3 = unit_phase((1 - av) * ti)
+    det2 = iv.mpf(3) / 2 + e1.re + e2.re + e3.re / 2
+    ddet2 = -(e1.im + av * e2.im + (1 - av) * e3.im / 2)
+    frob2 = 3 + e1.re + e2.re
+    dfrob2 = -(e1.im + av * e2.im)
+    return (max(float_down(det2), 0.0), float_up(det2), float_up(abs(ddet2)),
+            float_down(frob2), min(float_up(frob2), 5.0), float_up(abs(dfrob2)))
+
+
+def _sup_inv_norm(ev, av, a: float, b: float, tol: float, seed: float):
     """Bracket sup_{t in [a,b]} ||T_t^{-1}|| to relative width tol.
 
     Cell bounds use the centered form v(c) +/- (|v'(c)| r + L r^2 / 2) for
@@ -359,49 +516,72 @@ def _sup_inv_norm(ev, av, a: float, b: float, tol: float, seed: float):  # noqa:
     sigma_max^2 = (F + sqrt(F^2 - 4 |det|^2)) / 2.
     The centered form prunes geometrically near resonances, where naive
     interval extension would need O(|det|^-2) many cells.
+
+    Level-synchronous: each round takes every cell whose bound exceeds the
+    incumbent times (1 + tol), bounds the norm at all their centres and
+    both children of each with one ``cos_sin`` call. A point or cell goes
+    to the mpmath evaluation when an argument leaves the kernel's reduction
+    range, or when the kernel's own rounding blocks the decision: a point
+    that might raise the incumbent, whose float bracket is wider than
+    tol/4, and whose |det|^2 error is mostly the kernel's own; a cell whose
+    bound exceeds the threshold and whose |det|^2 error is mostly the
+    kernel's own, so that splitting cannot prune it. Alpha's enclosure
+    width never counts as the kernel's own: the mpmath evaluation pays it
+    too.
     """
-    af = ev.alpha_float()
-    bf = 1 - af
+    sa, sb = _scale(av), _scale(1 - av)
+    scales = (_EXACT, sa, sb)
+    af, bf = sa[0], sb[0]
     l2_det = (1 + af * af + bf * bf / 2) * 1.01  # >= sup |(|det|^2)''|
     l2_frob = (1 + af * af) * 1.01  # >= sup |F''|
     # Below this cell radius the alpha enclosure, not the cell width,
     # dominates the bound slack; further subdivision cannot help.
-    a_err = float(av.delta) / 2
+    a_err = sa[2]
 
     best_lo = seed
     witness = a
     stuck_up = 0.0  # certified upper over cells parked at the floor
 
-    def point(t: float):
-        nonlocal best_lo, witness
-        n = ev.inv_norm_iv(iv.mpf(t), av)
-        if float(n.a) > best_lo:
-            best_lo, witness = float(n.a), t
-        return n
+    def cell_up(terms, rb):
+        d_lo, _, dd, _, f_up, df = terms
+        d_cell = _minus_down(d_lo, dd * rb + 0.5 * l2_det * rb * rb)
+        f_cell = np.minimum(_plus_up(f_up, df * rb + 0.5 * l2_frob * rb * rb), 5.0)
+        return _norm_up(d_cell, f_cell)
 
-    def cell_upper(c: float, r: float) -> float:
-        ti = iv.mpf(c)
-        e1, e2 = unit_phase(ti), unit_phase(av * ti)
-        e3 = unit_phase((1 - av) * ti)
-        det2 = iv.mpf(3) / 2 + e1.re + e2.re + e3.re / 2
-        ddet2 = -(e1.im + av * e2.im + (1 - av) * e3.im / 2)
-        frob2 = 3 + e1.re + e2.re
-        dfrob2 = -(e1.im + av * e2.im)
-        pad_d = max(abs(float(ddet2.a)), abs(float(ddet2.b))) * r + l2_det * r * r / 2
-        det2_lo = float(det2.a) - pad_d
-        if det2_lo <= 0:
-            if r < _MIN_CELL:
+    def evaluate(pts, cs, rs):
+        """Raise the incumbent from the points; return upper bounds on the
+        cells (cs, rs)."""
+        nonlocal best_lo, witness
+        n = len(pts)
+        ts = np.concatenate([pts, cs])
+        ph, oor = _phases(ts, scales)
+        terms, own, wid = _sup_terms(ph, sa, sb)
+
+        lo = _norm_lo(terms[1][:n], terms[3][:n])
+        up = _norm_up(terms[0][:n], terms[4][:n])
+        wide = up > lo * (1 + tol / 4)
+        back = (up > best_lo) & (oor[:n] | (wide & (own[:n] >= wid[:n])))
+        for i in np.flatnonzero(back):
+            lo[i] = float_down(ev.inv_norm_iv(iv.mpf(float(pts[i])), av))
+        if n and lo.max() > best_lo:
+            i = int(np.argmax(lo))
+            best_lo, witness = float(lo[i]), float(pts[i])
+
+        # Centres are rounded floats: the radius covers the rounding.
+        rb = rs + (np.abs(cs) + rs) * 2.0**-52
+        cell = [x[n:] for x in terms]
+        ub = cell_up(cell, rb)
+        centred = cell[2] * rb + 0.5 * l2_det * rb * rb
+        back = (ub > best_lo * (1 + tol)) & (
+            oor[n:] | (own[n:] >= wid[n:] + centred)
+            | ((rs < _MIN_CELL) & np.isinf(ub)))
+        for i in np.flatnonzero(back):
+            ub[i] = cell_up(_sup_terms_mp(float(cs[i]), av), rb[i])
+            if np.isinf(ub[i]) and rs[i] < _MIN_CELL:
                 raise SingularMatrix(
-                    f"det enclosure contains 0 near t={c} (cell radius {r})"
+                    f"det enclosure contains 0 near t={cs[i]} (cell radius {rs[i]})"
                 )
-            return math.inf
-        pad_f = (
-            max(abs(float(dfrob2.a)), abs(float(dfrob2.b))) * r + l2_frob * r * r / 2
-        )
-        frob2_up = min(5.0, float(frob2.b) + pad_f)
-        disc = max(frob2_up * frob2_up - 4 * det2_lo, 0.0)
-        sigma2_up = (frob2_up + math.sqrt(disc)) / 2
-        return math.sqrt(sigma2_up / det2_lo)
+        return ub
 
     # Float prescan seeds the incumbent near the true maximizer.
     grid = np.linspace(a, b, max(64, int((b - a) * 64)) + 1)
@@ -411,35 +591,36 @@ def _sup_inv_norm(ev, av, a: float, b: float, tol: float, seed: float):  # noqa:
     nvals = np.sqrt(
         (frob2g + np.sqrt(np.maximum(frob2g**2 - 4 * det2g, 0.0))) / (2 * det2g)
     )
-    for i in np.argsort(nvals)[-4:]:
-        point(float(grid[i]))
+    top = grid[np.argsort(nvals)[-4:]]
 
     step = min(1.0, b - a)
-    cells = []
+    cs, rs = [], []
     x = a
     while x < b:
         y = min(x + step, b)
-        c, r = (x + y) / 2, (y - x) / 2
-        ub = cell_upper(c, r)
-        if ub > best_lo * (1 + tol):
-            heapq.heappush(cells, (-ub, c, r))
+        cs.append((x + y) / 2)
+        rs.append((y - x) / 2)
         x = y
+    c, r = np.array(cs), np.array(rs)
+    ub = evaluate(top, c, r)
 
     # Cells are dropped only once their upper bound is at most the current
     # incumbent times (1 + tol), and the incumbent never decreases, so on
     # exit best_lo * (1 + tol) is a certified upper bound for the segment.
-    while cells:
-        nub, c, r = heapq.heappop(cells)
-        if -nub <= best_lo * (1 + tol):
+    while True:
+        live = ub > best_lo * (1 + tol)
+        c, r, ub = c[live], r[live], ub[live]
+        if not c.size:
             break
-        point(c)
-        if r < max(1e-13, 4 * a_err * (abs(c) + 1)):
-            stuck_up = max(stuck_up, -nub)
-            continue
-        for cc in (c - r / 2, c + r / 2):
-            ub = cell_upper(cc, r / 2)
-            if ub > best_lo * (1 + tol):
-                heapq.heappush(cells, (-ub, cc, r / 2))
+        park = r < np.maximum(1e-13, 4 * a_err * (np.abs(c) + 1))
+        cc, rr = c[~park], r[~park] / 2
+        cc, rr = np.concatenate([cc - rr, cc + rr]), np.concatenate([rr, rr])
+        ub_next = evaluate(c, cc, rr)
+        parked = ub[park]
+        parked = parked[parked > best_lo * (1 + tol)]
+        if parked.size:
+            stuck_up = max(stuck_up, float(parked.max()))
+        c, r, ub = cc, rr, ub_next
 
     return best_lo, max(best_lo * (1 + tol), stuck_up), witness
 
@@ -502,8 +683,8 @@ def sandwich_constant(alpha: IrrationalSpec) -> float:
     with workprec(96):
         a = ev.alpha_at(96)
         one_plus = (1 + a) * (1 + a)
-        denom = min(float(one_plus.a), 1.0)
-        return float((36 * iv.pi * iv.pi).b) / denom
+        denom = one_plus.a if one_plus.a < 1 else iv.mpf(1)
+        return float_up(36 * iv.pi * iv.pi / denom)
 
 
 def sandwich_report(
@@ -517,18 +698,14 @@ def sandwich_report(
         if v <= 0 or v % 2 == 0:
             raise OutOfRange(f"v={v} is not a positive odd integer")
         u, dist = min_odd_dist(alpha, v, bits=bits)
-        d_lo, d_up = float(dist.lower), float(dist.upper)
+        d_lo, d_up = float_down(dist.lower), float_up(dist.upper)
         # Near resonances inf h ~ dist^2 can sit far below an absolute tol,
         # which would zero out the lower ratio; tighten proportionally.
         tol_v = min(tol, d_lo * d_lo / 16)
         ci = inf_h_interval(alpha, v - 1.0, v + 1.0, tol=tol_v, bits=bits)
-        ratio_lo = ci.lower / (d_up * d_up)
-        ratio_hi = ci.upper / (d_lo * d_lo)
+        ratio_lo = float(_down(ci.lower / _up(d_up * d_up)))
+        ratio_hi = float(_up(ci.upper / _down(d_lo * d_lo)))
         upper_ok = ci.lower <= const * d_up * d_up + tol
-        assert upper_ok, (
-            f"sandwich upper bound violated at v={v}: "
-            f"inf_h in [{ci.lower}, {ci.upper}], const*dist^2 <= {const * d_up**2}"
-        )
         out.append(
             SandwichReport(
                 v=v,

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from phstab import cli, phs
+from phstab import cli, contfrac, phs
 
 
 def run(args):
@@ -124,3 +128,43 @@ def test_verify_suites(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
     assert run(["verify", "nonsense"]) == 2
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_sandwich_violation_exits_1(flags):
+    # a zero sandwich constant makes the certified upper bound fail
+    code = (
+        "import sys\n"
+        "from phstab import cli, spectral\n"
+        "spectral.sandwich_constant = lambda alpha: 0.0\n"
+        "sys.exit(cli.main(['sandwich', '--surd', '2', '--odd-v', '1..3']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    res = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_cf_identity_failure_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(contfrac.ConvergentTable, "check_identity",
+                        lambda self: False)
+    assert run(["cf", "--surd", "2", "--terms", "10"]) == 1
+    assert "identity" in capsys.readouterr().err
+
+
+def test_verify_appendix_identity_failure_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(contfrac.ConvergentTable, "check_identity",
+                        lambda self: False)
+    assert run(["verify", "appendix"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  appendix: appendix identities [sqrt2]" in out
+
+
+def test_bad_phstab_bits_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("PHSTAB_BITS", "12x")
+    assert run(["cf", "--surd", "2"]) == 2
+    assert "PHSTAB_BITS" in capsys.readouterr().err

@@ -155,3 +155,80 @@ def test_inv_norm_lower_bound_at_resonance(v):
     # sigma_max/|det| >= 1/(2|det|); just check the certified bracket is sane
     ball = sp.inv_norm(cf.SQRT2, math.pi * v)
     assert 0 < float(ball.lower) <= float(ball.upper)
+
+
+def _mp(alpha):
+    """alpha at the current mpmath precision: a Fraction, or "sqrt2"."""
+    if alpha == "sqrt2":
+        return mpmath.sqrt(2)
+    return mpmath.mpf(alpha.numerator) / alpha.denominator
+
+
+def _inv_norm_256(alpha, t: float):
+    """||T_t^{-1}|| at 256 bits from the explicit inverse (2x2 identity
+    sigma_max^2 = (|B|_F^2 + sqrt(|B|_F^4 - 4 |det B|^2)) / 2)."""
+    with mpmath.workprec(256):
+        a = _mp(alpha)
+        e1, e2 = mpmath.expj(mpmath.mpf(t)), mpmath.expj(a * mpmath.mpf(t))
+        B = mpmath.matrix([[1 + e1 / 2, e2 / 2], [e1 / 2, 1 + e2 / 2]]) ** -1
+        fro = sum(abs(B[i, j]) ** 2 for i in range(2) for j in range(2))
+        det = abs(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]) ** 2
+        return mpmath.sqrt((fro + mpmath.sqrt(fro**2 - 4 * det)) / 2)
+
+
+def _h_256(alpha, t: float):
+    with mpmath.workprec(256):
+        a = _mp(alpha)
+        pt = mpmath.pi * mpmath.mpf(t)
+        return abs(2 + mpmath.expj(pt) + mpmath.expj(a * pt))
+
+
+@given(a=st.floats(min_value=1.1, max_value=1.95))
+@settings(max_examples=8, deadline=None)
+def test_brackets_contain_256bit_value_at_witness(a):
+    digits = f"{a:.17f}"
+    alpha = cf.DecimalLiteral(digits=digits, bits=256)
+    exact = Fraction(digits)
+    curve = sp.growth_curve(alpha, [6.0, 20.0], tol=1e-3)
+    for p in curve.points:
+        assert p.m_upper <= p.m_lower * (1 + 1e-3)
+        assert p.m_lower <= _inv_norm_256(exact, p.witness) <= p.m_upper
+    ci = sp.inf_h_interval(alpha, 2.0, 4.0, tol=1e-8)
+    assert ci.upper - ci.lower <= 1e-8
+    assert ci.lower <= _h_256(exact, ci.witness) <= ci.upper
+
+
+def test_fallback_at_deep_resonance_and_beyond_reduction_range(monkeypatch):
+    calls = {"inv_norm_iv": 0, "phases": 0}
+
+    def counted(name):
+        orig = getattr(sp.HEvaluator, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return orig(self, *args)
+
+        monkeypatch.setattr(sp.HEvaluator, name, wrapper)
+
+    counted("inv_norm_iv")
+    counted("phases")
+    # the peak near t = 3094 (odd/odd approximant 1393/985): |det|^2 is
+    # below the kernel's own pad there, so its points go to mpmath
+    p = sp.growth_curve(cf.SQRT2, [1e4], tol=1e-3).points[0]
+    assert calls["inv_norm_iv"] > 0
+    assert p.m_upper <= p.m_lower * (1 + 1e-3)
+    assert abs(p.witness - 3094.47) < 0.01
+    assert p.m_lower <= _inv_norm_256("sqrt2", p.witness)
+    # pi * t > 2^22: every visit goes to mpmath
+    ci = sp.inf_h_interval(cf.SQRT2, 1.4e6 - 1, 1.4e6 + 1, tol=1e-6)
+    assert calls["phases"] > 0
+    assert 0 < ci.upper - ci.lower <= 1e-6
+    assert ci.lower <= _h_256("sqrt2", ci.witness) <= ci.upper
+
+
+def test_sandwich_distance_bracket_contains_exact_distance():
+    alpha = cf.ExplicitQuotients((1,) + (2,) * 12)  # rational: exact distances
+    x = alpha.enclosure(1).value
+    for r in sp.sandwich_report(alpha, range(1, 40, 2)):
+        exact = abs(r.v * x - r.u)
+        assert Fraction(r.dist_lower) <= exact <= Fraction(r.dist_upper)
