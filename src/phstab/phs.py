@@ -98,16 +98,19 @@ class PHSystem:
     def b(self) -> float:
         return self.breaks[-1]
 
-    def piece_index(self, x: float) -> int:
-        if x < self.a or x > self.b:
-            raise ValidationError(f"x={x} outside [{self.a}, {self.b}]")
-        for i in range(len(self.pieces) - 1, -1, -1):
-            if x >= self.breaks[i]:
-                return min(i, len(self.pieces) - 1)
-        return 0
-
-    def H_at(self, x: float) -> np.ndarray:
-        return self.pieces[self.piece_index(x)]
+    def piece_index(self, x):
+        """Index of the piece holding ``x``: the right-hand piece at an
+        interior breakpoint, the last piece at b.  ``x`` may be an array,
+        which gives an array of indices."""
+        xs = np.asarray(x, dtype=float)
+        outside = (xs < self.a) | (xs > self.b)
+        if outside.any():
+            bad = float(xs[outside][0])
+            raise ValidationError(f"x={bad} outside [{self.a}, {self.b}]")
+        k = np.minimum(
+            np.searchsorted(self.breaks, xs, side="right") - 1, len(self.pieces) - 1
+        )
+        return int(k) if k.ndim == 0 else k
 
 
 def validate(sys: PHSystem) -> list[str]:
@@ -175,61 +178,83 @@ def moore_penrose(W: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Pieces whose eigenvector basis has cond(V) at or above this evaluate
+# exp(A s) by a dense matrix exponential per point.
+_EIG_COND_MAX = 1e8
+
+
 class _PieceExp:
     """Evaluator for exp(A s) with A constant on one piece.
 
-    Uses an eigendecomposition when the eigenvector basis is well
-    conditioned (vectorizable over many s), otherwise falls back to a
-    dense matrix exponential per point.
+    With a well-conditioned eigenbasis A = V diag(lam) V^{-1},
+    exp(A s) = sum_k e^{lam_k s} V[:, k] V^{-1}[k, :], so n points cost one
+    (n, d) @ (d, d^2) product; otherwise (``eig`` None) a dense matrix
+    exponential per point.
     """
 
-    def __init__(self, A: np.ndarray) -> None:
+    def __init__(self, A: np.ndarray, eig=None) -> None:
         self.A = A
-        self._eig = None
-        try:
-            lam, V = la.eig(A)
-            if np.isfinite(lam).all() and la.cond(V) < 1e8:
-                self._eig = (lam, V, la.inv(V))
-        except la.LinAlgError:
-            pass
+        self._eig = eig  # (lam, V, V^{-1}) or None
+        if eig is not None:
+            _, V, Vi = eig
+            d = len(V)
+            self._outer = (V.T[:, :, None] * Vi[:, None, :]).reshape(d, d * d)
 
     def at(self, s: float) -> np.ndarray:
-        if self._eig is not None:
-            lam, V, Vi = self._eig
-            return (V * np.exp(lam * s)) @ Vi
-        return sla.expm(self.A * s)
+        return self.at_many(np.array([s]))[0]
 
     def at_many(self, s: np.ndarray) -> np.ndarray:
         """Stack of exp(A s_j), shape (len(s), d, d)."""
         if self._eig is not None:
-            lam, V, Vi = self._eig
-            ph = np.exp(np.multiply.outer(s, lam))  # (n, d)
-            return np.einsum("ik,nk,kj->nij", V, ph, Vi)
+            d = len(self.A)
+            ph = np.exp(np.multiply.outer(s, self._eig[0]))  # (n, d)
+            return (ph @ self._outer).reshape(len(s), d, d)
         return np.stack([sla.expm(self.A * sj) for sj in s])
+
+    def apply(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Rows exp(A s_j) y_j for s of shape (n,) and y of shape (n, d)."""
+        if self._eig is not None:
+            lam, V, Vi = self._eig
+            return ((y @ Vi.T) * np.exp(np.multiply.outer(s, lam))) @ V.T
+        return np.einsum("njk,nk->nj", self.at_many(s), y)
+
+
+def _piece_exps(gens: np.ndarray) -> list[_PieceExp]:
+    """One evaluator per generator in the stack ``gens`` (shape (k, d, d)),
+    from one stacked eigendecomposition."""
+    try:
+        lam, V = la.eig(gens)
+        sv = la.svd(V, compute_uv=False)
+    except la.LinAlgError:
+        return [_PieceExp(A) for A in gens]
+    eig = [None] * len(gens)
+    good = np.flatnonzero(
+        np.isfinite(lam).all(axis=1) & (sv[:, 0] < _EIG_COND_MAX * sv[:, -1])
+    )
+    for k, Vi in zip(good, la.inv(V[good])):
+        eig[k] = (lam[k], V[k], Vi)
+    return [_PieceExp(A, e) for A, e in zip(gens, eig)]
 
 
 class FundamentalMatrix:
-    """Phi_t for a validated system: exact matrix-exponential products
-    across the constant-H pieces, with Phi_t(a) = I."""
+    """Phi_t for a validated system (:func:`fundamental_matrix` validates):
+    exact matrix-exponential products across the constant-H pieces, with
+    Phi_t(a) = I."""
 
     def __init__(self, sys: PHSystem, t: float, b_samples: int = 33) -> None:
-        _require_valid(sys)
         self.sys = sys
         self.t = float(t)
         self._b_samples = b_samples
         self._b_t: float | None = None
-        p1inv = la.inv(sys.P1)
-        self._gens: list[np.ndarray] = []
-        self._exps: list[_PieceExp] = []
+        self._p1inv = la.inv(sys.P1)
+        self._hinv = la.inv(np.stack(sys.pieces))
+        self._exps = _piece_exps(
+            -self._p1inv @ (1j * self.t * self._hinv + sys.P0)
+        )
         # cumulative Phi at each breakpoint (left end of each piece)
         self._cum: list[np.ndarray] = [np.eye(sys.d, dtype=complex)]
-        for k, hk in enumerate(sys.pieces):
-            A = -p1inv @ (1j * self.t * la.inv(hk) + sys.P0)
-            self._gens.append(A)
-            pe = _PieceExp(A)
-            self._exps.append(pe)
-            ln = sys.breaks[k + 1] - sys.breaks[k]
-            nxt = pe.at(ln) @ self._cum[-1]
+        for k, pe in enumerate(self._exps):
+            nxt = pe.at(sys.breaks[k + 1] - sys.breaks[k]) @ self._cum[-1]
             if not np.isfinite(nxt).all():
                 raise ExpOverflow(
                     f"fundamental matrix overflowed on piece {k} at t={t}"
@@ -245,39 +270,53 @@ class FundamentalMatrix:
         return self._b_t
 
     def __call__(self, x: float) -> np.ndarray:
-        k = self.sys.piece_index(x)
-        return self._exps[k].at(x - self.sys.breaks[k]) @ self._cum[k]
+        return self.at_many(np.array([x], dtype=float))[0]
+
+    def at_many(self, xs) -> np.ndarray:
+        """Stack of Phi_t(x_j), shape (len(xs), d, d); ValidationError for
+        a point outside [a, b]."""
+        xs = np.asarray(xs, dtype=float)
+        ks = self.sys.piece_index(xs)
+        d = self.sys.d
+        out = np.empty((len(xs), d, d), dtype=complex)
+        for k in np.unique(ks):
+            idx = np.flatnonzero(ks == k)
+            e = self._exps[k].at_many(xs[idx] - self.sys.breaks[k])
+            out[idx] = (e.reshape(-1, d) @ self._cum[k]).reshape(-1, d, d)
+        return out
 
     @property
     def at_b(self) -> np.ndarray:
         return self._cum[-1]
 
-    def generator_at(self, x: float) -> np.ndarray:
-        return self._gens[self.sys.piece_index(x)]
-
     def _estimate_sup_norm(self, samples: int) -> float:
-        best = 0.0
-        for k in range(len(self.sys.pieces)):
-            x0, x1 = self.sys.breaks[k], self.sys.breaks[k + 1]
-            ss = np.linspace(0.0, x1 - x0, samples)
-            mats = self._exps[k].at_many(ss) @ self._cum[k]
-            if not np.isfinite(mats).all():
+        d = self.sys.d
+        mats = []
+        for k, pe in enumerate(self._exps):
+            ss = np.linspace(0.0, self.sys.breaks[k + 1] - self.sys.breaks[k], samples)
+            m = pe.at_many(ss).reshape(-1, d) @ self._cum[k]
+            if not np.isfinite(m).all():
                 raise ExpOverflow(
                     f"fundamental matrix overflowed on piece {k} at t={self.t}"
                 )
-            best = max(best, la.norm(mats, ord=2, axis=(1, 2)).max())
-        return float(best)
+            mats.append(m)
+        stack = np.concatenate(mats).reshape(-1, d, d)
+        return float(la.norm(stack, ord=2, axis=(1, 2)).max())
 
 
 def fundamental_matrix(sys: PHSystem, t: float) -> FundamentalMatrix:
+    _require_valid(sys)
     return FundamentalMatrix(sys, t)
+
+
+def _boundary(phi: FundamentalMatrix) -> np.ndarray:
+    d = phi.sys.d
+    return phi.sys.W[:, :d] @ phi.at_b + phi.sys.W[:, d:].astype(complex)
 
 
 def boundary_matrix(sys: PHSystem, t: float) -> np.ndarray:
     """T_t = W [Phi_t(b); I], the d x d strong-stability matrix."""
-    phi = fundamental_matrix(sys, t)
-    d = sys.d
-    return sys.W[:, :d] @ phi.at_b + sys.W[:, d:].astype(complex)
+    return _boundary(fundamental_matrix(sys, t))
 
 
 @dataclass(frozen=True)
@@ -333,10 +372,9 @@ def stability_scan(
     dets, sigmas, invs, sing = [], [], [], []
     b_est = 0.0
     for t in t_grid:
-        phi = fundamental_matrix(sys, t)
+        phi = FundamentalMatrix(sys, t)
         b_est = max(b_est, phi.B_t)
-        d = sys.d
-        T = sys.W[:, :d] @ phi.at_b + sys.W[:, d:].astype(complex)
+        T = _boundary(phi)
         sv = la.svd(T, compute_uv=False)
         det = float(abs(la.det(T)))
         dets.append(det)
@@ -399,21 +437,38 @@ def _uniform_counts(sys: PHSystem, nodes: int) -> list[int]:
     return counts
 
 
+def _node_bounds(counts: Sequence[int]) -> np.ndarray:
+    """Piece k owns nodes bounds[k]:bounds[k+1] of the concatenated uniform
+    grid; a shared breakpoint node belongs to the piece on its left."""
+    return np.concatenate([[0], np.cumsum(counts) + 1])
+
+
+def _h_weighted(
+    mats: Sequence[np.ndarray], bounds: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Rows M_k y_j with M_k the matrix of the piece owning node j, and the
+    weighted norm sqrt(integral y^* M y) by the trapezoid rule on ``x``."""
+    my = np.empty_like(y)
+    for k, m in enumerate(mats):
+        sl = slice(bounds[k], bounds[k + 1])
+        my[sl] = y[sl] @ m.T
+    quad = np.einsum("ni,ni->n", np.conj(y), my).real
+    return my, math.sqrt(max(float(np.trapezoid(quad, x)), 0.0))
+
+
 def _solve_once(
-    sys: PHSystem,
-    t: float,
+    phi: FundamentalMatrix,
     f: Callable[[np.ndarray], np.ndarray],
     nodes: int,
 ) -> ResolventSolution:
-    p1inv = la.inv(sys.P1)
+    sys = phi.sys
+    p1inv = phi._p1inv
     d = sys.d
-    phi = fundamental_matrix(sys, t)
     counts = _uniform_counts(sys, nodes)
 
-    xs_pieces: list[np.ndarray] = []
-    v_parts: list[np.ndarray] = []
+    grids: list[np.ndarray] = []
+    runs: list[np.ndarray] = []  # per piece: integral_a^x Phi^{-1} P1^{-1} f at the grid
     cum_integral = np.zeros(d, dtype=complex)
-    integ_at: list[tuple[np.ndarray, np.ndarray]] = []  # per piece: grid, I(x_j)
     for k, n in enumerate(counts):
         x0, x1 = sys.breaks[k], sys.breaks[k + 1]
         grid = np.linspace(x0, x1, n + 1)
@@ -427,91 +482,67 @@ def _solve_once(
             raise ValidationError(
                 f"probe function must return shape (n, {d}) arrays"
             )
-        # Phi(s)^{-1} = cum_k^{-1} exp(-A_k (s - x0))
-        exps = phi._exps[k]
-        neg = _PieceExp(-phi._gens[k])
-        em = neg.at_many(s_nodes - x0)  # (m, d, d)
-        cum_inv = la.inv(phi._cum[k])
-        integrand = np.einsum(
-            "ij,njk,kl,nl->ni", cum_inv, em, p1inv, fv
-        )  # Phi(s)^{-1} P1^{-1} f(s)
+        # Phi(s)^{-1} P1^{-1} f(s) = cum_k^{-1} exp(-A_k (s - x0)) P1^{-1} f(s)
+        integrand = phi._exps[k].apply(x0 - s_nodes, fv @ p1inv.T) @ la.inv(
+            phi._cum[k]
+        ).T
         per_panel = (
             integrand.reshape(n, 8, d) * w_all.reshape(n, 8)[:, :, None]
         ).sum(axis=1)
         run = cum_integral + np.concatenate(
             [np.zeros((1, d), dtype=complex), np.cumsum(per_panel, axis=0)]
         )
-        integ_at.append((grid, run))
+        grids.append(grid)
+        runs.append(run)
         cum_integral = run[-1]
-        xs_pieces.append(grid)
-        # Phi at grid points of this piece
-        pm = exps.at_many(grid - x0) @ phi._cum[k]
-        v_parts.append(pm)  # placeholder: multiplied after v_a is known
 
     # boundary condition: T_t v(a) = -W [Phi(b) * I_total; 0]
-    T = sys.W[:, :d] @ phi.at_b + sys.W[:, d:].astype(complex)
+    T = _boundary(phi)
     sv = la.svd(T, compute_uv=False)
     if abs(la.det(T)) <= _SINGULAR_TOL or sv[-1] <= _SINGULAR_TOL * sv[0]:
         raise SingularBoundaryMatrix(
-            f"T_t singular or near-singular at t={t} (sigma_min={sv[-1]:.3e})"
+            f"T_t singular or near-singular at t={phi.t} (sigma_min={sv[-1]:.3e})"
         )
     rhs = -(sys.W[:, :d] @ (phi.at_b @ cum_integral))
     v_a = la.solve(T, rhs)
 
-    xs_all: list[np.ndarray] = []
-    vs_all: list[np.ndarray] = []
-    for k in range(len(counts)):
-        grid, run = integ_at[k]
-        pm = v_parts[k]
-        vk = np.einsum("nij,nj->ni", pm, v_a[None, :] + run)
-        sl = slice(0, len(grid)) if k == 0 else slice(1, len(grid))
-        xs_all.append(grid[sl])
-        vs_all.append(vk[sl])
-    x = np.concatenate(xs_all)
-    v = np.concatenate(vs_all)
+    # v(x) = Phi(x) [v(a) + I(x)] = exp(A_k (x - x0)) cum_k [v(a) + I(x)];
+    # each breakpoint node is taken from the piece on its left
+    vs = [
+        phi._exps[k].apply(grid - grid[0], (v_a + run) @ phi._cum[k].T)
+        for k, (grid, run) in enumerate(zip(grids, runs))
+    ]
+    x = np.concatenate([grids[0]] + [g[1:] for g in grids[1:]])
+    v = np.concatenate([vs[0]] + [vk[1:] for vk in vs[1:]])
 
     # residual (i): boundary condition
     bc = sys.W[:, :d] @ v[-1] + sys.W[:, d:] @ v[0]
     boundary_residual = float(la.norm(bc))
 
-    # residual (ii): v' = A_k v + P1^{-1} f on interior 9-point stencils
+    # residual (ii): v' = A_k v + P1^{-1} f on interior 9-point stencils of
+    # each piece's grid, its left breakpoint included
+    bounds = _node_bounds(counts)
     ode_res = 0.0
-    offset = 0
-    for k, n in enumerate(counts):
-        grid, _ = integ_at[k]
-        npts = len(grid) if k == 0 else len(grid) - 1
-        g_x = x[offset : offset + npts]
-        g_v = v[offset : offset + npts]
-        if k > 0:  # reattach the shared boundary point for the stencil
-            g_x = np.concatenate([[x[offset - 1]], g_x])
-            g_v = np.concatenate([[v[offset - 1]], g_v])
-        offset += npts
+    for k in range(len(counts)):
+        lo = bounds[k] - 1 if k else 0
+        g_x = x[lo : bounds[k + 1]]
+        g_v = v[lo : bounds[k + 1]]
         m = len(g_x)
-        if m < 9:
-            continue
         h = g_x[1] - g_x[0]
         idx = np.arange(4, m - 4)
         dv = sum(
             c * g_v[idx + j - 4] for j, c in enumerate(_FD9) if c != 0.0
         ) / h
         fv = np.asarray(f(g_x[idx]), dtype=complex)
-        rhs_v = g_v[idx] @ phi._gens[k].T + fv @ p1inv.T
+        rhs_v = g_v[idx] @ phi._exps[k].A.T + fv @ p1inv.T
         scale = max(float(np.abs(g_v).max()), 1.0)
         ode_res = max(ode_res, float(np.abs(dv - rhs_v).max()) / scale)
 
-    hinv_at = [la.inv(hk) for hk in sys.pieces]
-    u = np.empty_like(v)
-    offset = 0
-    for k, n in enumerate(counts):
-        npts = (counts[k] + 1) if k == 0 else counts[k]
-        u[offset : offset + npts] = v[offset : offset + npts] @ hinv_at[k].T
-        offset += npts
-    # |u|_H^2 = integral of v^T H^{-1} v (trapezoid on the uniform grid)
-    quad = np.einsum("ni,ni->n", np.conj(v), u).real
-    u_norm = math.sqrt(max(float(np.trapezoid(quad, x)), 0.0))
+    # u = H^{-1} v and |u|_H^2 = integral of v^* H^{-1} v
+    u, u_norm = _h_weighted(phi._hinv, bounds, x, v)
 
     return ResolventSolution(
-        t=float(t),
+        t=phi.t,
         x=x,
         v=v,
         u=u,
@@ -542,9 +573,10 @@ def resolvent_solve(
     grid is doubled up to ``max_nodes`` (QuadratureTooCoarse beyond).
     """
     _require_valid(sys)
+    phi = FundamentalMatrix(sys, t)
     n = nodes
     while True:
-        sol = _solve_once(sys, t, f, n)
+        sol = _solve_once(phi, f, n)
         if not auto_refine or sol.residual <= tol:
             return sol
         if 2 * n > max_nodes:
@@ -619,7 +651,7 @@ def char_constants(
     ts = sorted(float(t) for t in t_grid)
     if not ts:
         raise ValidationError("t grid must be non-empty")
-    b_ts = [fundamental_matrix(sys, t).B_t for t in ts]
+    b_ts = [FundamentalMatrix(sys, t).B_t for t in ts]
     B = max(b_ts)
     half = max(len(ts) // 2, 1)
     flagged = len(ts) >= 4 and (
@@ -689,26 +721,34 @@ def _probe_set(
         probes.append(sine)
 
     # adversarial probe from the worst singular direction of T_t
-    T = sys.W[:, :d] @ phi.at_b + sys.W[:, d:].astype(complex)
     try:
-        _, _, vh = la.svd(T)
+        _, _, vh = la.svd(_boundary(phi))
         z = vh[-1].conj()  # direction achieving sigma_min, i.e. max |T^{-1}z|
-        wp = moore_penrose(sys.W)
-        z12 = wp @ z
+        z12 = moore_penrose(sys.W) @ z
         y = -z12[:d] + phi.at_b @ z12[d:]
-        phib_inv = la.inv(phi.at_b)
-        coeff = sys.P1 @ np.eye(d)
+        w = la.inv(phi.at_b) @ y
 
         def adv(xs):
-            mats = np.stack([phi(float(xx)) for xx in xs])
-            return np.einsum(
-                "ij,njk,kl,l->ni", coeff, mats, phib_inv, y
-            ) / (b - a)
+            return (phi.at_many(xs) @ w) @ sys.P1.T / (b - a)
 
         probes.append(adv)
     except (la.LinAlgError, RankDeficient):
         pass
     return probes
+
+
+def _norm_lower(phi: FundamentalMatrix, nodes: int) -> float:
+    sys = phi.sys
+    bounds = _node_bounds(_uniform_counts(sys, nodes))
+    best = 0.0
+    for f in _probe_set(sys, phi):
+        sol = _solve_once(phi, f, nodes)
+        # |f|_H via the same uniform grid
+        fv = np.asarray(f(sol.x), dtype=complex)
+        _, f_norm = _h_weighted(sys.pieces, bounds, sol.x, fv)
+        if f_norm > 0:
+            best = max(best, sol.u_norm_H / f_norm)
+    return best
 
 
 def resolvent_norm_lower(
@@ -718,26 +758,7 @@ def resolvent_norm_lower(
     |u|_H / |f|_H over the fixed probe set.  A lower bound only (up to
     quadrature error); never an upper estimate."""
     _require_valid(sys)
-    phi = fundamental_matrix(sys, t)
-    best = 0.0
-    for f in _probe_set(sys, phi):
-        sol = resolvent_solve(
-            sys, t, f, nodes=nodes, tol=1e-6, auto_refine=False
-        )
-        # |f|_H via the same uniform grid
-        fv = np.asarray(f(sol.x), dtype=complex)
-        hf = np.empty_like(fv)
-        offset = 0
-        counts = _uniform_counts(sys, nodes)
-        for k in range(len(sys.pieces)):
-            npts = counts[k] + 1 if k == 0 else counts[k]
-            hf[offset : offset + npts] = fv[offset : offset + npts] @ sys.pieces[k].T
-            offset += npts
-        f2 = np.einsum("ni,ni->n", np.conj(fv), hf).real
-        f_norm = math.sqrt(max(float(np.trapezoid(f2, sol.x)), 0.0))
-        if f_norm > 0:
-            best = max(best, sol.u_norm_H / f_norm)
-    return best
+    return _norm_lower(FundamentalMatrix(sys, t), nodes)
 
 
 def check_characterisation(
@@ -750,15 +771,16 @@ def check_characterisation(
     R_lower <= C_tilde (|T_t^{-1}| + 1).
 
     The reverse inequality needs an upper estimate of |R|, which probing
-    cannot provide; it is recorded as skipped.
+    cannot provide; it is recorded as skipped.  One Phi_t per grid t serves
+    T_t and every probe solve.
     """
     consts = char_constants(sys, t_grid)
     rows = []
     for t in t_grid:
-        T = boundary_matrix(sys, t)
-        sv = la.svd(T, compute_uv=False)
+        phi = FundamentalMatrix(sys, t)
+        sv = la.svd(_boundary(phi), compute_uv=False)
         inv_norm = 1.0 / float(sv[-1])
-        r_lower = resolvent_norm_lower(sys, t, nodes=nodes)
+        r_lower = _norm_lower(phi, nodes)
         bound = consts.C_tilde * (inv_norm + 1.0)
         rows.append(
             {
@@ -838,7 +860,5 @@ def phsystem_from_json(text: str) -> PHSystem:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed system config: {exc}") from exc
-    errs = validate(sys)
-    if errs:
-        raise ValidationError("; ".join(errs))
+    _require_valid(sys)
     return sys

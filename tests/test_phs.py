@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate as si
+import scipy.linalg as sla
 
 from phstab import phs as P
 from phstab.errors import (
@@ -81,7 +82,8 @@ def test_two_piece_product_vs_ode_oracle():
     phi = P.fundamental_matrix(system, t)
 
     def rhs(x, v):
-        A = phi.generator_at(min(x, 1.0 - 1e-14))
+        hk = system.pieces[system.piece_index(min(x, 1.0 - 1e-14))]
+        A = -np.linalg.inv(system.P1) @ (1j * t * np.linalg.inv(hk) + system.P0)
         vv = v[:4].reshape(2, 2) + 1j * v[4:].reshape(2, 2)
         dv = A @ vv
         return np.concatenate([dv.real.ravel(), dv.imag.ravel()])
@@ -188,3 +190,104 @@ def test_json_round_trip(sys2):
     assert np.allclose(again.pieces[0], sys2.pieces[0])
     with pytest.raises(ValidationError):
         P.phsystem_from_json("{\"d\": 2}")
+
+
+@pytest.fixture(scope="module")
+def sys16():
+    """A seeded 16-piece system with skew P0 and indefinite P1."""
+    rng = np.random.default_rng(2024)
+    breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, 15)), [1.0]])
+    pieces = []
+    for _ in range(16):
+        g = rng.normal(size=(2, 2))
+        pieces.append(g @ g.T + 0.5 * np.eye(2))
+    system = P.PHSystem(
+        d=2, P0=np.array([[0.0, 0.3], [-0.3, 0.0]]), P1=np.diag([1.0, -2.0]),
+        breaks=tuple(float(x) for x in breaks), pieces=tuple(pieces),
+        W=np.hstack([np.full((2, 2), 0.5), np.eye(2)]),
+    )
+    assert P.validate(system) == []
+    return system
+
+
+def test_at_many_matches_pointwise(sys16):
+    phi = P.fundamental_matrix(sys16, 6.3)
+    rng = np.random.default_rng(7)
+    xs = np.concatenate([sys16.breaks, rng.uniform(sys16.a, sys16.b, 200)])
+    rng.shuffle(xs)
+    many = phi.at_many(xs)
+    one = np.stack([phi(float(x)) for x in xs])
+    scale = np.abs(one).max(axis=(1, 2))[:, None, None]
+    assert np.abs(many - one).max(axis=(1, 2)).max() <= 1e-13 * scale.max()
+    assert (np.abs(many - one) <= 1e-13 * scale).all()
+    # independent reference: products of dense matrix exponentials
+    p1inv = np.linalg.inv(sys16.P1)
+    gens = [-p1inv @ (1j * 6.3 * np.linalg.inv(h) + sys16.P0) for h in sys16.pieces]
+    spans = list(zip(sys16.breaks[:-1], sys16.breaks[1:]))
+    full = [sla.expm(A * (x1 - x0)) for A, (x0, x1) in zip(gens, spans)]
+    for x, m in zip(xs, many):
+        ref = np.eye(2, dtype=complex)
+        for A, e, (x0, x1) in zip(gens, full, spans):
+            if x <= x1:
+                ref = sla.expm(A * (x - x0)) @ ref
+                break
+            ref = e @ ref
+        assert np.abs(m - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1.0)
+
+
+def test_at_many_outside_interval_raises(sys16):
+    phi = P.fundamental_matrix(sys16, 2.0)
+    with pytest.raises(ValidationError):
+        phi.at_many(np.array([0.5, 1.0 + 1e-12]))
+    with pytest.raises(ValidationError):
+        phi.at_many(np.array([-1e-12]))
+    with pytest.raises(ValidationError):
+        phi(1.5)
+
+
+def test_expm_fallback_agrees_with_eigen_path(sys16, monkeypatch):
+    f = lambda xs: np.stack([np.sin(3 * xs), np.cos(2 * xs) + 1j], axis=1)
+    eig = P.resolvent_solve(sys16, 4.2, f, nodes=512, tol=1e-8)
+    monkeypatch.setattr(P, "_EIG_COND_MAX", 0.0)
+    phi = P.fundamental_matrix(sys16, 4.2)
+    assert all(pe._eig is None for pe in phi._exps)
+    dense = P.resolvent_solve(sys16, 4.2, f, nodes=512, tol=1e-8)
+    assert dense.residual <= 1e-8
+    assert dense.nodes == eig.nodes
+    assert np.abs(dense.v - eig.v).max() <= 1e-10 * np.abs(eig.v).max()
+    assert dense.u_norm_H == pytest.approx(eig.u_norm_H, rel=1e-10)
+
+
+def test_check_characterisation_matches_public_probe_solves(sys16):
+    t, nodes = 3.0, 256
+    (row,) = P.check_characterisation(sys16, [t], nodes=nodes)
+    phi = P.fundamental_matrix(sys16, t)
+    best = 0.0
+    for f in P._probe_set(sys16, phi):
+        sol = P.resolvent_solve(sys16, t, f, nodes=nodes, auto_refine=False)
+        fv = np.asarray(f(sol.x), dtype=complex)
+        # a breakpoint node takes the piece on its left
+        ks = np.maximum(np.searchsorted(sys16.breaks, sol.x, side="left") - 1, 0)
+        hf = np.stack([sys16.pieces[k] @ y for k, y in zip(ks, fv)])
+        f_norm = math.sqrt(np.trapezoid(np.einsum("ni,ni->n", fv.conj(), hf).real, sol.x))
+        best = max(best, sol.u_norm_H / f_norm)
+    assert row["R_lower"] == pytest.approx(best, rel=1e-12)
+    assert row["lower_ok"]
+
+
+def test_check_characterisation_cost(sys16, monkeypatch):
+    counts = {"call": 0, "init": 0}
+    call, init = P.FundamentalMatrix.__call__, P.FundamentalMatrix.__init__
+
+    def counted_call(self, x):
+        counts["call"] += 1
+        return call(self, x)
+
+    def counted_init(self, *args, **kw):
+        counts["init"] += 1
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(P.FundamentalMatrix, "__call__", counted_call)
+    monkeypatch.setattr(P.FundamentalMatrix, "__init__", counted_init)
+    P.check_characterisation(sys16, [5.0], nodes=256)
+    assert counts == {"call": 0, "init": 2}
