@@ -29,6 +29,13 @@ from .errors import (
 from .intervals import fraction_bounds, iv_from_fraction, workprec
 
 
+def _json_number(x: Fraction) -> float | str:
+    """x as a JSON float when that float reads back as exactly x (the way
+    ``target_from_json`` reads it), else as the exact string "n/d"."""
+    f = float(x)
+    return f if Fraction(repr(f)) == x else str(x)
+
+
 class DecayTarget:
     """A positive, decreasing target function f on (0, infinity)."""
 
@@ -77,7 +84,7 @@ class ExpDecay(DecayTarget):
         return -float(self.beta) * t
 
     def to_json(self) -> dict:
-        return {"kind": "exp", "beta": float(self.beta)}
+        return {"kind": "exp", "beta": _json_number(self.beta)}
 
 
 @dataclass(frozen=True)
@@ -113,7 +120,7 @@ class PowerLog(DecayTarget):
         )
 
     def to_json(self) -> dict:
-        return {"kind": "powerlog", "p": float(self.p), "s": float(self.s)}
+        return {"kind": "powerlog", "p": _json_number(self.p), "s": _json_number(self.s)}
 
 
 @dataclass(frozen=True)
@@ -165,7 +172,10 @@ class Tabulated(DecayTarget):
         return iv.exp(-logf / 2) / q
 
     def to_json(self) -> dict:
-        return {"kind": "table", "pts": [[float(t), float(v)] for t, v in self.pts]}
+        return {
+            "kind": "table",
+            "pts": [[_json_number(t), _json_number(v)] for t, v in self.pts],
+        }
 
 
 def target_from_json(obj: dict | str) -> DecayTarget:
@@ -193,13 +203,18 @@ def _bits_floor_lower(x_iv) -> int:
     return max(int(exp) + int(bc), 0)
 
 
-def _certified_ceil(target: DecayTarget, q: int, bit_budget: int) -> int:
-    """ceil(1/(sqrt(f(pi q)) q)) with a provably correct ceiling."""
-    prec = 64
+def _certified_ceil(target: DecayTarget, q: int, bit_budget: int, x64) -> int:
+    """ceil(1/(sqrt(f(pi q)) q)) with a provably correct ceiling.
+
+    ``x64`` is target.inv_sqrt_f_over_q(q) evaluated at 64 bits, the
+    first attempt; the precision doubles from there.
+    """
+    prec, x = 64, x64
     while prec <= 4 * bit_budget:
-        with workprec(prec):
-            x = target.inv_sqrt_f_over_q(q)
-            lo, hi = fraction_bounds(x)
+        if prec > 64:
+            with workprec(prec):
+                x = target.inv_sqrt_f_over_q(q)
+        lo, hi = fraction_bounds(x)
         clo, chi = math.ceil(lo), math.ceil(hi)
         if clo == chi and lo != clo:
             return int(clo)
@@ -220,7 +235,7 @@ def _quotients_for(target: DecayTarget, bit_budget: int) -> list[int]:
             x = target.inv_sqrt_f_over_q(q_prev)
         if _bits_floor_lower(x) + q_prev.bit_length() > bit_budget:
             break
-        a = 2 * _certified_ceil(target, q_prev, bit_budget)
+        a = 2 * _certified_ceil(target, q_prev, bit_budget, x)
         q_new = a * q_prev + q_prev2
         if q_new.bit_length() > bit_budget:
             break
@@ -231,20 +246,24 @@ def _quotients_for(target: DecayTarget, bit_budget: int) -> list[int]:
     return quotients
 
 
+def _table_rule(quotients: list[int], bit_budget: int):
+    """Quotient rule serving a computed construction."""
+
+    def gen(n: int) -> int:
+        if n >= len(quotients):
+            raise TableExhausted(
+                f"construction depth {len(quotients) - 1} reached "
+                f"(bit budget {bit_budget})"
+            )
+        return quotients[n]
+
+    return gen
+
+
 def _construction_rule(params: dict):
     target = target_from_json(params["target"])
     budget = params.get("bit_budget", 4096)
-    cache = _quotients_for(target, budget)
-
-    def gen(n: int) -> int:
-        if n >= len(cache):
-            raise TableExhausted(
-                f"construction depth {len(cache) - 1} reached "
-                f"(bit budget {budget})"
-            )
-        return cache[n]
-
-    return gen
+    return _table_rule(_quotients_for(target, budget), budget)
 
 
 RULE_REGISTRY["construction"] = _construction_rule
@@ -280,10 +299,15 @@ def construct(target: DecayTarget, bit_budget: int = 4096) -> ConstructedAlpha:
         raise ValueError("bit_budget must be >= 64")
     target.validate()
     params = {"target": target.to_json(), "bit_budget": bit_budget}
-    spec = RuleQuotients(
-        name="construction", params=params, bit_budget=2 * bit_budget
-    )
     quotients = _quotients_for(target, bit_budget)
+    # The spec carries the computed quotients; a spec rebuilt from its JSON
+    # recomputes the same ones through RULE_REGISTRY.
+    spec = RuleQuotients(
+        name="construction",
+        params=params,
+        bit_budget=2 * bit_budget,
+        _gen=_table_rule(quotients, bit_budget),
+    )
     table = expand(spec, len(quotients) - 1)
     if not all(a % 2 == 0 and a >= 2 for a in table.quotients[1:]):
         raise VerificationFailed("constructed quotients are not all even and >= 2")

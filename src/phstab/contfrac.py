@@ -392,6 +392,9 @@ class BoundReport:
 def check_bounds(table: ConvergentTable, bits: int = 0) -> list[BoundReport]:
     """Verify 1/((a_{n+1}+2) q_n^2) < |alpha - p_n/q_n| < 1/(a_{n+1} q_n^2)
     for every n with a successor, in exact rational arithmetic.
+
+    The enclosure precision starts at ``bits`` (default 4 bits(q_N) + 64)
+    and doubles until every n is decided.
     """
     if len(table) < 2:
         raise ValueError("table needs at least 2 entries")
@@ -399,30 +402,60 @@ def check_bounds(table: ConvergentTable, bits: int = 0) -> list[BoundReport]:
     need = bits or 4 * qN.bit_length() + 64
     while True:
         ball = _adaptive_enclosure(table.source, need)
-        lo, hi = ball.lower, ball.upper
-        reports: list[BoundReport] = []
-        undecided = False
-        for n in range(len(table) - 1):
-            c = table.convergents[n]
-            a_next = table.quotients[n + 1]
-            pv = c.value
-            d_lo = max(Fraction(0), max(lo - pv, pv - hi))
-            d_hi = max(abs(lo - pv), abs(hi - pv))
-            lb = Fraction(1, (a_next + 2) * c.q**2)
-            ub = Fraction(1, a_next * c.q**2)
-            # decisive pass: d_lo > lb and d_hi < ub
-            # decisive fail: d_hi <= lb (lower bound violated) or
-            #                d_lo >= ub (upper bound violated)
-            if d_lo > lb and d_hi < ub:
-                reports.append(BoundReport(n, d_lo - lb, ub - d_hi))
-            elif d_hi <= lb or d_lo >= ub:
-                reports.append(BoundReport(n, d_hi - lb, ub - d_lo))
-            else:
-                undecided = True
-                break
-        if not undecided:
+        reports = _bound_reports(table, ball.lower, ball.upper)
+        if reports is not None:
             return reports
         need *= 2
+
+
+def _bound_reports(
+    table: ConvergentTable, lo: Fraction, hi: Fraction
+) -> Optional[list[BoundReport]]:
+    """The reports of ``check_bounds`` for alpha in [lo, hi], or None if
+    [lo, hi] is too wide to decide some n.
+
+    With d_lo <= |alpha - p/q| <= d_hi over the enclosure, n passes when
+    d_lo > lb and d_hi < ub (margins d_lo - lb, ub - d_hi) and fails when
+    d_hi <= lb or d_lo >= ub (margins d_hi - lb, ub - d_lo), where
+    lb = 1/((a+2) q^2) and ub = 1/(a q^2). The side s = +-1 of p/q on
+    which [lo, hi] lies is decided by integer cross-multiplication. Each
+    margin is then one subtraction between an endpoint and a shifted
+    convergent p/q + s/(c q^2) = (p c q + s)/(c q^2), c = a+2 or a, which
+    is reduced as it stands: every prime factor of c q^2 divides p c q.
+    """
+    ln, ld = lo.numerator, lo.denominator
+    hn, hd = hi.numerator, hi.denominator
+    reports: list[BoundReport] = []
+    for n, (c, a) in enumerate(zip(table.convergents, table.quotients[1:])):
+        p, q = c.p, c.q
+        if ln * q > p * ld:  # p/q < lo
+            s, near, far = 1, lo, hi
+        elif hn * q < p * hd:  # hi < p/q
+            s, near, far = -1, hi, lo
+        else:
+            # p/q in [lo, hi]: d_lo = 0, so only a lower-bound failure decides
+            pv = c.value
+            lb = Fraction(1, (a + 2) * q * q)
+            d_hi = max(pv - lo, hi - pv)
+            if d_hi > lb:
+                return None
+            reports.append(BoundReport(n, d_hi - lb, Fraction(1, a * q * q)))
+            continue
+        # p/q + s lb and p/q + s ub
+        kl, ku = (a + 2) * q, a * q
+        shifted_lb = Fraction(p * kl + s, kl * q)
+        shifted_ub = Fraction(p * ku + s, ku * q)
+        # margins s (x - y), one subtraction each; a Fraction's sign is
+        # its numerator's
+        lower = near - shifted_lb if s > 0 else shifted_lb - near  # d_lo - lb
+        upper = shifted_ub - far if s > 0 else far - shifted_ub  # ub - d_hi
+        if lower.numerator <= 0 or upper.numerator <= 0:
+            lower = far - shifted_lb if s > 0 else shifted_lb - far  # d_hi - lb
+            upper = shifted_ub - near if s > 0 else near - shifted_ub  # ub - d_lo
+            if lower.numerator > 0 and upper.numerator > 0:
+                return None
+        reports.append(BoundReport(n, lower, upper))
+    return reports
 
 
 def legendre_is_convergent(p: int, q: int, alpha: IrrationalSpec) -> bool:
@@ -480,16 +513,7 @@ def best_approx_check(table: ConvergentTable, qmax: int) -> bool:
     bits = 4 * qmax.bit_length() + 96
     while True:
         ball = _adaptive_enclosure(table.source, bits)
-        lo, hi = ball.lower, ball.upper
-        dist: list[tuple[Fraction, Fraction]] = []
-        for q in range(1, qmax + 1):
-            # nearest integer to q*alpha; with tiny enclosure widths both
-            # endpoints give the same candidate set {floor, ceil}
-            xlo, xhi = q * lo, q * hi
-            cands = {math.floor(xlo), math.ceil(xlo), math.floor(xhi), math.ceil(xhi)}
-            d_lo = min(max(Fraction(0), max(xlo - p, p - xhi)) for p in cands)
-            d_hi = min(max(abs(xlo - p), abs(xhi - p)) for p in cands)
-            dist.append((d_lo, d_hi))
+        dist = _distance_brackets(ball.lower, ball.upper, qmax)
         undecided = False
         for c in table.convergents:
             n, qn = c.n, c.q
@@ -512,6 +536,27 @@ def best_approx_check(table: ConvergentTable, qmax: int) -> bool:
         if bits >= _PRECISION_CAP:
             raise InsufficientPrecision("best-approximation check undecidable")
         bits *= 2
+
+
+def _distance_brackets(lo: Fraction, hi: Fraction, qmax: int) -> list[tuple[int, int]]:
+    """Brackets of min_p |q alpha - p| for alpha in [lo, hi], q = 1..qmax.
+
+    Every bound is an integer: the distance times the common denominator
+    D of lo and hi, so brackets compare as integers.
+    """
+    D = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
+    L = lo.numerator * (D // lo.denominator)
+    H = hi.numerator * (D // hi.denominator)
+    dist: list[tuple[int, int]] = []
+    for q in range(1, qmax + 1):
+        # nearest integer to q*alpha; with tiny enclosure widths both
+        # endpoints give the same candidate set {floor, ceil}
+        xlo, xhi = q * L, q * H
+        cands = {xlo // D, -(-xlo // D), xhi // D, -(-xhi // D)}
+        d_lo = min(max(0, xlo - p * D, p * D - xhi) for p in cands)
+        d_hi = min(max(abs(xlo - p * D), abs(xhi - p * D)) for p in cands)
+        dist.append((d_lo, d_hi))
+    return dist
 
 
 def eval_alpha(alpha: IrrationalSpec, bits: int) -> RealBall:

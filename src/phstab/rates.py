@@ -40,7 +40,6 @@ __all__ = [
     "predict",
     "positive_increase_estimate",
     "transfer_certificate",
-    "prediction_to_csv",
 ]
 
 _INV_RTOL = 1e-9
@@ -363,6 +362,3 @@ def predict(
         pts = tuple((t, c / invert(fn, C * t)) for t in ts)
     return DecayPrediction(kind=kind, c=c, C=C, points=pts, label=fn.label)
 
-
-def prediction_to_csv(pred: DecayPrediction) -> str:
-    return pred.to_csv()

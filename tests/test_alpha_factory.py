@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -80,6 +81,9 @@ def test_target_json_round_trip():
         af.ExpDecay(beta=2.5),
         af.PowerLog(p=4, s=0),
         af.Tabulated(((1.0, 1.0), (2.0, 0.5))),
+        # neither is the rational its float's repr spells
+        af.ExpDecay(beta=0.1),
+        af.PowerLog(p=Fraction(7, 3), s=Fraction(1, 3)),
     ]
     for t in targets:
         again = af.target_from_json(json.dumps(t.to_json()))
@@ -111,3 +115,39 @@ def test_construction_even_quotients_property(p, s):
     ca = af.construct(af.PowerLog(p=p, s=s), bit_budget=700)
     assert all(a % 2 == 0 and a >= 2 for a in ca.table.quotients[1:])
     assert ca.table.check_identity()
+
+
+def test_to_json_keeps_non_dyadic_targets_exact():
+    target = af.PowerLog(p=Fraction(7, 3), s=Fraction(1, 3))
+    assert target.to_json() == {"kind": "powerlog", "p": "7/3", "s": "1/3"}
+    # values a float carries exactly keep their float form
+    assert af.ExpDecay(beta=2.5).to_json() == {"kind": "exp", "beta": 2.5}
+    ca = af.construct(target, bit_budget=4096)
+    again = cf.spec_from_json(ca.spec.to_json())
+    assert cf.expand(again, ca.depth).quotients == ca.table.quotients
+    assert list(ca.table.quotients) == af._quotients_for(target, 4096)
+
+
+class _CountingPowerLog(af.PowerLog):
+    """PowerLog that records the working precision of every evaluation."""
+
+    precs: list = []
+
+    def inv_sqrt_f_over_q(self, q):
+        self.precs.append(mpmath.iv.prec)
+        return super().inv_sqrt_f_over_q(q)
+
+
+def test_construct_runs_the_recursion_once(monkeypatch):
+    runs = []
+    real = af._quotients_for
+    monkeypatch.setattr(af, "_quotients_for",
+                        lambda target, budget: runs.append(budget) or real(target, budget))
+    _CountingPowerLog.precs = []
+    ca = af.construct(_CountingPowerLog(p=2, s=0), bit_budget=1024)
+    assert runs == [1024]
+    precs = _CountingPowerLog.precs
+    escalations = sum(1 for p in precs if p > 64)
+    # one 64-bit evaluation per quotient, plus the one that stops the recursion
+    assert len(precs) <= ca.depth + 1 + escalations
+    assert ca.table.quotients == af.construct(af.PowerLog(p=2, s=0), 1024).table.quotients

@@ -1,14 +1,17 @@
 """Continued-fraction engine: expansion, exact identities, error bounds."""
 
+import functools
 import json
+import math as m
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from phstab import alpha_factory as af
 from phstab import contfrac as cf
-from phstab.errors import InsufficientPrecision
+from phstab.errors import InsufficientPrecision, PhstabError
 
 
 def test_sqrt2_expansion():
@@ -43,8 +46,6 @@ def test_identity_exact_50_terms():
 
 def test_convergents_coprime_and_increasing_q():
     table = cf.expand(cf.SQRT2, 30)
-    import math as m
-
     for n, c in enumerate(table.convergents):
         assert m.gcd(c.p, c.q) == 1
         if n >= 2:
@@ -130,3 +131,171 @@ def test_identity_holds_for_arbitrary_quotients(a):
 def test_enclosure_width_scales_with_bits(bits):
     ball = cf.eval_alpha(cf.SQRT2, bits)
     assert ball.err <= Fraction(1, 1 << bits)
+
+
+# -- integer kernels of check_bounds and best_approx_check ------------------
+#
+# The oracles below are the plain Fraction formulas the kernels replace:
+# every distance is formed from the enclosure endpoints, every bound as a
+# Fraction, and every decision is a Fraction comparison.
+
+
+def _check_bounds_oracle(table, bits=0):
+    qN = table.convergents[-1].q
+    need = bits or 4 * qN.bit_length() + 64
+    while True:
+        ball = cf._adaptive_enclosure(table.source, need)
+        lo, hi = ball.lower, ball.upper
+        reports = []
+        for n in range(len(table) - 1):
+            c = table.convergents[n]
+            a_next = table.quotients[n + 1]
+            pv = c.value
+            d_lo = max(Fraction(0), max(lo - pv, pv - hi))
+            d_hi = max(abs(lo - pv), abs(hi - pv))
+            lb = Fraction(1, (a_next + 2) * c.q**2)
+            ub = Fraction(1, a_next * c.q**2)
+            if d_lo > lb and d_hi < ub:
+                reports.append(cf.BoundReport(n, d_lo - lb, ub - d_hi))
+            elif d_hi <= lb or d_lo >= ub:
+                reports.append(cf.BoundReport(n, d_hi - lb, ub - d_lo))
+            else:
+                break
+        else:
+            return reports
+        need *= 2
+
+
+def _best_approx_oracle(table, qmax):
+    bits = 4 * qmax.bit_length() + 96
+    while True:
+        ball = cf._adaptive_enclosure(table.source, bits)
+        lo, hi = ball.lower, ball.upper
+        dist = []
+        for q in range(1, qmax + 1):
+            xlo, xhi = q * lo, q * hi
+            cands = {m.floor(xlo), m.ceil(xlo), m.floor(xhi), m.ceil(xhi)}
+            d_lo = min(max(Fraction(0), max(xlo - p, p - xhi)) for p in cands)
+            d_hi = min(max(abs(xlo - p), abs(xhi - p)) for p in cands)
+            dist.append((d_lo, d_hi))
+        undecided = False
+        for c in table.convergents:
+            if c.n + 1 >= len(table):
+                break
+            qnext = table.convergents[c.n + 1].q
+            if qnext - 1 > qmax:
+                break
+            dn_lo, dn_hi = dist[c.q - 1]
+            for q in range(1, qnext):
+                if q == c.q:
+                    continue
+                d_lo, d_hi = dist[q - 1]
+                if d_hi < dn_lo:
+                    return False
+                if d_lo < dn_hi:
+                    undecided = True
+        if not undecided:
+            return True
+        if bits >= cf._PRECISION_CAP:
+            raise InsufficientPrecision("best-approximation check undecidable")
+        bits *= 2
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the PhstabError it raised."""
+    try:
+        return fn(*args)
+    except PhstabError as e:
+        return type(e)
+
+
+@functools.lru_cache(maxsize=None)
+def _constructed_spec(key):
+    target = af.ExpDecay(Fraction(1, 2)) if key == "exp" else af.PowerLog(*key)
+    return af.construct(target, 512).spec
+
+
+@st.composite
+def _surd(draw):
+    D = draw(st.integers(min_value=2, max_value=999).filter(lambda d: m.isqrt(d) ** 2 != d))
+    q = draw(st.integers(min_value=1, max_value=9))
+    p = draw(st.integers(min_value=1 - m.isqrt(D), max_value=50 * q))
+    try:
+        return cf.QuadraticSurd(D=D, p=p, q=q)
+    except ValueError:  # (p + sqrt(D))/q not positive
+        assume(False)
+
+
+@st.composite
+def _decimal78(draw):
+    whole = draw(st.integers(min_value=1, max_value=49))
+    frac = draw(st.integers(min_value=0, max_value=10**78 - 1))
+    return cf.DecimalLiteral(f"{whole}.{frac:078d}", 256)
+
+
+_SOURCES = st.one_of(
+    _surd(),
+    _decimal78(),
+    st.sampled_from([(2, 0), (3, 1), "exp"]).map(_constructed_spec),
+)
+
+
+@given(spec=_SOURCES, n=st.integers(min_value=1, max_value=60),
+       bits=st.sampled_from([0, 8, 16, 64]))
+@settings(max_examples=120, deadline=None)
+def test_check_bounds_matches_fraction_oracle(spec, n, bits):
+    try:
+        table = cf.expand(spec, n)
+    except InsufficientPrecision:  # decimal digits exhausted
+        assume(False)
+    assume(len(table) >= 2)
+    got = _outcome(cf.check_bounds, table, bits)
+    assert got == _outcome(_check_bounds_oracle, table, bits)
+
+
+def test_check_bounds_doubles_when_convergent_inside_enclosure(monkeypatch):
+    # At 8 bits the enclosure of sqrt(2) holds 17/12, ..., so those n are
+    # undecided and the precision must double before all 30 are decided.
+    table = cf.expand(cf.SQRT2, 30)
+    ball = cf._adaptive_enclosure(cf.SQRT2, 8)
+    assert any(ball.lower <= c.value <= ball.upper for c in table.convergents[:-1])
+    asked = []
+    real = cf._adaptive_enclosure
+    monkeypatch.setattr(cf, "_adaptive_enclosure",
+                        lambda alpha, b: asked.append(b) or real(alpha, b))
+    reports = cf.check_bounds(table, 8)
+    assert asked[:2] == [8, 16] and len(asked) > 2
+    assert reports == _check_bounds_oracle(table, 8)
+    assert len(reports) == 30 and all(r.passed for r in reports)
+
+
+def test_check_bounds_failure_margins_match_oracle():
+    # Quotients of sqrt(2) against the enclosure of the golden ratio: both
+    # bounds fail somewhere, and the failing margins must agree too.
+    sq = cf.expand(cf.SQRT2, 12)
+    table = cf.ConvergentTable(cf.GOLDEN, sq.quotients, sq.convergents)
+    reports = cf.check_bounds(table)
+    assert not all(r.passed for r in reports)
+    assert reports == _check_bounds_oracle(table)
+
+
+@given(spec=_surd(), other=st.one_of(st.none(), _surd()),
+       qmax=st.integers(min_value=1, max_value=400))
+@settings(max_examples=60, deadline=None)
+def test_best_approx_matches_fraction_oracle(spec, other, qmax):
+    # other: judge the convergents of another surd against spec's value,
+    # which is how a False verdict arises
+    table = cf.expand(spec, 40)
+    if other is not None:
+        alien = cf.expand(other, 40)
+        table = cf.ConvergentTable(spec, alien.quotients, alien.convergents)
+    qmax = min(qmax, table.convergents[-1].q)
+    got = _outcome(cf.best_approx_check, table, qmax)
+    assert got == _outcome(_best_approx_oracle, table, qmax)
+
+
+def test_best_approx_both_verdicts_match_oracle():
+    table = cf.expand(cf.SQRT2, 12)
+    assert cf.best_approx_check(table, 70) is _best_approx_oracle(table, 70) is True
+    alien = cf.ConvergentTable(cf.GOLDEN, table.quotients, table.convergents)
+    assert cf.best_approx_check(alien, 70) is _best_approx_oracle(alien, 70) is False
