@@ -32,7 +32,10 @@ from .intervals import fraction_bounds, iv_from_fraction, workprec
 def _json_number(x: Fraction) -> float | str:
     """x as a JSON float when that float reads back as exactly x (the way
     ``target_from_json`` reads it), else as the exact string "n/d"."""
-    f = float(x)
+    try:
+        f = float(x)
+    except OverflowError:
+        return str(x)
     return f if Fraction(repr(f)) == x else str(x)
 
 

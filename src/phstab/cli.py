@@ -76,6 +76,15 @@ def _alpha_from_args(args: argparse.Namespace) -> contfrac.IrrationalSpec:
     return contfrac.spec_from_json(Path(args.alpha_json).read_text())
 
 
+def _fraction(text: str) -> Fraction:
+    """An exact rational from a decimal ("0.1" is 1/10) or "n/d" string."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite rational number") from None
+
+
 def _write_output(text: str, out: str | None) -> list[str]:
     if out is None:
         sys.stdout.write(text)
@@ -84,7 +93,8 @@ def _write_output(text: str, out: str | None) -> list[str]:
     return [out]
 
 
-def _write_manifest(args: argparse.Namespace, outputs: list[str]) -> None:
+def _write_manifest(args: argparse.Namespace, outputs: list[str],
+                    **extra) -> None:
     target = getattr(args, "manifest", None)
     if target is None:
         if not outputs:
@@ -106,6 +116,7 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str]) -> None:
             "scipy": scipy.__version__,
         },
         "outputs": outputs,
+        **extra,
     }
     Path(target).write_text(json.dumps(manifest, indent=2, default=str) + "\n")
 
@@ -144,15 +155,19 @@ def cmd_cf(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    if args.exp is not None:
-        target: alpha_factory.DecayTarget = alpha_factory.ExpDecay(beta=args.exp)
-    elif args.powerlog is not None:
-        p, s = args.powerlog
-        target = alpha_factory.PowerLog(p=p, s=s)
-    else:
-        target = alpha_factory.target_from_json(Path(args.table).read_text())
-    target.validate()
-    ca = alpha_factory.construct(target, bit_budget=args.bits)
+    # alpha_factory raises ValueError only for inputs it rejects
+    try:
+        if args.exp is not None:
+            target: alpha_factory.DecayTarget = alpha_factory.ExpDecay(beta=args.exp)
+        elif args.powerlog is not None:
+            p, s = args.powerlog
+            target = alpha_factory.PowerLog(p=p, s=s)
+        else:
+            target = alpha_factory.target_from_json(Path(args.table).read_text())
+        target.validate()
+        ca = alpha_factory.construct(target, bit_budget=args.bits)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
     outputs = _write_output(ca.table.to_csv(), args.out)
     header = ca.header_json()
     if args.out is not None:
@@ -170,7 +185,12 @@ def cmd_growth(args: argparse.Namespace) -> int:
     etas = [float(x) for x in args.etas.split(",")]
     curve = spectral.growth_curve(alpha, etas, tol=args.tol, bits=args.bits)
     outputs = _write_output(curve.to_csv(), args.out)
-    _write_manifest(args, outputs)
+    parked = [p.eta for p in curve.points if p.upper_parked]
+    if parked:
+        print(f"# warning: m_upper at eta {parked} comes from cells parked at "
+              f"the subdivision floor; it may sit more than tol above m_lower",
+              file=sys.stderr)
+    _write_manifest(args, outputs, parked_etas=parked)
     return EXIT_OK
 
 
@@ -337,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build alpha from a decay target")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--exp", type=float, metavar="BETA",
+    g.add_argument("--exp", type=_fraction, metavar="BETA",
                    help="target f(t) = exp(-beta t)")
-    g.add_argument("--powerlog", type=float, nargs=2, metavar=("P", "S"),
+    g.add_argument("--powerlog", type=_fraction, nargs=2, metavar=("P", "S"),
                    help="target f(t) = t^-P (log(e+t))^-S")
     g.add_argument("--table", metavar="FILE", help="tabulated target JSON")
     common(p)

@@ -269,6 +269,59 @@ def _phases(ts, scales):
     return out, oor
 
 
+# A round bounds at most this many cells with one kernel call (unless its
+# frontier alone is larger). ``cos_sin`` costs a flat ~100 us from 4 to 64
+# elements (numpy's call overhead) and ~125 us at 256 (2-core Xeon,
+# CPython 3.11, numpy 2.4), so a small frontier is split several levels
+# down before it is bounded: the loops pay per round, not per cell. There,
+# 128, 256 and 512 gave the same sandwich bench times, and 128 the best
+# growth times with the fewest elements.
+_ROUND_CELLS = 128
+
+
+def _depth(own, wid, centred, back):
+    """Levels each cell may be split in one round: about as many as keep
+    the kernel's own rounding below the rest of its bound's slack (halving
+    a cell about halves the slack), and one for a cell whose bound needed
+    the mpmath evaluation, so that a round sends no more descendants there
+    than a one-level split does."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.fmax(np.floor(np.log2(centred / (own - wid))), 1.0)
+    # own <= wid: the kernel's own rounding never blocks the decision
+    return np.where(back, 1.0, np.where(own > wid, k, np.inf))
+
+
+def _descend(c, r, depth, floor=None):
+    """Descendants of the cells (c, r), k >= 1 levels down, with their
+    inherited ``depth``.
+
+    Each level halves by c -/+ r/2, the same rounded operations as a
+    one-level split, so the radius inflation ``rb`` of the visits covers
+    every level. A level is taken only while the cell count stays at most
+    ``_ROUND_CELLS`` (the first always), and halves only the cells whose
+    ``depth`` exceeds it. With ``floor``, a cell whose radius is below
+    floor(centre) is not halved; no level is taken once no cell can be
+    halved."""
+    level = 0
+    while True:
+        halve = depth > level
+        if floor is not None:
+            halve &= r >= floor(c)
+        n = int(np.count_nonzero(halve))
+        if not n or (level and c.size + n > _ROUND_CELLS):
+            return c, r, depth
+        if n == c.size:  # the usual case, without the masking
+            r = r / 2
+            c, r, depth = (np.concatenate([c - r, c + r]), np.concatenate([r, r]),
+                           np.concatenate([depth, depth]))
+        else:
+            cs, rs, ds = c[halve], r[halve] / 2, depth[halve]
+            c = np.concatenate([c[~halve], cs - rs, cs + rs])
+            r = np.concatenate([r[~halve], rs, rs])
+            depth = np.concatenate([depth[~halve], ds, ds])
+        level += 1
+
+
 # -- certified infimum of h ------------------------------------------------
 
 
@@ -341,15 +394,18 @@ def inf_h_interval(
     F(t) >= F(c) - |F'(c)| r - L2 r^2 / 2 on |t - c| <= r, where
     L2 >= sup |F''| = 2 pi^2 ((1+alpha)^2 + 4 (1+alpha^2)).
 
-    Level-synchronous: each round visits both children of every open cell
-    (point bound at the child's centre plus its cell bound) with one
-    ``cos_sin`` call. A cell is closed when pruned (bound >= the best upper
-    bound) or done (sqrt(best) - sqrt(bound) <= tol, rounded outward). A
-    visit goes to the mpmath evaluation when an argument leaves the
-    kernel's reduction range, or when its cell stays open and the kernel's
-    own rounding is the larger part of the bound's slack, so that splitting
-    cannot close it. Alpha's enclosure width counts with the slack: the
-    mpmath evaluation pays it too.
+    Level-synchronous: each round visits the descendants k levels down of
+    every open cell (point bound at each descendant's centre plus its cell
+    bound) with one ``cos_sin`` call; k >= 1 comes from the frontier size
+    (see ``_descend``), and a cell whose last visit went to mpmath, or
+    whose slack would fall below the kernel's own rounding, is split fewer
+    levels (see ``_depth``). A cell is closed when pruned (bound >= the best
+    upper bound) or done (sqrt(best) - sqrt(bound) <= tol, rounded
+    outward). A visit goes to the mpmath evaluation when an argument leaves
+    the kernel's reduction range, or when its cell stays open and the
+    kernel's own rounding is the larger part of the bound's slack, so that
+    splitting cannot close it. Alpha's enclosure width counts with the
+    slack: the mpmath evaluation pays it too.
     """
     if not b > a:
         raise OutOfRange(f"degenerate interval [{a}, {b}]")
@@ -371,7 +427,8 @@ def inf_h_interval(
             return (lb < bu) & (_sqrt_up(bu) - _sqrt_down(np.maximum(lb, 0.0)) > tol)
 
         def visit(cs, rs):
-            """Cell lower bounds, updating best_up from the centres."""
+            """Cell lower bounds and depths, updating best_up from the
+            centres."""
             nonlocal best_up, witness
             ph, oor = _phases(cs, (s_pi, s_pia))
             rb = rs + (np.abs(cs) + rs) * 2.0**-52  # covers rounded centres
@@ -387,13 +444,13 @@ def inf_h_interval(
                 lb[i] = _minus_down(f_lo_i, speed_i * rb[i] + 0.5 * l2 * rb[i] ** 2)
                 if f_up_i < best_up:
                     best_up, witness = f_up_i, float(cs[i])
-            return lb
+            return lb, _depth(own, wid, centred, back)
 
         c0 = (a + b) / 2
         # A few extra seeds (radius 0) so best_up starts realistic.
         seeds = np.linspace(a, b, 17)
-        lb = visit(np.append(c0, seeds), np.append(b - c0, np.zeros(17)))[:1]
-        c, r = np.array([c0]), np.array([b - c0])
+        lb, depth = visit(np.append(c0, seeds), np.append(b - c0, np.zeros(17)))
+        c, r, lb, depth = np.array([c0]), np.array([b - c0]), lb[:1], depth[:1]
         finest = (b - a) / 2
         done_lo = math.inf
         while c.size:
@@ -402,12 +459,11 @@ def inf_h_interval(
             done = live & ~opened
             if done.any():
                 done_lo = min(done_lo, float(lb[done].min()))
-            c, r = c[opened], r[opened] / 2
+            c, r, depth = _descend(c[opened], r[opened], depth[opened])
             if not c.size:
                 break
             finest = min(finest, float(r.min()))
-            c, r = np.concatenate([c - r, c + r]), np.concatenate([r, r])
-            lb = visit(c, r)
+            lb, depth = visit(c, r)
         lower = min(done_lo, best_up)
 
         return CertifiedInf(
@@ -426,10 +482,14 @@ def inf_h_interval(
 
 @dataclass(frozen=True)
 class GrowthPoint:
+    """``upper_parked``: m_upper came from cells parked at the subdivision
+    floor, so it is certified but may sit more than tol above m_lower."""
+
     eta: float
     m_lower: float
     m_upper: float
     witness: float
+    upper_parked: bool = False
 
 
 @dataclass(frozen=True)
@@ -507,7 +567,8 @@ def _sup_terms_mp(c: float, av):
 
 
 def _sup_inv_norm(ev, av, a: float, b: float, tol: float, seed: float):
-    """Bracket sup_{t in [a,b]} ||T_t^{-1}|| to relative width tol.
+    """Bracket sup_{t in [a,b]} ||T_t^{-1}|| to relative width tol, unless
+    parked cells hold the bound: returns (lower, upper, witness, parked).
 
     Cell bounds use the centered form v(c) +/- (|v'(c)| r + L r^2 / 2) for
     v = |det|^2 = 3/2 + cos t + cos(alpha t) + cos((1-alpha) t)/2 and for
@@ -519,7 +580,11 @@ def _sup_inv_norm(ev, av, a: float, b: float, tol: float, seed: float):
 
     Level-synchronous: each round takes every cell whose bound exceeds the
     incumbent times (1 + tol), bounds the norm at all their centres and
-    both children of each with one ``cos_sin`` call. A point or cell goes
+    the descendants k levels down of each with one ``cos_sin`` call; k >= 1
+    comes from the frontier size and is capped per cell as in
+    ``inf_h_interval``. No cell is halved below the parking floor: a live
+    cell there is parked, and its bound can become the segment's upper
+    bound (reported as ``parked``). A point or cell goes
     to the mpmath evaluation when an argument leaves the kernel's reduction
     range, or when the kernel's own rounding blocks the decision: a point
     that might raise the incumbent, whose float bracket is wider than
@@ -538,6 +603,10 @@ def _sup_inv_norm(ev, av, a: float, b: float, tol: float, seed: float):
     # dominates the bound slack; further subdivision cannot help.
     a_err = sa[2]
 
+    def floor(c):
+        """Parking floor: a live cell below it is not halved."""
+        return np.maximum(1e-13, 4 * a_err * (np.abs(c) + 1))
+
     best_lo = seed
     witness = a
     stuck_up = 0.0  # certified upper over cells parked at the floor
@@ -550,7 +619,7 @@ def _sup_inv_norm(ev, av, a: float, b: float, tol: float, seed: float):
 
     def evaluate(pts, cs, rs):
         """Raise the incumbent from the points; return upper bounds on the
-        cells (cs, rs)."""
+        cells (cs, rs) and their depths."""
         nonlocal best_lo, witness
         n = len(pts)
         ts = np.concatenate([pts, cs])
@@ -581,7 +650,7 @@ def _sup_inv_norm(ev, av, a: float, b: float, tol: float, seed: float):
                 raise SingularMatrix(
                     f"det enclosure contains 0 near t={cs[i]} (cell radius {rs[i]})"
                 )
-        return ub
+        return ub, _depth(own[n:], wid[n:], centred, back)
 
     # Float prescan seeds the incumbent near the true maximizer.
     grid = np.linspace(a, b, max(64, int((b - a) * 64)) + 1)
@@ -602,27 +671,27 @@ def _sup_inv_norm(ev, av, a: float, b: float, tol: float, seed: float):
         rs.append((y - x) / 2)
         x = y
     c, r = np.array(cs), np.array(rs)
-    ub = evaluate(top, c, r)
+    ub, depth = evaluate(top, c, r)
 
     # Cells are dropped only once their upper bound is at most the current
     # incumbent times (1 + tol), and the incumbent never decreases, so on
     # exit best_lo * (1 + tol) is a certified upper bound for the segment.
     while True:
         live = ub > best_lo * (1 + tol)
-        c, r, ub = c[live], r[live], ub[live]
+        c, r, ub, depth = c[live], r[live], ub[live], depth[live]
         if not c.size:
             break
-        park = r < np.maximum(1e-13, 4 * a_err * (np.abs(c) + 1))
-        cc, rr = c[~park], r[~park] / 2
-        cc, rr = np.concatenate([cc - rr, cc + rr]), np.concatenate([rr, rr])
-        ub_next = evaluate(c, cc, rr)
+        park = r < floor(c)
+        cc, rr, _ = _descend(c[~park], r[~park], depth[~park], floor)
+        ub_next, depth = evaluate(c, cc, rr)
         parked = ub[park]
         parked = parked[parked > best_lo * (1 + tol)]
         if parked.size:
             stuck_up = max(stuck_up, float(parked.max()))
         c, r, ub = cc, rr, ub_next
 
-    return best_lo, max(best_lo * (1 + tol), stuck_up), witness
+    parked = stuck_up > best_lo * (1 + tol)
+    return best_lo, max(best_lo * (1 + tol), stuck_up), witness, parked
 
 
 def growth_curve(
@@ -645,14 +714,17 @@ def growth_curve(
     with workprec(work):
         av = ev.alpha_at(work)
         run_lo, run_up, run_wit = 1.0, 1.0, 0.0  # ||T_0^{-1}|| = 1 exactly
+        run_parked = False
         prev = 0.0
         for eta in etas:
-            lo, up, wit = _sup_inv_norm(ev, av, prev, eta, tol, seed=run_lo)
+            lo, up, wit, parked = _sup_inv_norm(ev, av, prev, eta, tol, seed=run_lo)
             if lo > run_lo:
                 run_lo, run_wit = lo, wit
-            run_up = max(run_up, up)
+            if up > run_up:
+                run_up, run_parked = up, parked
             points.append(
-                GrowthPoint(eta=eta, m_lower=run_lo, m_upper=run_up, witness=run_wit)
+                GrowthPoint(eta=eta, m_lower=run_lo, m_upper=run_up,
+                            witness=run_wit, upper_parked=run_parked)
             )
             prev = eta
     return GrowthCurve(

@@ -59,6 +59,34 @@ def test_construct_exp_a1(tmp_path):
     assert rows[2].split(",")[1] == "10"
 
 
+def test_construct_parses_targets_exactly(tmp_path):
+    out = tmp_path / "e.csv"
+    assert run(["construct", "--exp", "0.1", "--bits", "256",
+                "--out", str(out)]) == 0
+    header = json.loads((tmp_path / "e.csv.header.json").read_text())
+    assert header["f"] == {"kind": "exp", "beta": 0.1}
+    manifest = json.loads((tmp_path / "e.csv.manifest.json").read_text())
+    assert manifest["parameters"]["exp"] == "1/10"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--exp", "0"], ["--exp", "-1"], ["--powerlog", "0", "1"],
+    ["--powerlog", "2", "-1"], ["--exp", "1", "--bits", "16"],
+    ["--exp", "1e400"],
+])
+def test_construct_rejected_target_exit2(flags, capsys):
+    assert run(["construct", *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1/0", "x"])
+def test_construct_unparsable_target_exit2(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["construct", "--exp", value])
+    assert exc.value.code == 2
+    assert "not a finite rational number" in capsys.readouterr().err
+
+
 def test_construct_bad_table_exit2(tmp_path):
     cfg = tmp_path / "t.json"
     cfg.write_text(json.dumps(
@@ -75,6 +103,25 @@ def test_growth_monotone_csv(tmp_path):
     ups = [float(r[2]) for r in rows]
     assert lows == sorted(lows) and ups == sorted(ups)
     assert all(lo <= up for lo, up in zip(lows, ups))
+
+
+def test_growth_warns_on_parked_upper_bounds(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert run(["growth", "--decimal", "1.41421356", "--bits", "24",
+                "--etas", "50,500", "--tol", "1e-3", "--out", str(out)]) == 0
+    assert "parked" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
+    assert manifest["parked_etas"] == [50.0, 500.0]
+    assert out.read_text().splitlines()[0] == "eta,m_lower,m_upper"
+    pred = tmp_path / "p.csv"
+    assert run(["rates", "--curve", str(out), "--kind", "LowerBound",
+                "--times", "1000", "--out", str(pred)]) == 0
+    out2 = tmp_path / "g2.csv"
+    assert run(["growth", "--surd", "2", "--etas", "5,10", "--out",
+                str(out2)]) == 0
+    assert "parked" not in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "g2.csv.manifest.json").read_text())
+    assert manifest["parked_etas"] == []
 
 
 def test_rates_pipeline(tmp_path):

@@ -1,6 +1,7 @@
 """Boundary-matrix family, certified infima of h, growth curves, sandwich."""
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -212,16 +213,27 @@ def test_fallback_at_deep_resonance_and_beyond_reduction_range(monkeypatch):
 
     counted("inv_norm_iv")
     counted("phases")
+    sizes = _count_kernel_calls(monkeypatch)
+    mp_cells = []
+    sup_terms_mp = sp._sup_terms_mp
+    monkeypatch.setattr(sp, "_sup_terms_mp",
+                        lambda *a: mp_cells.append(1) or sup_terms_mp(*a))
     # the peak near t = 3094 (odd/odd approximant 1393/985): |det|^2 is
     # below the kernel's own pad there, so its points go to mpmath
     p = sp.growth_curve(cf.SQRT2, [1e4], tol=1e-3).points[0]
     assert calls["inv_norm_iv"] > 0
+    # rounds of large frontiers split one level: one-level rounds bound
+    # 137,976 kernel elements here, and send 24 cells to mpmath
+    assert sum(sizes) <= 1.05 * 137_976
+    assert len(mp_cells) <= 24
     assert p.m_upper <= p.m_lower * (1 + 1e-3)
     assert abs(p.witness - 3094.47) < 0.01
     assert p.m_lower <= _inv_norm_256("sqrt2", p.witness)
     # pi * t > 2^22: every visit goes to mpmath
     ci = sp.inf_h_interval(cf.SQRT2, 1.4e6 - 1, 1.4e6 + 1, tol=1e-6)
-    assert calls["phases"] > 0
+    # a cell whose visit went to mpmath is split one level per round, so
+    # no more visits go there than with one-level rounds (64)
+    assert 0 < calls["phases"] <= 64
     assert 0 < ci.upper - ci.lower <= 1e-6
     assert ci.lower <= _h_256("sqrt2", ci.witness) <= ci.upper
 
@@ -232,3 +244,54 @@ def test_sandwich_distance_bracket_contains_exact_distance():
     for r in sp.sandwich_report(alpha, range(1, 40, 2)):
         exact = abs(r.v * x - r.u)
         assert Fraction(r.dist_lower) <= exact <= Fraction(r.dist_upper)
+
+
+def _count_kernel_calls(monkeypatch):
+    sizes = []
+    orig = sp.cos_sin
+
+    def counted(x, err):
+        sizes.append(x.size)
+        return orig(x, err)
+
+    monkeypatch.setattr(sp, "cos_sin", counted)
+    return sizes
+
+
+def test_small_frontiers_split_several_levels_per_round(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    sp.sandwich_report(cf.SQRT2, range(1, 200, 2))
+    assert len(calls) <= 600  # one level per round: 1,596 calls
+    calls.clear()
+    sp.growth_curve(cf.SQRT2, [5, 10, 50, 100])
+    assert len(calls) <= 30  # one level per round: 44 calls
+
+
+def test_multilevel_rounds_agree_with_one_level_rounds(monkeypatch):
+    vs, etas = range(1, 200, 2), [5, 10, 50, 100]
+    deep = (sp.sandwich_report(cf.SQRT2, vs), sp.growth_curve(cf.SQRT2, etas))
+    monkeypatch.setattr(sp, "_ROUND_CELLS", 0)  # every round splits once
+    flat = (sp.sandwich_report(cf.SQRT2, vs), sp.growth_curve(cf.SQRT2, etas))
+    for x, y in zip(deep[0], flat[0]):
+        assert x.inf_lower <= y.inf_upper and y.inf_lower <= x.inf_upper
+        tol_v = min(1e-6, x.dist_lower**2 / 16)
+        for r in (x, y):
+            assert r.inf_upper - r.inf_lower <= tol_v * (1 + 1e-9)
+    for p, q in zip(deep[1].points, flat[1].points):
+        assert p.m_lower <= q.m_upper and q.m_lower <= p.m_upper
+        for r in (p, q):
+            assert r.m_upper <= r.m_lower * (1 + 1e-3)
+            assert not r.upper_parked
+
+
+def test_parked_upper_bounds_are_flagged():
+    # an 8-digit sqrt 2: near the resonances the alpha enclosure, not the
+    # cell width, bounds the slack, so cells park at the floor
+    alpha = cf.DecimalLiteral("1.41421356", 24)
+    start = time.perf_counter()
+    curve = sp.growth_curve(alpha, [50, 500], tol=1e-3)
+    assert time.perf_counter() - start < 1.0
+    assert all(p.upper_parked for p in curve.points)
+    assert all(p.m_upper > p.m_lower * (1 + 1e-3) for p in curve.points)
+    curve = sp.growth_curve(cf.SQRT2, [5, 10, 50, 100])
+    assert not any(p.upper_parked for p in curve.points)
