@@ -55,6 +55,7 @@ __all__ = [
     "moore_penrose",
     "fundamental_matrix",
     "boundary_matrix",
+    "boundary_matrices",
     "stability_scan",
     "resolvent_solve",
     "resolvent_norm_lower",
@@ -178,96 +179,204 @@ def moore_penrose(W: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# Pieces whose eigenvector basis has cond(V) at or above this evaluate
-# exp(A s) by a dense matrix exponential per point.
+# Pairs (t, piece) whose eigenvector basis has cond(V) at or above this
+# evaluate exp(A s) by a dense matrix exponential per point.
 _EIG_COND_MAX = 1e8
+
+# Grid points t per stacked build of Phi_t: the sampled sup-norm stack
+# holds _T_CHUNK x pieces x _B_SAMPLES matrices.
+_T_CHUNK = 16
+_B_SAMPLES = 33
+
+
+def _norm2(m: np.ndarray) -> np.ndarray:
+    """Spectral norms of a stack of square matrices, shape (..., d, d).
+
+    For d = 2, M = [[a, b], [c, e]]: with delta = det M / |det M| (1 when
+    det M = 0), sigma_1 + sigma_2 = hypot(|a + delta conj(e)|, |b - delta
+    conj(c)|) and sigma_1 - sigma_2 = hypot(|a - delta conj(e)|, |b + delta
+    conj(c)|), because the squared hypots are |M|_F^2 +/- 2 |det M|.  The
+    textbook sigma_max^2 = (F + sqrt(F^2 - 4 |det M|^2)) / 2 cancels when
+    sigma_1 ~ sigma_2 (1.5e-8 relative on a unitary M); this form does not.
+    Other d use LAPACK's SVD per matrix.
+    """
+    if m.shape[-1] != 2:
+        return la.norm(m, ord=2, axis=(-2, -1))
+    a, b, c, e = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    det = a * e - b * c
+    r = np.abs(det)
+    delta = np.divide(det, r, out=np.ones_like(det), where=r > 0)
+    de, dc = delta * e.conj(), delta * c.conj()
+    return 0.5 * (np.hypot(np.abs(a + de), np.abs(b - dc))
+                  + np.hypot(np.abs(a - de), np.abs(b + dc)))
+
+
+def _eigen(gens: np.ndarray):
+    """(lam, V, V^{-1}, dense) for a stack of generators (k, d, d).
+
+    ``dense`` marks the generators left to a dense matrix exponential: an
+    ill-conditioned or non-finite eigenbasis, or (all of them) a failed
+    stacked decomposition.  Their lam, V and V^{-1} are 0, I and I.
+    """
+    d = gens.shape[-1]
+    try:
+        lam, V = la.eig(gens)
+        sv = la.svd(V, compute_uv=False)
+        dense = ~(np.isfinite(lam).all(axis=1) & (sv[:, 0] < _EIG_COND_MAX * sv[:, -1]))
+    except la.LinAlgError:
+        lam = np.zeros(gens.shape[:-1], dtype=complex)
+        V = np.empty(gens.shape, dtype=complex)
+        dense = np.ones(len(gens), dtype=bool)
+    if dense.any():
+        lam[dense] = 0.0
+        V[dense] = np.eye(d)
+    return lam, V, la.inv(V), dense
 
 
 class _PieceExp:
     """Evaluator for exp(A s) with A constant on one piece.
 
-    With a well-conditioned eigenbasis A = V diag(lam) V^{-1},
-    exp(A s) = sum_k e^{lam_k s} V[:, k] V^{-1}[k, :], so n points cost one
-    (n, d) @ (d, d^2) product; otherwise (``eig`` None) a dense matrix
-    exponential per point.
+    With a well-conditioned eigenbasis A = V diag(lam) V^{-1} (``eig`` =
+    (lam, V, V^{-1}, outer)), exp(A s) = sum_k e^{lam_k s} V[:, k]
+    V^{-1}[k, :], so n points cost one (n, d) @ (d, d^2) product with
+    ``outer`` (d, d^2); otherwise (``eig`` None) a dense matrix exponential
+    per point.
     """
 
     def __init__(self, A: np.ndarray, eig=None) -> None:
         self.A = A
-        self._eig = eig  # (lam, V, V^{-1}) or None
-        if eig is not None:
-            _, V, Vi = eig
-            d = len(V)
-            self._outer = (V.T[:, :, None] * Vi[:, None, :]).reshape(d, d * d)
-
-    def at(self, s: float) -> np.ndarray:
-        return self.at_many(np.array([s]))[0]
+        self._eig = eig
 
     def at_many(self, s: np.ndarray) -> np.ndarray:
         """Stack of exp(A s_j), shape (len(s), d, d)."""
         if self._eig is not None:
             d = len(self.A)
             ph = np.exp(np.multiply.outer(s, self._eig[0]))  # (n, d)
-            return (ph @ self._outer).reshape(len(s), d, d)
+            return (ph @ self._eig[3]).reshape(len(s), d, d)
         return np.stack([sla.expm(self.A * sj) for sj in s])
 
     def apply(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Rows exp(A s_j) y_j for s of shape (n,) and y of shape (n, d)."""
+        """Rows exp(A s_j) y_j for s of shape (n,) and y of shape (..., n, d)."""
         if self._eig is not None:
-            lam, V, Vi = self._eig
+            lam, V, Vi, _ = self._eig
             return ((y @ Vi.T) * np.exp(np.multiply.outer(s, lam))) @ V.T
-        return np.einsum("njk,nk->nj", self.at_many(s), y)
+        return np.einsum("njk,...nk->...nj", self.at_many(s), y)
 
 
-def _piece_exps(gens: np.ndarray) -> list[_PieceExp]:
-    """One evaluator per generator in the stack ``gens`` (shape (k, d, d)),
-    from one stacked eigendecomposition."""
-    try:
-        lam, V = la.eig(gens)
-        sv = la.svd(V, compute_uv=False)
-    except la.LinAlgError:
-        return [_PieceExp(A) for A in gens]
-    eig = [None] * len(gens)
-    good = np.flatnonzero(
-        np.isfinite(lam).all(axis=1) & (sv[:, 0] < _EIG_COND_MAX * sv[:, -1])
-    )
-    for k, Vi in zip(good, la.inv(V[good])):
-        eig[k] = (lam[k], V[k], Vi)
-    return [_PieceExp(A, e) for A, e in zip(gens, eig)]
+class _PhiStack:
+    """Phi_t for a vector of t on one validated system, built together.
+
+    The generators A_{t,k} = -P1^{-1}(i t H_k^{-1} + P0) of every (t, piece)
+    pair share one stacked eigendecomposition, so exp(A s) at a set of
+    points is one batched product over all pairs; a pair that
+    :func:`_eigen` marks dense takes a matrix exponential per point.
+    ``cum[i, k]`` is Phi_{t_i} at breakpoint k, from one batched matmul
+    over t per piece.
+    """
+
+    def __init__(self, sys: PHSystem, ts) -> None:
+        self.sys = sys
+        self.ts = np.asarray(ts, dtype=float)
+        self._b: np.ndarray | None = None
+        n, k, d = len(self.ts), len(sys.pieces), sys.d
+        self.p1inv = la.inv(sys.P1)
+        self.hinv = la.inv(np.stack(sys.pieces))
+        self.gens = -self.p1inv @ (
+            1j * self.ts[:, None, None, None] * self.hinv + sys.P0
+        )
+        lam, V, Vi, dense = _eigen(self.gens.reshape(n * k, d, d))
+        self.lam = lam.reshape(n, k, d)
+        self.V = V.reshape(n, k, d, d)
+        self.Vi = Vi.reshape(n, k, d, d)
+        self.outer = (
+            self.V.swapaxes(-1, -2)[..., None] * self.Vi[..., None, :]
+        ).reshape(n, k, d, d * d)
+        self.dense = dense.reshape(n, k)
+        self.spans = np.diff(sys.breaks)
+        steps = self.exps(self.spans[:, None])[:, :, 0]
+        cum = np.empty((n, k + 1, d, d), dtype=complex)
+        cum[:, 0] = np.eye(d)
+        for j in range(k):
+            cum[:, j + 1] = steps[:, j] @ cum[:, j]
+        self._finite(cum[:, 1:])
+        self.cum = cum
+
+    def _finite(self, mats: np.ndarray) -> None:
+        """ExpOverflow naming the first t (then piece) of the (t, piece)
+        stack ``mats`` that holds a non-finite entry."""
+        if np.isfinite(mats).all():
+            return
+        ok = np.isfinite(mats).reshape(*mats.shape[:2], -1).all(axis=2)
+        i, k = np.argwhere(~ok)[0]
+        raise ExpOverflow(
+            f"fundamental matrix overflowed on piece {k} at t={float(self.ts[i])}"
+        )
+
+    def exps(self, s: np.ndarray) -> np.ndarray:
+        """exp(A_{t,k} s[k, j]) for offsets ``s`` (pieces, m) into each
+        piece, shape (len(ts), pieces, m, d, d)."""
+        n, k, d = self.lam.shape
+        ph = np.exp(self.lam[:, :, None, :] * s[None, :, :, None])
+        out = (ph @ self.outer).reshape(n, k, s.shape[1], d, d)
+        for i, j in np.argwhere(self.dense):
+            out[i, j] = _PieceExp(self.gens[i, j]).at_many(s[j])
+        return out
+
+    def sup_norms(self) -> np.ndarray:
+        """Sampled sup_x |Phi_t(x)| per t (_B_SAMPLES points per piece)."""
+        if self._b is None:
+            s = np.linspace(0.0, self.spans, _B_SAMPLES, axis=1)
+            mats = self.exps(s) @ self.cum[:, :-1, None]
+            self._finite(mats)
+            self._b = _norm2(mats).max(axis=(1, 2))
+        return self._b
+
+    def boundaries(self) -> np.ndarray:
+        return _boundary(self.sys, self.cum[:, -1])
+
+
+def _stacks(sys: PHSystem, ts):
+    """Stacked builds of Phi_t over ``ts``, _T_CHUNK values of t each."""
+    ts = np.asarray(ts, dtype=float)
+    for lo in range(0, len(ts), _T_CHUNK):
+        yield _PhiStack(sys, ts[lo : lo + _T_CHUNK])
 
 
 class FundamentalMatrix:
     """Phi_t for a validated system (:func:`fundamental_matrix` validates):
     exact matrix-exponential products across the constant-H pieces, with
-    Phi_t(a) = I."""
+    Phi_t(a) = I.  It is the length-1 case of the stacked build; the
+    batched entry points view one t of a larger build instead."""
 
-    def __init__(self, sys: PHSystem, t: float, b_samples: int = 33) -> None:
-        self.sys = sys
-        self.t = float(t)
-        self._b_samples = b_samples
-        self._b_t: float | None = None
-        self._p1inv = la.inv(sys.P1)
-        self._hinv = la.inv(np.stack(sys.pieces))
-        self._exps = _piece_exps(
-            -self._p1inv @ (1j * self.t * self._hinv + sys.P0)
-        )
-        # cumulative Phi at each breakpoint (left end of each piece)
-        self._cum: list[np.ndarray] = [np.eye(sys.d, dtype=complex)]
-        for k, pe in enumerate(self._exps):
-            nxt = pe.at(sys.breaks[k + 1] - sys.breaks[k]) @ self._cum[-1]
-            if not np.isfinite(nxt).all():
-                raise ExpOverflow(
-                    f"fundamental matrix overflowed on piece {k} at t={t}"
-                )
-            self._cum.append(nxt)
+    def __init__(self, sys: PHSystem, t: float) -> None:
+        self._bind(_PhiStack(sys, [t]), 0)
+
+    @classmethod
+    def _of(cls, stack: _PhiStack, i: int) -> "FundamentalMatrix":
+        phi = cls.__new__(cls)
+        phi._bind(stack, i)
+        return phi
+
+    def _bind(self, stack: _PhiStack, i: int) -> None:
+        self.sys = stack.sys
+        self.t = float(stack.ts[i])
+        self._stack, self._i = stack, i
+        self._p1inv = stack.p1inv
+        self._hinv = stack.hinv
+        self._cum = stack.cum[i]  # Phi_t at each breakpoint
+        self._exps = [
+            _PieceExp(A, None if dense else eig)
+            for A, dense, *eig in zip(
+                stack.gens[i], stack.dense[i], stack.lam[i], stack.V[i],
+                stack.Vi[i], stack.outer[i],
+            )
+        ]
 
     @property
     def B_t(self) -> float:
         """Sampled sup_x |Phi_t(x)| (lazy: only stability/constants paths
         need it, not plain boundary-matrix evaluation)."""
-        if self._b_t is None:
-            self._b_t = self._estimate_sup_norm(self._b_samples)
-        return self._b_t
+        return float(self._stack.sup_norms()[self._i])
 
     def __call__(self, x: float) -> np.ndarray:
         return self.at_many(np.array([x], dtype=float))[0]
@@ -289,34 +398,30 @@ class FundamentalMatrix:
     def at_b(self) -> np.ndarray:
         return self._cum[-1]
 
-    def _estimate_sup_norm(self, samples: int) -> float:
-        d = self.sys.d
-        mats = []
-        for k, pe in enumerate(self._exps):
-            ss = np.linspace(0.0, self.sys.breaks[k + 1] - self.sys.breaks[k], samples)
-            m = pe.at_many(ss).reshape(-1, d) @ self._cum[k]
-            if not np.isfinite(m).all():
-                raise ExpOverflow(
-                    f"fundamental matrix overflowed on piece {k} at t={self.t}"
-                )
-            mats.append(m)
-        stack = np.concatenate(mats).reshape(-1, d, d)
-        return float(la.norm(stack, ord=2, axis=(1, 2)).max())
-
 
 def fundamental_matrix(sys: PHSystem, t: float) -> FundamentalMatrix:
     _require_valid(sys)
     return FundamentalMatrix(sys, t)
 
 
-def _boundary(phi: FundamentalMatrix) -> np.ndarray:
-    d = phi.sys.d
-    return phi.sys.W[:, :d] @ phi.at_b + phi.sys.W[:, d:].astype(complex)
+def _boundary(sys: PHSystem, at_b: np.ndarray) -> np.ndarray:
+    """W [Phi_t(b); I] for one Phi_t(b) or a stack of them."""
+    d = sys.d
+    return sys.W[:, :d] @ at_b + sys.W[:, d:].astype(complex)
 
 
 def boundary_matrix(sys: PHSystem, t: float) -> np.ndarray:
     """T_t = W [Phi_t(b); I], the d x d strong-stability matrix."""
-    return _boundary(fundamental_matrix(sys, t))
+    _require_valid(sys)
+    return _PhiStack(sys, [t]).boundaries()[0]
+
+
+def boundary_matrices(sys: PHSystem, ts: Sequence[float]) -> np.ndarray:
+    """T_t for every t in ``ts``, shape (len(ts), d, d), from one
+    validation and one stacked build of Phi_t."""
+    _require_valid(sys)
+    parts = [st.boundaries() for st in _stacks(sys, ts)]
+    return np.concatenate(parts) if parts else np.empty((0, sys.d, sys.d), complex)
 
 
 @dataclass(frozen=True)
@@ -369,30 +474,27 @@ def stability_scan(
 ) -> StabilityReport:
     """Scan T_t over the grid, flagging any |det T_t| <= margin."""
     _require_valid(sys)
-    dets, sigmas, invs, sing = [], [], [], []
-    b_est = 0.0
-    for t in t_grid:
-        phi = FundamentalMatrix(sys, t)
-        b_est = max(b_est, phi.B_t)
-        T = _boundary(phi)
-        sv = la.svd(T, compute_uv=False)
-        det = float(abs(la.det(T)))
-        dets.append(det)
-        sigmas.append(float(sv[-1]))
-        if det <= margin:
-            sing.append(float(t))
-            invs.append(math.inf)
-        else:
-            invs.append(1.0 / float(sv[-1]))
+    ts = np.asarray(t_grid, dtype=float)
+    if not len(ts):
+        return StabilityReport((), (), (), (), 0.0, True, math.inf, ())
+    parts, b_est = [], 0.0
+    for st in _stacks(sys, ts):
+        parts.append(st.boundaries())
+        b_est = max(b_est, float(st.sup_norms().max()))
+    T = np.concatenate(parts)
+    dets = np.abs(la.det(T))
+    sigmas = la.svd(T, compute_uv=False)[:, -1]
+    sing = dets <= margin
+    invs = np.divide(1.0, sigmas, out=np.full_like(sigmas, math.inf), where=~sing)
     return StabilityReport(
-        t_grid=tuple(float(t) for t in t_grid),
-        abs_det=tuple(dets),
-        sigma_min=tuple(sigmas),
-        inv_norm=tuple(invs),
+        t_grid=tuple(ts.tolist()),
+        abs_det=tuple(dets.tolist()),
+        sigma_min=tuple(sigmas.tolist()),
+        inv_norm=tuple(invs.tolist()),
         B_estimate=b_est,
-        invertible_on_grid=not sing,
-        min_margin=min(dets) if dets else math.inf,
-        singular_points=tuple(sing),
+        invertible_on_grid=not sing.any(),
+        min_margin=float(dets.min()),
+        singular_points=tuple(ts[sing].tolist()),
     )
 
 
@@ -445,30 +547,61 @@ def _node_bounds(counts: Sequence[int]) -> np.ndarray:
 
 def _h_weighted(
     mats: Sequence[np.ndarray], bounds: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Rows M_k y_j with M_k the matrix of the piece owning node j, and the
-    weighted norm sqrt(integral y^* M y) by the trapezoid rule on ``x``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows M_k y_j with M_k the matrix of the piece owning node j, for y of
+    shape (..., n, d), and the weighted norms sqrt(integral y^* M y) by the
+    trapezoid rule on ``x``, shape (...)."""
     my = np.empty_like(y)
     for k, m in enumerate(mats):
         sl = slice(bounds[k], bounds[k + 1])
-        my[sl] = y[sl] @ m.T
-    quad = np.einsum("ni,ni->n", np.conj(y), my).real
-    return my, math.sqrt(max(float(np.trapezoid(quad, x)), 0.0))
+        my[..., sl, :] = y[..., sl, :] @ m.T
+    quad = np.einsum("...ni,...ni->...n", np.conj(y), my).real
+    return my, np.sqrt(np.maximum(np.trapezoid(quad, x, axis=-1), 0.0))
+
+
+def _stacked(fs: Sequence[Callable[[np.ndarray], np.ndarray]], d: int):
+    """The right-hand sides ``fs`` as one map from points (n,) to values
+    (len(fs), n, d)."""
+
+    def f(xs: np.ndarray) -> np.ndarray:
+        out = np.empty((len(fs), len(xs), d), dtype=complex)
+        for p, fn in enumerate(fs):
+            fv = np.asarray(fn(xs), dtype=complex)
+            if fv.shape != (len(xs), d):
+                raise ValidationError(
+                    f"probe function must return shape (n, {d}) arrays"
+                )
+            out[p] = fv
+        return out
+
+    return f
 
 
 def _solve_once(
     phi: FundamentalMatrix,
-    f: Callable[[np.ndarray], np.ndarray],
+    fs: Sequence[Callable[[np.ndarray], np.ndarray]],
     nodes: int,
-) -> ResolventSolution:
+) -> list[ResolventSolution]:
+    """One solve per right-hand side in ``fs`` on one grid: the
+    exponentials, the quadrature nodes and T_t are shared, and each step
+    works on the (len(fs), n, d) stack of values."""
     sys = phi.sys
     p1inv = phi._p1inv
     d = sys.d
-    counts = _uniform_counts(sys, nodes)
+    f = _stacked(fs, d)
 
+    T = _boundary(sys, phi.at_b)
+    sv = la.svd(T, compute_uv=False)
+    if abs(la.det(T)) <= _SINGULAR_TOL or sv[-1] <= _SINGULAR_TOL * sv[0]:
+        raise SingularBoundaryMatrix(
+            f"T_t singular or near-singular at t={phi.t} (sigma_min={sv[-1]:.3e})"
+        )
+
+    counts = _uniform_counts(sys, nodes)
+    cum_inv_t = la.inv(phi._cum[:-1]).swapaxes(-1, -2)
     grids: list[np.ndarray] = []
     runs: list[np.ndarray] = []  # per piece: integral_a^x Phi^{-1} P1^{-1} f at the grid
-    cum_integral = np.zeros(d, dtype=complex)
+    cum_integral = np.zeros((len(fs), 1, d), dtype=complex)
     for k, n in enumerate(counts):
         x0, x1 = sys.breaks[k], sys.breaks[k + 1]
         grid = np.linspace(x0, x1, n + 1)
@@ -476,82 +609,68 @@ def _solve_once(
         # 8-point Gauss-Legendre on each subinterval [grid_j, grid_j+1]
         mid = 0.5 * (grid[:-1] + grid[1:])
         s_nodes = (mid[:, None] + 0.5 * h * _GL_NODES[None, :]).ravel()
-        w_all = np.tile(0.5 * h * _GL_WEIGHTS, n)
-        fv = np.asarray(f(s_nodes), dtype=complex)
-        if fv.shape != (len(s_nodes), d):
-            raise ValidationError(
-                f"probe function must return shape (n, {d}) arrays"
-            )
         # Phi(s)^{-1} P1^{-1} f(s) = cum_k^{-1} exp(-A_k (s - x0)) P1^{-1} f(s)
-        integrand = phi._exps[k].apply(x0 - s_nodes, fv @ p1inv.T) @ la.inv(
-            phi._cum[k]
-        ).T
+        integrand = phi._exps[k].apply(x0 - s_nodes, f(s_nodes) @ p1inv.T) @ cum_inv_t[k]
         per_panel = (
-            integrand.reshape(n, 8, d) * w_all.reshape(n, 8)[:, :, None]
-        ).sum(axis=1)
+            integrand.reshape(-1, n, 8, d) * (0.5 * h * _GL_WEIGHTS)[:, None]
+        ).sum(axis=2)
         run = cum_integral + np.concatenate(
-            [np.zeros((1, d), dtype=complex), np.cumsum(per_panel, axis=0)]
+            [np.zeros_like(cum_integral), np.cumsum(per_panel, axis=1)], axis=1
         )
         grids.append(grid)
         runs.append(run)
-        cum_integral = run[-1]
+        cum_integral = run[:, -1:]
 
     # boundary condition: T_t v(a) = -W [Phi(b) * I_total; 0]
-    T = _boundary(phi)
-    sv = la.svd(T, compute_uv=False)
-    if abs(la.det(T)) <= _SINGULAR_TOL or sv[-1] <= _SINGULAR_TOL * sv[0]:
-        raise SingularBoundaryMatrix(
-            f"T_t singular or near-singular at t={phi.t} (sigma_min={sv[-1]:.3e})"
-        )
-    rhs = -(sys.W[:, :d] @ (phi.at_b @ cum_integral))
-    v_a = la.solve(T, rhs)
+    rhs = -(sys.W[:, :d] @ (phi.at_b @ cum_integral[:, 0].T))
+    v_a = la.solve(T, rhs).T
 
     # v(x) = Phi(x) [v(a) + I(x)] = exp(A_k (x - x0)) cum_k [v(a) + I(x)];
     # each breakpoint node is taken from the piece on its left
     vs = [
-        phi._exps[k].apply(grid - grid[0], (v_a + run) @ phi._cum[k].T)
+        phi._exps[k].apply(grid - grid[0], (v_a[:, None] + run) @ phi._cum[k].T)
         for k, (grid, run) in enumerate(zip(grids, runs))
     ]
     x = np.concatenate([grids[0]] + [g[1:] for g in grids[1:]])
-    v = np.concatenate([vs[0]] + [vk[1:] for vk in vs[1:]])
+    v = np.concatenate([vs[0]] + [vk[:, 1:] for vk in vs[1:]], axis=1)
 
     # residual (i): boundary condition
-    bc = sys.W[:, :d] @ v[-1] + sys.W[:, d:] @ v[0]
-    boundary_residual = float(la.norm(bc))
+    bc = v[:, -1] @ sys.W[:, :d].T + v[:, 0] @ sys.W[:, d:].T
+    boundary_residual = la.norm(bc, axis=1)
 
     # residual (ii): v' = A_k v + P1^{-1} f on interior 9-point stencils of
     # each piece's grid, its left breakpoint included
     bounds = _node_bounds(counts)
-    ode_res = 0.0
+    fx = f(x)
+    ode_res = np.zeros(len(fs))
     for k in range(len(counts)):
-        lo = bounds[k] - 1 if k else 0
-        g_x = x[lo : bounds[k + 1]]
-        g_v = v[lo : bounds[k + 1]]
-        m = len(g_x)
-        h = g_x[1] - g_x[0]
-        idx = np.arange(4, m - 4)
+        lo, hi = (bounds[k] - 1 if k else 0), bounds[k + 1]
+        g_v = v[:, lo:hi]
+        m = hi - lo
         dv = sum(
-            c * g_v[idx + j - 4] for j, c in enumerate(_FD9) if c != 0.0
-        ) / h
-        fv = np.asarray(f(g_x[idx]), dtype=complex)
-        rhs_v = g_v[idx] @ phi._exps[k].A.T + fv @ p1inv.T
-        scale = max(float(np.abs(g_v).max()), 1.0)
-        ode_res = max(ode_res, float(np.abs(dv - rhs_v).max()) / scale)
+            c * g_v[:, j : j + m - 8] for j, c in enumerate(_FD9) if c != 0.0
+        ) / (x[lo + 1] - x[lo])
+        rhs_v = g_v[:, 4 : m - 4] @ phi._exps[k].A.T + fx[:, lo + 4 : hi - 4] @ p1inv.T
+        scale = np.maximum(np.abs(g_v).max(axis=(1, 2)), 1.0)
+        ode_res = np.maximum(ode_res, np.abs(dv - rhs_v).max(axis=(1, 2)) / scale)
 
     # u = H^{-1} v and |u|_H^2 = integral of v^* H^{-1} v
     u, u_norm = _h_weighted(phi._hinv, bounds, x, v)
 
-    return ResolventSolution(
-        t=phi.t,
-        x=x,
-        v=v,
-        u=u,
-        hu_a=v_a,
-        boundary_residual=boundary_residual,
-        ode_residual=ode_res,
-        nodes=nodes,
-        u_norm_H=u_norm,
-    )
+    return [
+        ResolventSolution(
+            t=phi.t,
+            x=x,
+            v=v[p],
+            u=u[p],
+            hu_a=v_a[p],
+            boundary_residual=float(boundary_residual[p]),
+            ode_residual=float(ode_res[p]),
+            nodes=nodes,
+            u_norm_H=float(u_norm[p]),
+        )
+        for p in range(len(fs))
+    ]
 
 
 def resolvent_solve(
@@ -576,7 +695,7 @@ def resolvent_solve(
     phi = FundamentalMatrix(sys, t)
     n = nodes
     while True:
-        sol = _solve_once(phi, f, n)
+        (sol,) = _solve_once(phi, [f], n)
         if not auto_refine or sol.residual <= tol:
             return sol
         if 2 * n > max_nodes:
@@ -651,10 +770,15 @@ def char_constants(
     ts = sorted(float(t) for t in t_grid)
     if not ts:
         raise ValidationError("t grid must be non-empty")
-    b_ts = [FundamentalMatrix(sys, t).B_t for t in ts]
+    return _constants(sys, np.concatenate([st.sup_norms() for st in _stacks(sys, ts)]))
+
+
+def _constants(sys: PHSystem, b_ts: np.ndarray) -> CharConstants:
+    """:func:`char_constants` from the sampled B_t of a grid in increasing t."""
+    b_ts = b_ts.tolist()
     B = max(b_ts)
-    half = max(len(ts) // 2, 1)
-    flagged = len(ts) >= 4 and (
+    half = max(len(b_ts) // 2, 1)
+    flagged = len(b_ts) >= 4 and (
         max(b_ts[half:]) > 1.5 * max(b_ts[:half])
     )
     if len(sys.pieces) == 1:
@@ -671,8 +795,9 @@ def char_constants(
     wp_norm = float(la.norm(moore_penrose(sys.W), ord=2))
     p1 = float(la.norm(sys.P1, ord=2))
     p1i = float(la.norm(la.inv(sys.P1), ord=2))
-    h_sup = max(float(la.eigvalsh(hk)[-1]) for hk in sys.pieces)
-    s_norm = max(1.0 / math.sqrt(float(la.eigvalsh(hk)[0])) for hk in sys.pieces)
+    ev = la.eigvalsh(np.stack(sys.pieces))
+    h_sup = float(ev[:, -1].max())
+    s_norm = float((1.0 / np.sqrt(ev[:, 0])).max())
     c_tilde = ln * B**2 * s_norm * p1 * p1i**2 * max(B * w_norm, math.sqrt(ln))
     c_big = (ln ** (-1.5) * p1**2 * p1i**2 * B**3 * (1 + B) + 1) * wp_norm * max(
         math.sqrt(ln) * h_sup * p1, 1.0
@@ -722,7 +847,7 @@ def _probe_set(
 
     # adversarial probe from the worst singular direction of T_t
     try:
-        _, _, vh = la.svd(_boundary(phi))
+        _, _, vh = la.svd(_boundary(sys, phi.at_b))
         z = vh[-1].conj()  # direction achieving sigma_min, i.e. max |T^{-1}z|
         z12 = moore_penrose(sys.W) @ z
         y = -z12[:d] + phi.at_b @ z12[d:]
@@ -739,16 +864,16 @@ def _probe_set(
 
 def _norm_lower(phi: FundamentalMatrix, nodes: int) -> float:
     sys = phi.sys
+    probes = _probe_set(sys, phi)
+    sols = _solve_once(phi, probes, nodes)
+    # |f|_H via the same uniform grid
     bounds = _node_bounds(_uniform_counts(sys, nodes))
-    best = 0.0
-    for f in _probe_set(sys, phi):
-        sol = _solve_once(phi, f, nodes)
-        # |f|_H via the same uniform grid
-        fv = np.asarray(f(sol.x), dtype=complex)
-        _, f_norm = _h_weighted(sys.pieces, bounds, sol.x, fv)
-        if f_norm > 0:
-            best = max(best, sol.u_norm_H / f_norm)
-    return best
+    x = sols[0].x
+    _, f_norms = _h_weighted(sys.pieces, bounds, x, _stacked(probes, sys.d)(x))
+    return max(
+        (sol.u_norm_H / fn for sol, fn in zip(sols, f_norms.tolist()) if fn > 0),
+        default=0.0,
+    )
 
 
 def resolvent_norm_lower(
@@ -771,24 +896,33 @@ def check_characterisation(
     R_lower <= C_tilde (|T_t^{-1}| + 1).
 
     The reverse inequality needs an upper estimate of |R|, which probing
-    cannot provide; it is recorded as skipped.  One Phi_t per grid t serves
-    T_t and every probe solve.
+    cannot provide; it is recorded as skipped.  One stacked build of Phi_t
+    over the grid serves B (hence C_tilde), T_t and every probe solve, and
+    all probes at one t are solved together.
     """
-    consts = char_constants(sys, t_grid)
+    _require_valid(sys)
+    ts = [float(t) for t in t_grid]
+    if not ts:
+        raise ValidationError("t grid must be non-empty")
+    b_ts, inv_norms, r_lower = [], [], []
+    for st in _stacks(sys, ts):
+        b_ts.append(st.sup_norms())
+        sv = la.svd(st.boundaries(), compute_uv=False)
+        inv_norms.extend((1.0 / sv[:, -1]).tolist())
+        r_lower.extend(
+            _norm_lower(FundamentalMatrix._of(st, i), nodes) for i in range(len(st.ts))
+        )
+    consts = _constants(sys, np.concatenate(b_ts)[np.argsort(ts, kind="stable")])
     rows = []
-    for t in t_grid:
-        phi = FundamentalMatrix(sys, t)
-        sv = la.svd(_boundary(phi), compute_uv=False)
-        inv_norm = 1.0 / float(sv[-1])
-        r_lower = _norm_lower(phi, nodes)
+    for t, r, inv_norm in zip(ts, r_lower, inv_norms):
         bound = consts.C_tilde * (inv_norm + 1.0)
         rows.append(
             {
-                "t": float(t),
-                "R_lower": r_lower,
+                "t": t,
+                "R_lower": r,
                 "T_inv_norm": inv_norm,
                 "C_tilde_bound": bound,
-                "lower_ok": r_lower <= bound,
+                "lower_ok": r <= bound,
                 "upper_check": "skipped (no certified upper estimate of |R|)",
             }
         )

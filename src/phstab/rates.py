@@ -100,7 +100,9 @@ def from_growth_curve(
 
     Interpolation is log-linear between knots; the domain is the knot
     range.  ``which`` selects the lower or upper certified value at each
-    knot (the curve is monotone in eta either way).
+    knot (the curve is monotone in eta either way).  A selected value that
+    is not finite and positive (an upper bound from parked cells is inf)
+    raises ValidationError naming its eta.
     """
     if which not in ("lower", "upper"):
         raise ValidationError("which must be 'lower' or 'upper'")
@@ -110,6 +112,12 @@ def from_growth_curve(
     ]
     if len(pts) < 2:
         raise ValidationError("curve needs at least two knots")
+    for eta, m in pts:
+        if not (math.isfinite(m) and m > 0):
+            raise ValidationError(
+                f"growth curve m_{which} at eta={eta!r} is {m!r}; "
+                "interpolation needs finite positive knots"
+            )
     xs = [math.log(e) for e, _ in pts]
     ys = [math.log(m) for _, m in pts]
 

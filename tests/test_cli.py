@@ -114,8 +114,11 @@ def test_growth_warns_on_parked_upper_bounds(tmp_path, capsys):
     assert manifest["parked_etas"] == [50.0, 500.0]
     assert out.read_text().splitlines()[0] == "eta,m_lower,m_upper"
     pred = tmp_path / "p.csv"
+    # m_upper(500) is inf: the upper curve is refused, the lower one is used
     assert run(["rates", "--curve", str(out), "--kind", "LowerBound",
-                "--times", "1000", "--out", str(pred)]) == 0
+                "--times", "1000", "--out", str(pred)]) == 2
+    assert run(["rates", "--curve", str(out), "--kind", "LowerBound",
+                "--times", "1000", "--which", "lower", "--out", str(pred)]) == 0
     out2 = tmp_path / "g2.csv"
     assert run(["growth", "--surd", "2", "--etas", "5,10", "--out",
                 str(out2)]) == 0
@@ -133,6 +136,26 @@ def test_rates_pipeline(tmp_path):
     rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
     # the synthetic curve is eta^2, so LowerBound gives 1/sqrt(t)
     assert float(rows[0][1]) == pytest.approx(0.1, rel=1e-6)
+
+
+def test_rates_refuses_non_finite_upper_knot(tmp_path, capsys):
+    g = tmp_path / "g.csv"
+    g.write_text("eta,m_lower,m_upper\n50.0,233.9,236.2\n500.0,2305.8,inf\n")
+    assert run(["rates", "--curve", str(g), "--kind", "LowerBound",
+                "--times", "1000,100000"]) == 2
+    err = capsys.readouterr().err
+    assert "eta=500.0" in err and "m_upper" in err
+
+
+def test_rates_lower_column_ignores_non_finite_upper(tmp_path, capsys):
+    g = tmp_path / "g.csv"
+    g.write_text("eta,m_lower,m_upper\n50.0,233.9,236.2\n500.0,2305.8,inf\n")
+    assert run(["rates", "--curve", str(g), "--kind", "LowerBound",
+                "--times", "1000,100000", "--which", "lower"]) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.strip().splitlines()[1:]]
+    bounds = [float(r[1]) for r in rows]
+    assert all(math.isfinite(b) and b > 0 for b in bounds)
+    assert bounds[0] > bounds[1]
 
 
 def test_rates_rss_without_certificate_exit2(tmp_path):

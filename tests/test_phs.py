@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phstab import phs as P
 from phstab.errors import (
+    ExpOverflow,
     QuadratureTooCoarse,
     RankDeficient,
     SingularBoundaryMatrix,
@@ -276,18 +279,166 @@ def test_check_characterisation_matches_public_probe_solves(sys16):
 
 
 def test_check_characterisation_cost(sys16, monkeypatch):
-    counts = {"call": 0, "init": 0}
-    call, init = P.FundamentalMatrix.__call__, P.FundamentalMatrix.__init__
+    # one Phi_t build per (system, t), shared by the constants, T_t and the
+    # probe solves; no scalar Phi_t(x) calls
+    counts = {"call": 0, "phi_t": 0}
+    call, build = P.FundamentalMatrix.__call__, P._PhiStack.__init__
 
     def counted_call(self, x):
         counts["call"] += 1
         return call(self, x)
 
-    def counted_init(self, *args, **kw):
-        counts["init"] += 1
-        init(self, *args, **kw)
+    def counted_build(self, sys, ts, *args, **kw):
+        counts["phi_t"] += len(ts)
+        build(self, sys, ts, *args, **kw)
 
     monkeypatch.setattr(P.FundamentalMatrix, "__call__", counted_call)
-    monkeypatch.setattr(P.FundamentalMatrix, "__init__", counted_init)
+    monkeypatch.setattr(P._PhiStack, "__init__", counted_build)
     P.check_characterisation(sys16, [5.0], nodes=256)
-    assert counts == {"call": 0, "init": 2}
+    assert counts == {"call": 0, "phi_t": 1}
+    counts["phi_t"] = 0
+    P.check_characterisation(sys16, [9.0, 1.0, 5.0], nodes=256)
+    assert counts == {"call": 0, "phi_t": 3}
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+    return q
+
+
+def _assert_norm2(m, rtol=4e-15):
+    ref = np.linalg.norm(m, ord=2, axis=(-2, -1))
+    got = P._norm2(m)
+    assert got.shape == ref.shape
+    assert (np.abs(got - ref) <= rtol * ref).all(), np.max(np.abs(got - ref) / ref)
+
+
+def test_norm2_closed_form_special_stacks():
+    rng = np.random.default_rng(11)
+    n = 528
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (n, 2)))
+    u = _unitary(rng, n)
+    x, y = rng.normal(size=(2, n, 2)) + 1j * rng.normal(size=(2, n, 2))
+    for m in (
+        rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)),
+        phases[:, :, None] * np.eye(2),  # diagonal unitary
+        1e5 * u,  # scaled unitary: sigma_1 = sigma_2
+        x[:, :, None] * y.conj()[:, None, :],  # rank 1: det = 0
+    ):
+        _assert_norm2(m)
+    assert (np.abs(P._norm2(u) - 1.0) <= 4e-15).all()
+    _assert_norm2(rng.normal(size=(3, 4, 2, 2)))  # leading axes kept
+    _assert_norm2(np.zeros((2, 2, 2)), rtol=0.0)
+    m3 = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    assert np.array_equal(P._norm2(m3), np.linalg.norm(m3, ord=2, axis=(1, 2)))
+
+
+_ENTRY = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ENTRY, min_size=8, max_size=8), st.integers(-60, 60))
+def test_norm2_closed_form_matches_svd(vals, e):
+    m = (np.array(vals[:4]) + 1j * np.array(vals[4:])).reshape(1, 2, 2) * 10.0**e
+    if not np.isfinite(m).all() or np.abs(m).max() < 1e-250:
+        return
+    _assert_norm2(m)
+
+
+def test_stacked_build_matches_per_t(sys16):
+    # more t than one chunk, unsorted, with repeats
+    ts = np.concatenate([np.linspace(0.0, 40.0, P._T_CHUNK + 9), [3.3, 0.7, 3.3]])
+    stacks = list(P._stacks(sys16, ts))
+    assert [len(s.ts) for s in stacks] == [P._T_CHUNK, 12]
+    at_b = np.concatenate([s.cum[:, -1] for s in stacks])
+    b_t = np.concatenate([s.sup_norms() for s in stacks])
+    for t, m, b in zip(ts, at_b, b_t):
+        phi = P.FundamentalMatrix(sys16, float(t))
+        assert np.abs(m - phi.at_b).max() <= 1e-13 * np.abs(phi.at_b).max()
+        assert b == pytest.approx(phi.B_t, rel=1e-13)
+    rep = P.stability_scan(sys16, ts)
+    T = np.stack([P.boundary_matrix(sys16, float(t)) for t in ts])
+    assert rep.t_grid == tuple(float(t) for t in ts)
+    np.testing.assert_allclose(rep.abs_det, np.abs(np.linalg.det(T)), rtol=1e-13)
+    sv = np.linalg.svd(T, compute_uv=False)
+    np.testing.assert_allclose(rep.sigma_min, sv[:, -1], rtol=1e-13)
+    np.testing.assert_allclose(rep.inv_norm, 1.0 / sv[:, -1], rtol=1e-13)
+    assert rep.min_margin == pytest.approx(np.abs(np.linalg.det(T)).min(), rel=1e-13)
+    assert rep.B_estimate == pytest.approx(
+        max(P.FundamentalMatrix(sys16, float(t)).B_t for t in ts), rel=1e-13
+    )
+
+
+def test_boundary_matrices(sys2, sys16):
+    ts = np.linspace(0.0, 100.0, 150)
+    for system in (sys2, sys16):
+        many = P.boundary_matrices(system, ts)
+        assert many.shape == (len(ts), 2, 2)
+        for t, m in zip(ts, many):
+            one = P.boundary_matrix(system, float(t))
+            assert np.abs(m - one).max() <= 1e-14 * np.abs(one).max()
+    assert P.boundary_matrices(sys2, []).shape == (0, 2, 2)
+    bad = P.PHSystem(d=2, P0=np.eye(2), P1=sys2.P1, breaks=sys2.breaks,
+                     pieces=sys2.pieces, W=sys2.W)
+    with pytest.raises(ValidationError):
+        P.boundary_matrices(bad, ts)
+
+
+def test_expm_fallback_for_some_pairs_in_one_batch(sys16, monkeypatch):
+    ts = np.linspace(0.5, 20.0, 9)
+    (ref,) = P._stacks(sys16, ts)
+    cond = np.linalg.cond(ref.V)
+    monkeypatch.setattr(P, "_EIG_COND_MAX", float(np.median(cond)))
+    (mixed,) = P._stacks(sys16, ts)
+    assert mixed.dense.any() and not mixed.dense.all()
+    assert mixed.dense.any(axis=1).sum() >= 2  # several t, in one batch
+    assert np.abs(mixed.cum - ref.cum).max() <= 1e-10 * np.abs(ref.cum).max()
+    np.testing.assert_allclose(mixed.sup_norms(), ref.sup_norms(), rtol=1e-10)
+    i = int(np.argmax(mixed.dense.sum(axis=1)))
+    phi, phi_ref = P.FundamentalMatrix._of(mixed, i), P.FundamentalMatrix._of(ref, i)
+    assert [pe._eig is None for pe in phi._exps] == list(mixed.dense[i])
+    xs = np.linspace(sys16.a, sys16.b, 101)
+    want = phi_ref.at_many(xs)
+    assert np.abs(phi.at_many(xs) - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exp_overflow_names_t():
+    # P1^{-1} P0 has eigenvalues +-1000: Phi_t overflows for |t| < 1000
+    # and stays bounded beyond
+    system = P.PHSystem(
+        d=2, P0=np.array([[0.0, 1000.0], [-1000.0, 0.0]]), P1=np.diag([1.0, -1.0]),
+        breaks=(0.0, 1.0), pieces=(np.eye(2),),
+        W=np.hstack([np.full((2, 2), 0.5), np.eye(2)]),
+    )
+    assert np.isfinite(P.boundary_matrices(system, [5000.0, 3000.0])).all()
+    ts = [5000.0, 3000.0] + [2000.0 + k for k in range(P._T_CHUNK)] + [0.0, 4000.0]
+    with pytest.raises(ExpOverflow, match=r"at t=0\.0$"):
+        P.boundary_matrices(system, ts)
+    with pytest.raises(ExpOverflow, match=r"at t=0\.0$"):
+        P.stability_scan(system, ts)
+    with pytest.raises(ExpOverflow, match=r"at t=0\.0$"):
+        P.fundamental_matrix(system, 0.0)
+
+
+def test_multi_rhs_solve_matches_single_solves(sys16):
+    fs = [
+        lambda xs: np.stack([np.sin(3 * xs), np.cos(2 * xs) + 1j], axis=1),
+        lambda xs: np.ones((len(xs), 2)),
+        lambda xs: np.stack([xs**2, -xs], axis=1) * (1 - 2j),
+        lambda xs: np.zeros((len(xs), 2)),
+    ]
+    phi = P.fundamental_matrix(sys16, 7.5)
+    many = P._solve_once(phi, fs, 512)
+    assert len(many) == len(fs)
+    for f, sol in zip(fs, many):
+        (one,) = P._solve_once(phi, [f], 512)
+        scale = max(np.abs(one.v).max(), 1e-300)
+        assert np.abs(sol.v - one.v).max() <= 1e-13 * scale
+        assert np.array_equal(sol.x, one.x)
+        assert sol.u_norm_H == pytest.approx(one.u_norm_H, rel=1e-13)
+        # the residuals sit at the rounding floor of the FD stencil
+        assert abs(sol.residual - one.residual) <= 1e-12
+    assert many[3].u_norm_H == 0.0
+    with pytest.raises(ValidationError):
+        P._solve_once(phi, [fs[0], lambda xs: np.ones(len(xs))], 128)

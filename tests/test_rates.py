@@ -118,6 +118,20 @@ def test_from_growth_curve_interpolation():
     assert up(1.0) == pytest.approx(1.1, rel=1e-9)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+def test_from_growth_curve_refuses_bad_knot(bad):
+    curve = sp.GrowthCurve(
+        alpha_json="", tol=0.0, bits=0,
+        points=(
+            sp.GrowthPoint(1.0, 1.0, 1.1, 0.0),
+            sp.GrowthPoint(100.0, 100.0, bad, 0.0),
+        ),
+    )
+    with pytest.raises(ValidationError, match="eta=100.0"):
+        R.from_growth_curve(curve, "upper")
+    assert R.from_growth_curve(curve, "lower")(10.0) == pytest.approx(10.0, rel=1e-9)
+
+
 def test_prediction_csv():
     pred = R.predict(R.power_fn(2), "LowerBound", [4.0])
     lines = pred.to_csv().strip().splitlines()
