@@ -13,12 +13,7 @@ from fractions import Fraction
 
 from mpmath import iv
 
-from .contfrac import (
-    RULE_REGISTRY,
-    ConvergentTable,
-    RuleQuotients,
-    expand,
-)
+from .contfrac import ConvergentTable, RuleQuotients, expand
 from .errors import (
     CeilingUndecidable,
     MonotonicityViolation,
@@ -264,12 +259,10 @@ def _table_rule(quotients: list[int], bit_budget: int):
 
 
 def _construction_rule(params: dict):
+    """The generator of a "construction" ``RuleQuotients`` read from JSON."""
     target = target_from_json(params["target"])
     budget = params.get("bit_budget", 4096)
     return _table_rule(_quotients_for(target, budget), budget)
-
-
-RULE_REGISTRY["construction"] = _construction_rule
 
 
 @dataclass(frozen=True)
@@ -304,7 +297,7 @@ def construct(target: DecayTarget, bit_budget: int = 4096) -> ConstructedAlpha:
     params = {"target": target.to_json(), "bit_budget": bit_budget}
     quotients = _quotients_for(target, bit_budget)
     # The spec carries the computed quotients; a spec rebuilt from its JSON
-    # recomputes the same ones through RULE_REGISTRY.
+    # recomputes the same ones through _construction_rule.
     spec = RuleQuotients(
         name="construction",
         params=params,

@@ -65,15 +65,39 @@ def _add_alpha_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _alpha_from_args(args: argparse.Namespace) -> contfrac.IrrationalSpec:
-    if args.surd is not None:
-        return contfrac.QuadraticSurd(D=args.surd, p=args.surd_p, q=args.surd_q)
-    if args.quotients is not None:
-        return contfrac.ExplicitQuotients(
-            a=tuple(int(x) for x in args.quotients.split(","))
-        )
-    if args.decimal is not None:
-        return contfrac.DecimalLiteral(digits=args.decimal, bits=args.bits)
-    return contfrac.spec_from_json(Path(args.alpha_json).read_text())
+    # the spec constructors raise these only for inputs they reject
+    try:
+        if args.surd is not None:
+            return contfrac.QuadraticSurd(D=args.surd, p=args.surd_p, q=args.surd_q)
+        if args.quotients is not None:
+            return contfrac.ExplicitQuotients(
+                a=tuple(int(x) for x in args.quotients.split(","))
+            )
+        if args.decimal is not None:
+            return contfrac.DecimalLiteral(digits=args.decimal, bits=args.bits)
+        return contfrac.spec_from_json(Path(args.alpha_json).read_text())
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"invalid alpha: {exc}") from None
+
+
+def _parsed(flag: str, text: str, read):
+    """read(text) for a list argument; a value it cannot read exits 2."""
+    try:
+        return read(text)
+    except (ValueError, OverflowError):
+        raise ValidationError(f"{flag}: cannot read {text!r}") from None
+
+
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
+def _grid(text: str) -> np.ndarray:
+    """LO:HI:N as N >= 1 evenly spaced points."""
+    lo, hi, n = (float(x) for x in text.split(":"))
+    if not n >= 1:
+        raise ValueError("N must be at least 1")
+    return np.linspace(lo, hi, int(n))
 
 
 def _fraction(text: str) -> Fraction:
@@ -127,6 +151,8 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str],
 
 
 def cmd_cf(args: argparse.Namespace) -> int:
+    if args.terms < 0:
+        raise ValidationError(f"--terms {args.terms} is negative")
     alpha = _alpha_from_args(args)
     table = contfrac.expand(alpha, args.terms)
     identity_ok = table.check_identity()
@@ -182,7 +208,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_growth(args: argparse.Namespace) -> int:
     alpha = _alpha_from_args(args)
-    etas = [float(x) for x in args.etas.split(",")]
+    etas = _parsed("--etas", args.etas, _floats)
     curve = spectral.growth_curve(alpha, etas, tol=args.tol, bits=args.bits)
     outputs = _write_output(curve.to_csv(), args.out)
     parked = [p.eta for p in curve.points if p.upper_parked]
@@ -190,8 +216,19 @@ def cmd_growth(args: argparse.Namespace) -> int:
         print(f"# warning: m_upper at eta {parked} comes from cells parked at "
               f"the subdivision floor; it may sit more than tol above m_lower",
               file=sys.stderr)
-    _write_manifest(args, outputs, parked_etas=parked)
+    _write_manifest(args, outputs, parked_etas=parked,
+                    loglog_slope=_loglog_slope(curve))
     return EXIT_OK
+
+
+def _loglog_slope(curve: spectral.GrowthCurve) -> float | None:
+    """Least-squares slope of log m against log eta, m the bracket
+    midpoints; None for fewer than 2 etas or a non-finite m_upper."""
+    mids = [0.5 * (p.m_lower + p.m_upper) for p in curve.points]
+    if len(mids) < 2 or not np.isfinite(mids).all():
+        return None
+    etas = [p.eta for p in curve.points]
+    return float(np.polyfit(np.log(etas), np.log(mids), 1)[0])
 
 
 def cmd_rates(args: argparse.Namespace) -> int:
@@ -203,7 +240,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
     curve = spectral.GrowthCurve(alpha_json="", tol=0.0, bits=0,
                                  points=tuple(pts))
     fn = rates.from_growth_curve(curve, which=args.which)
-    ts = [float(x) for x in args.times.split(",")]
+    ts = _parsed("--times", args.times, _floats)
     cert = None
     if args.certificate is not None:
         obj = json.loads(Path(args.certificate).read_text())
@@ -227,12 +264,13 @@ def _parse_range(text: str) -> list[int]:
 
 def cmd_sandwich(args: argparse.Namespace) -> int:
     alpha = _alpha_from_args(args)
-    vs = [v for v in _parse_range(args.odd_v) if v % 2 == 1]
+    vs = [v for v in _parsed("--odd-v", args.odd_v, _parse_range) if v % 2 == 1]
     if not vs:
         raise ValidationError("no odd v in the requested range")
     reports = spectral.sandwich_report(alpha, vs, tol=args.tol, bits=args.bits)
     outputs = _write_output(spectral.sandwich_to_csv(reports), args.out)
-    _write_manifest(args, outputs)
+    _write_manifest(args, outputs, ratio_span=[min(r.ratio_lo for r in reports),
+                                               max(r.ratio_hi for r in reports)])
     if not all(r.upper_ok for r in reports):
         return EXIT_VERIFY_FAIL
     return EXIT_OK
@@ -240,8 +278,7 @@ def cmd_sandwich(args: argparse.Namespace) -> int:
 
 def cmd_phs(args: argparse.Namespace) -> int:
     system = phs.phsystem_from_json(Path(args.config).read_text())
-    lo, hi, n = (float(x) for x in args.t_grid.split(":"))
-    grid = np.linspace(lo, hi, int(n))
+    grid = _parsed("--t-grid", args.t_grid, _grid)
     report = phs.stability_scan(system, grid)
     outputs = _write_output(report.to_csv(), args.out)
     consts = phs.char_constants(system, [grid[0], grid[len(grid) // 2],

@@ -23,9 +23,6 @@ from .errors import (
 )
 from .intervals import RealBall
 
-# Registry of named quotient rules (populated e.g. by alpha_factory).
-RULE_REGISTRY: dict[str, Callable[[dict], Callable[[int], int]]] = {}
-
 _PRECISION_CAP = 1 << 22  # hard stop for adaptive refinement loops
 
 
@@ -141,7 +138,8 @@ class ExplicitQuotients(IrrationalSpec):
 
 @dataclass(frozen=True)
 class RuleQuotients(IrrationalSpec):
-    """Quotients generated on demand by a registered rule.
+    """Quotients generated on demand by a named rule; the one rule is
+    "construction", the recursion of :mod:`phstab.alpha_factory`.
 
     ``bit_budget`` caps the denominator growth used when converting the
     quotient stream into rational enclosures.
@@ -154,14 +152,16 @@ class RuleQuotients(IrrationalSpec):
         default=None, repr=False, compare=False
     )
 
+    def __post_init__(self):
+        if self.name != "construction":
+            raise ValueError(f"unknown quotient rule {self.name!r}")
+
     def _generator(self) -> Callable[[int], int]:
-        if self._gen is not None:
-            return self._gen
-        if self.name not in RULE_REGISTRY:
-            raise KeyError(f"unknown quotient rule {self.name!r}")
-        gen = RULE_REGISTRY[self.name](self.params)
-        object.__setattr__(self, "_gen", gen)
-        return gen
+        if self._gen is None:
+            from .alpha_factory import _construction_rule  # a circular import
+
+            object.__setattr__(self, "_gen", _construction_rule(self.params))
+        return self._gen
 
     def is_rational(self):
         return False
@@ -284,7 +284,7 @@ def spec_from_json(obj: dict | str) -> IrrationalSpec:
         return QuadraticSurd(D=obj["D"], p=obj.get("p", 0), q=obj.get("q", 1))
     if kind == "quotients":
         return ExplicitQuotients(obj["a"])
-    if kind == "rule":
+    if kind == "rule":  # RuleQuotients rejects a rule name it does not know
         return RuleQuotients(
             name=obj["name"],
             params=obj.get("f", {}),
@@ -394,17 +394,22 @@ def check_bounds(table: ConvergentTable, bits: int = 0) -> list[BoundReport]:
     for every n with a successor, in exact rational arithmetic.
 
     The enclosure precision starts at ``bits`` (default 4 bits(q_N) + 64)
-    and doubles until every n is decided.
+    and doubles until every n is decided. A precision-capped source (a
+    finite rule, a digit string) is judged on its widest enclosure; only
+    when even that leaves some n undecided does it raise.
     """
     if len(table) < 2:
         raise ValueError("table needs at least 2 entries")
     qN = table.convergents[-1].q
     need = bits or 4 * qN.bit_length() + 64
     while True:
-        ball = _adaptive_enclosure(table.source, need)
+        ball, refinable = best_enclosure(table.source, need)
         reports = _bound_reports(table, ball.lower, ball.upper)
         if reports is not None:
             return reports
+        if not refinable or need >= _PRECISION_CAP:
+            raise InsufficientPrecision(
+                "convergent bounds undecided (widest enclosure or refinement cap)")
         need *= 2
 
 
@@ -569,6 +574,17 @@ def eval_alpha(alpha: IrrationalSpec, bits: int) -> RealBall:
             f"enclosure error {float(ball.err):.3g} exceeds 2^-{bits}"
         )
     return ball
+
+
+def best_enclosure(alpha: IrrationalSpec, bits: int) -> tuple[RealBall, bool]:
+    """(ball, refinable): :func:`eval_alpha` at ``bits`` when the source
+    reaches it, else the widest enclosure a precision-capped source (finite
+    rule depth, digit string) has, with ``refinable`` False. Downstream
+    interval arithmetic on the wider ball stays sound."""
+    try:
+        return eval_alpha(alpha, bits), True
+    except (BitBudgetExceeded, InsufficientPrecision):
+        return alpha.enclosure(bits, strict=False), False
 
 
 def required_bits(t_magnitude, target_bits: int, guard: int = 64) -> int:

@@ -18,14 +18,10 @@ from .contfrac import (
     _PRECISION_CAP,
     ConvergentTable,
     IrrationalSpec,
+    best_enclosure,
     eval_alpha,
 )
-from .errors import (
-    BitBudgetExceeded,
-    InsufficientPrecision,
-    TableExhausted,
-    VerificationFailed,
-)
+from .errors import InsufficientPrecision, TableExhausted, VerificationFailed
 from .intervals import RealBall
 
 
@@ -109,12 +105,7 @@ def odd_odd_stream(table: ConvergentTable, count: int) -> list[OddOddApproximant
     vs = vs[:count]
     bits = 4 * vs[-1].bit_length() + 96
     while True:
-        try:
-            ball = eval_alpha(table.source, bits)
-            refinable = True
-        except (BitBudgetExceeded, InsufficientPrecision):
-            ball = table.source.enclosure(bits, strict=False)
-            refinable = False
+        ball, refinable = best_enclosure(table.source, bits)
         out: list[OddOddApproximant] = []
         undecided = False
         for v in vs:

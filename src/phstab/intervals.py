@@ -69,13 +69,6 @@ class RealBall:
     def upper(self) -> Fraction:
         return self.value + self.err
 
-    @property
-    def bits(self) -> int:
-        """Largest b with err <= 2**-b (0 for err >= 1, exact -> huge)."""
-        if self.err == 0:
-            return 1 << 30
-        return max(0, -math.ceil(math.log2(self.err)))
-
     @classmethod
     def from_bounds(cls, lo: Fraction, hi: Fraction) -> "RealBall":
         mid = (lo + hi) / 2
@@ -85,12 +78,6 @@ class RealBall:
     def from_iv(cls, x) -> "RealBall":
         lo, hi = fraction_bounds(x)
         return cls.from_bounds(lo, hi)
-
-    def abs(self) -> "RealBall":
-        lo, hi = self.lower, self.upper
-        alo = max(Fraction(0), max(lo, -hi))
-        ahi = max(abs(lo), abs(hi))
-        return RealBall.from_bounds(alo, ahi)
 
     def __float__(self) -> float:
         return float(self.value)
@@ -103,27 +90,11 @@ class ComplexIv:
     re: object
     im: object
 
-    def __add__(self, other):
-        if isinstance(other, ComplexIv):
-            return ComplexIv(self.re + other.re, self.im + other.im)
-        return ComplexIv(self.re + other, self.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, ComplexIv):
-            return ComplexIv(self.re - other.re, self.im - other.im)
-        return ComplexIv(self.re - other, self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexIv):
-            return ComplexIv(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return ComplexIv(self.re * other, self.im * other)
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "ComplexIv") -> "ComplexIv":
+        return ComplexIv(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
 
     def conj(self) -> "ComplexIv":
         return ComplexIv(self.re, -self.im)

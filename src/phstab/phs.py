@@ -58,7 +58,6 @@ __all__ = [
     "boundary_matrices",
     "stability_scan",
     "resolvent_solve",
-    "resolvent_norm_lower",
     "char_constants",
     "check_characterisation",
     "universal_example",
@@ -204,6 +203,10 @@ def _norm2(m: np.ndarray) -> np.ndarray:
         return la.norm(m, ord=2, axis=(-2, -1))
     a, b, c, e = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     det = a * e - b * c
+    # numpy divides by r through 1/r, which overflows for a subnormal r:
+    # scale such a det by an exact power of two (delta is its phase only)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.where(np.abs(det) < 2.0**-900, det * 2.0**600, det)
     r = np.abs(det)
     delta = np.divide(det, r, out=np.ones_like(det), where=r > 0)
     de, dc = delta * e.conj(), delta * c.conj()
@@ -233,34 +236,11 @@ def _eigen(gens: np.ndarray):
     return lam, V, la.inv(V), dense
 
 
-class _PieceExp:
-    """Evaluator for exp(A s) with A constant on one piece.
-
-    With a well-conditioned eigenbasis A = V diag(lam) V^{-1} (``eig`` =
-    (lam, V, V^{-1}, outer)), exp(A s) = sum_k e^{lam_k s} V[:, k]
-    V^{-1}[k, :], so n points cost one (n, d) @ (d, d^2) product with
-    ``outer`` (d, d^2); otherwise (``eig`` None) a dense matrix exponential
-    per point.
-    """
-
-    def __init__(self, A: np.ndarray, eig=None) -> None:
-        self.A = A
-        self._eig = eig
-
-    def at_many(self, s: np.ndarray) -> np.ndarray:
-        """Stack of exp(A s_j), shape (len(s), d, d)."""
-        if self._eig is not None:
-            d = len(self.A)
-            ph = np.exp(np.multiply.outer(s, self._eig[0]))  # (n, d)
-            return (ph @ self._eig[3]).reshape(len(s), d, d)
-        return np.stack([sla.expm(self.A * sj) for sj in s])
-
-    def apply(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Rows exp(A s_j) y_j for s of shape (n,) and y of shape (..., n, d)."""
-        if self._eig is not None:
-            lam, V, Vi, _ = self._eig
-            return ((y @ Vi.T) * np.exp(np.multiply.outer(s, lam))) @ V.T
-        return np.einsum("njk,...nk->...nj", self.at_many(s), y)
+def _exp_eig(lam: np.ndarray, outer: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """exp(A s) = sum_k e^{lam_k s} V[:, k] V^{-1}[k, :] from A's
+    eigenvalues ``lam`` (..., d) and the products ``outer`` (..., d, d^2):
+    for offsets ``s`` (..., m), the rows (..., m, d^2) of exp(A s_j)."""
+    return np.exp(lam[..., None, :] * s[..., None]) @ outer
 
 
 class _PhiStack:
@@ -268,7 +248,8 @@ class _PhiStack:
 
     The generators A_{t,k} = -P1^{-1}(i t H_k^{-1} + P0) of every (t, piece)
     pair share one stacked eigendecomposition, so exp(A s) at a set of
-    points is one batched product over all pairs; a pair that
+    points is one batched product over all pairs (:meth:`exps`) or, for one
+    pair (i, k), one product (:meth:`exp_at`, :meth:`apply`); a pair that
     :func:`_eigen` marks dense takes a matrix exponential per point.
     ``cum[i, k]`` is Phi_{t_i} at breakpoint k, from one batched matmul
     over t per piece.
@@ -316,11 +297,25 @@ class _PhiStack:
         """exp(A_{t,k} s[k, j]) for offsets ``s`` (pieces, m) into each
         piece, shape (len(ts), pieces, m, d, d)."""
         n, k, d = self.lam.shape
-        ph = np.exp(self.lam[:, :, None, :] * s[None, :, :, None])
-        out = (ph @ self.outer).reshape(n, k, s.shape[1], d, d)
+        out = _exp_eig(self.lam, self.outer, s[None]).reshape(n, k, s.shape[1], d, d)
         for i, j in np.argwhere(self.dense):
-            out[i, j] = _PieceExp(self.gens[i, j]).at_many(s[j])
+            out[i, j] = self.exp_at(i, j, s[j])
         return out
+
+    def exp_at(self, i: int, k: int, s: np.ndarray) -> np.ndarray:
+        """Stack of exp(A_{t_i,k} s_j), shape (len(s), d, d)."""
+        if self.dense[i, k]:
+            return np.stack([sla.expm(self.gens[i, k] * sj) for sj in s])
+        d = self.sys.d
+        return _exp_eig(self.lam[i, k], self.outer[i, k], s).reshape(len(s), d, d)
+
+    def apply(self, i: int, k: int, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Rows exp(A_{t_i,k} s_j) y_j for s of shape (m,) and y of shape
+        (..., m, d); with an eigenbasis, without forming the matrices."""
+        if self.dense[i, k]:
+            return np.einsum("njk,...nk->...nj", self.exp_at(i, k, s), y)
+        ph = np.exp(np.multiply.outer(s, self.lam[i, k]))
+        return ((y @ self.Vi[i, k].T) * ph) @ self.V[i, k].T
 
     def sup_norms(self) -> np.ndarray:
         """Sampled sup_x |Phi_t(x)| per t (_B_SAMPLES points per piece)."""
@@ -361,16 +356,7 @@ class FundamentalMatrix:
         self.sys = stack.sys
         self.t = float(stack.ts[i])
         self._stack, self._i = stack, i
-        self._p1inv = stack.p1inv
-        self._hinv = stack.hinv
         self._cum = stack.cum[i]  # Phi_t at each breakpoint
-        self._exps = [
-            _PieceExp(A, None if dense else eig)
-            for A, dense, *eig in zip(
-                stack.gens[i], stack.dense[i], stack.lam[i], stack.V[i],
-                stack.Vi[i], stack.outer[i],
-            )
-        ]
 
     @property
     def B_t(self) -> float:
@@ -390,7 +376,7 @@ class FundamentalMatrix:
         out = np.empty((len(xs), d, d), dtype=complex)
         for k in np.unique(ks):
             idx = np.flatnonzero(ks == k)
-            e = self._exps[k].at_many(xs[idx] - self.sys.breaks[k])
+            e = self._stack.exp_at(self._i, k, xs[idx] - self.sys.breaks[k])
             out[idx] = (e.reshape(-1, d) @ self._cum[k]).reshape(-1, d, d)
         return out
 
@@ -585,9 +571,8 @@ def _solve_once(
     """One solve per right-hand side in ``fs`` on one grid: the
     exponentials, the quadrature nodes and T_t are shared, and each step
     works on the (len(fs), n, d) stack of values."""
-    sys = phi.sys
-    p1inv = phi._p1inv
-    d = sys.d
+    sys, st, i = phi.sys, phi._stack, phi._i
+    p1inv, d = st.p1inv, sys.d
     f = _stacked(fs, d)
 
     T = _boundary(sys, phi.at_b)
@@ -610,7 +595,7 @@ def _solve_once(
         mid = 0.5 * (grid[:-1] + grid[1:])
         s_nodes = (mid[:, None] + 0.5 * h * _GL_NODES[None, :]).ravel()
         # Phi(s)^{-1} P1^{-1} f(s) = cum_k^{-1} exp(-A_k (s - x0)) P1^{-1} f(s)
-        integrand = phi._exps[k].apply(x0 - s_nodes, f(s_nodes) @ p1inv.T) @ cum_inv_t[k]
+        integrand = st.apply(i, k, x0 - s_nodes, f(s_nodes) @ p1inv.T) @ cum_inv_t[k]
         per_panel = (
             integrand.reshape(-1, n, 8, d) * (0.5 * h * _GL_WEIGHTS)[:, None]
         ).sum(axis=2)
@@ -628,7 +613,7 @@ def _solve_once(
     # v(x) = Phi(x) [v(a) + I(x)] = exp(A_k (x - x0)) cum_k [v(a) + I(x)];
     # each breakpoint node is taken from the piece on its left
     vs = [
-        phi._exps[k].apply(grid - grid[0], (v_a[:, None] + run) @ phi._cum[k].T)
+        st.apply(i, k, grid - grid[0], (v_a[:, None] + run) @ phi._cum[k].T)
         for k, (grid, run) in enumerate(zip(grids, runs))
     ]
     x = np.concatenate([grids[0]] + [g[1:] for g in grids[1:]])
@@ -650,12 +635,12 @@ def _solve_once(
         dv = sum(
             c * g_v[:, j : j + m - 8] for j, c in enumerate(_FD9) if c != 0.0
         ) / (x[lo + 1] - x[lo])
-        rhs_v = g_v[:, 4 : m - 4] @ phi._exps[k].A.T + fx[:, lo + 4 : hi - 4] @ p1inv.T
+        rhs_v = g_v[:, 4 : m - 4] @ st.gens[i, k].T + fx[:, lo + 4 : hi - 4] @ p1inv.T
         scale = np.maximum(np.abs(g_v).max(axis=(1, 2)), 1.0)
         ode_res = np.maximum(ode_res, np.abs(dv - rhs_v).max(axis=(1, 2)) / scale)
 
     # u = H^{-1} v and |u|_H^2 = integral of v^* H^{-1} v
-    u, u_norm = _h_weighted(phi._hinv, bounds, x, v)
+    u, u_norm = _h_weighted(st.hinv, bounds, x, v)
 
     return [
         ResolventSolution(
@@ -863,6 +848,8 @@ def _probe_set(
 
 
 def _norm_lower(phi: FundamentalMatrix, nodes: int) -> float:
+    """Lower estimate of |R(it, -A)|: the largest |u|_H / |f|_H over the
+    fixed probe set (up to quadrature error); never an upper estimate."""
     sys = phi.sys
     probes = _probe_set(sys, phi)
     sols = _solve_once(phi, probes, nodes)
@@ -874,16 +861,6 @@ def _norm_lower(phi: FundamentalMatrix, nodes: int) -> float:
         (sol.u_norm_H / fn for sol, fn in zip(sols, f_norms.tolist()) if fn > 0),
         default=0.0,
     )
-
-
-def resolvent_norm_lower(
-    sys: PHSystem, t: float, nodes: int = 2048
-) -> float:
-    """Certified-direction lower estimate of |R(it, -A)|: the maximum of
-    |u|_H / |f|_H over the fixed probe set.  A lower bound only (up to
-    quadrature error); never an upper estimate."""
-    _require_valid(sys)
-    return _norm_lower(FundamentalMatrix(sys, t), nodes)
 
 
 def check_characterisation(

@@ -20,14 +20,9 @@ from fractions import Fraction
 import numpy as np
 from mpmath import iv
 
-from .contfrac import IrrationalSpec, eval_alpha, required_bits
+from .contfrac import IrrationalSpec, best_enclosure, required_bits
 from .diophantine import min_odd_dist
-from .errors import (
-    BitBudgetExceeded,
-    InsufficientPrecision,
-    OutOfRange,
-    SingularMatrix,
-)
+from .errors import InsufficientPrecision, OutOfRange, SingularMatrix
 from .intervals import (
     ComplexIv,
     RealBall,
@@ -43,7 +38,7 @@ from .intervals import (
 
 
 class HEvaluator:
-    """Caches the alpha enclosure and evaluates T_t, det, h, g, ||T^{-1}||.
+    """Encloses alpha and evaluates T_t, det, h, g, ||T^{-1}||.
 
     All methods assume they run inside ``workprec(bits)`` matching the
     ``alpha_at(bits)`` they use; the public wrappers below handle that.
@@ -51,23 +46,12 @@ class HEvaluator:
 
     def __init__(self, alpha: IrrationalSpec):
         self.alpha = alpha
-        self._cache: dict[int, tuple[Fraction, Fraction]] = {}
-
-    def alpha_bounds(self, bits: int) -> tuple[Fraction, Fraction]:
-        if bits not in self._cache:
-            try:
-                ball = eval_alpha(self.alpha, bits)
-            except (BitBudgetExceeded, InsufficientPrecision):
-                # Precision-capped sources (finite rule depth, digit strings)
-                # fall back to their widest certified enclosure; downstream
-                # interval arithmetic stays sound, just wider.
-                ball = self.alpha.enclosure(bits, strict=False)
-            self._cache[bits] = (ball.lower, ball.upper)
-        return self._cache[bits]
 
     def alpha_at(self, bits: int):
-        """Interval enclosure of alpha at >= bits accuracy (current prec)."""
-        return iv_hull(*self.alpha_bounds(bits))
+        """Interval enclosure of alpha at >= bits accuracy (current prec);
+        for a precision-capped source, its widest enclosure."""
+        ball, _ = best_enclosure(self.alpha, bits)
+        return iv_hull(ball.lower, ball.upper)
 
     # -- pointwise evaluations (call inside workprec) -----------------------
 
@@ -110,44 +94,43 @@ def _as_iv(t):
     return iv.mpf(t)
 
 
-def _t_float(t) -> float:
-    if hasattr(t, "_mpi_"):
-        return float(t.mid)
-    return float(t)
-
-
 def _bits_for(t_magnitude: float, bits: int) -> int:
     return required_bits(max(abs(t_magnitude), 1), bits)
 
 
-def det_t(alpha: IrrationalSpec, t, bits: int = 128) -> ComplexIv:
+def _at_point(alpha: IrrationalSpec, t, bits: int, fn):
+    """fn(evaluator, t, alpha enclosure) at the working precision that
+    ``bits`` accurate values at time t need."""
     ev = HEvaluator(alpha)
-    work = _bits_for(_t_float(t), bits)
+    work = _bits_for(float(t.mid) if hasattr(t, "_mpi_") else float(t), bits)
     with workprec(work):
-        return ev.det_iv(_as_iv(t), ev.alpha_at(work))
+        return fn(ev, _as_iv(t), ev.alpha_at(work))
+
+
+def det_t(alpha: IrrationalSpec, t, bits: int = 128) -> ComplexIv:
+    return _at_point(alpha, t, bits, lambda ev, ti, a: ev.det_iv(ti, a))
 
 
 def h_eval(alpha: IrrationalSpec, t, bits: int = 128) -> RealBall:
     """h(t) = |2 + e^{i pi t} + e^{i pi alpha t}|."""
-    ev = HEvaluator(alpha)
-    work = _bits_for(_t_float(t), bits)
-    with workprec(work):
-        return ev.w_iv(_as_iv(t), ev.alpha_at(work)).abs_ball()
+    return _at_point(alpha, t, bits, lambda ev, ti, a: ev.w_iv(ti, a).abs_ball())
 
 
 def g_eval(alpha: IrrationalSpec, t, bits: int = 128) -> RealBall:
     """g(t) = h(t/pi)/2 = |det T_t|."""
-    ev = HEvaluator(alpha)
-    work = _bits_for(_t_float(t), bits)
-    with workprec(work):
-        return ev.det_iv(_as_iv(t), ev.alpha_at(work)).abs_ball()
+    return _at_point(alpha, t, bits, lambda ev, ti, a: ev.det_iv(ti, a).abs_ball())
 
 
 def inv_norm(alpha: IrrationalSpec, t, bits: int = 128) -> RealBall:
-    ev = HEvaluator(alpha)
-    work = _bits_for(_t_float(t), bits)
-    with workprec(work):
-        return RealBall.from_iv(ev.inv_norm_iv(_as_iv(t), ev.alpha_at(work)))
+    return _at_point(alpha, t, bits,
+                     lambda ev, ti, a: RealBall.from_iv(ev.inv_norm_iv(ti, a)))
+
+
+def _witness(a, u: int, v: int):
+    """(pi (v + delta), delta) with delta = -(v alpha - u)/(1 + alpha), for
+    an alpha enclosure a at the current precision."""
+    delta = -(v * a - u) / (1 + a)
+    return iv.pi * (v + delta), delta
 
 
 def witness_time(alpha: IrrationalSpec, u: int, v: int, bits: int = 128):
@@ -157,12 +140,8 @@ def witness_time(alpha: IrrationalSpec, u: int, v: int, bits: int = 128):
     the odd distance; returned as (t_enclosure, delta_enclosure) at the
     caller's current precision policy.
     """
-    ev = HEvaluator(alpha)
-    work = _bits_for(float(v) * 4, bits)
-    with workprec(work):
-        a = ev.alpha_at(work)
-        delta = -(v * a - u) / (1 + a)
-        return iv.pi * (v + delta), delta
+    # the precision of a time 4 v > |t0|
+    return _at_point(alpha, 4 * v, bits, lambda ev, _, a: _witness(a, u, v))
 
 
 def g_at_witness(alpha: IrrationalSpec, u: int, v: int, bits: int = 128) -> RealBall:
@@ -176,9 +155,7 @@ def g_at_witness(alpha: IrrationalSpec, u: int, v: int, bits: int = 128) -> Real
     while True:
         with workprec(work):
             a = ev.alpha_at(work)
-            delta = -(v * a - u) / (1 + a)
-            t = iv.pi * (v + delta)
-            ball = ev.det_iv(t, a).abs_ball()
+            ball = ev.det_iv(_witness(a, u, v)[0], a).abs_ball()
         if ball.lower > 0 and ball.err < ball.lower / (1 << 20):
             return ball
         if work >= (1 << 20):
@@ -336,20 +313,6 @@ class CertifiedInf:
     bits: int
 
 
-def _f_and_slope(ev: HEvaluator, c, a):
-    """Interval F(c) = h(c)^2 and F'(c) at a point c.
-
-    F = |w|^2 with w = 2 + e^{i pi t} + e^{i pi alpha t};
-    F' = 2 Re(conj(w) w') with w' = i pi e^{i pi t} + i pi alpha e^{i pi a t}.
-    """
-    e1, e2 = ev.phases(iv.pi * c, a)
-    w = ComplexIv(2 + e1.re + e2.re, e1.im + e2.im)
-    wp = ComplexIv(-iv.pi * (e1.im + a * e2.im), iv.pi * (e1.re + a * e2.re))
-    f = w.abs2()
-    fp = 2 * (w.conj() * wp).re
-    return f, fp
-
-
 def _h_terms(ph, sa):
     """Float bounds at the times of ``ph`` for F = h^2.
 
@@ -380,8 +343,13 @@ def _h_terms(ph, sa):
 
 
 def _h_terms_mp(ev: HEvaluator, c: float, av):
-    """The same bounds from the mpmath interval evaluation at c."""
-    f, fp = _f_and_slope(ev, iv.mpf(c), av)
+    """The same bounds from the mpmath interval evaluation at c: F = |w|^2
+    with w = 2 + e^{i pi t} + e^{i pi alpha t}, and F' = 2 Re(conj(w) w')
+    with w' = i pi e^{i pi t} + i pi alpha e^{i pi alpha t}."""
+    e1, e2 = ev.phases(iv.pi * iv.mpf(c), av)
+    w = ComplexIv(2 + e1.re + e2.re, e1.im + e2.im)
+    wp = ComplexIv(-iv.pi * (e1.im + av * e2.im), iv.pi * (e1.re + av * e2.re))
+    f, fp = w.abs2(), 2 * (w.conj() * wp).re
     return max(float_down(f), 0.0), float_up(f), float_up(abs(fp))
 
 
@@ -708,6 +676,8 @@ def growth_curve(
         e2 <= e1 for e1, e2 in zip(etas, etas[1:])
     ):
         raise OutOfRange("eta list must be positive and strictly increasing")
+    if not tol > 0:  # with tol <= 0 no cell is ever dropped
+        raise OutOfRange("tol must be positive")
     ev = HEvaluator(alpha)
     work = _bits_for(max(etas), bits)
     points = []

@@ -234,6 +234,50 @@ def test_verify_appendix_identity_failure_exits_1(monkeypatch, capsys):
     assert "FAIL  appendix: appendix identities [sqrt2]" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["cf", "--surd", "4"],
+    ["cf", "--quotients", "1,0,2"],
+    ["cf", "--decimal", "abc", "--bits", "20"],
+    ["cf", "--surd", "2", "--terms", "-1"],
+    ["cf", {"kind": "bogus"}],
+    ["cf", {"kind": "surd"}],
+    ["cf", {"kind": "rule", "name": "nope"}],
+    ["growth", "--surd", "2", "--etas", "a"],
+    ["growth", "--surd", "2", "--etas", "10", "--tol", "0"],
+    ["sandwich", "--surd", "2", "--odd-v", "1..x"],
+    ["phs", "--t-grid", "0:1"],
+])
+def test_bad_input_exits_2(argv, tmp_path, capsys):
+    if isinstance(argv[1], dict):  # an --alpha-json file
+        spec = tmp_path / "alpha.json"
+        spec.write_text(json.dumps(argv[1]))
+        argv = [argv[0], "--alpha-json", str(spec)]
+    if argv[0] == "phs":
+        cfg = tmp_path / "sys.json"
+        cfg.write_text(phs.phsystem_to_json(phs.universal_example(2.0**0.5)))
+        argv = [*argv, "--config", str(cfg)]
+    assert run(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_growth_and_sandwich_manifest_summaries(tmp_path):
+    out = tmp_path / "g.csv"
+    assert run(["growth", "--surd", "2", "--etas", "10,100", "--out", str(out)]) == 0
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    mids = [(float(r[1]) + float(r[2])) / 2 for r in rows]
+    slope = math.log(mids[1] / mids[0]) / math.log(10)
+    manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
+    assert manifest["loglog_slope"] == pytest.approx(slope, rel=1e-9)
+    assert run(["growth", "--surd", "2", "--etas", "10", "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "g.csv.manifest.json").read_text())["loglog_slope"] is None
+    out = tmp_path / "s.csv"
+    assert run(["sandwich", "--surd", "2", "--odd-v", "1..9", "--out", str(out)]) == 0
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    assert manifest["ratio_span"] == [min(float(r[5]) for r in rows),
+                                      max(float(r[6]) for r in rows)]
+
+
 def test_bad_phstab_bits_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("PHSTAB_BITS", "12x")
     assert run(["cf", "--surd", "2"]) == 2

@@ -3,7 +3,11 @@
 import functools
 import json
 import math as m
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 
 from phstab import alpha_factory as af
 from phstab import contfrac as cf
-from phstab.errors import InsufficientPrecision, PhstabError
+from phstab.errors import BitBudgetExceeded, InsufficientPrecision, PhstabError
 
 
 def test_sqrt2_expansion():
@@ -93,6 +97,33 @@ def test_spec_json_round_trip():
     assert rule.name == "construction"
 
 
+_POWER4_RULE = {"kind": "rule", "name": "construction",
+                "f": {"target": {"kind": "powerlog", "p": 4, "s": 0},
+                      "bit_budget": 1024},
+                "bit_budget": 2048}
+
+
+def test_construction_rule_expands_without_importing_alpha_factory():
+    # a fresh interpreter that never imports alpha_factory itself
+    code = (
+        "import json, sys\n"
+        "from phstab import contfrac\n"
+        "assert 'phstab.alpha_factory' not in sys.modules\n"
+        f"spec = contfrac.spec_from_json({json.dumps(_POWER4_RULE)!r})\n"
+        "print(json.dumps(contfrac.expand(spec, 4).quotients))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [1, 20, 396, 156356, 24446929092]
+
+
+def test_unknown_rule_name_is_rejected_at_parse_time():
+    with pytest.raises(ValueError, match="unknown quotient rule 'nope'"):
+        cf.spec_from_json(dict(_POWER4_RULE, name="nope"))
+
+
 def test_eval_alpha_enclosure_certified():
     ball = cf.eval_alpha(cf.SQRT2, 128)
     assert ball.err <= Fraction(1, 1 << 128)
@@ -144,7 +175,11 @@ def _check_bounds_oracle(table, bits=0):
     qN = table.convergents[-1].q
     need = bits or 4 * qN.bit_length() + 64
     while True:
-        ball = cf._adaptive_enclosure(table.source, need)
+        try:
+            ball, refinable = cf._adaptive_enclosure(table.source, need), True
+        except (BitBudgetExceeded, InsufficientPrecision):
+            # a precision-capped source is judged on its widest enclosure
+            ball, refinable = table.source.enclosure(need, strict=False), False
         lo, hi = ball.lower, ball.upper
         reports = []
         for n in range(len(table) - 1):
@@ -163,6 +198,8 @@ def _check_bounds_oracle(table, bits=0):
                 break
         else:
             return reports
+        if not refinable:
+            raise InsufficientPrecision("undecided on the widest enclosure")
         need *= 2
 
 
@@ -210,9 +247,9 @@ def _outcome(fn, *args):
 
 
 @functools.lru_cache(maxsize=None)
-def _constructed_spec(key):
+def _constructed_spec(key, budget=512):
     target = af.ExpDecay(Fraction(1, 2)) if key == "exp" else af.PowerLog(*key)
-    return af.construct(target, 512).spec
+    return af.construct(target, budget).spec
 
 
 @st.composite
@@ -260,13 +297,24 @@ def test_check_bounds_doubles_when_convergent_inside_enclosure(monkeypatch):
     ball = cf._adaptive_enclosure(cf.SQRT2, 8)
     assert any(ball.lower <= c.value <= ball.upper for c in table.convergents[:-1])
     asked = []
-    real = cf._adaptive_enclosure
-    monkeypatch.setattr(cf, "_adaptive_enclosure",
+    real = cf.best_enclosure
+    monkeypatch.setattr(cf, "best_enclosure",
                         lambda alpha, b: asked.append(b) or real(alpha, b))
     reports = cf.check_bounds(table, 8)
     assert asked[:2] == [8, 16] and len(asked) > 2
     assert reports == _check_bounds_oracle(table, 8)
     assert len(reports) == 30 and all(r.passed for r in reports)
+
+
+def test_check_bounds_on_a_constructed_alpha_near_its_depth():
+    # depth 338: the rule encloses alpha only to about 2 bits(q_338), half
+    # the default start precision, so n < 337 are decided on the widest
+    # enclosure; n = 337 sits at its endpoint and stays undecided
+    spec = _constructed_spec((2, 0), 1024)
+    reports = cf.check_bounds(cf.expand(spec, 300))
+    assert len(reports) == 300 and all(r.passed for r in reports)
+    with pytest.raises(InsufficientPrecision):
+        cf.check_bounds(cf.expand(spec, 338))
 
 
 def test_check_bounds_failure_margins_match_oracle():
