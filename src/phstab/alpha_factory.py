@@ -19,6 +19,7 @@ from .errors import (
     MonotonicityViolation,
     OutOfRange,
     TableExhausted,
+    ValidationError,
     VerificationFailed,
 )
 from .intervals import fraction_bounds, iv_from_fraction, workprec
@@ -260,9 +261,14 @@ def _table_rule(quotients: list[int], bit_budget: int):
 
 def _construction_rule(params: dict):
     """The generator of a "construction" ``RuleQuotients`` read from JSON."""
-    target = target_from_json(params["target"])
-    budget = params.get("bit_budget", 4096)
-    return _table_rule(_quotients_for(target, budget), budget)
+    try:
+        target = target_from_json(params["target"])
+        target.validate()
+        budget = params.get("bit_budget", 4096)
+        return _table_rule(_quotients_for(target, budget), budget)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"construction rule parameters {params!r}: {exc!r}") from None
 
 
 @dataclass(frozen=True)

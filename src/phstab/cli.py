@@ -40,9 +40,20 @@ EXIT_INPUT_ERROR = 2
 def _default_bits() -> int:
     text = os.environ.get("PHSTAB_BITS", "128")
     try:
-        return int(text)
+        return _bits(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ValidationError(f"PHSTAB_BITS={exc}") from None
+
+
+def _bits(text: str) -> int:
+    """A bit count: an integer >= 1."""
+    try:
+        bits = int(text)
     except ValueError:
-        raise ValidationError(f"PHSTAB_BITS={text!r} is not an integer") from None
+        bits = 0  # rejected below
+    if bits < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--manifest", default=None,
                        help="manifest path (default <out>.manifest.json)")
-        p.add_argument("--bits", type=int, default=_default_bits(),
+        p.add_argument("--bits", type=_bits, default=_default_bits(),
                        help="bit budget (default from PHSTAB_BITS or 128)")
 
     p = sub.add_parser("cf", help="continued-fraction convergent table")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, gcd, isqrt
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, TypeVar
 
 from .errors import (
     BitBudgetExceeded,
@@ -24,6 +24,7 @@ from .errors import (
 from .intervals import RealBall
 
 _PRECISION_CAP = 1 << 22  # hard stop for adaptive refinement loops
+_T = TypeVar("_T")
 
 
 class IrrationalSpec:
@@ -47,9 +48,6 @@ class IrrationalSpec:
 
     def to_json(self) -> dict:
         raise NotImplementedError
-
-    def __float__(self) -> float:
-        return float(self.enclosure(64).value)
 
 
 @dataclass(frozen=True)
@@ -246,20 +244,13 @@ class DecimalLiteral(IrrationalSpec):
         # endpoints of the enclosure agree on the floor.
         ball = self.enclosure(self.bits)
         lo, hi = ball.lower, ball.upper
-        while True:
-            flo = math.floor(lo)
-            fhi = math.floor(hi)
-            if flo != fhi:
-                raise InsufficientPrecision(
-                    "quotient not determined by the guaranteed digits"
-                )
-            yield flo
-            lo, hi = lo - flo, hi - flo
-            if lo <= 0:
-                raise InsufficientPrecision(
-                    "quotient not determined by the guaranteed digits"
-                )
-            lo, hi = 1 / hi, 1 / lo
+        while math.floor(lo) == math.floor(hi):
+            a = math.floor(lo)
+            yield a
+            if lo == a:  # the enclosure holds the rational a
+                break
+            lo, hi = 1 / (hi - a), 1 / (lo - a)
+        raise InsufficientPrecision("quotient not determined by the guaranteed digits")
 
     def enclosure(self, bits: int, strict: bool = True) -> RealBall:
         if bits > self.bits and strict:
@@ -371,13 +362,6 @@ def expand(alpha: IrrationalSpec, n: int) -> ConvergentTable:
     )
 
 
-def _adaptive_enclosure(alpha: IrrationalSpec, bits: int) -> RealBall:
-    """Enclosure with graceful failure for precision-capped sources."""
-    if bits > _PRECISION_CAP:
-        raise InsufficientPrecision(f"refinement cap {_PRECISION_CAP} bits hit")
-    return alpha.enclosure(bits)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     n: int
@@ -400,17 +384,10 @@ def check_bounds(table: ConvergentTable, bits: int = 0) -> list[BoundReport]:
     """
     if len(table) < 2:
         raise ValueError("table needs at least 2 entries")
-    qN = table.convergents[-1].q
-    need = bits or 4 * qN.bit_length() + 64
-    while True:
-        ball, refinable = best_enclosure(table.source, need)
-        reports = _bound_reports(table, ball.lower, ball.upper)
-        if reports is not None:
-            return reports
-        if not refinable or need >= _PRECISION_CAP:
-            raise InsufficientPrecision(
-                "convergent bounds undecided (widest enclosure or refinement cap)")
-        need *= 2
+    need = bits or 4 * table.convergents[-1].q.bit_length() + 64
+    return _refine(table.source, need,
+                   lambda ball: _bound_reports(table, ball.lower, ball.upper),
+                   "convergent bounds")
 
 
 def _bound_reports(
@@ -483,26 +460,20 @@ def legendre_is_convergent(p: int, q: int, alpha: IrrationalSpec) -> bool:
         if table.terminated or table.convergents[-1].q >= q:
             break
         n *= 2
-    bits = 4 * q.bit_length() + 32
-    target = Fraction(1, 2 * q * q)
-    while bits <= _PRECISION_CAP:
-        ball = _adaptive_enclosure(alpha, bits)
-        d_hi = max(abs(ball.lower - Fraction(p, q)), abs(ball.upper - Fraction(p, q)))
-        d_lo = max(
-            Fraction(0),
-            max(ball.lower - Fraction(p, q), Fraction(p, q) - ball.upper),
-        )
-        if d_hi < target:
-            if not found:
-                raise VerificationFailed(
-                    "Legendre criterion violated: |alpha - p/q| < 1/(2q^2) "
-                    "but p/q is not a convergent"
-                )
-            break
-        if d_lo >= target:
-            break
-        bits *= 2
-    return found
+    pv, target = Fraction(p, q), Fraction(1, 2 * q * q)
+
+    def decide(ball: RealBall) -> Optional[bool]:
+        d_hi = max(pv - ball.lower, ball.upper - pv)
+        if d_hi < target and not found:
+            raise VerificationFailed(
+                "Legendre criterion violated: |alpha - p/q| < 1/(2q^2) "
+                "but p/q is not a convergent"
+            )
+        if d_hi < target or max(ball.lower - pv, pv - ball.upper) >= target:
+            return found  # decided: d_hi < target or d_lo >= target
+        return None
+
+    return _refine(alpha, 4 * q.bit_length() + 32, decide, "Legendre's criterion")
 
 
 def best_approx_check(table: ConvergentTable, qmax: int) -> bool:
@@ -515,9 +486,8 @@ def best_approx_check(table: ConvergentTable, qmax: int) -> bool:
         raise ValueError("qmax too large for exhaustive search")
     if qmax > table.convergents[-1].q:
         raise ValueError("qmax exceeds the table's last denominator")
-    bits = 4 * qmax.bit_length() + 96
-    while True:
-        ball = _adaptive_enclosure(table.source, bits)
+
+    def decide(ball: RealBall) -> Optional[bool]:
         dist = _distance_brackets(ball.lower, ball.upper, qmax)
         undecided = False
         for c in table.convergents:
@@ -536,11 +506,10 @@ def best_approx_check(table: ConvergentTable, qmax: int) -> bool:
                     return False
                 if d_lo < dn_hi:
                     undecided = True
-        if not undecided:
-            return True
-        if bits >= _PRECISION_CAP:
-            raise InsufficientPrecision("best-approximation check undecidable")
-        bits *= 2
+        return None if undecided else True
+
+    return _refine(table.source, 4 * qmax.bit_length() + 96, decide,
+                   "best-approximation check")
 
 
 def _distance_brackets(lo: Fraction, hi: Fraction, qmax: int) -> list[tuple[int, int]]:
@@ -585,6 +554,27 @@ def best_enclosure(alpha: IrrationalSpec, bits: int) -> tuple[RealBall, bool]:
         return eval_alpha(alpha, bits), True
     except (BitBudgetExceeded, InsufficientPrecision):
         return alpha.enclosure(bits, strict=False), False
+
+
+def _refine(alpha: IrrationalSpec, bits: int,
+            decide: Callable[[RealBall], Optional[_T]], what: str) -> _T:
+    """``decide(best_enclosure(alpha, bits))``, ``bits`` doubling until the
+    answer is not None. Raises InsufficientPrecision, naming ``what``, when a
+    precision-capped source leaves the decision open on its widest
+    enclosure, or before an evaluation past ``_PRECISION_CAP`` bits."""
+    while bits <= _PRECISION_CAP:
+        ball, refinable = best_enclosure(alpha, bits)
+        answer = decide(ball)
+        if answer is not None:
+            return answer
+        if not refinable:
+            raise InsufficientPrecision(
+                f"{what} undecided on the widest enclosure the source has "
+                f"({bits} bits asked)")
+        bits *= 2
+    raise InsufficientPrecision(
+        f"{what} undecided at the {_PRECISION_CAP}-bit refinement cap "
+        f"({bits} bits asked)")
 
 
 def required_bits(t_magnitude, target_bits: int, guard: int = 64) -> int:

@@ -14,14 +14,8 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .contfrac import (
-    _PRECISION_CAP,
-    ConvergentTable,
-    IrrationalSpec,
-    best_enclosure,
-    eval_alpha,
-)
-from .errors import InsufficientPrecision, TableExhausted, VerificationFailed
+from .contfrac import ConvergentTable, IrrationalSpec, _refine, best_enclosure
+from .errors import TableExhausted, VerificationFailed
 from .intervals import RealBall
 
 
@@ -41,9 +35,8 @@ def min_odd_dist(
         d_lo, d_hi = abs(x - lo_odd), abs(x - hi_odd)
         u = lo_odd if d_lo <= d_hi else hi_odd
         return u, RealBall(abs(x - u), Fraction(0))
-    need = bits + v.bit_length() + 8
-    while need <= _PRECISION_CAP:
-        ball = eval_alpha(alpha, need)
+
+    def decide(ball: RealBall) -> tuple[int, RealBall] | None:
         xlo, xhi = v * ball.lower, v * ball.upper
         u = 2 * math.floor(((xlo + xhi) / 2 - 1) / 2 + Fraction(1, 2)) + 1
         # certified minimal iff the enclosure stays within (u-1, u+1)
@@ -51,8 +44,10 @@ def min_odd_dist(
             d_lo = max(Fraction(0), max(xlo - u, u - xhi))
             d_hi = max(abs(xlo - u), abs(xhi - u))
             return u, RealBall.from_bounds(d_lo, d_hi)
-        need *= 2
-    raise InsufficientPrecision("v*alpha straddles a midpoint between odd integers")
+        return None
+
+    return _refine(alpha, bits + v.bit_length() + 8, decide,
+                   "the odd integer nearest v*alpha")
 
 
 @dataclass(frozen=True)
@@ -103,11 +98,9 @@ def odd_odd_stream(table: ConvergentTable, count: int) -> list[OddOddApproximant
             f"table yields {len(vs)} odd/odd approximants, {count} requested"
         )
     vs = vs[:count]
-    bits = 4 * vs[-1].bit_length() + 96
-    while True:
-        ball, refinable = best_enclosure(table.source, bits)
+
+    def decide(ball: RealBall) -> list[OddOddApproximant] | None:
         out: list[OddOddApproximant] = []
-        undecided = False
         for v in vs:
             u, struct_hi = cands[v]
             target = Fraction(u, v)
@@ -121,14 +114,12 @@ def odd_odd_stream(table: ConvergentTable, count: int) -> list[OddOddApproximant
                     raise VerificationFailed(
                         f"odd/odd approximant {u}/{v} violates err < 2/v^2"
                     )
-                undecided = True
-                break
+                return None
             out.append(OddOddApproximant(u, v, RealBall.from_bounds(d_lo, d_hi)))
-        if not undecided:
-            return out
-        if not refinable or bits >= _PRECISION_CAP:
-            raise InsufficientPrecision("err < 2/v^2 undecidable")
-        bits *= 2
+        return out
+
+    return _refine(table.source, 4 * vs[-1].bit_length() + 96, decide,
+                   "err < 2/v^2")
 
 
 @dataclass(frozen=True)
@@ -202,7 +193,7 @@ def badly_approx_profile(table: ConvergentTable) -> ApproxProfile:
     qs = table.quotients[1:]
     max_a = max(qs)
     bits = 4 * table.convergents[-1].q.bit_length() + 64
-    ball = eval_alpha(table.source, bits)
+    ball, _ = best_enclosure(table.source, bits)
     c_lower = None
     for n in range(len(table) - 1):
         c = table.convergents[n]

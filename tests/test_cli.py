@@ -246,6 +246,12 @@ def test_verify_appendix_identity_failure_exits_1(monkeypatch, capsys):
     ["growth", "--surd", "2", "--etas", "10", "--tol", "0"],
     ["sandwich", "--surd", "2", "--odd-v", "1..x"],
     ["phs", "--t-grid", "0:1"],
+    ["cf", {"kind": "rule", "name": "construction", "f": {}}],
+    ["cf", {"kind": "rule", "name": "construction",
+            "f": {"target": {"kind": "exp", "beta": -1}}}],
+    ["growth", "--surd", "2", "--etas", "10", "--bits", "-500"],
+    ["cf", {"kind": "rule", "name": "construction",
+            "f": {"target": {"kind": "table", "pts": [[1.0, 0.5], [2.0, 0.9]]}}}],
 ])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     if isinstance(argv[1], dict):  # an --alpha-json file
@@ -256,7 +262,11 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
         cfg = tmp_path / "sys.json"
         cfg.write_text(phs.phsystem_to_json(phs.universal_example(2.0**0.5)))
         argv = [*argv, "--config", str(cfg)]
-    assert run(argv) == 2
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse rejects a flag value itself
+        code = exc.code
+    assert code == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -282,3 +292,23 @@ def test_bad_phstab_bits_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("PHSTAB_BITS", "12x")
     assert run(["cf", "--surd", "2"]) == 2
     assert "PHSTAB_BITS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-500"])
+def test_phstab_bits_below_one_exits_2(value, monkeypatch, capsys):
+    monkeypatch.setenv("PHSTAB_BITS", value)
+    assert run(["cf", "--surd", "2"]) == 2
+    assert "PHSTAB_BITS" in capsys.readouterr().err
+
+
+def test_sandwich_on_a_decimal_with_fewer_bits_than_asked(tmp_path):
+    # --bits 60 is both the literal's guarantee and the sandwich's target:
+    # min_odd_dist asks for 60 + bits(v) + 8 and decides on the literal's
+    # widest enclosure
+    cols = []
+    for flags in (["--decimal", "1.4142135623730950488", "--bits", "60"],
+                  ["--surd", "2"]):
+        out = tmp_path / "s.csv"
+        assert run(["sandwich", *flags, "--odd-v", "1..9", "--out", str(out)]) == 0
+        cols.append([r.split(",")[1] for r in out.read_text().splitlines()])
+    assert cols[0] == cols[1]

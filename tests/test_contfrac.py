@@ -176,7 +176,7 @@ def _check_bounds_oracle(table, bits=0):
     need = bits or 4 * qN.bit_length() + 64
     while True:
         try:
-            ball, refinable = cf._adaptive_enclosure(table.source, need), True
+            ball, refinable = cf.eval_alpha(table.source, need), True
         except (BitBudgetExceeded, InsufficientPrecision):
             # a precision-capped source is judged on its widest enclosure
             ball, refinable = table.source.enclosure(need, strict=False), False
@@ -206,7 +206,7 @@ def _check_bounds_oracle(table, bits=0):
 def _best_approx_oracle(table, qmax):
     bits = 4 * qmax.bit_length() + 96
     while True:
-        ball = cf._adaptive_enclosure(table.source, bits)
+        ball = cf.eval_alpha(table.source, bits)
         lo, hi = ball.lower, ball.upper
         dist = []
         for q in range(1, qmax + 1):
@@ -294,7 +294,7 @@ def test_check_bounds_doubles_when_convergent_inside_enclosure(monkeypatch):
     # At 8 bits the enclosure of sqrt(2) holds 17/12, ..., so those n are
     # undecided and the precision must double before all 30 are decided.
     table = cf.expand(cf.SQRT2, 30)
-    ball = cf._adaptive_enclosure(cf.SQRT2, 8)
+    ball = cf.eval_alpha(cf.SQRT2, 8)
     assert any(ball.lower <= c.value <= ball.upper for c in table.convergents[:-1])
     asked = []
     real = cf.best_enclosure
@@ -304,6 +304,17 @@ def test_check_bounds_doubles_when_convergent_inside_enclosure(monkeypatch):
     assert asked[:2] == [8, 16] and len(asked) > 2
     assert reports == _check_bounds_oracle(table, 8)
     assert len(reports) == 30 and all(r.passed for r in reports)
+
+
+def test_refine_stops_before_passing_the_cap(monkeypatch):
+    asked = []
+    real = cf.best_enclosure
+    monkeypatch.setattr(cf, "_PRECISION_CAP", 64)
+    monkeypatch.setattr(cf, "best_enclosure",
+                        lambda alpha, b: asked.append(b) or real(alpha, b))
+    with pytest.raises(InsufficientPrecision, match="never decided.*64-bit"):
+        cf._refine(cf.SQRT2, 8, lambda ball: None, "never decided")
+    assert asked == [8, 16, 32, 64]
 
 
 def test_check_bounds_on_a_constructed_alpha_near_its_depth():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from phstab import contfrac as cf
 from phstab import diophantine as dio
+from phstab.errors import InsufficientPrecision
 
 
 def test_odd_odd_stream_sqrt2_prefix():
@@ -103,3 +104,71 @@ def test_odd_odd_invariants_random_depth(n):
         stream[i].v < stream[i + 1].v for i in range(len(stream) - 1)
     )
     assert all(ap.err.upper * ap.v**2 < 2 for ap in stream)
+
+
+# -- exact decisions on a precision-capped source ---------------------------
+#
+# The literal holds sqrt(2) to 60 guaranteed bits, fewer than any of these
+# decisions starts with. Each is taken on the literal's widest enclosure
+# and must give sqrt(2)'s answer.
+
+_DIGITS = "1.4142135623730950488"
+_DEC60 = cf.DecimalLiteral(_DIGITS, 60)
+_PQ = [(577, 408), (7, 5), (8, 5), (99, 70), (10, 7), (1393, 985)]
+_DECISIONS = {
+    "check_bounds": lambda a: [r.passed for r in cf.check_bounds(cf.expand(a, 20))],
+    "odd_odd_stream": lambda a: [
+        (x.u, x.v) for x in dio.odd_odd_stream(cf.expand(a, 20), 8)],
+    "min_odd_dist": lambda a: [dio.min_odd_dist(a, v)[0] for v in range(1, 200, 2)],
+    "best_approx_check": lambda a: cf.best_approx_check(cf.expand(a, 12), 1000),
+    "legendre_is_convergent": lambda a: [
+        cf.legendre_is_convergent(p, q, a) for p, q in _PQ],
+}
+
+
+@pytest.mark.parametrize("name", list(_DECISIONS))
+def test_decision_on_a_capped_decimal_matches_sqrt2(name):
+    decide = _DECISIONS[name]
+    assert decide(_DEC60) == decide(cf.SQRT2)
+
+
+def test_badly_approx_profile_on_a_capped_decimal_matches_sqrt2():
+    got, want = (dio.badly_approx_profile(cf.expand(a, 20)) for a in (_DEC60, cf.SQRT2))
+    assert (got.max_a, got.prefix_len, got.verdict) == (want.max_a, want.prefix_len,
+                                                       want.verdict)
+    assert float(got.c_lower) == pytest.approx(float(want.c_lower), rel=1e-12)
+
+
+def _sqrt2_table_on(bits):
+    """sqrt(2)'s first 21 convergents, judged against the literal cut to
+    ``bits`` guaranteed bits: deeper than that enclosure can decide."""
+    table = cf.expand(cf.SQRT2, 20)
+    return cf.ConvergentTable(cf.DecimalLiteral(_DIGITS, bits), table.quotients,
+                              table.convergents)
+
+
+_TOO_COARSE = {
+    "check_bounds": lambda: cf.check_bounds(_sqrt2_table_on(16)),
+    "min_odd_dist": lambda: dio.min_odd_dist(cf.DecimalLiteral(_DIGITS, 16), 2**20 + 1),
+    "best_approx_check": lambda: cf.best_approx_check(_sqrt2_table_on(16), 1000),
+    # 22 bits fix the quotients up to q = 985 but not |alpha - p/q| against
+    # 1/(2 q^2), which 1393/985 misses by 1.5e-7
+    "legendre_is_convergent": lambda: cf.legendre_is_convergent(
+        1393, 985, cf.DecimalLiteral(_DIGITS, 22)),
+}
+
+
+@pytest.mark.parametrize("name", list(_TOO_COARSE))
+def test_decision_on_a_too_coarse_source_raises(name):
+    with pytest.raises(InsufficientPrecision, match="widest enclosure"):
+        _TOO_COARSE[name]()
+
+
+def test_odd_odd_stream_and_profile_on_a_too_coarse_source():
+    # err < 2/v^2 already follows from the denominators (err <= 1/(q_n q_{n+1})),
+    # so the stream decides; the enclosure only narrows the err brackets
+    table = _sqrt2_table_on(16)
+    got = [(x.u, x.v) for x in dio.odd_odd_stream(table, 8)]
+    assert got == _DECISIONS["odd_odd_stream"](cf.SQRT2)
+    # an enclosure that holds some p_n/q_n leaves the bound at 0, still sound
+    assert dio.badly_approx_profile(table).c_lower == 0
