@@ -6,7 +6,7 @@ Layers:
 * :mod:`phstab.contfrac` — arbitrary-precision continued fractions:
   expansion, convergents, classical error bounds.
 * :mod:`phstab.diophantine` — odd/odd approximants, minimal odd
-  distances, approximation profiles, large-gap search.
+  distances, approximation profiles.
 * :mod:`phstab.alpha_factory` — construction of irrational alpha
   realizing a prescribed decay target.
 * :mod:`phstab.spectral` — the 2x2 boundary matrix family, certified

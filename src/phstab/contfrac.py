@@ -396,48 +396,84 @@ def _bound_reports(
     """The reports of ``check_bounds`` for alpha in [lo, hi], or None if
     [lo, hi] is too wide to decide some n.
 
-    With d_lo <= |alpha - p/q| <= d_hi over the enclosure, n passes when
+    Each endpoint x = x_num/x_den gives one integer e = x_num q - p x_den,
+    so |x - p/q| = |e|/(x_den q). Its sign is the side of p/q: p/q < lo
+    when e_lo > 0, hi < p/q when e_hi < 0, and then d_lo and d_hi are the
+    distances of the near and the far endpoint. Against a bound 1/(k q^2),
+    k = a+2 (lb) or a (ub), the distance d of an endpoint differs by
+
+        d - 1/(k q^2) = (k q |e| - x_den) / (x_den k q^2),
+
+    so n is decided on the sign of k q |e| - x_den: it passes when
     d_lo > lb and d_hi < ub (margins d_lo - lb, ub - d_hi) and fails when
-    d_hi <= lb or d_lo >= ub (margins d_hi - lb, ub - d_lo), where
-    lb = 1/((a+2) q^2) and ub = 1/(a q^2). The side s = +-1 of p/q on
-    which [lo, hi] lies is decided by integer cross-multiplication. Each
-    margin is then one subtraction between an endpoint and a shifted
-    convergent p/q + s/(c q^2) = (p c q + s)/(c q^2), c = a+2 or a, which
-    is reduced as it stands: every prime factor of c q^2 divides p c q.
+    d_hi <= lb or d_lo >= ub (margins d_hi - lb, ub - d_lo). Only the two
+    reported margins are reduced, by :func:`_margin`.
     """
     ln, ld = lo.numerator, lo.denominator
     hn, hd = hi.numerator, hi.denominator
+    low, high = (ld, *_two_split(ld)), (hd, *_two_split(hd))
     reports: list[BoundReport] = []
     for n, (c, a) in enumerate(zip(table.convergents, table.quotients[1:])):
         p, q = c.p, c.q
-        if ln * q > p * ld:  # p/q < lo
-            s, near, far = 1, lo, hi
-        elif hn * q < p * hd:  # hi < p/q
-            s, near, far = -1, hi, lo
-        else:
-            # p/q in [lo, hi]: d_lo = 0, so only a lower-bound failure decides
-            pv = c.value
-            lb = Fraction(1, (a + 2) * q * q)
-            d_hi = max(pv - lo, hi - pv)
-            if d_hi > lb:
-                return None
-            reports.append(BoundReport(n, d_hi - lb, Fraction(1, a * q * q)))
-            continue
-        # p/q + s lb and p/q + s ub
+        e_lo, e_hi = ln * q - p * ld, hn * q - p * hd
         kl, ku = (a + 2) * q, a * q
-        shifted_lb = Fraction(p * kl + s, kl * q)
-        shifted_ub = Fraction(p * ku + s, ku * q)
-        # margins s (x - y), one subtraction each; a Fraction's sign is
-        # its numerator's
-        lower = near - shifted_lb if s > 0 else shifted_lb - near  # d_lo - lb
-        upper = shifted_ub - far if s > 0 else far - shifted_ub  # ub - d_hi
-        if lower.numerator <= 0 or upper.numerator <= 0:
-            lower = far - shifted_lb if s > 0 else shifted_lb - far  # d_hi - lb
-            upper = shifted_ub - near if s > 0 else near - shifted_ub  # ub - d_lo
-            if lower.numerator > 0 and upper.numerator > 0:
+        if e_lo > 0:  # p/q < lo
+            (en, near), (ef, far) = (e_lo, low), (e_hi, high)
+        elif e_hi < 0:  # hi < p/q
+            (en, near), (ef, far) = (-e_hi, high), (-e_lo, low)
+        else:
+            # p/q in [lo, hi]: d_lo = 0, so only a lower-bound failure
+            # decides; d_hi is the larger of -e_lo/(ld q) and e_hi/(hd q)
+            ef, far = (-e_lo, low) if -e_lo * hd > e_hi * ld else (e_hi, high)
+            lower = kl * ef - far[0]  # d_hi - lb
+            if lower > 0:
                 return None
-        reports.append(BoundReport(n, lower, upper))
+            reports.append(BoundReport(n, _margin(lower, *far, kl * q),
+                                       _coprime(1, ku * q)))
+            continue
+        lower_end, upper_end = near, far
+        lower, upper = kl * en - near[0], far[0] - ku * ef  # d_lo - lb, ub - d_hi
+        if lower <= 0 or upper <= 0:  # not a pass
+            lower_end, upper_end = far, near
+            lower, upper = kl * ef - far[0], near[0] - ku * en  # d_hi - lb, ub - d_lo
+            if lower > 0 and upper > 0:
+                return None
+        reports.append(BoundReport(n, _margin(lower, *lower_end, kl * q),
+                                   _margin(upper, *upper_end, ku * q)))
     return reports
+
+
+# A Fraction from a numerator and a positive denominator already coprime,
+# built without a second gcd.
+_coprime = getattr(Fraction, "_from_coprime_ints", None) or (  # Python >= 3.12
+    lambda n, d: Fraction(n, d, _normalize=False))  # Python 3.10-3.11
+
+
+def _two_split(d: int) -> tuple[int, int]:
+    """(j, r) with d = 2^j r and r odd."""
+    j = (d & -d).bit_length() - 1
+    return j, d >> j
+
+
+def _margin(u: int, xd: int, j: int, r: int, kqq: int) -> Fraction:
+    """u / (xd kqq) in lowest terms, where u = +-(k q |e| - xd) for an
+    endpoint x_num/xd in lowest terms, xd = 2^j r with r odd, and
+    kqq = k q^2.
+
+    u/(xd kqq) is +-(x - y) with y = (p k q +- 1)/(k q^2), which is in
+    lowest terms since every prime of k q divides p k q. Knuth's gcd-first
+    subtraction (TAOCP vol. 2, 4.5.1) then reduces it with g =
+    gcd(xd, kqq) and gcd(u/g, g) alone; u = 0 comes out as 0/1, since then
+    x = y and xd = kqq = g. g is taken as gcd(r, kqq mod r) 2^min(j,
+    v2(kqq)), so both gcds are small whenever r is, as for a surd's q 2^k
+    and a decimal's 2^a 5^b denominators.
+    """
+    g = gcd(r, kqq % r) << min(j, (kqq & -kqq).bit_length() - 1)
+    if g == 1:
+        return _coprime(u, xd * kqq)
+    t = u // g
+    d2 = gcd(g, t % g)
+    return _coprime(t // d2, xd // g * (kqq // d2))
 
 
 def legendre_is_convergent(p: int, q: int, alpha: IrrationalSpec) -> bool:

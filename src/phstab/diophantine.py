@@ -1,8 +1,7 @@
 """Odd/odd rational approximation machinery.
 
 Distances to odd integers, odd/odd approximant streams built from the
-convergent parity pattern, badly-approximable prefix diagnostics, and
-large-gap searches.
+convergent parity pattern, and badly-approximable prefix diagnostics.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import mp
 
 from .contfrac import ConvergentTable, IrrationalSpec, _refine, best_enclosure
 from .errors import TableExhausted, VerificationFailed
@@ -99,27 +96,19 @@ def odd_odd_stream(table: ConvergentTable, count: int) -> list[OddOddApproximant
         )
     vs = vs[:count]
 
-    def decide(ball: RealBall) -> list[OddOddApproximant] | None:
-        out: list[OddOddApproximant] = []
-        for v in vs:
-            u, struct_hi = cands[v]
-            target = Fraction(u, v)
-            d_lo = max(Fraction(0), max(ball.lower - target, target - ball.upper))
-            d_hi = min(
-                max(abs(ball.lower - target), abs(ball.upper - target)), struct_hi
-            )
-            bound = Fraction(2, v * v)
-            if d_hi >= bound:
-                if d_lo >= bound:
-                    raise VerificationFailed(
-                        f"odd/odd approximant {u}/{v} violates err < 2/v^2"
-                    )
-                return None
-            out.append(OddOddApproximant(u, v, RealBall.from_bounds(d_lo, d_hi)))
-        return out
-
-    return _refine(table.source, 4 * vs[-1].bit_length() + 96, decide,
-                   "err < 2/v^2")
+    # struct_hi, the table's own bound on err, is below 2/v^2 for every
+    # candidate: one enclosure decides, and it only narrows the err brackets
+    ball, _ = best_enclosure(table.source, 4 * vs[-1].bit_length() + 96)
+    out: list[OddOddApproximant] = []
+    for v in vs:
+        u, struct_hi = cands[v]
+        target = Fraction(u, v)
+        d_lo = max(Fraction(0), max(ball.lower - target, target - ball.upper))
+        d_hi = min(max(abs(ball.lower - target), abs(ball.upper - target)), struct_hi)
+        if d_hi >= Fraction(2, v * v):
+            raise VerificationFailed(f"odd/odd approximant {u}/{v} violates err < 2/v^2")
+        out.append(OddOddApproximant(u, v, RealBall.from_bounds(d_lo, d_hi)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -187,6 +176,11 @@ def badly_approx_profile(table: ConvergentTable) -> ApproxProfile:
     c_lower is an exact rational lower bound for q^2 |alpha - p/q| over the
     table's convergents (with successor). Finite data cannot prove
     badly-approximable; the verdict is explicitly prefix evidence.
+
+    With e = x_num q - p x_den for an endpoint x = x_num/x_den of alpha's
+    enclosure, q^2 d_lo is q e_lo / lo_den when p/q < lo, -q e_hi / hi_den
+    when hi < p/q, and 0 when p/q lies in the enclosure. The minimum is
+    taken over these integer pairs by cross-multiplication.
     """
     if len(table) < 3:
         raise ValueError("table needs at least 3 entries")
@@ -194,13 +188,23 @@ def badly_approx_profile(table: ConvergentTable) -> ApproxProfile:
     max_a = max(qs)
     bits = 4 * table.convergents[-1].q.bit_length() + 64
     ball, _ = best_enclosure(table.source, bits)
-    c_lower = None
-    for n in range(len(table) - 1):
-        c = table.convergents[n]
-        pv = c.value
-        d_lo = max(Fraction(0), max(ball.lower - pv, pv - ball.upper))
-        val = c.q * c.q * d_lo
-        c_lower = val if c_lower is None else min(c_lower, val)
+    lo, hi = ball.lower, ball.upper
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    num, den = None, 1
+    for c in table.convergents[:-1]:
+        p, q = c.p, c.q
+        e = ln * q - p * ld
+        if e > 0:  # p/q < lo
+            val, val_den = q * e, ld
+        else:
+            e = p * hd - hn * q
+            if e <= 0:  # p/q in [lo, hi]: q^2 d_lo = 0, the least value
+                num = 0
+                break
+            val, val_den = q * e, hd  # hi < p/q
+        if num is None or val * den < num * val_den:
+            num, den = val, val_den
+    c_lower = Fraction(num, den)
     half = len(qs) // 2
     growing = max(qs[half:]) >= 10 * max(qs[:half]) if half >= 1 else False
     verdict = (
@@ -215,28 +219,3 @@ def badly_approx_profile(table: ConvergentTable) -> ApproxProfile:
         bounded_on_prefix=not growing,
         verdict=verdict,
     )
-
-
-def large_gap_search(table: ConvergentTable, threshold: int) -> list[int]:
-    """Indices n with odd/odd convergent p_n/q_n and a_{n+1} >= threshold."""
-    out = []
-    for n, c in enumerate(table.convergents):
-        if n + 1 >= len(table.quotients):
-            break
-        if c.p % 2 == 1 and c.q % 2 == 1 and table.quotients[n + 1] >= threshold:
-            out.append(n)
-    return out
-
-
-def stream_to_csv(approximants: list[OddOddApproximant]) -> str:
-    lines = ["v,u,err"]
-    for a in approximants:
-        with mp.workdps(25):
-            err = mp.nstr(
-                mp.mpf(a.err.value.numerator) / mp.mpf(a.err.value.denominator),
-                17,
-                min_fixed=1,
-                max_fixed=0,
-            )
-        lines.append(f"{a.v},{a.u},{err}")
-    return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from phstab import alpha_factory as af
 from phstab import contfrac as cf
+from phstab import diophantine as dio
 from phstab.errors import BitBudgetExceeded, InsufficientPrecision, PhstabError
 
 
@@ -171,6 +172,26 @@ def test_enclosure_width_scales_with_bits(bits):
 # Fraction, and every decision is a Fraction comparison.
 
 
+def _bound_reports_oracle(table, lo, hi):
+    """check_bounds' reports for alpha in [lo, hi], or None if undecided."""
+    reports = []
+    for n in range(len(table) - 1):
+        c = table.convergents[n]
+        a_next = table.quotients[n + 1]
+        pv = c.value
+        d_lo = max(Fraction(0), max(lo - pv, pv - hi))
+        d_hi = max(abs(lo - pv), abs(hi - pv))
+        lb = Fraction(1, (a_next + 2) * c.q**2)
+        ub = Fraction(1, a_next * c.q**2)
+        if d_lo > lb and d_hi < ub:
+            reports.append(cf.BoundReport(n, d_lo - lb, ub - d_hi))
+        elif d_hi <= lb or d_lo >= ub:
+            reports.append(cf.BoundReport(n, d_hi - lb, ub - d_lo))
+        else:
+            return None
+    return reports
+
+
 def _check_bounds_oracle(table, bits=0):
     qN = table.convergents[-1].q
     need = bits or 4 * qN.bit_length() + 64
@@ -180,23 +201,8 @@ def _check_bounds_oracle(table, bits=0):
         except (BitBudgetExceeded, InsufficientPrecision):
             # a precision-capped source is judged on its widest enclosure
             ball, refinable = table.source.enclosure(need, strict=False), False
-        lo, hi = ball.lower, ball.upper
-        reports = []
-        for n in range(len(table) - 1):
-            c = table.convergents[n]
-            a_next = table.quotients[n + 1]
-            pv = c.value
-            d_lo = max(Fraction(0), max(lo - pv, pv - hi))
-            d_hi = max(abs(lo - pv), abs(hi - pv))
-            lb = Fraction(1, (a_next + 2) * c.q**2)
-            ub = Fraction(1, a_next * c.q**2)
-            if d_lo > lb and d_hi < ub:
-                reports.append(cf.BoundReport(n, d_lo - lb, ub - d_hi))
-            elif d_hi <= lb or d_lo >= ub:
-                reports.append(cf.BoundReport(n, d_hi - lb, ub - d_lo))
-            else:
-                break
-        else:
+        reports = _bound_reports_oracle(table, ball.lower, ball.upper)
+        if reports is not None:
             return reports
         if not refinable:
             raise InsufficientPrecision("undecided on the widest enclosure")
@@ -358,3 +364,140 @@ def test_best_approx_both_verdicts_match_oracle():
     assert cf.best_approx_check(table, 70) is _best_approx_oracle(table, 70) is True
     alien = cf.ConvergentTable(cf.GOLDEN, table.quotients, table.convergents)
     assert cf.best_approx_check(alien, 70) is _best_approx_oracle(alien, 70) is False
+
+
+# -- the e-based margin kernel, on one enclosure -----------------------------
+
+
+def _kernel_matches_oracle(table, lo, hi):
+    """Asserts that _bound_reports(table, lo, hi) equals the Fraction
+    oracle with every margin in lowest terms; returns the reports."""
+    got = cf._bound_reports(table, lo, hi)
+    assert got == _bound_reports_oracle(table, lo, hi)
+    for r in got or ():
+        for x in (r.lower_margin, r.upper_margin):
+            assert x.denominator > 0 and m.gcd(x.numerator, x.denominator) == 1
+    return got
+
+
+def _sides(table, lo, hi):
+    """The sides s = +-1 on which [lo, hi] lies of the p_n/q_n, n < N."""
+    return {1 if c.value < lo else -1 for c in table.convergents[:-1]
+            if not lo <= c.value <= hi}
+
+
+_KERNEL_SOURCES = {  # a source (built on first use) and a table depth
+    "surd": (lambda: cf.QuadraticSurd(D=7, p=3, q=5), 40),
+    "decimal78": (lambda: cf.DecimalLiteral("1." + "4142135623730950488016887242096980785696"
+                                            "71875376948073176679737990732478462107", 256), 12),
+    "rule": (lambda: _constructed_spec((2, 0)), 60),
+}
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_SOURCES))
+def test_bound_reports_kernel_matches_oracle(name):
+    make, n = _KERNEL_SOURCES[name]
+    spec = make()
+    table = cf.expand(spec, n)
+    ball, _ = cf.best_enclosure(spec, 4 * table.convergents[-1].q.bit_length() + 64)
+    reports = _kernel_matches_oracle(table, ball.lower, ball.upper)
+    assert len(reports) == n and all(r.passed for r in reports)
+    assert _sides(table, ball.lower, ball.upper) == {1, -1}
+
+
+def test_bound_reports_kernel_failing_margins():
+    # each number's quotients against the other's enclosure: the golden
+    # ratio lies above every convergent of sqrt(2) (s = +1), sqrt(2) below
+    # every convergent of the golden ratio past the first (s = -1)
+    for spec, other, side in ((cf.GOLDEN, cf.SQRT2, 1), (cf.SQRT2, cf.GOLDEN, -1)):
+        alien = cf.expand(other, 12)
+        table = cf.ConvergentTable(spec, alien.quotients, alien.convergents)
+        ball = cf.eval_alpha(spec, 128)
+        reports = _kernel_matches_oracle(table, ball.lower, ball.upper)
+        assert any(r.upper_margin < 0 for r in reports)  # d_lo >= ub
+        assert side in _sides(table, ball.lower, ball.upper)
+
+
+def test_bound_reports_kernel_with_a_convergent_inside_the_enclosure():
+    table = cf.expand(cf.SQRT2, 8)
+    c = table.convergents[4]  # 41/29, a_5 = 2
+    lb = Fraction(1, 4 * c.q**2)
+    # [lo, hi] holds 41/29 and lies within lb of it: n = 4 is decided (it
+    # fails the lower bound) with margins d_hi - lb < 0 and ub, both for a
+    # wider side below and a wider side above
+    for lo, hi in ((c.value - lb / 3, c.value + lb / 7), (c.value - lb / 7, c.value + lb / 3)):
+        reports = _kernel_matches_oracle(table, lo, hi)
+        assert reports[4].lower_margin == max(c.value - lo, hi - c.value) - lb < 0
+        assert reports[4].upper_margin == Fraction(1, 2 * c.q**2)
+    # a convergent inside an enclosure wider than its lb leaves n undecided
+    assert _kernel_matches_oracle(table, c.value - 2 * lb, c.value + lb / 3) is None
+    # a point enclosure exactly on 7/5 (n = 2): d_hi = 0
+    seven_fifths = Fraction(7, 5)
+    reports = _kernel_matches_oracle(table, seven_fifths, seven_fifths)
+    assert reports[2].lower_margin == -Fraction(1, 100)
+
+
+def test_bound_reports_kernel_lower_bound_failures_beside_a_convergent():
+    # point enclosures beside 7/5 (n = 2, a_3 = 2, lb = 1/100), on either
+    # side: d - lb < 0 decides n as failed, and 141/100 = 7/5 + lb gives a
+    # margin of exactly 0
+    table = cf.expand(cf.SQRT2, 8)
+    lb = Fraction(1, 100)
+    for x, margin in ((Fraction(7, 5) + lb / 2, -lb / 2), (Fraction(7, 5) - lb / 3, -2 * lb / 3),
+                      (Fraction(141, 100), Fraction(0))):
+        reports = _kernel_matches_oracle(table, x, x)
+        assert reports[2].lower_margin == margin and not reports[2].passed
+
+
+@given(spec=_SOURCES, other=st.one_of(st.none(), _surd()),
+       n=st.integers(min_value=1, max_value=60),
+       bits=st.sampled_from([8, 16, 40, 100, 300]))
+@settings(max_examples=120, deadline=None)
+def test_bound_reports_kernel_matches_oracle_on_any_enclosure(spec, other, n, bits):
+    try:
+        table = cf.expand(spec, n)
+    except InsufficientPrecision:  # decimal digits exhausted
+        assume(False)
+    assume(len(table) >= 2)
+    if other is not None:  # another number's convergents: failing margins
+        alien = cf.expand(other, len(table) - 1)
+        table = cf.ConvergentTable(spec, alien.quotients, alien.convergents)
+    ball, _ = cf.best_enclosure(spec, bits)
+    _kernel_matches_oracle(table, ball.lower, ball.upper)
+
+
+def _c_lower_oracle(table):
+    """min_n q_n^2 d_lo(n) on badly_approx_profile's one enclosure."""
+    bits = 4 * table.convergents[-1].q.bit_length() + 64
+    ball, _ = cf.best_enclosure(table.source, bits)
+    vals = []
+    for c in table.convergents[:-1]:
+        pv = c.value
+        d_lo = max(Fraction(0), max(ball.lower - pv, pv - ball.upper))
+        vals.append(c.q * c.q * d_lo)
+    return min(vals)
+
+
+def _c_lower_matches_oracle(table):
+    c_lower = dio.badly_approx_profile(table).c_lower
+    assert c_lower == _c_lower_oracle(table)
+    assert m.gcd(c_lower.numerator, c_lower.denominator) == 1
+    return c_lower
+
+
+@given(spec=_SOURCES, n=st.integers(min_value=2, max_value=60))
+@settings(max_examples=80, deadline=None)
+def test_badly_approx_c_lower_matches_fraction_oracle(spec, n):
+    try:
+        table = cf.expand(spec, n)
+    except InsufficientPrecision:  # decimal digits exhausted
+        assume(False)
+    assume(len(table) >= 3)
+    _c_lower_matches_oracle(table)
+
+
+def test_badly_approx_c_lower_zero_matches_fraction_oracle():
+    # at 512 bits the PowerLog(3, 1) rule stops short of 4 bits(q_9) + 64,
+    # and its widest enclosure holds a convergent: c_lower = 0
+    assert _c_lower_matches_oracle(cf.expand(_constructed_spec((3, 1)), 9)) == 0
+    assert _c_lower_matches_oracle(cf.expand(_constructed_spec((3, 1)), 8)) > 0

@@ -76,24 +76,6 @@ def test_badly_approx_profile_sqrt2():
     assert prof.c_lower > 0
 
 
-def test_large_gap_search():
-    # quotient 1000 follows the odd/odd convergent at index 2
-    spec = cf.ExplicitQuotients((1, 2, 2, 1000, 2, 2))
-    table = cf.expand(spec, 5)
-    idx = dio.large_gap_search(table, threshold=100)
-    assert idx == [2]
-    c = table.convergents[2]
-    assert c.p % 2 == 1 and c.q % 2 == 1
-
-
-def test_stream_csv_shape():
-    table = cf.expand(cf.SQRT2, 40)
-    csv_text = dio.stream_to_csv(dio.odd_odd_stream(table, 3))
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "v,u,err"
-    assert len(lines) == 4
-
-
 @given(n=st.integers(min_value=6, max_value=14))
 @settings(max_examples=10, deadline=None)
 def test_odd_odd_invariants_random_depth(n):
@@ -172,3 +154,30 @@ def test_odd_odd_stream_and_profile_on_a_too_coarse_source():
     assert got == _DECISIONS["odd_odd_stream"](cf.SQRT2)
     # an enclosure that holds some p_n/q_n leaves the bound at 0, still sound
     assert dio.badly_approx_profile(table).c_lower == 0
+
+
+_SQRT2_STREAM = [(1, 1), (7, 5), (41, 29), (239, 169), (1393, 985), (8119, 5741),
+                 (47321, 33461), (275807, 195025)]
+_GOLDEN_STREAM = [(1, 1), (5, 3), (21, 13), (89, 55), (377, 233), (1597, 987),
+                  (6765, 4181), (28657, 17711)]
+
+
+@pytest.mark.parametrize("spec, depth, want", [
+    (cf.SQRT2, 20, _SQRT2_STREAM),
+    (cf.GOLDEN, 30, _GOLDEN_STREAM),
+    (_DEC60, 20, _SQRT2_STREAM),
+], ids=["sqrt2", "golden", "decimal60"])
+def test_odd_odd_stream_takes_one_enclosure(monkeypatch, spec, depth, want):
+    table = cf.expand(spec, depth)
+    asked = []
+    real = dio.best_enclosure
+    monkeypatch.setattr(dio, "best_enclosure",
+                        lambda alpha, b: asked.append(b) or real(alpha, b))
+    stream = dio.odd_odd_stream(table, 8)
+    assert asked == [4 * want[-1][1].bit_length() + 96]
+    assert [(x.u, x.v) for x in stream] == want
+    assert all(x.err.upper < Fraction(2, x.v**2) for x in stream)
+    if spec is not _DEC60:
+        alpha = cf.eval_alpha(spec, 512)
+        for x in stream:
+            assert x.err.lower <= abs(alpha.value - Fraction(x.u, x.v)) <= x.err.upper
