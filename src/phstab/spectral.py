@@ -254,6 +254,19 @@ def _phases(ts, scales):
 # 128, 256 and 512 gave the same sandwich bench times, and 128 the best
 # growth times with the fewest elements.
 _ROUND_CELLS = 128
+# A round that would bound more cells than this raises InsufficientPrecision
+# instead of exhausting memory: a round of n cells holds about 400 n bytes of
+# kernel temporaries. `phstab sandwich --surd 2 --odd-v 33461..33461`, whose
+# frontier doubles every round, peaks at 170 MB with 2^18, 279 MB with 2^19
+# and 495 MB with 2^20.
+_MAX_FRONTIER = 1 << 18
+
+
+def _check_frontier(n: int, what: str) -> None:
+    if n > _MAX_FRONTIER:
+        raise InsufficientPrecision(
+            f"{what}: the branch-and-bound frontier reached {n} cells, past "
+            f"the cap of {_MAX_FRONTIER}; float time cannot resolve it")
 
 
 def _depth(own, wid, centred, back):
@@ -430,6 +443,7 @@ def inf_h_interval(
             c, r, depth = _descend(c[opened], r[opened], depth[opened])
             if not c.size:
                 break
+            _check_frontier(c.size, f"inf of h on [{a}, {b}]")
             finest = min(finest, float(r.min()))
             lb, depth = visit(c, r)
         lower = min(done_lo, best_up)
@@ -651,6 +665,7 @@ def _sup_inv_norm(ev, av, a: float, b: float, tol: float, seed: float):
             break
         park = r < floor(c)
         cc, rr, _ = _descend(c[~park], r[~park], depth[~park], floor)
+        _check_frontier(cc.size, f"sup of ||T_t^-1|| on [{a}, {b}]")
         ub_next, depth = evaluate(c, cc, rr)
         parked = ub[park]
         parked = parked[parked > best_lo * (1 + tol)]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from phstab import contfrac as cf
 from phstab import spectral as sp
-from phstab.errors import OutOfRange, SingularMatrix
+from phstab.errors import InsufficientPrecision, OutOfRange, SingularMatrix
 
 THIRD = cf.ExplicitQuotients((0, 3))
 
@@ -295,3 +295,11 @@ def test_parked_upper_bounds_are_flagged():
     assert all(p.m_upper > p.m_lower * (1 + 1e-3) for p in curve.points)
     curve = sp.growth_curve(cf.SQRT2, [5, 10, 50, 100])
     assert not any(p.upper_parked for p in curve.points)
+
+
+def test_frontier_cap_raises_instead_of_exhausting_memory(monkeypatch):
+    # v = 33461 is an odd/odd denominator of sqrt 2 (u = 47321): float t
+    # cannot resolve its resonance, and the open cells double every round
+    monkeypatch.setattr(sp, "_MAX_FRONTIER", 256)
+    with pytest.raises(InsufficientPrecision, match=r"\[33460\.0, 33462\.0\]"):
+        sp.sandwich_report(cf.SQRT2, [33461])
