@@ -3,12 +3,19 @@
 T_{t,alpha} = M diag(e^{it}, e^{i alpha t}) + I with M = (1/2)[[1,1],[1,1]],
 det T = 1 + (e^{it} + e^{i alpha t})/2. The auxiliary functions are
 h(t) = |2 + e^{i pi t} + e^{i pi alpha t}| and g(t) = h(t/pi)/2 = |det T_t|.
-Infima of h and suprema of ||T_t^{-1}|| are bracketed by level-synchronous
-branch-and-bound: each round bounds the whole surviving frontier with one
-call of the float kernel ``intervals.cos_sin``, and sends to the mpmath
-interval evaluation only what that kernel's own rounding pad cannot decide.
-Every float a bracket reports is rounded outward, so every reported
-lower/upper pair is certified.
+
+Suprema of ||T_t^{-1}|| (``growth_curve``) and infima of h
+(``sandwich_report``, ``inf_h_interval``) are bracketed by one
+branch-and-bound engine (``_Engine``). It holds the cells of every window
+(interval of t) of a call in flat arrays, centre, radius and window
+index, so a whole eta ladder or sandwich sweep is one frontier. Each round
+splits the open cells, bounds them with one call of the float kernel
+``intervals.cos_sin``, and sends to the mpmath interval evaluation only
+what that kernel's own rounding pad cannot decide. An objective (``_Sup``,
+``_Inf``) supplies the terms, the cell bound, the close rule, the mpmath
+fallback and how the windows' incumbents combine. Every float a bracket
+reports is rounded outward, so every reported lower/upper pair is
+certified.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from mpmath import iv
@@ -206,17 +214,13 @@ def _plus_up(x, m):
     return x + m + (np.abs(x) + m) * _REL
 
 
-def _scale(k) -> tuple[float, float, float]:
-    """(kf, own, width) for an interval constant k: |K - kf| <= own + width
-    for every K in k. ``width`` is k's radius, which an interval evaluation
-    pays too; ``own`` is the distance from its midpoint to the float kf."""
-    lo, hi = fraction_bounds(k)
+def _scale(lo: Fraction, hi: Fraction) -> tuple[float, float, float]:
+    """(kf, own, width) for a constant K in [lo, hi]: |K - kf| <= own + width.
+    ``width`` is the radius of [lo, hi], which an interval evaluation pays
+    too; ``own`` is the distance from its midpoint to the float kf."""
     mid = (lo + hi) / 2
     kf = float(mid)
     return kf, float_up(abs(mid - kf)), float_up((hi - lo) / 2)
-
-
-_EXACT = (1.0, 0.0, 0.0)
 
 
 def _phases(ts, scales):
@@ -226,104 +230,18 @@ def _phases(ts, scales):
     wid_sin), and a mask of the times at which some K t leaves the
     kernel's reduction range. The wid_ terms are what K's enclosure width
     alone costs, that is, what an interval evaluation pays too."""
-    at = np.abs(ts)
-    xs, errs, wides = [], [], []
-    for kf, own, wid in scales:
-        x = kf * ts
-        rnd = 0.0 if kf == 1.0 else 2.0**-52  # rounding of kf * t
-        xs.append(x)
-        errs.append((at * (own + wid) + np.abs(x) * rnd) * (1 + _REL))
-        wides.append(at * wid)
-    x = np.concatenate(xs)
-    parts = cos_sin(x, np.concatenate(errs))
-    n = len(ts)
-    out = []
-    for i, w in enumerate(wides):
-        c, s, pc, ps = (v[i * n:(i + 1) * n] for v in parts)
-        half = 0.5 * w * w
-        out.append((c, s, pc, ps, np.abs(s) * w + half, np.abs(c) * w + half))
-    oor = ~(np.abs(x) <= REDUCTION_RANGE).reshape(len(scales), n).all(axis=0)
-    return out, oor
+    k, own, wid = (np.array(v)[:, None] for v in zip(*scales))
+    at, x = np.abs(ts), k * ts
+    rnd = np.where(k == 1.0, 0.0, 2.0**-52)  # rounding of k t
+    err = (at * (own + wid) + np.abs(x) * rnd) * (1 + _REL)
+    c, s, pc, ps = (v.reshape(x.shape) for v in cos_sin(x.ravel(), err.ravel()))
+    w = at * wid
+    half = 0.5 * w * w
+    oor = ~(np.abs(x) <= REDUCTION_RANGE).all(axis=0)
+    return list(zip(c, s, pc, ps, np.abs(s) * w + half, np.abs(c) * w + half)), oor
 
 
-# A round bounds at most this many cells with one kernel call (unless its
-# frontier alone is larger). ``cos_sin`` costs a flat ~100 us from 4 to 64
-# elements (numpy's call overhead) and ~125 us at 256 (2-core Xeon,
-# CPython 3.11, numpy 2.4), so a small frontier is split several levels
-# down before it is bounded: the loops pay per round, not per cell. There,
-# 128, 256 and 512 gave the same sandwich bench times, and 128 the best
-# growth times with the fewest elements.
-_ROUND_CELLS = 128
-# A round that would bound more cells than this raises InsufficientPrecision
-# instead of exhausting memory: a round of n cells holds about 400 n bytes of
-# kernel temporaries. `phstab sandwich --surd 2 --odd-v 33461..33461`, whose
-# frontier doubles every round, peaks at 170 MB with 2^18, 279 MB with 2^19
-# and 495 MB with 2^20.
-_MAX_FRONTIER = 1 << 18
-
-
-def _check_frontier(n: int, what: str) -> None:
-    if n > _MAX_FRONTIER:
-        raise InsufficientPrecision(
-            f"{what}: the branch-and-bound frontier reached {n} cells, past "
-            f"the cap of {_MAX_FRONTIER}; float time cannot resolve it")
-
-
-def _depth(own, wid, centred, back):
-    """Levels each cell may be split in one round: about as many as keep
-    the kernel's own rounding below the rest of its bound's slack (halving
-    a cell about halves the slack), and one for a cell whose bound needed
-    the mpmath evaluation, so that a round sends no more descendants there
-    than a one-level split does."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.fmax(np.floor(np.log2(centred / (own - wid))), 1.0)
-    # own <= wid: the kernel's own rounding never blocks the decision
-    return np.where(back, 1.0, np.where(own > wid, k, np.inf))
-
-
-def _descend(c, r, depth, floor=None):
-    """Descendants of the cells (c, r), k >= 1 levels down, with their
-    inherited ``depth``.
-
-    Each level halves by c -/+ r/2, the same rounded operations as a
-    one-level split, so the radius inflation ``rb`` of the visits covers
-    every level. A level is taken only while the cell count stays at most
-    ``_ROUND_CELLS`` (the first always), and halves only the cells whose
-    ``depth`` exceeds it. With ``floor``, a cell whose radius is below
-    floor(centre) is not halved; no level is taken once no cell can be
-    halved."""
-    level = 0
-    while True:
-        halve = depth > level
-        if floor is not None:
-            halve &= r >= floor(c)
-        n = int(np.count_nonzero(halve))
-        if not n or (level and c.size + n > _ROUND_CELLS):
-            return c, r, depth
-        if n == c.size:  # the usual case, without the masking
-            r = r / 2
-            c, r, depth = (np.concatenate([c - r, c + r]), np.concatenate([r, r]),
-                           np.concatenate([depth, depth]))
-        else:
-            cs, rs, ds = c[halve], r[halve] / 2, depth[halve]
-            c = np.concatenate([c[~halve], cs - rs, cs + rs])
-            r = np.concatenate([r[~halve], rs, rs])
-            depth = np.concatenate([depth[~halve], ds, ds])
-        level += 1
-
-
-# -- certified infimum of h ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CertifiedInf:
-    a: float
-    b: float
-    lower: float
-    upper: float
-    witness: float
-    grid_step: float
-    bits: int
+# -- the terms of the two objectives ---------------------------------------
 
 
 def _h_terms(ph, sa):
@@ -364,128 +282,6 @@ def _h_terms_mp(ev: HEvaluator, c: float, av):
     wp = ComplexIv(-iv.pi * (e1.im + av * e2.im), iv.pi * (e1.re + av * e2.re))
     f, fp = w.abs2(), 2 * (w.conj() * wp).re
     return max(float_down(f), 0.0), float_up(f), float_up(abs(fp))
-
-
-def inf_h_interval(
-    alpha: IrrationalSpec, a: float, b: float, tol: float = 1e-6, bits: int = 128
-) -> CertifiedInf:
-    """Bracket inf_{t in [a,b]} h(t) to within tol.
-
-    Branch-and-bound on F = h^2 with the second-order midpoint bound
-    F(t) >= F(c) - |F'(c)| r - L2 r^2 / 2 on |t - c| <= r, where
-    L2 >= sup |F''| = 2 pi^2 ((1+alpha)^2 + 4 (1+alpha^2)).
-
-    Level-synchronous: each round visits the descendants k levels down of
-    every open cell (point bound at each descendant's centre plus its cell
-    bound) with one ``cos_sin`` call; k >= 1 comes from the frontier size
-    (see ``_descend``), and a cell whose last visit went to mpmath, or
-    whose slack would fall below the kernel's own rounding, is split fewer
-    levels (see ``_depth``). A cell is closed when pruned (bound >= the best
-    upper bound) or done (sqrt(best) - sqrt(bound) <= tol, rounded
-    outward). A visit goes to the mpmath evaluation when an argument leaves
-    the kernel's reduction range, or when its cell stays open and the
-    kernel's own rounding is the larger part of the bound's slack, so that
-    splitting cannot close it. Alpha's enclosure width counts with the
-    slack: the mpmath evaluation pays it too.
-    """
-    if not b > a:
-        raise OutOfRange(f"degenerate interval [{a}, {b}]")
-    if tol <= 0:
-        raise OutOfRange("tol must be positive")
-    ev = HEvaluator(alpha)
-    work = _bits_for(max(abs(a), abs(b), 1.0), bits)
-    with workprec(work):
-        av = ev.alpha_at(work)
-        a_hi = float_up(av)
-        l2 = 2 * math.pi**2 * ((1 + a_hi) ** 2 + 4 * (1 + a_hi**2)) * 1.0000001
-        s_pi, s_pia = _scale(iv.pi), _scale(iv.pi * av)
-        sa = _scale(av)
-
-        best_up = math.inf  # least certified upper bound on F at a point
-        witness = a
-
-        def is_open(lb, bu):
-            return (lb < bu) & (_sqrt_up(bu) - _sqrt_down(np.maximum(lb, 0.0)) > tol)
-
-        def visit(cs, rs):
-            """Cell lower bounds and depths, updating best_up from the
-            centres."""
-            nonlocal best_up, witness
-            ph, oor = _phases(cs, (s_pi, s_pia))
-            rb = rs + (np.abs(cs) + rs) * 2.0**-52  # covers rounded centres
-            f_lo, f_up, speed, own, wid = _h_terms(ph, sa)
-            centred = speed * rb + 0.5 * l2 * rb * rb
-            lb = _minus_down(f_lo, centred)
-            if f_up.size and f_up.min() < best_up:
-                i = int(np.argmin(f_up))
-                best_up, witness = float(f_up[i]), float(cs[i])
-            back = oor | (is_open(lb, best_up) & (own >= wid + centred))
-            for i in np.flatnonzero(back):
-                f_lo_i, f_up_i, speed_i = _h_terms_mp(ev, float(cs[i]), av)
-                lb[i] = _minus_down(f_lo_i, speed_i * rb[i] + 0.5 * l2 * rb[i] ** 2)
-                if f_up_i < best_up:
-                    best_up, witness = f_up_i, float(cs[i])
-            return lb, _depth(own, wid, centred, back)
-
-        c0 = (a + b) / 2
-        # A few extra seeds (radius 0) so best_up starts realistic.
-        seeds = np.linspace(a, b, 17)
-        lb, depth = visit(np.append(c0, seeds), np.append(b - c0, np.zeros(17)))
-        c, r, lb, depth = np.array([c0]), np.array([b - c0]), lb[:1], depth[:1]
-        finest = (b - a) / 2
-        done_lo = math.inf
-        while c.size:
-            live = lb < best_up
-            opened = is_open(lb, best_up)
-            done = live & ~opened
-            if done.any():
-                done_lo = min(done_lo, float(lb[done].min()))
-            c, r, depth = _descend(c[opened], r[opened], depth[opened])
-            if not c.size:
-                break
-            _check_frontier(c.size, f"inf of h on [{a}, {b}]")
-            finest = min(finest, float(r.min()))
-            lb, depth = visit(c, r)
-        lower = min(done_lo, best_up)
-
-        return CertifiedInf(
-            a=a,
-            b=b,
-            lower=float(_sqrt_down(max(lower, 0.0))),
-            upper=float(_sqrt_up(best_up)),
-            witness=witness,
-            grid_step=finest,
-            bits=work,
-        )
-
-
-# -- growth curve ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GrowthPoint:
-    """``upper_parked``: m_upper came from cells parked at the subdivision
-    floor, so it is certified but may sit more than tol above m_lower."""
-
-    eta: float
-    m_lower: float
-    m_upper: float
-    witness: float
-    upper_parked: bool = False
-
-
-@dataclass(frozen=True)
-class GrowthCurve:
-    alpha_json: dict
-    tol: float
-    bits: int
-    points: tuple
-
-    def to_csv(self) -> str:
-        lines = ["eta,m_lower,m_upper"]
-        for p in self.points:
-            lines.append(f"{p.eta!r},{p.m_lower!r},{p.m_upper!r}")
-        return "\n".join(lines) + "\n"
 
 
 _MIN_CELL = 1e-13
@@ -548,133 +344,330 @@ def _sup_terms_mp(c: float, av):
             float_down(frob2), min(float_up(frob2), 5.0), float_up(abs(dfrob2)))
 
 
-def _sup_inv_norm(ev, av, a: float, b: float, tol: float, seed: float):
-    """Bracket sup_{t in [a,b]} ||T_t^{-1}|| to relative width tol, unless
-    parked cells hold the bound: returns (lower, upper, witness, parked).
+# -- one branch-and-bound engine for every window of a call -----------------
 
-    Cell bounds use the centered form v(c) +/- (|v'(c)| r + L r^2 / 2) for
+# A round bounds at most this many cells with one kernel call (unless its
+# frontier alone is larger): ``cos_sin`` costs a flat ~100 us from 4 to 64
+# elements and ~125 us at 256 (2-core Xeon, CPython 3.11, numpy 2.4), so a
+# small frontier is split several levels down first. 128, 256 and 512 gave
+# the same sandwich bench times, 128 the best growth times.
+_ROUND_CELLS = 128
+# Past this many cells a round raises InsufficientPrecision instead of
+# exhausting memory (about 400 bytes of kernel temporaries per cell): the
+# frontier of `phstab sandwich --surd 2 --odd-v 33461..33461` doubles every
+# round, and peaks at 170 MB with 2^18, 279 MB with 2^19, 495 MB with 2^20.
+_MAX_FRONTIER = 1 << 18
+
+
+def _depth(own, wid, centred, back):
+    """Levels each cell may be split in one round: about as many as keep
+    the kernel's own rounding below the rest of its bound's slack (halving
+    a cell about halves the slack), and one for a cell whose bound needed
+    the mpmath evaluation, so that a round sends no more descendants there
+    than a one-level split does."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.fmax(np.floor(np.log2(centred / (own - wid))), 1.0)
+    # own <= wid: the kernel's own rounding never blocks the decision
+    return np.where(back, 1.0, np.where(own > wid, k, np.inf))
+
+
+def _split(c, r, w, depth, floor=None):
+    """Descendants of the cells (c, r) of windows w, in one step: cell i
+    becomes 2^k cells of radius r 2^-k centred at c + ((2j+1) 2^-k - 1) r,
+    j < 2^k, with k = min(L, lim_i). L is the most levels whose cells fit
+    in ``_ROUND_CELLS`` (at least 1); lim_i is the cell's ``depth``, with
+    ``floor`` at most as many as keep each radius it halves at least
+    floor(c) (none for a root already below), and 1 if |c| < 2 r. Radii
+    and offsets are exact, so a centre is off by at most
+    2^-53 (|c'| + |c' - c|), one rounded product and sum; the visits'
+    inflation 2^-52 (|c'| + r') covers that when |c' - c| < r <= |c'|, as
+    |c| >= 2 r ensures. One level (c -/+ r/2) has only the sum's error."""
+    lim = depth if floor is None else np.minimum(
+        depth, np.maximum(np.floor(np.log2(r / floor(c))) + 1, 0.0))
+    lim = np.where(np.abs(c) >= 2 * r, lim, np.minimum(lim, 1.0))
+    uniform = max(1, (_ROUND_CELLS // c.size).bit_length() - 1)
+    low = lim.min()
+    levels = max(1, int(min(low, uniform)))
+    top = lim.max() if low < uniform else levels
+    while levels < top and np.exp2(np.minimum(lim, levels + 1)).sum() <= _ROUND_CELLS:
+        levels += 1
+    if low >= levels:  # the usual case: every cell takes the same levels
+        m = 1 << levels
+        kids = c[:, None] + (np.arange(1 - m, m, 2) / m) * r[:, None]
+        return kids.ravel(), np.repeat(r / m, m), np.repeat(w, m)
+    m = np.exp2(np.minimum(lim, levels))
+    counts = m.astype(np.intp)
+    i = np.repeat(np.arange(c.size), counts)
+    j = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return c[i] + ((2 * j + 1) / m[i] - 1) * r[i], r[i] / m[i], w[i]
+
+
+def _improve(best, witness, vals, ts, w, reduce):
+    """Move each window's incumbent best[k] and its witness to the ``reduce``
+    (np.maximum or np.minimum) of its points' vals where strictly better."""
+    new = best.copy()
+    reduce.at(new, w, vals)
+    hit = (new != best)[w] & (vals == new[w])
+    best[w[hit]] = vals[hit]  # tied points write the same value
+    witness[w[hit]] = ts[hit]
+
+
+class _Engine:
+    """One branch-and-bound run over the windows [a, b] of one alpha.
+
+    Per window it holds tol, the incumbent (a point value) and its witness;
+    the frontier is flat arrays of centres, radii, depths and windows,
+    starting from the ``roots``. Each round of ``run`` splits the open
+    cells of all windows (a root whose arguments leave the reduction range
+    one level, any other as many as its last visit allows), bounds them
+    and the points at their centres (and the ``seeds``, in the first
+    round) with one ``_phases`` call, and keeps what ``close`` leaves open.
+    Past ``_MAX_FRONTIER`` cells it raises InsufficientPrecision naming the
+    window with the most cells. A subclass is the objective: kernel
+    ``scales``, ``floor``, ``visit`` (terms, cell bounds, mpmath fallback)
+    and ``close``."""
+
+    floor = None
+    seeds = np.zeros(0), np.zeros(0, dtype=np.intp)
+
+    def __init__(self, alpha: IrrationalSpec, ball: RealBall, windows, tol, init):
+        self.ev, self.ball, self.windows = HEvaluator(alpha), ball, windows
+        self.sa = _scale(ball.lower, ball.upper)
+        self.tol = np.asarray(tol, dtype=float)
+        self.best = np.full(len(windows), init)
+        self.witness = np.array([a for a, _ in windows], dtype=float)
+
+    @cached_property
+    def av(self):
+        """alpha's mpmath enclosure, built at the first visit that falls back."""
+        return iv_hull(self.ball.lower, self.ball.upper)
+
+    def run(self) -> None:
+        c, r, w = self.roots
+        reach = max(abs(k) for k, _, _ in self.scales)
+        depth = np.where((np.abs(c) + r) * reach > REDUCTION_RANGE, 1.0, np.inf)
+        pts, pts_w = self.seeds
+        while c.size:
+            c, r, w = _split(c, r, w, depth, self.floor)
+            if c.size > _MAX_FRONTIER:
+                a, b = self.windows[np.bincount(w).argmax()]
+                raise InsufficientPrecision(
+                    f"{self.what} on [{a}, {b}]: the branch-and-bound frontier "
+                    f"reached {c.size} cells, past the cap of {_MAX_FRONTIER}; "
+                    "float time cannot resolve it")
+            ts, rs, ws = (np.concatenate(x) for x in
+                          ((c, pts), (r, np.zeros(pts.size)), (w, pts_w)))
+            pts, pts_w = pts[:0], pts_w[:0]
+            ph, oor = _phases(ts, self.scales)
+            rb = rs + (np.abs(ts) + rs) * 2.0**-52  # covers rounded centres
+            bound, depth = self.visit(ts, rs, rb, ws, c.size, ph, oor)
+            keep = self.close(c, r, w, bound)
+            c, r, w, depth = c[keep], r[keep], w[keep], depth[keep]
+
+
+class _Sup(_Engine):
+    """sup ||T_t^{-1}|| over consecutive segments of [0, eta_max].
+
+    Cell bounds use the centred form v(c) +/- (|v'(c)| r + L r^2 / 2) for
     v = |det|^2 = 3/2 + cos t + cos(alpha t) + cos((1-alpha) t)/2 and for
-    the squared Frobenius norm F = 3 + cos t + cos(alpha t); then
-    ||T^{-1}||^2 = sigma_max^2 / |det|^2 with
-    sigma_max^2 = (F + sqrt(F^2 - 4 |det|^2)) / 2.
-    The centered form prunes geometrically near resonances, where naive
-    interval extension would need O(|det|^-2) many cells.
-
-    Level-synchronous: each round takes every cell whose bound exceeds the
-    incumbent times (1 + tol), bounds the norm at all their centres and
-    the descendants k levels down of each with one ``cos_sin`` call; k >= 1
-    comes from the frontier size and is capped per cell as in
-    ``inf_h_interval``. No cell is halved below the parking floor: a live
-    cell there is parked, and its bound can become the segment's upper
-    bound (reported as ``parked``). A point or cell goes
-    to the mpmath evaluation when an argument leaves the kernel's reduction
-    range, or when the kernel's own rounding blocks the decision: a point
-    that might raise the incumbent, whose float bracket is wider than
-    tol/4, and whose |det|^2 error is mostly the kernel's own; a cell whose
-    bound exceeds the threshold and whose |det|^2 error is mostly the
-    kernel's own, so that splitting cannot prune it. Alpha's enclosure
-    width never counts as the kernel's own: the mpmath evaluation pays it
-    too.
+    F = ||T||_F^2 = 3 + cos t + cos(alpha t), with ||T^{-1}||^2 =
+    (F + sqrt(F^2 - 4 |det|^2)) / (2 |det|^2); near resonances it prunes
+    geometrically, where naive interval extension needs O(|det|^-2) cells.
+    Window k's incumbent is the best point of windows <= k (m(eta_k) is
+    the sup over all of them); a cell closes once its bound is at most that
+    times (1 + tol), and is parked, its bound kept, below the floor. The
+    mpmath evaluation takes what leaves the reduction range, and what the
+    kernel's own rounding (not alpha's width, which mpmath pays too) blocks:
+    a point that might raise the incumbent, with a float bracket wider than
+    tol/4 and a |det|^2 error mostly the kernel's own; a cell above the
+    threshold whose |det|^2 error is mostly the kernel's own.
     """
-    sa, sb = _scale(av), _scale(1 - av)
-    scales = (_EXACT, sa, sb)
-    af, bf = sa[0], sb[0]
-    l2_det = (1 + af * af + bf * bf / 2) * 1.01  # >= sup |(|det|^2)''|
-    l2_frob = (1 + af * af) * 1.01  # >= sup |F''|
-    # Below this cell radius the alpha enclosure, not the cell width,
-    # dominates the bound slack; further subdivision cannot help.
-    a_err = sa[2]
 
-    def floor(c):
-        """Parking floor: a live cell below it is not halved."""
-        return np.maximum(1e-13, 4 * a_err * (np.abs(c) + 1))
+    what = "sup of ||T_t^-1||"
 
-    best_lo = seed
-    witness = a
-    stuck_up = 0.0  # certified upper over cells parked at the floor
+    def __init__(self, alpha, ball, windows, tol):
+        super().__init__(alpha, ball, windows, tol, 1.0)  # ||T_0^{-1}|| = 1
+        self.sb = _scale(1 - ball.upper, 1 - ball.lower)
+        self.scales = ((1.0, 0.0, 0.0), self.sa, self.sb)
+        af, bf = self.sa[0], self.sb[0]
+        self.l2_det = (1 + af * af + bf * bf / 2) * 1.01  # >= sup |(|det|^2)''|
+        self.l2_frob = (1 + af * af) * 1.01  # >= sup |F''|
+        self.stuck = np.zeros(len(windows))  # certified bound over parked cells
+        # root cells of width 2 (the last of a window shorter): the first
+        # round bounds cells of width <= 1
+        edges = [np.append(np.arange(a, b, 2.0), b) for a, b in windows]
+        self.roots = (np.concatenate([(e[1:] + e[:-1]) / 2 for e in edges]),
+                      np.concatenate([(e[1:] - e[:-1]) / 2 for e in edges]),
+                      np.repeat(np.arange(len(edges)), [e.size - 1 for e in edges]))
 
-    def cell_up(terms, rb):
+    def floor(self, c):
+        """Below this radius alpha's enclosure dominates the slack."""
+        return np.maximum(_MIN_CELL, 4 * self.sa[2] * (np.abs(c) + 1))
+
+    def incumbent(self, w):
+        return np.maximum.accumulate(self.best)[w]
+
+    def _cell_up(self, terms, rb):
         d_lo, _, dd, _, f_up, df = terms
-        d_cell = _minus_down(d_lo, dd * rb + 0.5 * l2_det * rb * rb)
-        f_cell = np.minimum(_plus_up(f_up, df * rb + 0.5 * l2_frob * rb * rb), 5.0)
+        d_cell = _minus_down(d_lo, dd * rb + 0.5 * self.l2_det * rb * rb)
+        f_cell = np.minimum(_plus_up(f_up, df * rb + 0.5 * self.l2_frob * rb * rb), 5.0)
         return _norm_up(d_cell, f_cell)
 
-    def evaluate(pts, cs, rs):
-        """Raise the incumbent from the points; return upper bounds on the
-        cells (cs, rs) and their depths."""
-        nonlocal best_lo, witness
-        n = len(pts)
-        ts = np.concatenate([pts, cs])
-        ph, oor = _phases(ts, scales)
-        terms, own, wid = _sup_terms(ph, sa, sb)
-
-        lo = _norm_lo(terms[1][:n], terms[3][:n])
-        up = _norm_up(terms[0][:n], terms[4][:n])
-        wide = up > lo * (1 + tol / 4)
-        back = (up > best_lo) & (oor[:n] | (wide & (own[:n] >= wid[:n])))
+    def visit(self, ts, rs, rb, w, n, ph, oor):
+        """Raise the incumbents; upper bounds and depths of the n cells."""
+        terms, own, wid = _sup_terms(ph, self.sa, self.sb)
+        tol = self.tol[w]
+        lo = _norm_lo(terms[1], terms[3])
+        up = _norm_up(terms[0], terms[4])
+        back = (up > self.incumbent(w)) & (oor | ((up > lo * (1 + tol / 4)) & (own >= wid)))
         for i in np.flatnonzero(back):
-            lo[i] = float_down(ev.inv_norm_iv(iv.mpf(float(pts[i])), av))
-        if n and lo.max() > best_lo:
-            i = int(np.argmax(lo))
-            best_lo, witness = float(lo[i]), float(pts[i])
+            lo[i] = float_down(self.ev.inv_norm_iv(iv.mpf(float(ts[i])), self.av))
+        _improve(self.best, self.witness, lo, ts, w, np.maximum)
 
-        # Centres are rounded floats: the radius covers the rounding.
-        rb = rs + (np.abs(cs) + rs) * 2.0**-52
-        cell = [x[n:] for x in terms]
-        ub = cell_up(cell, rb)
-        centred = cell[2] * rb + 0.5 * l2_det * rb * rb
-        back = (ub > best_lo * (1 + tol)) & (
-            oor[n:] | (own[n:] >= wid[n:] + centred)
-            | ((rs < _MIN_CELL) & np.isinf(ub)))
+        cell, rb, own, wid = [x[:n] for x in terms], rb[:n], own[:n], wid[:n]
+        ub = self._cell_up(cell, rb)
+        centred = cell[2] * rb + 0.5 * self.l2_det * rb * rb
+        back = (ub > self.incumbent(w[:n]) * (1 + tol[:n])) & (
+            oor[:n] | (own >= wid + centred) | ((rs[:n] < _MIN_CELL) & np.isinf(ub)))
         for i in np.flatnonzero(back):
-            ub[i] = cell_up(_sup_terms_mp(float(cs[i]), av), rb[i])
+            ub[i] = self._cell_up(_sup_terms_mp(float(ts[i]), self.av), rb[i])
             if np.isinf(ub[i]) and rs[i] < _MIN_CELL:
                 raise SingularMatrix(
-                    f"det enclosure contains 0 near t={cs[i]} (cell radius {rs[i]})"
-                )
-        return ub, _depth(own[n:], wid[n:], centred, back)
+                    f"det enclosure contains 0 near t={ts[i]} (cell radius {rs[i]})")
+        return ub, _depth(own, wid, centred, back)
 
-    # Float prescan seeds the incumbent near the true maximizer.
-    grid = np.linspace(a, b, max(64, int((b - a) * 64)) + 1)
-    ct, ca = np.cos(grid), np.cos(af * grid)
-    det2g = np.maximum(1.5 + ct + ca + 0.5 * np.cos(bf * grid), 1e-300)
-    frob2g = 3.0 + ct + ca
-    nvals = np.sqrt(
-        (frob2g + np.sqrt(np.maximum(frob2g**2 - 4 * det2g, 0.0))) / (2 * det2g)
-    )
-    top = grid[np.argsort(nvals)[-4:]]
+    def close(self, c, r, w, ub):
+        """The cells that stay open; parked ones raise their window's bound."""
+        live = ub > self.incumbent(w) * (1 + self.tol[w])
+        park = live & (r < self.floor(c))
+        np.maximum.at(self.stuck, w[park], ub[park])
+        return live & ~park
 
-    step = min(1.0, b - a)
-    cs, rs = [], []
-    x = a
-    while x < b:
-        y = min(x + step, b)
-        cs.append((x + y) / 2)
-        rs.append((y - x) / 2)
-        x = y
-    c, r = np.array(cs), np.array(rs)
-    ub, depth = evaluate(top, c, r)
 
-    # Cells are dropped only once their upper bound is at most the current
-    # incumbent times (1 + tol), and the incumbent never decreases, so on
-    # exit best_lo * (1 + tol) is a certified upper bound for the segment.
-    while True:
-        live = ub > best_lo * (1 + tol)
-        c, r, ub, depth = c[live], r[live], ub[live], depth[live]
-        if not c.size:
-            break
-        park = r < floor(c)
-        cc, rr, _ = _descend(c[~park], r[~park], depth[~park], floor)
-        _check_frontier(cc.size, f"sup of ||T_t^-1|| on [{a}, {b}]")
-        ub_next, depth = evaluate(c, cc, rr)
-        parked = ub[park]
-        parked = parked[parked > best_lo * (1 + tol)]
-        if parked.size:
-            stuck_up = max(stuck_up, float(parked.max()))
-        c, r, ub = cc, rr, ub_next
+class _Inf(_Engine):
+    """inf h over each window to its tol, from its own incumbent (seeded at
+    17 points). The cell bound on F = h^2 is the second-order midpoint bound
+    F(t) >= F(c) - |F'(c)| r - L2 r^2 / 2 on |t - c| <= r, where
+    L2 >= sup |F''| = 2 pi^2 ((1+alpha)^2 + 4 (1+alpha^2)). A cell closes
+    when pruned (bound >= the window's least F at a point) or done
+    (sqrt(best) - sqrt(bound) <= tol, rounded outward). A visit goes to the
+    mpmath evaluation when an argument leaves the reduction range, or when
+    its cell stays open and the kernel's own rounding is the larger part of
+    the bound's slack (alpha's enclosure width counts with the slack).
+    """
 
-    parked = stuck_up > best_lo * (1 + tol)
-    return best_lo, max(best_lo * (1 + tol), stuck_up), witness, parked
+    what = "inf of h"
+
+    def __init__(self, alpha, ball, windows, tol):
+        super().__init__(alpha, ball, windows, tol, math.inf)
+        lo, hi = ball.lower, ball.upper
+        p_lo, p_hi = fraction_bounds(iv.pi)
+        prods = (p_lo * lo, p_lo * hi, p_hi * lo, p_hi * hi)
+        self.scales = (_scale(p_lo, p_hi), _scale(min(prods), max(prods)))
+        a_abs = float_up(max(abs(lo), abs(hi)))
+        self.l2 = 2 * math.pi**2 * ((1 + a_abs) ** 2 + 4 * (1 + a_abs**2)) * 1.0000001
+        self.done_lo = np.full(len(windows), math.inf)
+        a, b = np.array(windows, dtype=float).T
+        c0 = (a + b) / 2
+        self.finest, self.roots = b - c0, (c0, b - c0, np.arange(len(windows)))
+        self.seeds = (np.linspace(a, b, 17, axis=-1).ravel(),
+                      np.repeat(np.arange(len(windows)), 17))
+
+    def _open(self, lb, w):
+        bu = self.best[w]
+        return (lb < bu) & (_sqrt_up(bu) - _sqrt_down(np.maximum(lb, 0.0)) > self.tol[w])
+
+    def visit(self, ts, rs, rb, w, n, ph, oor):
+        """Lower the incumbents; lower bounds and depths of the n cells."""
+        f_lo, f_up, speed, own, wid = _h_terms(ph, self.sa)
+        centred = speed * rb + 0.5 * self.l2 * rb * rb
+        lb = _minus_down(f_lo, centred)
+        _improve(self.best, self.witness, f_up, ts, w, np.minimum)
+        back = oor | (self._open(lb, w) & (own >= wid + centred))
+        for i in np.flatnonzero(back):
+            f_lo_i, f_up_i, speed_i = _h_terms_mp(self.ev, float(ts[i]), self.av)
+            lb[i] = _minus_down(f_lo_i, speed_i * rb[i] + 0.5 * self.l2 * rb[i] ** 2)
+            if f_up_i < self.best[w[i]]:
+                self.best[w[i]], self.witness[w[i]] = f_up_i, ts[i]
+        np.minimum.at(self.finest, w[:n], rs[:n])
+        return lb[:n], _depth(own[:n], wid[:n], centred[:n], back[:n])
+
+    def close(self, c, r, w, lb):
+        """The cells that stay open; done ones lower their window's bound."""
+        opened = self._open(lb, w)
+        done = (lb < self.best[w]) & ~opened
+        np.minimum.at(self.done_lo, w[done], lb[done])
+        return opened
+
+
+# -- certified infimum of h ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CertifiedInf:
+    a: float
+    b: float
+    lower: float
+    upper: float
+    witness: float
+    grid_step: float
+    bits: int
+
+
+def _inf_windows(alpha: IrrationalSpec, windows, tols, bits: int):
+    """Certified infima of h over each window [a, b] to its tol, from one
+    engine run, and the alpha enclosure they used."""
+    if any(not tol > 0 for tol in tols):
+        raise OutOfRange("tol must be positive")
+    work = _bits_for(max(max(abs(a), abs(b)) for a, b in windows), bits)
+    ball, _ = best_enclosure(alpha, work)
+    with workprec(work):
+        inf = _Inf(alpha, ball, windows, tols)
+        inf.run()
+    lower = np.minimum(inf.done_lo, inf.best)
+    return [CertifiedInf(a, b, float(_sqrt_down(max(lower[k], 0.0))),
+                         float(_sqrt_up(inf.best[k])), float(inf.witness[k]),
+                         float(inf.finest[k]), work)
+            for k, (a, b) in enumerate(windows)], ball
+
+
+def inf_h_interval(
+    alpha: IrrationalSpec, a: float, b: float, tol: float = 1e-6, bits: int = 128
+) -> CertifiedInf:
+    """Bracket inf_{t in [a,b]} h(t) to within tol: a one-window run of the
+    branch-and-bound engine (see ``_Inf`` and ``_Engine``)."""
+    if not b > a:
+        raise OutOfRange(f"degenerate interval [{a}, {b}]")
+    return _inf_windows(alpha, [(a, b)], [tol], bits)[0][0]
+
+
+# -- growth curve ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GrowthPoint:
+    """``upper_parked``: m_upper came from cells parked at the subdivision
+    floor, so it is certified but may sit more than tol above m_lower."""
+
+    eta: float
+    m_lower: float
+    m_upper: float
+    witness: float
+    upper_parked: bool = False
+
+
+@dataclass(frozen=True)
+class GrowthCurve:
+    alpha_json: dict
+    tol: float
+    bits: int
+    points: tuple
+
+    def to_csv(self) -> str:
+        lines = ["eta,m_lower,m_upper"]
+        for p in self.points:
+            lines.append(f"{p.eta!r},{p.m_lower!r},{p.m_upper!r}")
+        return "\n".join(lines) + "\n"
 
 
 def growth_curve(
@@ -683,9 +676,9 @@ def growth_curve(
     """Bracket m_alpha(eta) = sup_{|t| <= eta} ||T_t^{-1}|| for each eta.
 
     Evenness of |det| and of the singular values under t -> -t reduces the
-    range to [0, eta]; the sup is accumulated segment by segment so the
-    monotone envelope is exact by construction.
-    """
+    range to [0, eta]. The segments between consecutive etas are the
+    windows of one engine run (``_Sup``), and the sup is accumulated over
+    them, so the monotone envelope is exact by construction."""
     etas = [float(e) for e in eta_list]
     if any(e <= 0 for e in etas) or any(
         e2 <= e1 for e1, e2 in zip(etas, etas[1:])
@@ -693,28 +686,23 @@ def growth_curve(
         raise OutOfRange("eta list must be positive and strictly increasing")
     if not tol > 0:  # with tol <= 0 no cell is ever dropped
         raise OutOfRange("tol must be positive")
-    ev = HEvaluator(alpha)
     work = _bits_for(max(etas), bits)
-    points = []
+    ball, _ = best_enclosure(alpha, work)
+    windows = list(zip([0.0] + etas[:-1], etas))
     with workprec(work):
-        av = ev.alpha_at(work)
-        run_lo, run_up, run_wit = 1.0, 1.0, 0.0  # ||T_0^{-1}|| = 1 exactly
-        run_parked = False
-        prev = 0.0
-        for eta in etas:
-            lo, up, wit, parked = _sup_inv_norm(ev, av, prev, eta, tol, seed=run_lo)
-            if lo > run_lo:
-                run_lo, run_wit = lo, wit
-            if up > run_up:
-                run_up, run_parked = up, parked
-            points.append(
-                GrowthPoint(eta=eta, m_lower=run_lo, m_upper=run_up,
-                            witness=run_wit, upper_parked=run_parked)
-            )
-            prev = eta
-    return GrowthCurve(
-        alpha_json=alpha.to_json(), tol=tol, bits=work, points=tuple(points)
-    )
+        sup = _Sup(alpha, ball, windows, [tol] * len(windows))
+        sup.run()
+    inc = np.maximum.accumulate(sup.best)
+    ups = np.maximum(inc * (1 + tol), sup.stuck)
+    points = []
+    run_lo, run_up, run_wit, run_parked = 1.0, 1.0, 0.0, False  # ||T_0^{-1}|| = 1
+    for k, eta in enumerate(etas):
+        if sup.best[k] > run_lo:
+            run_lo, run_wit = float(sup.best[k]), float(sup.witness[k])
+        if ups[k] > run_up:
+            run_up, run_parked = float(ups[k]), bool(sup.stuck[k] > inc[k] * (1 + tol))
+        points.append(GrowthPoint(eta, run_lo, run_up, run_wit, run_parked))
+    return GrowthCurve(alpha.to_json(), tol, work, tuple(points))
 
 
 # -- odd/odd sandwich ------------------------------------------------------
@@ -734,50 +722,46 @@ class SandwichReport:
     upper_ok: bool
 
 
+def _sandwich_constant(ball: RealBall) -> float:
+    """36 pi^2 / min{(1+alpha)^2, 1} rounded up, for every alpha in ball."""
+    lo, hi = 1 + ball.lower, 1 + ball.upper
+    sq = min(lo * lo, hi * hi) if lo > 0 or hi < 0 else 0
+    if not sq:
+        return math.inf
+    with workprec(96):
+        pi_hi = fraction_bounds(iv.pi)[1]
+    return float_up(36 * pi_hi * pi_hi / min(sq, 1))
+
+
 def sandwich_constant(alpha: IrrationalSpec) -> float:
     """36 pi^2 / min{(1+alpha)^2, 1} rounded up."""
-    ev = HEvaluator(alpha)
-    with workprec(96):
-        a = ev.alpha_at(96)
-        one_plus = (1 + a) * (1 + a)
-        denom = one_plus.a if one_plus.a < 1 else iv.mpf(1)
-        return float_up(36 * iv.pi * iv.pi / denom)
+    return _sandwich_constant(best_enclosure(alpha, 96)[0])
 
 
 def sandwich_report(
     alpha: IrrationalSpec, odd_v_list, tol: float = 1e-6, bits: int = 128
 ) -> list[SandwichReport]:
-    """Per odd v: min odd dist, certified inf of h on [v-1, v+1], ratios."""
-    const = sandwich_constant(alpha)
-    out = []
-    for v in odd_v_list:
-        v = int(v)
+    """Per odd v: min odd dist, certified inf of h on [v-1, v+1], ratios.
+    The windows of all v share one engine call and one alpha enclosure,
+    which also gives the sandwich constant."""
+    vs = [int(v) for v in odd_v_list]
+    for v in vs:
         if v <= 0 or v % 2 == 0:
             raise OutOfRange(f"v={v} is not a positive odd integer")
-        u, dist = min_odd_dist(alpha, v, bits=bits)
-        d_lo, d_up = float_down(dist.lower), float_up(dist.upper)
-        # Near resonances inf h ~ dist^2 can sit far below an absolute tol,
-        # which would zero out the lower ratio; tighten proportionally.
-        tol_v = min(tol, d_lo * d_lo / 16)
-        ci = inf_h_interval(alpha, v - 1.0, v + 1.0, tol=tol_v, bits=bits)
-        ratio_lo = float(_down(ci.lower / _up(d_up * d_up)))
-        ratio_hi = float(_up(ci.upper / _down(d_lo * d_lo)))
-        upper_ok = ci.lower <= const * d_up * d_up + tol
-        out.append(
-            SandwichReport(
-                v=v,
-                u=u,
-                dist_lower=d_lo,
-                dist_upper=d_up,
-                inf_lower=ci.lower,
-                inf_upper=ci.upper,
-                ratio_lo=ratio_lo,
-                ratio_hi=ratio_hi,
-                constant=const,
-                upper_ok=upper_ok,
-            )
-        )
-    return out
+    if not vs:
+        return []
+    dists = [(u, float_down(d.lower), float_up(d.upper))
+             for u, d in (min_odd_dist(alpha, v, bits=bits) for v in vs)]
+    # Near resonances inf h ~ dist^2 can sit far below an absolute tol,
+    # which would zero out the lower ratio; tighten proportionally.
+    tols = [min(tol, d_lo * d_lo / 16) for _, d_lo, _ in dists]
+    infs, ball = _inf_windows(alpha, [(v - 1.0, v + 1.0) for v in vs], tols, bits)
+    const = _sandwich_constant(ball)
+    return [SandwichReport(v, u, d_lo, d_up, ci.lower, ci.upper,
+                           float(_down(ci.lower / _up(d_up * d_up))),
+                           float(_up(ci.upper / _down(d_lo * d_lo))),
+                           const, ci.lower <= const * d_up * d_up + tol)
+            for v, (u, d_lo, d_up), ci in zip(vs, dists, infs)]
 
 
 def sandwich_to_csv(reports: list[SandwichReport]) -> str:

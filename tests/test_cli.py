@@ -209,7 +209,7 @@ def test_sandwich_violation_exits_1(flags):
     code = (
         "import sys\n"
         "from phstab import cli, spectral\n"
-        "spectral.sandwich_constant = lambda alpha: 0.0\n"
+        "spectral._sandwich_constant = lambda ball: 0.0\n"
         "sys.exit(cli.main(['sandwich', '--surd', '2', '--odd-v', '1..3']))\n"
     )
     env = dict(os.environ, PYTHONPATH=_SRC)

@@ -259,12 +259,16 @@ def _count_kernel_calls(monkeypatch):
 
 
 def test_small_frontiers_split_several_levels_per_round(monkeypatch):
+    # one frontier for all windows of a call, split several levels per round
     calls = _count_kernel_calls(monkeypatch)
     sp.sandwich_report(cf.SQRT2, range(1, 200, 2))
-    assert len(calls) <= 600  # one level per round: 1,596 calls
+    assert len(calls) <= 100  # window by window: 408 calls
+    calls.clear()
+    sp.sandwich_report(cf.SQRT2, range(1, 1000, 2))
+    assert len(calls) <= 150  # window by window: 2,035 calls
     calls.clear()
     sp.growth_curve(cf.SQRT2, [5, 10, 50, 100])
-    assert len(calls) <= 30  # one level per round: 44 calls
+    assert len(calls) <= 10  # segment by segment: 16 calls
 
 
 def test_multilevel_rounds_agree_with_one_level_rounds(monkeypatch):
@@ -303,3 +307,65 @@ def test_frontier_cap_raises_instead_of_exhausting_memory(monkeypatch):
     monkeypatch.setattr(sp, "_MAX_FRONTIER", 256)
     with pytest.raises(InsufficientPrecision, match=r"\[33460\.0, 33462\.0\]"):
         sp.sandwich_report(cf.SQRT2, [33461])
+
+
+def test_one_run_over_many_windows_matches_one_window_runs():
+    etas = [5.0, 10.0, 50.0, 100.0]
+    for eta, p in zip(etas, sp.growth_curve(cf.SQRT2, etas).points):
+        (q,) = sp.growth_curve(cf.SQRT2, [eta]).points
+        assert p.m_lower <= q.m_upper and q.m_lower <= p.m_upper
+        assert not p.upper_parked and p.m_upper <= p.m_lower * (1 + 1e-3)
+    # resonant windows (odd/odd denominators 5, 29, 169, 985) among others
+    vs = [1, 3, 5, 29, 41, 169, 985, 1001]
+    for r in sp.sandwich_report(cf.SQRT2, vs):
+        (s,) = sp.sandwich_report(cf.SQRT2, [r.v])
+        assert (r.u, r.dist_lower, r.dist_upper) == (s.u, s.dist_lower, s.dist_upper)
+        assert r.inf_lower <= s.inf_upper and s.inf_lower <= r.inf_upper
+        tol_v = min(1e-6, r.dist_lower**2 / 16)
+        for x in (r, s):
+            assert x.inf_upper - x.inf_lower <= tol_v * (1 + 1e-9)
+            assert x.upper_ok
+
+
+def _covers(c, r, kids_c, kids_r):
+    """The children, with the visits' radius inflation 2^-52 (|c'| + r'),
+    cover [c - r, c + r] (exact arithmetic)."""
+    order = np.argsort(kids_c)
+    spans = []
+    for x, y in zip(kids_c[order], kids_r[order]):
+        x, y = Fraction(x), Fraction(y)
+        rb = y + (abs(x) + y) / 2**52
+        spans.append((x - rb, x + rb))
+    lo, hi = Fraction(c) - Fraction(r), Fraction(c) + Fraction(r)
+    if spans[0][0] > lo or spans[-1][1] < hi:
+        return False
+    return all(a1 <= b0 for (_, b0), (a1, _) in zip(spans, spans[1:]))
+
+
+def test_split_covers_every_cell_within_the_round_size():
+    rng = np.random.default_rng(7)
+    n = 24
+    r = rng.uniform(1e-9, 1.0, n) * rng.choice([1.0, 1e-6], n)
+    c = rng.uniform(-3e4, 3e4, n)
+    c[:3] = r[:3]  # cells touching 0
+    c[3] = 0.3 * r[3]  # a cell across 0
+    depth = rng.choice([1.0, 2.0, 3.0, 6.0, np.inf], n)
+    for m in (1, 2, 5, n):
+        kc, kr, kw = sp._split(c[:m], r[:m], np.arange(m), depth[:m])
+        assert kc.size <= max(sp._ROUND_CELLS, 2 * m)
+        for i in range(m):
+            mine = kw == i
+            levels = np.log2(r[i] / kr[mine])
+            assert np.all(levels == levels[0]) and 1 <= levels[0] <= depth[i]
+            if abs(c[i]) < 2 * r[i]:
+                assert levels[0] == 1
+            assert _covers(c[i], r[i], kc[mine], kr[mine])
+    # with a floor no radius is halved below it, and a cell already below
+    # it comes back whole (the visit then parks it)
+    kc, kr, _ = sp._split(np.array([10.0]), np.array([1.0]), np.array([0]),
+                          np.array([np.inf]), lambda c: np.full(c.shape, 0.1))
+    assert kr.min() >= 0.05 and kc.size == 16
+    kc, kr, kw = sp._split(np.array([10.0, 20.0]), np.array([1.0, 1.0]), np.arange(2),
+                           np.full(2, np.inf), lambda c: np.where(c > 15, 5.0, 0.1))
+    assert list(kc[kw == 1]) == [20.0] and list(kr[kw == 1]) == [1.0]
+    assert _covers(10.0, 1.0, kc[kw == 0], kr[kw == 0])
