@@ -352,10 +352,11 @@ def _sup_terms_mp(c: float, av):
 # small frontier is split several levels down first. 128, 256 and 512 gave
 # the same sandwich bench times, 128 the best growth times.
 _ROUND_CELLS = 128
-# Past this many cells a round raises InsufficientPrecision instead of
-# exhausting memory (about 400 bytes of kernel temporaries per cell): the
-# frontier of `phstab sandwich --surd 2 --odd-v 33461..33461` doubles every
-# round, and peaks at 170 MB with 2^18, 279 MB with 2^19, 495 MB with 2^20.
+# A round is bounded in slices of this many cells and points (~400 bytes of
+# kernel temporaries each), and a window that keeps more open after a round
+# (or more than its roots, if those are more) raises InsufficientPrecision:
+# at an unresolvable resonance, as in `phstab sandwich --surd 2 --odd-v
+# 33461..33461` (peak 186 MB), a window's open cells double every round.
 _MAX_FRONTIER = 1 << 18
 
 
@@ -391,7 +392,8 @@ def _split(c, r, w, depth, floor=None):
     top = lim.max() if low < uniform else levels
     while levels < top and np.exp2(np.minimum(lim, levels + 1)).sum() <= _ROUND_CELLS:
         levels += 1
-    if low >= levels:  # the usual case: every cell takes the same levels
+    if low >= levels:  # the general path's cells, by broadcast: 2 % off the
+        # growth and sandwich bench wall_s (6 pairs each, 2-core Xeon)
         m = 1 << levels
         kids = c[:, None] + (np.arange(1 - m, m, 2) / m) * r[:, None]
         return kids.ravel(), np.repeat(r / m, m), np.repeat(w, m)
@@ -421,11 +423,12 @@ class _Engine:
     cells of all windows (a root whose arguments leave the reduction range
     one level, any other as many as its last visit allows), bounds them
     and the points at their centres (and the ``seeds``, in the first
-    round) with one ``_phases`` call, and keeps what ``close`` leaves open.
-    Past ``_MAX_FRONTIER`` cells it raises InsufficientPrecision naming the
-    window with the most cells. A subclass is the objective: kernel
-    ``scales``, ``floor``, ``visit`` (terms, cell bounds, mpmath fallback)
-    and ``close``."""
+    round) with one ``_phases`` call per ``_MAX_FRONTIER`` of them, and
+    keeps what ``close`` leaves open (see ``_MAX_FRONTIER`` for the cap).
+    The windows share the rounds and the working precision, so a window's
+    bracket (within its tol) depends on the others. A subclass is the
+    objective: kernel ``scales``, ``floor``, ``visit`` (terms, cell bounds,
+    mpmath fallback) and ``close``."""
 
     floor = None
     seeds = np.zeros(0), np.zeros(0, dtype=np.intp)
@@ -447,22 +450,29 @@ class _Engine:
         reach = max(abs(k) for k, _, _ in self.scales)
         depth = np.where((np.abs(c) + r) * reach > REDUCTION_RANGE, 1.0, np.inf)
         pts, pts_w = self.seeds
+        room = np.maximum(np.bincount(w, minlength=len(self.windows)), _MAX_FRONTIER)
         while c.size:
             c, r, w = _split(c, r, w, depth, self.floor)
-            if c.size > _MAX_FRONTIER:
-                a, b = self.windows[np.bincount(w).argmax()]
-                raise InsufficientPrecision(
-                    f"{self.what} on [{a}, {b}]: the branch-and-bound frontier "
-                    f"reached {c.size} cells, past the cap of {_MAX_FRONTIER}; "
-                    "float time cannot resolve it")
             ts, rs, ws = (np.concatenate(x) for x in
                           ((c, pts), (r, np.zeros(pts.size)), (w, pts_w)))
             pts, pts_w = pts[:0], pts_w[:0]
-            ph, oor = _phases(ts, self.scales)
+            bound, depth = np.empty(c.size), np.empty(c.size)
             rb = rs + (np.abs(ts) + rs) * 2.0**-52  # covers rounded centres
-            bound, depth = self.visit(ts, rs, rb, ws, c.size, ph, oor)
+            for i in range(0, ts.size, _MAX_FRONTIER):
+                s = slice(i, i + _MAX_FRONTIER)
+                n = max(c.size - i, 0)  # the slice's cells come first
+                bound[s], depth[s] = self.visit(ts[s], rs[s], rb[s], ws[s], n,
+                                                *_phases(ts[s], self.scales))
             keep = self.close(c, r, w, bound)
             c, r, w, depth = c[keep], r[keep], w[keep], depth[keep]
+            held = np.bincount(w, minlength=room.size)
+            k = np.argmax(held - room)
+            if held[k] > room[k]:
+                a, b = self.windows[k]
+                raise InsufficientPrecision(
+                    f"{self.what} on [{a}, {b}]: {held[k]} cells stay open after "
+                    f"a round, past the cap of {room[k]}; float time cannot "
+                    "resolve this window")
 
 
 class _Sup(_Engine):
@@ -480,8 +490,7 @@ class _Sup(_Engine):
     kernel's own rounding (not alpha's width, which mpmath pays too) blocks:
     a point that might raise the incumbent, with a float bracket wider than
     tol/4 and a |det|^2 error mostly the kernel's own; a cell above the
-    threshold whose |det|^2 error is mostly the kernel's own.
-    """
+    threshold whose |det|^2 error is mostly the kernel's own."""
 
     what = "sup of ||T_t^-1||"
 
@@ -553,8 +562,7 @@ class _Inf(_Engine):
     (sqrt(best) - sqrt(bound) <= tol, rounded outward). A visit goes to the
     mpmath evaluation when an argument leaves the reduction range, or when
     its cell stays open and the kernel's own rounding is the larger part of
-    the bound's slack (alpha's enclosure width counts with the slack).
-    """
+    the bound's slack (alpha's enclosure width counts with the slack)."""
 
     what = "inf of h"
 
@@ -664,10 +672,8 @@ class GrowthCurve:
     points: tuple
 
     def to_csv(self) -> str:
-        lines = ["eta,m_lower,m_upper"]
-        for p in self.points:
-            lines.append(f"{p.eta!r},{p.m_lower!r},{p.m_upper!r}")
-        return "\n".join(lines) + "\n"
+        rows = [f"{p.eta!r},{p.m_lower!r},{p.m_upper!r}" for p in self.points]
+        return "\n".join(["eta,m_lower,m_upper", *rows]) + "\n"
 
 
 def growth_curve(
@@ -680,9 +686,7 @@ def growth_curve(
     windows of one engine run (``_Sup``), and the sup is accumulated over
     them, so the monotone envelope is exact by construction."""
     etas = [float(e) for e in eta_list]
-    if any(e <= 0 for e in etas) or any(
-        e2 <= e1 for e1, e2 in zip(etas, etas[1:])
-    ):
+    if any(e <= 0 for e in etas) or any(b <= a for a, b in zip(etas, etas[1:])):
         raise OutOfRange("eta list must be positive and strictly increasing")
     if not tol > 0:  # with tol <= 0 no cell is ever dropped
         raise OutOfRange("tol must be positive")
@@ -742,8 +746,9 @@ def sandwich_report(
     alpha: IrrationalSpec, odd_v_list, tol: float = 1e-6, bits: int = 128
 ) -> list[SandwichReport]:
     """Per odd v: min odd dist, certified inf of h on [v-1, v+1], ratios.
-    The windows of all v share one engine call and one alpha enclosure,
-    which also gives the sandwich constant."""
+    All v share one engine run: one alpha enclosure (which gives the
+    sandwich constant too), its rounds and its working precision, so a
+    row's certified bracket, within its tol, depends on the other v."""
     vs = [int(v) for v in odd_v_list]
     for v in vs:
         if v <= 0 or v % 2 == 0:
@@ -765,11 +770,6 @@ def sandwich_report(
 
 
 def sandwich_to_csv(reports: list[SandwichReport]) -> str:
-    lines = ["v,u,dist,inf_lower,inf_upper,ratio_lo,ratio_hi"]
-    for r in reports:
-        d = (r.dist_lower + r.dist_upper) / 2
-        lines.append(
-            f"{r.v},{r.u},{d!r},{r.inf_lower!r},{r.inf_upper!r},"
-            f"{r.ratio_lo!r},{r.ratio_hi!r}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [f"{r.v},{r.u},{(r.dist_lower + r.dist_upper) / 2!r},{r.inf_lower!r},"
+            f"{r.inf_upper!r},{r.ratio_lo!r},{r.ratio_hi!r}" for r in reports]
+    return "\n".join(["v,u,dist,inf_lower,inf_upper,ratio_lo,ratio_hi", *rows]) + "\n"

@@ -307,6 +307,24 @@ def test_frontier_cap_raises_instead_of_exhausting_memory(monkeypatch):
     monkeypatch.setattr(sp, "_MAX_FRONTIER", 256)
     with pytest.raises(InsufficientPrecision, match=r"\[33460\.0, 33462\.0\]"):
         sp.sandwich_report(cf.SQRT2, [33461])
+    with pytest.raises(InsufficientPrecision, match=r"\[33460\.0, 33462\.0\]"):
+        sp.sandwich_report(cf.SQRT2, [1, 3, 33461])
+
+
+def test_frontier_cap_refuses_no_wide_call(monkeypatch):
+    # a round of more than the cap is visited in slices, and a window may
+    # keep open as many cells as it started with: many windows, or one
+    # wide window, cost time, not a refusal
+    vs, etas = range(1, 600, 2), [2000.0]
+    wide = (sp.sandwich_report(cf.SQRT2, vs), sp.growth_curve(cf.SQRT2, etas))
+    monkeypatch.setattr(sp, "_MAX_FRONTIER", 256)
+    capped = (sp.sandwich_report(cf.SQRT2, vs), sp.growth_curve(cf.SQRT2, etas))
+    for x, y in zip(wide[0], capped[0]):
+        assert x.inf_lower <= y.inf_upper and y.inf_lower <= x.inf_upper
+        assert y.inf_upper - y.inf_lower <= min(1e-6, y.dist_lower**2 / 16) * (1 + 1e-9)
+    (p,), (q,) = wide[1].points, capped[1].points
+    assert p.m_lower <= q.m_upper and q.m_lower <= p.m_upper
+    assert not q.upper_parked and q.m_upper <= q.m_lower * (1 + 1e-3)
 
 
 def test_one_run_over_many_windows_matches_one_window_runs():
