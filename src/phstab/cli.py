@@ -26,7 +26,6 @@ from pathlib import Path
 
 import mpmath
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import PhstabError, ValidationError, VerificationFailed
@@ -135,6 +134,8 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str],
         if not outputs:
             return
         target = outputs[0] + ".manifest.json"
+    import scipy  # for its version only: a run without a manifest skips it
+
     params = {
         k: v
         for k, v in vars(args).items()

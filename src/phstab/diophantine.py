@@ -112,46 +112,6 @@ def odd_odd_stream(table: ConvergentTable, count: int) -> list[OddOddApproximant
 
 
 @dataclass(frozen=True)
-class ParityReport:
-    ok: bool
-    both_even_pairs: tuple[int, ...]
-    shapes: tuple[str, ...]
-    alternating_pattern_ok: bool | None
-
-
-def parity_audit(table: ConvergentTable) -> ParityReport:
-    """Check that consecutive p's (and q's) are never both even, and for
-    all-even quotient tables confirm the alternating odd/odd, odd/even shape.
-    """
-
-    def shape(c):
-        return ("even" if c.p % 2 == 0 else "odd") + "/" + (
-            "even" if c.q % 2 == 0 else "odd"
-        )
-
-    convs = table.convergents
-    bad = []
-    for n in range(len(convs) - 1):
-        if convs[n].p % 2 == 0 and convs[n + 1].p % 2 == 0:
-            bad.append(n)
-        elif convs[n].q % 2 == 0 and convs[n + 1].q % 2 == 0:
-            bad.append(n)
-    shapes = tuple(shape(c) for c in convs)
-    pattern_ok = None
-    if len(table.quotients) > 1 and all(a % 2 == 0 for a in table.quotients[1:]):
-        pattern_ok = all(
-            s == ("odd/odd" if n % 2 == 0 else "odd/even")
-            for n, s in enumerate(shapes)
-        )
-    return ParityReport(
-        ok=not bad,
-        both_even_pairs=tuple(bad),
-        shapes=shapes,
-        alternating_pattern_ok=pattern_ok,
-    )
-
-
-@dataclass(frozen=True)
 class ApproxProfile:
     max_a: int
     c_lower: Fraction

@@ -35,7 +35,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import numpy.linalg as la
-import scipy.linalg as sla
 
 from .errors import (
     ExpOverflow,
@@ -305,7 +304,11 @@ class _PhiStack:
     def exp_at(self, i: int, k: int, s: np.ndarray) -> np.ndarray:
         """Stack of exp(A_{t_i,k} s_j), shape (len(s), d, d)."""
         if self.dense[i, k]:
-            return np.stack([sla.expm(self.gens[i, k] * sj) for sj in s])
+            # imported here: scipy.linalg costs ~25 MB and ~0.25 s of a cold
+            # start, and only ill-conditioned pairs need it
+            from scipy.linalg import expm
+
+            return np.stack([expm(self.gens[i, k] * sj) for sj in s])
         d = self.sys.d
         return _exp_eig(self.lam[i, k], self.outer[i, k], s).reshape(len(s), d, d)
 

@@ -55,6 +55,11 @@ def test_quotients_all_even_and_depth_capped():
     ca = af.construct(af.PowerLog(p=2, s=0), bit_budget=512)
     assert all(a % 2 == 0 for a in ca.table.quotients[1:])
     assert ca.q_last.bit_length() <= 512
+    # even quotients make the convergents alternate odd/odd, odd/even, so
+    # every other convergent is an odd/odd witness
+    parities = [(c.p % 2, c.q % 2) for c in ca.table.convergents]
+    assert parities == [(1, 1) if n % 2 == 0 else (1, 0)
+                        for n in range(len(parities))]
 
 
 def test_constructed_alpha_in_one_two():

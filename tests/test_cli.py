@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy
 
 from phstab import cli, contfrac, phs
 
@@ -27,6 +28,7 @@ def test_cf_csv_and_manifest(tmp_path, capsys):
     assert manifest["subcommand"] == "cf"
     assert manifest["outputs"] == [str(out)]
     assert "phstab" in manifest["versions"]
+    assert manifest["versions"]["scipy"] == scipy.__version__
 
 
 def test_cf_rational_terminates_exit0(capsys):

@@ -59,15 +59,6 @@ def test_min_odd_dist_rational_exact():
     assert u == 1 and ball.value == 0 and ball.err == 0
 
 
-def test_parity_audit_even_quotient_pattern():
-    # all-even quotients force the alternating odd/odd, odd/even shape
-    table = cf.expand(cf.SQRT2, 20)
-    rep = dio.parity_audit(table)
-    assert rep.ok
-    assert rep.alternating_pattern_ok is True
-    assert rep.shapes[0] == "odd/odd" and rep.shapes[1] == "odd/even"
-
-
 def test_badly_approx_profile_sqrt2():
     table = cf.expand(cf.SQRT2, 25)
     prof = dio.badly_approx_profile(table)
