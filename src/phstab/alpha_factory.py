@@ -17,7 +17,6 @@ from .contfrac import ConvergentTable, RuleQuotients, expand
 from .errors import (
     CeilingUndecidable,
     MonotonicityViolation,
-    OutOfRange,
     TableExhausted,
     ValidationError,
     VerificationFailed,
@@ -40,10 +39,6 @@ class DecayTarget:
 
     def inv_sqrt_f_over_q(self, q: int):
         """Interval enclosure of 1 / (sqrt(f(pi*q)) * q) at current iv.prec."""
-        raise NotImplementedError
-
-    def value(self, t: float) -> float:
-        """Plain float evaluation, for bookkeeping (inf for t <= 0)."""
         raise NotImplementedError
 
     def log_value(self, t: float) -> float:
@@ -71,11 +66,6 @@ class ExpDecay(DecayTarget):
     def inv_sqrt_f_over_q(self, q: int):
         b = iv_from_fraction(self.beta)
         return iv.exp(b * iv.pi * q / 2) / q
-
-    def value(self, t: float) -> float:
-        if t <= 0:
-            return math.inf
-        return math.exp(-float(self.beta) * t)
 
     def log_value(self, t: float) -> float:
         if t <= 0:
@@ -105,11 +95,6 @@ class PowerLog(DecayTarget):
         if self.s != 0:
             x = x * iv.log(iv.e + t) ** iv_from_fraction(self.s / 2)
         return x / q
-
-    def value(self, t: float) -> float:
-        if t <= 0:
-            return math.inf
-        return t ** (-float(self.p)) * math.log(math.e + t) ** (-float(self.s))
 
     def log_value(self, t: float) -> float:
         if t <= 0:
@@ -150,9 +135,6 @@ class Tabulated(DecayTarget):
         i = max(0, min(len(ts) - 2, sum(1 for x in ts if x <= t) - 1))
         (t0, f0), (t1, f1) = self.pts[i], self.pts[i + 1]
         return float(t0), float(f0), float(t1), float(f1)
-
-    def value(self, t: float) -> float:
-        return math.exp(self.log_value(t)) if t > 0 else math.inf
 
     def log_value(self, t: float) -> float:
         if t <= 0:
@@ -320,13 +302,3 @@ def construct(target: DecayTarget, bit_budget: int = 4096) -> ConstructedAlpha:
         bit_budget=bit_budget,
         depth=len(quotients) - 1,
     )
-
-
-def predicted_bounds(
-    ca: ConstructedAlpha, t: float, c: float = 1.0, C: float = 1.0
-) -> tuple[float, float]:
-    """(c*f(t+pi), C*f(t-pi)) -- bookkeeping pair for verification harnesses."""
-    if t > math.pi * ca.q_last:
-        raise OutOfRange(f"t={t} beyond achieved depth (pi*q_last)")
-    f = ca.target.value
-    return c * f(t + math.pi), C * f(t - math.pi)

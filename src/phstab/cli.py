@@ -98,6 +98,16 @@ def _parsed(flag: str, text: str, read):
         raise ValidationError(f"{flag}: cannot read {text!r}") from None
 
 
+def _from_file(flag: str, path: str, read):
+    """read(contents of path) for an input file; a file that read cannot
+    take apart (a missing key or cell, a wrong type) exits 2."""
+    text = Path(path).read_text()
+    try:
+        return read(text)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{flag} {path}: {type(exc).__name__}: {exc}") from None
+
+
 def _floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",")]
 
@@ -201,7 +211,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             p, s = args.powerlog
             target = alpha_factory.PowerLog(p=p, s=s)
         else:
-            target = alpha_factory.target_from_json(Path(args.table).read_text())
+            target = _from_file("--table", args.table, alpha_factory.target_from_json)
         target.validate()
         ca = alpha_factory.construct(target, bit_budget=args.bits)
     except ValueError as exc:
@@ -243,23 +253,30 @@ def _loglog_slope(curve: spectral.GrowthCurve) -> float | None:
     return float(np.polyfit(np.log(etas), np.log(mids), 1)[0])
 
 
-def cmd_rates(args: argparse.Namespace) -> int:
-    rows = [ln.split(",") for ln in
-            Path(args.curve).read_text().strip().splitlines()[1:]]
+def _curve(text: str) -> spectral.GrowthCurve:
+    """A growth CSV (eta,m_lower,m_upper) as a curve."""
+    rows = [ln.split(",") for ln in text.strip().splitlines()[1:]]
     pts = [spectral.GrowthPoint(eta=float(r[0]), m_lower=float(r[1]),
                                 m_upper=float(r[2]), witness=0.0)
            for r in rows]
-    curve = spectral.GrowthCurve(alpha_json="", tol=0.0, bits=0,
-                                 points=tuple(pts))
+    return spectral.GrowthCurve(alpha_json="", tol=0.0, bits=0, points=tuple(pts))
+
+
+def _certificate(text: str) -> rates.PositiveIncreaseCertificate:
+    obj = json.loads(text)
+    return rates.PositiveIncreaseCertificate(
+        alpha_hat=obj["alpha_hat"], c=obj["c"],
+        lambda_grid=tuple(obj["lambda_grid"]),
+        t_grid=tuple(obj["t_grid"]), label=obj.get("label", ""))
+
+
+def cmd_rates(args: argparse.Namespace) -> int:
+    curve = _from_file("--curve", args.curve, _curve)
     fn = rates.from_growth_curve(curve, which=args.which)
     ts = _parsed("--times", args.times, _floats)
     cert = None
     if args.certificate is not None:
-        obj = json.loads(Path(args.certificate).read_text())
-        cert = rates.PositiveIncreaseCertificate(
-            alpha_hat=obj["alpha_hat"], c=obj["c"],
-            lambda_grid=tuple(obj["lambda_grid"]),
-            t_grid=tuple(obj["t_grid"]), label=obj.get("label", ""))
+        cert = _from_file("--certificate", args.certificate, _certificate)
     pred = rates.predict(fn, args.kind, ts, c=args.c, C=args.C,
                          certificate=cert)
     outputs = _write_output(pred.to_csv(), args.out)

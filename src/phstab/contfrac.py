@@ -1,9 +1,9 @@
 """Arbitrary-precision continued-fraction engine.
 
 Quotient expansion, convergent tables, the classical convergent bounds,
-Legendre's criterion, best-approximation brute force, and certified rational
-enclosures of the represented number. All quotients and convergents are
-Python big integers; all enclosures are exact Fractions.
+best-approximation brute force, and certified rational enclosures of the
+represented number. All quotients and convergents are Python big
+integers; all enclosures are exact Fractions.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, gcd, isqrt
+from math import gcd, isqrt
 from typing import Callable, Iterator, Optional, TypeVar
 
 from .errors import (
@@ -476,42 +476,6 @@ def _margin(u: int, xd: int, j: int, r: int, kqq: int) -> Fraction:
     return _coprime(t // d2, xd // g * (kqq // d2))
 
 
-def legendre_is_convergent(p: int, q: int, alpha: IrrationalSpec) -> bool:
-    """True iff p/q occurs among the convergents of alpha with q_m >= q.
-
-    Also enforces Legendre's criterion as an internal consistency check:
-    a certified |alpha - p/q| < 1/(2 q^2) forces a True result.
-    """
-    if q <= 0:
-        raise ValueError("q must be positive")
-    if gcd(p, q) != 1:
-        raise ValueError("p/q must be in lowest terms")
-    found = False
-    n = 8
-    while True:
-        table = expand(alpha, n)
-        if any(c.p == p and c.q == q for c in table.convergents):
-            found = True
-            break
-        if table.terminated or table.convergents[-1].q >= q:
-            break
-        n *= 2
-    pv, target = Fraction(p, q), Fraction(1, 2 * q * q)
-
-    def decide(ball: RealBall) -> Optional[bool]:
-        d_hi = max(pv - ball.lower, ball.upper - pv)
-        if d_hi < target and not found:
-            raise VerificationFailed(
-                "Legendre criterion violated: |alpha - p/q| < 1/(2q^2) "
-                "but p/q is not a convergent"
-            )
-        if d_hi < target or max(ball.lower - pv, pv - ball.upper) >= target:
-            return found  # decided: d_hi < target or d_lo >= target
-        return None
-
-    return _refine(alpha, 4 * q.bit_length() + 32, decide, "Legendre's criterion")
-
-
 def best_approx_check(table: ConvergentTable, qmax: int) -> bool:
     """Brute-force the best-approximation property up to denominator qmax.
 
@@ -611,11 +575,3 @@ def _refine(alpha: IrrationalSpec, bits: int,
     raise InsufficientPrecision(
         f"{what} undecided at the {_PRECISION_CAP}-bit refinement cap "
         f"({bits} bits asked)")
-
-
-def required_bits(t_magnitude, target_bits: int, guard: int = 64) -> int:
-    """Working precision for trig evaluation at time t: absorbs the bits
-    lost to argument reduction plus guard bits for cancellation."""
-    t = Fraction(t_magnitude) if not isinstance(t_magnitude, Fraction) else t_magnitude
-    mag = abs(t.numerator) // t.denominator + 2
-    return target_bits + guard + mag.bit_length()

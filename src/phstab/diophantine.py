@@ -6,7 +6,6 @@ convergent parity pattern, and badly-approximable prefix diagnostics.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,16 +117,6 @@ class ApproxProfile:
     prefix_len: int
     bounded_on_prefix: bool
     verdict: str
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "max_a": self.max_a,
-                "c_lower": f"{self.c_lower.numerator}/{self.c_lower.denominator}",
-                "prefix_len": self.prefix_len,
-                "verdict": self.verdict,
-            }
-        )
 
 
 def badly_approx_profile(table: ConvergentTable) -> ApproxProfile:

@@ -79,9 +79,6 @@ class RealBall:
         lo, hi = fraction_bounds(x)
         return cls.from_bounds(lo, hi)
 
-    def __float__(self) -> float:
-        return float(self.value)
-
 
 @dataclass(frozen=True)
 class ComplexIv:
@@ -110,12 +107,6 @@ class ComplexIv:
 
     def abs_ball(self) -> RealBall:
         return RealBall.from_iv(self.abs())
-
-    def midpoint(self) -> complex:
-        return complex(float(self.re.mid), float(self.im.mid))
-
-    def max_err(self) -> float:
-        return max(float(self.re.delta), float(self.im.delta)) / 2
 
 
 def unit_phase(theta) -> ComplexIv:

@@ -30,7 +30,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -458,10 +458,8 @@ class StabilityReport:
         )
 
 
-def stability_scan(
-    sys: PHSystem, t_grid: Sequence[float], margin: float = _SINGULAR_TOL
-) -> StabilityReport:
-    """Scan T_t over the grid, flagging any |det T_t| <= margin."""
+def stability_scan(sys: PHSystem, t_grid: Sequence[float]) -> StabilityReport:
+    """Scan T_t over the grid, flagging any |det T_t| <= ``_SINGULAR_TOL``."""
     _require_valid(sys)
     ts = np.asarray(t_grid, dtype=float)
     if not len(ts):
@@ -473,7 +471,7 @@ def stability_scan(
     T = np.concatenate(parts)
     dets = np.abs(la.det(T))
     sigmas = la.svd(T, compute_uv=False)[:, -1]
-    sing = dets <= margin
+    sing = dets <= _SINGULAR_TOL
     invs = np.divide(1.0, sigmas, out=np.full_like(sigmas, math.inf), where=~sing)
     return StabilityReport(
         t_grid=tuple(ts.tolist()),
@@ -724,22 +722,7 @@ class CharConstants:
     b_note: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "B": self.B,
-                "W_norm": self.W_norm,
-                "W_pinv_norm": self.W_pinv_norm,
-                "P1_norm": self.P1_norm,
-                "P1_inv_norm": self.P1_inv_norm,
-                "H_sup_norm": self.H_sup_norm,
-                "S_norm": self.S_norm,
-                "length": self.length,
-                "C_tilde": self.C_tilde,
-                "C": self.C,
-                "b_flagged": self.b_flagged,
-                "b_note": self.b_note,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def char_constants(

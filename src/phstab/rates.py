@@ -39,7 +39,6 @@ __all__ = [
     "invert",
     "predict",
     "positive_increase_estimate",
-    "transfer_certificate",
 ]
 
 _INV_RTOL = 1e-9
@@ -73,11 +72,11 @@ class MonotoneFn:
         return self.fn(x)
 
 
-def power_fn(p: float, label: str | None = None) -> MonotoneFn:
+def power_fn(p: float) -> MonotoneFn:
     """M(eta) = eta**p on (0, inf)."""
     if p <= 0:
         raise ValidationError("exponent must be positive")
-    return MonotoneFn(lambda x: x**p, lo=0.0, label=label or f"eta^{p}")
+    return MonotoneFn(lambda x: x**p, lo=0.0, label=f"eta^{p}")
 
 
 def power_log_fn(p: float, s: float, lo: float = math.e) -> MonotoneFn:
@@ -153,8 +152,9 @@ def m_log(fn: MonotoneFn) -> MonotoneFn:
     return MonotoneFn(g, lo=fn.lo, hi=fn.hi, label=f"m_log[{fn.label}]")
 
 
-def invert(fn: MonotoneFn, y: float, rtol: float = _INV_RTOL) -> float:
-    """Generalized inverse sup { eta : fn(eta) <= y } by bisection.
+def invert(fn: MonotoneFn, y: float) -> float:
+    """Generalized inverse sup { eta : fn(eta) <= y } by bisection, to
+    relative width ``_INV_RTOL``.
 
     Raises BelowRange when y < fn(lo).  Values above the range (for a
     bounded domain) clamp to the domain endpoint, per the sup convention.
@@ -173,7 +173,7 @@ def invert(fn: MonotoneFn, y: float, rtol: float = _INV_RTOL) -> float:
     if fn(hi) <= y:
         return hi
     # invariant: fn(lo) <= y < fn(hi)
-    while hi - lo > rtol * max(abs(lo), 1e-300):
+    while hi - lo > _INV_RTOL * max(abs(lo), 1e-300):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -291,23 +291,6 @@ def positive_increase_estimate(
         lambda_grid=tuple(lams),
         t_grid=tuple(ts),
         label=fn.label,
-    )
-
-
-def transfer_certificate(
-    cert: PositiveIncreaseCertificate, d: float, D: float
-) -> PositiveIncreaseCertificate:
-    """Transfer a certificate from f to g when d*f <= g <= D*f pointwise:
-    g(lambda t)/g(t) >= (d/D) f(lambda t)/f(t), so the exponent carries
-    over with constant scaled by d/D."""
-    if not (0 < d <= D):
-        raise ValidationError("need 0 < d <= D")
-    return PositiveIncreaseCertificate(
-        alpha_hat=cert.alpha_hat,
-        c=min(cert.c * d / D, 1.0),
-        lambda_grid=cert.lambda_grid,
-        t_grid=cert.t_grid,
-        label=f"sandwich({d}/{D})[{cert.label}]",
     )
 
 

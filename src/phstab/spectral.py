@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 from mpmath import iv
 
-from .contfrac import IrrationalSpec, best_enclosure, required_bits
+from .contfrac import IrrationalSpec, best_enclosure
 from .diophantine import min_odd_dist
 from .errors import InsufficientPrecision, OutOfRange, SingularMatrix
 from .intervals import (
@@ -46,10 +46,11 @@ from .intervals import (
 
 
 class HEvaluator:
-    """Encloses alpha and evaluates T_t, det, h, g, ||T^{-1}||.
+    """Encloses alpha and evaluates the phases, det T_t and ||T_t^{-1}||.
 
     All methods assume they run inside ``workprec(bits)`` matching the
-    ``alpha_at(bits)`` they use; the public wrappers below handle that.
+    ``alpha_at(bits)`` they use, as ``g_at_witness`` and the engine's mpmath
+    fallbacks do.
     """
 
     def __init__(self, alpha: IrrationalSpec):
@@ -72,11 +73,6 @@ class HEvaluator:
         half = iv.mpf(1) / 2
         return ComplexIv(1 + half * (e1.re + e2.re), half * (e1.im + e2.im))
 
-    def w_iv(self, t, a) -> ComplexIv:
-        """w(t) = 2 + e^{i pi t} + e^{i pi alpha t}, so h = |w|."""
-        e1, e2 = self.phases(iv.pi * t, a)
-        return ComplexIv(2 + e1.re + e2.re, e1.im + e2.im)
-
     def inv_norm_iv(self, t, a):
         """Interval for ||T_t^{-1}|| = sigma_max / |det| over interval t."""
         ct, ca = iv.cos(t), iv.cos(a * t)
@@ -92,68 +88,17 @@ class HEvaluator:
         return iv.sqrt(sigma2 / det2)
 
 
-def _as_iv(t):
-    """Accepts floats, Fractions, and ready-made interval values (so exact
-    times like 3*iv.pi can be probed)."""
-    if isinstance(t, Fraction):
-        return iv.mpf(t.numerator) / iv.mpf(t.denominator)
-    if hasattr(t, "_mpi_"):
-        return t
-    return iv.mpf(t)
-
-
 def _bits_for(t_magnitude: float, bits: int) -> int:
-    return required_bits(max(abs(t_magnitude), 1), bits)
-
-
-def _at_point(alpha: IrrationalSpec, t, bits: int, fn):
-    """fn(evaluator, t, alpha enclosure) at the working precision that
-    ``bits`` accurate values at time t need."""
-    ev = HEvaluator(alpha)
-    work = _bits_for(float(t.mid) if hasattr(t, "_mpi_") else float(t), bits)
-    with workprec(work):
-        return fn(ev, _as_iv(t), ev.alpha_at(work))
-
-
-def det_t(alpha: IrrationalSpec, t, bits: int = 128) -> ComplexIv:
-    return _at_point(alpha, t, bits, lambda ev, ti, a: ev.det_iv(ti, a))
-
-
-def h_eval(alpha: IrrationalSpec, t, bits: int = 128) -> RealBall:
-    """h(t) = |2 + e^{i pi t} + e^{i pi alpha t}|."""
-    return _at_point(alpha, t, bits, lambda ev, ti, a: ev.w_iv(ti, a).abs_ball())
-
-
-def g_eval(alpha: IrrationalSpec, t, bits: int = 128) -> RealBall:
-    """g(t) = h(t/pi)/2 = |det T_t|."""
-    return _at_point(alpha, t, bits, lambda ev, ti, a: ev.det_iv(ti, a).abs_ball())
-
-
-def inv_norm(alpha: IrrationalSpec, t, bits: int = 128) -> RealBall:
-    return _at_point(alpha, t, bits,
-                     lambda ev, ti, a: RealBall.from_iv(ev.inv_norm_iv(ti, a)))
-
-
-def _witness(a, u: int, v: int):
-    """(pi (v + delta), delta) with delta = -(v alpha - u)/(1 + alpha), for
-    an alpha enclosure a at the current precision."""
-    delta = -(v * a - u) / (1 + a)
-    return iv.pi * (v + delta), delta
-
-
-def witness_time(alpha: IrrationalSpec, u: int, v: int, bits: int = 128):
-    """Enclosure of t0 = pi (v + delta), delta = -(v alpha - u)/(1 + alpha).
-
-    This is the shifted time at which g comes within a constant factor of
-    the odd distance; returned as (t_enclosure, delta_enclosure) at the
-    caller's current precision policy.
-    """
-    # the precision of a time 4 v > |t0|
-    return _at_point(alpha, 4 * v, bits, lambda ev, _, a: _witness(a, u, v))
+    """Working precision for trig evaluation at times up to |t_magnitude|:
+    ``bits`` plus the bits that argument reduction loses, plus 64 guard
+    bits for cancellation."""
+    mag = int(max(abs(t_magnitude), 1)) + 2
+    return bits + 64 + mag.bit_length()
 
 
 def g_at_witness(alpha: IrrationalSpec, u: int, v: int, bits: int = 128) -> RealBall:
-    """Certified g(pi (v + delta)) at the shifted odd/odd witness time.
+    """Certified g(pi (v + delta)) at the shifted odd/odd witness time,
+    delta = -(v alpha - u)/(1 + alpha).
 
     g there can be astronomically small (that is the point of the shifted
     time), so precision is doubled until the enclosure is relatively tight.
@@ -163,7 +108,8 @@ def g_at_witness(alpha: IrrationalSpec, u: int, v: int, bits: int = 128) -> Real
     while True:
         with workprec(work):
             a = ev.alpha_at(work)
-            ball = ev.det_iv(_witness(a, u, v)[0], a).abs_ball()
+            delta = -(v * a - u) / (1 + a)
+            ball = ev.det_iv(iv.pi * (v + delta), a).abs_ball()
         if ball.lower > 0 and ball.err < ball.lower / (1 << 20):
             return ball
         if work >= (1 << 20):
@@ -735,11 +681,6 @@ def _sandwich_constant(ball: RealBall) -> float:
     with workprec(96):
         pi_hi = fraction_bounds(iv.pi)[1]
     return float_up(36 * pi_hi * pi_hi / min(sq, 1))
-
-
-def sandwich_constant(alpha: IrrationalSpec) -> float:
-    """36 pi^2 / min{(1+alpha)^2, 1} rounded up."""
-    return _sandwich_constant(best_enclosure(alpha, 96)[0])
 
 
 def sandwich_report(

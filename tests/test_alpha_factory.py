@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from phstab import alpha_factory as af
 from phstab import contfrac as cf
-from phstab.errors import MonotonicityViolation, OutOfRange
+from phstab.errors import MonotonicityViolation
 
 
 def _oracle_quotient(target_log_f, q_prev: int) -> int:
@@ -75,10 +75,10 @@ def test_tabulated_validation_and_interpolation():
     good = af.Tabulated(((1.0, 1.0), (10.0, 0.01), (100.0, 1e-6)))
     good.validate()
     # log f is interpolated linearly in t between knots
-    assert good.value(1.0) == pytest.approx(1.0)
-    assert good.value(10.0) == pytest.approx(0.01)
-    assert good.value(5.5) == pytest.approx(math.exp(math.log(0.01) / 2), rel=1e-9)
-    assert 0.01 < good.value(5.5) < 1.0
+    assert good.log_value(1.0) == pytest.approx(0.0, abs=1e-12)
+    assert good.log_value(10.0) == pytest.approx(math.log(0.01))
+    assert good.log_value(5.5) == pytest.approx(math.log(0.01) / 2, rel=1e-9)
+    assert math.log(0.01) < good.log_value(5.5) < 0.0
 
 
 def test_target_json_round_trip():
@@ -93,16 +93,6 @@ def test_target_json_round_trip():
     for t in targets:
         again = af.target_from_json(json.dumps(t.to_json()))
         assert again == t
-
-
-def test_predicted_bounds_and_range_guard():
-    ca = af.construct(af.PowerLog(p=4, s=0), bit_budget=1024)
-    t = math.pi * 5
-    lo, hi = af.predicted_bounds(ca, t)
-    assert lo == pytest.approx((t + math.pi) ** -4)
-    assert hi == pytest.approx((t - math.pi) ** -4)
-    with pytest.raises(OutOfRange):
-        af.predicted_bounds(ca, math.pi * ca.q_last * 10)
 
 
 def test_construction_rule_is_reproducible_from_json():

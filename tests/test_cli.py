@@ -236,6 +236,14 @@ def test_verify_appendix_identity_failure_exits_1(monkeypatch, capsys):
     assert "FAIL  appendix: appendix identities [sqrt2]" in out
 
 
+class _File(str):
+    """An argv item that stands for a file holding this text."""
+
+
+_CURVE = "eta,m_lower,m_upper\n1.0,1.0,1.0\n100.0,10000.0,10000.0\n"
+_RATES = ["rates", "--kind", "RSS-upper", "--times", "100"]
+
+
 @pytest.mark.parametrize("argv", [
     ["cf", "--surd", "4"],
     ["cf", "--quotients", "1,0,2"],
@@ -254,12 +262,24 @@ def test_verify_appendix_identity_failure_exits_1(monkeypatch, capsys):
     ["growth", "--surd", "2", "--etas", "10", "--bits", "-500"],
     ["cf", {"kind": "rule", "name": "construction",
             "f": {"target": {"kind": "table", "pts": [[1.0, 0.5], [2.0, 0.9]]}}}],
+    [*_RATES, "--curve", _File("eta,m_lower,m_upper\n1,2\n100,3,4\n")],
+    [*_RATES, "--curve", _File("eta,m_lower,m_upper\n1,x,2\n100,3,4\n")],
+    [*_RATES, "--curve", _File(_CURVE), "--certificate",
+     _File('{"c": 1, "lambda_grid": [2], "t_grid": [1]}')],
+    ["construct", "--table", _File('{"pts": [[1, 1], [2, 0.5]]}')],
+    ["construct", "--table", _File('{"kind": "table"}')],
+    ["construct", "--table", _File("[1, 2]")],
 ])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     if isinstance(argv[1], dict):  # an --alpha-json file
         spec = tmp_path / "alpha.json"
         spec.write_text(json.dumps(argv[1]))
         argv = [argv[0], "--alpha-json", str(spec)]
+    for i, item in enumerate(argv):
+        if isinstance(item, _File):
+            path = tmp_path / f"input{i}"
+            path.write_text(item)
+            argv = [*argv[:i], str(path), *argv[i + 1:]]
     if argv[0] == "phs":
         cfg = tmp_path / "sys.json"
         cfg.write_text(phs.phsystem_to_json(phs.universal_example(2.0**0.5)))
@@ -269,7 +289,8 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     except SystemExit as exc:  # argparse rejects a flag value itself
         code = exc.code
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_growth_and_sandwich_manifest_summaries(tmp_path):

@@ -132,10 +132,6 @@ def test_eval_alpha_enclosure_certified():
     assert lo * lo < 2 < hi * hi
 
 
-def test_legendre_criterion():
-    assert cf.legendre_is_convergent(7, 5, cf.SQRT2)
-    assert not cf.legendre_is_convergent(8, 5, cf.SQRT2)
-
 
 def test_best_approx_prefix():
     table = cf.expand(cf.SQRT2, 12)

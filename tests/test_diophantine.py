@@ -87,15 +87,12 @@ def test_odd_odd_invariants_random_depth(n):
 
 _DIGITS = "1.4142135623730950488"
 _DEC60 = cf.DecimalLiteral(_DIGITS, 60)
-_PQ = [(577, 408), (7, 5), (8, 5), (99, 70), (10, 7), (1393, 985)]
 _DECISIONS = {
     "check_bounds": lambda a: [r.passed for r in cf.check_bounds(cf.expand(a, 20))],
     "odd_odd_stream": lambda a: [
         (x.u, x.v) for x in dio.odd_odd_stream(cf.expand(a, 20), 8)],
     "min_odd_dist": lambda a: [dio.min_odd_dist(a, v)[0] for v in range(1, 200, 2)],
     "best_approx_check": lambda a: cf.best_approx_check(cf.expand(a, 12), 1000),
-    "legendre_is_convergent": lambda a: [
-        cf.legendre_is_convergent(p, q, a) for p, q in _PQ],
 }
 
 
@@ -124,10 +121,6 @@ _TOO_COARSE = {
     "check_bounds": lambda: cf.check_bounds(_sqrt2_table_on(16)),
     "min_odd_dist": lambda: dio.min_odd_dist(cf.DecimalLiteral(_DIGITS, 16), 2**20 + 1),
     "best_approx_check": lambda: cf.best_approx_check(_sqrt2_table_on(16), 1000),
-    # 22 bits fix the quotients up to q = 985 but not |alpha - p/q| against
-    # 1/(2 q^2), which 1393/985 misses by 1.5e-7
-    "legendre_is_convergent": lambda: cf.legendre_is_convergent(
-        1393, 985, cf.DecimalLiteral(_DIGITS, 22)),
 }
 
 

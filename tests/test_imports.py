@@ -54,3 +54,14 @@ def test_scipy_linalg_loads_only_for_the_dense_fallback():
     res = subprocess.run([sys.executable, "-c", _CHILD], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+def test_bench_tracer_binds_every_target_and_unwinds(monkeypatch):
+    # perfbench/tracer.py wraps public phstab names by attribute lookup and
+    # raises on any that is gone; after uninstall no wrapper may be left
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracer
+
+    with tracer.Tracer().installed():  # raises if a wrapped name is gone
+        assert "phstab.spectral.g_at_witness" in tracer.leftover_wrappers()
+    assert tracer.leftover_wrappers() == []

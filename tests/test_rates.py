@@ -92,16 +92,6 @@ def test_positive_increase_refutes_log():
     assert lam >= 10 and ratio < 2
 
 
-def test_sandwich_transfer():
-    cert = R.positive_increase_estimate(
-        R.power_fn(2), [2, 10, 100], [1, 10, 100]
-    )
-    moved = R.transfer_certificate(cert, d=0.5, D=2.0)
-    assert moved.alpha_hat == cert.alpha_hat
-    assert moved.c == pytest.approx(cert.c * 0.25)
-    with pytest.raises(ValidationError):
-        R.transfer_certificate(cert, d=2.0, D=0.5)
-
 
 def test_from_growth_curve_interpolation():
     curve = sp.GrowthCurve(
@@ -149,14 +139,3 @@ def test_invert_identity_property(p, y):
     assert abs(x - y ** (1 / p)) <= 1e-6 * max(x, 1e-12)
 
 
-@given(alpha=st.floats(min_value=0.3, max_value=3.0),
-       d=st.floats(min_value=0.1, max_value=1.0),
-       big=st.floats(min_value=1.0, max_value=5.0))
-@settings(max_examples=30, deadline=None)
-def test_sandwich_transfer_property(alpha, d, big):
-    cert = R.positive_increase_estimate(
-        R.power_fn(alpha), [2, 10, 50], [1, 5, 25]
-    )
-    moved = R.transfer_certificate(cert, d=d, D=big)
-    assert moved.alpha_hat == cert.alpha_hat >= alpha - 1e-6
-    assert moved.c <= cert.c

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
 from phstab import contfrac as cf
 from phstab import spectral as sp
 from phstab.errors import InsufficientPrecision, OutOfRange, SingularMatrix
+from phstab.intervals import workprec
 
 THIRD = cf.ExplicitQuotients((0, 3))
 
@@ -21,26 +23,37 @@ def _det_oracle(alpha: float, t: float) -> complex:
     return 1.0 + 0.5 * (np.exp(1j * t) + np.exp(1j * alpha * t))
 
 
+def _at(alpha, t, method, bits=256):
+    """HEvaluator.<method> at t (a float or an interval) inside workprec(bits)."""
+    ev = sp.HEvaluator(alpha)
+    with workprec(bits):
+        return getattr(ev, method)(iv.mpf(t), ev.alpha_at(bits))
+
+
 def test_det_t_matches_closed_form():
     a = math.sqrt(2)
     for t in (0.0, 1.0, 3.5, 17.0, 100.0):
-        d = sp.det_t(cf.SQRT2, t)
-        mid = d.midpoint()
-        assert abs(mid - _det_oracle(a, t)) < 1e-12
-        assert d.max_err() < 1e-20
+        d = _at(cf.SQRT2, t, "det_iv")
+        assert abs(complex(d.re.mid, d.im.mid) - _det_oracle(a, t)) < 1e-12
+        assert max(d.re.delta, d.im.delta) / 2 < 1e-20
 
 
 def test_det_t0_is_two():
-    d = sp.det_t(cf.SQRT2, 0.0)
-    assert abs(d.midpoint() - 2.0) < 1e-30
+    d = _at(cf.SQRT2, 0.0, "det_iv")
+    assert abs(complex(d.re.mid, d.im.mid) - 2.0) < 1e-30
 
 
 def test_h_is_scaled_g():
-    # h(t) = |2 + e^{i pi t} + e^{i pi alpha t}| = 2 g(pi t)
-    for t in (0.7, 2.0, 5.3):
-        h = sp.h_eval(cf.SQRT2, t)
-        g = sp.g_eval(cf.SQRT2, math.pi * t)
-        assert abs(float(h.value) - 2.0 * float(g.value)) < 1e-12
+    # h(t)^2 = |2 + e^{i pi t} + e^{i pi alpha t}|^2 = 4 g(pi t)^2: the inf
+    # objective's mpmath terms against |det T| at pi t
+    ev = sp.HEvaluator(cf.SQRT2)
+    with workprec(256):
+        a = ev.alpha_at(256)
+        for t in (0.7, 2.0, 5.3):
+            f_lo, f_up, _ = sp._h_terms_mp(ev, t, a)
+            g2 = ev.det_iv(iv.pi * t, a).abs2()
+            assert f_lo <= 4 * g2.a and 4 * g2.b <= f_up
+            assert f_up - f_lo < 1e-12
 
 
 def test_inv_norm_against_numpy_oracle():
@@ -49,23 +62,19 @@ def test_inv_norm_against_numpy_oracle():
     for t in (0.5, 1.0, 9.0, 31.4):
         T = M @ np.diag([np.exp(1j * t), np.exp(1j * a * t)]) + np.eye(2)
         oracle = np.linalg.norm(np.linalg.inv(T), ord=2)
-        ball = sp.inv_norm(cf.SQRT2, t)
-        assert float(ball.lower) - 1e-9 <= oracle <= float(ball.upper) + 1e-9
+        norm = _at(cf.SQRT2, t, "inv_norm_iv")
+        assert float(norm.a) - 1e-9 <= oracle <= float(norm.b) + 1e-9
 
 
 def test_inv_norm_singular_rational():
-    t = 3 * mpmath.iv.pi
+    t = 3 * iv.pi
     with pytest.raises(SingularMatrix):
-        sp.inv_norm(THIRD, t)
-    ball = sp.g_eval(THIRD, t)
-    assert float(ball.upper) <= 1e-12
+        _at(THIRD, t, "inv_norm_iv")
+    assert _at(THIRD, t, "det_iv").abs().b <= 1e-12
 
 
 def test_witness_time_and_g_certification():
-    # witness near pi*v for the odd/odd approximant 7/5 of sqrt(2)
-    t_iv, delta = sp.witness_time(cf.SQRT2, 7, 5)
-    t_mid = (float(t_iv.a) + float(t_iv.b)) / 2
-    assert abs(t_mid - math.pi * 5) < 0.1
+    # g at the witness near pi*v for the odd/odd approximant 7/5 of sqrt(2)
     ball = sp.g_at_witness(cf.SQRT2, 7, 5)
     assert ball.lower > 0
     assert float(ball.err) < float(ball.lower) / 1e5
@@ -118,7 +127,7 @@ def test_growth_curve_csv():
 
 
 def test_sandwich_constant_value():
-    c = sp.sandwich_constant(cf.SQRT2)
+    c = sp.sandwich_report(cf.SQRT2, [1])[0].constant
     expect = 36 * math.pi**2 / min((1 + math.sqrt(2)) ** 2, 1.0)
     assert c == pytest.approx(expect, rel=1e-12)
 
@@ -143,7 +152,7 @@ def test_sandwich_rejects_even_v():
 @settings(max_examples=30, deadline=None)
 def test_det_enclosure_contains_oracle(t):
     a = math.sqrt(2)
-    d = sp.det_t(cf.SQRT2, t)
+    d = _at(cf.SQRT2, t, "det_iv")
     oracle = _det_oracle(a, t)
     assert float(d.re.a) - 1e-9 <= oracle.real <= float(d.re.b) + 1e-9
     assert float(d.im.a) - 1e-9 <= oracle.imag <= float(d.im.b) + 1e-9
@@ -154,8 +163,8 @@ def test_det_enclosure_contains_oracle(t):
 def test_inv_norm_lower_bound_at_resonance(v):
     # near t = pi v with v odd, |det| is small, so the norm must exceed
     # sigma_max/|det| >= 1/(2|det|); just check the certified bracket is sane
-    ball = sp.inv_norm(cf.SQRT2, math.pi * v)
-    assert 0 < float(ball.lower) <= float(ball.upper)
+    norm = _at(cf.SQRT2, math.pi * v, "inv_norm_iv")
+    assert 0 < norm.a <= norm.b
 
 
 def _mp(alpha):
