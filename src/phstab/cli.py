@@ -255,7 +255,10 @@ def _loglog_slope(curve: spectral.GrowthCurve) -> float | None:
 
 def _curve(text: str) -> spectral.GrowthCurve:
     """A growth CSV (eta,m_lower,m_upper) as a curve."""
-    rows = [ln.split(",") for ln in text.strip().splitlines()[1:]]
+    header, *lines = text.strip().splitlines()
+    if header != "eta,m_lower,m_upper":
+        raise ValueError(f"header {header!r} is not eta,m_lower,m_upper")
+    rows = [ln.split(",") for ln in lines]
     pts = [spectral.GrowthPoint(eta=float(r[0]), m_lower=float(r[1]),
                                 m_upper=float(r[2]), witness=0.0)
            for r in rows]

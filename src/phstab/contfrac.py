@@ -15,12 +15,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Iterator, Optional, TypeVar
 
-from .errors import (
-    BitBudgetExceeded,
-    InsufficientPrecision,
-    TableExhausted,
-    VerificationFailed,
-)
+from .errors import InsufficientPrecision, TableExhausted
 from .intervals import RealBall
 
 _PRECISION_CAP = 1 << 22  # hard stop for adaptive refinement loops
@@ -33,17 +28,10 @@ class IrrationalSpec:
     def quotient_iter(self) -> Iterator[int]:
         raise NotImplementedError
 
-    def is_rational(self) -> Optional[bool]:
-        """True/False when known from the representation, None if undecided."""
-        raise NotImplementedError
-
-    def enclosure(self, bits: int, strict: bool = True) -> RealBall:
-        """Rational enclosure with error <= 2**-bits.
-
-        With strict=False, sources whose precision is capped (finite rule
-        depth, fixed digit strings) return their widest available enclosure
-        instead of raising.
-        """
+    def enclosure(self, bits: int) -> RealBall:
+        """Rational enclosure with error <= 2**-bits or, for a source whose
+        precision is capped (finite rule depth, fixed digit string), the
+        narrowest enclosure it has. Error 0 means the source is exact."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -66,9 +54,6 @@ class QuadraticSurd(IrrationalSpec):
         if self.enclosure(16).upper <= 0:
             raise ValueError("represented value must be positive")
 
-    def is_rational(self):
-        return False
-
     def quotient_iter(self) -> Iterator[int]:
         # Exact periodic algorithm on (P + sqrt(D))/Q, maintaining Q | D - P^2.
         P, Q, D = self.p, self.q, self.D
@@ -86,7 +71,7 @@ class QuadraticSurd(IrrationalSpec):
             P = a * Q - P
             Q = (D - P * P) // Q
 
-    def enclosure(self, bits: int, strict: bool = True) -> RealBall:
+    def enclosure(self, bits: int) -> RealBall:
         k = bits + 4 + max(self.q.bit_length(), abs(self.p).bit_length())
         s_lo = Fraction(isqrt(self.D << (2 * k)), 1 << k)
         s_hi = s_lo + Fraction(1, 1 << k)
@@ -121,13 +106,10 @@ class ExplicitQuotients(IrrationalSpec):
             v = x + 1 / v
         return v
 
-    def is_rational(self):
-        return True
-
     def quotient_iter(self) -> Iterator[int]:
         return iter(self.a)
 
-    def enclosure(self, bits: int, strict: bool = True) -> RealBall:
+    def enclosure(self, bits: int) -> RealBall:
         return RealBall(self.value(), Fraction(0))
 
     def to_json(self) -> dict:
@@ -161,9 +143,6 @@ class RuleQuotients(IrrationalSpec):
             object.__setattr__(self, "_gen", _construction_rule(self.params))
         return self._gen
 
-    def is_rational(self):
-        return False
-
     def quotient_iter(self) -> Iterator[int]:
         gen = self._generator()
         n = 0
@@ -175,7 +154,7 @@ class RuleQuotients(IrrationalSpec):
             yield a
             n += 1
 
-    def enclosure(self, bits: int, strict: bool = True) -> RealBall:
+    def enclosure(self, bits: int) -> RealBall:
         p2, p1 = 1, None
         q2, q1 = 0, None
         prev = None
@@ -192,23 +171,12 @@ class RuleQuotients(IrrationalSpec):
             if lo > hi:
                 lo, hi = hi, lo
             bracket = (lo, hi)
-            if hi - lo <= Fraction(1, 1 << bits):
-                return RealBall.from_bounds(lo, hi)
-            if q1.bit_length() > self.bit_budget:
-                if strict:
-                    raise BitBudgetExceeded(
-                        f"q_n exceeds {self.bit_budget} bits before reaching "
-                        f"2^-{bits} enclosure width"
-                    )
+            if hi - lo <= Fraction(1, 1 << bits) or q1.bit_length() > self.bit_budget:
                 return RealBall.from_bounds(lo, hi)
             prev = (p1, q1)
         # Finite stream: alpha lies strictly between the last two convergents.
         if bracket is None:
             raise InsufficientPrecision("quotient stream too short to enclose")
-        if strict:
-            raise InsufficientPrecision(
-                f"rule depth exhausted before a 2^-{bits} enclosure"
-            )
         return RealBall.from_bounds(*bracket)
 
     def to_json(self) -> dict:
@@ -236,9 +204,6 @@ class DecimalLiteral(IrrationalSpec):
     def _value(self) -> Fraction:
         return Fraction(self.digits)
 
-    def is_rational(self):
-        return None
-
     def quotient_iter(self) -> Iterator[int]:
         # Interval continued fraction: emit quotients only while both
         # endpoints of the enclosure agree on the floor.
@@ -252,11 +217,7 @@ class DecimalLiteral(IrrationalSpec):
             lo, hi = 1 / (hi - a), 1 / (lo - a)
         raise InsufficientPrecision("quotient not determined by the guaranteed digits")
 
-    def enclosure(self, bits: int, strict: bool = True) -> RealBall:
-        if bits > self.bits and strict:
-            raise InsufficientPrecision(
-                f"requested {bits} bits but only {self.bits} are guaranteed"
-            )
+    def enclosure(self, bits: int) -> RealBall:
         return RealBall(self._value(), Fraction(1, 1 << self.bits))
 
     def to_json(self) -> dict:
@@ -533,41 +494,19 @@ def _distance_brackets(lo: Fraction, hi: Fraction, qmax: int) -> list[tuple[int,
     return dist
 
 
-def eval_alpha(alpha: IrrationalSpec, bits: int) -> RealBall:
-    """Certified enclosure of alpha with absolute error <= 2**-bits."""
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
-    ball = alpha.enclosure(bits)
-    if ball.err > Fraction(1, 1 << bits):
-        raise VerificationFailed(
-            f"enclosure error {float(ball.err):.3g} exceeds 2^-{bits}"
-        )
-    return ball
-
-
-def best_enclosure(alpha: IrrationalSpec, bits: int) -> tuple[RealBall, bool]:
-    """(ball, refinable): :func:`eval_alpha` at ``bits`` when the source
-    reaches it, else the widest enclosure a precision-capped source (finite
-    rule depth, digit string) has, with ``refinable`` False. Downstream
-    interval arithmetic on the wider ball stays sound."""
-    try:
-        return eval_alpha(alpha, bits), True
-    except (BitBudgetExceeded, InsufficientPrecision):
-        return alpha.enclosure(bits, strict=False), False
-
-
 def _refine(alpha: IrrationalSpec, bits: int,
             decide: Callable[[RealBall], Optional[_T]], what: str) -> _T:
-    """``decide(best_enclosure(alpha, bits))``, ``bits`` doubling until the
-    answer is not None. Raises InsufficientPrecision, naming ``what``, when a
+    """``decide(alpha.enclosure(bits))``, ``bits`` doubling until the answer
+    is not None. Raises InsufficientPrecision, naming ``what``, when a
     precision-capped source leaves the decision open on its widest
-    enclosure, or before an evaluation past ``_PRECISION_CAP`` bits."""
+    enclosure (one wider than 2^-bits), or before an evaluation past
+    ``_PRECISION_CAP`` bits."""
     while bits <= _PRECISION_CAP:
-        ball, refinable = best_enclosure(alpha, bits)
+        ball = alpha.enclosure(bits)
         answer = decide(ball)
         if answer is not None:
             return answer
-        if not refinable:
+        if ball.err > Fraction(1, 1 << bits):
             raise InsufficientPrecision(
                 f"{what} undecided on the widest enclosure the source has "
                 f"({bits} bits asked)")

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contfrac import ConvergentTable, IrrationalSpec, _refine, best_enclosure
+from .contfrac import ConvergentTable, IrrationalSpec, _refine
 from .errors import TableExhausted, VerificationFailed
 from .intervals import RealBall
 
@@ -24,15 +24,15 @@ def min_odd_dist(
     """
     if v < 1 or v % 2 == 0:
         raise ValueError("v must be an odd positive integer")
-    if alpha.is_rational() is True:
-        x = v * alpha.enclosure(1).value
-        lo_odd = 2 * math.floor((x - 1) / 2) + 1
-        hi_odd = lo_odd + 2
-        d_lo, d_hi = abs(x - lo_odd), abs(x - hi_odd)
-        u = lo_odd if d_lo <= d_hi else hi_odd
-        return u, RealBall(abs(x - u), Fraction(0))
 
     def decide(ball: RealBall) -> tuple[int, RealBall] | None:
+        if ball.err == 0:  # an exact (rational) source
+            x = v * ball.value
+            lo_odd = 2 * math.floor((x - 1) / 2) + 1
+            hi_odd = lo_odd + 2
+            d_lo, d_hi = abs(x - lo_odd), abs(x - hi_odd)
+            u = lo_odd if d_lo <= d_hi else hi_odd
+            return u, RealBall(abs(x - u), Fraction(0))
         xlo, xhi = v * ball.lower, v * ball.upper
         u = 2 * math.floor(((xlo + xhi) / 2 - 1) / 2 + Fraction(1, 2)) + 1
         # certified minimal iff the enclosure stays within (u-1, u+1)
@@ -97,7 +97,7 @@ def odd_odd_stream(table: ConvergentTable, count: int) -> list[OddOddApproximant
 
     # struct_hi, the table's own bound on err, is below 2/v^2 for every
     # candidate: one enclosure decides, and it only narrows the err brackets
-    ball, _ = best_enclosure(table.source, 4 * vs[-1].bit_length() + 96)
+    ball = table.source.enclosure(4 * vs[-1].bit_length() + 96)
     out: list[OddOddApproximant] = []
     for v in vs:
         u, struct_hi = cands[v]
@@ -136,7 +136,7 @@ def badly_approx_profile(table: ConvergentTable) -> ApproxProfile:
     qs = table.quotients[1:]
     max_a = max(qs)
     bits = 4 * table.convergents[-1].q.bit_length() + 64
-    ball, _ = best_enclosure(table.source, bits)
+    ball = table.source.enclosure(bits)
     lo, hi = ball.lower, ball.upper
     ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     num, den = None, 1

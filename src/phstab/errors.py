@@ -9,10 +9,6 @@ class InsufficientPrecision(PhstabError):
     """A certified decision could not be made at the available precision."""
 
 
-class BitBudgetExceeded(PhstabError):
-    """Denominator growth exceeded the configured bit budget."""
-
-
 class TableExhausted(PhstabError):
     """A convergent table is too short for the requested operation."""
 

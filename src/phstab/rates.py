@@ -219,18 +219,6 @@ class PositiveIncreaseRefutation:
     t_grid: tuple[float, ...]
     label: str = ""
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": "positive-increase-refutation",
-                "alpha_hat": self.alpha_hat,
-                "witnesses": [list(w) for w in self.witnesses],
-                "lambda_grid": list(self.lambda_grid),
-                "t_grid": list(self.t_grid),
-                "label": self.label,
-            }
-        )
-
 
 _ALPHA_MARGIN = 0.05
 

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 from mpmath import iv
 
-from .contfrac import IrrationalSpec, best_enclosure
+from .contfrac import IrrationalSpec
 from .diophantine import min_odd_dist
 from .errors import InsufficientPrecision, OutOfRange, SingularMatrix
 from .intervals import (
@@ -46,23 +46,12 @@ from .intervals import (
 
 
 class HEvaluator:
-    """Encloses alpha and evaluates the phases, det T_t and ||T_t^{-1}||.
+    """Evaluates the phases, det T_t and ||T_t^{-1}|| for an interval t and
+    an mpmath enclosure a of alpha.
 
-    All methods assume they run inside ``workprec(bits)`` matching the
-    ``alpha_at(bits)`` they use, as ``g_at_witness`` and the engine's mpmath
-    fallbacks do.
+    All methods assume they run inside a ``workprec`` matching the precision
+    of a, as ``g_at_witness`` and the engine's mpmath fallbacks do.
     """
-
-    def __init__(self, alpha: IrrationalSpec):
-        self.alpha = alpha
-
-    def alpha_at(self, bits: int):
-        """Interval enclosure of alpha at >= bits accuracy (current prec);
-        for a precision-capped source, its widest enclosure."""
-        ball, _ = best_enclosure(self.alpha, bits)
-        return iv_hull(ball.lower, ball.upper)
-
-    # -- pointwise evaluations (call inside workprec) -----------------------
 
     def phases(self, t, a):
         """(e^{it}, e^{i alpha t}) for interval t, alpha enclosure a."""
@@ -103,11 +92,12 @@ def g_at_witness(alpha: IrrationalSpec, u: int, v: int, bits: int = 128) -> Real
     g there can be astronomically small (that is the point of the shifted
     time), so precision is doubled until the enclosure is relatively tight.
     """
-    ev = HEvaluator(alpha)
+    ev = HEvaluator()
     work = _bits_for(float(v) * 4, bits)
     while True:
         with workprec(work):
-            a = ev.alpha_at(work)
+            enc = alpha.enclosure(work)
+            a = iv_hull(enc.lower, enc.upper)
             delta = -(v * a - u) / (1 + a)
             ball = ev.det_iv(iv.pi * (v + delta), a).abs_ball()
         if ball.lower > 0 and ball.err < ball.lower / (1 << 20):
@@ -379,8 +369,8 @@ class _Engine:
     floor = None
     seeds = np.zeros(0), np.zeros(0, dtype=np.intp)
 
-    def __init__(self, alpha: IrrationalSpec, ball: RealBall, windows, tol, init):
-        self.ev, self.ball, self.windows = HEvaluator(alpha), ball, windows
+    def __init__(self, ball: RealBall, windows, tol, init):
+        self.ev, self.ball, self.windows = HEvaluator(), ball, windows
         self.sa = _scale(ball.lower, ball.upper)
         self.tol = np.asarray(tol, dtype=float)
         self.best = np.full(len(windows), init)
@@ -440,8 +430,8 @@ class _Sup(_Engine):
 
     what = "sup of ||T_t^-1||"
 
-    def __init__(self, alpha, ball, windows, tol):
-        super().__init__(alpha, ball, windows, tol, 1.0)  # ||T_0^{-1}|| = 1
+    def __init__(self, ball, windows, tol):
+        super().__init__(ball, windows, tol, 1.0)  # ||T_0^{-1}|| = 1
         self.sb = _scale(1 - ball.upper, 1 - ball.lower)
         self.scales = ((1.0, 0.0, 0.0), self.sa, self.sb)
         af, bf = self.sa[0], self.sb[0]
@@ -512,8 +502,8 @@ class _Inf(_Engine):
 
     what = "inf of h"
 
-    def __init__(self, alpha, ball, windows, tol):
-        super().__init__(alpha, ball, windows, tol, math.inf)
+    def __init__(self, ball, windows, tol):
+        super().__init__(ball, windows, tol, math.inf)
         lo, hi = ball.lower, ball.upper
         p_lo, p_hi = fraction_bounds(iv.pi)
         prods = (p_lo * lo, p_lo * hi, p_hi * lo, p_hi * hi)
@@ -574,9 +564,9 @@ def _inf_windows(alpha: IrrationalSpec, windows, tols, bits: int):
     if any(not tol > 0 for tol in tols):
         raise OutOfRange("tol must be positive")
     work = _bits_for(max(max(abs(a), abs(b)) for a, b in windows), bits)
-    ball, _ = best_enclosure(alpha, work)
+    ball = alpha.enclosure(work)
     with workprec(work):
-        inf = _Inf(alpha, ball, windows, tols)
+        inf = _Inf(ball, windows, tols)
         inf.run()
     lower = np.minimum(inf.done_lo, inf.best)
     return [CertifiedInf(a, b, float(_sqrt_down(max(lower[k], 0.0))),
@@ -637,10 +627,10 @@ def growth_curve(
     if not tol > 0:  # with tol <= 0 no cell is ever dropped
         raise OutOfRange("tol must be positive")
     work = _bits_for(max(etas), bits)
-    ball, _ = best_enclosure(alpha, work)
+    ball = alpha.enclosure(work)
     windows = list(zip([0.0] + etas[:-1], etas))
     with workprec(work):
-        sup = _Sup(alpha, ball, windows, [tol] * len(windows))
+        sup = _Sup(ball, windows, [tol] * len(windows))
         sup.run()
     inc = np.maximum.accumulate(sup.best)
     ups = np.maximum(inc * (1 + tol), sup.stuck)

@@ -64,7 +64,7 @@ def test_quotients_all_even_and_depth_capped():
 
 def test_constructed_alpha_in_one_two():
     ca = af.construct(af.PowerLog(p=3, s=1), bit_budget=1024)
-    ball = ca.spec.enclosure(64, strict=False)
+    ball = ca.spec.enclosure(64)
     assert 1 < float(ball.lower) and float(ball.upper) < 2
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import scipy
 
-from phstab import cli, contfrac, phs
+from phstab import cli, contfrac, phs, rates
 
 
 def run(args):
@@ -167,6 +167,23 @@ def test_rates_rss_without_certificate_exit2(tmp_path):
                 "--times", "100"]) == 2
 
 
+def test_rates_rss_with_a_certificate_file(tmp_path, capsys):
+    # M(eta) = eta^2 certified to increase positively: RSS-upper is 1/sqrt(t)
+    g = tmp_path / "g.csv"
+    g.write_text("eta,m_lower,m_upper\n1.0,1.0,1.0\n100.0,10000.0,10000.0\n"
+                 "10000.0,1e8,1e8\n")
+    cert = tmp_path / "cert.json"
+    cert.write_text(rates.positive_increase_estimate(
+        rates.power_fn(2), [2, 10, 100], [1, 10, 100]).to_json())
+    assert run(["rates", "--curve", str(g), "--kind", "RSS-upper",
+                "--certificate", str(cert), "--times", "4,100,1e6"]) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [(float(t), k) for t, _, k in rows] == [(4, "RSS-upper"), (100, "RSS-upper"),
+                                                   (1e6, "RSS-upper")]
+    for t, bound, _ in rows:
+        assert float(bound) == pytest.approx(float(t) ** -0.5, rel=1e-6)
+
+
 def test_sandwich_exit0(tmp_path):
     out = tmp_path / "s.csv"
     assert run(["sandwich", "--surd", "2", "--odd-v", "1..9",
@@ -242,6 +259,9 @@ class _File(str):
 
 _CURVE = "eta,m_lower,m_upper\n1.0,1.0,1.0\n100.0,10000.0,10000.0\n"
 _RATES = ["rates", "--kind", "RSS-upper", "--times", "100"]
+_SANDWICH_CSV = ("v,u,dist,inf_lower,inf_upper,ratio_lo,ratio_hi\n"
+                 "1,1,0.414,0.2823,0.2824,1.645,1.646\n"
+                 "3,5,0.757,0.8796,0.8797,1.533,1.534\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -264,6 +284,7 @@ _RATES = ["rates", "--kind", "RSS-upper", "--times", "100"]
             "f": {"target": {"kind": "table", "pts": [[1.0, 0.5], [2.0, 0.9]]}}}],
     [*_RATES, "--curve", _File("eta,m_lower,m_upper\n1,2\n100,3,4\n")],
     [*_RATES, "--curve", _File("eta,m_lower,m_upper\n1,x,2\n100,3,4\n")],
+    ["rates", "--kind", "LowerBound", "--times", "10,100", "--curve", _File(_SANDWICH_CSV)],
     [*_RATES, "--curve", _File(_CURVE), "--certificate",
      _File('{"c": 1, "lambda_grid": [2], "t_grid": [1]}')],
     ["construct", "--table", _File('{"pts": [[1, 1], [2, 0.5]]}')],

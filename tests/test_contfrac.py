@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from phstab import alpha_factory as af
 from phstab import contfrac as cf
 from phstab import diophantine as dio
-from phstab.errors import BitBudgetExceeded, InsufficientPrecision, PhstabError
+from phstab.errors import InsufficientPrecision, PhstabError
 
 
 def test_sqrt2_expansion():
@@ -70,8 +70,9 @@ def test_decimal_literal_refuses_beyond_guarantee():
     lit = cf.DecimalLiteral(digits="1.41", bits=8)
     with pytest.raises(InsufficientPrecision):
         cf.expand(lit, 30)
-    with pytest.raises(InsufficientPrecision):
-        lit.enclosure(64)
+    # asked for more than is guaranteed, the literal returns its 8-bit ball
+    ball = lit.enclosure(64)
+    assert (ball.value, ball.err) == (Fraction(141, 100), Fraction(1, 256))
 
 
 def test_decimal_literal_short_prefix_ok():
@@ -125,8 +126,8 @@ def test_unknown_rule_name_is_rejected_at_parse_time():
         cf.spec_from_json(dict(_POWER4_RULE, name="nope"))
 
 
-def test_eval_alpha_enclosure_certified():
-    ball = cf.eval_alpha(cf.SQRT2, 128)
+def test_enclosure_certified():
+    ball = cf.SQRT2.enclosure(128)
     assert ball.err <= Fraction(1, 1 << 128)
     lo, hi = ball.lower, ball.upper
     assert lo * lo < 2 < hi * hi
@@ -157,7 +158,7 @@ def test_identity_holds_for_arbitrary_quotients(a):
 @given(bits=st.integers(min_value=16, max_value=512))
 @settings(max_examples=20, deadline=None)
 def test_enclosure_width_scales_with_bits(bits):
-    ball = cf.eval_alpha(cf.SQRT2, bits)
+    ball = cf.SQRT2.enclosure(bits)
     assert ball.err <= Fraction(1, 1 << bits)
 
 
@@ -192,15 +193,12 @@ def _check_bounds_oracle(table, bits=0):
     qN = table.convergents[-1].q
     need = bits or 4 * qN.bit_length() + 64
     while True:
-        try:
-            ball, refinable = cf.eval_alpha(table.source, need), True
-        except (BitBudgetExceeded, InsufficientPrecision):
-            # a precision-capped source is judged on its widest enclosure
-            ball, refinable = table.source.enclosure(need, strict=False), False
+        # a precision-capped source is judged on its widest enclosure
+        ball = table.source.enclosure(need)
         reports = _bound_reports_oracle(table, ball.lower, ball.upper)
         if reports is not None:
             return reports
-        if not refinable:
+        if ball.err > Fraction(1, 1 << need):
             raise InsufficientPrecision("undecided on the widest enclosure")
         need *= 2
 
@@ -208,7 +206,8 @@ def _check_bounds_oracle(table, bits=0):
 def _best_approx_oracle(table, qmax):
     bits = 4 * qmax.bit_length() + 96
     while True:
-        ball = cf.eval_alpha(table.source, bits)
+        ball = table.source.enclosure(bits)
+        assert ball.err <= Fraction(1, 1 << bits)
         lo, hi = ball.lower, ball.upper
         dist = []
         for q in range(1, qmax + 1):
@@ -292,16 +291,22 @@ def test_check_bounds_matches_fraction_oracle(spec, n, bits):
     assert got == _outcome(_check_bounds_oracle, table, bits)
 
 
+def _count_enclosures(monkeypatch, cls):
+    """The bits of every ``cls.enclosure`` call from now on, in order."""
+    asked = []
+    real = cls.enclosure
+    monkeypatch.setattr(cls, "enclosure",
+                        lambda self, bits: asked.append(bits) or real(self, bits))
+    return asked
+
+
 def test_check_bounds_doubles_when_convergent_inside_enclosure(monkeypatch):
     # At 8 bits the enclosure of sqrt(2) holds 17/12, ..., so those n are
     # undecided and the precision must double before all 30 are decided.
     table = cf.expand(cf.SQRT2, 30)
-    ball = cf.eval_alpha(cf.SQRT2, 8)
+    ball = cf.SQRT2.enclosure(8)
     assert any(ball.lower <= c.value <= ball.upper for c in table.convergents[:-1])
-    asked = []
-    real = cf.best_enclosure
-    monkeypatch.setattr(cf, "best_enclosure",
-                        lambda alpha, b: asked.append(b) or real(alpha, b))
+    asked = _count_enclosures(monkeypatch, cf.QuadraticSurd)
     reports = cf.check_bounds(table, 8)
     assert asked[:2] == [8, 16] and len(asked) > 2
     assert reports == _check_bounds_oracle(table, 8)
@@ -309,25 +314,31 @@ def test_check_bounds_doubles_when_convergent_inside_enclosure(monkeypatch):
 
 
 def test_refine_stops_before_passing_the_cap(monkeypatch):
-    asked = []
-    real = cf.best_enclosure
     monkeypatch.setattr(cf, "_PRECISION_CAP", 64)
-    monkeypatch.setattr(cf, "best_enclosure",
-                        lambda alpha, b: asked.append(b) or real(alpha, b))
+    asked = _count_enclosures(monkeypatch, cf.QuadraticSurd)
     with pytest.raises(InsufficientPrecision, match="never decided.*64-bit"):
         cf._refine(cf.SQRT2, 8, lambda ball: None, "never decided")
     assert asked == [8, 16, 32, 64]
 
 
-def test_check_bounds_on_a_constructed_alpha_near_its_depth():
+def test_check_bounds_on_a_constructed_alpha_near_its_depth(monkeypatch):
     # depth 338: the rule encloses alpha only to about 2 bits(q_338), half
     # the default start precision, so n < 337 are decided on the widest
-    # enclosure; n = 337 sits at its endpoint and stays undecided
+    # enclosure; n = 337 sits at its endpoint and stays undecided. Each
+    # refinement step walks the rule once and never asks the same bits twice.
     spec = _constructed_spec((2, 0), 1024)
-    reports = cf.check_bounds(cf.expand(spec, 300))
+    table = cf.expand(spec, 300)
+    need = 4 * table.convergents[-1].q.bit_length() + 64
+    asked = _count_enclosures(monkeypatch, cf.RuleQuotients)
+    reports = cf.check_bounds(table)
     assert len(reports) == 300 and all(r.passed for r in reports)
+    assert asked == [need]
+    table = cf.expand(spec, 338)
+    need = 4 * table.convergents[-1].q.bit_length() + 64
+    asked.clear()
     with pytest.raises(InsufficientPrecision):
-        cf.check_bounds(cf.expand(spec, 338))
+        cf.check_bounds(table)
+    assert asked == [need << k for k in range(len(asked))]
 
 
 def test_check_bounds_failure_margins_match_oracle():
@@ -395,7 +406,7 @@ def test_bound_reports_kernel_matches_oracle(name):
     make, n = _KERNEL_SOURCES[name]
     spec = make()
     table = cf.expand(spec, n)
-    ball, _ = cf.best_enclosure(spec, 4 * table.convergents[-1].q.bit_length() + 64)
+    ball = spec.enclosure(4 * table.convergents[-1].q.bit_length() + 64)
     reports = _kernel_matches_oracle(table, ball.lower, ball.upper)
     assert len(reports) == n and all(r.passed for r in reports)
     assert _sides(table, ball.lower, ball.upper) == {1, -1}
@@ -408,7 +419,8 @@ def test_bound_reports_kernel_failing_margins():
     for spec, other, side in ((cf.GOLDEN, cf.SQRT2, 1), (cf.SQRT2, cf.GOLDEN, -1)):
         alien = cf.expand(other, 12)
         table = cf.ConvergentTable(spec, alien.quotients, alien.convergents)
-        ball = cf.eval_alpha(spec, 128)
+        ball = spec.enclosure(128)
+        assert ball.err <= Fraction(1, 1 << 128)
         reports = _kernel_matches_oracle(table, ball.lower, ball.upper)
         assert any(r.upper_margin < 0 for r in reports)  # d_lo >= ub
         assert side in _sides(table, ball.lower, ball.upper)
@@ -458,14 +470,14 @@ def test_bound_reports_kernel_matches_oracle_on_any_enclosure(spec, other, n, bi
     if other is not None:  # another number's convergents: failing margins
         alien = cf.expand(other, len(table) - 1)
         table = cf.ConvergentTable(spec, alien.quotients, alien.convergents)
-    ball, _ = cf.best_enclosure(spec, bits)
+    ball = spec.enclosure(bits)
     _kernel_matches_oracle(table, ball.lower, ball.upper)
 
 
 def _c_lower_oracle(table):
     """min_n q_n^2 d_lo(n) on badly_approx_profile's one enclosure."""
     bits = 4 * table.convergents[-1].q.bit_length() + 64
-    ball, _ = cf.best_enclosure(table.source, bits)
+    ball = table.source.enclosure(bits)
     vals = []
     for c in table.convergents[:-1]:
         pv = c.value

@@ -34,7 +34,8 @@ def test_odd_odd_err_bound_exact_rational():
 
 def test_odd_odd_err_is_true_enclosure():
     table = cf.expand(cf.SQRT2, 40)
-    alpha = cf.eval_alpha(cf.SQRT2, 256)
+    alpha = cf.SQRT2.enclosure(256)
+    assert alpha.err <= Fraction(1, 1 << 256)
     for ap in dio.odd_odd_stream(table, 8):
         exact_lo = abs(alpha.lower - Fraction(ap.u, ap.v))
         assert ap.err.lower <= exact_lo <= ap.err.upper
@@ -154,14 +155,15 @@ _GOLDEN_STREAM = [(1, 1), (5, 3), (21, 13), (89, 55), (377, 233), (1597, 987),
 def test_odd_odd_stream_takes_one_enclosure(monkeypatch, spec, depth, want):
     table = cf.expand(spec, depth)
     asked = []
-    real = dio.best_enclosure
-    monkeypatch.setattr(dio, "best_enclosure",
-                        lambda alpha, b: asked.append(b) or real(alpha, b))
+    real = type(spec).enclosure
+    monkeypatch.setattr(type(spec), "enclosure",
+                        lambda self, bits: asked.append(bits) or real(self, bits))
     stream = dio.odd_odd_stream(table, 8)
     assert asked == [4 * want[-1][1].bit_length() + 96]
     assert [(x.u, x.v) for x in stream] == want
     assert all(x.err.upper < Fraction(2, x.v**2) for x in stream)
     if spec is not _DEC60:
-        alpha = cf.eval_alpha(spec, 512)
+        alpha = spec.enclosure(512)
+        assert alpha.err <= Fraction(1, 1 << 512)
         for x in stream:
             assert x.err.lower <= abs(alpha.value - Fraction(x.u, x.v)) <= x.err.upper

@@ -14,7 +14,7 @@ from mpmath import iv
 from phstab import contfrac as cf
 from phstab import spectral as sp
 from phstab.errors import InsufficientPrecision, OutOfRange, SingularMatrix
-from phstab.intervals import workprec
+from phstab.intervals import iv_hull, workprec
 
 THIRD = cf.ExplicitQuotients((0, 3))
 
@@ -23,11 +23,16 @@ def _det_oracle(alpha: float, t: float) -> complex:
     return 1.0 + 0.5 * (np.exp(1j * t) + np.exp(1j * alpha * t))
 
 
+def _alpha_iv(alpha, bits):
+    """alpha's enclosure at bits as an mpmath interval (call inside workprec)."""
+    ball = alpha.enclosure(bits)
+    return iv_hull(ball.lower, ball.upper)
+
+
 def _at(alpha, t, method, bits=256):
     """HEvaluator.<method> at t (a float or an interval) inside workprec(bits)."""
-    ev = sp.HEvaluator(alpha)
     with workprec(bits):
-        return getattr(ev, method)(iv.mpf(t), ev.alpha_at(bits))
+        return getattr(sp.HEvaluator(), method)(iv.mpf(t), _alpha_iv(alpha, bits))
 
 
 def test_det_t_matches_closed_form():
@@ -46,9 +51,9 @@ def test_det_t0_is_two():
 def test_h_is_scaled_g():
     # h(t)^2 = |2 + e^{i pi t} + e^{i pi alpha t}|^2 = 4 g(pi t)^2: the inf
     # objective's mpmath terms against |det T| at pi t
-    ev = sp.HEvaluator(cf.SQRT2)
+    ev = sp.HEvaluator()
     with workprec(256):
-        a = ev.alpha_at(256)
+        a = _alpha_iv(cf.SQRT2, 256)
         for t in (0.7, 2.0, 5.3):
             f_lo, f_up, _ = sp._h_terms_mp(ev, t, a)
             g2 = ev.det_iv(iv.pi * t, a).abs2()
