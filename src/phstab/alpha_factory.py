@@ -1,17 +1,22 @@
 """Construct numbers alpha = [1; a_1, a_2, ...] realizing a decay target.
 
 The recursion a_n = 2*ceil(1 / (sqrt(f(pi q_{n-1})) q_{n-1})) is evaluated
-with certified interval arithmetic so each ceiling is provably correct.
+with certified interval arithmetic so each ceiling is provably correct: on
+mpmath's outward-rounded ``libmpi`` tuples, by ``DecayTarget.evaluator``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
-from mpmath import iv
+from mpmath.libmp import (from_int, from_rational, mpf_e, mpf_pi, mpi_add, mpi_div,
+                          mpi_exp, mpi_log, mpi_mul, mpi_pow, mpi_sub, round_ceiling,
+                          round_floor, to_int)
 
 from .contfrac import ConvergentTable, RuleQuotients, expand
 from .errors import (
@@ -21,7 +26,6 @@ from .errors import (
     ValidationError,
     VerificationFailed,
 )
-from .intervals import fraction_bounds, iv_from_fraction, workprec
 
 
 def _json_number(x: Fraction) -> float | str:
@@ -34,11 +38,31 @@ def _json_number(x: Fraction) -> float | str:
     return f if Fraction(repr(f)) == x else str(x)
 
 
+def _enclose(x, prec: int) -> tuple:
+    """The libmpi interval of an int, float or Fraction, outward to prec bits."""
+    if isinstance(x, int):  # q: no division, unlike from_rational
+        return from_int(x, prec, round_floor), from_int(x, prec, round_ceiling)
+    n, d = Fraction(x).as_integer_ratio()
+    return from_rational(n, d, prec, round_floor), from_rational(n, d, prec, round_ceiling)
+
+
 class DecayTarget:
     """A positive, decreasing target function f on (0, infinity)."""
 
-    def inv_sqrt_f_over_q(self, q: int):
-        """Interval enclosure of 1 / (sqrt(f(pi*q)) * q) at current iv.prec."""
+    def evaluator(self, prec: int) -> Callable[[int], tuple]:
+        """q -> the libmpi interval of 1 / (sqrt(f(pi*q)) * q), rounded
+        outward at prec bits. Built once per target and precision, so pi and the
+        target's constants are enclosed here, not per q."""
+        pi, g = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)), self._inv_sqrt_f(prec)
+
+        def x(q: int) -> tuple:
+            qi = _enclose(q, prec)
+            return mpi_div(g(mpi_mul(pi, qi, prec), q), qi, prec)
+
+        return x
+
+    def _inv_sqrt_f(self, prec: int) -> Callable[[tuple, int], tuple]:
+        """(t, q) -> 1 / sqrt(f(t)) at prec bits, for the interval t of pi*q."""
         raise NotImplementedError
 
     def log_value(self, t: float) -> float:
@@ -63,9 +87,9 @@ class ExpDecay(DecayTarget):
         if self.beta <= 0:
             raise ValueError("beta must be positive")
 
-    def inv_sqrt_f_over_q(self, q: int):
-        b = iv_from_fraction(self.beta)
-        return iv.exp(b * iv.pi * q / 2) / q
+    def _inv_sqrt_f(self, prec: int) -> Callable[[tuple, int], tuple]:
+        half_beta = _enclose(self.beta / 2, prec)
+        return lambda t, q: mpi_exp(mpi_mul(half_beta, t, prec), prec)
 
     def log_value(self, t: float) -> float:
         if t <= 0:
@@ -89,12 +113,13 @@ class PowerLog(DecayTarget):
         if self.p <= 0 or self.s < 0:
             raise ValueError("need p > 0 and s >= 0")
 
-    def inv_sqrt_f_over_q(self, q: int):
-        t = iv.pi * q
-        x = t ** iv_from_fraction(self.p / 2)
-        if self.s != 0:
-            x = x * iv.log(iv.e + t) ** iv_from_fraction(self.s / 2)
-        return x / q
+    def _inv_sqrt_f(self, prec: int) -> Callable[[tuple, int], tuple]:
+        e = mpf_e(prec, round_floor), mpf_e(prec, round_ceiling)
+        hp, hs = _enclose(self.p / 2, prec), _enclose(self.s / 2, prec)
+        if self.s == 0:
+            return lambda t, q: mpi_pow(t, hp, prec)
+        return lambda t, q: mpi_mul(mpi_pow(t, hp, prec), mpi_pow(
+            mpi_log(mpi_add(e, t, prec), prec), hs, prec), prec)
 
     def log_value(self, t: float) -> float:
         if t <= 0:
@@ -143,14 +168,19 @@ class Tabulated(DecayTarget):
         theta = (t - t0) / (t1 - t0)
         return (1 - theta) * math.log(f0) + theta * math.log(f1)
 
-    def inv_sqrt_f_over_q(self, q: int):
-        t = float(iv.pi.mid) * q
-        t0, f0, t1, f1 = self._segment(t)
-        # interval form of the log-linear interpolant
-        ti = iv.pi * q
-        theta = (ti - t0) / (t1 - t0)
-        logf = (1 - theta) * iv.log(iv.mpf(f0)) + theta * iv.log(iv.mpf(f1))
-        return iv.exp(-logf / 2) / q
+    def _inv_sqrt_f(self, prec: int) -> Callable[[tuple, int], tuple]:
+        one, neg_half = _enclose(1, prec), _enclose(Fraction(-1, 2), prec)
+
+        def g(t, q: int) -> tuple:
+            # log_value's interpolant: its float knots and float t1 - t0 enter exactly
+            t0, f0, t1, f1 = self._segment(math.pi * q)
+            theta = mpi_div(mpi_sub(t, _enclose(t0, prec), prec), _enclose(t1 - t0, prec), prec)
+            log0, log1 = (mpi_log(_enclose(f, prec), prec) for f in (f0, f1))
+            logf = mpi_add(mpi_mul(mpi_sub(one, theta, prec), log0, prec),
+                           mpi_mul(theta, log1, prec), prec)
+            return mpi_exp(mpi_mul(logf, neg_half, prec), prec)
+
+        return g
 
     def to_json(self) -> dict:
         return {
@@ -172,33 +202,21 @@ def target_from_json(obj: dict | str) -> DecayTarget:
     raise ValueError(f"unknown decay target kind {kind!r}")
 
 
-def _bits_floor_lower(x_iv) -> int:
-    """Lower bound on bit_length(floor(lower endpoint of x_iv)).
-
-    Works straight off the mantissa/exponent pair, so it is safe even when
-    the endpoint is astronomically large.
-    """
-    sign, man, exp, bc = x_iv._mpi_[0]
-    if man == 0 or sign:
-        return 0
-    return max(int(exp) + int(bc), 0)
-
-
-def _certified_ceil(target: DecayTarget, q: int, bit_budget: int, x64) -> int:
+def _certified_ceil(evaluator: Callable, q: int, bit_budget: int, x64) -> int:
     """ceil(1/(sqrt(f(pi q)) q)) with a provably correct ceiling.
 
-    ``x64`` is target.inv_sqrt_f_over_q(q) evaluated at 64 bits, the
-    first attempt; the precision doubles from there.
+    ``x64`` is ``evaluator(64)(q)``, the first attempt; the precision
+    doubles from there.
     """
-    prec, x = 64, x64
+    prec, (lo, hi) = 64, x64
     while prec <= 4 * bit_budget:
         if prec > 64:
-            with workprec(prec):
-                x = target.inv_sqrt_f_over_q(q)
-        lo, hi = fraction_bounds(x)
-        clo, chi = math.ceil(lo), math.ceil(hi)
-        if clo == chi and lo != clo:
-            return int(clo)
+            lo, hi = evaluator(prec)(q)
+        # decided when the endpoints share a ceiling and lo is no integer (a
+        # nonzero normalized mpf is one exactly when its exponent is >= 0)
+        c = to_int(lo, round_ceiling)
+        if c == to_int(hi, round_ceiling) and lo[1] and lo[2] < 0:
+            return int(c)
         prec *= 2
     raise CeilingUndecidable(
         f"enclosure of 1/(sqrt(f(pi*{q}))*{q}) straddles an integer at "
@@ -207,20 +225,21 @@ def _certified_ceil(target: DecayTarget, q: int, bit_budget: int, x64) -> int:
 
 
 def _quotients_for(target: DecayTarget, bit_budget: int) -> list[int]:
+    evaluator = functools.cache(target.evaluator)  # built once per precision
     quotients = [1]
     q_prev2, q_prev = 0, 1  # q_{-1} = 0, q_0 = 1
     while True:
         # Cheap lower bound on the next quotient: if even that already
         # blows the budget, stop before attempting a certified ceiling.
-        with workprec(64):
-            x = target.inv_sqrt_f_over_q(q_prev)
-        if _bits_floor_lower(x) + q_prev.bit_length() > bit_budget:
+        x = evaluator(64)(q_prev)
+        sign, man, exp, bc = x[0]  # x >= 2^(exp + bc - 1), read without forming an int
+        if man and not sign and exp + bc + q_prev.bit_length() > bit_budget:
             break
-        a = 2 * _certified_ceil(target, q_prev, bit_budget, x)
+        a = 2 * _certified_ceil(evaluator, q_prev, bit_budget, x)
         q_new = a * q_prev + q_prev2
         if q_new.bit_length() > bit_budget:
             break
-        quotients.append(int(a))
+        quotients.append(a)
         q_prev2, q_prev = q_prev, q_new
     if len(quotients) < 2:
         raise ValueError("bit budget too small for even one quotient")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Callable, Iterator, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .errors import InsufficientPrecision, TableExhausted
 from .intervals import RealBall
@@ -155,25 +155,14 @@ class RuleQuotients(IrrationalSpec):
             n += 1
 
     def enclosure(self, bits: int) -> RealBall:
-        p2, p1 = 1, None
-        q2, q1 = 0, None
-        prev = None
-        bracket = None  # hull of the two most recent convergents
-        for a in self.quotient_iter():
-            if p1 is None:
-                p1, q1 = a, 1
-                prev = (a, 1)
-                continue
-            p1, p2 = a * p1 + p2, p1
-            q1, q2 = a * q1 + q2, q1
-            lo = Fraction(prev[0], prev[1])
-            hi = Fraction(p1, q1)
-            if lo > hi:
-                lo, hi = hi, lo
-            bracket = (lo, hi)
-            if hi - lo <= Fraction(1, 1 << bits) or q1.bit_length() > self.bit_budget:
-                return RealBall.from_bounds(lo, hi)
-            prev = (p1, q1)
+        prev = bracket = None  # bracket: hull of the two most recent convergents
+        for p, q in _convergents(self.quotient_iter()):
+            x = _coprime(p, q)  # p_n, q_n coprime: p_n q_{n-1} - p_{n-1} q_n = +-1
+            if prev is not None:
+                bracket = lo, hi = (prev, x) if prev < x else (x, prev)
+                if hi - lo <= Fraction(1, 1 << bits) or q.bit_length() > self.bit_budget:
+                    return RealBall.from_bounds(lo, hi)
+            prev = x
         # Finite stream: alpha lies strictly between the last two convergents.
         if bracket is None:
             raise InsufficientPrecision("quotient stream too short to enclose")
@@ -247,6 +236,15 @@ def spec_from_json(obj: dict | str) -> IrrationalSpec:
     raise ValueError(f"unknown spec kind {kind!r}")
 
 
+def _convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """(p_n, q_n) = a_n (p, q)_{n-1} + (p, q)_{n-2}, from (p, q)_{-1} = (1, 0)
+    and (p, q)_{-2} = (0, 1)."""
+    p1, p2, q1, q2 = 1, 0, 0, 1
+    for a in quotients:
+        p1, p2, q1, q2 = a * p1 + p2, p1, a * q1 + q2, q1
+        yield p1, q1
+
+
 @dataclass(frozen=True)
 class Convergent:
     n: int
@@ -256,8 +254,6 @@ class Convergent:
     def __post_init__(self):
         if self.q <= 0:
             raise ValueError("q must be positive")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError("p/q must be in lowest terms")
 
     @property
     def value(self) -> Fraction:
@@ -266,10 +262,20 @@ class Convergent:
 
 @dataclass(frozen=True)
 class ConvergentTable:
+    """Invariant, checked on construction: the convergents are the
+    ``_convergents`` of the quotients. Hence p_n q_{n-1} - p_{n-1} q_n = +-1,
+    and every p_n/q_n is in lowest terms."""
+
     source: IrrationalSpec
     quotients: tuple[int, ...]
     convergents: tuple[Convergent, ...]
     terminated: bool = False
+
+    def __post_init__(self):
+        pqs = _convergents(self.quotients)
+        if len(self.quotients) != len(self.convergents) or any(
+                (c.p, c.q) != pq for c, pq in zip(self.convergents, pqs)):
+            raise ValueError("the convergents do not follow the quotients")
 
     def __len__(self) -> int:
         return len(self.convergents)
@@ -298,9 +304,6 @@ def expand(alpha: IrrationalSpec, n: int) -> ConvergentTable:
     if n < 0:
         raise ValueError("n must be >= 0")
     quotients: list[int] = []
-    convergents: list[Convergent] = []
-    p1, p2 = 1, 0
-    q1, q2 = 0, 1
     it = alpha.quotient_iter()
     terminated = False
     for k in range(n + 1):
@@ -312,13 +315,10 @@ def expand(alpha: IrrationalSpec, n: int) -> ConvergentTable:
         if k >= 1 and a < 1:
             raise ValueError(f"a_{k} = {a} violates a_n >= 1")
         quotients.append(a)
-        p1, p2 = a * p1 + p2, p1
-        q1, q2 = a * q1 + q2, q1
-        convergents.append(Convergent(k, p1, q1))
     return ConvergentTable(
         source=alpha,
         quotients=tuple(quotients),
-        convergents=tuple(convergents),
+        convergents=tuple(Convergent(k, p, q) for k, (p, q) in enumerate(_convergents(quotients))),
         terminated=terminated,
     )
 
@@ -358,10 +358,12 @@ def _bound_reports(
     [lo, hi] is too wide to decide some n.
 
     Each endpoint x = x_num/x_den gives one integer e = x_num q - p x_den,
-    so |x - p/q| = |e|/(x_den q). Its sign is the side of p/q: p/q < lo
-    when e_lo > 0, hi < p/q when e_hi < 0, and then d_lo and d_hi are the
-    distances of the near and the far endpoint. Against a bound 1/(k q^2),
-    k = a+2 (lb) or a (ub), the distance d of an endpoint differs by
+    so |x - p/q| = |e|/(x_den q); the table's invariant gives it by the
+    recurrence e_n = a_n e_{n-1} + e_{n-2} from e_{-1} = -x_den, e_{-2} =
+    x_num. Its sign is the side of p/q: p/q < lo when e_lo > 0, hi < p/q
+    when e_hi < 0, and then d_lo and d_hi are the distances of the near and
+    the far endpoint. Against a bound 1/(k q^2), k = a+2 (lb) or a (ub), the
+    distance d of an endpoint differs by
 
         d - 1/(k q^2) = (k q |e| - x_den) / (x_den k q^2),
 
@@ -374,9 +376,12 @@ def _bound_reports(
     hn, hd = hi.numerator, hi.denominator
     low, high = (ld, *_two_split(ld)), (hd, *_two_split(hd))
     reports: list[BoundReport] = []
-    for n, (c, a) in enumerate(zip(table.convergents, table.quotients[1:])):
-        p, q = c.p, c.q
-        e_lo, e_hi = ln * q - p * ld, hn * q - p * hd
+    e_lo, e_lo2, e_hi, e_hi2 = -ld, ln, -hd, hn  # e_{-1}, e_{-2} of each endpoint
+    for n, (c, a_n, a) in enumerate(zip(table.convergents, table.quotients,
+                                        table.quotients[1:])):
+        q = c.q
+        e_lo, e_lo2 = a_n * e_lo + e_lo2, e_lo
+        e_hi, e_hi2 = a_n * e_hi + e_hi2, e_hi
         kl, ku = (a + 2) * q, a * q
         if e_lo > 0:  # p/q < lo
             (en, near), (ef, far) = (e_lo, low), (e_hi, high)

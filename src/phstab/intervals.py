@@ -31,15 +31,10 @@ def workprec(bits: int):
         iv.prec = old
 
 
-def iv_from_fraction(x: Fraction):
-    """Certified enclosure of an exact rational (outward-rounded division)."""
-    return iv.mpf(x.numerator) / iv.mpf(x.denominator)
-
-
 def iv_hull(lo: Fraction, hi: Fraction):
-    a = iv_from_fraction(lo)
-    b = iv_from_fraction(hi)
-    return iv.mpf([a.a, b.b])
+    """Certified enclosure of [lo, hi] (outward-rounded divisions)."""
+    return iv.mpf([(iv.mpf(lo.numerator) / lo.denominator).a,
+                   (iv.mpf(hi.numerator) / hi.denominator).b])
 
 
 def fraction_bounds(x) -> tuple[Fraction, Fraction]:

@@ -1,5 +1,6 @@
 """Construction of alpha realizing a prescribed decay target."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -11,16 +12,73 @@ from hypothesis import strategies as st
 
 from phstab import alpha_factory as af
 from phstab import contfrac as cf
-from phstab.errors import MonotonicityViolation
+from phstab.errors import CeilingUndecidable, MonotonicityViolation
 
 
-def _oracle_quotient(target_log_f, q_prev: int) -> int:
+def _oracle_log_f(target, t):
+    """log f(t) in mpmath at the working precision (``log_value`` is float)."""
+    def mpf(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    if isinstance(target, af.ExpDecay):
+        return -mpf(target.beta) * t
+    if isinstance(target, af.PowerLog):
+        return -mpf(target.p) * mpmath.log(t) - mpf(target.s) * mpmath.log(
+            mpmath.log(mpmath.e + t))
+    t0, f0, t1, f1 = target._segment(float(t))  # the float knots and t1 - t0
+    theta = (t - t0) / (t1 - t0)
+    return (1 - theta) * mpmath.log(f0) + theta * mpmath.log(f1)
+
+
+def _oracle_quotient(target, q_prev: int) -> int:
     """Independent recomputation of a_n = 2*ceil(1/(sqrt(f(pi q)) q))
     at 600 decimal digits."""
     with mpmath.workdps(600):
         t = mpmath.pi * q_prev
-        inv = mpmath.exp(-mpmath.mpf(target_log_f(t)) / 2) / q_prev
+        inv = mpmath.exp(-_oracle_log_f(target, t) / 2) / q_prev
         return int(2 * mpmath.ceil(inv))
+
+
+# depth and SHA-256 of ",".join(quotients), as the mpmath iv-context
+# evaluator of the recursion computed them
+_PINNED = {
+    "ExpDecay(1)": (af.ExpDecay(1), 4096, 2,
+                    "2718cc8b6f4de20d77a7a9dbb852f43e4e0c1d3e713637b0a329db9b1d8ece83"),
+    "ExpDecay(3/2)": (af.ExpDecay(Fraction(3, 2)), 4096, 2,
+                      "f91006799c29780877af81c7ed71ca4cdae91d5c9a1f4d16630651af6dd3ff3f"),
+    "PowerLog(4,1/2)": (af.PowerLog(4, Fraction(1, 2)), 4096, 9,
+                        "070631009b7303793d996c4e662eb8b362884a27b1b136e081ee01c513eb5103"),
+    "PowerLog(5,0)": (af.PowerLog(5, 0), 4096, 7,
+                      "cf7f9513a504f3f61162b290506fe18dccc5133851152c57d315bec7450e592f"),
+    "PowerLog(3,1/2)": (af.PowerLog(3, Fraction(1, 2)), 4096, 15,
+                        "a1cbd562fe686703b0fa8c66753b5d94cce8aee7ba39d10379689d41aa208da2"),
+    "PowerLog(7/3,1/3)": (af.PowerLog(Fraction(7, 3), Fraction(1, 3)), 4096, 34,
+                          "9c86a3aca2724f154a5bc3b701fbfb910293e89b7fb05e06bab0dcb54e754015"),
+    "PowerLog(2,0)": (af.PowerLog(2, 0), 6144, 2033,
+                      "5ce68880d5f8a6d387e0340e8dc37d6f273bdfd942bc3181a4cec7750dccc1d0"),
+    "Tabulated": (af.Tabulated(((1, 1), (10, Fraction(1, 100)), (100, Fraction(1, 10**4)),
+                                (1000, Fraction(1, 10**6)))), 4096, 6,
+                  "4bcc459e3195dd766ab2f2aea0ae04f487bdcf087c6aebec6f38568227bb3bdc"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_construction_is_pinned(name):
+    target, bits, depth, digest = _PINNED[name]
+    ca = af.construct(target, bits)
+    qs = ca.table.quotients
+    assert ca.depth == depth
+    assert hashlib.sha256(",".join(map(str, qs)).encode()).hexdigest() == digest
+    for n in range(1, min(4, len(qs))):
+        assert qs[n] == _oracle_quotient(target, ca.table.convergents[n - 1].q)
+
+
+def test_an_integer_value_leaves_the_ceiling_undecidable():
+    # a flat table (validate() refuses it) makes 1/sqrt(f(pi)) exactly 2,
+    # so every enclosure straddles 2, up to 4 * 64 bits
+    flat = af.Tabulated(((1, Fraction(1, 4)), (2, Fraction(1, 4))))
+    with pytest.raises(CeilingUndecidable, match="straddles an integer at 256 bits"):
+        af._quotients_for(flat, 64)
 
 
 def test_power4_quotients_vs_oracle():
@@ -124,13 +182,16 @@ def test_to_json_keeps_non_dyadic_targets_exact():
 
 
 class _CountingPowerLog(af.PowerLog):
-    """PowerLog that records the working precision of every evaluation."""
+    """PowerLog that records the precision of every evaluator it builds and
+    of every evaluation."""
 
-    precs: list = []
+    builds: list = []
+    calls: list = []
 
-    def inv_sqrt_f_over_q(self, q):
-        self.precs.append(mpmath.iv.prec)
-        return super().inv_sqrt_f_over_q(q)
+    def evaluator(self, prec):
+        self.builds.append(prec)
+        x = super().evaluator(prec)
+        return lambda q: self.calls.append(prec) or x(q)
 
 
 def test_construct_runs_the_recursion_once(monkeypatch):
@@ -138,11 +199,13 @@ def test_construct_runs_the_recursion_once(monkeypatch):
     real = af._quotients_for
     monkeypatch.setattr(af, "_quotients_for",
                         lambda target, budget: runs.append(budget) or real(target, budget))
-    _CountingPowerLog.precs = []
-    ca = af.construct(_CountingPowerLog(p=2, s=0), bit_budget=1024)
+    _CountingPowerLog.builds, _CountingPowerLog.calls = [], []
+    ca = af.construct(_CountingPowerLog(p=4, s=0), bit_budget=1024)
     assert runs == [1024]
-    precs = _CountingPowerLog.precs
-    escalations = sum(1 for p in precs if p > 64)
+    builds, calls = _CountingPowerLog.builds, _CountingPowerLog.calls
+    # one evaluator per precision used, not one per quotient; some ceilings
+    # escalate past 64 bits
+    assert builds == sorted(set(calls)) and builds[0] == 64 and len(builds) > 1
     # one 64-bit evaluation per quotient, plus the one that stops the recursion
-    assert len(precs) <= ca.depth + 1 + escalations
-    assert ca.table.quotients == af.construct(af.PowerLog(p=2, s=0), 1024).table.quotients
+    assert calls.count(64) == ca.depth + 1
+    assert ca.table.quotients == af.construct(af.PowerLog(p=4, s=0), 1024).table.quotients

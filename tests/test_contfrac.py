@@ -57,6 +57,21 @@ def test_convergents_coprime_and_increasing_q():
             assert c.q > table.convergents[n - 1].q
 
 
+def test_table_refuses_convergents_that_do_not_follow_its_quotients():
+    table = cf.expand(cf.SQRT2, 6)
+    qs, cs = table.quotients, table.convergents
+    golden = cf.expand(cf.GOLDEN, 6).convergents
+    for convergents in (
+        cs[:3] + (cf.Convergent(3, 19, 12),) + cs[4:],  # 19/12 for 17/12, in lowest terms
+        golden,  # another number's convergents, every one in lowest terms
+        cs[:-1],  # one short
+    ):
+        with pytest.raises(ValueError, match="do not follow the quotients"):
+            cf.ConvergentTable(cf.SQRT2, qs, convergents)
+    # judging one number's table against another source is still allowed
+    assert cf.ConvergentTable(cf.GOLDEN, qs, cs).convergents == cs
+
+
 def test_check_bounds_strict_both_sides():
     for spec in (cf.SQRT2, cf.GOLDEN):
         table = cf.expand(spec, 50)
