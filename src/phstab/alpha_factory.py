@@ -172,8 +172,11 @@ class Tabulated(DecayTarget):
         one, neg_half = _enclose(1, prec), _enclose(Fraction(-1, 2), prec)
 
         def g(t, q: int) -> tuple:
-            # log_value's interpolant: its float knots and float t1 - t0 enter exactly
-            t0, f0, t1, f1 = self._segment(math.pi * q)
+            # log_value's interpolant: its float knots and float t1 - t0 enter
+            # exactly; pi q is past the float range (inf: the last segment)
+            # well before float(q) can raise, at q >= 2^1024
+            t_float = math.pi * q if q.bit_length() < 1024 else math.inf
+            t0, f0, t1, f1 = self._segment(t_float)
             theta = mpi_div(mpi_sub(t, _enclose(t0, prec), prec), _enclose(t1 - t0, prec), prec)
             log0, log1 = (mpi_log(_enclose(f, prec), prec) for f in (f0, f1))
             logf = mpi_add(mpi_mul(mpi_sub(one, theta, prec), log0, prec),

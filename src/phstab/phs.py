@@ -313,10 +313,11 @@ class _PhiStack:
         return _exp_eig(self.lam[i, k], self.outer[i, k], s).reshape(len(s), d, d)
 
     def apply(self, i: int, k: int, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Rows exp(A_{t_i,k} s_j) y_j for s of shape (m,) and y of shape
-        (..., m, d); with an eigenbasis, without forming the matrices."""
+        """Rows exp(A_{t_i,k} s_j) y_j for s of shape (m,) and y that
+        broadcasts to (..., m, d); with an eigenbasis, without forming the
+        matrices."""
         if self.dense[i, k]:
-            return np.einsum("njk,...nk->...nj", self.exp_at(i, k, s), y)
+            return (self.exp_at(i, k, s) @ y[..., None])[..., 0]
         ph = np.exp(np.multiply.outer(s, self.lam[i, k]))
         return ((y @ self.Vi[i, k].T) * ph) @ self.V[i, k].T
 
@@ -532,49 +533,38 @@ def _node_bounds(counts: Sequence[int]) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts) + 1])
 
 
-def _h_weighted(
-    mats: Sequence[np.ndarray], bounds: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows M_k y_j with M_k the matrix of the piece owning node j, for y of
-    shape (..., n, d), and the weighted norms sqrt(integral y^* M y) by the
-    trapezoid rule on ``x``, shape (...)."""
+def _by_piece(mats: Sequence[np.ndarray], bounds: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows M_k y_j with M_k the matrix of the piece owning node j (see
+    :func:`_node_bounds`), for y of shape (..., n, d)."""
     my = np.empty_like(y)
     for k, m in enumerate(mats):
         sl = slice(bounds[k], bounds[k + 1])
         my[..., sl, :] = y[..., sl, :] @ m.T
+    return my
+
+
+def _h_norms(x: np.ndarray, y: np.ndarray, my: np.ndarray) -> np.ndarray:
+    """Weighted norms sqrt(integral y^* M y), shape (...), by the trapezoid
+    rule on ``x`` from the rows ``my`` = M y of :func:`_by_piece`."""
     quad = np.einsum("...ni,...ni->...n", np.conj(y), my).real
-    return my, np.sqrt(np.maximum(np.trapezoid(quad, x, axis=-1), 0.0))
-
-
-def _stacked(fs: Sequence[Callable[[np.ndarray], np.ndarray]], d: int):
-    """The right-hand sides ``fs`` as one map from points (n,) to values
-    (len(fs), n, d)."""
-
-    def f(xs: np.ndarray) -> np.ndarray:
-        out = np.empty((len(fs), len(xs), d), dtype=complex)
-        for p, fn in enumerate(fs):
-            fv = np.asarray(fn(xs), dtype=complex)
-            if fv.shape != (len(xs), d):
-                raise ValidationError(
-                    f"probe function must return shape (n, {d}) arrays"
-                )
-            out[p] = fv
-        return out
-
-    return f
+    return np.sqrt(np.maximum(np.trapezoid(quad, x, axis=-1), 0.0))
 
 
 def _solve_once(
     phi: FundamentalMatrix,
     fs: Sequence[Callable[[np.ndarray], np.ndarray]],
     nodes: int,
-) -> list[ResolventSolution]:
-    """One solve per right-hand side in ``fs`` on one grid: the
-    exponentials, the quadrature nodes and T_t are shared, and each step
-    works on the (len(fs), n, d) stack of values."""
+) -> tuple[list[ResolventSolution], np.ndarray]:
+    """One solve per right-hand side in ``fs`` on one grid, and the values
+    f(x_j) there, shape (len(fs), n, d).  Each right-hand side is evaluated
+    once, at the Gauss nodes of all pieces and the grid together.  Panels
+    are factored through their midpoints, exp(-A_k (s - x_k)) =
+    exp(-A_k (mid_j - x_k)) exp(-A_k h xi_i / 2): one weighted (8, d, d)
+    stack per piece contracts every panel's nodes in one
+    (len(fs), n, 8d) @ (8d, d) matmul, and exp(-A_k (mid_j - x_k)) is
+    applied at the n panel midpoints only."""
     sys, st, i = phi.sys, phi._stack, phi._i
     p1inv, d = st.p1inv, sys.d
-    f = _stacked(fs, d)
 
     T = _boundary(sys, phi.at_b)
     sv = la.svd(T, compute_uv=False)
@@ -584,26 +574,36 @@ def _solve_once(
         )
 
     counts = _uniform_counts(sys, nodes)
+    spans = zip(sys.breaks, sys.breaks[1:], counts)
+    grids = [np.linspace(x0, x1, n + 1) for x0, x1, n in spans]
+    hs = np.diff(sys.breaks) / counts
+    x = np.concatenate([grids[0]] + [g[1:] for g in grids[1:]])
+    # 8-point Gauss-Legendre on each panel [grid_j, grid_j+1]
+    mids = [0.5 * (g[:-1] + g[1:]) for g in grids]
+    gauss = [(m[:, None] + 0.5 * h * _GL_NODES[None, :]).ravel() for m, h in zip(mids, hs)]
+    xs = np.concatenate(gauss + [x])
+    fv = np.empty((len(fs), len(xs), d), dtype=complex)
+    for p, fn in enumerate(fs):
+        vals = np.asarray(fn(xs))
+        if vals.shape != (len(xs), d):
+            raise ValidationError(f"right-hand side must return shape (n, {d}) arrays")
+        fv[p] = vals
+    fx = fv[:, -len(x) :]
+
     cum_inv_t = la.inv(phi._cum[:-1]).swapaxes(-1, -2)
-    grids: list[np.ndarray] = []
     runs: list[np.ndarray] = []  # per piece: integral_a^x Phi^{-1} P1^{-1} f at the grid
     cum_integral = np.zeros((len(fs), 1, d), dtype=complex)
-    for k, n in enumerate(counts):
-        x0, x1 = sys.breaks[k], sys.breaks[k + 1]
-        grid = np.linspace(x0, x1, n + 1)
-        h = (x1 - x0) / n
-        # 8-point Gauss-Legendre on each subinterval [grid_j, grid_j+1]
-        mid = 0.5 * (grid[:-1] + grid[1:])
-        s_nodes = (mid[:, None] + 0.5 * h * _GL_NODES[None, :]).ravel()
-        # Phi(s)^{-1} P1^{-1} f(s) = cum_k^{-1} exp(-A_k (s - x0)) P1^{-1} f(s)
-        integrand = st.apply(i, k, x0 - s_nodes, f(s_nodes) @ p1inv.T) @ cum_inv_t[k]
-        per_panel = (
-            integrand.reshape(-1, n, 8, d) * (0.5 * h * _GL_WEIGHTS)[:, None]
-        ).sum(axis=2)
+    parts = np.split(fv[:, : -len(x)], 8 * np.cumsum(counts)[:-1], axis=1)
+    for k, (n, mid, h, g) in enumerate(zip(counts, mids, hs, parts)):
+        # Phi(s)^{-1} P1^{-1} f(s) = cum_k^{-1} exp(-A_k (mid - x_k)) E_i P1^{-1} f(s)
+        # with E_i = exp(-A_k h xi_i / 2); m stacks the weighted E_i P1^{-1}
+        wts = 0.5 * h * _GL_WEIGHTS
+        m = st.exp_at(i, k, -0.5 * h * _GL_NODES) @ p1inv * wts[:, None, None]
+        panels = g.reshape(len(fs), n, 8 * d) @ m.swapaxes(-1, -2).reshape(8 * d, d)
+        per_panel = st.apply(i, k, sys.breaks[k] - mid, panels) @ cum_inv_t[k]
         run = cum_integral + np.concatenate(
             [np.zeros_like(cum_integral), np.cumsum(per_panel, axis=1)], axis=1
         )
-        grids.append(grid)
         runs.append(run)
         cum_integral = run[:, -1:]
 
@@ -617,31 +617,31 @@ def _solve_once(
         st.apply(i, k, grid - grid[0], (v_a[:, None] + run) @ phi._cum[k].T)
         for k, (grid, run) in enumerate(zip(grids, runs))
     ]
-    x = np.concatenate([grids[0]] + [g[1:] for g in grids[1:]])
     v = np.concatenate([vs[0]] + [vk[:, 1:] for vk in vs[1:]], axis=1)
 
     # residual (i): boundary condition
     bc = v[:, -1] @ sys.W[:, :d].T + v[:, 0] @ sys.W[:, d:].T
     boundary_residual = la.norm(bc, axis=1)
 
-    # residual (ii): v' = A_k v + P1^{-1} f on interior 9-point stencils of
-    # each piece's grid, its left breakpoint included
+    # residual (ii): v' = A_k v + P1^{-1} f at the 9-point stencil centres c
+    # inside one piece's grid (its breakpoints included), over max(|v|, 1)
+    # on that grid; the stencil sums are taken once over all of x
     bounds = _node_bounds(counts)
-    fx = f(x)
-    ode_res = np.zeros(len(fs))
-    for k in range(len(counts)):
-        lo, hi = (bounds[k] - 1 if k else 0), bounds[k + 1]
-        g_v = v[:, lo:hi]
-        m = hi - lo
-        dv = sum(
-            c * g_v[:, j : j + m - 8] for j, c in enumerate(_FD9) if c != 0.0
-        ) / (x[lo + 1] - x[lo])
-        rhs_v = g_v[:, 4 : m - 4] @ st.gens[i, k].T + fx[:, lo + 4 : hi - 4] @ p1inv.T
-        scale = np.maximum(np.abs(g_v).max(axis=(1, 2)), 1.0)
-        ode_res = np.maximum(ode_res, np.abs(dv - rhs_v).max(axis=(1, 2)) / scale)
+    brk = bounds[1:-1] - 1  # interior breakpoint nodes
+    first, last = np.concatenate([[0], brk]), np.append(brk, len(x) - 1)
+    c = np.arange(4, len(x) - 4)
+    own = np.searchsorted(brk, c)  # a centre on a breakpoint: the left piece
+    inside = (c - first[own] >= 4) & (last[own] - c >= 4)
+    dv = sum(cf * v[:, j : j + len(c)] for j, cf in enumerate(_FD9) if cf != 0.0)
+    rhs_v = (_by_piece(st.gens[i], bounds, v) + fx @ p1inv.T)[:, 4:-4]
+    err = np.abs(dv / (x[first + 1] - x[first])[own, None] - rhs_v).max(axis=2)
+    absv = np.abs(v).max(axis=2)
+    scale = np.maximum(np.maximum.reduceat(absv, first, axis=1), absv[:, last])
+    ode_res = (err / np.maximum(scale, 1.0)[:, own])[:, inside].max(axis=1)
 
     # u = H^{-1} v and |u|_H^2 = integral of v^* H^{-1} v
-    u, u_norm = _h_weighted(st.hinv, bounds, x, v)
+    u = _by_piece(st.hinv, bounds, v)
+    u_norm = _h_norms(x, v, u)
 
     return [
         ResolventSolution(
@@ -656,7 +656,7 @@ def _solve_once(
             u_norm_H=float(u_norm[p]),
         )
         for p in range(len(fs))
-    ]
+    ], fx
 
 
 def resolvent_solve(
@@ -674,14 +674,16 @@ def resolvent_solve(
 
     ``f`` maps an array of points (shape (n,)) to values (shape (n, d)).
     ``nodes`` sets the uniform grid resolution; each subinterval carries
-    an 8-point Gauss-Legendre panel.  If the residuals exceed ``tol`` the
-    grid is doubled up to ``max_nodes`` (QuadratureTooCoarse beyond).
+    an 8-point Gauss-Legendre panel, factored through its midpoint so that
+    the piece's exponentials are taken at the 8 node offsets and the
+    midpoints only.  If the residuals exceed ``tol`` the grid is doubled up
+    to ``max_nodes`` (QuadratureTooCoarse beyond).
     """
     _require_valid(sys)
     phi = FundamentalMatrix(sys, t)
     n = nodes
     while True:
-        (sol,) = _solve_once(phi, [f], n)
+        (sol,), _ = _solve_once(phi, [f], n)
         if not auto_refine or sol.residual <= tol:
             return sol
         if 2 * n > max_nodes:
@@ -802,14 +804,8 @@ def _probe_set(
     def const(vec: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return lambda xs: np.broadcast_to(vec, (len(xs), d)).copy()
 
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
-        probes.append(const(e))
-    probes.append(const(np.ones(d) / math.sqrt(d)))
-    for j in range(min(d, 2)):
-        e = np.zeros(d)
-        e[j] = 1.0
+    probes += [const(e) for e in np.eye(d)] + [const(np.ones(d) / math.sqrt(d))]
+    for e in np.eye(d)[:2]:
 
         def sine(xs, e=e):
             return np.sin(math.pi * (xs - a) / (b - a))[:, None] * e[None, :]
@@ -825,7 +821,12 @@ def _probe_set(
         w = la.inv(phi.at_b) @ y
 
         def adv(xs):
-            return (phi.at_many(xs) @ w) @ sys.P1.T / (b - a)
+            # Phi_t(x) w = exp(A_k (x - x_k)) Phi_t(x_k) w on piece k
+            ks, out = sys.piece_index(xs), np.empty((len(xs), d), dtype=complex)
+            for k in np.unique(ks):
+                at = ks == k
+                out[at] = phi._stack.apply(phi._i, k, xs[at] - sys.breaks[k], phi._cum[k] @ w)
+            return out @ sys.P1.T / (b - a)
 
         probes.append(adv)
     except (la.LinAlgError, RankDeficient):
@@ -838,11 +839,10 @@ def _norm_lower(phi: FundamentalMatrix, nodes: int) -> float:
     fixed probe set (up to quadrature error); never an upper estimate."""
     sys = phi.sys
     probes = _probe_set(sys, phi)
-    sols = _solve_once(phi, probes, nodes)
+    sols, fx = _solve_once(phi, probes, nodes)
     # |f|_H via the same uniform grid
     bounds = _node_bounds(_uniform_counts(sys, nodes))
-    x = sols[0].x
-    _, f_norms = _h_weighted(sys.pieces, bounds, x, _stacked(probes, sys.d)(x))
+    f_norms = _h_norms(sols[0].x, fx, _by_piece(sys.pieces, bounds, fx))
     return max(
         (sol.u_norm_H / fn for sol, fn in zip(sols, f_norms.tolist()) if fn > 0),
         default=0.0,

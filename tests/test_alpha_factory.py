@@ -73,6 +73,20 @@ def test_construction_is_pinned(name):
         assert qs[n] == _oracle_quotient(target, ca.table.convergents[n - 1].q)
 
 
+def test_tabulated_past_the_float_range_takes_the_last_segment():
+    # the last segment decays so slowly that q_n passes 2^1024 with a_n = 2;
+    # the segment choice used to take float(pi * q) there and raise
+    target = af.target_from_json(
+        '{"kind": "table", "pts": [[1, 1], [1e300, 0.9999999999999999]]}')
+    ca = af.construct(target, 4096)
+    qs, convs = ca.table.quotients, ca.table.convergents
+    assert ca.depth == 833
+    big = [n for n in range(1, len(qs)) if convs[n - 1].q.bit_length() > 1024]
+    assert len(big) >= 3
+    for n in big[:3]:
+        assert qs[n] == _oracle_quotient(target, convs[n - 1].q)
+
+
 def test_an_integer_value_leaves_the_ceiling_undecidable():
     # a flat table (validate() refuses it) makes 1/sqrt(f(pi)) exactly 2,
     # so every enclosure straddles 2, up to 4 * 64 bits

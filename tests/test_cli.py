@@ -217,6 +217,15 @@ def test_verify_suites(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
     assert run(["verify", "nonsense"]) == 2
+    # every suite, plainly and under -O: the phs suite holds the CLI's
+    # 4096-node resolvent solve
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    for flags in ([], ["-O"]):
+        res = subprocess.run([sys.executable, *flags, "-m", "phstab.cli", "verify", "all"],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert len(lines) == 8 and all(line.startswith("PASS") for line in lines), res.stdout
 
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -430,10 +430,10 @@ def test_multi_rhs_solve_matches_single_solves(sys16):
         lambda xs: np.zeros((len(xs), 2)),
     ]
     phi = P.fundamental_matrix(sys16, 7.5)
-    many = P._solve_once(phi, fs, 512)
+    many, _ = P._solve_once(phi, fs, 512)
     assert len(many) == len(fs)
     for f, sol in zip(fs, many):
-        (one,) = P._solve_once(phi, [f], 512)
+        (one,), _ = P._solve_once(phi, [f], 512)
         scale = max(np.abs(one.v).max(), 1e-300)
         assert np.abs(sol.v - one.v).max() <= 1e-13 * scale
         assert np.array_equal(sol.x, one.x)
@@ -443,3 +443,70 @@ def test_multi_rhs_solve_matches_single_solves(sys16):
     assert many[3].u_norm_H == 0.0
     with pytest.raises(ValidationError):
         P._solve_once(phi, [fs[0], lambda xs: np.ones(len(xs))], 128)
+
+
+def _reference_solve(system, t, f, nodes):
+    """Brute-force resolvent solve: Phi_t(s)^{-1} at every Gauss node from
+    ``at_many``, the composite 8-point Gauss-Legendre rule on the uniform
+    panels of each piece, and the boundary solve; (x, (Hu)(x))."""
+    phi = P.fundamental_matrix(system, t)
+    d, a, b = system.d, system.a, system.b
+    p1inv = np.linalg.inv(system.P1)
+    xi, wi = np.polynomial.legendre.leggauss(8)
+    xs, runs, total = [np.array([a])], [np.zeros((1, d), complex)], np.zeros(d, complex)
+    for x0, x1 in zip(system.breaks, system.breaks[1:]):
+        n = max(16, round(nodes * (x1 - x0) / (b - a)))
+        grid = np.linspace(x0, x1, n + 1)
+        h = (x1 - x0) / n
+        s = (0.5 * (grid[:-1] + grid[1:])[:, None] + 0.5 * h * xi).ravel()
+        integrand = np.einsum("nij,nj->ni", np.linalg.inv(phi.at_many(s)), f(s) @ p1inv.T)
+        run = total + np.cumsum((integrand.reshape(n, 8, d) * (0.5 * h * wi)[:, None]).sum(axis=1),
+                                axis=0)
+        xs.append(grid[1:])
+        runs.append(run)
+        total = run[-1]
+    x, integral = np.concatenate(xs), np.concatenate(runs)
+    v_a = np.linalg.solve(P.boundary_matrix(system, t), -system.W[:, :d] @ phi.at_b @ total)
+    return x, np.einsum("nij,nj->ni", phi.at_many(x), v_a + integral)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_factored_quadrature_matches_brute_force(sys16, monkeypatch, dense):
+    f = lambda xs: np.stack([np.sin(3 * xs), np.cos(2 * xs) + 1j], axis=1)
+    cases = [(t, nodes, _reference_solve(sys16, t, f, nodes))
+             for t, nodes in ((0.7, 256), (4.2, 512), (13.0, 1024))]
+    if dense:
+        # the references above stay on the eigen path
+        monkeypatch.setattr(P, "_EIG_COND_MAX", 0.0)
+        assert P.fundamental_matrix(sys16, 4.2)._stack.dense.all()
+    for t, nodes, (x, v) in cases:
+        sol = P.resolvent_solve(sys16, t, f, nodes=nodes, auto_refine=False)
+        assert np.array_equal(sol.x, x)
+        assert np.abs(sol.v - v).max() <= 1e-12 * np.abs(v).max()
+        assert np.abs(sol.hu_a - v[0]).max() <= 1e-12 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_adversarial_probe_is_phi_w(sys16, monkeypatch, dense):
+    if dense:
+        monkeypatch.setattr(P, "_EIG_COND_MAX", 0.0)
+    t = 3.0
+    phi = P.fundamental_matrix(sys16, t)
+    assert phi._stack.dense.all() == dense
+    # w = Phi_t(b)^{-1} y for the worst singular direction of T_t
+    _, _, vh = np.linalg.svd(P.boundary_matrix(sys16, t))
+    z12 = P.moore_penrose(sys16.W) @ vh[-1].conj()
+    w = np.linalg.solve(phi.at_b, -z12[:2] + phi.at_b @ z12[2:])
+    xs = np.concatenate([sys16.breaks, np.random.default_rng(5).uniform(sys16.a, sys16.b, 300)])
+    want = (phi.at_many(xs) @ w) @ sys16.P1.T / (sys16.b - sys16.a)
+    probes = P._probe_set(sys16, phi)
+    assert len(probes) == 6
+    got = probes[-1](xs)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape", [lambda n: (n,), lambda n: (n, 1), lambda n: (n, 3),
+                                   lambda n: (2, n), lambda n: (n - 1, 2)])
+def test_resolvent_rhs_of_wrong_shape_raises(sys2, shape):
+    with pytest.raises(ValidationError, match=r"must return shape \(n, 2\)"):
+        P.resolvent_solve(sys2, 4.2, lambda xs: np.ones(shape(len(xs))), nodes=256)
