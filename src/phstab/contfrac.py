@@ -72,14 +72,12 @@ class QuadraticSurd(IrrationalSpec):
             Q = (D - P * P) // Q
 
     def enclosure(self, bits: int) -> RealBall:
+        # sqrt(D) in [s, s + 1] / 2^k, so the value lies between
+        # (p 2^k + s) / (q 2^k) and (p 2^k + s + 1) / (q 2^k)
         k = bits + 4 + max(self.q.bit_length(), abs(self.p).bit_length())
-        s_lo = Fraction(isqrt(self.D << (2 * k)), 1 << k)
-        s_hi = s_lo + Fraction(1, 1 << k)
-        lo = (self.p + s_lo) / self.q
-        hi = (self.p + s_hi) / self.q
-        if self.q < 0:
-            lo, hi = hi, lo
-        return RealBall.from_bounds(lo, hi)
+        s = isqrt(self.D << (2 * k))
+        return RealBall(Fraction((((self.p << k) + s) << 1) + 1, self.q << (k + 1)),
+                        Fraction(1, abs(self.q) << (k + 1)))
 
     def to_json(self) -> dict:
         return {"kind": "surd", "D": self.D, "p": self.p, "q": self.q}

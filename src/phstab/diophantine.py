@@ -6,7 +6,6 @@ convergent parity pattern, and badly-approximable prefix diagnostics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,10 +14,36 @@ from .errors import TableExhausted, VerificationFailed
 from .intervals import RealBall
 
 
+def nearest_odd(ball: RealBall, vs) -> list[tuple[int, Fraction, Fraction] | None]:
+    """Per odd v, the odd u nearest v*alpha and d_lo <= |v*alpha - u| <= d_hi
+    for every alpha in ``ball``, or None where the ball leaves u open.
+
+    With lo = L/D and hi = H/D over a common denominator D, every
+    quantity is an integer times 1/D: x = v alpha lies in [v L, v H] / D,
+    u = 2 floor((v L + v H - 1) / 4D) + 1 is the odd integer nearest the
+    midpoint, and u is certified when (u-1) D < v L and v H < (u+1) D. An
+    exact ball (L = H) always decides; when v*alpha is an even integer its
+    two nearest odd integers tie and the smaller is taken.
+    """
+    L, H, D = ball.ends()
+    out: list[tuple[int, Fraction, Fraction] | None] = []
+    for v in vs:
+        xlo, xhi = v * L, v * H
+        u = 2 * ((xlo + xhi - 1) // (4 * D)) + 1
+        e_lo, e_hi = xlo - u * D, xhi - u * D
+        if L == H or (-D < e_lo and e_hi < D):
+            out.append((u, Fraction(max(0, e_lo, -e_hi), D),
+                        Fraction(max(-e_lo, e_hi), D)))
+        else:
+            out.append(None)
+    return out
+
+
 def min_odd_dist(
     alpha: IrrationalSpec, v: int, bits: int = 128
 ) -> tuple[int, RealBall]:
-    """The odd integer u minimizing |v*alpha - u| and the certified distance.
+    """The odd integer u minimizing |v*alpha - u| and the certified distance:
+    the one-v case of :func:`nearest_odd`, refined until it decides.
 
     Ties (possible only for rational alpha) break toward the smaller u.
     """
@@ -26,21 +51,11 @@ def min_odd_dist(
         raise ValueError("v must be an odd positive integer")
 
     def decide(ball: RealBall) -> tuple[int, RealBall] | None:
-        if ball.err == 0:  # an exact (rational) source
-            x = v * ball.value
-            lo_odd = 2 * math.floor((x - 1) / 2) + 1
-            hi_odd = lo_odd + 2
-            d_lo, d_hi = abs(x - lo_odd), abs(x - hi_odd)
-            u = lo_odd if d_lo <= d_hi else hi_odd
-            return u, RealBall(abs(x - u), Fraction(0))
-        xlo, xhi = v * ball.lower, v * ball.upper
-        u = 2 * math.floor(((xlo + xhi) / 2 - 1) / 2 + Fraction(1, 2)) + 1
-        # certified minimal iff the enclosure stays within (u-1, u+1)
-        if xlo > u - 1 and xhi < u + 1:
-            d_lo = max(Fraction(0), max(xlo - u, u - xhi))
-            d_hi = max(abs(xlo - u), abs(xhi - u))
-            return u, RealBall.from_bounds(d_lo, d_hi)
-        return None
+        got = nearest_odd(ball, [v])[0]
+        if got is None:
+            return None
+        u, d_lo, d_hi = got
+        return u, RealBall.from_bounds(d_lo, d_hi)
 
     return _refine(alpha, bits + v.bit_length() + 8, decide,
                    "the odd integer nearest v*alpha")

@@ -14,11 +14,14 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import numpy as np
 from mpmath import iv
-from mpmath.libmp import round_ceiling, round_floor, to_float, to_rational
+from mpmath.libmp import (from_man_exp, fzero, mpf_add, mpf_shift, mpf_sign, mpf_sub,
+                          round_ceiling, round_floor, round_nearest, to_float,
+                          to_rational)
 
 
 @contextmanager
@@ -74,6 +77,36 @@ class RealBall:
         lo, hi = fraction_bounds(x)
         return cls.from_bounds(lo, hi)
 
+    def scale(self) -> tuple[float, float]:
+        """(kf, wid): the float nearest the midpoint and the radius rounded
+        up, so |x - kf| <= wid + 2^-53 |kf| for every x in the ball (see
+        ``spectral._phases``)."""
+        return float(self.value), float_up(self.err)
+
+    def ends(self) -> tuple[int, int, int]:
+        """(L, H, D): lower = L/D and upper = H/D over the common
+        denominator D > 0 of value and err, without building a Fraction."""
+        n, d = self.value.numerator, self.value.denominator
+        e, f = self.err.numerator, self.err.denominator
+        g = gcd(d, f)
+        mid, rad = n * (f // g), e * (d // g)
+        return mid - rad, mid + rad, d // g * f
+
+    def outward(self, prec: int) -> tuple:
+        """Raw mpmath endpoints (lo, hi) of the ball, rounded outward to
+        about ``prec`` bits; exact when both endpoints are dyadic with at
+        most ``prec`` significant bits."""
+        lo, hi, den = self.ends()
+        return _raw_ratio(lo, den, prec, False), _raw_ratio(hi, den, prec, True)
+
+
+def _raw_ratio(p: int, q: int, prec: int, up: bool) -> tuple:
+    """A raw mpf m 2^-k <= p/q (>= p/q if ``up``), q > 0, with m the floor
+    (ceiling) of p 2^k / q and k chosen so that m has about prec bits."""
+    k = prec + q.bit_length() - p.bit_length()
+    num, den = (p << k, q) if k >= 0 else (p, q << -k)
+    return from_man_exp(-(-num // den) if up else num // den, -k)
+
 
 @dataclass(frozen=True)
 class ComplexIv:
@@ -96,7 +129,10 @@ class ComplexIv:
 
     def abs(self):
         a2 = self.abs2()
-        if a2.a < 0:
+        # the sign of the raw endpoint: comparing ``a2.a < 0`` converts 0
+        # inside mpmath's bare ``except:``, which swallows any exception
+        # raised there, a KeyboardInterrupt or a timer's included
+        if mpf_sign(a2._mpi_[0]) < 0:
             a2 = iv.mpf([0, a2.b])
         return iv.sqrt(a2)
 
@@ -111,6 +147,8 @@ def unit_phase(theta) -> ComplexIv:
 
 # -- directed conversion to floats ------------------------------------------
 
+_MIN_NORMAL = 2.0**-1022
+
 
 def _to_float(x, rnd, lower: bool) -> float:
     if isinstance(x, (Fraction, int, float)):
@@ -121,12 +159,20 @@ def _to_float(x, rnd, lower: bool) -> float:
             return math.nextafter(f, math.inf)
         return f
     if hasattr(x, "_mpi_"):
-        return to_float(x._mpi_[0 if lower else 1], rnd=rnd)
-    return to_float(x._mpf_, rnd=rnd)
+        x = x._mpi_[0 if lower else 1]
+    elif hasattr(x, "_mpf_"):
+        x = x._mpf_
+    f = to_float(x, rnd=rnd)
+    if abs(f) < _MIN_NORMAL and x != fzero:
+        # gradual underflow rounds to nearest, whatever ``rnd`` asks
+        f = math.nextafter(f, -math.inf if lower else math.inf)
+    return f
 
 
 def float_down(x) -> float:
-    """Largest float <= x. For an interval, a float <= its lower endpoint.
+    """Largest float <= x. For an interval, a float <= its lower endpoint;
+    x may also be a raw mpmath number (an mpf tuple). An mpmath value in
+    the subnormal range gets one float more of room.
 
     ``float()`` of an mpmath value rounds toward zero and of a Fraction to
     nearest, so neither is a bound on its own.
@@ -137,6 +183,15 @@ def float_down(x) -> float:
 def float_up(x) -> float:
     """Smallest float >= x. For an interval, a float >= its upper endpoint."""
     return _to_float(x, round_ceiling, False)
+
+
+def kernel_scale(x) -> tuple[float, float]:
+    """(kf, wid) for a constant K in the raw mpmath interval x = (lo, hi):
+    kf is the float nearest its midpoint and wid >= its radius, so
+    |K - kf| <= wid + 2^-53 |kf| (see ``spectral._phases``)."""
+    lo, hi = x
+    mid = to_float(mpf_shift(mpf_add(lo, hi), -1), rnd=round_nearest)
+    return mid, float_up(mpf_shift(mpf_sub(hi, lo), -1))
 
 
 # -- batched certified cos/sin -----------------------------------------------

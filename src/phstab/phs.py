@@ -325,7 +325,11 @@ class _PhiStack:
         """Sampled sup_x |Phi_t(x)| per t (_B_SAMPLES points per piece)."""
         if self._b is None:
             s = np.linspace(0.0, self.spans, _B_SAMPLES, axis=1)
-            mats = self.exps(s) @ self.cum[:, :-1, None]
+            e = self.exps(s)
+            n, k, m, d, _ = e.shape
+            # one (m d, d) @ (d, d) product per (t, piece) pair, not a
+            # broadcast stack of m (d, d) products
+            mats = (e.reshape(n, k, m * d, d) @ self.cum[:, :-1]).reshape(e.shape)
             self._finite(mats)
             self._b = _norm2(mats).max(axis=(1, 2))
         return self._b

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 from mpmath import iv
+from mpmath.libmp import mpf_sign, mpi_abs, mpi_mul
 
 from .contfrac import IrrationalSpec
-from .diophantine import min_odd_dist
+from .diophantine import min_odd_dist, nearest_odd
 from .errors import InsufficientPrecision, OutOfRange, SingularMatrix
 from .intervals import (
     ComplexIv,
@@ -40,6 +40,7 @@ from .intervals import (
     float_up,
     fraction_bounds,
     iv_hull,
+    kernel_scale,
     unit_phase,
     workprec,
 )
@@ -68,10 +69,11 @@ class HEvaluator:
         cd = iv.cos((1 - a) * t)
         frob2 = 3 + ct + ca
         det2 = iv.mpf(3) / 2 + ct + ca + cd / 2
-        if det2.a <= 0:
+        # signs of the raw lower endpoints, as in ``ComplexIv.abs``
+        if mpf_sign(det2._mpi_[0]) <= 0:
             raise SingularMatrix(f"|det|^2 enclosure {det2} touches zero at t={t}")
         disc = frob2 * frob2 - 4 * det2
-        if disc.a < 0:
+        if mpf_sign(disc._mpi_[0]) < 0:
             disc = iv.mpf([0, max(float_up(disc), 0.0)])
         sigma2 = (frob2 + iv.sqrt(disc)) / 2
         return iv.sqrt(sigma2 / det2)
@@ -115,7 +117,12 @@ def g_at_witness(alpha: IrrationalSpec, u: int, v: int, bits: int = 128) -> Real
 # Each O(1) quantity formed below from kernel values (|det|^2, the squared
 # Frobenius norm, their slopes, w = 2 + e^{i pi t} + e^{i pi alpha t}) takes
 # at most 12 float operations on terms of magnitude at most 8, so its
-# rounding error is below 12 * 8 * 2^-53 < 2^-46.
+# rounding error is below 12 * 8 * 2^-53 = 96 * 2^-53. The slopes also take
+# the error of alpha (af, wid) and of 1 - alpha (bf, wid) as wid alone,
+# while |alpha - af| <= wid + 2^-53 |af| (``RealBall.scale`` rounds the
+# midpoint to nearest): the rest, 2^-53 (|af| + |bf| / 2) (a sine or
+# cosine times alpha's error is at most that error), is at most 13 * 2^-53
+# for |alpha| <= 8. Both fit in 2^-46 = 128 * 2^-53.
 _SLACK = 2.0**-46
 # Relative allowance for the rounding of a handful (< 8) of operations on
 # nonnegative terms.
@@ -150,26 +157,25 @@ def _plus_up(x, m):
     return x + m + (np.abs(x) + m) * _REL
 
 
-def _scale(lo: Fraction, hi: Fraction) -> tuple[float, float, float]:
-    """(kf, own, width) for a constant K in [lo, hi]: |K - kf| <= own + width.
-    ``width`` is the radius of [lo, hi], which an interval evaluation pays
-    too; ``own`` is the distance from its midpoint to the float kf."""
-    mid = (lo + hi) / 2
-    kf = float(mid)
-    return kf, float_up(abs(mid - kf)), float_up((hi - lo) / 2)
-
-
 def _phases(ts, scales):
     """cos/sin of K t for every scale K and time t in one kernel call.
 
-    Returns per scale a tuple (cos, sin, pad_cos, pad_sin, wid_cos,
-    wid_sin), and a mask of the times at which some K t leaves the
-    kernel's reduction range. The wid_ terms are what K's enclosure width
-    alone costs, that is, what an interval evaluation pays too."""
-    k, own, wid = (np.array(v)[:, None] for v in zip(*scales))
+    A scale is (kf, wid) from ``RealBall.scale`` or ``kernel_scale``: kf
+    the float nearest K's midpoint, wid >= its radius. Returns per scale
+    a tuple (cos, sin, pad_cos, pad_sin, wid_cos, wid_sin), and a mask of
+    the times at which some K t leaves the kernel's reduction range. The
+    wid_ terms are what K's enclosure width alone costs, that is, what an
+    interval evaluation pays too.
+
+    The argument error of x = fl(kf t) is |K t - x| <= |t| wid +
+    2^-53 |kf t| + 2^-53 |x|: K's width, kf's rounding to nearest and the
+    product's. ``rnd`` = 2^-52 takes the last two, as 2^-53 |kf t| <=
+    2^-53 |x| (1 + 2^-53); (1 + _REL) takes what is left over and the
+    rounding of err itself. kf = 1.0 is exact, and so is its product."""
+    k, wid = (np.array(v)[:, None] for v in zip(*scales))
     at, x = np.abs(ts), k * ts
-    rnd = np.where(k == 1.0, 0.0, 2.0**-52)  # rounding of k t
-    err = (at * (own + wid) + np.abs(x) * rnd) * (1 + _REL)
+    rnd = np.where(k == 1.0, 0.0, 2.0**-52)
+    err = (at * wid + np.abs(x) * rnd) * (1 + _REL)
     c, s, pc, ps = (v.reshape(x.shape) for v in cos_sin(x.ravel(), err.ravel()))
     w = at * wid
     half = 0.5 * w * w
@@ -188,8 +194,7 @@ def _h_terms(ph, sa):
     evaluation pays it too), ``own`` the rest of its width, which is the
     kernel's own rounding."""
     (c1, s1, pc1, ps1, wc1, ws1), (c2, s2, pc2, ps2, wc2, ws2) = ph
-    af, a_own, a_wid = sa
-    a_err = a_own + a_wid
+    af, a_err = sa
     ka = abs(af) + a_err
     w_re, w_im = 2.0 + c1 + c2, s1 + s2
     wr, wi = np.abs(w_re), np.abs(w_im)
@@ -232,8 +237,7 @@ def _sup_terms(ph, sa, sb):
     interval evaluation pays it too) and ``own`` the rest, which is the
     kernel's own rounding."""
     (c1, s1, pc1, ps1, wc1, _), (c2, s2, pc2, ps2, wc2, _), (c3, s3, pc3, ps3, wc3, _) = ph
-    (af, a_own, a_wid), (bf, b_own, b_wid) = sa, sb
-    a_err, b_err = a_own + a_wid, b_own + b_wid
+    (af, a_err), (bf, b_err) = sa, sb
     d = 1.5 + c1 + c2 + 0.5 * c3
     ed = pc1 + pc2 + 0.5 * pc3 + _SLACK
     wid = wc1 + wc2 + 0.5 * wc3
@@ -371,7 +375,7 @@ class _Engine:
 
     def __init__(self, ball: RealBall, windows, tol, init):
         self.ev, self.ball, self.windows = HEvaluator(), ball, windows
-        self.sa = _scale(ball.lower, ball.upper)
+        self.sa = ball.scale()
         self.tol = np.asarray(tol, dtype=float)
         self.best = np.full(len(windows), init)
         self.witness = np.array([a for a, _ in windows], dtype=float)
@@ -383,7 +387,7 @@ class _Engine:
 
     def run(self) -> None:
         c, r, w = self.roots
-        reach = max(abs(k) for k, _, _ in self.scales)
+        reach = max(abs(k) for k, _ in self.scales)
         depth = np.where((np.abs(c) + r) * reach > REDUCTION_RANGE, 1.0, np.inf)
         pts, pts_w = self.seeds
         room = np.maximum(np.bincount(w, minlength=len(self.windows)), _MAX_FRONTIER)
@@ -432,8 +436,8 @@ class _Sup(_Engine):
 
     def __init__(self, ball, windows, tol):
         super().__init__(ball, windows, tol, 1.0)  # ||T_0^{-1}|| = 1
-        self.sb = _scale(1 - ball.upper, 1 - ball.lower)
-        self.scales = ((1.0, 0.0, 0.0), self.sa, self.sb)
+        self.sb = RealBall(1 - ball.value, ball.err).scale()
+        self.scales = ((1.0, 0.0), self.sa, self.sb)
         af, bf = self.sa[0], self.sb[0]
         self.l2_det = (1 + af * af + bf * bf / 2) * 1.01  # >= sup |(|det|^2)''|
         self.l2_frob = (1 + af * af) * 1.01  # >= sup |F''|
@@ -447,7 +451,7 @@ class _Sup(_Engine):
 
     def floor(self, c):
         """Below this radius alpha's enclosure dominates the slack."""
-        return np.maximum(_MIN_CELL, 4 * self.sa[2] * (np.abs(c) + 1))
+        return np.maximum(_MIN_CELL, 4 * self.sa[1] * (np.abs(c) + 1))
 
     def incumbent(self, w):
         return np.maximum.accumulate(self.best)[w]
@@ -504,11 +508,12 @@ class _Inf(_Engine):
 
     def __init__(self, ball, windows, tol):
         super().__init__(ball, windows, tol, math.inf)
-        lo, hi = ball.lower, ball.upper
-        p_lo, p_hi = fraction_bounds(iv.pi)
-        prods = (p_lo * lo, p_lo * hi, p_hi * lo, p_hi * hi)
-        self.scales = (_scale(p_lo, p_hi), _scale(min(prods), max(prods)))
-        a_abs = float_up(max(abs(lo), abs(hi)))
+        # alpha's endpoints rounded outward 64 bits past the working
+        # precision (the run's workprec; exact for a surd's dyadic ball),
+        # and their product with pi's, exact (precision 0)
+        pi, a_raw = iv.pi._mpi_, ball.outward(iv.prec + 64)
+        self.scales = (kernel_scale(pi), kernel_scale(mpi_mul(pi, a_raw)))
+        a_abs = float_up(mpi_abs(a_raw)[1])
         self.l2 = 2 * math.pi**2 * ((1 + a_abs) ** 2 + 4 * (1 + a_abs**2)) * 1.0000001
         self.done_lo = np.full(len(windows), math.inf)
         a, b = np.array(windows, dtype=float).T
@@ -558,21 +563,19 @@ class CertifiedInf:
     bits: int
 
 
-def _inf_windows(alpha: IrrationalSpec, windows, tols, bits: int):
+def _inf_windows(ball: RealBall, work: int, windows, tols):
     """Certified infima of h over each window [a, b] to its tol, from one
-    engine run, and the alpha enclosure they used."""
+    engine run at ``work`` bits on alpha's enclosure ``ball``."""
     if any(not tol > 0 for tol in tols):
         raise OutOfRange("tol must be positive")
-    work = _bits_for(max(max(abs(a), abs(b)) for a, b in windows), bits)
-    ball = alpha.enclosure(work)
     with workprec(work):
         inf = _Inf(ball, windows, tols)
         inf.run()
-    lower = np.minimum(inf.done_lo, inf.best)
-    return [CertifiedInf(a, b, float(_sqrt_down(max(lower[k], 0.0))),
-                         float(_sqrt_up(inf.best[k])), float(inf.witness[k]),
-                         float(inf.finest[k]), work)
-            for k, (a, b) in enumerate(windows)], ball
+    lower = _sqrt_down(np.maximum(np.minimum(inf.done_lo, inf.best), 0.0))
+    return [CertifiedInf(a, b, lo, up, wit, step, work)
+            for (a, b), lo, up, wit, step in zip(
+                windows, lower.tolist(), _sqrt_up(inf.best).tolist(),
+                inf.witness.tolist(), inf.finest.tolist())]
 
 
 def inf_h_interval(
@@ -582,7 +585,8 @@ def inf_h_interval(
     branch-and-bound engine (see ``_Inf`` and ``_Engine``)."""
     if not b > a:
         raise OutOfRange(f"degenerate interval [{a}, {b}]")
-    return _inf_windows(alpha, [(a, b)], [tol], bits)[0][0]
+    work = _bits_for(max(abs(a), abs(b)), bits)
+    return _inf_windows(alpha.enclosure(work), work, [(a, b)], [tol])[0]
 
 
 # -- growth curve ----------------------------------------------------------
@@ -662,40 +666,60 @@ class SandwichReport:
     upper_ok: bool
 
 
-def _sandwich_constant(ball: RealBall) -> float:
-    """36 pi^2 / min{(1+alpha)^2, 1} rounded up, for every alpha in ball."""
-    lo, hi = 1 + ball.lower, 1 + ball.upper
-    sq = min(lo * lo, hi * hi) if lo > 0 or hi < 0 else 0
-    if not sq:
-        return math.inf
+def _sandwich_bound(sq) -> float:
+    """36 pi^2 / min{sq, 1} rounded up."""
     with workprec(96):
         pi_hi = fraction_bounds(iv.pi)[1]
     return float_up(36 * pi_hi * pi_hi / min(sq, 1))
+
+
+_SANDWICH_CONST = _sandwich_bound(1)  # (1+alpha)^2 >= 1 for every alpha >= 0
+
+
+def _sandwich_constant(ball: RealBall) -> float:
+    """36 pi^2 / min{(1+alpha)^2, 1} rounded up, for every alpha in ball."""
+    if ball.value >= ball.err:  # the ball's lower end is >= 0
+        return _SANDWICH_CONST
+    lo, hi = 1 + ball.lower, 1 + ball.upper
+    sq = min(lo * lo, hi * hi) if lo > 0 or hi < 0 else 0
+    return _sandwich_bound(sq) if sq else math.inf
 
 
 def sandwich_report(
     alpha: IrrationalSpec, odd_v_list, tol: float = 1e-6, bits: int = 128
 ) -> list[SandwichReport]:
     """Per odd v: min odd dist, certified inf of h on [v-1, v+1], ratios.
-    All v share one engine run: one alpha enclosure (which gives the
-    sandwich constant too), its rounds and its working precision, so a
-    row's certified bracket, within its tol, depends on the other v."""
+    All v share one alpha enclosure, taken at the engine's working
+    precision: it decides every v's nearest odd u (``nearest_odd``; a v it
+    leaves open goes through ``min_odd_dist``'s refinement), and gives the
+    engine run and the sandwich constant. The windows share the run's
+    rounds, so a row's certified bracket, within its tol, depends on the
+    other v."""
     vs = [int(v) for v in odd_v_list]
     for v in vs:
         if v <= 0 or v % 2 == 0:
             raise OutOfRange(f"v={v} is not a positive odd integer")
     if not vs:
         return []
-    dists = [(u, float_down(d.lower), float_up(d.upper))
-             for u, d in (min_odd_dist(alpha, v, bits=bits) for v in vs)]
+    # at least min_odd_dist's first precision, bits + bits(v) + 8
+    work = _bits_for(max(vs) + 1.0, bits)
+    ball = alpha.enclosure(work)
+    dists = []
+    for v, got in zip(vs, nearest_odd(ball, vs)):
+        if got is None:
+            u, d = min_odd_dist(alpha, v, bits=bits)
+            got = u, d.lower, d.upper
+        u, d_lo, d_hi = got
+        dists.append((u, float_down(d_lo), float_up(d_hi)))
     # Near resonances inf h ~ dist^2 can sit far below an absolute tol,
     # which would zero out the lower ratio; tighten proportionally.
     tols = [min(tol, d_lo * d_lo / 16) for _, d_lo, _ in dists]
-    infs, ball = _inf_windows(alpha, [(v - 1.0, v + 1.0) for v in vs], tols, bits)
+    infs = _inf_windows(ball, work, [(v - 1.0, v + 1.0) for v in vs], tols)
     const = _sandwich_constant(ball)
+    up, down = math.inf, -math.inf
     return [SandwichReport(v, u, d_lo, d_up, ci.lower, ci.upper,
-                           float(_down(ci.lower / _up(d_up * d_up))),
-                           float(_up(ci.upper / _down(d_lo * d_lo))),
+                           math.nextafter(ci.lower / math.nextafter(d_up * d_up, up), down),
+                           math.nextafter(ci.upper / math.nextafter(d_lo * d_lo, down), up),
                            const, ci.lower <= const * d_up * d_up + tol)
             for v, (u, d_lo, d_up), ci in zip(vs, dists, infs)]
 

@@ -356,8 +356,8 @@ def test_phstab_bits_below_one_exits_2(value, monkeypatch, capsys):
 
 def test_sandwich_on_a_decimal_with_fewer_bits_than_asked(tmp_path):
     # --bits 60 is both the literal's guarantee and the sandwich's target:
-    # min_odd_dist asks for 60 + bits(v) + 8 and decides on the literal's
-    # widest enclosure
+    # the sandwich's one enclosure, asked at its engine's precision, is the
+    # literal's widest, and it decides every v
     cols = []
     for flags in (["--decimal", "1.4142135623730950488", "--bits", "60"],
                   ["--surd", "2"]):

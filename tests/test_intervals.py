@@ -71,3 +71,65 @@ def test_cos_sin_outside_range_is_trivial():
     assert pc[0] < 1e-14 and ps[0] < 1e-14
     assert list(c[1:]) == [0.0, 0.0] and list(s[1:]) == [0.0, 0.0]
     assert list(pc[1:]) == [1.0, 1.0] and list(ps[1:]) == [1.0, 1.0]
+
+
+class _Interrupt(BaseException):
+    """Stands for an exception raised at an arbitrary point, as a timer's
+    or a KeyboardInterrupt is."""
+
+
+def test_endpoint_signs_make_no_conversion(monkeypatch):
+    # mpmath compares an interval with a Python number by converting the
+    # number inside a bare ``except:``, which would swallow _Interrupt and
+    # turn it into a TypeError; the sign tests read raw endpoints instead
+    from mpmath import iv
+
+    from phstab import spectral
+    from phstab.intervals import ComplexIv
+
+    convert = iv.convert
+
+    def no_zero(x):
+        if type(x) is int and x == 0:
+            raise _Interrupt
+        return convert(x)
+
+    monkeypatch.setattr(iv, "convert", no_zero)
+    with workprec(128):
+        z = ComplexIv(iv.mpf([-1, 2]), iv.mpf(1))
+        assert Fraction(float_up(z.abs())) ** 2 >= 5
+        norm = spectral.HEvaluator().inv_norm_iv(iv.mpf(1.0), iv.sqrt(2))
+        assert 0 < float_down(norm) <= float_up(norm) < math.inf
+
+
+def test_ball_ends_and_outward_rounding():
+    from mpmath.libmp import to_rational
+
+    from phstab.intervals import RealBall
+
+    for ball in (RealBall(Fraction(141421356, 10**8), Fraction(1, 1 << 24)),
+                 RealBall(Fraction(-7, 3), Fraction(1, 10**40)),
+                 RealBall(Fraction(3, 1 << 70), Fraction(1, 1 << 80)),
+                 RealBall(Fraction(5, 7), Fraction(0))):
+        L, H, D = ball.ends()
+        assert D > 0 and Fraction(L, D) == ball.lower and Fraction(H, D) == ball.upper
+        for prec in (24, 53, 200):
+            lo, hi = (Fraction(*map(int, to_rational(x))) for x in ball.outward(prec))
+            assert lo <= ball.lower and ball.upper <= hi
+            slack = abs(ball.value) * Fraction(1, 1 << (prec - 1))
+            assert ball.lower - lo <= slack and hi - ball.upper <= slack
+    # dyadic endpoints with at most prec significant bits come out exactly
+    ball = RealBall(Fraction(181, 128), Fraction(1, 256))
+    lo, hi = (Fraction(*map(int, to_rational(x))) for x in ball.outward(16))
+    assert (lo, hi) == (ball.lower, ball.upper)
+
+
+def test_directed_conversion_in_the_subnormal_range():
+    from mpmath.libmp import from_man_exp
+
+    # mpmath's to_float rounds to nearest once the result is subnormal,
+    # whatever rounding it is asked for
+    for man, exp in ((1, -1080), (3, -1074), (12345, -1090), (-1, -1080)):
+        exact = Fraction(man) / (1 << -exp)
+        for x in (mpmath.mpf(from_man_exp(man, exp)), from_man_exp(man, exp)):
+            assert Fraction(float_down(x)) <= exact <= Fraction(float_up(x))

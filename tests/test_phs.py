@@ -510,3 +510,18 @@ def test_adversarial_probe_is_phi_w(sys16, monkeypatch, dense):
 def test_resolvent_rhs_of_wrong_shape_raises(sys2, shape):
     with pytest.raises(ValidationError, match=r"must return shape \(n, 2\)"):
         P.resolvent_solve(sys2, 4.2, lambda xs: np.ones(shape(len(xs))), nodes=256)
+
+
+def test_sup_norms_equal_the_broadcast_products(sys16, monkeypatch):
+    # one (m d, d) @ (d, d) product per (t, piece) pair gives the bits of
+    # the broadcast stack of (d, d) products, dense pairs included
+    ts = np.linspace(0.5, 20.0, 16)
+    (ref,) = P._stacks(sys16, ts)
+    monkeypatch.setattr(P, "_EIG_COND_MAX", float(np.median(np.linalg.cond(ref.V))))
+    (mixed,) = P._stacks(sys16, ts)
+    assert mixed.dense.any() and not mixed.dense.all()
+    for stack in (ref, mixed):
+        s = np.linspace(0.0, stack.spans, P._B_SAMPLES, axis=1)
+        mats = stack.exps(s) @ stack.cum[:, :-1, None]
+        want = P._norm2(mats).max(axis=(1, 2))
+        assert np.array_equal(stack.sup_norms().view(np.int64), want.view(np.int64))

@@ -11,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
+from phstab import alpha_factory as af
 from phstab import contfrac as cf
+from phstab import diophantine as dio
 from phstab import spectral as sp
 from phstab.errors import InsufficientPrecision, OutOfRange, SingularMatrix
-from phstab.intervals import iv_hull, workprec
+from phstab.intervals import (REDUCTION_RANGE, cos_sin, float_down, float_up,
+                              fraction_bounds, iv_hull, workprec)
 
 THIRD = cf.ExplicitQuotients((0, 3))
 
@@ -401,3 +404,99 @@ def test_split_covers_every_cell_within_the_round_size():
                            np.full(2, np.inf), lambda c: np.where(c > 15, 5.0, 0.1))
     assert list(kc[kw == 1]) == [20.0] and list(kr[kw == 1]) == [1.0]
     assert _covers(10.0, 1.0, kc[kw == 0], kr[kw == 0])
+
+
+# -- one enclosure per sandwich call ---------------------------------------
+
+_CONSTRUCTED = af.construct(af.PowerLog(p=2, s=0), bit_budget=800).spec
+_SHARED_BALL_ALPHAS = {
+    "sqrt2": cf.SQRT2,
+    "golden": cf.GOLDEN,
+    "decimal78": cf.DecimalLiteral(  # sqrt 3 to 78 digits
+        "1.73205080756887729352744634150587236694280525381038062805580697945193301690880", 250),
+    "constructed": _CONSTRUCTED,
+    "rational": cf.ExplicitQuotients((1, 3)),  # 4/3: v = 3, 9, ... tie
+}
+
+
+@pytest.mark.parametrize("name", list(_SHARED_BALL_ALPHAS))
+def test_shared_ball_decides_like_min_odd_dist(name):
+    # the sandwich's one ball, taken at its engine's precision, gives every
+    # v the u and float bracket of min_odd_dist's own refinement
+    alpha = _SHARED_BALL_ALPHAS[name]
+    vs = list(range(1, 1000, 2))
+    work = sp._bits_for(max(vs) + 1.0, 128)
+    assert work >= 128 + max(vs).bit_length() + 8
+    for v, got in zip(vs, dio.nearest_odd(alpha.enclosure(work), vs)):
+        u, d = dio.min_odd_dist(alpha, v)
+        assert got is not None
+        assert (got[0], float_down(got[1]), float_up(got[2])) == (
+            u, float_down(d.lower), float_up(d.upper))
+    if name == "rational":  # ties go to the smaller u
+        assert dio.min_odd_dist(alpha, 3)[0] == 3
+        assert dio.nearest_odd(alpha.enclosure(1), [9])[0][:2] == (11, 1)
+
+
+@pytest.mark.parametrize("name", ["golden", "constructed"])
+def test_sandwich_rows_carry_min_odd_dist(name):
+    alpha = _SHARED_BALL_ALPHAS[name]
+    for r in sp.sandwich_report(alpha, range(1, 60, 2)):
+        u, d = dio.min_odd_dist(alpha, r.v)
+        assert (r.u, r.dist_lower, r.dist_upper) == (
+            u, float_down(d.lower), float_up(d.upper))
+
+
+def test_sandwich_on_a_capped_decimal_still_refines_and_raises():
+    # 16 guaranteed bits cannot place 2^20 + 1 times alpha between two odd
+    # integers: the v that the shared ball leaves open is refined as before
+    coarse = cf.DecimalLiteral("1.4142135623730950488", 16)
+    with pytest.raises(InsufficientPrecision, match="widest enclosure"):
+        sp.sandwich_report(coarse, [3, 2**20 + 1])
+
+
+def test_sandwich_takes_one_enclosure(monkeypatch):
+    calls = []
+    enclosure = cf.QuadraticSurd.enclosure
+
+    def counted(self, bits):
+        calls.append(bits)
+        return enclosure(self, bits)
+
+    monkeypatch.setattr(cf.QuadraticSurd, "enclosure", counted)
+    reports = sp.sandwich_report(cf.SQRT2, range(1, 1000, 2))
+    assert len(reports) == 500 and calls == [sp._bits_for(1000.0, 128)]
+
+
+# -- kernel scales -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "golden", "decimal24", "constructed"])
+@pytest.mark.parametrize("work", [80, 204, 400])
+def test_kernel_argument_error_covers_every_scale(name, work, monkeypatch):
+    # |K t - fl(kf t)| <= err at both ends of each scale's interval, in
+    # exact arithmetic, for t up to the kernel's reduction range
+    alpha = {"decimal24": cf.DecimalLiteral("1.41421356", 24),
+             **_SHARED_BALL_ALPHAS}[name]
+    seen = []
+    monkeypatch.setattr(sp, "cos_sin", lambda x, err: seen.append((x, err)) or cos_sin(x, err))
+    ball = alpha.enclosure(work)
+    lo, hi = ball.lower, ball.upper
+    with workprec(work):
+        sup = sp._Sup(ball, [(0.0, 2.0)], [1e-3])
+        inf = sp._Inf(ball, [(0.0, 2.0)], [1e-6])
+        p_lo, p_hi = fraction_bounds(iv.pi)
+    ends = {sup: [(1, 1), (lo, hi), (1 - hi, 1 - lo)],
+            inf: [(p_lo, p_hi), (p_lo * lo, p_hi * hi)]}
+    rng = np.random.default_rng(work)
+    for engine, intervals in ends.items():
+        reach = REDUCTION_RANGE / max(abs(k) for k, _ in engine.scales)
+        ts = np.concatenate([[reach, -reach, 1e-3, 0.0], rng.uniform(-reach, reach, 60),
+                             rng.uniform(-100, 100, 20)])
+        seen.clear()
+        sp._phases(ts, engine.scales)
+        ((x, err),) = seen
+        n = len(intervals)
+        for (k_lo, k_hi), xs, errs in zip(intervals, x.reshape(n, -1), err.reshape(n, -1)):
+            for t, xf, e in zip(ts.tolist(), xs.tolist(), errs.tolist()):
+                for k in (k_lo, k_hi):
+                    assert abs(k * Fraction(t) - Fraction(xf)) <= Fraction(e)
