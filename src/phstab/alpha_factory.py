@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -22,7 +22,6 @@ from .contfrac import ConvergentTable, RuleQuotients, expand
 from .errors import (
     CeilingUndecidable,
     MonotonicityViolation,
-    TableExhausted,
     ValidationError,
     VerificationFailed,
 )
@@ -249,27 +248,12 @@ def _quotients_for(target: DecayTarget, bit_budget: int) -> list[int]:
     return quotients
 
 
-def _table_rule(quotients: list[int], bit_budget: int):
-    """Quotient rule serving a computed construction."""
-
-    def gen(n: int) -> int:
-        if n >= len(quotients):
-            raise TableExhausted(
-                f"construction depth {len(quotients) - 1} reached "
-                f"(bit budget {bit_budget})"
-            )
-        return quotients[n]
-
-    return gen
-
-
-def _construction_rule(params: dict):
-    """The generator of a "construction" ``RuleQuotients`` read from JSON."""
+def _construction_quotients(params: dict) -> tuple[int, ...]:
+    """The quotients of a "construction" ``RuleQuotients`` read from JSON."""
     try:
         target = target_from_json(params["target"])
         target.validate()
-        budget = params.get("bit_budget", 4096)
-        return _table_rule(_quotients_for(target, budget), budget)
+        return tuple(_quotients_for(target, params.get("bit_budget", 4096)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(
             f"construction rule parameters {params!r}: {exc!r}") from None
@@ -281,7 +265,7 @@ class ConstructedAlpha:
     table: ConvergentTable
     target: DecayTarget
     bit_budget: int
-    depth: int = field(default=0)
+    depth: int
 
     @property
     def q_last(self) -> int:
@@ -304,16 +288,11 @@ def construct(target: DecayTarget, bit_budget: int = 4096) -> ConstructedAlpha:
     if bit_budget < 64:
         raise ValueError("bit_budget must be >= 64")
     target.validate()
-    params = {"target": target.to_json(), "bit_budget": bit_budget}
     quotients = _quotients_for(target, bit_budget)
-    # The spec carries the computed quotients; a spec rebuilt from its JSON
-    # recomputes the same ones through _construction_rule.
-    spec = RuleQuotients(
-        name="construction",
-        params=params,
-        bit_budget=2 * bit_budget,
-        _gen=_table_rule(quotients, bit_budget),
-    )
+    # a spec rebuilt from its JSON recomputes the same quotients
+    spec = RuleQuotients(name="construction",
+                         params={"target": target.to_json(), "bit_budget": bit_budget},
+                         _quotients=tuple(quotients))
     table = expand(spec, len(quotients) - 1)
     if not all(a % 2 == 0 and a >= 2 for a in table.quotients[1:]):
         raise VerificationFailed("constructed quotients are not all even and >= 2")

@@ -11,8 +11,9 @@ recording the subcommand, full parameter set, bit policies, tolerances,
 library versions, and output paths, sufficient to reproduce the run.
 
 Exit codes: 0 success, 1 verification failure, 2 input/precondition
-error.  The environment variable ``PHSTAB_BITS`` sets the default bit
-budget for precision-bounded operations.
+error.  ``--bits`` is the bit budget of ``construct`` and the guaranteed
+bits of a ``--decimal`` alpha; the environment variable ``PHSTAB_BITS``
+sets its default.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_growth(args: argparse.Namespace) -> int:
     alpha = _alpha_from_args(args)
     etas = _parsed("--etas", args.etas, _floats)
-    curve = spectral.growth_curve(alpha, etas, tol=args.tol, bits=args.bits)
+    curve = spectral.growth_curve(alpha, etas, tol=args.tol)
     outputs = _write_output(curve.to_csv(), args.out)
     parked = [p.eta for p in curve.points if p.upper_parked]
     if parked:
@@ -262,7 +263,7 @@ def _curve(text: str) -> spectral.GrowthCurve:
     pts = [spectral.GrowthPoint(eta=float(r[0]), m_lower=float(r[1]),
                                 m_upper=float(r[2]), witness=0.0)
            for r in rows]
-    return spectral.GrowthCurve(alpha_json="", tol=0.0, bits=0, points=tuple(pts))
+    return spectral.GrowthCurve(tuple(pts))
 
 
 def _certificate(text: str) -> rates.PositiveIncreaseCertificate:
@@ -299,7 +300,7 @@ def cmd_sandwich(args: argparse.Namespace) -> int:
     vs = [v for v in _parsed("--odd-v", args.odd_v, _parse_range) if v % 2 == 1]
     if not vs:
         raise ValidationError("no odd v in the requested range")
-    reports = spectral.sandwich_report(alpha, vs, tol=args.tol, bits=args.bits)
+    reports = spectral.sandwich_report(alpha, vs, tol=args.tol)
     outputs = _write_output(spectral.sandwich_to_csv(reports), args.out)
     _write_manifest(args, outputs, ratio_span=[min(r.ratio_lo for r in reports),
                                                max(r.ratio_hi for r in reports)])
@@ -416,7 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--manifest", default=None,
                        help="manifest path (default <out>.manifest.json)")
         p.add_argument("--bits", type=_bits, default=_default_bits(),
-                       help="bit budget (default from PHSTAB_BITS or 128)")
+                       help="construct: the bit budget of the construction; "
+                            "--decimal: the literal's guaranteed bits; no "
+                            "effect on the growth and sandwich engines, whose "
+                            "precision follows their windows (default from "
+                            "PHSTAB_BITS or 128)")
 
     p = sub.add_parser("cf", help="continued-fraction convergent table")
     _add_alpha_flags(p)

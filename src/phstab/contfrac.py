@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import pairwise
 from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
@@ -116,63 +117,46 @@ class ExplicitQuotients(IrrationalSpec):
 
 @dataclass(frozen=True)
 class RuleQuotients(IrrationalSpec):
-    """Quotients generated on demand by a named rule; the one rule is
-    "construction", the recursion of :mod:`phstab.alpha_factory`.
-
-    ``bit_budget`` caps the denominator growth used when converting the
-    quotient stream into rational enclosures.
-    """
+    """The quotient prefix a named rule computes; the one rule is
+    "construction", the recursion of :mod:`phstab.alpha_factory`, cut where
+    the next denominator would pass its bit budget. ``construct`` hands the
+    prefix in; a spec read from JSON computes it on first use. Past the
+    prefix the quotients are unknown, as past a ``DecimalLiteral``'s
+    digits: asking for one raises TableExhausted."""
 
     name: str
     params: dict = field(default_factory=dict)
-    bit_budget: int = 1 << 16
-    _gen: Optional[Callable[[int], int]] = field(
-        default=None, repr=False, compare=False
-    )
+    _quotients: Optional[tuple[int, ...]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.name != "construction":
             raise ValueError(f"unknown quotient rule {self.name!r}")
 
-    def _generator(self) -> Callable[[int], int]:
-        if self._gen is None:
-            from .alpha_factory import _construction_rule  # a circular import
+    @property
+    def quotients(self) -> tuple[int, ...]:
+        if self._quotients is None:
+            from .alpha_factory import _construction_quotients  # a circular import
 
-            object.__setattr__(self, "_gen", _construction_rule(self.params))
-        return self._gen
+            object.__setattr__(self, "_quotients", _construction_quotients(self.params))
+        return self._quotients
 
     def quotient_iter(self) -> Iterator[int]:
-        gen = self._generator()
-        n = 0
-        while True:
-            try:
-                a = gen(n)
-            except TableExhausted:
-                return
-            yield a
-            n += 1
+        yield from self.quotients
+        depth = len(self.quotients) - 1
+        raise TableExhausted(
+            f"construction depth {depth} reached: a_{depth + 1} is past its bit budget")
 
     def enclosure(self, bits: int) -> RealBall:
-        prev = bracket = None  # bracket: hull of the two most recent convergents
-        for p, q in _convergents(self.quotient_iter()):
-            x = _coprime(p, q)  # p_n, q_n coprime: p_n q_{n-1} - p_{n-1} q_n = +-1
-            if prev is not None:
-                bracket = lo, hi = (prev, x) if prev < x else (x, prev)
-                if hi - lo <= Fraction(1, 1 << bits) or q.bit_length() > self.bit_budget:
-                    return RealBall.from_bounds(lo, hi)
-            prev = x
-        # Finite stream: alpha lies strictly between the last two convergents.
-        if bracket is None:
-            raise InsufficientPrecision("quotient stream too short to enclose")
-        return RealBall.from_bounds(*bracket)
+        # alpha lies between consecutive convergents, 1/(q0 q1) apart; the
+        # first such pair within 2^-bits, else the last (the widest it has)
+        for (p0, q0), (p1, q1) in pairwise(_convergents(self.quotients)):
+            if (q0 * q1) >> bits:
+                break
+        lo, hi = sorted((_coprime(p0, q0), _coprime(p1, q1)))
+        return RealBall.from_bounds(lo, hi)
 
     def to_json(self) -> dict:
-        return {
-            "kind": "rule",
-            "name": self.name,
-            "f": self.params,
-            "bit_budget": self.bit_budget,
-        }
+        return {"kind": "rule", "name": self.name, "f": self.params}
 
 
 @dataclass(frozen=True)
@@ -223,12 +207,9 @@ def spec_from_json(obj: dict | str) -> IrrationalSpec:
         return QuadraticSurd(D=obj["D"], p=obj.get("p", 0), q=obj.get("q", 1))
     if kind == "quotients":
         return ExplicitQuotients(obj["a"])
-    if kind == "rule":  # RuleQuotients rejects a rule name it does not know
-        return RuleQuotients(
-            name=obj["name"],
-            params=obj.get("f", {}),
-            bit_budget=obj.get("bit_budget", 1 << 16),
-        )
+    if kind == "rule":  # RuleQuotients rejects a rule name it does not know;
+        # a spec-level "bit_budget", which older files carry, is ignored
+        return RuleQuotients(name=obj["name"], params=obj.get("f", {}))
     if kind == "decimal":
         return DecimalLiteral(digits=obj["digits"], bits=obj["bits"])
     raise ValueError(f"unknown spec kind {kind!r}")
@@ -297,7 +278,9 @@ def expand(alpha: IrrationalSpec, n: int) -> ConvergentTable:
     """First n+1 quotients and convergents of alpha.
 
     Rational input terminates early; the returned table is shorter and
-    flagged instead of raising.
+    flagged instead of raising. A source that cannot give a quotient
+    raises: a ``DecimalLiteral`` past its digits InsufficientPrecision, a
+    ``RuleQuotients`` past its depth TableExhausted.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -452,7 +435,7 @@ def best_approx_check(table: ConvergentTable, qmax: int) -> bool:
         raise ValueError("qmax exceeds the table's last denominator")
 
     def decide(ball: RealBall) -> Optional[bool]:
-        dist = _distance_brackets(ball.lower, ball.upper, qmax)
+        dist = _distance_brackets(ball, qmax)
         undecided = False
         for c in table.convergents:
             n, qn = c.n, c.q
@@ -476,15 +459,14 @@ def best_approx_check(table: ConvergentTable, qmax: int) -> bool:
                    "best-approximation check")
 
 
-def _distance_brackets(lo: Fraction, hi: Fraction, qmax: int) -> list[tuple[int, int]]:
-    """Brackets of min_p |q alpha - p| for alpha in [lo, hi], q = 1..qmax.
+def _distance_brackets(ball: RealBall, qmax: int) -> list[tuple[int, int]]:
+    """Brackets of min_p |q alpha - p| for alpha in ``ball``, q = 1..qmax.
 
     Every bound is an integer: the distance times the common denominator
-    D of lo and hi, so brackets compare as integers.
+    D of the ball's ends (``RealBall.ends``), so brackets compare as
+    integers.
     """
-    D = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
-    L = lo.numerator * (D // lo.denominator)
-    H = hi.numerator * (D // hi.denominator)
+    L, H, D = ball.ends()
     dist: list[tuple[int, int]] = []
     for q in range(1, qmax + 1):
         # nearest integer to q*alpha; with tiny enclosure widths both

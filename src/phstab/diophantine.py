@@ -39,9 +39,7 @@ def nearest_odd(ball: RealBall, vs) -> list[tuple[int, Fraction, Fraction] | Non
     return out
 
 
-def min_odd_dist(
-    alpha: IrrationalSpec, v: int, bits: int = 128
-) -> tuple[int, RealBall]:
+def min_odd_dist(alpha: IrrationalSpec, v: int) -> tuple[int, RealBall]:
     """The odd integer u minimizing |v*alpha - u| and the certified distance:
     the one-v case of :func:`nearest_odd`, refined until it decides.
 
@@ -57,7 +55,7 @@ def min_odd_dist(
         u, d_lo, d_hi = got
         return u, RealBall.from_bounds(d_lo, d_hi)
 
-    return _refine(alpha, bits + v.bit_length() + 8, decide,
+    return _refine(alpha, 128 + v.bit_length() + 8, decide,
                    "the odd integer nearest v*alpha")
 
 

@@ -507,7 +507,6 @@ class ResolventSolution:
     x: np.ndarray  # uniform grid, piece-boundary aligned
     v: np.ndarray  # (Hu)(x_j), shape (n, d), complex
     u: np.ndarray  # H^{-1} v
-    hu_a: np.ndarray
     boundary_residual: float
     ode_residual: float
     nodes: int
@@ -653,7 +652,6 @@ def _solve_once(
             x=x,
             v=v[p],
             u=u[p],
-            hu_a=v_a[p],
             boundary_residual=float(boundary_residual[p]),
             ode_residual=float(ode_res[p]),
             nodes=nodes,

@@ -87,6 +87,34 @@ def _bits_for(t_magnitude: float, bits: int) -> int:
     return bits + 64 + mag.bit_length()
 
 
+# A window ends at most here: floats hold every integer up to 2^53, so a
+# sandwich window [v - 1, v + 1] is exact for v + 1 <= 2^53.
+_T_MAX = 1 << 53
+_ALPHA_MAX = 8  # the bound that ``_SLACK``'s rounding argument assumes
+
+
+def _engine_start(alpha: IrrationalSpec, ends) -> tuple[RealBall, int]:
+    """alpha's ball and the working precision of one engine call whose
+    windows end at the times ``ends``: 128 bits, plus what its largest |t|
+    costs (``_bits_for``). Raises OutOfRange for an end that is not finite
+    or lies past 2^53, and for a ball that reaches past |alpha| = 8."""
+    reach = 0
+    for t in ends:
+        if not abs(t) <= _T_MAX:
+            big = isinstance(t, int) and t.bit_length() > 64
+            raise OutOfRange(f"window end {f'of {t.bit_length()} bits' if big else t} "
+                             "is not a finite time within 2^53; float time "
+                             "cannot hold the window")
+        reach = max(reach, abs(t))
+    work = _bits_for(reach, 128)
+    ball = alpha.enclosure(work)
+    lo, hi, den = ball.ends()
+    if not (-_ALPHA_MAX * den <= lo and hi <= _ALPHA_MAX * den):
+        raise OutOfRange(f"alpha's enclosure reaches past |alpha| = {_ALPHA_MAX}, "
+                         "the bound of the engine's rounding argument")
+    return ball, work
+
+
 def g_at_witness(alpha: IrrationalSpec, u: int, v: int, bits: int = 128) -> RealBall:
     """Certified g(pi (v + delta)) at the shifted odd/odd witness time,
     delta = -(v alpha - u)/(1 + alpha).
@@ -122,7 +150,8 @@ def g_at_witness(alpha: IrrationalSpec, u: int, v: int, bits: int = 128) -> Real
 # while |alpha - af| <= wid + 2^-53 |af| (``RealBall.scale`` rounds the
 # midpoint to nearest): the rest, 2^-53 (|af| + |bf| / 2) (a sine or
 # cosine times alpha's error is at most that error), is at most 13 * 2^-53
-# for |alpha| <= 8. Both fit in 2^-46 = 128 * 2^-53.
+# for |alpha| <= 8, which ``_engine_start`` enforces. Both fit in
+# 2^-46 = 128 * 2^-53.
 _SLACK = 2.0**-46
 # Relative allowance for the rounding of a handful (< 8) of operations on
 # nonnegative terms.
@@ -518,7 +547,7 @@ class _Inf(_Engine):
         self.done_lo = np.full(len(windows), math.inf)
         a, b = np.array(windows, dtype=float).T
         c0 = (a + b) / 2
-        self.finest, self.roots = b - c0, (c0, b - c0, np.arange(len(windows)))
+        self.roots = c0, b - c0, np.arange(len(windows))
         self.seeds = (np.linspace(a, b, 17, axis=-1).ravel(),
                       np.repeat(np.arange(len(windows)), 17))
 
@@ -538,7 +567,6 @@ class _Inf(_Engine):
             lb[i] = _minus_down(f_lo_i, speed_i * rb[i] + 0.5 * self.l2 * rb[i] ** 2)
             if f_up_i < self.best[w[i]]:
                 self.best[w[i]], self.witness[w[i]] = f_up_i, ts[i]
-        np.minimum.at(self.finest, w[:n], rs[:n])
         return lb[:n], _depth(own[:n], wid[:n], centred[:n], back[:n])
 
     def close(self, c, r, w, lb):
@@ -559,8 +587,6 @@ class CertifiedInf:
     lower: float
     upper: float
     witness: float
-    grid_step: float
-    bits: int
 
 
 def _inf_windows(ball: RealBall, work: int, windows, tols):
@@ -572,21 +598,20 @@ def _inf_windows(ball: RealBall, work: int, windows, tols):
         inf = _Inf(ball, windows, tols)
         inf.run()
     lower = _sqrt_down(np.maximum(np.minimum(inf.done_lo, inf.best), 0.0))
-    return [CertifiedInf(a, b, lo, up, wit, step, work)
-            for (a, b), lo, up, wit, step in zip(
-                windows, lower.tolist(), _sqrt_up(inf.best).tolist(),
-                inf.witness.tolist(), inf.finest.tolist())]
+    return [CertifiedInf(a, b, lo, up, wit)
+            for (a, b), lo, up, wit in zip(windows, lower.tolist(),
+                                           _sqrt_up(inf.best).tolist(),
+                                           inf.witness.tolist())]
 
 
-def inf_h_interval(
-    alpha: IrrationalSpec, a: float, b: float, tol: float = 1e-6, bits: int = 128
-) -> CertifiedInf:
+def inf_h_interval(alpha: IrrationalSpec, a: float, b: float,
+                   tol: float = 1e-6) -> CertifiedInf:
     """Bracket inf_{t in [a,b]} h(t) to within tol: a one-window run of the
     branch-and-bound engine (see ``_Inf`` and ``_Engine``)."""
     if not b > a:
         raise OutOfRange(f"degenerate interval [{a}, {b}]")
-    work = _bits_for(max(abs(a), abs(b)), bits)
-    return _inf_windows(alpha.enclosure(work), work, [(a, b)], [tol])[0]
+    ball, work = _engine_start(alpha, (a, b))
+    return _inf_windows(ball, work, [(a, b)], [tol])[0]
 
 
 # -- growth curve ----------------------------------------------------------
@@ -606,9 +631,6 @@ class GrowthPoint:
 
 @dataclass(frozen=True)
 class GrowthCurve:
-    alpha_json: dict
-    tol: float
-    bits: int
     points: tuple
 
     def to_csv(self) -> str:
@@ -616,9 +638,7 @@ class GrowthCurve:
         return "\n".join(["eta,m_lower,m_upper", *rows]) + "\n"
 
 
-def growth_curve(
-    alpha: IrrationalSpec, eta_list, tol: float = 1e-3, bits: int = 128
-) -> GrowthCurve:
+def growth_curve(alpha: IrrationalSpec, eta_list, tol: float = 1e-3) -> GrowthCurve:
     """Bracket m_alpha(eta) = sup_{|t| <= eta} ||T_t^{-1}|| for each eta.
 
     Evenness of |det| and of the singular values under t -> -t reduces the
@@ -630,8 +650,7 @@ def growth_curve(
         raise OutOfRange("eta list must be positive and strictly increasing")
     if not tol > 0:  # with tol <= 0 no cell is ever dropped
         raise OutOfRange("tol must be positive")
-    work = _bits_for(max(etas), bits)
-    ball = alpha.enclosure(work)
+    ball, work = _engine_start(alpha, etas)
     windows = list(zip([0.0] + etas[:-1], etas))
     with workprec(work):
         sup = _Sup(ball, windows, [tol] * len(windows))
@@ -646,7 +665,7 @@ def growth_curve(
         if ups[k] > run_up:
             run_up, run_parked = float(ups[k]), bool(sup.stuck[k] > inc[k] * (1 + tol))
         points.append(GrowthPoint(eta, run_lo, run_up, run_wit, run_parked))
-    return GrowthCurve(alpha.to_json(), tol, work, tuple(points))
+    return GrowthCurve(tuple(points))
 
 
 # -- odd/odd sandwich ------------------------------------------------------
@@ -685,9 +704,8 @@ def _sandwich_constant(ball: RealBall) -> float:
     return _sandwich_bound(sq) if sq else math.inf
 
 
-def sandwich_report(
-    alpha: IrrationalSpec, odd_v_list, tol: float = 1e-6, bits: int = 128
-) -> list[SandwichReport]:
+def sandwich_report(alpha: IrrationalSpec, odd_v_list,
+                    tol: float = 1e-6) -> list[SandwichReport]:
     """Per odd v: min odd dist, certified inf of h on [v-1, v+1], ratios.
     All v share one alpha enclosure, taken at the engine's working
     precision: it decides every v's nearest odd u (``nearest_odd``; a v it
@@ -701,13 +719,12 @@ def sandwich_report(
             raise OutOfRange(f"v={v} is not a positive odd integer")
     if not vs:
         return []
-    # at least min_odd_dist's first precision, bits + bits(v) + 8
-    work = _bits_for(max(vs) + 1.0, bits)
-    ball = alpha.enclosure(work)
+    # above min_odd_dist's first precision, 128 + bits(v) + 8
+    ball, work = _engine_start(alpha, [max(vs) + 1])
     dists = []
     for v, got in zip(vs, nearest_odd(ball, vs)):
         if got is None:
-            u, d = min_odd_dist(alpha, v, bits=bits)
+            u, d = min_odd_dist(alpha, v)
             got = u, d.lower, d.upper
         u, d_lo, d_hi = got
         dists.append((u, float_down(d_lo), float_up(d_hi)))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import scipy
 
-from phstab import cli, contfrac, phs, rates
+from phstab import alpha_factory, cli, contfrac, phs, rates
 
 
 def run(args):
@@ -299,6 +299,16 @@ _SANDWICH_CSV = ("v,u,dist,inf_lower,inf_upper,ratio_lo,ratio_hi\n"
     ["construct", "--table", _File('{"pts": [[1, 1], [2, 0.5]]}')],
     ["construct", "--table", _File('{"kind": "table"}')],
     ["construct", "--table", _File("[1, 2]")],
+    # engine input (spectral._engine_start): times that float time cannot
+    # hold, each a traceback before or, for v = 2^53 + 1, a search of the
+    # float window [2^53 - 1, 2^53], and alpha = sqrt(1000), past the
+    # |alpha| <= 8 of the kernel's rounding argument
+    ["growth", "--surd", "2", "--etas", "nan"],
+    ["growth", "--surd", "2", "--etas", "10,inf"],
+    ["sandwich", "--surd", "2", "--odd-v", str(2**1100 + 1)],
+    ["sandwich", "--surd", "2", "--odd-v", str(2**53 + 1)],
+    ["growth", "--surd", "1000", "--etas", "10,100"],
+    ["sandwich", "--surd", "1000", "--odd-v", "1..9"],
 ])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     if isinstance(argv[1], dict):  # an --alpha-json file
@@ -321,6 +331,17 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def test_cf_past_a_construction_depth_exits_2(tmp_path, capsys):
+    spec = tmp_path / "c.json"
+    spec.write_text(json.dumps(
+        alpha_factory.construct(alpha_factory.PowerLog(4, 0), 1024).spec.to_json()))
+    assert run(["cf", "--alpha-json", str(spec), "--terms", "6"]) == 0
+    capsys.readouterr()
+    assert run(["cf", "--alpha-json", str(spec), "--terms", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "depth 7 reached" in err and "rational" not in err
 
 
 def test_growth_and_sandwich_manifest_summaries(tmp_path):

@@ -1,0 +1,85 @@
+"""Golden CLI outputs: stdout, stderr and the exit code of a fixed run set.
+
+Each run's expected bytes live in ``tests/data/golden/<name>.{out,err,rc}``,
+and ``tests/data/cons.json`` is the construction spec
+``construct(PowerLog(2, 0), 1024).spec.to_json()`` in the format that still
+writes the spec-level ``bit_budget`` (it must keep reading). A refactor that
+should not change any output is checked by this file alone; a change that
+does change an output regenerates the data on purpose with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and says which run changed and why. ``phs`` is not in the set: its LAPACK
+bits differ between builds.
+"""
+
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from phstab import cli
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+CONS = "{cons}"  # replaced by the path of tests/data/cons.json
+
+RUNS = {
+    "cf_sqrt2": ["cf", "--surd", "2", "--terms", "40"],
+    "cf_construction": ["cf", "--alpha-json", CONS, "--terms", "100"],
+    "construct_powerlog4": ["construct", "--powerlog", "4", "0", "--bits", "4096"],
+    "growth_sqrt2_half_decades": [
+        "growth", "--surd", "2", "--etas", "10,31.6227766,100,316.227766,1000"],
+    "growth_sqrt2_decades": ["growth", "--surd", "2", "--etas", "10,100,1000,10000"],
+    "growth_construction": ["growth", "--alpha-json", CONS, "--etas", "5,10,50"],
+    "growth_decimal24": ["growth", "--decimal", "1.41421356", "--bits", "24",
+                         "--etas", "50,500", "--tol", "1e-3"],
+    "sandwich_sqrt2": ["sandwich", "--surd", "2", "--odd-v", "1..999"],
+    "sandwich_sqrt5": ["sandwich", "--surd", "5", "--odd-v", "1..301"],
+    "sandwich_decimal24": ["sandwich", "--decimal", "1.41421356", "--bits", "24",
+                           "--odd-v", "1..99"],
+    "sandwich_decimal60": ["sandwich", "--decimal", "1.4142135623730950488",
+                           "--bits", "60", "--odd-v", "1..99"],
+    "sandwich_surd_p1_q3": ["sandwich", "--surd", "2", "--surd-p", "1",
+                            "--surd-q", "3", "--odd-v", "1..199"],
+    "sandwich_quotients": ["sandwich", "--quotients", "1,2,2,2,2,2,2,2",
+                           "--odd-v", "1..99"],
+    "verify_all": ["verify", "all"],
+}
+
+
+def _argv(name):
+    return [str(DATA / "cons.json") if a == CONS else a for a in RUNS[name]]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_cli_output_is_byte_identical(name, monkeypatch, capsys):
+    monkeypatch.delenv("PHSTAB_BITS", raising=False)  # --bits defaults to 128
+    rc = cli.main(_argv(name))
+    got = capsys.readouterr()
+    assert rc == int((GOLDEN / f"{name}.rc").read_text())
+    assert got.err == (GOLDEN / f"{name}.err").read_text()
+    assert got.out == (GOLDEN / f"{name}.out").read_text()
+
+
+def _regenerate() -> None:
+    import contextlib
+    import io
+    import os
+
+    os.environ.pop("PHSTAB_BITS", None)
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for name in RUNS:
+        out, err = io.StringIO(), io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(_argv(name))
+        (GOLDEN / f"{name}.out").write_text(out.getvalue())
+        (GOLDEN / f"{name}.err").write_text(err.getvalue())
+        (GOLDEN / f"{name}.rc").write_text(f"{rc}\n")
+        print(f"{name}: exit {rc}, {time.perf_counter() - t0:.2f} s", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _regenerate()

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from phstab import alpha_factory as af
 from phstab import contfrac as cf
 from phstab import diophantine as dio
-from phstab.errors import InsufficientPrecision, PhstabError
+from phstab.errors import InsufficientPrecision, PhstabError, TableExhausted
 
 
 def test_sqrt2_expansion():
@@ -139,6 +139,36 @@ def test_construction_rule_expands_without_importing_alpha_factory():
 def test_unknown_rule_name_is_rejected_at_parse_time():
     with pytest.raises(ValueError, match="unknown quotient rule 'nope'"):
         cf.spec_from_json(dict(_POWER4_RULE, name="nope"))
+
+
+def test_expanding_a_construction_past_its_depth_raises():
+    ca = af.construct(af.PowerLog(4, 0), 1024)
+    assert ca.depth == 7
+    again = cf.spec_from_json(json.dumps(ca.spec.to_json()))
+    for spec in (ca.spec, again):
+        assert cf.expand(spec, 7).quotients == ca.table.quotients
+        # not a table flagged as rational: the cut-off is not alpha
+        with pytest.raises(TableExhausted, match="depth 7 reached"):
+            cf.expand(spec, 8)
+
+
+def test_construction_json_drops_the_spec_bit_budget():
+    # the spec-level cap never bound; files that carry one still read
+    spec = af.construct(af.PowerLog(4, 0), 1024).spec
+    assert spec.to_json() == {"kind": "rule", "name": "construction",
+                              "f": {"target": {"kind": "powerlog", "p": 4.0, "s": 0.0},
+                                    "bit_budget": 1024}}
+    old = cf.spec_from_json(_POWER4_RULE)
+    assert cf.expand(old, 4).quotients == (1, 20, 396, 156356, 24446929092)
+
+
+@pytest.mark.parametrize("bits", [1, 8, 64, 300, 2000, 10**5])
+def test_rule_enclosure_is_the_first_convergent_bracket_within_bits(bits):
+    spec = _constructed_spec((2, 0), 1024)
+    xs = [c.value for c in cf.expand(spec, len(spec.quotients) - 1).convergents]
+    pairs = [sorted(pair) for pair in zip(xs, xs[1:])]
+    lo, hi = next((p for p in pairs if p[1] - p[0] <= Fraction(1, 1 << bits)), pairs[-1])
+    assert spec.enclosure(bits) == cf.RealBall.from_bounds(lo, hi)
 
 
 def test_enclosure_certified():
@@ -268,6 +298,14 @@ def _constructed_spec(key, budget=512):
     return af.construct(target, budget).spec
 
 
+def _expand(spec, n):
+    """expand(spec, n) with n clamped to a construction's depth, past which
+    expand raises: every draw still checks a table."""
+    if isinstance(spec, cf.RuleQuotients):
+        n = min(n, len(spec.quotients) - 1)
+    return cf.expand(spec, n)
+
+
 @st.composite
 def _surd(draw):
     D = draw(st.integers(min_value=2, max_value=999).filter(lambda d: m.isqrt(d) ** 2 != d))
@@ -298,7 +336,7 @@ _SOURCES = st.one_of(
 @settings(max_examples=120, deadline=None)
 def test_check_bounds_matches_fraction_oracle(spec, n, bits):
     try:
-        table = cf.expand(spec, n)
+        table = _expand(spec, n)
     except InsufficientPrecision:  # decimal digits exhausted
         assume(False)
     assume(len(table) >= 2)
@@ -478,7 +516,7 @@ def test_bound_reports_kernel_lower_bound_failures_beside_a_convergent():
 @settings(max_examples=120, deadline=None)
 def test_bound_reports_kernel_matches_oracle_on_any_enclosure(spec, other, n, bits):
     try:
-        table = cf.expand(spec, n)
+        table = _expand(spec, n)
     except InsufficientPrecision:  # decimal digits exhausted
         assume(False)
     assume(len(table) >= 2)
@@ -512,7 +550,7 @@ def _c_lower_matches_oracle(table):
 @settings(max_examples=80, deadline=None)
 def test_badly_approx_c_lower_matches_fraction_oracle(spec, n):
     try:
-        table = cf.expand(spec, n)
+        table = _expand(spec, n)
     except InsufficientPrecision:  # decimal digits exhausted
         assume(False)
     assume(len(table) >= 3)

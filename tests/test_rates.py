@@ -95,7 +95,6 @@ def test_positive_increase_refutes_log():
 
 def test_from_growth_curve_interpolation():
     curve = sp.GrowthCurve(
-        alpha_json="", tol=0.0, bits=0,
         points=(
             sp.GrowthPoint(1.0, 1.0, 1.1, 0.0),
             sp.GrowthPoint(100.0, 100.0, 110.0, 0.0),
@@ -111,7 +110,6 @@ def test_from_growth_curve_interpolation():
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
 def test_from_growth_curve_refuses_bad_knot(bad):
     curve = sp.GrowthCurve(
-        alpha_json="", tol=0.0, bits=0,
         points=(
             sp.GrowthPoint(1.0, 1.0, 1.1, 0.0),
             sp.GrowthPoint(100.0, 100.0, bad, 0.0),

@@ -454,6 +454,50 @@ def test_sandwich_on_a_capped_decimal_still_refines_and_raises():
         sp.sandwich_report(coarse, [3, 2**20 + 1])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: sp.growth_curve(cf.SQRT2, [math.nan]),
+    lambda: sp.growth_curve(cf.SQRT2, [10.0, math.inf]),
+    lambda: sp.inf_h_interval(cf.SQRT2, 0.0, math.inf),
+    lambda: sp.sandwich_report(cf.SQRT2, [2**1100 + 1]),
+    lambda: sp.sandwich_report(cf.SQRT2, [2**53 + 1]),  # v + 1 > 2^53
+])
+def test_engine_rejects_times_floats_cannot_hold(call):
+    with pytest.raises(OutOfRange, match="within 2\\^53"):
+        call()
+
+
+def test_engine_start_takes_windows_up_to_2_to_the_53():
+    ball, work = sp._engine_start(cf.SQRT2, [2**53])  # v = 2^53 - 1
+    assert work == sp._bits_for(2.0**53, 128) and ball == cf.SQRT2.enclosure(work)
+
+
+# 7 + 1/(1 + 1/999) = 7.999
+_BELOW_8 = cf.ExplicitQuotients((7, 1, 999))
+
+
+def test_alpha_just_below_8_runs():
+    assert Fraction(7999, 1000) == _BELOW_8.value()
+    (p,) = sp.growth_curve(_BELOW_8, [3.0]).points
+    assert 1.0 <= p.m_lower <= p.m_upper < math.inf
+    (r,) = sp.sandwich_report(_BELOW_8, [1])
+    assert r.u == 7 and r.upper_ok
+    ci = sp.inf_h_interval(_BELOW_8, 0.0, 2.0)
+    assert 0.0 <= ci.lower <= ci.upper
+
+
+@pytest.mark.parametrize("alpha", [
+    cf.QuadraticSurd(D=1000),
+    cf.ExplicitQuotients((8, 1000)),
+    cf.DecimalLiteral("7.999", 4),  # digits below 8, ball past it
+])
+def test_alpha_past_8_is_rejected(alpha):
+    for call in (lambda: sp.growth_curve(alpha, [10.0]),
+                 lambda: sp.sandwich_report(alpha, [1]),
+                 lambda: sp.inf_h_interval(alpha, 0.0, 2.0)):
+        with pytest.raises(OutOfRange, match="past \\|alpha\\| = 8"):
+            call()
+
+
 def test_sandwich_takes_one_enclosure(monkeypatch):
     calls = []
     enclosure = cf.QuadraticSurd.enclosure
