@@ -207,10 +207,12 @@ def target_from_json(obj: dict | str) -> DecayTarget:
 def _certified_ceil(evaluator: Callable, q: int, bit_budget: int, x64) -> int:
     """ceil(1/(sqrt(f(pi q)) q)) with a provably correct ceiling.
 
-    ``x64`` is ``evaluator(64)(q)``, the first attempt; the precision
-    doubles from there.
+    ``x64`` is ``evaluator(64)(q)``, the first attempt. A ceiling needs the
+    value's size in bits before the fraction: the next attempt takes the
+    size of x64's lower end plus a 64-bit guard, then the precision doubles.
     """
     prec, (lo, hi) = 64, x64
+    size = lo[2] + lo[3] if lo[1] and not lo[0] else 0  # lo < 2^size
     while prec <= 4 * bit_budget:
         if prec > 64:
             lo, hi = evaluator(prec)(q)
@@ -219,7 +221,7 @@ def _certified_ceil(evaluator: Callable, q: int, bit_budget: int, x64) -> int:
         c = to_int(lo, round_ceiling)
         if c == to_int(hi, round_ceiling) and lo[1] and lo[2] < 0:
             return int(c)
-        prec *= 2
+        prec = max(2 * prec, size + 64)
     raise CeilingUndecidable(
         f"enclosure of 1/(sqrt(f(pi*{q}))*{q}) straddles an integer at "
         f"{4 * bit_budget} bits"

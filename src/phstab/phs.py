@@ -31,6 +31,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,10 +51,7 @@ __all__ = [
     "StabilityReport",
     "ResolventSolution",
     "CharConstants",
-    "validate",
     "moore_penrose",
-    "fundamental_matrix",
-    "boundary_matrix",
     "boundary_matrices",
     "stability_scan",
     "resolvent_solve",
@@ -79,7 +77,9 @@ class PHSystem:
     """A 1-D port-Hamiltonian system on [a, b] with piecewise-constant H.
 
     ``breaks`` is the increasing breakpoint sequence a = x0 < ... < xk = b
-    and ``pieces[i]`` is the SPD matrix H on (x_i, x_{i+1}).
+    and ``pieces[i]`` is the SPD matrix H on (x_i, x_{i+1}).  It is
+    validated once, when built (ValidationError names each offending
+    matrix), and stores read-only float copies, so it stays valid.
     """
 
     d: int
@@ -88,6 +88,20 @@ class PHSystem:
     breaks: tuple[float, ...]
     pieces: tuple[np.ndarray, ...]
     W: np.ndarray
+
+    def __post_init__(self) -> None:
+        def frozen(m) -> np.ndarray:
+            m = np.asarray(m).astype(float, casting="same_kind")  # complex raises
+            m.flags.writeable = False
+            return m
+
+        for name in ("P0", "P1", "W"):
+            object.__setattr__(self, name, frozen(getattr(self, name)))
+        object.__setattr__(self, "pieces", tuple(frozen(p) for p in self.pieces))
+        object.__setattr__(self, "breaks", tuple(float(x) for x in self.breaks))
+        errs = _violations(self)
+        if errs:
+            raise ValidationError("; ".join(errs))
 
     @property
     def a(self) -> float:
@@ -112,13 +126,19 @@ class PHSystem:
         return int(k) if k.ndim == 0 else k
 
 
-def validate(sys: PHSystem) -> list[str]:
-    """Check all structural invariants numerically.
-
-    Returns one message per violated invariant, naming the offending
-    matrix; an empty list means the system is valid.
-    """
-    errs: list[str] = []
+def _violations(sys: PHSystem) -> list[str]:
+    """One message per violated invariant, naming the offending matrix;
+    non-finite entries are reported alone, before any other check."""
+    errs = [
+        f"{name}: non-finite entry"
+        for name, m in (
+            ("P0", sys.P0), ("P1", sys.P1), ("W", sys.W), ("H breakpoints", sys.breaks),
+            *((f"H piece {i}", hk) for i, hk in enumerate(sys.pieces)),
+        )
+        if not np.isfinite(m).all()
+    ]
+    if errs:
+        return errs
     d = sys.d
     for name, m, shape in (
         ("P0", sys.P0, (d, d)),
@@ -137,8 +157,8 @@ def validate(sys: PHSystem) -> list[str]:
         ev = la.eigvalsh(sys.P1)
         if min(abs(e) for e in ev) <= _RANK_TOL * max(abs(e) for e in ev):
             errs.append("P1: not invertible (eigenvalue near 0)")
-    if len(sys.breaks) != len(sys.pieces) + 1:
-        errs.append("H: breakpoint/piece count mismatch")
+    if not sys.pieces or len(sys.breaks) != len(sys.pieces) + 1:
+        errs.append("H: breakpoint/piece count mismatch" if sys.pieces else "H: no pieces")
         return errs
     if any(
         sys.breaks[i + 1] <= sys.breaks[i] for i in range(len(sys.pieces))
@@ -156,12 +176,6 @@ def validate(sys: PHSystem) -> list[str]:
     if sv[-1] <= _RANK_TOL * sv[0]:
         errs.append("W: rank deficient")
     return errs
-
-
-def _require_valid(sys: PHSystem) -> None:
-    errs = validate(sys)
-    if errs:
-        raise ValidationError("; ".join(errs))
 
 
 def moore_penrose(W: np.ndarray) -> np.ndarray:
@@ -243,7 +257,7 @@ def _exp_eig(lam: np.ndarray, outer: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 class _PhiStack:
-    """Phi_t for a vector of t on one validated system, built together.
+    """Phi_t for a vector of t on one system, built together.
 
     The generators A_{t,k} = -P1^{-1}(i t H_k^{-1} + P0) of every (t, piece)
     pair share one stacked eigendecomposition, so exp(A s) at a set of
@@ -251,13 +265,13 @@ class _PhiStack:
     pair (i, k), one product (:meth:`exp_at`, :meth:`apply`); a pair that
     :func:`_eigen` marks dense takes a matrix exponential per point.
     ``cum[i, k]`` is Phi_{t_i} at breakpoint k, from one batched matmul
-    over t per piece.
+    over t per piece.  T_t, its SVD and W+ are taken once per stack, on
+    first use.
     """
 
     def __init__(self, sys: PHSystem, ts) -> None:
         self.sys = sys
         self.ts = np.asarray(ts, dtype=float)
-        self._b: np.ndarray | None = None
         n, k, d = len(self.ts), len(sys.pieces), sys.d
         self.p1inv = la.inv(sys.P1)
         self.hinv = la.inv(np.stack(sys.pieces))
@@ -321,21 +335,46 @@ class _PhiStack:
         ph = np.exp(np.multiply.outer(s, self.lam[i, k]))
         return ((y @ self.Vi[i, k].T) * ph) @ self.V[i, k].T
 
+    def at_many(self, i: int, xs) -> np.ndarray:
+        """Stack of Phi_{t_i}(x_j), shape (len(xs), d, d); ValidationError
+        for a point outside [a, b]."""
+        xs = np.asarray(xs, dtype=float)
+        ks = self.sys.piece_index(xs)
+        d = self.sys.d
+        out = np.empty((len(xs), d, d), dtype=complex)
+        for k in np.unique(ks):
+            idx = np.flatnonzero(ks == k)
+            e = self.exp_at(i, k, xs[idx] - self.sys.breaks[k])
+            out[idx] = (e.reshape(-1, d) @ self.cum[i, k]).reshape(-1, d, d)
+        return out
+
+    @cached_property
     def sup_norms(self) -> np.ndarray:
         """Sampled sup_x |Phi_t(x)| per t (_B_SAMPLES points per piece)."""
-        if self._b is None:
-            s = np.linspace(0.0, self.spans, _B_SAMPLES, axis=1)
-            e = self.exps(s)
-            n, k, m, d, _ = e.shape
-            # one (m d, d) @ (d, d) product per (t, piece) pair, not a
-            # broadcast stack of m (d, d) products
-            mats = (e.reshape(n, k, m * d, d) @ self.cum[:, :-1]).reshape(e.shape)
-            self._finite(mats)
-            self._b = _norm2(mats).max(axis=(1, 2))
-        return self._b
+        s = np.linspace(0.0, self.spans, _B_SAMPLES, axis=1)
+        e = self.exps(s)
+        n, k, m, d, _ = e.shape
+        # one (m d, d) @ (d, d) product per (t, piece) pair, not a
+        # broadcast stack of m (d, d) products
+        mats = (e.reshape(n, k, m * d, d) @ self.cum[:, :-1]).reshape(e.shape)
+        self._finite(mats)
+        return _norm2(mats).max(axis=(1, 2))
 
-    def boundaries(self) -> np.ndarray:
-        return _boundary(self.sys, self.cum[:, -1])
+    @cached_property
+    def T(self) -> np.ndarray:
+        """T_t = W [Phi_t(b); I] for every t, shape (len(ts), d, d)."""
+        d = self.sys.d
+        return self.sys.W[:, :d] @ self.cum[:, -1] + self.sys.W[:, d:].astype(complex)
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, sigma, V^H) of every T_t, one batched full SVD: it serves the
+        inverse norms, the singular check and the adversarial direction."""
+        return la.svd(self.T)
+
+    @cached_property
+    def w_pinv(self) -> np.ndarray:
+        return moore_penrose(self.sys.W)
 
 
 def _stacks(sys: PHSystem, ts):
@@ -346,31 +385,18 @@ def _stacks(sys: PHSystem, ts):
 
 
 class FundamentalMatrix:
-    """Phi_t for a validated system (:func:`fundamental_matrix` validates):
-    exact matrix-exponential products across the constant-H pieces, with
-    Phi_t(a) = I.  It is the length-1 case of the stacked build; the
-    batched entry points view one t of a larger build instead."""
+    """Phi_t of one t: exact matrix-exponential products across the
+    constant-H pieces, with Phi_t(a) = I.  The public one-t view of a
+    length-1 stacked build; the batched entry points work on the stacks."""
 
     def __init__(self, sys: PHSystem, t: float) -> None:
-        self._bind(_PhiStack(sys, [t]), 0)
-
-    @classmethod
-    def _of(cls, stack: _PhiStack, i: int) -> "FundamentalMatrix":
-        phi = cls.__new__(cls)
-        phi._bind(stack, i)
-        return phi
-
-    def _bind(self, stack: _PhiStack, i: int) -> None:
-        self.sys = stack.sys
-        self.t = float(stack.ts[i])
-        self._stack, self._i = stack, i
-        self._cum = stack.cum[i]  # Phi_t at each breakpoint
+        self.sys, self.t = sys, float(t)
+        self._stack = _PhiStack(sys, [t])
 
     @property
     def B_t(self) -> float:
-        """Sampled sup_x |Phi_t(x)| (lazy: only stability/constants paths
-        need it, not plain boundary-matrix evaluation)."""
-        return float(self._stack.sup_norms()[self._i])
+        """Sampled sup_x |Phi_t(x)|, taken on first use."""
+        return float(self._stack.sup_norms[0])
 
     def __call__(self, x: float) -> np.ndarray:
         return self.at_many(np.array([x], dtype=float))[0]
@@ -378,43 +404,17 @@ class FundamentalMatrix:
     def at_many(self, xs) -> np.ndarray:
         """Stack of Phi_t(x_j), shape (len(xs), d, d); ValidationError for
         a point outside [a, b]."""
-        xs = np.asarray(xs, dtype=float)
-        ks = self.sys.piece_index(xs)
-        d = self.sys.d
-        out = np.empty((len(xs), d, d), dtype=complex)
-        for k in np.unique(ks):
-            idx = np.flatnonzero(ks == k)
-            e = self._stack.exp_at(self._i, k, xs[idx] - self.sys.breaks[k])
-            out[idx] = (e.reshape(-1, d) @ self._cum[k]).reshape(-1, d, d)
-        return out
+        return self._stack.at_many(0, xs)
 
     @property
     def at_b(self) -> np.ndarray:
-        return self._cum[-1]
-
-
-def fundamental_matrix(sys: PHSystem, t: float) -> FundamentalMatrix:
-    _require_valid(sys)
-    return FundamentalMatrix(sys, t)
-
-
-def _boundary(sys: PHSystem, at_b: np.ndarray) -> np.ndarray:
-    """W [Phi_t(b); I] for one Phi_t(b) or a stack of them."""
-    d = sys.d
-    return sys.W[:, :d] @ at_b + sys.W[:, d:].astype(complex)
-
-
-def boundary_matrix(sys: PHSystem, t: float) -> np.ndarray:
-    """T_t = W [Phi_t(b); I], the d x d strong-stability matrix."""
-    _require_valid(sys)
-    return _PhiStack(sys, [t]).boundaries()[0]
+        return self._stack.cum[0, -1]
 
 
 def boundary_matrices(sys: PHSystem, ts: Sequence[float]) -> np.ndarray:
-    """T_t for every t in ``ts``, shape (len(ts), d, d), from one
-    validation and one stacked build of Phi_t."""
-    _require_valid(sys)
-    parts = [st.boundaries() for st in _stacks(sys, ts)]
+    """T_t = W [Phi_t(b); I], the d x d strong-stability matrix, for every
+    t in ``ts``: shape (len(ts), d, d), from one stacked build of Phi_t."""
+    parts = [st.T for st in _stacks(sys, ts)]
     return np.concatenate(parts) if parts else np.empty((0, sys.d, sys.d), complex)
 
 
@@ -465,14 +465,13 @@ class StabilityReport:
 
 def stability_scan(sys: PHSystem, t_grid: Sequence[float]) -> StabilityReport:
     """Scan T_t over the grid, flagging any |det T_t| <= ``_SINGULAR_TOL``."""
-    _require_valid(sys)
     ts = np.asarray(t_grid, dtype=float)
     if not len(ts):
         return StabilityReport((), (), (), (), 0.0, True, math.inf, ())
     parts, b_est = [], 0.0
     for st in _stacks(sys, ts):
-        parts.append(st.boundaries())
-        b_est = max(b_est, float(st.sup_norms().max()))
+        parts.append(st.T)
+        b_est = max(b_est, float(st.sup_norms.max()))
     T = np.concatenate(parts)
     dets = np.abs(la.det(T))
     sigmas = la.svd(T, compute_uv=False)[:, -1]
@@ -554,26 +553,25 @@ def _h_norms(x: np.ndarray, y: np.ndarray, my: np.ndarray) -> np.ndarray:
 
 
 def _solve_once(
-    phi: FundamentalMatrix,
+    st: _PhiStack,
+    i: int,
     fs: Sequence[Callable[[np.ndarray], np.ndarray]],
     nodes: int,
 ) -> tuple[list[ResolventSolution], np.ndarray]:
-    """One solve per right-hand side in ``fs`` on one grid, and the values
-    f(x_j) there, shape (len(fs), n, d).  Each right-hand side is evaluated
-    once, at the Gauss nodes of all pieces and the grid together.  Panels
-    are factored through their midpoints, exp(-A_k (s - x_k)) =
+    """At t = st.ts[i], one solve per right-hand side in ``fs`` on one grid,
+    and the values f(x_j) there, shape (len(fs), n, d).  Each right-hand
+    side is evaluated once, at the Gauss nodes of all pieces and the grid
+    together.  Panels are factored through their midpoints, exp(-A_k (s - x_k)) =
     exp(-A_k (mid_j - x_k)) exp(-A_k h xi_i / 2): one weighted (8, d, d)
     stack per piece contracts every panel's nodes in one
     (len(fs), n, 8d) @ (8d, d) matmul, and exp(-A_k (mid_j - x_k)) is
     applied at the n panel midpoints only."""
-    sys, st, i = phi.sys, phi._stack, phi._i
-    p1inv, d = st.p1inv, sys.d
-
-    T = _boundary(sys, phi.at_b)
-    sv = la.svd(T, compute_uv=False)
-    if abs(la.det(T)) <= _SINGULAR_TOL or sv[-1] <= _SINGULAR_TOL * sv[0]:
+    sys, p1inv, d = st.sys, st.p1inv, st.sys.d
+    t, cum, T, sv = float(st.ts[i]), st.cum[i], st.T[i], st.svd[1][i]
+    # |det T_t| is the product of its singular values
+    if np.prod(sv) <= _SINGULAR_TOL or sv[-1] <= _SINGULAR_TOL * sv[0]:
         raise SingularBoundaryMatrix(
-            f"T_t singular or near-singular at t={phi.t} (sigma_min={sv[-1]:.3e})"
+            f"T_t singular or near-singular at t={t} (sigma_min={sv[-1]:.3e})"
         )
 
     counts = _uniform_counts(sys, nodes)
@@ -593,7 +591,7 @@ def _solve_once(
         fv[p] = vals
     fx = fv[:, -len(x) :]
 
-    cum_inv_t = la.inv(phi._cum[:-1]).swapaxes(-1, -2)
+    cum_inv_t = la.inv(cum[:-1]).swapaxes(-1, -2)
     runs: list[np.ndarray] = []  # per piece: integral_a^x Phi^{-1} P1^{-1} f at the grid
     cum_integral = np.zeros((len(fs), 1, d), dtype=complex)
     parts = np.split(fv[:, : -len(x)], 8 * np.cumsum(counts)[:-1], axis=1)
@@ -611,13 +609,13 @@ def _solve_once(
         cum_integral = run[:, -1:]
 
     # boundary condition: T_t v(a) = -W [Phi(b) * I_total; 0]
-    rhs = -(sys.W[:, :d] @ (phi.at_b @ cum_integral[:, 0].T))
+    rhs = -(sys.W[:, :d] @ (cum[-1] @ cum_integral[:, 0].T))
     v_a = la.solve(T, rhs).T
 
     # v(x) = Phi(x) [v(a) + I(x)] = exp(A_k (x - x0)) cum_k [v(a) + I(x)];
     # each breakpoint node is taken from the piece on its left
     vs = [
-        st.apply(i, k, grid - grid[0], (v_a[:, None] + run) @ phi._cum[k].T)
+        st.apply(i, k, grid - grid[0], (v_a[:, None] + run) @ cum[k].T)
         for k, (grid, run) in enumerate(zip(grids, runs))
     ]
     v = np.concatenate([vs[0]] + [vk[:, 1:] for vk in vs[1:]], axis=1)
@@ -648,7 +646,7 @@ def _solve_once(
 
     return [
         ResolventSolution(
-            t=phi.t,
+            t=t,
             x=x,
             v=v[p],
             u=u[p],
@@ -681,11 +679,10 @@ def resolvent_solve(
     midpoints only.  If the residuals exceed ``tol`` the grid is doubled up
     to ``max_nodes`` (QuadratureTooCoarse beyond).
     """
-    _require_valid(sys)
-    phi = FundamentalMatrix(sys, t)
+    st = _PhiStack(sys, [t])
     n = nodes
     while True:
-        (sol,), _ = _solve_once(phi, [f], n)
+        (sol,), _ = _solve_once(st, 0, [f], n)
         if not auto_refine or sol.residual <= tol:
             return sol
         if 2 * n > max_nodes:
@@ -741,11 +738,10 @@ def char_constants(
     ``b_flagged`` is set when B_t grows across the grid (evidence against
     sup_t |Phi_t| < infinity); constants are still reported.
     """
-    _require_valid(sys)
     ts = sorted(float(t) for t in t_grid)
     if not ts:
         raise ValidationError("t grid must be non-empty")
-    return _constants(sys, np.concatenate([st.sup_norms() for st in _stacks(sys, ts)]))
+    return _constants(sys, np.concatenate([st.sup_norms for st in _stacks(sys, ts)]))
 
 
 def _constants(sys: PHSystem, b_ts: np.ndarray) -> CharConstants:
@@ -793,13 +789,11 @@ def _constants(sys: PHSystem, b_ts: np.ndarray) -> CharConstants:
     )
 
 
-def _probe_set(
-    sys: PHSystem, phi: FundamentalMatrix
-) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """Fixed probe right-hand sides: constants, low sinusoids, and the
-    adversarial profile P1 Phi_t(x) Phi_t(b)^{-1} y aligned with the
-    worst singular direction of T_t."""
-    d = sys.d
+def _probe_set(st: _PhiStack, i: int) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """Fixed probe right-hand sides at t = st.ts[i]: constants, low
+    sinusoids, and the adversarial profile P1 Phi_t(x) Phi_t(b)^{-1} y
+    aligned with the worst singular direction of T_t."""
+    sys, d = st.sys, st.sys.d
     a, b = sys.a, sys.b
     probes: list[Callable[[np.ndarray], np.ndarray]] = []
 
@@ -815,33 +809,33 @@ def _probe_set(
         probes.append(sine)
 
     # adversarial probe from the worst singular direction of T_t
+    at_b = st.cum[i, -1]
     try:
-        _, _, vh = la.svd(_boundary(sys, phi.at_b))
-        z = vh[-1].conj()  # direction achieving sigma_min, i.e. max |T^{-1}z|
-        z12 = moore_penrose(sys.W) @ z
-        y = -z12[:d] + phi.at_b @ z12[d:]
-        w = la.inv(phi.at_b) @ y
+        z = st.svd[2][i, -1].conj()  # direction achieving sigma_min, i.e. max |T^{-1}z|
+        z12 = st.w_pinv @ z
+        y = -z12[:d] + at_b @ z12[d:]
+        w = la.inv(at_b) @ y
 
         def adv(xs):
             # Phi_t(x) w = exp(A_k (x - x_k)) Phi_t(x_k) w on piece k
             ks, out = sys.piece_index(xs), np.empty((len(xs), d), dtype=complex)
             for k in np.unique(ks):
                 at = ks == k
-                out[at] = phi._stack.apply(phi._i, k, xs[at] - sys.breaks[k], phi._cum[k] @ w)
+                out[at] = st.apply(i, k, xs[at] - sys.breaks[k], st.cum[i, k] @ w)
             return out @ sys.P1.T / (b - a)
 
         probes.append(adv)
-    except (la.LinAlgError, RankDeficient):
+    except la.LinAlgError:
         pass
     return probes
 
 
-def _norm_lower(phi: FundamentalMatrix, nodes: int) -> float:
-    """Lower estimate of |R(it, -A)|: the largest |u|_H / |f|_H over the
-    fixed probe set (up to quadrature error); never an upper estimate."""
-    sys = phi.sys
-    probes = _probe_set(sys, phi)
-    sols, fx = _solve_once(phi, probes, nodes)
+def _norm_lower(st: _PhiStack, i: int, nodes: int) -> float:
+    """Lower estimate of |R(it, -A)| at t = st.ts[i]: the largest
+    |u|_H / |f|_H over the fixed probe set (up to quadrature error); never
+    an upper estimate."""
+    sys = st.sys
+    sols, fx = _solve_once(st, i, _probe_set(st, i), nodes)
     # |f|_H via the same uniform grid
     bounds = _node_bounds(_uniform_counts(sys, nodes))
     f_norms = _h_norms(sols[0].x, fx, _by_piece(sys.pieces, bounds, fx))
@@ -865,18 +859,14 @@ def check_characterisation(
     over the grid serves B (hence C_tilde), T_t and every probe solve, and
     all probes at one t are solved together.
     """
-    _require_valid(sys)
     ts = [float(t) for t in t_grid]
     if not ts:
         raise ValidationError("t grid must be non-empty")
     b_ts, inv_norms, r_lower = [], [], []
     for st in _stacks(sys, ts):
-        b_ts.append(st.sup_norms())
-        sv = la.svd(st.boundaries(), compute_uv=False)
-        inv_norms.extend((1.0 / sv[:, -1]).tolist())
-        r_lower.extend(
-            _norm_lower(FundamentalMatrix._of(st, i), nodes) for i in range(len(st.ts))
-        )
+        b_ts.append(st.sup_norms)
+        inv_norms.extend((1.0 / st.svd[1][:, -1]).tolist())
+        r_lower.extend(_norm_lower(st, i, nodes) for i in range(len(st.ts)))
     consts = _constants(sys, np.concatenate(b_ts)[np.argsort(ts, kind="stable")])
     rows = []
     for t, r, inv_norm in zip(ts, r_lower, inv_norms):
@@ -949,7 +939,7 @@ def phsystem_to_json(sys: PHSystem) -> str:
 def phsystem_from_json(text: str) -> PHSystem:
     try:
         obj = json.loads(text)
-        sys = PHSystem(
+        return PHSystem(
             d=int(obj["d"]),
             P0=_mat_from_json(obj["P0"]),
             P1=_mat_from_json(obj["P1"]),
@@ -959,5 +949,3 @@ def phsystem_from_json(text: str) -> PHSystem:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed system config: {exc}") from exc
-    _require_valid(sys)
-    return sys

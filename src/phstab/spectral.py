@@ -734,11 +734,16 @@ def sandwich_report(alpha: IrrationalSpec, odd_v_list,
     infs = _inf_windows(ball, work, [(v - 1.0, v + 1.0) for v in vs], tols)
     const = _sandwich_constant(ball)
     up, down = math.inf, -math.inf
-    return [SandwichReport(v, u, d_lo, d_up, ci.lower, ci.upper,
-                           math.nextafter(ci.lower / math.nextafter(d_up * d_up, up), down),
-                           math.nextafter(ci.upper / math.nextafter(d_lo * d_lo, down), up),
-                           const, ci.lower <= const * d_up * d_up + tol)
-            for v, (u, d_lo, d_up), ci in zip(vs, dists, infs)]
+    reports = []
+    for v, (u, d_lo, d_up), ci in zip(vs, dists, infs):
+        sq_up, sq_down = math.nextafter(d_up * d_up, up), math.nextafter(d_lo * d_lo, down)
+        # const d_up^2 + tol rounded up: a false upper_ok is a refutation
+        bound = math.nextafter(math.nextafter(const * sq_up, up) + tol, up)
+        reports.append(SandwichReport(v, u, d_lo, d_up, ci.lower, ci.upper,
+                                      math.nextafter(ci.lower / sq_up, down),
+                                      math.nextafter(ci.upper / sq_down, up),
+                                      const, ci.lower <= bound))
+    return reports
 
 
 def sandwich_to_csv(reports: list[SandwichReport]) -> str:

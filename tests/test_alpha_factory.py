@@ -223,3 +223,14 @@ def test_construct_runs_the_recursion_once(monkeypatch):
     # one 64-bit evaluation per quotient, plus the one that stops the recursion
     assert calls.count(64) == ca.depth + 1
     assert ca.table.quotients == af.construct(af.PowerLog(p=4, s=0), 1024).table.quotients
+
+
+def test_an_undecided_ceiling_jumps_to_the_value_size():
+    # the 64-bit enclosure gives the value's size; doubling from 64 bits
+    # took 25 evaluations here (64 bits 10, 128 bits 5, then 4, 3, 2, 1)
+    _CountingPowerLog.builds, _CountingPowerLog.calls = [], []
+    ca = af.construct(_CountingPowerLog(p=4, s=Fraction(1, 2)), bit_budget=4096)
+    calls = _CountingPowerLog.calls
+    assert calls.count(64) == ca.depth + 1
+    assert len(calls) <= 15
+    assert ca.table.quotients == af.construct(af.PowerLog(4, Fraction(1, 2)), 4096).table.quotients

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,31 @@ def test_phs_bad_config_exit2(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{\"d\": 2}")
     assert run(["phs", "--config", str(cfg), "--t-grid", "0:1:2"]) == 2
+
+
+@pytest.mark.parametrize("where, value, message", [
+    # parent behaviour: exit 0 and "invertible on grid"; a LinAlgError
+    # traceback (exit 1); exit 2 blaming P1's eigenvalues; exit 2 blaming
+    # an overflow of the fundamental matrix
+    (("H", "pieces", 0, 1, 1), "inf", "H piece 0: non-finite entry"),
+    (("W", 0, 2), "nan", "W: non-finite entry"),
+    (("P1", 1, 1), "nan", "P1: non-finite entry"),
+    (("H", "breaks", 1), "nan", "H breakpoints: non-finite entry"),
+])
+def test_phs_non_finite_config_exits_2(where, value, message, tmp_path, capsys):
+    config = json.loads(phs.phsystem_to_json(phs.universal_example(2.0**0.5)))
+    *path, last = where
+    node = config
+    for key in path:
+        node = node[key]
+    node[last] = value
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps(config))
+    start = time.perf_counter()
+    assert run(["phs", "--config", str(cfg), "--t-grid", "0:10:5"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_verify_suites(capsys):

@@ -27,22 +27,55 @@ def sys2():
     return P.universal_example(SQRT2)
 
 
+def _fields(system, **changes):
+    fields = dict(d=system.d, P0=system.P0, P1=system.P1, breaks=system.breaks,
+                  pieces=system.pieces, W=system.W)
+    return {**fields, **changes}
+
+
 def test_universal_example_valid(sys2):
-    assert P.validate(sys2) == []
+    # a built system holds read-only float copies of what it was given
+    P0, pieces = np.zeros((2, 2)), [np.eye(2)]
+    system = P.PHSystem(**_fields(sys2, P0=P0, pieces=pieces, breaks=[0, 1]))
+    P0[0, 1] = 1.0
+    pieces[0][0, 0] = -1.0
+    assert system.P0[0, 1] == 0.0 and system.pieces[0][0, 0] == 1.0
+    assert system.breaks == (0.0, 1.0) and type(system.breaks[1]) is float
+    for m in (sys2.P0, sys2.P1, sys2.W, sys2.pieces[0], system.P0, system.pieces[0]):
+        assert m.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 2.0
+    with pytest.raises(TypeError):  # not silently cast to its real part
+        P.PHSystem(**_fields(sys2, P1=np.eye(2) * (1 + 1e-3j)))
 
 
-def test_validation_failures():
-    base = P.universal_example(SQRT2)
-    skew = P.PHSystem(d=2, P0=np.eye(2), P1=base.P1, breaks=base.breaks,
-                      pieces=base.pieces, W=base.W)
-    assert any("P0" in e for e in P.validate(skew))
-    M = np.full((2, 2), 0.5)
-    lowrank = P.PHSystem(d=2, P0=base.P0, P1=base.P1, breaks=base.breaks,
-                         pieces=base.pieces, W=np.hstack([M, M]))
-    assert any("W" in e for e in P.validate(lowrank))
-    notspd = P.PHSystem(d=2, P0=base.P0, P1=base.P1, breaks=base.breaks,
-                        pieces=(np.diag([1.0, -1.0]),), W=base.W)
-    assert any("H piece" in e for e in P.validate(notspd))
+_M = np.full((2, 2), 0.5)
+
+
+def test_validation_failures(sys2):
+    # one case per invariant; none of these systems can be built
+    for changes, message in [
+        (dict(P0=[[0.0, np.nan], [0.0, 0.0]]), "P0: non-finite entry"),
+        (dict(P1=[[1.0, 0.0], [0.0, np.inf]]), "P1: non-finite entry"),
+        (dict(W=np.hstack([_M, [[1.0, 0.0], [0.0, np.nan]]])), "W: non-finite entry"),
+        (dict(breaks=(0.0, np.nan)), "H breakpoints: non-finite entry"),
+        (dict(pieces=(np.diag([1.0, -np.inf]),)), "H piece 0: non-finite entry"),
+        (dict(P0=np.zeros((2, 3))), "P0: shape (2, 3), expected (2, 2)"),
+        (dict(P0=np.eye(2)), "P0: not skew-symmetric"),
+        (dict(P1=[[1.0, 1.0], [0.0, 1.0]]), "P1: not symmetric"),
+        (dict(P1=np.diag([1.0, 0.0])), "P1: not invertible (eigenvalue near 0)"),
+        (dict(breaks=(0.0, 0.5, 1.0)), "H: breakpoint/piece count mismatch"),
+        (dict(breaks=(0.0,), pieces=()), "H: no pieces"),
+        (dict(breaks=(1.0, 0.0)), "H: breakpoints not strictly increasing"),
+        (dict(pieces=(np.eye(3),)), "H piece 0: wrong shape"),
+        (dict(pieces=([[1.0, 1.0], [0.0, 1.0]],)), "H piece 0: not symmetric"),
+        (dict(pieces=(np.diag([1.0, -1.0]),)), "H piece 0: not positive definite"),
+        (dict(W=np.hstack([_M, _M])), "W: rank deficient"),
+        (dict(P0=np.eye(2), W=np.hstack([_M, _M])), "P0: not skew-symmetric; W: rank deficient"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            P.PHSystem(**_fields(sys2, **changes))
+        assert str(info.value) == message
 
 
 def test_moore_penrose():
@@ -57,7 +90,7 @@ def test_moore_penrose():
 
 def test_fundamental_matrix_diagonal_closed_form(sys2):
     t = 3.7
-    phi = P.fundamental_matrix(sys2, t)
+    phi = P.FundamentalMatrix(sys2, t)
     expect = np.diag([np.exp(-1j * t), np.exp(-1j * SQRT2 * t)])
     assert np.abs(phi.at_b - expect).max() < 1e-14
     assert np.allclose(phi(0.0), np.eye(2))
@@ -66,7 +99,7 @@ def test_fundamental_matrix_diagonal_closed_form(sys2):
 
 def test_fundamental_matrix_inverse_bound(sys2):
     # |Phi_t(x)^{-1}| <= B_t |P1| |P1^{-1}| at sampled x
-    phi = P.fundamental_matrix(sys2, 11.0)
+    phi = P.FundamentalMatrix(sys2, 11.0)
     bound = phi.B_t * 1.0 * 1.0
     for x in np.linspace(0, 1, 17):
         inv = np.linalg.inv(phi(float(x)))
@@ -80,9 +113,8 @@ def test_two_piece_product_vs_ode_oracle():
         pieces=(np.diag([1.0, 0.5]), np.array([[2.0, 0.3], [0.3, 1.0]])),
         W=np.hstack([np.full((2, 2), 0.5), np.eye(2)]),
     )
-    assert P.validate(system) == []
     t = 7.3
-    phi = P.fundamental_matrix(system, t)
+    phi = P.FundamentalMatrix(system, t)
 
     def rhs(x, v):
         hk = system.pieces[system.piece_index(min(x, 1.0 - 1e-14))]
@@ -98,14 +130,14 @@ def test_two_piece_product_vs_ode_oracle():
 
 
 def test_boundary_matrix_t0(sys2):
-    T0 = P.boundary_matrix(sys2, 0.0)
+    (T0,) = P.boundary_matrices(sys2, [0.0])
     assert abs(np.linalg.det(T0) - 2.0) < 1e-14
     assert np.abs(T0 - (np.full((2, 2), 0.5) + np.eye(2))).max() < 1e-14
 
 
 def test_det_conjugate_convention(sys2):
-    for t in (1.0, 10.0, 55.5):
-        d1 = np.linalg.det(P.boundary_matrix(sys2, t))
+    ts = (1.0, 10.0, 55.5)
+    for t, d1 in zip(ts, np.linalg.det(P.boundary_matrices(sys2, ts))):
         assert abs(d1 - np.conj(P.det_closed_form(SQRT2, t))) < 1e-13
 
 
@@ -188,7 +220,6 @@ def test_check_characterisation_small_grid(sys2):
 def test_json_round_trip(sys2):
     text = P.phsystem_to_json(sys2)
     again = P.phsystem_from_json(text)
-    assert P.validate(again) == []
     assert np.allclose(again.W, sys2.W)
     assert np.allclose(again.pieces[0], sys2.pieces[0])
     with pytest.raises(ValidationError):
@@ -204,17 +235,15 @@ def sys16():
     for _ in range(16):
         g = rng.normal(size=(2, 2))
         pieces.append(g @ g.T + 0.5 * np.eye(2))
-    system = P.PHSystem(
+    return P.PHSystem(
         d=2, P0=np.array([[0.0, 0.3], [-0.3, 0.0]]), P1=np.diag([1.0, -2.0]),
         breaks=tuple(float(x) for x in breaks), pieces=tuple(pieces),
         W=np.hstack([np.full((2, 2), 0.5), np.eye(2)]),
     )
-    assert P.validate(system) == []
-    return system
 
 
 def test_at_many_matches_pointwise(sys16):
-    phi = P.fundamental_matrix(sys16, 6.3)
+    phi = P.FundamentalMatrix(sys16, 6.3)
     rng = np.random.default_rng(7)
     xs = np.concatenate([sys16.breaks, rng.uniform(sys16.a, sys16.b, 200)])
     rng.shuffle(xs)
@@ -239,7 +268,7 @@ def test_at_many_matches_pointwise(sys16):
 
 
 def test_at_many_outside_interval_raises(sys16):
-    phi = P.fundamental_matrix(sys16, 2.0)
+    phi = P.FundamentalMatrix(sys16, 2.0)
     with pytest.raises(ValidationError):
         phi.at_many(np.array([0.5, 1.0 + 1e-12]))
     with pytest.raises(ValidationError):
@@ -252,7 +281,7 @@ def test_expm_fallback_agrees_with_eigen_path(sys16, monkeypatch):
     f = lambda xs: np.stack([np.sin(3 * xs), np.cos(2 * xs) + 1j], axis=1)
     eig = P.resolvent_solve(sys16, 4.2, f, nodes=512, tol=1e-8)
     monkeypatch.setattr(P, "_EIG_COND_MAX", 0.0)
-    phi = P.fundamental_matrix(sys16, 4.2)
+    phi = P.FundamentalMatrix(sys16, 4.2)
     assert phi._stack.dense.all()
     dense = P.resolvent_solve(sys16, 4.2, f, nodes=512, tol=1e-8)
     assert dense.residual <= 1e-8
@@ -264,9 +293,8 @@ def test_expm_fallback_agrees_with_eigen_path(sys16, monkeypatch):
 def test_check_characterisation_matches_public_probe_solves(sys16):
     t, nodes = 3.0, 256
     (row,) = P.check_characterisation(sys16, [t], nodes=nodes)
-    phi = P.fundamental_matrix(sys16, t)
     best = 0.0
-    for f in P._probe_set(sys16, phi):
+    for f in P._probe_set(P._PhiStack(sys16, [t]), 0):
         sol = P.resolvent_solve(sys16, t, f, nodes=nodes, auto_refine=False)
         fv = np.asarray(f(sol.x), dtype=complex)
         # a breakpoint node takes the piece on its left
@@ -299,6 +327,29 @@ def test_check_characterisation_cost(sys16, monkeypatch):
     counts["phi_t"] = 0
     P.check_characterisation(sys16, [9.0, 1.0, 5.0], nodes=256)
     assert counts == {"call": 0, "phi_t": 3}
+
+
+def test_each_boundary_matrix_is_factored_once(sys16, monkeypatch):
+    # one batched SVD of the stack's T_t serves the inverse norms, every
+    # solve's singular check and the adversarial direction; W+ is taken
+    # once per stack (and once for the constants)
+    ts = [9.0, 1.0, 5.0] + [float(t) for t in range(20, 20 + P._T_CHUNK)]
+    factored, pinv = [], []
+    svd, det, mp = np.linalg.svd, np.linalg.det, P.moore_penrose
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: factored.append(a) or svd(a, *args, **kw))
+    monkeypatch.setattr(np.linalg, "det", lambda a: factored.append(a) or det(a))
+    monkeypatch.setattr(P, "moore_penrose", lambda W: pinv.append(W) or mp(W))
+    P.check_characterisation(sys16, ts, nodes=128)
+    stacks = list(P._stacks(sys16, ts))
+    assert len(stacks) == 2
+    per_t = {(j, i): 0 for j, st in enumerate(stacks) for i in range(len(st.ts))}
+    for a in factored:  # a stack of T_t counts once for each of its t
+        for j, st in enumerate(stacks):
+            for i, T in enumerate(st.T):
+                if np.array_equal(a, st.T) or np.array_equal(a, T):
+                    per_t[j, i] += 1
+    assert set(per_t.values()) == {1}
+    assert len(pinv) == len(stacks) + 1
 
 
 def _unitary(rng, n):
@@ -352,13 +403,13 @@ def test_stacked_build_matches_per_t(sys16):
     stacks = list(P._stacks(sys16, ts))
     assert [len(s.ts) for s in stacks] == [P._T_CHUNK, 12]
     at_b = np.concatenate([s.cum[:, -1] for s in stacks])
-    b_t = np.concatenate([s.sup_norms() for s in stacks])
+    b_t = np.concatenate([s.sup_norms for s in stacks])
     for t, m, b in zip(ts, at_b, b_t):
         phi = P.FundamentalMatrix(sys16, float(t))
         assert np.abs(m - phi.at_b).max() <= 1e-13 * np.abs(phi.at_b).max()
         assert b == pytest.approx(phi.B_t, rel=1e-13)
     rep = P.stability_scan(sys16, ts)
-    T = np.stack([P.boundary_matrix(sys16, float(t)) for t in ts])
+    T = np.stack([P.boundary_matrices(sys16, [t])[0] for t in ts])
     assert rep.t_grid == tuple(float(t) for t in ts)
     np.testing.assert_allclose(rep.abs_det, np.abs(np.linalg.det(T)), rtol=1e-13)
     sv = np.linalg.svd(T, compute_uv=False)
@@ -376,13 +427,9 @@ def test_boundary_matrices(sys2, sys16):
         many = P.boundary_matrices(system, ts)
         assert many.shape == (len(ts), 2, 2)
         for t, m in zip(ts, many):
-            one = P.boundary_matrix(system, float(t))
+            (one,) = P.boundary_matrices(system, [t])
             assert np.abs(m - one).max() <= 1e-14 * np.abs(one).max()
     assert P.boundary_matrices(sys2, []).shape == (0, 2, 2)
-    bad = P.PHSystem(d=2, P0=np.eye(2), P1=sys2.P1, breaks=sys2.breaks,
-                     pieces=sys2.pieces, W=sys2.W)
-    with pytest.raises(ValidationError):
-        P.boundary_matrices(bad, ts)
 
 
 def test_expm_fallback_for_some_pairs_in_one_batch(sys16, monkeypatch):
@@ -394,13 +441,11 @@ def test_expm_fallback_for_some_pairs_in_one_batch(sys16, monkeypatch):
     assert mixed.dense.any() and not mixed.dense.all()
     assert mixed.dense.any(axis=1).sum() >= 2  # several t, in one batch
     assert np.abs(mixed.cum - ref.cum).max() <= 1e-10 * np.abs(ref.cum).max()
-    np.testing.assert_allclose(mixed.sup_norms(), ref.sup_norms(), rtol=1e-10)
+    np.testing.assert_allclose(mixed.sup_norms, ref.sup_norms, rtol=1e-10)
     i = int(np.argmax(mixed.dense.sum(axis=1)))
-    phi, phi_ref = P.FundamentalMatrix._of(mixed, i), P.FundamentalMatrix._of(ref, i)
-    assert phi._stack is mixed and phi._i == i
     xs = np.linspace(sys16.a, sys16.b, 101)
-    want = phi_ref.at_many(xs)
-    assert np.abs(phi.at_many(xs) - want).max() <= 1e-10 * np.abs(want).max()
+    want = ref.at_many(i, xs)
+    assert np.abs(mixed.at_many(i, xs) - want).max() <= 1e-10 * np.abs(want).max()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -419,7 +464,7 @@ def test_exp_overflow_names_t():
     with pytest.raises(ExpOverflow, match=r"at t=0\.0$"):
         P.stability_scan(system, ts)
     with pytest.raises(ExpOverflow, match=r"at t=0\.0$"):
-        P.fundamental_matrix(system, 0.0)
+        P.FundamentalMatrix(system, 0.0)
 
 
 def test_multi_rhs_solve_matches_single_solves(sys16):
@@ -429,11 +474,11 @@ def test_multi_rhs_solve_matches_single_solves(sys16):
         lambda xs: np.stack([xs**2, -xs], axis=1) * (1 - 2j),
         lambda xs: np.zeros((len(xs), 2)),
     ]
-    phi = P.fundamental_matrix(sys16, 7.5)
-    many, _ = P._solve_once(phi, fs, 512)
+    st = P._PhiStack(sys16, [7.5])
+    many, _ = P._solve_once(st, 0, fs, 512)
     assert len(many) == len(fs)
     for f, sol in zip(fs, many):
-        (one,), _ = P._solve_once(phi, [f], 512)
+        (one,), _ = P._solve_once(st, 0, [f], 512)
         scale = max(np.abs(one.v).max(), 1e-300)
         assert np.abs(sol.v - one.v).max() <= 1e-13 * scale
         assert np.array_equal(sol.x, one.x)
@@ -442,14 +487,14 @@ def test_multi_rhs_solve_matches_single_solves(sys16):
         assert abs(sol.residual - one.residual) <= 1e-12
     assert many[3].u_norm_H == 0.0
     with pytest.raises(ValidationError):
-        P._solve_once(phi, [fs[0], lambda xs: np.ones(len(xs))], 128)
+        P._solve_once(st, 0, [fs[0], lambda xs: np.ones(len(xs))], 128)
 
 
 def _reference_solve(system, t, f, nodes):
     """Brute-force resolvent solve: Phi_t(s)^{-1} at every Gauss node from
     ``at_many``, the composite 8-point Gauss-Legendre rule on the uniform
     panels of each piece, and the boundary solve; (x, (Hu)(x))."""
-    phi = P.fundamental_matrix(system, t)
+    phi = P.FundamentalMatrix(system, t)
     d, a, b = system.d, system.a, system.b
     p1inv = np.linalg.inv(system.P1)
     xi, wi = np.polynomial.legendre.leggauss(8)
@@ -466,7 +511,8 @@ def _reference_solve(system, t, f, nodes):
         runs.append(run)
         total = run[-1]
     x, integral = np.concatenate(xs), np.concatenate(runs)
-    v_a = np.linalg.solve(P.boundary_matrix(system, t), -system.W[:, :d] @ phi.at_b @ total)
+    (T,) = P.boundary_matrices(system, [t])
+    v_a = np.linalg.solve(T, -system.W[:, :d] @ phi.at_b @ total)
     return x, np.einsum("nij,nj->ni", phi.at_many(x), v_a + integral)
 
 
@@ -478,7 +524,7 @@ def test_factored_quadrature_matches_brute_force(sys16, monkeypatch, dense):
     if dense:
         # the references above stay on the eigen path
         monkeypatch.setattr(P, "_EIG_COND_MAX", 0.0)
-        assert P.fundamental_matrix(sys16, 4.2)._stack.dense.all()
+        assert P.FundamentalMatrix(sys16, 4.2)._stack.dense.all()
     for t, nodes, (x, v) in cases:
         sol = P.resolvent_solve(sys16, t, f, nodes=nodes, auto_refine=False)
         assert np.array_equal(sol.x, x)
@@ -490,15 +536,15 @@ def test_adversarial_probe_is_phi_w(sys16, monkeypatch, dense):
     if dense:
         monkeypatch.setattr(P, "_EIG_COND_MAX", 0.0)
     t = 3.0
-    phi = P.fundamental_matrix(sys16, t)
+    phi = P.FundamentalMatrix(sys16, t)
     assert phi._stack.dense.all() == dense
     # w = Phi_t(b)^{-1} y for the worst singular direction of T_t
-    _, _, vh = np.linalg.svd(P.boundary_matrix(sys16, t))
+    _, _, vh = np.linalg.svd(P.boundary_matrices(sys16, [t])[0])
     z12 = P.moore_penrose(sys16.W) @ vh[-1].conj()
     w = np.linalg.solve(phi.at_b, -z12[:2] + phi.at_b @ z12[2:])
     xs = np.concatenate([sys16.breaks, np.random.default_rng(5).uniform(sys16.a, sys16.b, 300)])
     want = (phi.at_many(xs) @ w) @ sys16.P1.T / (sys16.b - sys16.a)
-    probes = P._probe_set(sys16, phi)
+    probes = P._probe_set(phi._stack, 0)
     assert len(probes) == 6
     got = probes[-1](xs)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -523,4 +569,4 @@ def test_sup_norms_equal_the_broadcast_products(sys16, monkeypatch):
         s = np.linspace(0.0, stack.spans, P._B_SAMPLES, axis=1)
         mats = stack.exps(s) @ stack.cum[:, :-1, None]
         want = P._norm2(mats).max(axis=(1, 2))
-        assert np.array_equal(stack.sup_norms().view(np.int64), want.view(np.int64))
+        assert np.array_equal(stack.sup_norms.view(np.int64), want.view(np.int64))

@@ -151,6 +151,24 @@ def test_sandwich_report_small_sweep():
     assert len(csv_lines) == 6
 
 
+def test_sandwich_upper_check_rounds_its_bound_up(monkeypatch):
+    # at v = 25 (tol 1e-6) const d_up^2 + tol in round-to-nearest falls more
+    # than one ulp below its exact value; an inf h between the two must not
+    # refute the upper bound
+    (r,) = sp.sandwich_report(cf.SQRT2, [25])
+    nearest = r.constant * r.dist_upper * r.dist_upper + 1e-6
+    exact = Fraction(r.constant) * Fraction(r.dist_upper) ** 2 + Fraction(1e-6)
+    between = math.nextafter(nearest, math.inf)
+    assert Fraction(nearest) < Fraction(between) < exact
+
+    def fake(ball, work, windows, tols):
+        return [sp.CertifiedInf(a, b, between, between, a) for a, b in windows]
+
+    monkeypatch.setattr(sp, "_inf_windows", fake)
+    (faked,) = sp.sandwich_report(cf.SQRT2, [25])
+    assert faked.inf_lower == between and faked.upper_ok
+
+
 def test_sandwich_rejects_even_v():
     with pytest.raises(OutOfRange):
         sp.sandwich_report(cf.SQRT2, [2])
