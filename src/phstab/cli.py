@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -29,7 +30,7 @@ import mpmath
 import numpy as np
 
 from . import __version__
-from .errors import PhstabError, ValidationError, VerificationFailed
+from .errors import InsufficientPrecision, PhstabError, ValidationError, VerificationFailed
 from . import contfrac, diophantine, alpha_factory, spectral, rates, phs
 
 EXIT_OK = 0
@@ -114,10 +115,12 @@ def _floats(text: str) -> list[float]:
 
 
 def _grid(text: str) -> np.ndarray:
-    """LO:HI:N as N >= 1 evenly spaced points."""
+    """LO:HI:N as N >= 1 evenly spaced points, LO and HI finite."""
     lo, hi, n = (float(x) for x in text.split(":"))
     if not n >= 1:
         raise ValueError("N must be at least 1")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("LO and HI must be finite")
     return np.linspace(lo, hi, int(n))
 
 
@@ -182,7 +185,7 @@ def cmd_cf(args: argparse.Namespace) -> int:
     # the two-sided bound lemma assumes an infinite expansion; a terminated
     # table is rational and only the exact recurrence identities apply
     report = (
-        contfrac.check_bounds(table)
+        _check_bounds(alpha, table)
         if len(table) >= 2 and not table.terminated
         else []
     )
@@ -201,6 +204,25 @@ def cmd_cf(args: argparse.Namespace) -> int:
               f"{[r.n for r in bad]}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     return EXIT_OK
+
+
+def _check_bounds(alpha: contfrac.IrrationalSpec,
+                  table: contfrac.ConvergentTable) -> list[contfrac.BoundReport]:
+    """``check_bounds(table)``, naming the index a construction cannot
+    decide: alpha lies between its last two convergents, and nothing in
+    that interval fixes |alpha - p_n/q_n| for n = depth - 1 against the
+    lower bound, so a table that reaches the depth stays undecided there."""
+    try:
+        return contfrac.check_bounds(table)
+    except InsufficientPrecision:
+        if not (isinstance(alpha, contfrac.RuleQuotients)
+                and len(alpha.quotients) == len(table)):
+            raise
+        depth = len(table) - 1
+        raise InsufficientPrecision(
+            f"convergent bound n = {depth - 1} undecidable: a construction's last "
+            f"bound cannot be decided from its widest enclosure (depth {depth}); "
+            f"--terms {depth - 1} is the largest run that checks") from None
 
 
 def cmd_construct(args: argparse.Namespace) -> int:

@@ -12,9 +12,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import pairwise
+from itertools import islice, pairwise, starmap
 from math import gcd, isqrt
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from operator import ne
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 from .errors import InsufficientPrecision, TableExhausted
 from .intervals import RealBall
@@ -149,7 +150,7 @@ class RuleQuotients(IrrationalSpec):
     def enclosure(self, bits: int) -> RealBall:
         # alpha lies between consecutive convergents, 1/(q0 q1) apart; the
         # first such pair within 2^-bits, else the last (the widest it has)
-        for (p0, q0), (p1, q1) in pairwise(_convergents(self.quotients)):
+        for (_, p0, q0), (_, p1, q1) in pairwise(_convergents(self.quotients)):
             if (q0 * q1) >> bits:
                 break
         lo, hi = sorted((_coprime(p0, q0), _coprime(p1, q1)))
@@ -215,24 +216,19 @@ def spec_from_json(obj: dict | str) -> IrrationalSpec:
     raise ValueError(f"unknown spec kind {kind!r}")
 
 
-def _convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """(p_n, q_n) = a_n (p, q)_{n-1} + (p, q)_{n-2}, from (p, q)_{-1} = (1, 0)
-    and (p, q)_{-2} = (0, 1)."""
+def _convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """(n, p_n, q_n) with (p_n, q_n) = a_n (p, q)_{n-1} + (p, q)_{n-2}, from
+    (p, q)_{-1} = (1, 0) and (p, q)_{-2} = (0, 1)."""
     p1, p2, q1, q2 = 1, 0, 0, 1
-    for a in quotients:
+    for n, a in enumerate(quotients):
         p1, p2, q1, q2 = a * p1 + p2, p1, a * q1 + q2, q1
-        yield p1, q1
+        yield n, p1, q1
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(NamedTuple):
     n: int
     p: int
     q: int
-
-    def __post_init__(self):
-        if self.q <= 0:
-            raise ValueError("q must be positive")
 
     @property
     def value(self) -> Fraction:
@@ -241,9 +237,10 @@ class Convergent:
 
 @dataclass(frozen=True)
 class ConvergentTable:
-    """Invariant, checked on construction: the convergents are the
-    ``_convergents`` of the quotients. Hence p_n q_{n-1} - p_{n-1} q_n = +-1,
-    and every p_n/q_n is in lowest terms."""
+    """Invariant, checked on construction: a_n >= 1 for n >= 1, and the
+    convergents are the ``_convergents`` of the quotients. Hence
+    p_n q_{n-1} - p_{n-1} q_n = +-1, every q_n >= 1, and every p_n/q_n is
+    in lowest terms."""
 
     source: IrrationalSpec
     quotients: tuple[int, ...]
@@ -251,9 +248,11 @@ class ConvergentTable:
     terminated: bool = False
 
     def __post_init__(self):
-        pqs = _convergents(self.quotients)
-        if len(self.quotients) != len(self.convergents) or any(
-                (c.p, c.q) != pq for c, pq in zip(self.convergents, pqs)):
+        if min(self.quotients[1:], default=1) < 1:
+            n = next(k for k, a in enumerate(self.quotients) if k and a < 1)
+            raise ValueError(f"a_{n} = {self.quotients[n]} violates a_n >= 1")
+        if len(self.convergents) != len(self.quotients) or any(
+                map(ne, self.convergents, _convergents(self.quotients))):
             raise ValueError("the convergents do not follow the quotients")
 
     def __len__(self) -> int:
@@ -261,10 +260,11 @@ class ConvergentTable:
 
     def check_identity(self) -> bool:
         """p_n q_{n+1} - p_{n+1} q_n = (-1)^{n+1}, exactly."""
-        for n in range(len(self) - 1):
-            c0, c1 = self.convergents[n], self.convergents[n + 1]
-            if c0.p * c1.q - c1.p * c0.q != (-1) ** (n + 1):
+        sign = -1
+        for c0, c1 in pairwise(self.convergents):
+            if c0.p * c1.q - c1.p * c0.q != sign:
                 return False
+            sign = -sign
         return True
 
     def to_csv(self) -> str:
@@ -284,28 +284,16 @@ def expand(alpha: IrrationalSpec, n: int) -> ConvergentTable:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    quotients: list[int] = []
-    it = alpha.quotient_iter()
-    terminated = False
-    for k in range(n + 1):
-        try:
-            a = next(it)
-        except StopIteration:
-            terminated = True
-            break
-        if k >= 1 and a < 1:
-            raise ValueError(f"a_{k} = {a} violates a_n >= 1")
-        quotients.append(a)
+    quotients = tuple(islice(alpha.quotient_iter(), n + 1))
     return ConvergentTable(
         source=alpha,
-        quotients=tuple(quotients),
-        convergents=tuple(Convergent(k, p, q) for k, (p, q) in enumerate(_convergents(quotients))),
-        terminated=terminated,
+        quotients=quotients,
+        convergents=tuple(starmap(Convergent, _convergents(quotients))),
+        terminated=len(quotients) <= n,
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     n: int
     lower_margin: Fraction
     upper_margin: Fraction
@@ -332,68 +320,96 @@ def check_bounds(table: ConvergentTable, bits: int = 0) -> list[BoundReport]:
                    "convergent bounds")
 
 
+def _offsets(table: ConvergentTable, lo: Fraction,
+             hi: Fraction) -> Iterator[tuple[Convergent, int, int, int]]:
+    """(c_n, a_{n+1}, P_lo, P_hi) for every n with a successor, where
+    P = q_n e_n = q_n (X q_n - p_n Y) for an endpoint x = X/Y in lowest
+    terms: P/Y = q_n^2 (x - p_n/q_n), so P > 0 when p_n/q_n < x, P < 0
+    when x < p_n/q_n, and |x - p_n/q_n| = |P|/(Y q_n^2).
+
+    q_n and e_n follow the same recurrence (the table's invariant), from
+    (q, e)_{-1} = (0, -Y) and (q, e)_{-2} = (1, X), so their product does
+    too with T_n = q_n e_{n-1} + q_{n-1} e_n:
+
+        P_n = a_n^2 P_{n-1} + a_n T_{n-1} + P_{n-2},
+        T_n = 2 a_n P_{n-1} + T_{n-1},
+
+    from P_{-1} = 0, P_{-2} = X and T_{-1} = -Y. Each step is a few
+    additions and short multiples of Y-sized integers; no product of q_n
+    with e_n is ever formed.
+    """
+    pl, vl, tl = 0, lo.numerator, -lo.denominator  # P_{n-1}, P_{n-2}, T_{n-1}
+    ph, vh, th = 0, hi.numerator, -hi.denominator
+    for c, a_n, a in zip(table.convergents, table.quotients, table.quotients[1:]):
+        u, uu = a_n * pl, a_n * ph
+        s, ss = u + tl, uu + th
+        pl, vl, tl = a_n * s + vl, pl, s + u
+        ph, vh, th = a_n * ss + vh, ph, ss + uu
+        yield c, a, pl, ph
+
+
 def _bound_reports(
     table: ConvergentTable, lo: Fraction, hi: Fraction
 ) -> Optional[list[BoundReport]]:
     """The reports of ``check_bounds`` for alpha in [lo, hi], or None if
     [lo, hi] is too wide to decide some n.
 
-    Each endpoint x = x_num/x_den gives one integer e = x_num q - p x_den,
-    so |x - p/q| = |e|/(x_den q); the table's invariant gives it by the
-    recurrence e_n = a_n e_{n-1} + e_{n-2} from e_{-1} = -x_den, e_{-2} =
-    x_num. Its sign is the side of p/q: p/q < lo when e_lo > 0, hi < p/q
-    when e_hi < 0, and then d_lo and d_hi are the distances of the near and
-    the far endpoint. Against a bound 1/(k q^2), k = a+2 (lb) or a (ub), the
-    distance d of an endpoint differs by
+    With P = q_n e_n of each endpoint (:func:`_offsets`), p/q < lo when
+    P_lo > 0 and hi < p/q when P_hi < 0, and then d_lo and d_hi are the
+    distances of the near and the far endpoint x = X/Y. Against a bound
+    1/(k q^2), k = a+2 (lb) or a (ub), such a distance differs by
 
-        d - 1/(k q^2) = (k q |e| - x_den) / (x_den k q^2),
+        d - 1/(k q^2) = (k |P| - Y) / (Y k q^2),
 
-    so n is decided on the sign of k q |e| - x_den: it passes when
-    d_lo > lb and d_hi < ub (margins d_lo - lb, ub - d_hi) and fails when
-    d_hi <= lb or d_lo >= ub (margins d_hi - lb, ub - d_lo). Only the two
+    so n is decided on the sign of k |P| - Y, a short multiple: it passes
+    when d_lo > lb and d_hi < ub (margins d_lo - lb, ub - d_hi) and fails
+    when d_hi <= lb or d_lo >= ub (margins d_hi - lb, ub - d_lo). The one
+    wide product of an index is q^2, shared by its two margins; only the
     reported margins are reduced, by :func:`_margin`.
     """
-    ln, ld = lo.numerator, lo.denominator
-    hn, hd = hi.numerator, hi.denominator
+    ld, hd = lo.denominator, hi.denominator
     low, high = (ld, *_two_split(ld)), (hd, *_two_split(hd))
     reports: list[BoundReport] = []
-    e_lo, e_lo2, e_hi, e_hi2 = -ld, ln, -hd, hn  # e_{-1}, e_{-2} of each endpoint
-    for n, (c, a_n, a) in enumerate(zip(table.convergents, table.quotients,
-                                        table.quotients[1:])):
-        q = c.q
-        e_lo, e_lo2 = a_n * e_lo + e_lo2, e_lo
-        e_hi, e_hi2 = a_n * e_hi + e_hi2, e_hi
-        kl, ku = (a + 2) * q, a * q
-        if e_lo > 0:  # p/q < lo
-            (en, near), (ef, far) = (e_lo, low), (e_hi, high)
-        elif e_hi < 0:  # hi < p/q
-            (en, near), (ef, far) = (-e_hi, high), (-e_lo, low)
+    for c, a, pl, ph in _offsets(table, lo, hi):
+        n, q = c.n, c.q
+        qq = q * q
+        kl = a + 2
+        if pl > 0:  # p/q < lo
+            (en, near), (ef, far) = (pl, low), (ph, high)
+        elif ph < 0:  # hi < p/q
+            (en, near), (ef, far) = (-ph, high), (-pl, low)
         else:
             # p/q in [lo, hi]: d_lo = 0, so only a lower-bound failure
-            # decides; d_hi is the larger of -e_lo/(ld q) and e_hi/(hd q)
-            ef, far = (-e_lo, low) if -e_lo * hd > e_hi * ld else (e_hi, high)
+            # decides; d_hi is the larger of -P_lo/(ld q^2) and P_hi/(hd q^2)
+            ef, far = (-pl, low) if -pl * hd > ph * ld else (ph, high)
             lower = kl * ef - far[0]  # d_hi - lb
             if lower > 0:
                 return None
-            reports.append(BoundReport(n, _margin(lower, *far, kl * q),
-                                       _coprime(1, ku * q)))
+            reports.append(BoundReport(n, _margin(lower, far, kl, q, qq),
+                                       _coprime(1, a * qq)))
             continue
         lower_end, upper_end = near, far
-        lower, upper = kl * en - near[0], far[0] - ku * ef  # d_lo - lb, ub - d_hi
+        lower, upper = kl * en - near[0], far[0] - a * ef  # d_lo - lb, ub - d_hi
         if lower <= 0 or upper <= 0:  # not a pass
             lower_end, upper_end = far, near
-            lower, upper = kl * ef - far[0], near[0] - ku * en  # d_hi - lb, ub - d_lo
+            lower, upper = kl * ef - far[0], near[0] - a * en  # d_hi - lb, ub - d_lo
             if lower > 0 and upper > 0:
                 return None
-        reports.append(BoundReport(n, _margin(lower, *lower_end, kl * q),
-                                   _margin(upper, *upper_end, ku * q)))
+        reports.append(BoundReport(n, _margin(lower, lower_end, kl, q, qq),
+                                   _margin(upper, upper_end, a, q, qq)))
     return reports
 
 
-# A Fraction from a numerator and a positive denominator already coprime,
-# built without a second gcd.
-_coprime = getattr(Fraction, "_from_coprime_ints", None) or (  # Python >= 3.12
-    lambda n, d: Fraction(n, d, _normalize=False))  # Python 3.10-3.11
+def _from_coprime(n: int, d: int) -> Fraction:
+    """A Fraction from a numerator and a positive denominator already
+    coprime, without a gcd or the constructor's type checks: what
+    ``Fraction._from_coprime_ints`` does on Python >= 3.12."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = n, d
+    return f
+
+
+_coprime = getattr(Fraction, "_from_coprime_ints", _from_coprime)
 
 
 def _two_split(d: int) -> tuple[int, int]:
@@ -402,25 +418,48 @@ def _two_split(d: int) -> tuple[int, int]:
     return j, d >> j
 
 
-def _margin(u: int, xd: int, j: int, r: int, kqq: int) -> Fraction:
-    """u / (xd kqq) in lowest terms, where u = +-(k q |e| - xd) for an
-    endpoint x_num/xd in lowest terms, xd = 2^j r with r odd, and
-    kqq = k q^2.
+def _margin(u: int, end: tuple[int, int, int], k: int, q: int, qq: int) -> Fraction:
+    """u / (xd k qq) in lowest terms, where u = +-(k |P| - xd) = +-(k q |e|
+    - xd) for an endpoint X/xd in lowest terms (P and e as in
+    :func:`_offsets`), end = (xd, j, r) with xd = 2^j r and r odd, and
+    qq = q^2.
 
-    u/(xd kqq) is +-(x - y) with y = (p k q +- 1)/(k q^2), which is in
-    lowest terms since every prime of k q divides p k q. Knuth's gcd-first
-    subtraction (TAOCP vol. 2, 4.5.1) then reduces it with g =
-    gcd(xd, kqq) and gcd(u/g, g) alone; u = 0 comes out as 0/1, since then
-    x = y and xd = kqq = g. g is taken as gcd(r, kqq mod r) 2^min(j,
-    v2(kqq)), so both gcds are small whenever r is, as for a surd's q 2^k
-    and a decimal's 2^a 5^b denominators.
+    u/(xd k qq) is +-(x - y) with y = (p k q +- 1)/(k q^2), which is in
+    lowest terms since every prime of k q divides p k q. Every prime of
+    gcd(u, xd k q^2) divides xd: one that divides k q and u divides
+    xd = k q |e| -+ u too. So the common factor is a power of 2 times an odd
+    divisor of r, and Knuth's gcd-first subtraction (TAOCP vol. 2, 4.5.1)
+    finds it from g = gcd(xd, k q^2) and gcd(u/g, g) alone, each the gcd of
+    an odd part with r times a power of 2 read off by shifts:
+    g = gcd(r, k (q mod r)^2) 2^sh with sh = min(j, v2(k) + 2 v2(q)). The
+    denominator (xd/g) (k q^2/d2) is formed as (r/g_odd) (k q^2/d2) << (j -
+    sh), so the endpoint's 2^j enters as a shift and r, small for a surd's
+    q 2^k and a decimal's 2^a 5^b, as a short multiple. u = 0 (x = y) is
+    0/1.
     """
-    g = gcd(r, kqq % r) << min(j, (kqq & -kqq).bit_length() - 1)
-    if g == 1:
-        return _coprime(u, xd * kqq)
-    t = u // g
-    d2 = gcd(g, t % g)
-    return _coprime(t // d2, xd // g * (kqq // d2))
+    if not u:
+        return _coprime(0, 1)
+    _, j, r = end
+    sh = (k & -k).bit_length() - 1
+    if not q & 1:
+        sh += 2 * (q & -q).bit_length() - 2
+    if sh > j:
+        sh = j
+    kqq = k * qq
+    t = u >> sh  # u/g, exactly, once the odd part of g is divided out
+    g = gcd(r, k * (q % r) ** 2) if r > 1 else 1
+    if g > 1:
+        t //= g
+        d = gcd(g, t % g)
+        if d > 1:
+            t //= d
+            kqq //= d
+    if sh:  # the power of 2 of gcd(u/g, g) is 2^min(sh, v2(u/g))
+        low = t & ((1 << sh) - 1)
+        s = (low & -low).bit_length() - 1 if low else sh
+        t >>= s
+        kqq >>= s
+    return _coprime(t, (r // g * kqq) << (j - sh))
 
 
 def best_approx_check(table: ConvergentTable, qmax: int) -> bool:

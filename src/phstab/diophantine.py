@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contfrac import ConvergentTable, IrrationalSpec, _refine
+from .contfrac import ConvergentTable, IrrationalSpec, _offsets, _refine
 from .errors import TableExhausted, VerificationFailed
 from .intervals import RealBall
 
@@ -139,10 +139,11 @@ def badly_approx_profile(table: ConvergentTable) -> ApproxProfile:
     table's convergents (with successor). Finite data cannot prove
     badly-approximable; the verdict is explicitly prefix evidence.
 
-    With e = x_num q - p x_den for an endpoint x = x_num/x_den of alpha's
-    enclosure, q^2 d_lo is q e_lo / lo_den when p/q < lo, -q e_hi / hi_den
-    when hi < p/q, and 0 when p/q lies in the enclosure. The minimum is
-    taken over these integer pairs by cross-multiplication.
+    With P = q e = q (x_num q - p x_den) for an endpoint x = x_num/x_den
+    of alpha's enclosure (``contfrac._offsets``), q^2 d_lo is P_lo / lo_den
+    when p/q < lo, -P_hi / hi_den when hi < p/q, and 0 when p/q lies in
+    the enclosure. The minimum is taken over these integer pairs by
+    cross-multiplication.
     """
     if len(table) < 3:
         raise ValueError("table needs at least 3 entries")
@@ -151,19 +152,15 @@ def badly_approx_profile(table: ConvergentTable) -> ApproxProfile:
     bits = 4 * table.convergents[-1].q.bit_length() + 64
     ball = table.source.enclosure(bits)
     lo, hi = ball.lower, ball.upper
-    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     num, den = None, 1
-    for c in table.convergents[:-1]:
-        p, q = c.p, c.q
-        e = ln * q - p * ld
-        if e > 0:  # p/q < lo
-            val, val_den = q * e, ld
-        else:
-            e = p * hd - hn * q
-            if e <= 0:  # p/q in [lo, hi]: q^2 d_lo = 0, the least value
-                num = 0
-                break
-            val, val_den = q * e, hd  # hi < p/q
+    for _, _, pl, ph in _offsets(table, lo, hi):
+        if pl > 0:  # p/q < lo
+            val, val_den = pl, lo.denominator
+        elif ph < 0:  # hi < p/q
+            val, val_den = -ph, hi.denominator
+        else:  # p/q in [lo, hi]: q^2 d_lo = 0, the least value
+            num = 0
+            break
         if num is None or val * den < num * val_den:
             num, den = val, val_den
     c_lower = Fraction(num, den)

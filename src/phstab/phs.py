@@ -473,8 +473,8 @@ def stability_scan(sys: PHSystem, t_grid: Sequence[float]) -> StabilityReport:
         parts.append(st.T)
         b_est = max(b_est, float(st.sup_norms.max()))
     T = np.concatenate(parts)
-    dets = np.abs(la.det(T))
-    sigmas = la.svd(T, compute_uv=False)[:, -1]
+    sv = la.svd(T, compute_uv=False)
+    dets, sigmas = sv.prod(axis=-1), sv[:, -1]  # |det T| = prod sigma
     sing = dets <= _SINGULAR_TOL
     invs = np.divide(1.0, sigmas, out=np.full_like(sigmas, math.inf), where=~sing)
     return StabilityReport(

@@ -370,6 +370,27 @@ def test_cf_past_a_construction_depth_exits_2(tmp_path, capsys):
     assert "depth 7 reached" in err and "rational" not in err
 
 
+def test_cf_at_a_construction_depth_names_the_undecidable_index(tmp_path, capsys):
+    # depth 7: alpha lies between p_6/q_6 and p_7/q_7, so the bound at
+    # n = 6 cannot be decided, and --terms 6 is the longest table that checks
+    spec = tmp_path / "c.json"
+    spec.write_text(json.dumps(
+        alpha_factory.construct(alpha_factory.PowerLog(4, 0), 1024).spec.to_json()))
+    assert run(["cf", "--alpha-json", str(spec), "--terms", "7"]) == 2
+    err = capsys.readouterr().err
+    assert "n = 6" in err and "last bound" in err and "widest enclosure" in err
+    assert "--terms 6 is the largest run that checks" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "1:-inf:2"])
+def test_phs_non_finite_grid_end_names_the_grid(grid, tmp_path, capsys):
+    config = Path(__file__).parent / "data" / "phs" / "universal_sqrt2.json"
+    assert run(["phs", "--config", str(config),
+                "--t-grid", grid, "--out", str(tmp_path / "scan.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"--t-grid: cannot read {grid!r}" in err and "overflow" not in err
+
+
 def test_growth_and_sandwich_manifest_summaries(tmp_path):
     out = tmp_path / "g.csv"
     assert run(["growth", "--surd", "2", "--etas", "10,100", "--out", str(out)]) == 0

@@ -70,6 +70,17 @@ def test_table_refuses_convergents_that_do_not_follow_its_quotients():
             cf.ConvergentTable(cf.SQRT2, qs, convergents)
     # judging one number's table against another source is still allowed
     assert cf.ConvergentTable(cf.GOLDEN, qs, cs).convergents == cs
+    # a quotient a_n < 1 past a_0 is refused even with its own convergents
+    bad = (1, 2, 0, 2)
+    with pytest.raises(ValueError, match="a_2 = 0 violates a_n >= 1"):
+        cf.ConvergentTable(cf.SQRT2, bad, tuple(cf.Convergent(*c) for c in cf._convergents(bad)))
+
+    class Bad(cf.IrrationalSpec):  # a source whose quotient stream breaks the rule
+        def quotient_iter(self):
+            return iter(bad)
+
+    with pytest.raises(ValueError, match="a_2 = 0 violates a_n >= 1"):
+        cf.expand(Bad(), 3)
 
 
 def test_check_bounds_strict_both_sides():
@@ -525,6 +536,98 @@ def test_bound_reports_kernel_matches_oracle_on_any_enclosure(spec, other, n, bi
         table = cf.ConvergentTable(spec, alien.quotients, alien.convergents)
     ball = spec.enclosure(bits)
     _kernel_matches_oracle(table, ball.lower, ball.upper)
+
+
+# -- the margin arithmetic: shifts for 2^j, short multiples of r ------------
+#
+# A margin's denominator is x_den k q^2 with x_den = 2^j r, r odd; the
+# kernel reduces it by gcds with r and by shifts capped at j. The sources
+# below give r > 1 (a surd with q = 5), r = 5^b (a decimal), a large odd r
+# (a construction's convergents) and r = q_m (a rational point); small
+# explicit bits and sqrt(2)'s convergents (v2(q_63) = 6) put j below
+# v2(k q^2) for some n.
+
+
+def _fields(reports):
+    """Each report as integers: n and both margins' numerator and denominator."""
+    return [(r.n, r.lower_margin.numerator, r.lower_margin.denominator,
+             r.upper_margin.numerator, r.upper_margin.denominator) for r in reports]
+
+
+def _v2(x):
+    return (x & -x).bit_length() - 1
+
+
+def _final_ball(table, bits):
+    """The enclosure the oracle's refinement loop decides on."""
+    need = bits or 4 * table.convergents[-1].q.bit_length() + 64
+    while _bound_reports_oracle(table, *_ends(table.source.enclosure(need))) is None:
+        need *= 2
+    return table.source.enclosure(need)
+
+
+def _ends(ball):
+    return ball.lower, ball.upper
+
+
+def _capped(table, ball):
+    """The n whose margins have a shift capped at j: both endpoint
+    denominators hold fewer factors 2 than k q_n^2 for both k."""
+    js = [_v2(x.denominator) for x in _ends(ball)]
+    return [c.n for c, a in zip(table.convergents, table.quotients[1:])
+            if max(js) < min(_v2(k * c.q * c.q) for k in (a, a + 2))]
+
+
+def _matches_oracle_exactly(table, bits):
+    got = cf.check_bounds(table, bits)
+    assert _fields(got) == _fields(_check_bounds_oracle(table, bits))
+    for r in got:
+        for x in (r.lower_margin, r.upper_margin):
+            assert x.denominator > 0 and m.gcd(x.numerator, x.denominator) == 1
+    return got
+
+
+_MARGIN_SOURCES = {  # a source (built on first use), its table depth, small bits
+    "surd": (lambda: cf.QuadraticSurd(D=7, p=3, q=5), 40, 4),
+    "decimal": (lambda: cf.DecimalLiteral("1.6180339887", 8), 3, 8),
+    "construction": (lambda: _constructed_spec((2, 0)), 60, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(_MARGIN_SOURCES))
+def test_margins_match_oracle_exactly(name):
+    make, n, small = _MARGIN_SOURCES[name]
+    spec = make()
+    own = cf.expand(spec, n)
+    sq = cf.expand(cf.SQRT2, 70)
+    alien = cf.ConvergentTable(spec, sq.quotients, sq.convergents)  # fails
+    for bits in (0, small):
+        assert all(r.passed for r in _matches_oracle_exactly(own, bits))
+        reports = _matches_oracle_exactly(alien, bits)
+        assert any(not r.passed for r in reports)
+    # at the small precision some n of the alien table has j < v2(k q^2)
+    assert _capped(alien, _final_ball(alien, small))
+    if name == "construction":  # the rule's endpoints are odd or nearly so
+        assert _capped(own, _final_ball(own, 0))
+
+
+@pytest.mark.parametrize("name", ["surd", "construction"])
+def test_margins_match_oracle_with_a_convergent_inside_a_point_enclosure(name):
+    # alpha = p_m/q_m exactly, against the longer table of the number it
+    # truncates: at n = m the enclosure holds the convergent and the lower
+    # bound fails (d_hi = 0); below m the bounds pass, above m they fail
+    make, n, _ = _MARGIN_SOURCES[name]
+    table = cf.expand(make(), n)
+    mm = n // 2
+    point = cf.ExplicitQuotients(table.quotients[:mm + 1])
+    assert point.value() == table.convergents[mm].value
+    alien = cf.ConvergentTable(point, table.quotients, table.convergents)
+    reports = _matches_oracle_exactly(alien, 0)
+    assert [r.passed for r in reports] == [True] * mm + [False] * (n - mm)
+    assert reports[mm].lower_margin < 0 < reports[mm].upper_margin
+    c = table.convergents[mm]
+    assert reports[mm].upper_margin == Fraction(1, table.quotients[mm + 1] * c.q**2)
+    assert _capped(alien, point.enclosure(0))
 
 
 def _c_lower_oracle(table):
