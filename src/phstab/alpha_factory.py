@@ -68,9 +68,6 @@ class DecayTarget:
         """log f(t); immune to float under/overflow of f itself."""
         raise NotImplementedError
 
-    def validate(self) -> None:
-        pass
-
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -134,7 +131,9 @@ class PowerLog(DecayTarget):
 @dataclass(frozen=True)
 class Tabulated(DecayTarget):
     """Sampled (t, f) points with log-linear interpolation in between and
-    log-linear extrapolation of the final segment beyond the last point."""
+    log-linear extrapolation of the final segment beyond the last point.
+    MonotonicityViolation when built from a table that is not positive and
+    strictly decreasing at strictly increasing abscissae."""
 
     pts: tuple[tuple[Fraction, Fraction], ...]
 
@@ -143,10 +142,7 @@ class Tabulated(DecayTarget):
         object.__setattr__(self, "pts", norm)
         if len(norm) < 2:
             raise ValueError("need at least two sample points")
-
-    def validate(self) -> None:
-        ts = [t for t, _ in self.pts]
-        vs = [v for _, v in self.pts]
+        ts, vs = zip(*norm)
         if any(v <= 0 for v in vs):
             raise MonotonicityViolation("tabulated f must be positive")
         if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
@@ -254,7 +250,6 @@ def _construction_quotients(params: dict) -> tuple[int, ...]:
     """The quotients of a "construction" ``RuleQuotients`` read from JSON."""
     try:
         target = target_from_json(params["target"])
-        target.validate()
         return tuple(_quotients_for(target, params.get("bit_budget", 4096)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(
@@ -267,7 +262,10 @@ class ConstructedAlpha:
     table: ConvergentTable
     target: DecayTarget
     bit_budget: int
-    depth: int
+
+    @property
+    def depth(self) -> int:
+        return len(self.table) - 1
 
     @property
     def q_last(self) -> int:
@@ -289,19 +287,11 @@ def construct(target: DecayTarget, bit_budget: int = 4096) -> ConstructedAlpha:
     """
     if bit_budget < 64:
         raise ValueError("bit_budget must be >= 64")
-    target.validate()
     quotients = _quotients_for(target, bit_budget)
     # a spec rebuilt from its JSON recomputes the same quotients
-    spec = RuleQuotients(name="construction",
-                         params={"target": target.to_json(), "bit_budget": bit_budget},
+    spec = RuleQuotients(params={"target": target.to_json(), "bit_budget": bit_budget},
                          _quotients=tuple(quotients))
     table = expand(spec, len(quotients) - 1)
     if not all(a % 2 == 0 and a >= 2 for a in table.quotients[1:]):
         raise VerificationFailed("constructed quotients are not all even and >= 2")
-    return ConstructedAlpha(
-        spec=spec,
-        table=table,
-        target=target,
-        bit_budget=bit_budget,
-        depth=len(quotients) - 1,
-    )
+    return ConstructedAlpha(spec=spec, table=table, target=target, bit_budget=bit_budget)

@@ -11,9 +11,9 @@ recording the subcommand, full parameter set, bit policies, tolerances,
 library versions, and output paths, sufficient to reproduce the run.
 
 Exit codes: 0 success, 1 verification failure, 2 input/precondition
-error.  ``--bits`` is the bit budget of ``construct`` and the guaranteed
-bits of a ``--decimal`` alpha; the environment variable ``PHSTAB_BITS``
-sets its default.
+error.  ``--bits`` (default 128) is the bit budget of ``construct``; on
+``cf``, ``growth`` and ``sandwich`` it is the guaranteed bits of a
+``--decimal`` alpha.  ``rates``, ``phs`` and ``verify`` take no ``--bits``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,14 +35,6 @@ from . import contfrac, diophantine, alpha_factory, spectral, rates, phs
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT_ERROR = 2
-
-
-def _default_bits() -> int:
-    text = os.environ.get("PHSTAB_BITS", "128")
-    try:
-        return _bits(text)
-    except argparse.ArgumentTypeError as exc:
-        raise ValidationError(f"PHSTAB_BITS={exc}") from None
 
 
 def _bits(text: str) -> int:
@@ -74,6 +65,8 @@ def _add_alpha_flags(p: argparse.ArgumentParser) -> None:
                    help="tagged IrrationalSpec JSON file")
     p.add_argument("--surd-p", type=int, default=0)
     p.add_argument("--surd-q", type=int, default=1)
+    p.add_argument("--bits", type=_bits, default=128,
+                   help="the guaranteed bits of a --decimal literal (default 128)")
 
 
 def _alpha_from_args(args: argparse.Namespace) -> contfrac.IrrationalSpec:
@@ -93,11 +86,12 @@ def _alpha_from_args(args: argparse.Namespace) -> contfrac.IrrationalSpec:
 
 
 def _parsed(flag: str, text: str, read):
-    """read(text) for a list argument; a value it cannot read exits 2."""
+    """read(text) for a list argument; a value it cannot read exits 2,
+    naming the reader's reason."""
     try:
         return read(text)
-    except (ValueError, OverflowError):
-        raise ValidationError(f"{flag}: cannot read {text!r}") from None
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"{flag}: cannot read {text!r}: {exc}") from None
 
 
 def _from_file(flag: str, path: str, read):
@@ -158,7 +152,6 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str],
     manifest = {
         "subcommand": args.subcommand,
         "parameters": params,
-        "bits_default": _default_bits(),
         "versions": {
             "phstab": __version__,
             "mpmath": mpmath.__version__,
@@ -235,7 +228,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
             target = alpha_factory.PowerLog(p=p, s=s)
         else:
             target = _from_file("--table", args.table, alpha_factory.target_from_json)
-        target.validate()
         ca = alpha_factory.construct(target, bit_budget=args.bits)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
@@ -388,7 +380,6 @@ def _suite_rates() -> list[tuple[str, bool]]:
 
 
 def _suite_phs() -> list[tuple[str, bool]]:
-    import math
     system = phs.universal_example(math.sqrt(2))
     ts = np.linspace(0.0, 100.0, 512)
     dets = np.linalg.det(phs.boundary_matrices(system, ts))
@@ -398,7 +389,7 @@ def _suite_phs() -> list[tuple[str, bool]]:
     )
     sol = phs.resolvent_solve(system, 10.0,
                               lambda xs: np.ones((len(xs), 2)), nodes=4096,
-                              auto_refine=False)
+                              tol=math.inf)
     return [("boundary determinant closed form", worst <= 1e-12),
             ("resolvent residuals <= 1e-8", sol.residual <= 1e-8)]
 
@@ -438,12 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--manifest", default=None,
                        help="manifest path (default <out>.manifest.json)")
-        p.add_argument("--bits", type=_bits, default=_default_bits(),
-                       help="construct: the bit budget of the construction; "
-                            "--decimal: the literal's guaranteed bits; no "
-                            "effect on the growth and sandwich engines, whose "
-                            "precision follows their windows (default from "
-                            "PHSTAB_BITS or 128)")
 
     p = sub.add_parser("cf", help="continued-fraction convergent table")
     _add_alpha_flags(p)
@@ -458,6 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--powerlog", type=_fraction, nargs=2, metavar=("P", "S"),
                    help="target f(t) = t^-P (log(e+t))^-S")
     g.add_argument("--table", metavar="FILE", help="tabulated target JSON")
+    p.add_argument("--bits", type=_bits, default=128,
+                   help="the bit budget of the construction (default 128)")
     common(p)
     p.set_defaults(func=cmd_construct)
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, pairwise, starmap
 from math import gcd, isqrt
-from operator import ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 from .errors import InsufficientPrecision, TableExhausted
@@ -118,20 +117,15 @@ class ExplicitQuotients(IrrationalSpec):
 
 @dataclass(frozen=True)
 class RuleQuotients(IrrationalSpec):
-    """The quotient prefix a named rule computes; the one rule is
-    "construction", the recursion of :mod:`phstab.alpha_factory`, cut where
-    the next denominator would pass its bit budget. ``construct`` hands the
-    prefix in; a spec read from JSON computes it on first use. Past the
-    prefix the quotients are unknown, as past a ``DecimalLiteral``'s
-    digits: asking for one raises TableExhausted."""
+    """The quotient prefix the "construction" rule computes: the recursion
+    of :mod:`phstab.alpha_factory`, cut where the next denominator would
+    pass its bit budget. ``construct`` hands the prefix in; a spec read
+    from JSON computes it on first use. Past the prefix the quotients are
+    unknown, as past a ``DecimalLiteral``'s digits: asking for one raises
+    TableExhausted."""
 
-    name: str
     params: dict = field(default_factory=dict)
     _quotients: Optional[tuple[int, ...]] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.name != "construction":
-            raise ValueError(f"unknown quotient rule {self.name!r}")
 
     @property
     def quotients(self) -> tuple[int, ...]:
@@ -157,7 +151,7 @@ class RuleQuotients(IrrationalSpec):
         return RealBall.from_bounds(lo, hi)
 
     def to_json(self) -> dict:
-        return {"kind": "rule", "name": self.name, "f": self.params}
+        return {"kind": "rule", "name": "construction", "f": self.params}
 
 
 @dataclass(frozen=True)
@@ -208,9 +202,10 @@ def spec_from_json(obj: dict | str) -> IrrationalSpec:
         return QuadraticSurd(D=obj["D"], p=obj.get("p", 0), q=obj.get("q", 1))
     if kind == "quotients":
         return ExplicitQuotients(obj["a"])
-    if kind == "rule":  # RuleQuotients rejects a rule name it does not know;
-        # a spec-level "bit_budget", which older files carry, is ignored
-        return RuleQuotients(name=obj["name"], params=obj.get("f", {}))
+    if kind == "rule":  # a spec-level "bit_budget", which older files carry, is ignored
+        if obj["name"] != "construction":
+            raise ValueError(f"unknown quotient rule {obj['name']!r}")
+        return RuleQuotients(params=obj.get("f", {}))
     if kind == "decimal":
         return DecimalLiteral(digits=obj["digits"], bits=obj["bits"])
     raise ValueError(f"unknown spec kind {kind!r}")
@@ -237,23 +232,22 @@ class Convergent(NamedTuple):
 
 @dataclass(frozen=True)
 class ConvergentTable:
-    """Invariant, checked on construction: a_n >= 1 for n >= 1, and the
-    convergents are the ``_convergents`` of the quotients. Hence
-    p_n q_{n-1} - p_{n-1} q_n = +-1, every q_n >= 1, and every p_n/q_n is
-    in lowest terms."""
+    """The quotients a_0..a_N and the convergents the table builds from
+    them, judged against ``source``. The quotients are checked on
+    construction, a_n >= 1 for n >= 1; hence p_n q_{n-1} - p_{n-1} q_n =
+    +-1, every q_n >= 1, and every p_n/q_n is in lowest terms."""
 
     source: IrrationalSpec
     quotients: tuple[int, ...]
-    convergents: tuple[Convergent, ...]
     terminated: bool = False
+    convergents: tuple[Convergent, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if min(self.quotients[1:], default=1) < 1:
             n = next(k for k, a in enumerate(self.quotients) if k and a < 1)
             raise ValueError(f"a_{n} = {self.quotients[n]} violates a_n >= 1")
-        if len(self.convergents) != len(self.quotients) or any(
-                map(ne, self.convergents, _convergents(self.quotients))):
-            raise ValueError("the convergents do not follow the quotients")
+        object.__setattr__(self, "convergents",
+                           tuple(starmap(Convergent, _convergents(self.quotients))))
 
     def __len__(self) -> int:
         return len(self.convergents)
@@ -285,12 +279,7 @@ def expand(alpha: IrrationalSpec, n: int) -> ConvergentTable:
     if n < 0:
         raise ValueError("n must be >= 0")
     quotients = tuple(islice(alpha.quotient_iter(), n + 1))
-    return ConvergentTable(
-        source=alpha,
-        quotients=quotients,
-        convergents=tuple(starmap(Convergent, _convergents(quotients))),
-        terminated=len(quotients) <= n,
-    )
+    return ConvergentTable(alpha, quotients, terminated=len(quotients) <= n)
 
 
 class BoundReport(NamedTuple):
@@ -327,7 +316,7 @@ def _offsets(table: ConvergentTable, lo: Fraction,
     terms: P/Y = q_n^2 (x - p_n/q_n), so P > 0 when p_n/q_n < x, P < 0
     when x < p_n/q_n, and |x - p_n/q_n| = |P|/(Y q_n^2).
 
-    q_n and e_n follow the same recurrence (the table's invariant), from
+    q_n and e_n follow the same recurrence (the table builds q_n by it), from
     (q, e)_{-1} = (0, -Y) and (q, e)_{-2} = (1, X), so their product does
     too with T_n = q_n e_{n-1} + q_{n-1} e_n:
 

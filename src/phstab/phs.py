@@ -369,7 +369,8 @@ class _PhiStack:
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(U, sigma, V^H) of every T_t, one batched full SVD: it serves the
-        inverse norms, the singular check and the adversarial direction."""
+        scan, the inverse norms, the singular check, the boundary solve of a
+        resolvent and the adversarial direction."""
         return la.svd(self.T)
 
     @cached_property
@@ -470,10 +471,9 @@ def stability_scan(sys: PHSystem, t_grid: Sequence[float]) -> StabilityReport:
         return StabilityReport((), (), (), (), 0.0, True, math.inf, ())
     parts, b_est = [], 0.0
     for st in _stacks(sys, ts):
-        parts.append(st.T)
+        parts.append(st.svd[1])
         b_est = max(b_est, float(st.sup_norms.max()))
-    T = np.concatenate(parts)
-    sv = la.svd(T, compute_uv=False)
+    sv = np.concatenate(parts)
     dets, sigmas = sv.prod(axis=-1), sv[:, -1]  # |det T| = prod sigma
     sing = dets <= _SINGULAR_TOL
     invs = np.divide(1.0, sigmas, out=np.full_like(sigmas, math.inf), where=~sing)
@@ -567,7 +567,8 @@ def _solve_once(
     (len(fs), n, 8d) @ (8d, d) matmul, and exp(-A_k (mid_j - x_k)) is
     applied at the n panel midpoints only."""
     sys, p1inv, d = st.sys, st.p1inv, st.sys.d
-    t, cum, T, sv = float(st.ts[i]), st.cum[i], st.T[i], st.svd[1][i]
+    t, cum = float(st.ts[i]), st.cum[i]
+    U, sv, Vh = (m[i] for m in st.svd)
     # |det T_t| is the product of its singular values
     if np.prod(sv) <= _SINGULAR_TOL or sv[-1] <= _SINGULAR_TOL * sv[0]:
         raise SingularBoundaryMatrix(
@@ -608,9 +609,10 @@ def _solve_once(
         runs.append(run)
         cum_integral = run[:, -1:]
 
-    # boundary condition: T_t v(a) = -W [Phi(b) * I_total; 0]
+    # boundary condition: T_t v(a) = -W [Phi(b) * I_total; 0], solved
+    # through the SVD T_t = U Sigma V^H as v(a) = V Sigma^{-1} U^H rhs
     rhs = -(sys.W[:, :d] @ (cum[-1] @ cum_integral[:, 0].T))
-    v_a = la.solve(T, rhs).T
+    v_a = (Vh.conj().T @ ((U.conj().T @ rhs) / sv[:, None])).T
 
     # v(x) = Phi(x) [v(a) + I(x)] = exp(A_k (x - x0)) cum_k [v(a) + I(x)];
     # each breakpoint node is taken from the piece on its left
@@ -666,7 +668,6 @@ def resolvent_solve(
     nodes: int = 4096,
     tol: float = 1e-8,
     max_nodes: int = 1 << 16,
-    auto_refine: bool = True,
 ) -> ResolventSolution:
     """Solve (it + A) u = f via the fundamental-matrix representation
     (Hu)(x) = Phi_t(x) [(Hu)(a) + integral_a^x Phi_t(s)^{-1} P1^{-1} f ds],
@@ -677,13 +678,14 @@ def resolvent_solve(
     an 8-point Gauss-Legendre panel, factored through its midpoint so that
     the piece's exponentials are taken at the 8 node offsets and the
     midpoints only.  If the residuals exceed ``tol`` the grid is doubled up
-    to ``max_nodes`` (QuadratureTooCoarse beyond).
+    to ``max_nodes`` (QuadratureTooCoarse beyond); ``tol=math.inf`` takes
+    the first grid as it is.
     """
     st = _PhiStack(sys, [t])
     n = nodes
     while True:
         (sol,), _ = _solve_once(st, 0, [f], n)
-        if not auto_refine or sol.residual <= tol:
+        if sol.residual <= tol:
             return sol
         if 2 * n > max_nodes:
             raise QuadratureTooCoarse(

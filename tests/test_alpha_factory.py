@@ -87,12 +87,19 @@ def test_tabulated_past_the_float_range_takes_the_last_segment():
         assert qs[n] == _oracle_quotient(target, convs[n - 1].q)
 
 
+class _Constant(af.DecayTarget):
+    """f = 1/4 everywhere: not decreasing, so no target the package builds."""
+
+    def _inv_sqrt_f(self, prec):
+        two = af._enclose(2, prec)
+        return lambda t, q: two
+
+
 def test_an_integer_value_leaves_the_ceiling_undecidable():
-    # a flat table (validate() refuses it) makes 1/sqrt(f(pi)) exactly 2,
-    # so every enclosure straddles 2, up to 4 * 64 bits
-    flat = af.Tabulated(((1, Fraction(1, 4)), (2, Fraction(1, 4))))
+    # f = 1/4 makes 1/sqrt(f(pi)) exactly 2, so every enclosure straddles
+    # 2, up to 4 * 64 bits
     with pytest.raises(CeilingUndecidable, match="straddles an integer at 256 bits"):
-        af._quotients_for(flat, 64)
+        af._quotients_for(_Constant(), 64)
 
 
 def test_power4_quotients_vs_oracle():
@@ -140,12 +147,22 @@ def test_constructed_alpha_in_one_two():
     assert 1 < float(ball.lower) and float(ball.upper) < 2
 
 
+@pytest.mark.parametrize("pts, reason", [
+    (((1, Fraction(1, 4)), (2, Fraction(1, 4))), "must be decreasing"),
+    (((1, 1), (2, 0)), "must be positive"),
+    (((2, 1), (1, Fraction(1, 2))), "abscissae must increase"),
+])
+def test_tabulated_refuses_a_bad_table_when_built(pts, reason):
+    with pytest.raises(MonotonicityViolation, match=reason):
+        af.Tabulated(pts)
+    with pytest.raises(MonotonicityViolation, match=reason):
+        af.target_from_json({"kind": "table", "pts": [[str(t), str(v)] for t, v in pts]})
+
+
 def test_tabulated_validation_and_interpolation():
-    bad = af.Tabulated(((1.0, 0.5), (2.0, 0.9)))
     with pytest.raises(MonotonicityViolation):
-        bad.validate()
+        af.Tabulated(((1.0, 0.5), (2.0, 0.9)))
     good = af.Tabulated(((1.0, 1.0), (10.0, 0.01), (100.0, 1e-6)))
-    good.validate()
     # log f is interpolated linearly in t between knots
     assert good.log_value(1.0) == pytest.approx(0.0, abs=1e-12)
     assert good.log_value(10.0) == pytest.approx(math.log(0.01))

@@ -409,17 +409,39 @@ def test_growth_and_sandwich_manifest_summaries(tmp_path):
                                       max(float(r[6]) for r in rows)]
 
 
-def test_bad_phstab_bits_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("PHSTAB_BITS", "12x")
-    assert run(["cf", "--surd", "2"]) == 2
-    assert "PHSTAB_BITS" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["rates", "--curve", "growth_sqrt2.csv", "--kind", "LowerBound", "--times", "10"],
+    ["phs", "--config", "phs/universal_sqrt2.json", "--t-grid", "0:1:2"],
+    ["verify", "rates"],
+])
+def test_bits_is_refused_where_it_does_nothing(argv, capsys):
+    data = Path(__file__).parent / "data"
+    argv = [str(data / a) if a.endswith((".csv", ".json")) else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--bits", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bits 8" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-500"])
-def test_phstab_bits_below_one_exits_2(value, monkeypatch, capsys):
-    monkeypatch.setenv("PHSTAB_BITS", value)
-    assert run(["cf", "--surd", "2"]) == 2
-    assert "PHSTAB_BITS" in capsys.readouterr().err
+def test_manifest_records_the_parameters_alone(tmp_path):
+    out = tmp_path / "cf.csv"
+    assert run(["cf", "--decimal", "1.41421356", "--bits", "24", "--terms", "5",
+                "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "cf.csv.manifest.json").read_text())
+    assert "bits_default" not in manifest
+    assert manifest["parameters"]["bits"] == 24
+
+
+@pytest.mark.parametrize("grid, reason", [
+    ("nan:1:3", "LO and HI must be finite"),
+    ("0:1:0", "N must be at least 1"),
+    ("0:1", "not enough values to unpack"),
+])
+def test_unreadable_grid_names_the_reason(grid, reason, capsys):
+    config = Path(__file__).parent / "data" / "phs" / "universal_sqrt2.json"
+    assert run(["phs", "--config", str(config), "--t-grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert f"--t-grid: cannot read {grid!r}: {reason}" in err
 
 
 def test_sandwich_on_a_decimal_with_fewer_bits_than_asked(tmp_path):

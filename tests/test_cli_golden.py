@@ -1,9 +1,11 @@
 """Golden CLI outputs: stdout, stderr and the exit code of a fixed run set.
 
-Each run's expected bytes live in ``tests/data/golden/<name>.{out,err,rc}``,
-and ``tests/data/cons.json`` is the construction spec
-``construct(PowerLog(2, 0), 1024).spec.to_json()`` in the format that still
-writes the spec-level ``bit_budget`` (it must keep reading). A refactor that
+Each run's expected bytes live in ``tests/data/golden/<name>.{out,err,rc}``.
+The runs read three input files under ``tests/data/``: ``cons.json`` is the
+construction spec ``construct(PowerLog(2, 0), 1024).spec.to_json()`` in the
+format that still writes the spec-level ``bit_budget`` (it must keep
+reading), ``growth_sqrt2.csv`` is the ``growth_sqrt2_decades`` curve, and
+``table.json`` is a decreasing tabulated decay target. A refactor that
 should not change any output is checked by this file alone; a change that
 does change an output regenerates the data on purpose with
 
@@ -23,18 +25,25 @@ from phstab import cli
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
-CONS = "{cons}"  # replaced by the path of tests/data/cons.json
+CONS = "{data}/cons.json"  # "{data}" is replaced by the path of tests/data
+CURVE = "{data}/growth_sqrt2.csv"
 
 RUNS = {
     "cf_sqrt2": ["cf", "--surd", "2", "--terms", "40"],
     "cf_construction": ["cf", "--alpha-json", CONS, "--terms", "100"],
     "construct_powerlog4": ["construct", "--powerlog", "4", "0", "--bits", "4096"],
+    "construct_exp1": ["construct", "--exp", "1", "--bits", "1024"],
+    "construct_table": ["construct", "--table", "{data}/table.json", "--bits", "1024"],
     "growth_sqrt2_half_decades": [
         "growth", "--surd", "2", "--etas", "10,31.6227766,100,316.227766,1000"],
     "growth_sqrt2_decades": ["growth", "--surd", "2", "--etas", "10,100,1000,10000"],
     "growth_construction": ["growth", "--alpha-json", CONS, "--etas", "5,10,50"],
     "growth_decimal24": ["growth", "--decimal", "1.41421356", "--bits", "24",
                          "--etas", "50,500", "--tol", "1e-3"],
+    "rates_lower_bound": ["rates", "--curve", CURVE, "--kind", "LowerBound",
+                          "--times", "10,100,1000,10000,100000"],
+    "rates_batty_duyckaerts": ["rates", "--curve", CURVE, "--kind", "BattyDuyckaerts",
+                               "--times", "100,1000,10000,100000"],
     "sandwich_sqrt2": ["sandwich", "--surd", "2", "--odd-v", "1..999"],
     "sandwich_sqrt5": ["sandwich", "--surd", "5", "--odd-v", "1..301"],
     "sandwich_decimal24": ["sandwich", "--decimal", "1.41421356", "--bits", "24",
@@ -50,25 +59,23 @@ RUNS = {
 
 
 def _argv(name):
-    return [str(DATA / "cons.json") if a == CONS else a for a in RUNS[name]]
+    return [a.replace("{data}", str(DATA)) for a in RUNS[name]]
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_cli_output_is_byte_identical(name, monkeypatch, capsys):
-    monkeypatch.delenv("PHSTAB_BITS", raising=False)  # --bits defaults to 128
+def test_cli_output_is_byte_identical(name, capsys):
     rc = cli.main(_argv(name))
     got = capsys.readouterr()
     assert rc == int((GOLDEN / f"{name}.rc").read_text())
-    assert got.err == (GOLDEN / f"{name}.err").read_text()
-    assert got.out == (GOLDEN / f"{name}.out").read_text()
+    # as bytes: the CSV writers end their lines in "\r\n"
+    assert got.err == (GOLDEN / f"{name}.err").read_bytes().decode()
+    assert got.out == (GOLDEN / f"{name}.out").read_bytes().decode()
 
 
 def _regenerate() -> None:
     import contextlib
     import io
-    import os
 
-    os.environ.pop("PHSTAB_BITS", None)
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name in RUNS:
         out, err = io.StringIO(), io.StringIO()

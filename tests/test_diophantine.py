@@ -114,8 +114,7 @@ def _sqrt2_table_on(bits):
     """sqrt(2)'s first 21 convergents, judged against the literal cut to
     ``bits`` guaranteed bits: deeper than that enclosure can decide."""
     table = cf.expand(cf.SQRT2, 20)
-    return cf.ConvergentTable(cf.DecimalLiteral(_DIGITS, bits), table.quotients,
-                              table.convergents)
+    return cf.ConvergentTable(cf.DecimalLiteral(_DIGITS, bits), table.quotients)
 
 
 _TOO_COARSE = {

@@ -162,20 +162,20 @@ def test_stability_scan_sqrt2_invertible(sys2):
 
 def test_resolvent_zero_forcing(sys2):
     sol = P.resolvent_solve(sys2, 1.0, lambda xs: np.zeros((len(xs), 2)),
-                            nodes=256, auto_refine=False)
+                            nodes=256, tol=math.inf)
     assert np.abs(sol.u).max() == 0.0
     assert sol.residual == 0.0
 
 
 def test_resolvent_residuals_and_oracle(sys2):
     f = lambda xs: np.ones((len(xs), 2))
-    sol = P.resolvent_solve(sys2, 1.0, f, nodes=2048, auto_refine=False)
+    sol = P.resolvent_solve(sys2, 1.0, f, nodes=2048, tol=math.inf)
     assert sol.boundary_residual <= 1e-10
     assert sol.ode_residual <= 1e-9
     # independent check: (it + A)u = f pointwise via the ODE for v = Hu
     # already covered by the FD residual; also check u solves the weak
     # identity at the midpoint against a dense reference solve
-    sol_fine = P.resolvent_solve(sys2, 1.0, f, nodes=8192, auto_refine=False)
+    sol_fine = P.resolvent_solve(sys2, 1.0, f, nodes=8192, tol=math.inf)
     mid = len(sol.x) // 2
     fine_mid = np.interp(sol.x[mid], sol_fine.x, sol_fine.v[:, 0].real)
     assert abs(sol.v[mid, 0].real - fine_mid) < 1e-9
@@ -295,7 +295,7 @@ def test_check_characterisation_matches_public_probe_solves(sys16):
     (row,) = P.check_characterisation(sys16, [t], nodes=nodes)
     best = 0.0
     for f in P._probe_set(P._PhiStack(sys16, [t]), 0):
-        sol = P.resolvent_solve(sys16, t, f, nodes=nodes, auto_refine=False)
+        sol = P.resolvent_solve(sys16, t, f, nodes=nodes, tol=math.inf)
         fv = np.asarray(f(sol.x), dtype=complex)
         # a breakpoint node takes the piece on its left
         ks = np.maximum(np.searchsorted(sys16.breaks, sol.x, side="left") - 1, 0)
@@ -526,7 +526,7 @@ def test_factored_quadrature_matches_brute_force(sys16, monkeypatch, dense):
         monkeypatch.setattr(P, "_EIG_COND_MAX", 0.0)
         assert P.FundamentalMatrix(sys16, 4.2)._stack.dense.all()
     for t, nodes, (x, v) in cases:
-        sol = P.resolvent_solve(sys16, t, f, nodes=nodes, auto_refine=False)
+        sol = P.resolvent_solve(sys16, t, f, nodes=nodes, tol=math.inf)
         assert np.array_equal(sol.x, x)
         assert np.abs(sol.v - v).max() <= 1e-12 * np.abs(v).max()
 
