@@ -49,10 +49,6 @@ class BelowRange(PhstabError):
     """Inverse requested below the start of the function's range."""
 
 
-class RankDeficient(PhstabError):
-    """Matrix does not have full rank."""
-
-
 class ValidationError(PhstabError):
     """A system invariant is violated; message names the offending matrix."""
 

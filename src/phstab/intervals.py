@@ -115,15 +115,6 @@ class ComplexIv:
     re: object
     im: object
 
-    def __mul__(self, other: "ComplexIv") -> "ComplexIv":
-        return ComplexIv(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conj(self) -> "ComplexIv":
-        return ComplexIv(self.re, -self.im)
-
     def abs2(self):
         return self.re * self.re + self.im * self.im
 

@@ -40,7 +40,6 @@ import numpy.linalg as la
 from .errors import (
     ExpOverflow,
     QuadratureTooCoarse,
-    RankDeficient,
     SingularBoundaryMatrix,
     ValidationError,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "StabilityReport",
     "ResolventSolution",
     "CharConstants",
-    "moore_penrose",
     "boundary_matrices",
     "stability_scan",
     "resolvent_solve",
@@ -125,6 +123,14 @@ class PHSystem:
         )
         return int(k) if k.ndim == 0 else k
 
+    @cached_property
+    def W_pinv(self) -> np.ndarray:
+        """Right inverse W+ = W^T (W W^T)^{-1}, formed once per system;
+        validation has rank-tested W."""
+        wp = self.W.T @ la.inv(self.W @ self.W.T)
+        wp.flags.writeable = False
+        return wp
+
 
 def _violations(sys: PHSystem) -> list[str]:
     """One message per violated invariant, naming the offending matrix;
@@ -176,14 +182,6 @@ def _violations(sys: PHSystem) -> list[str]:
     if sv[-1] <= _RANK_TOL * sv[0]:
         errs.append("W: rank deficient")
     return errs
-
-
-def moore_penrose(W: np.ndarray) -> np.ndarray:
-    """Right inverse W+ = W^T (W W^T)^{-1} of a full-rank wide matrix."""
-    sv = la.svd(W, compute_uv=False)
-    if sv[-1] <= _RANK_TOL * sv[0]:
-        raise RankDeficient("W is rank deficient; no Moore-Penrose right inverse")
-    return W.T @ la.inv(W @ W.T)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +263,8 @@ class _PhiStack:
     pair (i, k), one product (:meth:`exp_at`, :meth:`apply`); a pair that
     :func:`_eigen` marks dense takes a matrix exponential per point.
     ``cum[i, k]`` is Phi_{t_i} at breakpoint k, from one batched matmul
-    over t per piece.  T_t, its SVD and W+ are taken once per stack, on
-    first use.
+    over t per piece.  T_t and its SVD are taken once per stack, on first
+    use; W+ once per system (:attr:`PHSystem.W_pinv`).
     """
 
     def __init__(self, sys: PHSystem, ts) -> None:
@@ -373,10 +371,6 @@ class _PhiStack:
         resolvent and the adversarial direction."""
         return la.svd(self.T)
 
-    @cached_property
-    def w_pinv(self) -> np.ndarray:
-        return moore_penrose(self.sys.W)
-
 
 def _stacks(sys: PHSystem, ts):
     """Stacked builds of Phi_t over ``ts``, _T_CHUNK values of t each."""
@@ -432,17 +426,12 @@ class StabilityReport:
     sigma_min: tuple[float, ...]
     inv_norm: tuple[float, ...]  # inf where singular at grid tolerance
     B_estimate: float
-    invertible_on_grid: bool
     min_margin: float
     singular_points: tuple[float, ...]
 
     @property
     def verdict(self) -> str:
-        return (
-            "invertible on grid"
-            if self.invertible_on_grid
-            else "grid singularity"
-        )
+        return "grid singularity" if self.singular_points else "invertible on grid"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -468,7 +457,7 @@ def stability_scan(sys: PHSystem, t_grid: Sequence[float]) -> StabilityReport:
     """Scan T_t over the grid, flagging any |det T_t| <= ``_SINGULAR_TOL``."""
     ts = np.asarray(t_grid, dtype=float)
     if not len(ts):
-        return StabilityReport((), (), (), (), 0.0, True, math.inf, ())
+        return StabilityReport((), (), (), (), 0.0, math.inf, ())
     parts, b_est = [], 0.0
     for st in _stacks(sys, ts):
         parts.append(st.svd[1])
@@ -483,7 +472,6 @@ def stability_scan(sys: PHSystem, t_grid: Sequence[float]) -> StabilityReport:
         sigma_min=tuple(sigmas.tolist()),
         inv_norm=tuple(invs.tolist()),
         B_estimate=b_est,
-        invertible_on_grid=not sing.any(),
         min_margin=float(dets.min()),
         singular_points=tuple(ts[sing].tolist()),
     )
@@ -494,6 +482,8 @@ def stability_scan(sys: PHSystem, t_grid: Sequence[float]) -> StabilityReport:
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# the grid doubling of resolvent_solve stops here
+_MAX_NODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -667,7 +657,6 @@ def resolvent_solve(
     f: Callable[[np.ndarray], np.ndarray],
     nodes: int = 4096,
     tol: float = 1e-8,
-    max_nodes: int = 1 << 16,
 ) -> ResolventSolution:
     """Solve (it + A) u = f via the fundamental-matrix representation
     (Hu)(x) = Phi_t(x) [(Hu)(a) + integral_a^x Phi_t(s)^{-1} P1^{-1} f ds],
@@ -678,7 +667,7 @@ def resolvent_solve(
     an 8-point Gauss-Legendre panel, factored through its midpoint so that
     the piece's exponentials are taken at the 8 node offsets and the
     midpoints only.  If the residuals exceed ``tol`` the grid is doubled up
-    to ``max_nodes`` (QuadratureTooCoarse beyond); ``tol=math.inf`` takes
+    to ``_MAX_NODES`` (QuadratureTooCoarse beyond); ``tol=math.inf`` takes
     the first grid as it is.
     """
     st = _PhiStack(sys, [t])
@@ -687,9 +676,9 @@ def resolvent_solve(
         (sol,), _ = _solve_once(st, 0, [f], n)
         if sol.residual <= tol:
             return sol
-        if 2 * n > max_nodes:
+        if 2 * n > _MAX_NODES:
             raise QuadratureTooCoarse(
-                f"residual {sol.residual:.3e} > {tol} at {n} nodes (cap {max_nodes})"
+                f"residual {sol.residual:.3e} > {tol} at {n} nodes (cap {_MAX_NODES})"
             )
         n *= 2
 
@@ -765,7 +754,7 @@ def _constants(sys: PHSystem, b_ts: np.ndarray) -> CharConstants:
             note = "WARNING: B_t grows across grid; " + note
     ln = sys.b - sys.a
     w_norm = float(la.norm(sys.W, ord=2))
-    wp_norm = float(la.norm(moore_penrose(sys.W), ord=2))
+    wp_norm = float(la.norm(sys.W_pinv, ord=2))
     p1 = float(la.norm(sys.P1, ord=2))
     p1i = float(la.norm(la.inv(sys.P1), ord=2))
     ev = la.eigvalsh(np.stack(sys.pieces))
@@ -814,7 +803,7 @@ def _probe_set(st: _PhiStack, i: int) -> list[Callable[[np.ndarray], np.ndarray]
     at_b = st.cum[i, -1]
     try:
         z = st.svd[2][i, -1].conj()  # direction achieving sigma_min, i.e. max |T^{-1}z|
-        z12 = st.w_pinv @ z
+        z12 = st.sys.W_pinv @ z
         y = -z12[:d] + at_b @ z12[d:]
         w = la.inv(at_b) @ y
 

@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -56,7 +57,6 @@ class MonotoneFn:
     fn: Callable[[float], float]
     lo: float
     hi: float = math.inf
-    label: str = ""
 
     def __post_init__(self) -> None:
         if not self.lo >= 0:
@@ -76,20 +76,14 @@ def power_fn(p: float) -> MonotoneFn:
     """M(eta) = eta**p on (0, inf)."""
     if p <= 0:
         raise ValidationError("exponent must be positive")
-    return MonotoneFn(lambda x: x**p, lo=0.0, label=f"eta^{p}")
+    return MonotoneFn(lambda x: x**p, lo=0.0)
 
 
-def power_log_fn(p: float, s: float, lo: float = math.e) -> MonotoneFn:
-    """M(eta) = eta**p * (log eta)**s on [lo, inf), lo > 1."""
+def power_log_fn(p: float, s: float) -> MonotoneFn:
+    """M(eta) = eta**p * (log eta)**s on [e, inf)."""
     if p <= 0 or s < 0:
         raise ValidationError("need p > 0 and s >= 0")
-    if lo <= 1.0:
-        raise ValidationError("power-log domain must start above 1")
-    return MonotoneFn(
-        lambda x: x**p * math.log(x) ** s,
-        lo=lo,
-        label=f"eta^{p}*(log eta)^{s}",
-    )
+    return MonotoneFn(lambda x: x**p * math.log(x) ** s, lo=math.e)
 
 
 def from_growth_curve(
@@ -100,8 +94,9 @@ def from_growth_curve(
     Interpolation is log-linear between knots; the domain is the knot
     range.  ``which`` selects the lower or upper certified value at each
     knot (the curve is monotone in eta either way).  A selected value that
-    is not finite and positive (an upper bound from parked cells is inf)
-    raises ValidationError naming its eta.
+    is not finite and positive (an upper bound from parked cells is inf),
+    an eta that does not rise or a value that falls raises ValidationError
+    naming its eta.
     """
     if which not in ("lower", "upper"):
         raise ValidationError("which must be 'lower' or 'upper'")
@@ -117,6 +112,16 @@ def from_growth_curve(
                 f"growth curve m_{which} at eta={eta!r} is {m!r}; "
                 "interpolation needs finite positive knots"
             )
+    for (e0, m0), (eta, m) in zip(pts, pts[1:]):
+        if not eta > e0:
+            raise ValidationError(
+                f"growth curve eta={eta!r} does not rise above eta={e0!r} before it"
+            )
+        if not m >= m0:
+            raise ValidationError(
+                f"growth curve m_{which} at eta={eta!r} is {m!r}, "
+                f"below {m0!r} at eta={e0!r}; m must not fall"
+            )
     xs = [math.log(e) for e, _ in pts]
     ys = [math.log(m) for _, m in pts]
 
@@ -126,20 +131,12 @@ def from_growth_curve(
             return math.exp(ys[0])
         if lx >= xs[-1]:
             return math.exp(ys[-1])
-        # binary search for the bracketing knot pair
-        a, b = 0, len(xs) - 1
-        while b - a > 1:
-            mid = (a + b) // 2
-            if xs[mid] <= lx:
-                a = mid
-            else:
-                b = mid
+        b = bisect_right(xs, lx)
+        a = b - 1
         w = (lx - xs[a]) / (xs[b] - xs[a])
         return math.exp(ys[a] + w * (ys[b] - ys[a]))
 
-    return MonotoneFn(
-        fn, lo=pts[0][0], hi=pts[-1][0], label=f"growth-curve({which})"
-    )
+    return MonotoneFn(fn, lo=pts[0][0], hi=pts[-1][0])
 
 
 def m_log(fn: MonotoneFn) -> MonotoneFn:
@@ -149,7 +146,7 @@ def m_log(fn: MonotoneFn) -> MonotoneFn:
         m = fn(x)
         return m * (math.log1p(m) + math.log1p(x))
 
-    return MonotoneFn(g, lo=fn.lo, hi=fn.hi, label=f"m_log[{fn.label}]")
+    return MonotoneFn(g, lo=fn.lo, hi=fn.hi)
 
 
 def invert(fn: MonotoneFn, y: float) -> float:
@@ -193,7 +190,6 @@ class PositiveIncreaseCertificate:
     c: float
     lambda_grid: tuple[float, ...]
     t_grid: tuple[float, ...]
-    label: str = ""
 
     def to_json(self) -> str:
         return json.dumps(
@@ -203,7 +199,6 @@ class PositiveIncreaseCertificate:
                 "c": self.c,
                 "lambda_grid": list(self.lambda_grid),
                 "t_grid": list(self.t_grid),
-                "label": self.label,
             }
         )
 
@@ -215,9 +210,6 @@ class PositiveIncreaseRefutation:
 
     alpha_hat: float
     witnesses: tuple[tuple[float, float, float], ...]  # (lambda, t, ratio)
-    lambda_grid: tuple[float, ...]
-    t_grid: tuple[float, ...]
-    label: str = ""
 
 
 _ALPHA_MARGIN = 0.05
@@ -265,7 +257,6 @@ def positive_increase_estimate(
             c=c,
             lambda_grid=tuple(lams),
             t_grid=tuple(ts),
-            label=fn.label,
         )
     flat = sorted(
         (w for w in ratios if w[0] >= 10.0 and w[2] < 2.0),
@@ -273,13 +264,7 @@ def positive_increase_estimate(
     )
     if not flat:
         flat = sorted(ratios, key=lambda w: (w[2], -w[0]))
-    return PositiveIncreaseRefutation(
-        alpha_hat=alpha_hat,
-        witnesses=tuple(flat[:8]),
-        lambda_grid=tuple(lams),
-        t_grid=tuple(ts),
-        label=fn.label,
-    )
+    return PositiveIncreaseRefutation(alpha_hat=alpha_hat, witnesses=tuple(flat[:8]))
 
 
 _KINDS = ("BattyDuyckaerts", "RSS-upper", "LowerBound")
@@ -287,14 +272,11 @@ _KINDS = ("BattyDuyckaerts", "RSS-upper", "LowerBound")
 
 @dataclass(frozen=True)
 class DecayPrediction:
-    """(t, bound) pairs produced by one of the rate formulas, with the
-    constants used.  Shape-only unless the caller supplies constants."""
+    """(t, bound) pairs produced by one of the rate formulas.  Shape-only
+    unless the caller supplies constants."""
 
     kind: str
-    c: float
-    C: float
     points: tuple[tuple[float, float], ...] = field(default_factory=tuple)
-    label: str = ""
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -321,11 +303,12 @@ def predict(
     """
     if kind not in _KINDS:
         raise ValidationError(f"kind must be one of {_KINDS}")
-    if c <= 0 or C <= 0:
-        raise ValidationError("constants must be positive")
+    if not all(math.isfinite(k) and k > 0 for k in (c, C)):
+        raise ValidationError(f"constants must be finite and positive (c={c!r}, C={C!r})")
     ts = [float(t) for t in t_list]
-    if any(t <= 0 for t in ts):
-        raise ValidationError("times must be positive")
+    bad = [t for t in ts if not (math.isfinite(t) and t > 0)]
+    if bad:
+        raise ValidationError(f"times must be finite and positive, not {bad[0]!r}")
     if kind == "RSS-upper":
         if certificate is None or isinstance(
             certificate, PositiveIncreaseRefutation
@@ -339,5 +322,5 @@ def predict(
         pts = tuple((t, c / invert(ml, t / c)) for t in ts)
     else:
         pts = tuple((t, c / invert(fn, C * t)) for t in ts)
-    return DecayPrediction(kind=kind, c=c, C=C, points=pts, label=fn.label)
+    return DecayPrediction(kind=kind, points=pts)
 

@@ -250,7 +250,7 @@ def _h_terms_mp(ev: HEvaluator, c: float, av):
     e1, e2 = ev.phases(iv.pi * iv.mpf(c), av)
     w = ComplexIv(2 + e1.re + e2.re, e1.im + e2.im)
     wp = ComplexIv(-iv.pi * (e1.im + av * e2.im), iv.pi * (e1.re + av * e2.re))
-    f, fp = w.abs2(), 2 * (w.conj() * wp).re
+    f, fp = w.abs2(), 2 * (w.re * wp.re + w.im * wp.im)
     return max(float_down(f), 0.0), float_up(f), float_up(abs(fp))
 
 
@@ -712,7 +712,9 @@ def sandwich_report(alpha: IrrationalSpec, odd_v_list,
     leaves open goes through ``min_odd_dist``'s refinement), and gives the
     engine run and the sandwich constant. The windows share the run's
     rounds, so a row's certified bracket, within its tol, depends on the
-    other v."""
+    other v. A v whose odd distance has a float lower end of 0 (alpha's
+    enclosure does not separate v*alpha from u, or the distance is below
+    the float range) gets no positive window tol: OutOfRange names it."""
     vs = [int(v) for v in odd_v_list]
     for v in vs:
         if v <= 0 or v % 2 == 0:
@@ -727,7 +729,15 @@ def sandwich_report(alpha: IrrationalSpec, odd_v_list,
             u, d = min_odd_dist(alpha, v)
             got = u, d.lower, d.upper
         u, d_lo, d_hi = got
-        dists.append((u, float_down(d_lo), float_up(d_hi)))
+        lo = float_down(d_lo)
+        if not lo * lo / 16 > 0:  # the window's tol below
+            raise OutOfRange(
+                f"v={v}, u/v={u}/{v}: "
+                + ("alpha's enclosure does not separate v*alpha from u"
+                   if d_lo == 0 else "the odd distance is below the float range")
+                + ", so no positive tol can bracket inf h on the window"
+            )
+        dists.append((u, lo, float_up(d_hi)))
     # Near resonances inf h ~ dist^2 can sit far below an absolute tol,
     # which would zero out the lower ratio; tighten proportionally.
     tols = [min(tol, d_lo * d_lo / 16) for _, d_lo, _ in dists]

@@ -185,6 +185,16 @@ def test_rates_rss_with_a_certificate_file(tmp_path, capsys):
         assert float(bound) == pytest.approx(float(t) ** -0.5, rel=1e-6)
 
 
+@pytest.mark.parametrize("alpha, vs, message", [
+    (["--decimal", "1.4", "--bits", "20"], "5", "v=5, u/v=7/5"),
+    (["--quotients", "3"], "1..3", "v=1, u/v=3/1"),
+])
+def test_sandwich_zero_odd_distance_exits_2(alpha, vs, message, capsys):
+    assert run(["sandwich", *alpha, "--odd-v", vs]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}: alpha's enclosure does not separate v*alpha from u" in err
+
+
 def test_sandwich_exit0(tmp_path):
     out = tmp_path / "s.csv"
     assert run(["sandwich", "--surd", "2", "--odd-v", "1..9",
@@ -273,13 +283,6 @@ def test_sandwich_violation_exits_1(flags):
     assert "Traceback" not in res.stderr
 
 
-def test_cf_identity_failure_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(contfrac.ConvergentTable, "check_identity",
-                        lambda self: False)
-    assert run(["cf", "--surd", "2", "--terms", "10"]) == 1
-    assert "identity" in capsys.readouterr().err
-
-
 def test_verify_appendix_identity_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(contfrac.ConvergentTable, "check_identity",
                         lambda self: False)
@@ -335,6 +338,18 @@ _SANDWICH_CSV = ("v,u,dist,inf_lower,inf_upper,ratio_lo,ratio_hi\n"
     ["sandwich", "--surd", "2", "--odd-v", str(2**53 + 1)],
     ["growth", "--surd", "1000", "--etas", "10,100"],
     ["sandwich", "--surd", "1000", "--odd-v", "1..9"],
+    # non-finite times and constants of a rate formula
+    ["rates", "--kind", "LowerBound", "--times", "nan,10", "--curve", _File(_CURVE)],
+    ["rates", "--kind", "LowerBound", "--times", "inf", "--curve", _File(_CURVE)],
+    ["rates", "--kind", "BattyDuyckaerts", "--times", "10", "--c", "nan",
+     "--curve", _File(_CURVE)],
+    ["rates", "--kind", "LowerBound", "--times", "10", "--C", "inf",
+     "--curve", _File(_CURVE)],
+    # growth curves whose etas do not rise, or whose m falls
+    ["rates", "--kind", "LowerBound", "--which", "lower", "--times", "8",
+     "--curve", _File("eta,m_lower,m_upper\n1,1,1\n100,100,100\n10,10,10\n")],
+    ["rates", "--kind", "LowerBound", "--which", "lower", "--times", "8",
+     "--curve", _File("eta,m_lower,m_upper\n1,5,5\n100,2,2\n")],
 ])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     if isinstance(argv[1], dict):  # an --alpha-json file

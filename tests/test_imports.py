@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # A fresh interpreter: this test process already holds scipy.linalg
@@ -65,3 +67,11 @@ def test_bench_tracer_binds_every_target_and_unwinds(monkeypatch):
     with tracer.Tracer().installed():  # raises if a wrapped name is gone
         assert "phstab.spectral.g_at_witness" in tracer.leftover_wrappers()
     assert tracer.leftover_wrappers() == []
+
+
+@pytest.mark.parametrize("module", ["phs", "rates"])
+def test_every_all_name_resolves(module):
+    # a stale __all__ entry breaks ``from phstab.<module> import *``
+    namespace = {}
+    exec(f"from phstab.{module} import *", namespace)
+    assert [n for n in sys.modules[f"phstab.{module}"].__all__ if n not in namespace] == []

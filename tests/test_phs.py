@@ -14,7 +14,6 @@ from phstab import phs as P
 from phstab.errors import (
     ExpOverflow,
     QuadratureTooCoarse,
-    RankDeficient,
     SingularBoundaryMatrix,
     ValidationError,
 )
@@ -78,14 +77,16 @@ def test_validation_failures(sys2):
         assert str(info.value) == message
 
 
-def test_moore_penrose():
+def test_moore_penrose(sys2):
+    # W+ = W^T (W W^T)^{-1}, formed once per system; a W without full rank
+    # is refused when the system is built
     W = np.hstack([np.eye(2), np.zeros((2, 2))])
-    wp = P.moore_penrose(W)
+    wp = P.PHSystem(**_fields(sys2, W=W)).W_pinv
     assert np.allclose(wp, np.vstack([np.eye(2), np.zeros((2, 2))]))
-    W2 = P.universal_example(SQRT2).W
-    assert np.abs(W2 @ P.moore_penrose(W2) - np.eye(2)).max() <= 1e-12
-    with pytest.raises(RankDeficient):
-        P.moore_penrose(np.hstack([np.full((2, 2), 0.5)] * 2))
+    assert np.abs(sys2.W @ sys2.W_pinv - np.eye(2)).max() <= 1e-12
+    assert sys2.W_pinv is sys2.W_pinv and not sys2.W_pinv.flags.writeable
+    with pytest.raises(ValidationError, match="W: rank deficient"):
+        P.PHSystem(**_fields(sys2, W=np.hstack([np.full((2, 2), 0.5)] * 2)))
 
 
 def test_fundamental_matrix_diagonal_closed_form(sys2):
@@ -188,11 +189,12 @@ def test_resolvent_singular_boundary():
                           nodes=128)
 
 
-def test_resolvent_quadrature_cap(sys2):
+def test_resolvent_quadrature_cap(sys2, monkeypatch):
     # noisy high-frequency forcing cannot hit an absurd tolerance
+    monkeypatch.setattr(P, "_MAX_NODES", 128)
     f = lambda xs: np.stack([np.sin(5000 * xs), np.cos(5000 * xs)], axis=1)
-    with pytest.raises(QuadratureTooCoarse):
-        P.resolvent_solve(sys2, 1.0, f, nodes=64, tol=1e-14, max_nodes=128)
+    with pytest.raises(QuadratureTooCoarse, match="at 128 nodes \\(cap 128\\)"):
+        P.resolvent_solve(sys2, 1.0, f, nodes=64, tol=1e-14)
 
 
 def test_char_constants_hand_formula(sys2):
@@ -332,13 +334,14 @@ def test_check_characterisation_cost(sys16, monkeypatch):
 def test_each_boundary_matrix_is_factored_once(sys16, monkeypatch):
     # one batched SVD of the stack's T_t serves the inverse norms, every
     # solve's singular check and the adversarial direction; W+ is taken
-    # once per stack (and once for the constants)
+    # once per system, for every stack and the constants
+    sys16 = P.PHSystem(**_fields(sys16))  # W+ not yet formed
     ts = [9.0, 1.0, 5.0] + [float(t) for t in range(20, 20 + P._T_CHUNK)]
-    factored, pinv = [], []
-    svd, det, mp = np.linalg.svd, np.linalg.det, P.moore_penrose
+    factored, inverted = [], []
+    svd, det, inv = np.linalg.svd, np.linalg.det, np.linalg.inv
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: factored.append(a) or svd(a, *args, **kw))
     monkeypatch.setattr(np.linalg, "det", lambda a: factored.append(a) or det(a))
-    monkeypatch.setattr(P, "moore_penrose", lambda W: pinv.append(W) or mp(W))
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
     P.check_characterisation(sys16, ts, nodes=128)
     stacks = list(P._stacks(sys16, ts))
     assert len(stacks) == 2
@@ -349,7 +352,8 @@ def test_each_boundary_matrix_is_factored_once(sys16, monkeypatch):
                 if np.array_equal(a, st.T) or np.array_equal(a, T):
                     per_t[j, i] += 1
     assert set(per_t.values()) == {1}
-    assert len(pinv) == len(stacks) + 1
+    wwt = sys16.W @ sys16.W.T
+    assert sum(np.array_equal(a, wwt) for a in inverted) == 1
 
 
 def _unitary(rng, n):
@@ -540,7 +544,7 @@ def test_adversarial_probe_is_phi_w(sys16, monkeypatch, dense):
     assert phi._stack.dense.all() == dense
     # w = Phi_t(b)^{-1} y for the worst singular direction of T_t
     _, _, vh = np.linalg.svd(P.boundary_matrices(sys16, [t])[0])
-    z12 = P.moore_penrose(sys16.W) @ vh[-1].conj()
+    z12 = sys16.W_pinv @ vh[-1].conj()
     w = np.linalg.solve(phi.at_b, -z12[:2] + phi.at_b @ z12[2:])
     xs = np.concatenate([sys16.breaks, np.random.default_rng(5).uniform(sys16.a, sys16.b, 300)])
     want = (phi.at_many(xs) @ w) @ sys16.P1.T / (sys16.b - sys16.a)

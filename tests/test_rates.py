@@ -30,9 +30,12 @@ def test_invert_round_trip_powerlog_form():
 
 
 def test_invert_below_range():
-    fn = R.power_log_fn(2, 3, lo=2.0)
+    fn = R.power_log_fn(2, 3)  # fn(e) = e^2
     with pytest.raises(BelowRange):
         R.invert(fn, 0.1)
+    with pytest.raises(BelowRange):
+        R.invert(fn, math.e**2 * (1 - 1e-12))
+    assert R.invert(fn, math.e**2) == math.e
 
 
 def test_generalized_inverse_flat_segments():
@@ -105,6 +108,7 @@ def test_from_growth_curve_interpolation():
     assert fn(10.0) == pytest.approx(10.0, rel=1e-9)
     up = R.from_growth_curve(curve, "upper")
     assert up(1.0) == pytest.approx(1.1, rel=1e-9)
+    assert up(100.0) == pytest.approx(110.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
@@ -118,6 +122,20 @@ def test_from_growth_curve_refuses_bad_knot(bad):
     with pytest.raises(ValidationError, match="eta=100.0"):
         R.from_growth_curve(curve, "upper")
     assert R.from_growth_curve(curve, "lower")(10.0) == pytest.approx(10.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("knots, which, message", [
+    # etas out of order: the unsorted knots gave 0.1 at t = 8, not 0.125
+    ([(1.0, 1.0), (100.0, 100.0), (10.0, 10.0)], "lower",
+     "eta=10.0 does not rise above eta=100.0"),
+    ([(1.0, 1.0), (1.0, 2.0)], "upper", "eta=1.0 does not rise above eta=1.0"),
+    ([(1.0, 5.0), (100.0, 2.0)], "lower", "m_lower at eta=100.0 is 2.0, below 5.0"),
+    ([(1.0, 5.0), (10.0, 6.0), (100.0, 5.5)], "upper", "m_upper at eta=100.0 is 5.5"),
+], ids=["eta-falls", "eta-repeats", "m-falls", "m-falls-last"])
+def test_from_growth_curve_refuses_knots_out_of_order(knots, which, message):
+    curve = sp.GrowthCurve(tuple(sp.GrowthPoint(e, m, m, 0.0) for e, m in knots))
+    with pytest.raises(ValidationError, match=message):
+        R.from_growth_curve(curve, which)
 
 
 def test_prediction_csv():

@@ -472,6 +472,20 @@ def test_sandwich_on_a_capped_decimal_still_refines_and_raises():
         sp.sandwich_report(coarse, [3, 2**20 + 1])
 
 
+@pytest.mark.parametrize("alpha, v, message", [
+    # the paper's witness: the construction's capped enclosure ends at u/v
+    (lambda: af.construct(af.ExpDecay(1), 4096).spec, 13271261,
+     "v=13271261, u/v=14598387/13271261: alpha's enclosure does not separate"),
+    # |alpha - 1| = 2^-600: its square is below the float range
+    (lambda: cf.ExplicitQuotients((1, 2**600)), 1,
+     "v=1, u/v=1/1: the odd distance is below the float range"),
+], ids=["witness", "underflow"])
+def test_zero_odd_distance_names_its_window(alpha, v, message):
+    with pytest.raises(OutOfRange, match=message) as info:
+        sp.sandwich_report(alpha(), [v])
+    assert "tol must be positive" not in str(info.value)
+
+
 @pytest.mark.parametrize("call", [
     lambda: sp.growth_curve(cf.SQRT2, [math.nan]),
     lambda: sp.growth_curve(cf.SQRT2, [10.0, math.inf]),
