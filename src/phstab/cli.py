@@ -324,11 +324,7 @@ def cmd_phs(args: argparse.Namespace) -> int:
     grid = _parsed("--t-grid", args.t_grid, _grid)
     report = phs.stability_scan(system, grid)
     outputs = _write_output(report.to_csv(), args.out)
-    consts = phs.char_constants(system, [grid[0], grid[len(grid) // 2],
-                                         grid[-1]])
-    summary = json.dumps({"scan": json.loads(report.to_json()),
-                          "constants": json.loads(consts.to_json())},
-                         indent=2)
+    summary = report.to_json()
     if args.out is not None:
         jpath = args.out + ".constants.json"
         Path(jpath).write_text(summary + "\n")

@@ -14,7 +14,7 @@ v(a) = I.  For piecewise-constant H this is an exact product of matrix
 exponentials.  The boundary matrix is T_t = W [Phi_t(b); I]; its
 invertibility across t characterises strong stability, and |T_t^{-1}|
 bounds the resolvent norm on the imaginary axis two-sidedly via the
-constants computed in :func:`char_constants`.
+constants that :func:`stability_scan` reports with each grid.
 
 Sign convention: with the ODE above, the diagonal example with
 H = diag(1, alpha)^{-1}, P0 = 0, P1 = I has Phi_t(1) = diag(e^{-it},
@@ -26,8 +26,6 @@ closed form 1 + (e^{it} + e^{i alpha t})/2 used by the analytic layer
 from __future__ import annotations
 
 import cmath
-import csv
-import io
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -415,7 +413,7 @@ def boundary_matrices(sys: PHSystem, ts: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Per-t invertibility metrics of T_t over a finite grid.
+    """Per-t invertibility metrics of T_t over a finite grid, and the grid's constants.
 
     The verdict refers to the grid only; resolution is recorded so the
     evidence is reproducible.
@@ -425,44 +423,48 @@ class StabilityReport:
     abs_det: tuple[float, ...]
     sigma_min: tuple[float, ...]
     inv_norm: tuple[float, ...]  # inf where singular at grid tolerance
-    B_estimate: float
     min_margin: float
     singular_points: tuple[float, ...]
+    constants: CharConstants
+
+    @property
+    def B_estimate(self) -> float:
+        """The largest sampled B_t of the grid: the constants' B."""
+        return self.constants.B
 
     @property
     def verdict(self) -> str:
         return "grid singularity" if self.singular_points else "invertible on grid"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["t", "abs_det", "sigma_min", "inv_norm"])
-        for row in zip(self.t_grid, self.abs_det, self.sigma_min, self.inv_norm):
-            w.writerow([repr(v) for v in row])
-        return buf.getvalue()
+        rows = zip(self.t_grid, self.abs_det, self.sigma_min, self.inv_norm)
+        lines = [",".join(repr(v) for v in row) for row in rows]
+        return "\n".join(["t,abs_det,sigma_min,inv_norm", *lines]) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "verdict": self.verdict,
-                "B_estimate": self.B_estimate,
-                "min_margin": self.min_margin,
-                "grid_points": len(self.t_grid),
-                "singular_points": list(self.singular_points),
-            }
-        )
+        """The scan summary and the constants, as ``phstab phs`` writes them."""
+        scan = {
+            "verdict": self.verdict,
+            "B_estimate": self.B_estimate,
+            "min_margin": self.min_margin,
+            "grid_points": len(self.t_grid),
+            "singular_points": list(self.singular_points),
+        }
+        return json.dumps({"scan": scan, "constants": asdict(self.constants)}, indent=2)
 
 
 def stability_scan(sys: PHSystem, t_grid: Sequence[float]) -> StabilityReport:
-    """Scan T_t over the grid, flagging any |det T_t| <= ``_SINGULAR_TOL``."""
+    """Scan T_t over a non-empty grid, flagging any |det T_t| <= ``_SINGULAR_TOL``.
+    The report carries the constants of the grid, from the B_t samples of
+    the same builds of Phi_t."""
     ts = np.asarray(t_grid, dtype=float)
     if not len(ts):
-        return StabilityReport((), (), (), (), 0.0, math.inf, ())
-    parts, b_est = [], 0.0
+        raise ValidationError("t grid must be non-empty")
+    svs, b_ts = [], []
     for st in _stacks(sys, ts):
-        parts.append(st.svd[1])
-        b_est = max(b_est, float(st.sup_norms.max()))
-    sv = np.concatenate(parts)
+        svs.append(st.svd[1])
+        b_ts.append(st.sup_norms)
+    sv = np.concatenate(svs)
     dets, sigmas = sv.prod(axis=-1), sv[:, -1]  # |det T| = prod sigma
     sing = dets <= _SINGULAR_TOL
     invs = np.divide(1.0, sigmas, out=np.full_like(sigmas, math.inf), where=~sing)
@@ -471,9 +473,9 @@ def stability_scan(sys: PHSystem, t_grid: Sequence[float]) -> StabilityReport:
         abs_det=tuple(dets.tolist()),
         sigma_min=tuple(sigmas.tolist()),
         inv_norm=tuple(invs.tolist()),
-        B_estimate=b_est,
         min_margin=float(dets.min()),
         singular_points=tuple(ts[sing].tolist()),
+        constants=_constants(sys, ts, np.concatenate(b_ts)),
     )
 
 
@@ -696,8 +698,9 @@ class CharConstants:
     ``S_norm`` is the norm of u -> H^{-1} u from L^2 to the H-weighted
     space, computed as sup_x lambda_min(H(x))^{-1/2} (derivation: for
     SPD H, |H^{-1}u|_H = |H^{-1/2}u|_{L^2} <= lambda_min^{-1/2} |u|).
-    ``B`` is grid evidence only unless H is constant (then Phi_t has
-    t-uniformly bounded norm and the bound is structural).
+    ``B`` is the largest sampled B_t over the grid a scan ran on; it is grid
+    evidence only unless H is constant (then Phi_t has t-uniformly bounded
+    norm and the bound is structural).
     """
 
     B: float
@@ -713,14 +716,10 @@ class CharConstants:
     b_flagged: bool
     b_note: str
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
-
-def char_constants(
-    sys: PHSystem, t_grid: Sequence[float]
-) -> CharConstants:
-    """Estimate B over the grid and assemble the two constants
+def char_constants(sys: PHSystem, t_grid: Sequence[float]) -> CharConstants:
+    """The constants that ``stability_scan(sys, t_grid)`` reports: B, the
+    largest sampled B_t over the grid, and
 
     C_tilde = (b-a) B^2 |S| |P1| |P1^{-1}|^2 max{B |W|, (b-a)^{1/2}}
     C = ((b-a)^{-3/2} |P1|^2 |P1^{-1}|^2 B^3 (1+B) + 1) |W+|
@@ -729,20 +728,15 @@ def char_constants(
     ``b_flagged`` is set when B_t grows across the grid (evidence against
     sup_t |Phi_t| < infinity); constants are still reported.
     """
-    ts = sorted(float(t) for t in t_grid)
-    if not ts:
-        raise ValidationError("t grid must be non-empty")
-    return _constants(sys, np.concatenate([st.sup_norms for st in _stacks(sys, ts)]))
+    return stability_scan(sys, t_grid).constants
 
 
-def _constants(sys: PHSystem, b_ts: np.ndarray) -> CharConstants:
-    """:func:`char_constants` from the sampled B_t of a grid in increasing t."""
-    b_ts = b_ts.tolist()
+def _constants(sys: PHSystem, ts: np.ndarray, b_ts: np.ndarray) -> CharConstants:
+    """The constants of a grid, ``b_ts[i]`` the B_t sample at ``ts[i]``, in any order."""
+    b_ts = b_ts[np.argsort(ts, kind="stable")].tolist()
     B = max(b_ts)
-    half = max(len(b_ts) // 2, 1)
-    flagged = len(b_ts) >= 4 and (
-        max(b_ts[half:]) > 1.5 * max(b_ts[:half])
-    )
+    half = len(b_ts) // 2
+    flagged = len(b_ts) >= 4 and max(b_ts[half:]) > 1.5 * max(b_ts[:half])
     if len(sys.pieces) == 1:
         note = (
             "H constant (bounded variation): sup_t B_t finite structurally; "
@@ -850,17 +844,17 @@ def check_characterisation(
     over the grid serves B (hence C_tilde), T_t and every probe solve, and
     all probes at one t are solved together.
     """
-    ts = [float(t) for t in t_grid]
-    if not ts:
+    ts = np.asarray(t_grid, dtype=float)
+    if not len(ts):
         raise ValidationError("t grid must be non-empty")
     b_ts, inv_norms, r_lower = [], [], []
     for st in _stacks(sys, ts):
         b_ts.append(st.sup_norms)
         inv_norms.extend((1.0 / st.svd[1][:, -1]).tolist())
         r_lower.extend(_norm_lower(st, i, nodes) for i in range(len(st.ts)))
-    consts = _constants(sys, np.concatenate(b_ts)[np.argsort(ts, kind="stable")])
+    consts = _constants(sys, ts, np.concatenate(b_ts))
     rows = []
-    for t, r, inv_norm in zip(ts, r_lower, inv_norms):
+    for t, r, inv_norm in zip(ts.tolist(), r_lower, inv_norms):
         bound = consts.C_tilde * (inv_norm + 1.0)
         rows.append(
             {

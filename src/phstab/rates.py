@@ -17,8 +17,6 @@ the range of fn.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from bisect import bisect_right
@@ -93,10 +91,10 @@ def from_growth_curve(
 
     Interpolation is log-linear between knots; the domain is the knot
     range.  ``which`` selects the lower or upper certified value at each
-    knot (the curve is monotone in eta either way).  A selected value that
-    is not finite and positive (an upper bound from parked cells is inf),
-    an eta that does not rise or a value that falls raises ValidationError
-    naming its eta.
+    knot (the curve is monotone in eta either way).  An eta or a selected
+    value that is not finite and positive (an upper bound from parked cells
+    is inf), an eta that does not rise or a value that falls raises
+    ValidationError naming its eta.
     """
     if which not in ("lower", "upper"):
         raise ValidationError("which must be 'lower' or 'upper'")
@@ -107,6 +105,8 @@ def from_growth_curve(
     if len(pts) < 2:
         raise ValidationError("curve needs at least two knots")
     for eta, m in pts:
+        if not (math.isfinite(eta) and eta > 0):
+            raise ValidationError(f"growth curve eta={eta!r} is not finite and positive")
         if not (math.isfinite(m) and m > 0):
             raise ValidationError(
                 f"growth curve m_{which} at eta={eta!r} is {m!r}; "
@@ -279,12 +279,8 @@ class DecayPrediction:
     points: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["t", "bound", "kind"])
-        for t, b in self.points:
-            w.writerow([repr(t), repr(b), self.kind])
-        return buf.getvalue()
+        rows = [f"{t!r},{b!r},{self.kind}" for t, b in self.points]
+        return "\n".join(["t,bound,kind", *rows]) + "\n"
 
 
 def predict(

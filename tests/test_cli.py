@@ -1,5 +1,6 @@
 """CLI: exit codes, output files, and run manifests."""
 
+import dataclasses
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy
 
@@ -217,6 +219,47 @@ def test_phs_scan_and_constants(tmp_path):
                                          "grid singularity")
 
 
+@pytest.fixture
+def growing_b(tmp_path):
+    """The stored seeded 16-piece system with P1 = diag(1, -2), written as a
+    config: over 0.5:40:64 its B_t grows from about 1.2 to about 15, so
+    constants taken at the grid's first, middle and last t would miss the
+    largest B_t and the growth."""
+    config = json.loads(Path(__file__).with_name("data").joinpath(
+        "phs", "seeded16_p0_zero.json").read_text())
+    config["P1"] = [["1.0", "0.0"], ["0.0", "-2.0"]]
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps(config))
+    return cfg
+
+
+def test_phs_constants_are_those_of_the_scanned_grid(growing_b, tmp_path):
+    out = tmp_path / "scan.csv"
+    assert run(["phs", "--config", str(growing_b), "--t-grid", "0.5:40:64",
+                "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "scan.csv.constants.json").read_text())
+    consts = summary["constants"]
+    assert consts["B"] == summary["scan"]["B_estimate"]
+    system = phs.phsystem_from_json(growing_b.read_text())
+    grid = np.linspace(0.5, 40.0, 64)
+    assert consts == dataclasses.asdict(phs.char_constants(system, grid))
+    assert consts["b_flagged"] is True
+    assert consts["b_note"].startswith("WARNING: B_t grows across grid")
+
+
+def test_phs_builds_phi_once_per_grid_t(growing_b, monkeypatch):
+    built = []
+    build = phs._PhiStack.__init__
+
+    def counted_build(self, sys, ts):
+        built.extend(ts)
+        build(self, sys, ts)
+
+    monkeypatch.setattr(phs._PhiStack, "__init__", counted_build)
+    assert run(["phs", "--config", str(growing_b), "--t-grid", "0.5:40:64"]) == 0
+    assert built == np.linspace(0.5, 40.0, 64).tolist()
+
+
 def test_phs_bad_config_exit2(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{\"d\": 2}")
@@ -350,6 +393,12 @@ _SANDWICH_CSV = ("v,u,dist,inf_lower,inf_upper,ratio_lo,ratio_hi\n"
      "--curve", _File("eta,m_lower,m_upper\n1,1,1\n100,100,100\n10,10,10\n")],
     ["rates", "--kind", "LowerBound", "--which", "lower", "--times", "8",
      "--curve", _File("eta,m_lower,m_upper\n1,5,5\n100,2,2\n")],
+    # an eta that is not finite and positive: a math domain error traceback
+    # for a first eta of 0, bounds printed with exit 0 for a last eta of inf
+    ["rates", "--kind", "LowerBound", "--times", "10",
+     "--curve", _File("eta,m_lower,m_upper\n0,1,1\n100,100,100\n")],
+    ["rates", "--kind", "LowerBound", "--times", "10",
+     "--curve", _File("eta,m_lower,m_upper\n1,1,1\ninf,100,100\n")],
 ])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     if isinstance(argv[1], dict):  # an --alpha-json file

@@ -67,7 +67,7 @@ def test_cli_output_is_byte_identical(name, capsys):
     rc = cli.main(_argv(name))
     got = capsys.readouterr()
     assert rc == int((GOLDEN / f"{name}.rc").read_text())
-    # as bytes: the CSV writers end their lines in "\r\n"
+    # as bytes, so that a change of line ends shows
     assert got.err == (GOLDEN / f"{name}.err").read_bytes().decode()
     assert got.out == (GOLDEN / f"{name}.out").read_bytes().decode()
 

@@ -2,6 +2,7 @@
 resolvent solves, and the characterisation constants."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -211,6 +212,26 @@ def test_char_constants_hand_formula(sys2):
     )
     assert c.C == pytest.approx(expect_c, rel=1e-12)
     assert not c.b_flagged
+
+
+def test_scan_constants_are_those_of_its_grid(sys16):
+    # the scan assembles the constants from its own B_t samples, ordered by
+    # t whatever the grid's order: B_t grows over this grid, read backwards
+    # it would seem to fall
+    ts = np.linspace(0.5, 20.0, 2 * P._T_CHUNK)
+    rep = P.stability_scan(sys16, ts)
+    assert rep.constants.B == pytest.approx(
+        max(P.FundamentalMatrix(sys16, float(t)).B_t for t in ts), rel=1e-13)
+    assert rep.constants.b_flagged
+    assert P.char_constants(sys16, ts) == rep.constants
+    backwards = asdict(P.stability_scan(sys16, ts[::-1]).constants)
+    assert backwards == pytest.approx(asdict(rep.constants), rel=1e-13)
+
+
+def test_empty_grid_is_refused(sys16):
+    for call in (P.stability_scan, P.char_constants, P.check_characterisation):
+        with pytest.raises(ValidationError, match="t grid must be non-empty"):
+            call(sys16, [])
 
 
 def test_check_characterisation_small_grid(sys2):

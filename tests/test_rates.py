@@ -131,7 +131,16 @@ def test_from_growth_curve_refuses_bad_knot(bad):
     ([(1.0, 1.0), (1.0, 2.0)], "upper", "eta=1.0 does not rise above eta=1.0"),
     ([(1.0, 5.0), (100.0, 2.0)], "lower", "m_lower at eta=100.0 is 2.0, below 5.0"),
     ([(1.0, 5.0), (10.0, 6.0), (100.0, 5.5)], "upper", "m_upper at eta=100.0 is 5.5"),
-], ids=["eta-falls", "eta-repeats", "m-falls", "m-falls-last"])
+    # etas that are not finite and positive: a math domain error for 0 and
+    # -1, a last eta of inf accepted, a nan blamed on the knot after it
+    ([(0.0, 1.0), (100.0, 100.0)], "lower", "eta=0.0 is not finite and positive"),
+    ([(-1.0, 1.0), (100.0, 100.0)], "upper", "eta=-1.0 is not finite and positive"),
+    ([(1.0, 1.0), (100.0, 100.0), (math.inf, 200.0)], "lower",
+     "eta=inf is not finite and positive"),
+    ([(1.0, 1.0), (math.nan, 5.0), (10.0, 10.0)], "upper",
+     "eta=nan is not finite and positive"),
+], ids=["eta-falls", "eta-repeats", "m-falls", "m-falls-last",
+        "eta-zero", "eta-negative", "eta-inf-last", "eta-nan"])
 def test_from_growth_curve_refuses_knots_out_of_order(knots, which, message):
     curve = sp.GrowthCurve(tuple(sp.GrowthPoint(e, m, m, 0.0) for e, m in knots))
     with pytest.raises(ValidationError, match=message):
