@@ -3,9 +3,10 @@
 Everything downstream manipulates exact Fractions or interval enclosures.
 This module is also the one place where they become floats: ``float_down``
 and ``float_up`` round an endpoint outward, and ``cos_sin`` encloses cosines
-and sines of float arrays with an error bound proven in advance. The global
-``iv.prec`` is managed through ``workprec`` so nested evaluations restore
-the caller's precision.
+and sines of float arrays with an error bound proven in advance. On the
+mpmath side, ``unit_phase`` takes the cosine and the sine of an interval
+angle from one pass. The global ``iv.prec`` is managed through
+``workprec`` so nested evaluations restore the caller's precision.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import gcd
 import mpmath
 import numpy as np
 from mpmath import iv
-from mpmath.libmp import (from_man_exp, fzero, mpf_add, mpf_shift, mpf_sign, mpf_sub,
+from mpmath.libmp import (from_man_exp, fzero, mpf_add, mpf_shift, mpf_sub, mpi_cos_sin,
                           round_ceiling, round_floor, round_nearest, to_float,
                           to_rational)
 
@@ -108,32 +109,11 @@ def _raw_ratio(p: int, q: int, prec: int, up: bool) -> tuple:
     return from_man_exp(-(-num // den) if up else num // den, -k)
 
 
-@dataclass(frozen=True)
-class ComplexIv:
-    """Complex number with interval real and imaginary parts."""
-
-    re: object
-    im: object
-
-    def abs2(self):
-        return self.re * self.re + self.im * self.im
-
-    def abs(self):
-        a2 = self.abs2()
-        # the sign of the raw endpoint: comparing ``a2.a < 0`` converts 0
-        # inside mpmath's bare ``except:``, which swallows any exception
-        # raised there, a KeyboardInterrupt or a timer's included
-        if mpf_sign(a2._mpi_[0]) < 0:
-            a2 = iv.mpf([0, a2.b])
-        return iv.sqrt(a2)
-
-    def abs_ball(self) -> RealBall:
-        return RealBall.from_iv(self.abs())
-
-
-def unit_phase(theta) -> ComplexIv:
-    """e^{i theta} for an interval angle."""
-    return ComplexIv(iv.cos(theta), iv.sin(theta))
+def unit_phase(theta) -> tuple:
+    """(iv.cos(theta), iv.sin(theta)) from one ``mpi_cos_sin`` pass, where
+    ``iv.cos`` and ``iv.sin`` each run a whole pass and keep half of it."""
+    c, s = mpi_cos_sin(iv.convert(theta)._mpi_, iv.prec)
+    return iv.make_mpf(c), iv.make_mpf(s)
 
 
 # -- directed conversion to floats ------------------------------------------

@@ -210,6 +210,10 @@ def _norm2(m: np.ndarray) -> np.ndarray:
     """
     if m.shape[-1] != 2:
         return la.norm(m, ord=2, axis=(-2, -1))
+    # scale M exactly by a power of two, so that det M neither under- nor overflows
+    big = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1))
+    k = np.clip(np.frexp(big)[1], -1000, 1000)
+    m = m * np.ldexp(1.0, -k)[..., None, None]
     a, b, c, e = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     det = a * e - b * c
     # numpy divides by r through 1/r, which overflows for a subnormal r:
@@ -219,8 +223,8 @@ def _norm2(m: np.ndarray) -> np.ndarray:
     r = np.abs(det)
     delta = np.divide(det, r, out=np.ones_like(det), where=r > 0)
     de, dc = delta * e.conj(), delta * c.conj()
-    return 0.5 * (np.hypot(np.abs(a + de), np.abs(b - dc))
-                  + np.hypot(np.abs(a - de), np.abs(b + dc)))
+    return np.ldexp(0.5 * (np.hypot(np.abs(a + de), np.abs(b - dc))
+                           + np.hypot(np.abs(a - de), np.abs(b + dc))), k)
 
 
 def _eigen(gens: np.ndarray):

@@ -16,6 +16,10 @@ what that kernel's own rounding pad cannot decide. An objective (``_Sup``,
 fallback and how the windows' incumbents combine. Every float a bracket
 reports is rounded outward, so every reported lower/upper pair is
 certified.
+
+The mpmath side reads det T_t from one formula over the phases of t and
+alpha t (``HEvaluator.terms``); the float kernel keeps the cosine sum over
+t, alpha t and (1 - alpha) t that ``_SLACK``'s rounding argument assumes.
 """
 
 from __future__ import annotations
@@ -26,13 +30,12 @@ from functools import cached_property
 
 import numpy as np
 from mpmath import iv
-from mpmath.libmp import mpf_sign, mpi_abs, mpi_mul
+from mpmath.libmp import fzero, mpf_sign, mpi_abs, mpi_mul
 
 from .contfrac import IrrationalSpec
 from .diophantine import min_odd_dist, nearest_odd
 from .errors import InsufficientPrecision, OutOfRange, SingularMatrix
 from .intervals import (
-    ComplexIv,
     RealBall,
     REDUCTION_RANGE,
     cos_sin,
@@ -47,29 +50,37 @@ from .intervals import (
 
 
 class HEvaluator:
-    """Evaluates the phases, det T_t and ||T_t^{-1}|| for an interval t and
-    an mpmath enclosure a of alpha.
+    """Evaluates det T_t = 1 + (e^{it} + e^{i alpha t})/2 and ||T_t^{-1}||
+    for an interval t and an mpmath enclosure a of alpha, by one formula
+    over the two phases (``terms``).
 
     All methods assume they run inside a ``workprec`` matching the precision
     of a, as ``g_at_witness`` and the engine's mpmath fallbacks do.
     """
 
     def phases(self, t, a):
-        """(e^{it}, e^{i alpha t}) for interval t, alpha enclosure a."""
+        """((cos t, sin t), (cos alpha t, sin alpha t)) as intervals."""
         return unit_phase(t), unit_phase(a * t)
 
-    def det_iv(self, t, a) -> ComplexIv:
-        e1, e2 = self.phases(t, a)
+    def terms(self, t, a):
+        """Intervals (D, D', F, F'), D's lower end >= 0, for D = |det T_t|^2,
+        F = ||T_t||_F^2 = 1 + 2 Re det T_t and their t-derivatives, with
+        det' = i (e^{it} + alpha e^{i alpha t})/2."""
+        (c1, s1), (c2, s2) = self.phases(t, a)
         half = iv.mpf(1) / 2
-        return ComplexIv(1 + half * (e1.re + e2.re), half * (e1.im + e2.im))
+        cs, sp = c1 + c2, s1 + a * s2
+        re, im = 1 + half * cs, half * (s1 + s2)
+        d = re * re + im * im
+        # the raw endpoint's sign: ``d.a < 0`` converts 0 inside mpmath's bare
+        # ``except:``, which swallows any exception, a KeyboardInterrupt too
+        if mpf_sign(d._mpi_[0]) < 0:
+            d = iv.make_mpf((fzero, d._mpi_[1]))
+        return d, im * (c1 + a * c2) - re * sp, 3 + cs, -sp
 
     def inv_norm_iv(self, t, a):
-        """Interval for ||T_t^{-1}|| = sigma_max / |det| over interval t."""
-        ct, ca = iv.cos(t), iv.cos(a * t)
-        cd = iv.cos((1 - a) * t)
-        frob2 = 3 + ct + ca
-        det2 = iv.mpf(3) / 2 + ct + ca + cd / 2
-        # signs of the raw lower endpoints, as in ``ComplexIv.abs``
+        """Interval for ||T_t^{-1}|| = sigma_max / |det| over interval t,
+        with sigma_max^2 = (F + sqrt(F^2 - 4 D)) / 2."""
+        det2, _, frob2, _ = self.terms(t, a)
         if mpf_sign(det2._mpi_[0]) <= 0:
             raise SingularMatrix(f"|det|^2 enclosure {det2} touches zero at t={t}")
         disc = frob2 * frob2 - 4 * det2
@@ -129,7 +140,7 @@ def g_at_witness(alpha: IrrationalSpec, u: int, v: int, bits: int = 128) -> Real
             enc = alpha.enclosure(work)
             a = iv_hull(enc.lower, enc.upper)
             delta = -(v * a - u) / (1 + a)
-            ball = ev.det_iv(iv.pi * (v + delta), a).abs_ball()
+            ball = RealBall.from_iv(iv.sqrt(ev.terms(iv.pi * (v + delta), a)[0]))
         if ball.lower > 0 and ball.err < ball.lower / (1 << 20):
             return ball
         if work >= (1 << 20):
@@ -244,14 +255,10 @@ def _h_terms(ph, sa):
 
 
 def _h_terms_mp(ev: HEvaluator, c: float, av):
-    """The same bounds from the mpmath interval evaluation at c: F = |w|^2
-    with w = 2 + e^{i pi t} + e^{i pi alpha t}, and F' = 2 Re(conj(w) w')
-    with w' = i pi e^{i pi t} + i pi alpha e^{i pi alpha t}."""
-    e1, e2 = ev.phases(iv.pi * iv.mpf(c), av)
-    w = ComplexIv(2 + e1.re + e2.re, e1.im + e2.im)
-    wp = ComplexIv(-iv.pi * (e1.im + av * e2.im), iv.pi * (e1.re + av * e2.re))
-    f, fp = w.abs2(), 2 * (w.re * wp.re + w.im * wp.im)
-    return max(float_down(f), 0.0), float_up(f), float_up(abs(fp))
+    """The same bounds from the mpmath interval evaluation at c: w = 2 det
+    T_{pi c}, so F(c) = 4 D(pi c) and F'(c) = 4 pi D'(pi c)."""
+    d, dd, _, _ = ev.terms(iv.pi * iv.mpf(c), av)
+    return max(float_down(4 * d), 0.0), float_up(4 * d), float_up(abs(4 * iv.pi * dd))
 
 
 _MIN_CELL = 1e-13
@@ -300,17 +307,11 @@ def _norm_lo(d_up, f_lo):
     return np.sqrt((f_lo + np.sqrt(disc)) * 0.5 / d_up) * (1 - 2.0**-49)
 
 
-def _sup_terms_mp(c: float, av):
+def _sup_terms_mp(ev: HEvaluator, c: float, av):
     """The bounds of ``_sup_terms`` from the mpmath interval evaluation."""
-    ti = iv.mpf(c)
-    e1, e2 = unit_phase(ti), unit_phase(av * ti)
-    e3 = unit_phase((1 - av) * ti)
-    det2 = iv.mpf(3) / 2 + e1.re + e2.re + e3.re / 2
-    ddet2 = -(e1.im + av * e2.im + (1 - av) * e3.im / 2)
-    frob2 = 3 + e1.re + e2.re
-    dfrob2 = -(e1.im + av * e2.im)
-    return (max(float_down(det2), 0.0), float_up(det2), float_up(abs(ddet2)),
-            float_down(frob2), min(float_up(frob2), 5.0), float_up(abs(dfrob2)))
+    d, dd, f, df = ev.terms(iv.mpf(c), av)
+    return (max(float_down(d), 0.0), float_up(d), float_up(abs(dd)),
+            float_down(f), min(float_up(f), 5.0), float_up(abs(df)))
 
 
 # -- one branch-and-bound engine for every window of a call -----------------
@@ -508,7 +509,7 @@ class _Sup(_Engine):
         back = (ub > self.incumbent(w[:n]) * (1 + tol[:n])) & (
             oor[:n] | (own >= wid + centred) | ((rs[:n] < _MIN_CELL) & np.isinf(ub)))
         for i in np.flatnonzero(back):
-            ub[i] = self._cell_up(_sup_terms_mp(float(ts[i]), self.av), rb[i])
+            ub[i] = self._cell_up(_sup_terms_mp(self.ev, float(ts[i]), self.av), rb[i])
             if np.isinf(ub[i]) and rs[i] < _MIN_CELL:
                 raise SingularMatrix(
                     f"det enclosure contains 0 near t={ts[i]} (cell radius {rs[i]})")

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -327,11 +328,22 @@ def test_sandwich_violation_exits_1(flags):
 
 
 def test_verify_appendix_identity_failure_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(contfrac.ConvergentTable, "check_identity",
-                        lambda self: False)
+    # the identities line is the convergent-bound check of the 50-term table
+    failed = contfrac.BoundReport(3, Fraction(1), Fraction(-1))
+    monkeypatch.setattr(contfrac, "check_bounds", lambda table: [failed])
     assert run(["verify", "appendix"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  appendix: appendix identities [sqrt2]" in out
+
+
+def test_verify_out_writes_the_report_and_its_manifest(tmp_path, capsys):
+    out = tmp_path / "v.txt"
+    assert run(["verify", "rates", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == ("PASS  rates: RSS-upper 1/sqrt(t)\n"
+                               "PASS  rates: M_log round-trip\n")
+    manifest = json.loads((tmp_path / "v.txt.manifest.json").read_text())
+    assert manifest["subcommand"] == "verify" and manifest["outputs"] == [str(out)]
 
 
 class _File(str):

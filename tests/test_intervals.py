@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,11 +84,14 @@ def test_endpoint_signs_make_no_conversion(monkeypatch):
     # number inside a bare ``except:``, which would swallow _Interrupt and
     # turn it into a TypeError; the sign tests read raw endpoints instead
     from mpmath import iv
+    from mpmath.libmp import fzero
 
     from phstab import spectral
-    from phstab.intervals import ComplexIv
+    from phstab.errors import SingularMatrix
 
     convert = iv.convert
+    # on [0, 7] the enclosure re * re + im * im of |det T_t|^2 dips below 0
+    wide, a = iv.mpf([0, 7]), iv.sqrt(2)
 
     def no_zero(x):
         if type(x) is int and x == 0:
@@ -95,11 +99,27 @@ def test_endpoint_signs_make_no_conversion(monkeypatch):
         return convert(x)
 
     monkeypatch.setattr(iv, "convert", no_zero)
+    ev = spectral.HEvaluator()
     with workprec(128):
-        z = ComplexIv(iv.mpf([-1, 2]), iv.mpf(1))
-        assert Fraction(float_up(z.abs())) ** 2 >= 5
-        norm = spectral.HEvaluator().inv_norm_iv(iv.mpf(1.0), iv.sqrt(2))
+        d = ev.terms(wide, a)[0]
+        assert d._mpi_[0] == fzero and float_up(d) >= 4
+        with pytest.raises(SingularMatrix):
+            ev.inv_norm_iv(wide, a)
+        norm = ev.inv_norm_iv(iv.mpf(1.0), a)
         assert 0 < float_down(norm) <= float_up(norm) < math.inf
+
+
+@pytest.mark.parametrize("bits", [128, 1024])
+def test_unit_phase_is_iv_cos_and_sin(bits):
+    from mpmath import iv
+
+    from phstab.intervals import unit_phase
+
+    with workprec(bits):
+        for theta in (0, 0.0, 1.0, -2.5, 1e6, 2.0**60, iv.mpf([0.5, 2.0]),
+                      iv.mpf([-3.0, 40.0]), iv.pi / 2, iv.sqrt(2) * 3094):
+            c, s = unit_phase(theta)
+            assert c._mpi_ == iv.cos(theta)._mpi_ and s._mpi_ == iv.sin(theta)._mpi_
 
 
 def test_ball_ends_and_outward_rounding():

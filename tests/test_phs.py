@@ -404,6 +404,9 @@ def test_norm2_closed_form_special_stacks():
         _assert_norm2(m)
     assert (np.abs(P._norm2(u) - 1.0) <= 4e-15).all()
     _assert_norm2(rng.normal(size=(3, 4, 2, 2)))  # leading axes kept
+    # det M under- and overflows past entries of 1e-154 and 1e154
+    _assert_norm2(10.0 ** rng.uniform(-200, 200, (n, 1, 1))
+                  * (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))))
     _assert_norm2(np.zeros((2, 2, 2)), rtol=0.0)
     m3 = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
     assert np.array_equal(P._norm2(m3), np.linalg.norm(m3, ord=2, axis=(1, 2)))
@@ -415,6 +418,9 @@ _ENTRY = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_ENTRY, min_size=8, max_size=8), st.integers(-60, 60))
 @example([0.0, 0.0, 4.914647646829204e-259, 0.0, 0.0, 1.0, 0.0, 0.0], -25)  # subnormal det
+@example([0.0, 0.0, 1.056037963713986e-212, 0.0,
+          0.0, 5.248109453501733e-214, 0.0, 0.0], 0)  # det underflows to 0
+@example([3e5, -1e6, 2e5, 7e5, 1e5, 0.0, -4e5, 9e5], 160)  # det overflows
 def test_norm2_closed_form_matches_svd(vals, e):
     m = (np.array(vals[:4]) + 1j * np.array(vals[4:])).reshape(1, 2, 2) * 10.0**e
     if not np.isfinite(m).all() or np.abs(m).max() < 1e-250:

@@ -3,6 +3,7 @@
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -38,29 +39,60 @@ def _at(alpha, t, method, bits=256):
         return getattr(sp.HEvaluator(), method)(iv.mpf(t), _alpha_iv(alpha, bits))
 
 
+def _ends(x):
+    """An interval's endpoints as (non-interval) mpmath numbers."""
+    return [mpmath.mp.make_mpf(e) for e in x._mpi_]
+
+
 def test_det_t_matches_closed_form():
+    # D = |det T_t|^2 and F = ||T_t||_F^2 = 3 + cos t + cos(alpha t)
     a = math.sqrt(2)
     for t in (0.0, 1.0, 3.5, 17.0, 100.0):
-        d = _at(cf.SQRT2, t, "det_iv")
-        assert abs(complex(d.re.mid, d.im.mid) - _det_oracle(a, t)) < 1e-12
-        assert max(d.re.delta, d.im.delta) / 2 < 1e-20
+        d, _, f, _ = _at(cf.SQRT2, t, "terms")
+        assert abs(float(d.mid) - abs(_det_oracle(a, t)) ** 2) < 1e-12
+        assert abs(float(f.mid) - (3 + math.cos(t) + math.cos(a * t))) < 1e-12
+        assert max(d.delta, f.delta) / 2 < 1e-20
 
 
 def test_det_t0_is_two():
-    d = _at(cf.SQRT2, 0.0, "det_iv")
-    assert abs(complex(d.re.mid, d.im.mid) - 2.0) < 1e-30
+    d, dd, f, df = _at(cf.SQRT2, 0.0, "terms")
+    assert abs(float(d.mid) - 4.0) < 1e-30 and abs(float(f.mid) - 5.0) < 1e-30
+    assert _ends(dd) == _ends(df) == [0, 0]
+
+
+def test_terms_enclose_closed_forms_and_slopes():
+    # D, F at 512 bits from the closed forms, D' and F' as their central
+    # differences (step 2^-160: truncation and cancellation below 1e-90)
+    with mpmath.workprec(512):
+        al = mpmath.sqrt(2)
+
+        def closed(t):
+            e1, e2 = mpmath.expj(t), mpmath.expj(al * t)
+            return abs(1 + (e1 + e2) / 2) ** 2, 3 + e1.real + e2.real
+
+        for t in (0.3, 2.0, 9.0, 31.4, 3094.47):
+            terms = _at(cf.SQRT2, t, "terms")
+            x, h = mpmath.mpf(t), mpmath.mpf(2) ** -160
+            up, down = closed(x + h), closed(x - h)
+            for k, value in enumerate(closed(x)):
+                lo, hi = _ends(terms[2 * k])
+                assert lo <= value <= hi and hi - lo < 1e-60
+                lo, hi = _ends(terms[2 * k + 1])
+                slope = (up[k] - down[k]) / (2 * h)
+                assert lo - 1e-90 <= slope <= hi + 1e-90 and hi - lo < 1e-60
 
 
 def test_h_is_scaled_g():
     # h(t)^2 = |2 + e^{i pi t} + e^{i pi alpha t}|^2 = 4 g(pi t)^2: the inf
-    # objective's mpmath terms against |det T| at pi t
+    # objective's mpmath terms against |det T|^2 at pi t and the 256-bit h
     ev = sp.HEvaluator()
     with workprec(256):
         a = _alpha_iv(cf.SQRT2, 256)
         for t in (0.7, 2.0, 5.3):
             f_lo, f_up, _ = sp._h_terms_mp(ev, t, a)
-            g2 = ev.det_iv(iv.pi * t, a).abs2()
+            g2 = ev.terms(iv.pi * t, a)[0]
             assert f_lo <= 4 * g2.a and 4 * g2.b <= f_up
+            assert f_lo <= _h_256("sqrt2", t) ** 2 <= f_up
             assert f_up - f_lo < 1e-12
 
 
@@ -78,7 +110,7 @@ def test_inv_norm_singular_rational():
     t = 3 * iv.pi
     with pytest.raises(SingularMatrix):
         _at(THIRD, t, "inv_norm_iv")
-    assert _at(THIRD, t, "det_iv").abs().b <= 1e-12
+    assert _at(THIRD, t, "terms")[0].b <= 1e-24
 
 
 def test_witness_time_and_g_certification():
@@ -86,6 +118,53 @@ def test_witness_time_and_g_certification():
     ball = sp.g_at_witness(cf.SQRT2, 7, 5)
     assert ball.lower > 0
     assert float(ball.err) < float(ball.lower) / 1e5
+
+
+@pytest.mark.parametrize("u, v, value, err", [
+    (7, 5, Fraction(858348919187238420605483642510140422809248718175529805335, 1 << 197),
+     Fraction(897, 1 << 204)),
+    (1393, 985, Fraction(1402313628749985380657368560271763461368815194471151667, 1 << 203),
+     Fraction(50331649, 1 << 227)),
+])
+def test_g_at_witness_pinned(u, v, value, err):
+    # the exact ball of the one det formula at the default 128 bits
+    ball = sp.g_at_witness(cf.SQRT2, u, v)
+    assert (ball.value, ball.err) == (value, err)
+
+
+def test_mpmath_side_reads_two_phases(monkeypatch):
+    # every mpmath evaluation of det T_t takes the phases of t and alpha t
+    # from one mpi_cos_sin pass each; none forms (1 - alpha) t
+    from mpmath.libmp import to_float
+
+    from phstab import intervals
+
+    angles = []
+    cos_sin_pass = intervals.mpi_cos_sin
+    monkeypatch.setattr(intervals, "mpi_cos_sin",
+                        lambda x, prec: angles.append(x) or cos_sin_pass(x, prec))
+
+    def pairs():
+        got = [to_float(x[0]) for x in angles]
+        angles.clear()
+        return list(zip(got[::2], got[1::2])) if len(got) % 2 == 0 else None
+
+    ev = sp.HEvaluator()
+    with workprec(128):
+        a = _alpha_iv(cf.SQRT2, 128)
+        for evaluate in (lambda: ev.inv_norm_iv(iv.mpf(2.5), a),
+                         lambda: sp._sup_terms_mp(ev, 2.5, a),
+                         lambda: sp._h_terms_mp(ev, 2.5, a)):
+            evaluate()
+            (theta, phi), = pairs()
+            assert phi == pytest.approx(math.sqrt(2) * theta, rel=1e-12)
+    sp.g_at_witness(cf.SQRT2, 7, 5)
+    doublings = pairs()
+    assert doublings and all(phi == pytest.approx(math.sqrt(2) * theta, rel=1e-12)
+                             for theta, phi in doublings)
+    src = Path(sp.__file__).parent
+    assert not hasattr(intervals, "ComplexIv")
+    assert not [p.name for p in src.glob("*.py") if "ComplexIv" in p.read_text()]
 
 
 def test_inf_h_interval_vs_dense_grid():
@@ -178,10 +257,11 @@ def test_sandwich_rejects_even_v():
 @settings(max_examples=30, deadline=None)
 def test_det_enclosure_contains_oracle(t):
     a = math.sqrt(2)
-    d = _at(cf.SQRT2, t, "det_iv")
-    oracle = _det_oracle(a, t)
-    assert float(d.re.a) - 1e-9 <= oracle.real <= float(d.re.b) + 1e-9
-    assert float(d.im.a) - 1e-9 <= oracle.imag <= float(d.im.b) + 1e-9
+    d, _, f, _ = _at(cf.SQRT2, t, "terms")
+    oracle = abs(_det_oracle(a, t)) ** 2
+    assert float(d.a) - 1e-9 <= oracle <= float(d.b) + 1e-9
+    frob = 3 + math.cos(t) + math.cos(a * t)
+    assert float(f.a) - 1e-9 <= frob <= float(f.b) + 1e-9
 
 
 @given(v=st.integers(min_value=1, max_value=60).map(lambda k: 2 * k + 1))
@@ -265,6 +345,7 @@ def test_fallback_at_deep_resonance_and_beyond_reduction_range(monkeypatch):
     assert abs(p.witness - 3094.47) < 0.01
     assert p.m_lower <= _inv_norm_256("sqrt2", p.witness)
     # pi * t > 2^22: every visit goes to mpmath
+    calls["phases"] = 0  # the sup fallbacks above read the phases too
     ci = sp.inf_h_interval(cf.SQRT2, 1.4e6 - 1, 1.4e6 + 1, tol=1e-6)
     # a cell whose visit went to mpmath is split one level per round, so
     # no more visits go there than with one-level rounds (64)
