@@ -109,10 +109,12 @@ def _floats(text: str) -> list[float]:
 
 
 def _grid(text: str) -> np.ndarray:
-    """LO:HI:N as N >= 1 evenly spaced points, LO and HI finite."""
+    """LO:HI:N as N >= 1 evenly spaced points, N an integer, LO and HI finite."""
     lo, hi, n = (float(x) for x in text.split(":"))
     if not n >= 1:
         raise ValueError("N must be at least 1")
+    if not n.is_integer():
+        raise ValueError(f"N must be an integer, not {n!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("LO and HI must be finite")
     return np.linspace(lo, hi, int(n))

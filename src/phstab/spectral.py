@@ -17,9 +17,10 @@ fallback and how the windows' incumbents combine. Every float a bracket
 reports is rounded outward, so every reported lower/upper pair is
 certified.
 
-The mpmath side reads det T_t from one formula over the phases of t and
-alpha t (``HEvaluator.terms``); the float kernel keeps the cosine sum over
-t, alpha t and (1 - alpha) t that ``_SLACK``'s rounding argument assumes.
+Both sides read det T_t from one formula over the two phases of t and
+alpha t: the float kernel as w = 2 det T (``_w_terms``), the mpmath side
+as det T itself (``HEvaluator.terms``), at time t for the sup and pi t for
+the inf.
 """
 
 from __future__ import annotations
@@ -153,16 +154,15 @@ def g_at_witness(alpha: IrrationalSpec, u: int, v: int, bits: int = 128) -> Real
 
 # -- float bounds shared by the kernel path and the mpmath fallback ---------
 
-# Each O(1) quantity formed below from kernel values (|det|^2, the squared
-# Frobenius norm, their slopes, w = 2 + e^{i pi t} + e^{i pi alpha t}) takes
-# at most 12 float operations on terms of magnitude at most 8, so its
+# Each O(1) quantity formed below from kernel values (the parts of
+# w = 2 + e^{ikx} + e^{ik alpha x}, of its slope w' / k, and 1 + Re w)
+# takes at most 12 float operations on terms of magnitude at most 8, so its
 # rounding error is below 12 * 8 * 2^-53 = 96 * 2^-53. The slopes also take
-# the error of alpha (af, wid) and of 1 - alpha (bf, wid) as wid alone,
-# while |alpha - af| <= wid + 2^-53 |af| (``RealBall.scale`` rounds the
-# midpoint to nearest): the rest, 2^-53 (|af| + |bf| / 2) (a sine or
-# cosine times alpha's error is at most that error), is at most 13 * 2^-53
-# for |alpha| <= 8, which ``_engine_start`` enforces. Both fit in
-# 2^-46 = 128 * 2^-53.
+# the error of alpha (af, wid) as wid alone, while |alpha - af| <= wid +
+# 2^-53 |af| (``RealBall.scale`` rounds the midpoint to nearest): the rest,
+# 2^-53 |af| (a sine or cosine times alpha's error is at most that error),
+# is at most 8 * 2^-53 for |alpha| <= 8, which ``_engine_start`` enforces.
+# Both fit in 2^-46 = 128 * 2^-53.
 _SLACK = 2.0**-46
 # Relative allowance for the rounding of a handful (< 8) of operations on
 # nonnegative terms.
@@ -226,13 +226,16 @@ def _phases(ts, scales):
 # -- the terms of the two objectives ---------------------------------------
 
 
-def _h_terms(ph, sa):
-    """Float bounds at the times of ``ph`` for F = h^2.
+def _w_terms(ph, sa, k):
+    """Float bounds at the times x of ``ph`` (phases of k x and k alpha x)
+    on F = |w|^2, R = 1 + Re w and their x-slopes, for
+    w = 2 + e^{ikx} + e^{ik alpha x} = 2 det T_{kx}.
 
-    Returns (F_lo, F_up, |F'|, own, wid): ``wid`` is the width of the F
-    bracket that alpha's enclosure width alone causes (an interval
-    evaluation pays it too), ``own`` the rest of its width, which is the
-    kernel's own rounding."""
+    Returns ((F_lo, F_up, |F'|, R_lo, R_up, |R'| / k), own, wid): ``wid``
+    bounds the width of the F bracket that alpha's enclosure width alone
+    causes (an interval evaluation pays it too; its square terms count
+    where w is near 0), ``own`` the rest of its width, which is the
+    kernel's own rounding. k is a float >= the slopes' factor."""
     (c1, s1, pc1, ps1, wc1, ws1), (c2, s2, pc2, ps2, wc2, ws2) = ph
     af, a_err = sa
     ka = abs(af) + a_err
@@ -241,53 +244,42 @@ def _h_terms(ph, sa):
     er, ei = pc1 + pc2 + _SLACK, ps1 + ps2 + _SLACK
     f_lo = (np.maximum(wr - er, 0.0) ** 2 + np.maximum(wi - ei, 0.0) ** 2) * (1 - _REL)
     f_up = ((wr + er) ** 2 + (wi + ei) ** 2) * (1 + _REL)
-    wid = 4 * (wr * (wc1 + wc2) + wi * (ws1 + ws2))
-    # F' = 2 Re(conj(w) w') with w' = pi (v_r + i v_i):
-    # v_r = -(sin(pi t) + alpha sin(pi alpha t)), v_i = cos(..) + alpha cos(..)
+    ewr, ewi = wc1 + wc2, ws1 + ws2
+    wid = (4 * wr + ewr) * ewr + (4 * wi + ewi) * ewi
+    # F' = 2 Re(conj(w) w') with w' = k (v_r + i v_i):
+    # v_r = -(sin(kx) + alpha sin(k alpha x)), v_i = cos(..) + alpha cos(..)
     vr, vi = -(s1 + af * s2), c1 + af * c2
     evr = ps1 + ka * ps2 + a_err * (1 + ps2) + _SLACK
     evi = pc1 + ka * pc2 + a_err * (1 + pc2) + _SLACK
     dot = np.abs(w_re * vr + w_im * vi)
     spread = (wr * evr + np.abs(vr) * er + er * evr
               + wi * evi + np.abs(vi) * ei + ei * evi)
-    speed = 2 * _PI_UP * (dot + spread + 2.0**-44) * (1 + _REL)
-    return f_lo, f_up, speed, f_up - f_lo - wid, wid
+    speed = 2 * k * (dot + spread + 2.0**-44) * (1 + _REL)
+    r_speed = np.abs(vr) + evr
+    return (f_lo, f_up, speed, 1.0 + w_re - er, 1.0 + w_re + er, r_speed), f_up - f_lo - wid, wid
 
 
-def _h_terms_mp(ev: HEvaluator, c: float, av):
-    """The same bounds from the mpmath interval evaluation at c: w = 2 det
-    T_{pi c}, so F(c) = 4 D(pi c) and F'(c) = 4 pi D'(pi c)."""
-    d, dd, _, _ = ev.terms(iv.pi * iv.mpf(c), av)
-    return max(float_down(4 * d), 0.0), float_up(4 * d), float_up(abs(4 * iv.pi * dd))
+def _w_terms_mp(ev: HEvaluator, c: float, av, k):
+    """The bounds of ``_w_terms`` from the mpmath interval evaluation at c,
+    for k = 1 or iv.pi: w = 2 det T_{kc}, so F(c) = 4 D(kc), F'(c) =
+    4 k D'(kc), and R(c) = ||T_{kc}||_F^2 (``HEvaluator.terms``)."""
+    d, dd, f, df = ev.terms(k * iv.mpf(c), av)
+    return (max(float_down(4 * d), 0.0), float_up(4 * d), float_up(abs(4 * k * dd)),
+            float_down(f), float_up(f), float_up(abs(df)))
 
 
 _MIN_CELL = 1e-13
 
 
-def _sup_terms(ph, sa, sb):
-    """Float bounds on |det|^2 = D, |D'|, F = ||T||_F^2 and |F'| at the times
-    of ``ph`` (phases of t, alpha t, (1 - alpha) t).
-
-    Returns ((D_lo, D_up, |D'|, F_lo, F_up, |F'|), own, wid), where ``wid``
-    is the part of D's error that alpha's enclosure width causes (an
-    interval evaluation pays it too) and ``own`` the rest, which is the
-    kernel's own rounding."""
-    (c1, s1, pc1, ps1, wc1, _), (c2, s2, pc2, ps2, wc2, _), (c3, s3, pc3, ps3, wc3, _) = ph
-    (af, a_err), (bf, b_err) = sa, sb
-    d = 1.5 + c1 + c2 + 0.5 * c3
-    ed = pc1 + pc2 + 0.5 * pc3 + _SLACK
-    wid = wc1 + wc2 + 0.5 * wc3
-    f = 3.0 + c1 + c2
-    ef = pc1 + pc2 + _SLACK
-    ka, kb = abs(af) + a_err, abs(bf) + b_err
-    # D' = -(sin t + alpha sin(alpha t) + (1 - alpha) sin((1 - alpha) t) / 2)
-    dd = (np.abs(s1 + af * s2 + 0.5 * bf * s3) + ps1 + ka * ps2 + 0.5 * kb * ps3
-          + a_err * (1 + ps2) + 0.5 * b_err * (1 + ps3) + _SLACK)
-    # F' = -(sin t + alpha sin(alpha t))
-    df = np.abs(s1 + af * s2) + ps1 + ka * ps2 + a_err * (1 + ps2) + _SLACK
-    bounds = (np.maximum(d - ed, 0.0), np.minimum(d + ed, 4.0), dd,
-              np.maximum(f - ef, 1.0), np.minimum(f + ef, 5.0), df)
-    return bounds, ed - wid, wid
+def _det_frob(bounds):
+    """``_w_terms``' bounds at k = 1 as (D_lo, D_up, |D'|, F_lo, F_up, |F'|)
+    for D = |det T_t|^2 = |w|^2 / 4 and F = ||T_t||_F^2 = R. Quarters are
+    exact above the subnormal range; 2^-1074 off D_lo rounds it down there.
+    Only mpmath gives subnormal upper ends; of those ``_Sup._cell_up`` reads
+    |D'|, then off by < 2^-1075, far inside its ``_minus_down`` allowance."""
+    f_lo, f_up, speed, r_lo, r_up, r_speed = bounds
+    return (f_lo * 0.25 - 2.0**-1074, f_up * 0.25, speed * 0.25,
+            np.maximum(r_lo, 1.0), np.minimum(r_up, 5.0), r_speed)
 
 
 def _norm_up(d_lo, f_up):
@@ -295,7 +287,7 @@ def _norm_up(d_lo, f_up):
     F <= f_up, where sigma_max^2 = (F + sqrt(F^2 - 4 D)) / 2 rises with F
     and falls with D; inf where d_lo <= 0. F <= 5, so F^2 - 4D is off by
     less than 2^-47."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         disc = np.maximum(f_up * f_up - 4 * d_lo, 0.0) + 2.0**-47
         up = np.sqrt((f_up + np.sqrt(disc)) * 0.5 / d_lo) * (1 + 2.0**-49)
     return np.where(d_lo > 0, up, np.inf)
@@ -305,13 +297,6 @@ def _norm_lo(d_up, f_lo):
     """Lower bound on ||T^{-1}|| given D <= d_up and F >= f_lo."""
     disc = np.maximum(f_lo * f_lo - 4 * d_up - 2.0**-47, 0.0)
     return np.sqrt((f_lo + np.sqrt(disc)) * 0.5 / d_up) * (1 - 2.0**-49)
-
-
-def _sup_terms_mp(ev: HEvaluator, c: float, av):
-    """The bounds of ``_sup_terms`` from the mpmath interval evaluation."""
-    d, dd, f, df = ev.terms(iv.mpf(c), av)
-    return (max(float_down(d), 0.0), float_up(d), float_up(abs(dd)),
-            float_down(f), min(float_up(f), 5.0), float_up(abs(df)))
 
 
 # -- one branch-and-bound engine for every window of a call -----------------
@@ -449,10 +434,11 @@ class _Sup(_Engine):
     """sup ||T_t^{-1}|| over consecutive segments of [0, eta_max].
 
     Cell bounds use the centred form v(c) +/- (|v'(c)| r + L r^2 / 2) for
-    v = |det|^2 = 3/2 + cos t + cos(alpha t) + cos((1-alpha) t)/2 and for
-    F = ||T||_F^2 = 3 + cos t + cos(alpha t), with ||T^{-1}||^2 =
-    (F + sqrt(F^2 - 4 |det|^2)) / (2 |det|^2); near resonances it prunes
-    geometrically, where naive interval extension needs O(|det|^-2) cells.
+    v = |det|^2 = |w|^2 / 4 and F = ||T||_F^2 = 1 + Re w, with w = 2 +
+    e^{it} + e^{i alpha t} (``_w_terms`` at k = 1; L from the cosine forms
+    of v and F), and ||T^{-1}||^2 = (F + sqrt(F^2 - 4 |det|^2)) /
+    (2 |det|^2); near resonances it prunes geometrically, where naive
+    interval extension needs O(|det|^-2) cells.
     Window k's incumbent is the best point of windows <= k (m(eta_k) is
     the sup over all of them); a cell closes once its bound is at most that
     times (1 + tol), and is parked, its bound kept, below the floor. The
@@ -466,10 +452,9 @@ class _Sup(_Engine):
 
     def __init__(self, ball, windows, tol):
         super().__init__(ball, windows, tol, 1.0)  # ||T_0^{-1}|| = 1
-        self.sb = RealBall(1 - ball.value, ball.err).scale()
-        self.scales = ((1.0, 0.0), self.sa, self.sb)
-        af, bf = self.sa[0], self.sb[0]
-        self.l2_det = (1 + af * af + bf * bf / 2) * 1.01  # >= sup |(|det|^2)''|
+        self.scales = ((1.0, 0.0), self.sa)
+        af = self.sa[0]
+        self.l2_det = (1 + af * af + (1 - af) ** 2 / 2) * 1.01  # >= sup |(|det|^2)''|
         self.l2_frob = (1 + af * af) * 1.01  # >= sup |F''|
         self.stuck = np.zeros(len(windows))  # certified bound over parked cells
         # root cells of width 2 (the last of a window shorter): the first
@@ -494,7 +479,8 @@ class _Sup(_Engine):
 
     def visit(self, ts, rs, rb, w, n, ph, oor):
         """Raise the incumbents; upper bounds and depths of the n cells."""
-        terms, own, wid = _sup_terms(ph, self.sa, self.sb)
+        bounds, own, wid = _w_terms(ph, self.sa, 1.0)
+        terms, own, wid = _det_frob(bounds), own / 4, wid / 4
         tol = self.tol[w]
         lo = _norm_lo(terms[1], terms[3])
         up = _norm_up(terms[0], terms[4])
@@ -509,7 +495,8 @@ class _Sup(_Engine):
         back = (ub > self.incumbent(w[:n]) * (1 + tol[:n])) & (
             oor[:n] | (own >= wid + centred) | ((rs[:n] < _MIN_CELL) & np.isinf(ub)))
         for i in np.flatnonzero(back):
-            ub[i] = self._cell_up(_sup_terms_mp(self.ev, float(ts[i]), self.av), rb[i])
+            ub[i] = self._cell_up(_det_frob(_w_terms_mp(self.ev, float(ts[i]), self.av, 1.0)),
+                                  rb[i])
             if np.isinf(ub[i]) and rs[i] < _MIN_CELL:
                 raise SingularMatrix(
                     f"det enclosure contains 0 near t={ts[i]} (cell radius {rs[i]})")
@@ -558,13 +545,13 @@ class _Inf(_Engine):
 
     def visit(self, ts, rs, rb, w, n, ph, oor):
         """Lower the incumbents; lower bounds and depths of the n cells."""
-        f_lo, f_up, speed, own, wid = _h_terms(ph, self.sa)
+        (f_lo, f_up, speed, *_), own, wid = _w_terms(ph, self.sa, _PI_UP)
         centred = speed * rb + 0.5 * self.l2 * rb * rb
         lb = _minus_down(f_lo, centred)
         _improve(self.best, self.witness, f_up, ts, w, np.minimum)
         back = oor | (self._open(lb, w) & (own >= wid + centred))
         for i in np.flatnonzero(back):
-            f_lo_i, f_up_i, speed_i = _h_terms_mp(self.ev, float(ts[i]), self.av)
+            f_lo_i, f_up_i, speed_i, *_ = _w_terms_mp(self.ev, float(ts[i]), self.av, iv.pi)
             lb[i] = _minus_down(f_lo_i, speed_i * rb[i] + 0.5 * self.l2 * rb[i] ** 2)
             if f_up_i < self.best[w[i]]:
                 self.best[w[i]], self.witness[w[i]] = f_up_i, ts[i]

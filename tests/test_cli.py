@@ -114,17 +114,17 @@ def test_growth_monotone_csv(tmp_path):
 def test_growth_warns_on_parked_upper_bounds(tmp_path, capsys):
     out = tmp_path / "g.csv"
     assert run(["growth", "--decimal", "1.41421356", "--bits", "24",
-                "--etas", "50,500", "--tol", "1e-3", "--out", str(out)]) == 0
+                "--etas", "500,5000", "--tol", "1e-3", "--out", str(out)]) == 0
     assert "parked" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
-    assert manifest["parked_etas"] == [50.0, 500.0]
+    assert manifest["parked_etas"] == [500.0, 5000.0]
     assert out.read_text().splitlines()[0] == "eta,m_lower,m_upper"
     pred = tmp_path / "p.csv"
-    # m_upper(500) is inf: the upper curve is refused, the lower one is used
+    # m_upper(5000) is inf: the upper curve is refused, the lower one is used
     assert run(["rates", "--curve", str(out), "--kind", "LowerBound",
-                "--times", "1000", "--out", str(pred)]) == 2
+                "--times", "10000", "--out", str(pred)]) == 2
     assert run(["rates", "--curve", str(out), "--kind", "LowerBound",
-                "--times", "1000", "--which", "lower", "--out", str(pred)]) == 0
+                "--times", "10000", "--which", "lower", "--out", str(pred)]) == 0
     out2 = tmp_path / "g2.csv"
     assert run(["growth", "--surd", "2", "--etas", "5,10", "--out",
                 str(out2)]) == 0
@@ -511,6 +511,8 @@ def test_manifest_records_the_parameters_alone(tmp_path):
 @pytest.mark.parametrize("grid, reason", [
     ("nan:1:3", "LO and HI must be finite"),
     ("0:1:0", "N must be at least 1"),
+    ("0:1:2.5", "N must be an integer, not 2.5"),
+    ("0:1:inf", "N must be an integer, not inf"),
     ("0:1", "not enough values to unpack"),
 ])
 def test_unreadable_grid_names_the_reason(grid, reason, capsys):

@@ -4,7 +4,9 @@ Each run's expected bytes live in ``tests/data/golden/<name>.{out,err,rc}``.
 The runs read three input files under ``tests/data/``: ``cons.json`` is the
 construction spec ``construct(PowerLog(2, 0), 1024).spec.to_json()`` in the
 format that still writes the spec-level ``bit_budget`` (it must keep
-reading), ``growth_sqrt2.csv`` is the ``growth_sqrt2_decades`` curve, and
+reading), ``growth_sqrt2.csv`` is the ``growth_sqrt2_decades`` curve as
+the cosine-sum sup kernel computed it, before the sup read |w|^2 over two
+phases (kept as it was, so that the ``rates_*`` runs keep their bytes), and
 ``table.json`` is a decreasing tabulated decay target. A refactor that
 should not change any output is checked by this file alone; a change that
 does change an output regenerates the data on purpose with

@@ -89,7 +89,7 @@ def test_h_is_scaled_g():
     with workprec(256):
         a = _alpha_iv(cf.SQRT2, 256)
         for t in (0.7, 2.0, 5.3):
-            f_lo, f_up, _ = sp._h_terms_mp(ev, t, a)
+            f_lo, f_up, *_ = sp._w_terms_mp(ev, t, a, iv.pi)
             g2 = ev.terms(iv.pi * t, a)[0]
             assert f_lo <= 4 * g2.a and 4 * g2.b <= f_up
             assert f_lo <= _h_256("sqrt2", t) ** 2 <= f_up
@@ -153,8 +153,8 @@ def test_mpmath_side_reads_two_phases(monkeypatch):
     with workprec(128):
         a = _alpha_iv(cf.SQRT2, 128)
         for evaluate in (lambda: ev.inv_norm_iv(iv.mpf(2.5), a),
-                         lambda: sp._sup_terms_mp(ev, 2.5, a),
-                         lambda: sp._h_terms_mp(ev, 2.5, a)):
+                         lambda: sp._w_terms_mp(ev, 2.5, a, 1.0),
+                         lambda: sp._w_terms_mp(ev, 2.5, a, iv.pi)):
             evaluate()
             (theta, phi), = pairs()
             assert phi == pytest.approx(math.sqrt(2) * theta, rel=1e-12)
@@ -328,22 +328,18 @@ def test_fallback_at_deep_resonance_and_beyond_reduction_range(monkeypatch):
 
     counted("inv_norm_iv")
     counted("phases")
-    sizes = _count_kernel_calls(monkeypatch)
     mp_cells = []
-    sup_terms_mp = sp._sup_terms_mp
-    monkeypatch.setattr(sp, "_sup_terms_mp",
-                        lambda *a: mp_cells.append(1) or sup_terms_mp(*a))
-    # the peak near t = 3094 (odd/odd approximant 1393/985): |det|^2 is
-    # below the kernel's own pad there, so its points go to mpmath
-    p = sp.growth_curve(cf.SQRT2, [1e4], tol=1e-3).points[0]
-    assert calls["inv_norm_iv"] > 0
-    # rounds of large frontiers split one level: one-level rounds bound
-    # 137,976 kernel elements here, and send 24 cells to mpmath
-    assert sum(sizes) <= 1.05 * 137_976
-    assert len(mp_cells) <= 24
-    assert p.m_upper <= p.m_lower * (1 + 1e-3)
-    assert abs(p.witness - 3094.47) < 0.01
-    assert p.m_lower <= _inv_norm_256("sqrt2", p.witness)
+    w_terms_mp = sp._w_terms_mp
+    monkeypatch.setattr(sp, "_w_terms_mp",
+                        lambda *a: mp_cells.append(1) or w_terms_mp(*a))
+    # alpha = 1 + 2^-20: near t = pi |det| falls to about 1e-12, where the
+    # kernel's own pad (at least _SLACK = 2^-46 on w) is about a percent of
+    # it, so points and cells go to mpmath; the bracket parks at the floor
+    p = sp.growth_curve(cf.ExplicitQuotients((1, 2**20)), [10], tol=1e-3).points[0]
+    assert 0 < calls["inv_norm_iv"] <= 24
+    assert 0 < len(mp_cells) <= 8
+    assert abs(p.witness - math.pi) < 1e-5
+    assert p.m_lower <= _inv_norm_256(Fraction(2**20 + 1, 2**20), p.witness) <= p.m_upper
     # pi * t > 2^22: every visit goes to mpmath
     calls["phases"] = 0  # the sup fallbacks above read the phases too
     ci = sp.inf_h_interval(cf.SQRT2, 1.4e6 - 1, 1.4e6 + 1, tol=1e-6)
@@ -409,7 +405,7 @@ def test_parked_upper_bounds_are_flagged():
     # cell width, bounds the slack, so cells park at the floor
     alpha = cf.DecimalLiteral("1.41421356", 24)
     start = time.perf_counter()
-    curve = sp.growth_curve(alpha, [50, 500], tol=1e-3)
+    curve = sp.growth_curve(alpha, [500, 5000], tol=1e-3)
     assert time.perf_counter() - start < 1.0
     assert all(p.upper_parked for p in curve.points)
     assert all(p.m_upper > p.m_lower * (1 + 1e-3) for p in curve.points)
@@ -642,7 +638,7 @@ def test_kernel_argument_error_covers_every_scale(name, work, monkeypatch):
         sup = sp._Sup(ball, [(0.0, 2.0)], [1e-3])
         inf = sp._Inf(ball, [(0.0, 2.0)], [1e-6])
         p_lo, p_hi = fraction_bounds(iv.pi)
-    ends = {sup: [(1, 1), (lo, hi), (1 - hi, 1 - lo)],
+    ends = {sup: [(1, 1), (lo, hi)],
             inf: [(p_lo, p_hi), (p_lo * lo, p_hi * hi)]}
     rng = np.random.default_rng(work)
     for engine, intervals in ends.items():
@@ -657,3 +653,82 @@ def test_kernel_argument_error_covers_every_scale(name, work, monkeypatch):
             for t, xf, e in zip(ts.tolist(), xs.tolist(), errs.tolist()):
                 for k in (k_lo, k_hi):
                     assert abs(k * Fraction(t) - Fraction(xf)) <= Fraction(e)
+
+
+# -- one float formula for det T_t -----------------------------------------
+
+
+def test_growth_ladder_to_1e4_stays_in_the_kernel(monkeypatch):
+    # |w|^2 from two phases keeps the kernel's own rounding below |det|^2
+    # at the peak near t = 3094 (odd/odd approximant 1393/985): no point or
+    # cell goes to mpmath. The cosine sum over t, alpha t and (1 - alpha) t
+    # sent 46 points and 26 cells there and bounded 102,498 kernel elements.
+    sizes = _count_kernel_calls(monkeypatch)
+    mp = []
+    terms = sp.HEvaluator.terms
+    monkeypatch.setattr(sp.HEvaluator, "terms",
+                        lambda self, *a: mp.append(1) or terms(self, *a))
+    curve = sp.growth_curve(cf.SQRT2, [10, 100, 1000, 10000], tol=1e-3)
+    assert mp == [] and sum(sizes) <= 70_000
+    for p in curve.points:
+        assert not p.upper_parked and p.m_upper <= p.m_lower * (1 + 1e-3)
+    assert abs(p.witness - 3094.47) < 0.01
+    assert p.m_lower <= _inv_norm_256("sqrt2", p.witness)
+
+
+def test_eight_digit_sqrt2_closes_at_eta_50():
+    # alpha's enclosure width 2^-24 allows the bracket within tol at eta 50
+    (p,) = sp.growth_curve(cf.DecimalLiteral("1.41421356", 24), [50], tol=1e-3).points
+    assert not p.upper_parked and p.m_upper <= p.m_lower * (1 + 1e-3)
+    assert p.m_lower <= _inv_norm_256(Fraction("1.41421356"), p.witness) <= p.m_upper
+
+
+def test_no_kernel_call_takes_more_than_two_scales(monkeypatch):
+    seen = []
+    phases = sp._phases
+    monkeypatch.setattr(sp, "_phases",
+                        lambda ts, scales: seen.append(len(scales)) or phases(ts, scales))
+    sp.growth_curve(cf.SQRT2, [10, 100])
+    sp.sandwich_report(cf.SQRT2, [1, 3, 5])
+    sp.inf_h_interval(cf.SQRT2, 0.0, 2.0)
+    assert seen and max(seen) == 2
+
+
+@pytest.mark.parametrize("name", list(_SHARED_BALL_ALPHAS))
+def test_w_terms_enclose_256bit_values(name):
+    # F = |w|^2, F', R = 1 + Re w and R' / k for w = 2 + e^{ikt} +
+    # e^{ik alpha t} at 256 bits, with k = 1 (the sup's scales) and k = pi
+    # (the inf's), at both ends of alpha's ball
+    ball = _SHARED_BALL_ALPHAS[name].enclosure(204)
+    with workprec(204):
+        engines = {1.0: sp._Sup(ball, [(0.0, 2.0)], [1e-3]),
+                   sp._PI_UP: sp._Inf(ball, [(0.0, 2.0)], [1e-6])}
+    rng = np.random.default_rng(len(name))
+    ts = np.concatenate([[0.0, 985.0, 3094.47], rng.uniform(-1e3, 1e3, 30)])
+    for k, engine in engines.items():
+        ph, oor = sp._phases(ts, engine.scales)
+        assert not oor.any()
+        (f_lo, f_up, speed, r_lo, r_up, r_speed), _, _ = sp._w_terms(ph, engine.sa, k)
+        assert np.all(f_up - f_lo <= 1e-9) and np.all(r_up - r_lo <= 1e-9)
+        with mpmath.workprec(256):
+            kk = mpmath.mpf(1) if k == 1.0 else mpmath.pi
+            for end in (ball.lower, ball.upper):
+                a = _mp(end)
+                for i, t in enumerate(ts.tolist()):
+                    x = kk * mpmath.mpf(t)
+                    e1, e2 = mpmath.expj(x), mpmath.expj(a * x)
+                    w, dw = 2 + e1 + e2, 1j * kk * (e1 + a * e2)
+                    assert f_lo[i] <= abs(w) ** 2 <= f_up[i]
+                    assert abs(2 * (w.conjugate() * dw).real) <= speed[i]
+                    assert r_lo[i] <= 1 + w.real <= r_up[i]
+                    assert abs(e1.imag + a * e2.imag) <= r_speed[i]
+
+
+def test_alpha_width_spanning_det_zero_stays_in_the_kernel():
+    # near t = 46235 the width 2^-24 of alpha's enclosure alone lets |det|
+    # reach 0: the F bracket's width is then alpha's, to second order, so
+    # the point stays in the kernel; mpmath would refuse its |det|^2
+    # enclosure as touching zero
+    (p,) = sp.growth_curve(cf.DecimalLiteral("1.41421356", 24), [50000]).points
+    assert p.upper_parked and p.m_upper == math.inf
+    assert p.m_lower <= _inv_norm_256(Fraction("1.41421356"), p.witness)
