@@ -39,6 +39,7 @@ from .errors import (
     ExpOverflow,
     QuadratureTooCoarse,
     SingularBoundaryMatrix,
+    SingularMatrix,
     ValidationError,
 )
 
@@ -128,6 +129,16 @@ class PHSystem:
         wp = self.W.T @ la.inv(self.W @ self.W.T)
         wp.flags.writeable = False
         return wp
+
+    @cached_property
+    def norms(self) -> tuple[float, float, float, float, float, float]:
+        """The t-independent norms of the characterisation constants, formed
+        once per system: |W|, |W+|, |P1|, |P1^{-1}| and the largest and
+        smallest eigenvalue of H over the pieces."""
+        ev = la.eigvalsh(np.stack(self.pieces))
+        mats = (self.W, self.W_pinv, self.P1, la.inv(self.P1))
+        return (*(float(la.norm(m, ord=2)) for m in mats), float(ev[:, -1].max()),
+                float(ev[:, 0].min()))
 
 
 def _violations(sys: PHSystem) -> list[str]:
@@ -516,24 +527,40 @@ class ResolventSolution:
 _FD9 = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
 
 
-def _uniform_counts(sys: PHSystem, nodes: int) -> list[int]:
-    total = sys.b - sys.a
-    counts = []
-    for k in range(len(sys.pieces)):
-        ln = sys.breaks[k + 1] - sys.breaks[k]
-        counts.append(max(16, int(round(nodes * ln / total))))
-    return counts
+class _Grid:
+    """The uniform grid of a solve with ``nodes`` nodes: per piece k,
+    ``counts[k]`` panels of width ``hs[k]`` (at least 16) on ``grids[k]``,
+    with midpoints ``mids[k]``; ``x``, the concatenated grid, whose node j
+    belongs to the piece ``bounds`` assigns it (a shared breakpoint node to
+    the piece on its left); and ``xs``, every panel's 8 Gauss-Legendre
+    nodes followed by x, where right-hand sides are evaluated."""
 
+    def __init__(self, sys: PHSystem, nodes: int) -> None:
+        self.d, total = sys.d, sys.b - sys.a
+        spans = np.diff(sys.breaks)
+        self.counts = [max(16, int(round(nodes * ln / total))) for ln in spans.tolist()]
+        self.hs = spans / self.counts
+        self.grids = [
+            np.linspace(x0, x1, n + 1) for x0, x1, n in zip(sys.breaks, sys.breaks[1:], self.counts)
+        ]
+        self.x = np.concatenate([self.grids[0]] + [g[1:] for g in self.grids[1:]])
+        self.bounds = np.concatenate([[0], np.cumsum(self.counts) + 1])
+        self.mids = [0.5 * (g[:-1] + g[1:]) for g in self.grids]
+        # 8-point Gauss-Legendre on each panel [grid_j, grid_j+1]
+        gauss = [(m[:, None] + 0.5 * h * _GL_NODES).ravel() for m, h in zip(self.mids, self.hs)]
+        self.xs = np.concatenate(gauss + [self.x])
 
-def _node_bounds(counts: Sequence[int]) -> np.ndarray:
-    """Piece k owns nodes bounds[k]:bounds[k+1] of the concatenated uniform
-    grid; a shared breakpoint node belongs to the piece on its left."""
-    return np.concatenate([[0], np.cumsum(counts) + 1])
+    def values(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """f(xs), as one right-hand side of shape (1, len(xs), d)."""
+        vals = np.asarray(f(self.xs))
+        if vals.shape != (len(self.xs), self.d):
+            raise ValidationError(f"right-hand side must return shape (n, {self.d}) arrays")
+        return vals.astype(complex)[None]
 
 
 def _by_piece(mats: Sequence[np.ndarray], bounds: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rows M_k y_j with M_k the matrix of the piece owning node j (see
-    :func:`_node_bounds`), for y of shape (..., n, d)."""
+    :class:`_Grid`), for y of shape (..., n, d)."""
     my = np.empty_like(y)
     for k, m in enumerate(mats):
         sl = slice(bounds[k], bounds[k + 1])
@@ -551,17 +578,23 @@ def _h_norms(x: np.ndarray, y: np.ndarray, my: np.ndarray) -> np.ndarray:
 def _solve_once(
     st: _PhiStack,
     i: int,
-    fs: Sequence[Callable[[np.ndarray], np.ndarray]],
-    nodes: int,
-) -> tuple[list[ResolventSolution], np.ndarray]:
-    """At t = st.ts[i], one solve per right-hand side in ``fs`` on one grid,
-    and the values f(x_j) there, shape (len(fs), n, d).  Each right-hand
-    side is evaluated once, at the Gauss nodes of all pieces and the grid
-    together.  Panels are factored through their midpoints, exp(-A_k (s - x_k)) =
+    g: _Grid,
+    fv: np.ndarray,
+    w: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """At t = st.ts[i], v = Hu on g.x for each right-hand side, from its
+    values ``fv`` at g.xs (:meth:`_Grid.values`); shape (len(fv), n, d).
+    Panels are factored through their midpoints, exp(-A_k (s - x_k)) =
     exp(-A_k (mid_j - x_k)) exp(-A_k h xi_i / 2): one weighted (8, d, d)
     stack per piece contracts every panel's nodes in one
-    (len(fs), n, 8d) @ (8d, d) matmul, and exp(-A_k (mid_j - x_k)) is
-    applied at the n panel midpoints only."""
+    (len(fv), n, 8d) @ (8d, d) matmul, and exp(-A_k (mid_j - x_k)) is
+    applied at the n panel midpoints only.
+
+    With ``w``, one more solve comes last: f = P1 Phi_t(x) w / (b - a),
+    whose integrand Phi_t(s)^{-1} P1^{-1} f(s) is the constant w / (b - a),
+    so its integral (x - a) w / (b - a) is exact and f is never evaluated
+    at the Gauss nodes.  Phi_t(x) w on g.x, which gives that f, is returned
+    beside v from the same propagation pass (None without ``w``)."""
     sys, p1inv, d = st.sys, st.p1inv, st.sys.d
     t, cum = float(st.ts[i]), st.cum[i]
     U, sv, Vh = (m[i] for m in st.svd)
@@ -571,90 +604,70 @@ def _solve_once(
             f"T_t singular or near-singular at t={t} (sigma_min={sv[-1]:.3e})"
         )
 
-    counts = _uniform_counts(sys, nodes)
-    spans = zip(sys.breaks, sys.breaks[1:], counts)
-    grids = [np.linspace(x0, x1, n + 1) for x0, x1, n in spans]
-    hs = np.diff(sys.breaks) / counts
-    x = np.concatenate([grids[0]] + [g[1:] for g in grids[1:]])
-    # 8-point Gauss-Legendre on each panel [grid_j, grid_j+1]
-    mids = [0.5 * (g[:-1] + g[1:]) for g in grids]
-    gauss = [(m[:, None] + 0.5 * h * _GL_NODES[None, :]).ravel() for m, h in zip(mids, hs)]
-    xs = np.concatenate(gauss + [x])
-    fv = np.empty((len(fs), len(xs), d), dtype=complex)
-    for p, fn in enumerate(fs):
-        vals = np.asarray(fn(xs))
-        if vals.shape != (len(xs), d):
-            raise ValidationError(f"right-hand side must return shape (n, {d}) arrays")
-        fv[p] = vals
-    fx = fv[:, -len(x) :]
-
     cum_inv_t = la.inv(cum[:-1]).swapaxes(-1, -2)
     runs: list[np.ndarray] = []  # per piece: integral_a^x Phi^{-1} P1^{-1} f at the grid
-    cum_integral = np.zeros((len(fs), 1, d), dtype=complex)
-    parts = np.split(fv[:, : -len(x)], 8 * np.cumsum(counts)[:-1], axis=1)
-    for k, (n, mid, h, g) in enumerate(zip(counts, mids, hs, parts)):
+    cum_integral = np.zeros((len(fv), 1, d), dtype=complex)
+    parts = np.split(fv[:, : -len(g.x)], 8 * np.cumsum(g.counts)[:-1], axis=1)
+    for k, (n, mid, h, part) in enumerate(zip(g.counts, g.mids, g.hs, parts)):
         # Phi(s)^{-1} P1^{-1} f(s) = cum_k^{-1} exp(-A_k (mid - x_k)) E_i P1^{-1} f(s)
         # with E_i = exp(-A_k h xi_i / 2); m stacks the weighted E_i P1^{-1}
         wts = 0.5 * h * _GL_WEIGHTS
         m = st.exp_at(i, k, -0.5 * h * _GL_NODES) @ p1inv * wts[:, None, None]
-        panels = g.reshape(len(fs), n, 8 * d) @ m.swapaxes(-1, -2).reshape(8 * d, d)
+        panels = part.reshape(len(fv), n, 8 * d) @ m.swapaxes(-1, -2).reshape(8 * d, d)
         per_panel = st.apply(i, k, sys.breaks[k] - mid, panels) @ cum_inv_t[k]
         run = cum_integral + np.concatenate(
             [np.zeros_like(cum_integral), np.cumsum(per_panel, axis=1)], axis=1
         )
         runs.append(run)
         cum_integral = run[:, -1:]
+    if w is not None:
+        ramps = [((grid - sys.a) / (sys.b - sys.a))[None, :, None] * w for grid in g.grids]
+        runs = [np.concatenate([run, ramp]) for run, ramp in zip(runs, ramps)]
+        cum_integral = np.concatenate([cum_integral, w[None, None]])  # I(b) = w
 
     # boundary condition: T_t v(a) = -W [Phi(b) * I_total; 0], solved
     # through the SVD T_t = U Sigma V^H as v(a) = V Sigma^{-1} U^H rhs
     rhs = -(sys.W[:, :d] @ (cum[-1] @ cum_integral[:, 0].T))
     v_a = (Vh.conj().T @ ((U.conj().T @ rhs) / sv[:, None])).T
 
-    # v(x) = Phi(x) [v(a) + I(x)] = exp(A_k (x - x0)) cum_k [v(a) + I(x)];
-    # each breakpoint node is taken from the piece on its left
-    vs = [
-        st.apply(i, k, grid - grid[0], (v_a[:, None] + run) @ cum[k].T)
-        for k, (grid, run) in enumerate(zip(grids, runs))
-    ]
+    # v(x) = Phi(x) [v(a) + I(x)] = exp(A_k (x - x0)) cum_k [v(a) + I(x)],
+    # and Phi(x) w in the same pass; each breakpoint node is taken from the
+    # piece on its left
+    vs = []
+    for k, (grid, run) in enumerate(zip(g.grids, runs)):
+        y = (v_a[:, None] + run) @ cum[k].T
+        if w is not None:
+            y = np.concatenate([y, np.broadcast_to(cum[k] @ w, (1, *y.shape[1:]))])
+        vs.append(st.apply(i, k, grid - grid[0], y))
     v = np.concatenate([vs[0]] + [vk[:, 1:] for vk in vs[1:]], axis=1)
+    return (v, None) if w is None else (v[:-1], v[-1])
 
-    # residual (i): boundary condition
+
+def _residuals(
+    st: _PhiStack, i: int, g: _Grid, v: np.ndarray, fx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The residuals that certify solves ``v`` on g.x (:func:`_solve_once`)
+    whose right-hand sides take the values ``fx`` on g.x: (i) the boundary
+    condition W[v(b); v(a)] = 0 and (ii) v' = A_k v + P1^{-1} f at the
+    9-point stencil centres inside one piece's grid (its breakpoints
+    included), over max(|v|, 1) on that grid; shapes (len(v),) each."""
+    sys, d, x, bounds = st.sys, st.sys.d, g.x, g.bounds
     bc = v[:, -1] @ sys.W[:, :d].T + v[:, 0] @ sys.W[:, d:].T
     boundary_residual = la.norm(bc, axis=1)
 
-    # residual (ii): v' = A_k v + P1^{-1} f at the 9-point stencil centres c
-    # inside one piece's grid (its breakpoints included), over max(|v|, 1)
-    # on that grid; the stencil sums are taken once over all of x
-    bounds = _node_bounds(counts)
+    # the stencil sums are taken once over all of x
     brk = bounds[1:-1] - 1  # interior breakpoint nodes
     first, last = np.concatenate([[0], brk]), np.append(brk, len(x) - 1)
     c = np.arange(4, len(x) - 4)
     own = np.searchsorted(brk, c)  # a centre on a breakpoint: the left piece
     inside = (c - first[own] >= 4) & (last[own] - c >= 4)
     dv = sum(cf * v[:, j : j + len(c)] for j, cf in enumerate(_FD9) if cf != 0.0)
-    rhs_v = (_by_piece(st.gens[i], bounds, v) + fx @ p1inv.T)[:, 4:-4]
+    rhs_v = (_by_piece(st.gens[i], bounds, v) + fx @ st.p1inv.T)[:, 4:-4]
     err = np.abs(dv / (x[first + 1] - x[first])[own, None] - rhs_v).max(axis=2)
     absv = np.abs(v).max(axis=2)
     scale = np.maximum(np.maximum.reduceat(absv, first, axis=1), absv[:, last])
     ode_res = (err / np.maximum(scale, 1.0)[:, own])[:, inside].max(axis=1)
-
-    # u = H^{-1} v and |u|_H^2 = integral of v^* H^{-1} v
-    u = _by_piece(st.hinv, bounds, v)
-    u_norm = _h_norms(x, v, u)
-
-    return [
-        ResolventSolution(
-            t=t,
-            x=x,
-            v=v[p],
-            u=u[p],
-            boundary_residual=float(boundary_residual[p]),
-            ode_residual=float(ode_res[p]),
-            nodes=nodes,
-            u_norm_H=float(u_norm[p]),
-        )
-        for p in range(len(fs))
-    ], fx
+    return boundary_residual, ode_res
 
 
 def resolvent_solve(
@@ -679,7 +692,22 @@ def resolvent_solve(
     st = _PhiStack(sys, [t])
     n = nodes
     while True:
-        (sol,), _ = _solve_once(st, 0, [f], n)
+        g = _Grid(sys, n)
+        fv = g.values(f)
+        v, _ = _solve_once(st, 0, g, fv)
+        bc, ode = _residuals(st, 0, g, v, fv[:, -len(g.x) :])
+        # u = H^{-1} v and |u|_H^2 = integral of v^* H^{-1} v
+        u = _by_piece(st.hinv, g.bounds, v)
+        sol = ResolventSolution(
+            t=float(st.ts[0]),
+            x=g.x,
+            v=v[0],
+            u=u[0],
+            boundary_residual=float(bc[0]),
+            ode_residual=float(ode[0]),
+            nodes=n,
+            u_norm_H=float(_h_norms(g.x, v, u)[0]),
+        )
         if sol.residual <= tol:
             return sol
         if 2 * n > _MAX_NODES:
@@ -751,13 +779,8 @@ def _constants(sys: PHSystem, ts: np.ndarray, b_ts: np.ndarray) -> CharConstants
         if flagged:
             note = "WARNING: B_t grows across grid; " + note
     ln = sys.b - sys.a
-    w_norm = float(la.norm(sys.W, ord=2))
-    wp_norm = float(la.norm(sys.W_pinv, ord=2))
-    p1 = float(la.norm(sys.P1, ord=2))
-    p1i = float(la.norm(la.inv(sys.P1), ord=2))
-    ev = la.eigvalsh(np.stack(sys.pieces))
-    h_sup = float(ev[:, -1].max())
-    s_norm = float((1.0 / np.sqrt(ev[:, 0])).max())
+    w_norm, wp_norm, p1, p1i, h_sup, h_min = sys.norms
+    s_norm = 1.0 / math.sqrt(h_min)
     c_tilde = ln * B**2 * s_norm * p1 * p1i**2 * max(B * w_norm, math.sqrt(ln))
     c_big = (ln ** (-1.5) * p1**2 * p1i**2 * B**3 * (1 + B) + 1) * wp_norm * max(
         math.sqrt(ln) * h_sup * p1, 1.0
@@ -778,58 +801,49 @@ def _constants(sys: PHSystem, ts: np.ndarray, b_ts: np.ndarray) -> CharConstants
     )
 
 
-def _probe_set(st: _PhiStack, i: int) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """Fixed probe right-hand sides at t = st.ts[i]: constants, low
-    sinusoids, and the adversarial profile P1 Phi_t(x) Phi_t(b)^{-1} y
-    aligned with the worst singular direction of T_t."""
-    sys, d = st.sys, st.sys.d
-    a, b = sys.a, sys.b
-    probes: list[Callable[[np.ndarray], np.ndarray]] = []
+def _probe_values(sys: PHSystem, xs: np.ndarray) -> np.ndarray:
+    """The probe right-hand sides that do not depend on t, at the points
+    ``xs``: the unit vectors e_j, their normalised sum, and sin(pi (x - a)
+    / (b - a)) e_j for j < 2; shape (probes, len(xs), d).  The adversarial
+    probe (:func:`_adversarial_w`) joins them in each solve."""
+    d = sys.d
+    fv = np.zeros((d + 1 + min(d, 2), len(xs), d), dtype=complex)
+    fv[: d + 1] = np.vstack([np.eye(d), np.ones(d) / math.sqrt(d)])[:, None]
+    sine = np.sin(math.pi * (xs - sys.a) / (sys.b - sys.a))
+    for j in range(min(d, 2)):
+        fv[d + 1 + j, :, j] = sine
+    return fv
 
-    def const(vec: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda xs: np.broadcast_to(vec, (len(xs), d)).copy()
 
-    probes += [const(e) for e in np.eye(d)] + [const(np.ones(d) / math.sqrt(d))]
-    for e in np.eye(d)[:2]:
-
-        def sine(xs, e=e):
-            return np.sin(math.pi * (xs - a) / (b - a))[:, None] * e[None, :]
-
-        probes.append(sine)
-
-    # adversarial probe from the worst singular direction of T_t
-    at_b = st.cum[i, -1]
+def _adversarial_w(st: _PhiStack, i: int) -> np.ndarray:
+    """w = Phi_t(b)^{-1} y at t = st.ts[i], y from the worst singular
+    direction of T_t: the adversarial probe is f = P1 Phi_t(x) w / (b - a).
+    SingularMatrix naming t where Phi_t(b) cannot be inverted, rather than
+    a probe set without its strongest probe."""
+    d, at_b = st.sys.d, st.cum[i, -1]
+    z = st.svd[2][i, -1].conj()  # direction achieving sigma_min, i.e. max |T^{-1}z|
+    z12 = st.sys.W_pinv @ z
     try:
-        z = st.svd[2][i, -1].conj()  # direction achieving sigma_min, i.e. max |T^{-1}z|
-        z12 = st.sys.W_pinv @ z
-        y = -z12[:d] + at_b @ z12[d:]
-        w = la.inv(at_b) @ y
-
-        def adv(xs):
-            # Phi_t(x) w = exp(A_k (x - x_k)) Phi_t(x_k) w on piece k
-            ks, out = sys.piece_index(xs), np.empty((len(xs), d), dtype=complex)
-            for k in np.unique(ks):
-                at = ks == k
-                out[at] = st.apply(i, k, xs[at] - sys.breaks[k], st.cum[i, k] @ w)
-            return out @ sys.P1.T / (b - a)
-
-        probes.append(adv)
+        return la.inv(at_b) @ (-z12[:d] + at_b @ z12[d:])
     except la.LinAlgError:
-        pass
-    return probes
+        raise SingularMatrix(
+            f"Phi_t(b) cannot be inverted at t={float(st.ts[i])}: no adversarial probe"
+        ) from None
 
 
-def _norm_lower(st: _PhiStack, i: int, nodes: int) -> float:
+def _norm_lower(st: _PhiStack, i: int, g: _Grid, fv: np.ndarray, f_norms: np.ndarray) -> float:
     """Lower estimate of |R(it, -A)| at t = st.ts[i]: the largest
-    |u|_H / |f|_H over the fixed probe set (up to quadrature error); never
-    an upper estimate."""
+    |u|_H / |f|_H over the probes, those of :func:`_probe_values` (values
+    ``fv`` at g.xs, H-norms ``f_norms``) and the adversarial one, up to
+    quadrature error.  Since every ratio is at most |R|, R_lower <= |R|: it
+    can refute an upper bound on |R|, never confirm one."""
     sys = st.sys
-    sols, fx = _solve_once(st, i, _probe_set(st, i), nodes)
-    # |f|_H via the same uniform grid
-    bounds = _node_bounds(_uniform_counts(sys, nodes))
-    f_norms = _h_norms(sols[0].x, fx, _by_piece(sys.pieces, bounds, fx))
+    v, phi_w = _solve_once(st, i, g, fv, _adversarial_w(st, i))
+    f_adv = phi_w @ sys.P1.T / (sys.b - sys.a)
+    f_norms = np.append(f_norms, _h_norms(g.x, f_adv, _by_piece(sys.pieces, g.bounds, f_adv)))
+    u_norms = _h_norms(g.x, v, _by_piece(st.hinv, g.bounds, v))
     return max(
-        (sol.u_norm_H / fn for sol, fn in zip(sols, f_norms.tolist()) if fn > 0),
+        (un / fn for un, fn in zip(u_norms.tolist(), f_norms.tolist()) if fn > 0),
         default=0.0,
     )
 
@@ -839,23 +853,32 @@ def check_characterisation(
     t_grid: Sequence[float],
     nodes: int = 2048,
 ) -> list[dict]:
-    """For each grid t, verify the checkable half of the two-sided bound:
-    the probe lower estimate of |R(it,-A)| must satisfy
-    R_lower <= C_tilde (|T_t^{-1}| + 1).
+    """For each grid t, check the half of the two-sided bound that a lower
+    estimate can refute: the probe estimate R_lower of |R(it,-A)| must
+    satisfy R_lower <= C_tilde (|T_t^{-1}| + 1).  Since R_lower <= |R|, a
+    row with ``lower_ok`` false refutes |R| <= C_tilde (|T_t^{-1}| + 1);
+    one with ``lower_ok`` true confirms nothing.
 
-    The reverse inequality needs an upper estimate of |R|, which probing
-    cannot provide; it is recorded as skipped.  One stacked build of Phi_t
-    over the grid serves B (hence C_tilde), T_t and every probe solve, and
-    all probes at one t are solved together.
+    The other half, |T_t^{-1}| <= C (|R| + 1), is the one a lower estimate
+    could verify: |T_t^{-1}| <= C (R_lower + 1) implies it.  R_lower holds
+    only up to quadrature error, so that half is recorded as skipped.
+
+    One stacked build of Phi_t over the grid serves B (hence C_tilde), T_t
+    and every probe solve; the t-independent probes are evaluated once, on
+    one grid, and all probes at one t are solved together.
     """
     ts = np.asarray(t_grid, dtype=float)
     if not len(ts):
         raise ValidationError("t grid must be non-empty")
+    g = _Grid(sys, nodes)
+    fv = _probe_values(sys, g.xs)
+    fx = fv[:, -len(g.x) :]
+    f_norms = _h_norms(g.x, fx, _by_piece(sys.pieces, g.bounds, fx))
     b_ts, inv_norms, r_lower = [], [], []
     for st in _stacks(sys, ts):
         b_ts.append(st.sup_norms)
         inv_norms.extend((1.0 / st.svd[1][:, -1]).tolist())
-        r_lower.extend(_norm_lower(st, i, nodes) for i in range(len(st.ts)))
+        r_lower.extend(_norm_lower(st, i, g, fv, f_norms) for i in range(len(st.ts)))
     consts = _constants(sys, ts, np.concatenate(b_ts))
     rows = []
     for t, r, inv_norm in zip(ts.tolist(), r_lower, inv_norms):

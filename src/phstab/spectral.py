@@ -486,7 +486,10 @@ class _Sup(_Engine):
         up = _norm_up(terms[0], terms[4])
         back = (up > self.incumbent(w)) & (oor | ((up > lo * (1 + tol / 4)) & (own >= wid)))
         for i in np.flatnonzero(back):
-            lo[i] = float_down(self.ev.inv_norm_iv(iv.mpf(float(ts[i])), self.av))
+            try:
+                lo[i] = float_down(self.ev.inv_norm_iv(iv.mpf(float(ts[i])), self.av))
+            except SingularMatrix as exc:
+                raise self._unresolved(w[i], ts[i], exc) from None
         _improve(self.best, self.witness, lo, ts, w, np.maximum)
 
         cell, rb, own, wid = [x[:n] for x in terms], rb[:n], own[:n], wid[:n]
@@ -498,9 +501,23 @@ class _Sup(_Engine):
             ub[i] = self._cell_up(_det_frob(_w_terms_mp(self.ev, float(ts[i]), self.av, 1.0)),
                                   rb[i])
             if np.isinf(ub[i]) and rs[i] < _MIN_CELL:
-                raise SingularMatrix(
-                    f"det enclosure contains 0 near t={ts[i]} (cell radius {rs[i]})")
+                raise self._unresolved(w[i], ts[i], SingularMatrix(
+                    f"det enclosure contains 0 near t={ts[i]} (cell radius {rs[i]})"))
         return ub, _depth(own, wid, centred, back)
+
+    def _unresolved(self, w, t, exc):
+        """What a |det T_t| enclosure that holds 0 near t in window w
+        raises: ``exc`` (a SingularMatrix) where alpha is exactly p/q with p
+        and q odd, so that T_t is singular at t = q pi; elsewhere T_t is
+        invertible for every t and the enclosure's 0 is float time's."""
+        v = self.ball.value
+        if self.ball.err == 0 and v.numerator % 2 and v.denominator % 2:
+            return exc
+        a, b = self.windows[w]
+        return InsufficientPrecision(
+            f"{self.what} on [{a}, {b}]: float time cannot resolve |det T_t| "
+            f"near t={t}, where its enclosure reaches 0; alpha is no odd/odd "
+            "ratio, so T_t is invertible")
 
     def close(self, c, r, w, ub):
         """The cells that stay open; parked ones raise their window's bound."""

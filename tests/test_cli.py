@@ -111,6 +111,14 @@ def test_growth_monotone_csv(tmp_path):
     assert all(lo <= up for lo, up in zip(lows, ups))
 
 
+@pytest.mark.parametrize("quotients, singular", [("1,1073741824", False), ("0,3", True)])
+def test_growth_claims_a_singularity_only_for_odd_odd_alpha(quotients, singular, capsys):
+    # alpha = 1 + 2^-30 exits 2 on what float time cannot resolve; alpha = 1/3
+    # on T_t's singularity at t = 3 pi
+    assert run(["growth", "--quotients", quotients, "--etas", "10"]) == 2
+    assert ("contains 0" in capsys.readouterr().err) == singular
+
+
 def test_growth_warns_on_parked_upper_bounds(tmp_path, capsys):
     out = tmp_path / "g.csv"
     assert run(["growth", "--decimal", "1.41421356", "--bits", "24",

@@ -1,8 +1,10 @@
 """Port-Hamiltonian systems: validation, fundamental/boundary matrices,
 resolvent solves, and the characterisation constants."""
 
+import hashlib
 import math
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +18,12 @@ from phstab.errors import (
     ExpOverflow,
     QuadratureTooCoarse,
     SingularBoundaryMatrix,
+    SingularMatrix,
     ValidationError,
 )
 
 SQRT2 = math.sqrt(2)
+DATA = Path(__file__).parent / "data" / "phs"
 
 
 @pytest.fixture(scope="module")
@@ -313,20 +317,51 @@ def test_expm_fallback_agrees_with_eigen_path(sys16, monkeypatch):
     assert dense.u_norm_H == pytest.approx(eig.u_norm_H, rel=1e-10)
 
 
-def test_check_characterisation_matches_public_probe_solves(sys16):
-    t, nodes = 3.0, 256
-    (row,) = P.check_characterisation(sys16, [t], nodes=nodes)
+def _public_probes(system, t):
+    """The probe right-hand sides of ``check_characterisation`` at t as
+    callables for ``resolvent_solve``: the fixed probes, then the
+    adversarial f = P1 Phi_t(x) w / (b - a)."""
+    phi = P.FundamentalMatrix(system, t)
+    n = len(P._probe_values(system, np.zeros(1)))
+    w = P._adversarial_w(phi._stack, 0)
+    fixed = [lambda xs, p=p: P._probe_values(system, xs)[p] for p in range(n)]
+    return fixed + [lambda xs: (phi.at_many(xs) @ w) @ system.P1.T / (system.b - system.a)]
+
+
+def _assert_matches_public_probe_solves(system, t=3.0, nodes=256):
+    """R_lower of ``check_characterisation`` equals the best |u|_H / |f|_H
+    over every probe solved by quadrature through the public solve, the
+    adversarial one included."""
+    (row,) = P.check_characterisation(system, [t], nodes=nodes)
+    fs = _public_probes(system, t)
+    assert len(fs) == 6
     best = 0.0
-    for f in P._probe_set(P._PhiStack(sys16, [t]), 0):
-        sol = P.resolvent_solve(sys16, t, f, nodes=nodes, tol=math.inf)
+    for f in fs:
+        sol = P.resolvent_solve(system, t, f, nodes=nodes, tol=math.inf)
         fv = np.asarray(f(sol.x), dtype=complex)
         # a breakpoint node takes the piece on its left
-        ks = np.maximum(np.searchsorted(sys16.breaks, sol.x, side="left") - 1, 0)
-        hf = np.stack([sys16.pieces[k] @ y for k, y in zip(ks, fv)])
+        ks = np.maximum(np.searchsorted(system.breaks, sol.x, side="left") - 1, 0)
+        hf = np.stack([system.pieces[k] @ y for k, y in zip(ks, fv)])
         f_norm = math.sqrt(np.trapezoid(np.einsum("ni,ni->n", fv.conj(), hf).real, sol.x))
         best = max(best, sol.u_norm_H / f_norm)
     assert row["R_lower"] == pytest.approx(best, rel=1e-12)
     assert row["lower_ok"]
+
+
+def test_check_characterisation_matches_public_probe_solves(sys16):
+    _assert_matches_public_probe_solves(sys16)
+
+
+@pytest.mark.parametrize("case", ["dense", "p0_zero"])
+def test_public_probe_solves_match_on_the_dense_path_and_with_p0_zero(sys16, monkeypatch, case):
+    system = sys16
+    if case == "dense":
+        monkeypatch.setattr(P, "_EIG_COND_MAX", 0.0)
+        assert P.FundamentalMatrix(system, 3.0)._stack.dense.all()
+    else:
+        system = P.phsystem_from_json((DATA / "seeded16_p0_zero.json").read_text())
+        assert not system.P0.any()
+    _assert_matches_public_probe_solves(system)
 
 
 def test_check_characterisation_cost(sys16, monkeypatch):
@@ -350,6 +385,98 @@ def test_check_characterisation_cost(sys16, monkeypatch):
     counts["phi_t"] = 0
     P.check_characterisation(sys16, [9.0, 1.0, 5.0], nodes=256)
     assert counts == {"call": 0, "phi_t": 3}
+
+
+def test_probe_solves_compute_only_what_they_read(sys16, monkeypatch):
+    # the probe solves form no residuals, and the adversarial probe is
+    # never evaluated at the Gauss nodes: per piece, exp(A s) y is applied
+    # at the panel midpoints and at the grid, once each
+    checks, offsets = [], []
+    residuals, apply = P._residuals, P._PhiStack.apply
+
+    def counted_residuals(st, i, g, v, fx):
+        checks.append(len(g.x))
+        return residuals(st, i, g, v, fx)
+
+    def counted_apply(self, i, k, s, y):
+        offsets.append(len(s))
+        return apply(self, i, k, s, y)
+
+    monkeypatch.setattr(P, "_residuals", counted_residuals)
+    monkeypatch.setattr(P._PhiStack, "apply", counted_apply)
+    P.check_characterisation(sys16, [5.0], nodes=256)
+    counts = P._Grid(sys16, 256).counts
+    assert checks == []
+    assert sorted(offsets) == sorted(counts + [n + 1 for n in counts])
+    # the public solve runs the residual helper once per grid it tries
+    f = lambda xs: np.stack([np.sin(20 * xs), np.cos(20 * xs)], axis=1)
+    sol = P.resolvent_solve(sys16, 5.0, f, nodes=32, tol=1e-10)
+    assert sol.nodes == 256
+    assert checks == [len(P._Grid(sys16, n).x) for n in (32, 64, 128, 256)]
+
+
+# resolvent_solve's bits on sys16 at t = 4.2, pinned from the solve in which
+# the residuals were still formed inline: neither the residual helper nor
+# the shared grid may change them. LAPACK's last bits differ between builds,
+# so where Phi_t's own bits differ from _PHI_BITS the floats are checked to
+# rtol=1e-12 only, as tests/test_phs_golden.py does
+_PHI_BITS = "b653520ab294c757"
+_SOLVE_BITS = {
+    (512, 1e-8): (512, "d1b23b96c50a5724", "0x1.cd82b446159f3p-54",
+                  "0x1.774c6da15b386p-42", "0x1.39327fc3ee51bp-1"),
+    (64, 1e-10): (64, "743558a089f4cb47", "0x1.d64d51e0db1c6p-53",
+                  "0x1.efcb5fa2b3010p-36", "0x1.390190bc796ccp-1"),
+}
+
+
+def _bits(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("nodes, tol", list(_SOLVE_BITS))
+def test_resolvent_solve_bits_are_pinned(sys16, nodes, tol):
+    f = lambda xs: np.stack([np.sin(3 * xs), np.cos(2 * xs) + 1j], axis=1)
+    sol = P.resolvent_solve(sys16, 4.2, f, nodes=nodes, tol=tol)
+    n, v_bits, *floats = _SOLVE_BITS[nodes, tol]
+    got = (sol.boundary_residual, sol.ode_residual, sol.u_norm_H)
+    assert sol.nodes == n
+    if _bits(P.FundamentalMatrix(sys16, 4.2).at_many(np.array(sys16.breaks))) == _PHI_BITS:
+        assert _bits(sol.v) == v_bits
+        assert [x.hex() for x in got] == floats
+    else:
+        assert got == pytest.approx([float.fromhex(x) for x in floats], rel=1e-12)
+
+
+def test_adversarial_direction_is_never_dropped(sys16, monkeypatch):
+    # a Phi_t(b) that numpy cannot invert refuses the check, naming t,
+    # instead of dropping the strongest probe and lowering R_lower
+    inv, at_b = np.linalg.inv, P.FundamentalMatrix(sys16, 5.0).at_b
+
+    def no_phi_b(a):
+        if np.shape(a) == (2, 2) and np.allclose(a, at_b, rtol=1e-12, atol=0.0):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", no_phi_b)
+    with pytest.raises(SingularMatrix, match=r"t=5\.0\b"):
+        P.check_characterisation(sys16, [1.0, 5.0], nodes=128)
+
+
+def test_system_norms_are_formed_once(sys16, monkeypatch):
+    # |W|, |W+|, |P1|, |P1^{-1}| and H's extreme eigenvalues are formed
+    # once per system: later scans and checks read them
+    system = P.PHSystem(**_fields(sys16))
+    calls = []
+    norm, eigvalsh = np.linalg.norm, np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **kw: calls.append("norm") or norm(*a, **kw))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh") or eigvalsh(a))
+    first = P.stability_scan(system, [1.0, 2.0]).constants
+    assert calls.count("norm") == 4 and calls.count("eigvalsh") == 1
+    calls.clear()
+    again = P.stability_scan(system, [1.0, 2.0]).constants
+    P.check_characterisation(system, [3.0], nodes=128)
+    assert calls == []
+    assert again == first
 
 
 def test_each_boundary_matrix_is_factored_once(sys16, monkeypatch):
@@ -505,20 +632,26 @@ def test_multi_rhs_solve_matches_single_solves(sys16):
         lambda xs: np.stack([xs**2, -xs], axis=1) * (1 - 2j),
         lambda xs: np.zeros((len(xs), 2)),
     ]
-    st = P._PhiStack(sys16, [7.5])
-    many, _ = P._solve_once(st, 0, fs, 512)
-    assert len(many) == len(fs)
-    for f, sol in zip(fs, many):
-        (one,), _ = P._solve_once(st, 0, [f], 512)
-        scale = max(np.abs(one.v).max(), 1e-300)
-        assert np.abs(sol.v - one.v).max() <= 1e-13 * scale
-        assert np.array_equal(sol.x, one.x)
-        assert sol.u_norm_H == pytest.approx(one.u_norm_H, rel=1e-13)
+    st, g = P._PhiStack(sys16, [7.5]), P._Grid(sys16, 512)
+
+    def solve(fs):
+        fv = np.concatenate([g.values(f) for f in fs])
+        v, _ = P._solve_once(st, 0, g, fv)
+        res = np.maximum(*P._residuals(st, 0, g, v, fv[:, -len(g.x):]))
+        return v, P._h_norms(g.x, v, P._by_piece(st.hinv, g.bounds, v)), res
+
+    many = solve(fs)
+    assert len(many[0]) == len(fs)
+    for p, f in enumerate(fs):
+        one = solve([f])
+        scale = max(np.abs(one[0]).max(), 1e-300)
+        assert np.abs(many[0][p] - one[0][0]).max() <= 1e-13 * scale
+        assert many[1][p] == pytest.approx(one[1][0], rel=1e-13)
         # the residuals sit at the rounding floor of the FD stencil
-        assert abs(sol.residual - one.residual) <= 1e-12
-    assert many[3].u_norm_H == 0.0
+        assert abs(many[2][p] - one[2][0]) <= 1e-12
+    assert many[1][3] == 0.0
     with pytest.raises(ValidationError):
-        P._solve_once(st, 0, [fs[0], lambda xs: np.ones(len(xs))], 128)
+        g.values(lambda xs: np.ones(len(xs)))
 
 
 def _reference_solve(system, t, f, nodes):
@@ -573,12 +706,19 @@ def test_adversarial_probe_is_phi_w(sys16, monkeypatch, dense):
     _, _, vh = np.linalg.svd(P.boundary_matrices(sys16, [t])[0])
     z12 = sys16.W_pinv @ vh[-1].conj()
     w = np.linalg.solve(phi.at_b, -z12[:2] + phi.at_b @ z12[2:])
-    xs = np.concatenate([sys16.breaks, np.random.default_rng(5).uniform(sys16.a, sys16.b, 300)])
-    want = (phi.at_many(xs) @ w) @ sys16.P1.T / (sys16.b - sys16.a)
-    probes = P._probe_set(phi._stack, 0)
-    assert len(probes) == 6
-    got = probes[-1](xs)
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    got = P._adversarial_w(phi._stack, 0)
+    assert np.abs(got - w).max() <= 1e-13 * np.abs(w).max()
+    # the solve's propagation pass gives Phi_t(x) w on the grid, hence the
+    # adversarial f = P1 Phi_t(x) w / (b - a), beside one more v
+    g = P._Grid(sys16, 256)
+    fv = P._probe_values(sys16, g.xs)
+    v, phi_w = P._solve_once(phi._stack, 0, g, fv, got)
+    assert v.shape == (len(fv) + 1, len(g.x), 2)
+    want = phi.at_many(g.x) @ w
+    assert np.abs(phi_w - want).max() <= 1e-13 * np.abs(want).max()
+    alone, none = P._solve_once(phi._stack, 0, g, fv)
+    assert none is None
+    assert np.abs(v[:-1] - alone).max() <= 1e-13 * np.abs(alone).max()
 
 
 @pytest.mark.parametrize("shape", [lambda n: (n,), lambda n: (n, 1), lambda n: (n, 3),

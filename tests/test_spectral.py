@@ -113,6 +113,30 @@ def test_inv_norm_singular_rational():
     assert _at(THIRD, t, "terms")[0].b <= 1e-24
 
 
+def test_sup_claims_a_singularity_only_for_odd_odd_alpha():
+    # alpha = 1/3: T_t is singular at t = 3 pi
+    with pytest.raises(SingularMatrix, match=r"contains 0 near t=9\.42477"):
+        sp.growth_curve(THIRD, [10])
+    # alpha = 1 + 2^-30 is no odd/odd ratio, so T_t is invertible for every
+    # t; near t = pi, |det T_t| ~ 1e-18 lies below what float time resolves
+    with pytest.raises(InsufficientPrecision,
+                       match=r"\[0\.0, 10\.0\]: float time cannot resolve .* t=3\.14159"):
+        sp.growth_curve(cf.ExplicitQuotients((1, 2**30)), [10])
+
+
+def test_sup_point_fallback_claims_no_false_singularity(monkeypatch):
+    # a SingularMatrix from inv_norm_iv at a point is float time's unless
+    # alpha is odd/odd; alpha = 1 + 2^-20 reaches the point fallback
+    def touches_zero(self, t, a):
+        raise SingularMatrix(f"|det|^2 enclosure touches zero at t={t}")
+
+    monkeypatch.setattr(sp.HEvaluator, "inv_norm_iv", touches_zero)
+    with pytest.raises(InsufficientPrecision, match=r"\[0\.0, 10\.0\]: float time"):
+        sp.growth_curve(cf.ExplicitQuotients((1, 2**20)), [10])
+    with pytest.raises(SingularMatrix, match="touches zero"):
+        sp.growth_curve(cf.ExplicitQuotients((1,)), [10])
+
+
 def test_witness_time_and_g_certification():
     # g at the witness near pi*v for the odd/odd approximant 7/5 of sqrt(2)
     ball = sp.g_at_witness(cf.SQRT2, 7, 5)
