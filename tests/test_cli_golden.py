@@ -42,6 +42,8 @@ RUNS = {
     "growth_construction": ["growth", "--alpha-json", CONS, "--etas", "5,10,50"],
     "growth_decimal24": ["growth", "--decimal", "1.41421356", "--bits", "24",
                          "--etas", "50,500", "--tol", "1e-3"],
+    # the sup's mpmath fallback: points the float kernel's rounding blocks
+    "growth_sqrt2_1e5": ["growth", "--surd", "2", "--etas", "100000"],
     "rates_lower_bound": ["rates", "--curve", CURVE, "--kind", "LowerBound",
                           "--times", "10,100,1000,10000,100000"],
     "rates_batty_duyckaerts": ["rates", "--curve", CURVE, "--kind", "BattyDuyckaerts",
@@ -56,6 +58,9 @@ RUNS = {
                             "--surd-q", "3", "--odd-v", "1..199"],
     "sandwich_quotients": ["sandwich", "--quotients", "1,2,2,2,2,2,2,2",
                            "--odd-v", "1..99"],
+    # the inf's mpmath fallback: pi t past the kernel's reduction range 2^22
+    "sandwich_sqrt2_beyond_reduction": ["sandwich", "--surd", "2",
+                                        "--odd-v", "1399999..1400009"],
     "verify_all": ["verify", "all"],
 }
 
