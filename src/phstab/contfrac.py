@@ -292,18 +292,18 @@ class BoundReport(NamedTuple):
         return self.lower_margin > 0 and self.upper_margin > 0
 
 
-def check_bounds(table: ConvergentTable, bits: int = 0) -> list[BoundReport]:
+def check_bounds(table: ConvergentTable) -> list[BoundReport]:
     """Verify 1/((a_{n+1}+2) q_n^2) < |alpha - p_n/q_n| < 1/(a_{n+1} q_n^2)
     for every n with a successor, in exact rational arithmetic.
 
-    The enclosure precision starts at ``bits`` (default 4 bits(q_N) + 64)
-    and doubles until every n is decided. A precision-capped source (a
-    finite rule, a digit string) is judged on its widest enclosure; only
-    when even that leaves some n undecided does it raise.
+    The enclosure precision starts at 4 bits(q_N) + 64 and doubles until
+    every n is decided. A precision-capped source (a finite rule, a digit
+    string) is judged on its widest enclosure; only when even that leaves
+    some n undecided does it raise.
     """
     if len(table) < 2:
         raise ValueError("table needs at least 2 entries")
-    need = bits or 4 * table.convergents[-1].q.bit_length() + 64
+    need = 4 * table.convergents[-1].q.bit_length() + 64
     return _refine(table.source, need,
                    lambda ball: _bound_reports(table, ball.lower, ball.upper),
                    "convergent bounds")

@@ -20,9 +20,8 @@ from math import gcd
 import mpmath
 import numpy as np
 from mpmath import iv
-from mpmath.libmp import (from_man_exp, fzero, mpf_add, mpf_shift, mpf_sub, mpi_cos_sin,
-                          round_ceiling, round_floor, round_nearest, to_float,
-                          to_rational)
+from mpmath.libmp import (from_rational, fzero, mpf_add, mpf_shift, mpf_sub, mpi_cos_sin,
+                          round_ceiling, round_floor, round_nearest, to_float, to_rational)
 
 
 @contextmanager
@@ -33,12 +32,6 @@ def workprec(bits: int):
         yield
     finally:
         iv.prec = old
-
-
-def iv_hull(lo: Fraction, hi: Fraction):
-    """Certified enclosure of [lo, hi] (outward-rounded divisions)."""
-    return iv.mpf([(iv.mpf(lo.numerator) / lo.denominator).a,
-                   (iv.mpf(hi.numerator) / hi.denominator).b])
 
 
 def fraction_bounds(x) -> tuple[Fraction, Fraction]:
@@ -78,6 +71,12 @@ class RealBall:
         lo, hi = fraction_bounds(x)
         return cls.from_bounds(lo, hi)
 
+    def to_iv(self):
+        """The ball as an mpmath interval, each end rounded outward at iv.prec."""
+        lo, hi, den = self.ends()
+        return iv.make_mpf((from_rational(lo, den, iv.prec, round_floor),
+                            from_rational(hi, den, iv.prec, round_ceiling)))
+
     def scale(self) -> tuple[float, float]:
         """(kf, wid): the float nearest the midpoint and the radius rounded
         up, so |x - kf| <= wid + 2^-53 |kf| for every x in the ball (see
@@ -92,21 +91,6 @@ class RealBall:
         g = gcd(d, f)
         mid, rad = n * (f // g), e * (d // g)
         return mid - rad, mid + rad, d // g * f
-
-    def outward(self, prec: int) -> tuple:
-        """Raw mpmath endpoints (lo, hi) of the ball, rounded outward to
-        about ``prec`` bits; exact when both endpoints are dyadic with at
-        most ``prec`` significant bits."""
-        lo, hi, den = self.ends()
-        return _raw_ratio(lo, den, prec, False), _raw_ratio(hi, den, prec, True)
-
-
-def _raw_ratio(p: int, q: int, prec: int, up: bool) -> tuple:
-    """A raw mpf m 2^-k <= p/q (>= p/q if ``up``), q > 0, with m the floor
-    (ceiling) of p 2^k / q and k chosen so that m has about prec bits."""
-    k = prec + q.bit_length() - p.bit_length()
-    num, den = (p << k, q) if k >= 0 else (p, q << -k)
-    return from_man_exp(-(-num // den) if up else num // den, -k)
 
 
 def unit_phase(theta) -> tuple:

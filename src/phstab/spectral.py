@@ -11,11 +11,13 @@ branch-and-bound engine (``_Engine``). It holds the cells of every window
 index, so a whole eta ladder or sandwich sweep is one frontier. Each round
 splits the open cells, bounds them with one call of the float kernel
 ``intervals.cos_sin``, and sends to the mpmath interval evaluation only
-what that kernel's own rounding pad cannot decide. An objective (``_Sup``,
-``_Inf``) supplies the terms, the cell bound, the close rule, the mpmath
-fallback and how the windows' incumbents combine. Every float a bracket
-reports is rounded outward, so every reported lower/upper pair is
-certified.
+what that kernel's own rounding pad cannot decide: the engine's one
+fallback (``_Engine.refill``) overwrites those rows of the six float bounds,
+and a visit computes every bound from the six, whoever filled them. An
+objective (``_Sup``, ``_Inf``) gives the terms, the cell bound, the rule of
+the fallback, the close rule and how the windows' incumbents combine. Every
+float a bracket reports is rounded outward, so every reported lower/upper
+pair is certified.
 
 Both sides read det T_t from one formula over the two phases of t and
 alpha t: the float kernel as w = 2 det T (``_w_terms``), the mpmath side
@@ -31,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 from mpmath import iv
-from mpmath.libmp import fzero, mpf_sign, mpi_abs, mpi_mul
+from mpmath.libmp import fzero, mpf_sign
 
 from .contfrac import IrrationalSpec
 from .diophantine import min_odd_dist, nearest_odd
@@ -43,7 +45,6 @@ from .intervals import (
     float_down,
     float_up,
     fraction_bounds,
-    iv_hull,
     kernel_scale,
     unit_phase,
     workprec,
@@ -56,7 +57,7 @@ class HEvaluator:
     over the two phases (``terms``).
 
     All methods assume they run inside a ``workprec`` matching the precision
-    of a, as ``g_at_witness`` and the engine's mpmath fallbacks do.
+    of a, as ``g_at_witness`` and the engine's mpmath fallback do.
     """
 
     def phases(self, t, a):
@@ -139,7 +140,7 @@ def g_at_witness(alpha: IrrationalSpec, u: int, v: int, bits: int = 128) -> Real
     while True:
         with workprec(work):
             enc = alpha.enclosure(work)
-            a = iv_hull(enc.lower, enc.upper)
+            a = enc.to_iv()
             delta = -(v * a - u) / (1 + a)
             ball = RealBall.from_iv(iv.sqrt(ev.terms(iv.pi * (v + delta), a)[0]))
         if ball.lower > 0 and ball.err < ball.lower / (1 << 20):
@@ -271,32 +272,23 @@ def _w_terms_mp(ev: HEvaluator, c: float, av, k):
 _MIN_CELL = 1e-13
 
 
-def _det_frob(bounds):
-    """``_w_terms``' bounds at k = 1 as (D_lo, D_up, |D'|, F_lo, F_up, |F'|)
-    for D = |det T_t|^2 = |w|^2 / 4 and F = ||T_t||_F^2 = R. Quarters are
-    exact above the subnormal range; 2^-1074 off D_lo rounds it down there.
-    Only mpmath gives subnormal upper ends; of those ``_Sup._cell_up`` reads
-    |D'|, then off by < 2^-1075, far inside its ``_minus_down`` allowance."""
-    f_lo, f_up, speed, r_lo, r_up, r_speed = bounds
-    return (f_lo * 0.25 - 2.0**-1074, f_up * 0.25, speed * 0.25,
-            np.maximum(r_lo, 1.0), np.minimum(r_up, 5.0), r_speed)
-
-
-def _norm_up(d_lo, f_up):
-    """Upper bound on ||T^{-1}|| = sqrt(sigma_max^2 / D) given D >= d_lo and
-    F <= f_up, where sigma_max^2 = (F + sqrt(F^2 - 4 D)) / 2 rises with F
-    and falls with D; inf where d_lo <= 0. F <= 5, so F^2 - 4D is off by
-    less than 2^-47."""
+def _norm_up(f_lo, r_up):
+    """Upper bound on ||T^{-1}|| given F = |w|^2 >= f_lo and R = ||T||_F^2
+    <= r_up (``_w_terms`` at k = 1): ||T^{-1}||^2 = 2 (R + sqrt(R^2 - F)) / F
+    rises with R in [1, 5] and falls with F; inf where f_lo <= 0. R <= 5, so
+    R^2 - F is off by less than 2^-47."""
+    r_up = np.minimum(r_up, 5.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        disc = np.maximum(f_up * f_up - 4 * d_lo, 0.0) + 2.0**-47
-        up = np.sqrt((f_up + np.sqrt(disc)) * 0.5 / d_lo) * (1 + 2.0**-49)
-    return np.where(d_lo > 0, up, np.inf)
+        disc = np.maximum(r_up * r_up - f_lo, 0.0) + 2.0**-47
+        up = np.sqrt((r_up + np.sqrt(disc)) * 2 / f_lo) * (1 + 2.0**-49)
+    return np.where(f_lo > 0, up, np.inf)
 
 
-def _norm_lo(d_up, f_lo):
-    """Lower bound on ||T^{-1}|| given D <= d_up and F >= f_lo."""
-    disc = np.maximum(f_lo * f_lo - 4 * d_up - 2.0**-47, 0.0)
-    return np.sqrt((f_lo + np.sqrt(disc)) * 0.5 / d_up) * (1 - 2.0**-49)
+def _norm_lo(f_up, r_lo):
+    """Lower bound on ||T^{-1}|| given F <= f_up (> 0) and R >= r_lo."""
+    r_lo = np.maximum(r_lo, 1.0)
+    disc = np.maximum(r_lo * r_lo - f_up - 2.0**-47, 0.0)
+    return np.sqrt((r_lo + np.sqrt(disc)) * 2 / f_up) * (1 - 2.0**-49)
 
 
 # -- one branch-and-bound engine for every window of a call -----------------
@@ -382,8 +374,8 @@ class _Engine:
     keeps what ``close`` leaves open (see ``_MAX_FRONTIER`` for the cap).
     The windows share the rounds and the working precision, so a window's
     bracket (within its tol) depends on the others. A subclass is the
-    objective: kernel ``scales``, ``floor``, ``visit`` (terms, cell bounds,
-    mpmath fallback) and ``close``."""
+    objective: kernel ``scales``, mpmath's ``k_mp``, ``floor``, ``visit``
+    (bounds, and which rows ``refill`` takes) and ``close``."""
 
     floor = None
     seeds = np.zeros(0), np.zeros(0, dtype=np.intp)
@@ -397,8 +389,17 @@ class _Engine:
 
     @cached_property
     def av(self):
-        """alpha's mpmath enclosure, built at the first visit that falls back."""
-        return iv_hull(self.ball.lower, self.ball.upper)
+        """alpha's mpmath enclosure, built at its first use."""
+        return self.ball.to_iv()
+
+    def refill(self, terms, ts, rows):
+        """The mpmath fallback: ``_w_terms_mp`` at ``k_mp`` overwrites the
+        ``rows`` (a mask) of ``_w_terms``' six bounds; returns their indices."""
+        idx = np.flatnonzero(rows)
+        for i in idx:
+            for bound, x in zip(terms, _w_terms_mp(self.ev, float(ts[i]), self.av, self.k_mp)):
+                bound[i] = x
+        return idx
 
     def run(self) -> None:
         c, r, w = self.roots
@@ -434,28 +435,30 @@ class _Sup(_Engine):
     """sup ||T_t^{-1}|| over consecutive segments of [0, eta_max].
 
     Cell bounds use the centred form v(c) +/- (|v'(c)| r + L r^2 / 2) for
-    v = |det|^2 = |w|^2 / 4 and F = ||T||_F^2 = 1 + Re w, with w = 2 +
+    F = |w|^2 = 4 |det T_t|^2 and R = ||T_t||_F^2 = 1 + Re w, with w = 2 +
     e^{it} + e^{i alpha t} (``_w_terms`` at k = 1; L from the cosine forms
-    of v and F), and ||T^{-1}||^2 = (F + sqrt(F^2 - 4 |det|^2)) /
-    (2 |det|^2); near resonances it prunes geometrically, where naive
+    of F and R), and ||T^{-1}||^2 = 2 (R + sqrt(R^2 - F)) / F
+    (``_norm_up``); near resonances it prunes geometrically, where naive
     interval extension needs O(|det|^-2) cells.
     Window k's incumbent is the best point of windows <= k (m(eta_k) is
     the sup over all of them); a cell closes once its bound is at most that
-    times (1 + tol), and is parked, its bound kept, below the floor. The
-    mpmath evaluation takes what leaves the reduction range, and what the
-    kernel's own rounding (not alpha's width, which mpmath pays too) blocks:
-    a point that might raise the incumbent, with a float bracket wider than
-    tol/4 and a |det|^2 error mostly the kernel's own; a cell above the
-    threshold whose |det|^2 error is mostly the kernel's own."""
+    times (1 + tol), and is parked, its bound kept, below the floor.
+    ``refill`` takes what leaves the reduction range, and what the kernel's
+    own rounding (not alpha's width, which mpmath pays too) blocks: a point
+    that might raise the incumbent, with a float bracket wider than tol/4
+    and an F error mostly the kernel's own; a cell above the threshold
+    whose F error is mostly the kernel's own, unless its point went. Both
+    read ||T_t^{-1}|| from the same six bounds, whoever filled them."""
 
     what = "sup of ||T_t^-1||"
+    k_mp = 1.0
 
     def __init__(self, ball, windows, tol):
         super().__init__(ball, windows, tol, 1.0)  # ||T_0^{-1}|| = 1
         self.scales = ((1.0, 0.0), self.sa)
         af = self.sa[0]
-        self.l2_det = (1 + af * af + (1 - af) ** 2 / 2) * 1.01  # >= sup |(|det|^2)''|
-        self.l2_frob = (1 + af * af) * 1.01  # >= sup |F''|
+        self.l2_det = (4 + 4 * af * af + 2 * (1 - af) ** 2) * 1.01  # >= sup |F''|
+        self.l2_frob = (1 + af * af) * 1.01  # >= sup |R''|
         self.stuck = np.zeros(len(windows))  # certified bound over parked cells
         # root cells of width 2 (the last of a window shorter): the first
         # round bounds cells of width <= 1
@@ -472,47 +475,42 @@ class _Sup(_Engine):
         return np.maximum.accumulate(self.best)[w]
 
     def _cell_up(self, terms, rb):
-        d_lo, _, dd, _, f_up, df = terms
-        d_cell = _minus_down(d_lo, dd * rb + 0.5 * self.l2_det * rb * rb)
-        f_cell = np.minimum(_plus_up(f_up, df * rb + 0.5 * self.l2_frob * rb * rb), 5.0)
-        return _norm_up(d_cell, f_cell)
+        f_lo, _, speed, _, r_up, r_speed = terms
+        f_cell = _minus_down(f_lo, speed * rb + 0.5 * self.l2_det * rb * rb)
+        r_cell = _plus_up(r_up, r_speed * rb + 0.5 * self.l2_frob * rb * rb)
+        return _norm_up(f_cell, r_cell)
 
     def visit(self, ts, rs, rb, w, n, ph, oor):
-        """Raise the incumbents; upper bounds and depths of the n cells."""
-        bounds, own, wid = _w_terms(ph, self.sa, 1.0)
-        terms, own, wid = _det_frob(bounds), own / 4, wid / 4
+        """Raise the incumbents; upper bounds and depths of the cells (all rows)."""
+        terms, own, wid = _w_terms(ph, self.sa, 1.0)
         tol = self.tol[w]
-        lo = _norm_lo(terms[1], terms[3])
-        up = _norm_up(terms[0], terms[4])
-        back = (up > self.incumbent(w)) & (oor | ((up > lo * (1 + tol / 4)) & (own >= wid)))
-        for i in np.flatnonzero(back):
-            try:
-                lo[i] = float_down(self.ev.inv_norm_iv(iv.mpf(float(ts[i])), self.av))
-            except SingularMatrix as exc:
-                raise self._unresolved(w[i], ts[i], exc) from None
+        lo, up = _norm_lo(terms[1], terms[3]), _norm_up(terms[0], terms[4])
+        went = (up > self.incumbent(w)) & (oor | ((up > lo * (1 + tol / 4)) & (own >= wid)))
+        pts = self.refill(terms, ts, went)
+        if pts.size:
+            lo = _norm_lo(terms[1], terms[3])
         _improve(self.best, self.witness, lo, ts, w, np.maximum)
 
-        cell, rb, own, wid = [x[:n] for x in terms], rb[:n], own[:n], wid[:n]
-        ub = self._cell_up(cell, rb)
-        centred = cell[2] * rb + 0.5 * self.l2_det * rb * rb
-        back = (ub > self.incumbent(w[:n]) * (1 + tol[:n])) & (
-            oor[:n] | (own >= wid + centred) | ((rs[:n] < _MIN_CELL) & np.isinf(ub)))
-        for i in np.flatnonzero(back):
-            ub[i] = self._cell_up(_det_frob(_w_terms_mp(self.ev, float(ts[i]), self.av, 1.0)),
-                                  rb[i])
+        ub = self._cell_up(terms, rb)
+        centred = terms[2] * rb + 0.5 * self.l2_det * rb * rb
+        back = (ub > self.incumbent(w) * (1 + tol)) & (
+            oor | (own >= wid + centred) | ((rs < _MIN_CELL) & np.isinf(ub)))
+        cells = self.refill(terms, ts, back & ~went)  # no row goes twice
+        if cells.size:
+            ub = self._cell_up(terms, rb)
+        for i in sorted((*pts, *cells)):
             if np.isinf(ub[i]) and rs[i] < _MIN_CELL:
-                raise self._unresolved(w[i], ts[i], SingularMatrix(
-                    f"det enclosure contains 0 near t={ts[i]} (cell radius {rs[i]})"))
+                raise self._unresolved(w[i], ts[i], rs[i])
         return ub, _depth(own, wid, centred, back)
 
-    def _unresolved(self, w, t, exc):
-        """What a |det T_t| enclosure that holds 0 near t in window w
-        raises: ``exc`` (a SingularMatrix) where alpha is exactly p/q with p
+    def _unresolved(self, w, t, r):
+        """What a |det T_t| enclosure that holds 0 on the cell (t, r) of
+        window w raises: SingularMatrix where alpha is exactly p/q with p
         and q odd, so that T_t is singular at t = q pi; elsewhere T_t is
         invertible for every t and the enclosure's 0 is float time's."""
         v = self.ball.value
         if self.ball.err == 0 and v.numerator % 2 and v.denominator % 2:
-            return exc
+            return SingularMatrix(f"det enclosure contains 0 near t={t} (cell radius {r})")
         a, b = self.windows[w]
         return InsufficientPrecision(
             f"{self.what} on [{a}, {b}]: float time cannot resolve |det T_t| "
@@ -533,28 +531,28 @@ class _Inf(_Engine):
     F(t) >= F(c) - |F'(c)| r - L2 r^2 / 2 on |t - c| <= r, where
     L2 >= sup |F''| = 2 pi^2 ((1+alpha)^2 + 4 (1+alpha^2)). A cell closes
     when pruned (bound >= the window's least F at a point) or done
-    (sqrt(best) - sqrt(bound) <= tol, rounded outward). A visit goes to the
-    mpmath evaluation when an argument leaves the reduction range, or when
-    its cell stays open and the kernel's own rounding is the larger part of
-    the bound's slack (alpha's enclosure width counts with the slack)."""
+    (sqrt(best) - sqrt(bound) <= tol, rounded outward). A visit's row goes
+    to ``refill`` when an argument leaves the reduction range, or when its
+    cell stays open and the kernel's own rounding is the larger part of the
+    bound's slack (alpha's enclosure width counts with the slack)."""
 
     what = "inf of h"
+    k_mp = iv.pi
 
     def __init__(self, ball, windows, tol):
         super().__init__(ball, windows, tol, math.inf)
-        # alpha's endpoints rounded outward 64 bits past the working
-        # precision (the run's workprec; exact for a surd's dyadic ball),
-        # and their product with pi's, exact (precision 0)
-        pi, a_raw = iv.pi._mpi_, ball.outward(iv.prec + 64)
-        self.scales = (kernel_scale(pi), kernel_scale(mpi_mul(pi, a_raw)))
-        a_abs = float_up(mpi_abs(a_raw)[1])
+        # pi and pi alpha from alpha's one mpmath enclosure, at the run's workprec
+        self.scales = (kernel_scale(iv.pi._mpi_), kernel_scale((iv.pi * self.av)._mpi_))
+        a_abs = float_up(abs(self.av))
         self.l2 = 2 * math.pi**2 * ((1 + a_abs) ** 2 + 4 * (1 + a_abs**2)) * 1.0000001
         self.done_lo = np.full(len(windows), math.inf)
         a, b = np.array(windows, dtype=float).T
         c0 = (a + b) / 2
         self.roots = c0, b - c0, np.arange(len(windows))
-        self.seeds = (np.linspace(a, b, 17, axis=-1).ravel(),
-                      np.repeat(np.arange(len(windows)), 17))
+        # np.linspace(a, b, 17) per window, at a third of its cost
+        seeds = a[:, None] + np.arange(17) * ((b - a) / 16)[:, None]
+        seeds[:, -1] = b
+        self.seeds = seeds.ravel(), np.repeat(np.arange(len(windows)), 17)
 
     def _open(self, lb, w):
         bu = self.best[w]
@@ -562,16 +560,14 @@ class _Inf(_Engine):
 
     def visit(self, ts, rs, rb, w, n, ph, oor):
         """Lower the incumbents; lower bounds and depths of the n cells."""
-        (f_lo, f_up, speed, *_), own, wid = _w_terms(ph, self.sa, _PI_UP)
-        centred = speed * rb + 0.5 * self.l2 * rb * rb
-        lb = _minus_down(f_lo, centred)
-        _improve(self.best, self.witness, f_up, ts, w, np.minimum)
+        terms, own, wid = _w_terms(ph, self.sa, _PI_UP)
+        centred = terms[2] * rb + 0.5 * self.l2 * rb * rb
+        lb = _minus_down(terms[0], centred)
+        _improve(self.best, self.witness, terms[1], ts, w, np.minimum)
         back = oor | (self._open(lb, w) & (own >= wid + centred))
-        for i in np.flatnonzero(back):
-            f_lo_i, f_up_i, speed_i, *_ = _w_terms_mp(self.ev, float(ts[i]), self.av, iv.pi)
-            lb[i] = _minus_down(f_lo_i, speed_i * rb[i] + 0.5 * self.l2 * rb[i] ** 2)
-            if f_up_i < self.best[w[i]]:
-                self.best[w[i]], self.witness[w[i]] = f_up_i, ts[i]
+        if self.refill(terms, ts, back).size:
+            lb = _minus_down(terms[0], terms[2] * rb + 0.5 * self.l2 * rb * rb)
+            _improve(self.best, self.witness, terms[1], ts, w, np.minimum)
         return lb[:n], _depth(own[:n], wid[:n], centred[:n], back[:n])
 
     def close(self, c, r, w, lb):

@@ -244,6 +244,16 @@ def _bound_reports_oracle(table, lo, hi):
     return reports
 
 
+def _check_bounds_from(table, bits=0):
+    """check_bounds' reports, its refinement started at ``bits`` (0: its own
+    start, 4 bits(q_N) + 64) through the ``_refine`` loop it runs."""
+    if not bits:
+        return cf.check_bounds(table)
+    return cf._refine(table.source, bits,
+                      lambda ball: cf._bound_reports(table, ball.lower, ball.upper),
+                      "convergent bounds")
+
+
 def _check_bounds_oracle(table, bits=0):
     qN = table.convergents[-1].q
     need = bits or 4 * qN.bit_length() + 64
@@ -350,7 +360,7 @@ def test_check_bounds_matches_fraction_oracle(spec, n, bits):
     except InsufficientPrecision:  # decimal digits exhausted
         assume(False)
     assume(len(table) >= 2)
-    got = _outcome(cf.check_bounds, table, bits)
+    got = _outcome(_check_bounds_from, table, bits)
     assert got == _outcome(_check_bounds_oracle, table, bits)
 
 
@@ -370,7 +380,7 @@ def test_check_bounds_doubles_when_convergent_inside_enclosure(monkeypatch):
     ball = cf.SQRT2.enclosure(8)
     assert any(ball.lower <= c.value <= ball.upper for c in table.convergents[:-1])
     asked = _count_enclosures(monkeypatch, cf.QuadraticSurd)
-    reports = cf.check_bounds(table, 8)
+    reports = _check_bounds_from(table, 8)
     assert asked[:2] == [8, 16] and len(asked) > 2
     assert reports == _check_bounds_oracle(table, 8)
     assert len(reports) == 30 and all(r.passed for r in reports)
@@ -578,7 +588,7 @@ def _capped(table, ball):
 
 
 def _matches_oracle_exactly(table, bits):
-    got = cf.check_bounds(table, bits)
+    got = _check_bounds_from(table, bits)
     assert _fields(got) == _fields(_check_bounds_oracle(table, bits))
     for r in got:
         for x in (r.lower_margin, r.upper_margin):

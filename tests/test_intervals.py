@@ -122,9 +122,7 @@ def test_unit_phase_is_iv_cos_and_sin(bits):
             assert c._mpi_ == iv.cos(theta)._mpi_ and s._mpi_ == iv.sin(theta)._mpi_
 
 
-def test_ball_ends_and_outward_rounding():
-    from mpmath.libmp import to_rational
-
+def test_ball_ends():
     from phstab.intervals import RealBall
 
     for ball in (RealBall(Fraction(141421356, 10**8), Fraction(1, 1 << 24)),
@@ -133,15 +131,27 @@ def test_ball_ends_and_outward_rounding():
                  RealBall(Fraction(5, 7), Fraction(0))):
         L, H, D = ball.ends()
         assert D > 0 and Fraction(L, D) == ball.lower and Fraction(H, D) == ball.upper
+
+
+def test_ball_to_iv_rounds_outward():
+    from mpmath import iv
+    from mpmath.libmp import to_rational
+
+    from phstab.intervals import RealBall
+
+    for ball in (RealBall(Fraction(141421356, 10**8), Fraction(1, 1 << 24)),
+                 RealBall(Fraction(-7, 3), Fraction(1, 10**40)),
+                 RealBall(Fraction(3, 1 << 70), Fraction(1, 1 << 80))):
         for prec in (24, 53, 200):
-            lo, hi = (Fraction(*map(int, to_rational(x))) for x in ball.outward(prec))
+            with workprec(prec):
+                lo, hi = (Fraction(*map(int, to_rational(x))) for x in ball.to_iv()._mpi_)
             assert lo <= ball.lower and ball.upper <= hi
             slack = abs(ball.value) * Fraction(1, 1 << (prec - 1))
             assert ball.lower - lo <= slack and hi - ball.upper <= slack
-    # dyadic endpoints with at most prec significant bits come out exactly
+    # dyadic ends with at most prec significant bits come out exactly
     ball = RealBall(Fraction(181, 128), Fraction(1, 256))
-    lo, hi = (Fraction(*map(int, to_rational(x))) for x in ball.outward(16))
-    assert (lo, hi) == (ball.lower, ball.upper)
+    with workprec(16):
+        assert ball.to_iv()._mpi_ == iv.mpf([float(ball.lower), float(ball.upper)])._mpi_
 
 
 def test_directed_conversion_in_the_subnormal_range():

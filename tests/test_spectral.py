@@ -1,6 +1,7 @@
 """Boundary-matrix family, certified infima of h, growth curves, sandwich."""
 
 import math
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,7 @@ from phstab import diophantine as dio
 from phstab import spectral as sp
 from phstab.errors import InsufficientPrecision, OutOfRange, SingularMatrix
 from phstab.intervals import (REDUCTION_RANGE, cos_sin, float_down, float_up,
-                              fraction_bounds, iv_hull, workprec)
+                              fraction_bounds, workprec)
 
 THIRD = cf.ExplicitQuotients((0, 3))
 
@@ -29,8 +30,7 @@ def _det_oracle(alpha: float, t: float) -> complex:
 
 def _alpha_iv(alpha, bits):
     """alpha's enclosure at bits as an mpmath interval (call inside workprec)."""
-    ball = alpha.enclosure(bits)
-    return iv_hull(ball.lower, ball.upper)
+    return alpha.enclosure(bits).to_iv()
 
 
 def _at(alpha, t, method, bits=256):
@@ -114,27 +114,16 @@ def test_inv_norm_singular_rational():
 
 
 def test_sup_claims_a_singularity_only_for_odd_odd_alpha():
-    # alpha = 1/3: T_t is singular at t = 3 pi
+    # alpha = 1/3 and alpha = 1: T_t is singular at t = 3 pi and at t = pi
     with pytest.raises(SingularMatrix, match=r"contains 0 near t=9\.42477"):
         sp.growth_curve(THIRD, [10])
+    with pytest.raises(SingularMatrix, match=r"contains 0 near t=3\.14159"):
+        sp.growth_curve(cf.ExplicitQuotients((1,)), [10])
     # alpha = 1 + 2^-30 is no odd/odd ratio, so T_t is invertible for every
     # t; near t = pi, |det T_t| ~ 1e-18 lies below what float time resolves
     with pytest.raises(InsufficientPrecision,
                        match=r"\[0\.0, 10\.0\]: float time cannot resolve .* t=3\.14159"):
         sp.growth_curve(cf.ExplicitQuotients((1, 2**30)), [10])
-
-
-def test_sup_point_fallback_claims_no_false_singularity(monkeypatch):
-    # a SingularMatrix from inv_norm_iv at a point is float time's unless
-    # alpha is odd/odd; alpha = 1 + 2^-20 reaches the point fallback
-    def touches_zero(self, t, a):
-        raise SingularMatrix(f"|det|^2 enclosure touches zero at t={t}")
-
-    monkeypatch.setattr(sp.HEvaluator, "inv_norm_iv", touches_zero)
-    with pytest.raises(InsufficientPrecision, match=r"\[0\.0, 10\.0\]: float time"):
-        sp.growth_curve(cf.ExplicitQuotients((1, 2**20)), [10])
-    with pytest.raises(SingularMatrix, match="touches zero"):
-        sp.growth_curve(cf.ExplicitQuotients((1,)), [10])
 
 
 def test_witness_time_and_g_certification():
@@ -339,7 +328,7 @@ def test_brackets_contain_256bit_value_at_witness(a):
 
 
 def test_fallback_at_deep_resonance_and_beyond_reduction_range(monkeypatch):
-    calls = {"inv_norm_iv": 0, "phases": 0}
+    calls = {"inv_norm_iv": 0, "terms": 0, "phases": 0}
 
     def counted(name):
         orig = getattr(sp.HEvaluator, name)
@@ -350,18 +339,31 @@ def test_fallback_at_deep_resonance_and_beyond_reduction_range(monkeypatch):
 
         monkeypatch.setattr(sp.HEvaluator, name, wrapper)
 
-    counted("inv_norm_iv")
-    counted("phases")
-    mp_cells = []
-    w_terms_mp = sp._w_terms_mp
-    monkeypatch.setattr(sp, "_w_terms_mp",
-                        lambda *a: mp_cells.append(1) or w_terms_mp(*a))
+    for name in calls:
+        counted(name)
+    visits, mp_rows = [0], []
+    visit, w_terms_mp = sp._Sup.visit, sp._w_terms_mp
+
+    def visit_counted(self, *args):
+        visits[0] += 1
+        return visit(self, *args)
+
+    def recorded(ev, c, av, k):
+        mp_rows.append((visits[0], c, sys._getframe(1).f_code.co_name))
+        return w_terms_mp(ev, c, av, k)
+
+    monkeypatch.setattr(sp._Sup, "visit", visit_counted)
+    monkeypatch.setattr(sp, "_w_terms_mp", recorded)
     # alpha = 1 + 2^-20: near t = pi |det| falls to about 1e-12, where the
     # kernel's own pad (at least _SLACK = 2^-46 on w) is about a percent of
     # it, so points and cells go to mpmath; the bracket parks at the floor
     p = sp.growth_curve(cf.ExplicitQuotients((1, 2**20)), [10], tol=1e-3).points[0]
-    assert 0 < calls["inv_norm_iv"] <= 24
-    assert 0 < len(mp_cells) <= 8
+    # every mpmath evaluation is one _w_terms_mp call from _Engine.refill,
+    # and no time goes there twice within a visit
+    assert 0 < len(mp_rows) <= 24 and calls["inv_norm_iv"] == 0
+    assert calls["terms"] == len(mp_rows)
+    assert {caller for *_, caller in mp_rows} == {"refill"}
+    assert len({(v, c) for v, c, _ in mp_rows}) == len(mp_rows)
     assert abs(p.witness - math.pi) < 1e-5
     assert p.m_lower <= _inv_norm_256(Fraction(2**20 + 1, 2**20), p.witness) <= p.m_upper
     # pi * t > 2^22: every visit goes to mpmath
@@ -372,6 +374,27 @@ def test_fallback_at_deep_resonance_and_beyond_reduction_range(monkeypatch):
     assert 0 < calls["phases"] <= 64
     assert 0 < ci.upper - ci.lower <= 1e-6
     assert ci.lower <= _h_256("sqrt2", ci.witness) <= ci.upper
+
+
+def test_results_on_the_mpmath_fallback_pinned():
+    # pi t past 2^22: every visit goes to mpmath
+    for (a, b), want in [
+            ((1.4e6 - 1, 1.4e6 + 1), (1.5669477161026808, 1.566948607119939, 1399999.0)),
+            ((1e7, 1e7 + 2), (0.0024369189671847825, 0.0024374912076514923,
+                              10000000.984279633))]:
+        ci = sp.inf_h_interval(cf.SQRT2, a, b)
+        assert (ci.lower, ci.upper, ci.witness) == want
+    # points whose decision the kernel's own rounding blocks
+    p, = sp.growth_curve(cf.SQRT2, [1e5]).points
+    assert (p.m_lower, p.m_upper, p.witness) == (
+        311417769.2925109, 311729187.0618034, 18035.883344120426)
+    # alpha = 1 + 2^-20: a point's lower bound reads the kernel's float
+    # formula on the mpmath bounds; with inv_norm_iv, m_lower was `before`
+    p, = sp.growth_curve(cf.ExplicitQuotients((1, 2**20)), [10]).points
+    assert p.m_upper == 893310169600.0902
+    before = 890957637094.0546
+    assert before * (1 - 2.0**-47) <= p.m_lower <= before
+    assert p.m_lower <= _inv_norm_256(Fraction(2**20 + 1, 2**20), p.witness)
 
 
 def test_sandwich_distance_bracket_contains_exact_distance():
