@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, pairwise, starmap
@@ -48,9 +49,10 @@ class QuadraticSurd(IrrationalSpec):
     q: int = 1
 
     def __post_init__(self):
-        if self.D <= 0 or isqrt(self.D) ** 2 == self.D:
+        D, _, q = map(operator.index, (self.D, self.p, self.q))  # integers only
+        if D <= 0 or isqrt(D) ** 2 == D:
             raise ValueError("D must be a positive non-square integer")
-        if self.q == 0:
+        if q == 0:
             raise ValueError("q must be nonzero")
         if self.enclosure(16).upper <= 0:
             raise ValueError("represented value must be positive")
@@ -91,7 +93,7 @@ class ExplicitQuotients(IrrationalSpec):
     a: tuple[int, ...]
 
     def __init__(self, a):
-        object.__setattr__(self, "a", tuple(int(x) for x in a))
+        object.__setattr__(self, "a", tuple(operator.index(x) for x in a))
         if not self.a:
             raise ValueError("quotient list must be nonempty")
         if any(x < 1 for x in self.a[1:]):
@@ -126,6 +128,10 @@ class RuleQuotients(IrrationalSpec):
 
     params: dict = field(default_factory=dict)
     _quotients: Optional[tuple[int, ...]] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if operator.index(dict(self.params).get("bit_budget", 4096)) < 64:
+            raise ValueError("bit_budget must be >= 64, as construct requires")
 
     @property
     def quotients(self) -> tuple[int, ...]:
@@ -162,7 +168,9 @@ class DecimalLiteral(IrrationalSpec):
     bits: int
 
     def __post_init__(self):
-        if self.bits < 1:
+        if not isinstance(self.digits, str):  # a float would be read as its binary value
+            raise TypeError(f"digits must be a string, not {self.digits!r}")
+        if operator.index(self.bits) < 1:
             raise ValueError("guaranteed bit count must be >= 1")
         if self._value() <= 0:
             raise ValueError("represented value must be positive")

@@ -267,8 +267,9 @@ def _exp_eig(lam: np.ndarray, outer: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.exp(lam[..., None, :] * s[..., None]) @ outer
 
 
-class _PhiStack:
-    """Phi_t for a vector of t on one system, built together.
+class FundamentalMatrix:
+    """Phi_t for a vector of t on one system, built together: exact
+    matrix-exponential products across the constant-H pieces, Phi_t(a) = I.
 
     The generators A_{t,k} = -P1^{-1}(i t H_k^{-1} + P0) of every (t, piece)
     pair share one stacked eigendecomposition, so exp(A s) at a set of
@@ -276,7 +277,8 @@ class _PhiStack:
     pair (i, k), one product (:meth:`exp_at`, :meth:`apply`); a pair that
     :func:`_eigen` marks dense takes a matrix exponential per point.
     ``cum[i, k]`` is Phi_{t_i} at breakpoint k, from one batched matmul
-    over t per piece.  T_t and its SVD are taken once per stack, on first
+    over t per piece, so ``cum[:, -1]`` is Phi_t(b); ``sup_norms`` holds
+    the sampled B_t.  T_t and its SVD are taken once per build, on first
     use; W+ once per system (:attr:`PHSystem.W_pinv`).
     """
 
@@ -305,6 +307,19 @@ class _PhiStack:
             cum[:, j + 1] = steps[:, j] @ cum[:, j]
         self._finite(cum[:, 1:])
         self.cum = cum
+
+    def __call__(self, xs) -> np.ndarray:
+        """Phi_t(x_j) for every t and every point, shape (len(ts), len(xs),
+        d, d); ValidationError for a point outside [a, b]."""
+        xs = np.asarray(xs, dtype=float)
+        ks, d = self.sys.piece_index(xs), self.sys.d
+        out = np.empty((len(self.ts), len(xs), d, d), dtype=complex)
+        for k in np.unique(ks):
+            idx = np.flatnonzero(ks == k)
+            for i in range(len(self.ts)):
+                e = self.exp_at(i, k, xs[idx] - self.sys.breaks[k])
+                out[i, idx] = (e.reshape(-1, d) @ self.cum[i, k]).reshape(-1, d, d)
+        return out
 
     def _finite(self, mats: np.ndarray) -> None:
         """ExpOverflow naming the first t (then piece) of the (t, piece)
@@ -346,19 +361,6 @@ class _PhiStack:
         ph = np.exp(np.multiply.outer(s, self.lam[i, k]))
         return ((y @ self.Vi[i, k].T) * ph) @ self.V[i, k].T
 
-    def at_many(self, i: int, xs) -> np.ndarray:
-        """Stack of Phi_{t_i}(x_j), shape (len(xs), d, d); ValidationError
-        for a point outside [a, b]."""
-        xs = np.asarray(xs, dtype=float)
-        ks = self.sys.piece_index(xs)
-        d = self.sys.d
-        out = np.empty((len(xs), d, d), dtype=complex)
-        for k in np.unique(ks):
-            idx = np.flatnonzero(ks == k)
-            e = self.exp_at(i, k, xs[idx] - self.sys.breaks[k])
-            out[idx] = (e.reshape(-1, d) @ self.cum[i, k]).reshape(-1, d, d)
-        return out
-
     @cached_property
     def sup_norms(self) -> np.ndarray:
         """Sampled sup_x |Phi_t(x)| per t (_B_SAMPLES points per piece)."""
@@ -386,37 +388,10 @@ class _PhiStack:
 
 
 def _stacks(sys: PHSystem, ts):
-    """Stacked builds of Phi_t over ``ts``, _T_CHUNK values of t each."""
+    """Builds of Phi_t over ``ts``, _T_CHUNK values of t each."""
     ts = np.asarray(ts, dtype=float)
     for lo in range(0, len(ts), _T_CHUNK):
-        yield _PhiStack(sys, ts[lo : lo + _T_CHUNK])
-
-
-class FundamentalMatrix:
-    """Phi_t of one t: exact matrix-exponential products across the
-    constant-H pieces, with Phi_t(a) = I.  The public one-t view of a
-    length-1 stacked build; the batched entry points work on the stacks."""
-
-    def __init__(self, sys: PHSystem, t: float) -> None:
-        self.sys, self.t = sys, float(t)
-        self._stack = _PhiStack(sys, [t])
-
-    @property
-    def B_t(self) -> float:
-        """Sampled sup_x |Phi_t(x)|, taken on first use."""
-        return float(self._stack.sup_norms[0])
-
-    def __call__(self, x: float) -> np.ndarray:
-        return self.at_many(np.array([x], dtype=float))[0]
-
-    def at_many(self, xs) -> np.ndarray:
-        """Stack of Phi_t(x_j), shape (len(xs), d, d); ValidationError for
-        a point outside [a, b]."""
-        return self._stack.at_many(0, xs)
-
-    @property
-    def at_b(self) -> np.ndarray:
-        return self._stack.cum[0, -1]
+        yield FundamentalMatrix(sys, ts[lo : lo + _T_CHUNK])
 
 
 def boundary_matrices(sys: PHSystem, ts: Sequence[float]) -> np.ndarray:
@@ -473,12 +448,11 @@ def stability_scan(sys: PHSystem, t_grid: Sequence[float]) -> StabilityReport:
     The report carries the constants of the grid, from the B_t samples of
     the same builds of Phi_t."""
     ts = np.asarray(t_grid, dtype=float)
-    if not len(ts):
-        raise ValidationError("t grid must be non-empty")
     svs, b_ts = [], []
     for st in _stacks(sys, ts):
         svs.append(st.svd[1])
-        b_ts.append(st.sup_norms)
+        b_ts.extend(st.sup_norms.tolist())
+    constants = char_constants(sys, ts, b_ts)  # ValidationError for an empty grid
     sv = np.concatenate(svs)
     dets, sigmas = sv.prod(axis=-1), sv[:, -1]  # |det T| = prod sigma
     sing = dets <= _SINGULAR_TOL
@@ -490,7 +464,7 @@ def stability_scan(sys: PHSystem, t_grid: Sequence[float]) -> StabilityReport:
         inv_norm=tuple(invs.tolist()),
         min_margin=float(dets.min()),
         singular_points=tuple(ts[sing].tolist()),
-        constants=_constants(sys, ts, np.concatenate(b_ts)),
+        constants=constants,
     )
 
 
@@ -575,13 +549,8 @@ def _h_norms(x: np.ndarray, y: np.ndarray, my: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.trapezoid(quad, x, axis=-1), 0.0))
 
 
-def _solve_once(
-    st: _PhiStack,
-    i: int,
-    g: _Grid,
-    fv: np.ndarray,
-    w: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _solve_once(st: FundamentalMatrix, i: int, g: _Grid, fv: np.ndarray,
+                w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """At t = st.ts[i], v = Hu on g.x for each right-hand side, from its
     values ``fv`` at g.xs (:meth:`_Grid.values`); shape (len(fv), n, d).
     Panels are factored through their midpoints, exp(-A_k (s - x_k)) =
@@ -644,7 +613,7 @@ def _solve_once(
 
 
 def _residuals(
-    st: _PhiStack, i: int, g: _Grid, v: np.ndarray, fx: np.ndarray
+    st: FundamentalMatrix, i: int, g: _Grid, v: np.ndarray, fx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The residuals that certify solves ``v`` on g.x (:func:`_solve_once`)
     whose right-hand sides take the values ``fx`` on g.x: (i) the boundary
@@ -689,7 +658,7 @@ def resolvent_solve(
     to ``_MAX_NODES`` (QuadratureTooCoarse beyond); ``tol=math.inf`` takes
     the first grid as it is.
     """
-    st = _PhiStack(sys, [t])
+    st = FundamentalMatrix(sys, [t])
     n = nodes
     while True:
         g = _Grid(sys, n)
@@ -749,23 +718,22 @@ class CharConstants:
     b_note: str
 
 
-def char_constants(sys: PHSystem, t_grid: Sequence[float]) -> CharConstants:
-    """The constants that ``stability_scan(sys, t_grid)`` reports: B, the
-    largest sampled B_t over the grid, and
+def char_constants(sys: PHSystem, ts: Sequence[float], b_ts: Sequence[float]) -> CharConstants:
+    """The constants of a grid, ``b_ts[i]`` the sampled B_t at ``ts[i]``, in
+    any order (a grid's constants are ``stability_scan(sys, grid).constants``):
+    B, the largest sampled B_t, and
 
     C_tilde = (b-a) B^2 |S| |P1| |P1^{-1}|^2 max{B |W|, (b-a)^{1/2}}
     C = ((b-a)^{-3/2} |P1|^2 |P1^{-1}|^2 B^3 (1+B) + 1) |W+|
         * max{(b-a)^{1/2} |H|_inf |P1|, 1}.
 
-    ``b_flagged`` is set when B_t grows across the grid (evidence against
-    sup_t |Phi_t| < infinity); constants are still reported.
+    ``b_flagged`` is set when B_t grows across the grid in increasing t
+    (evidence against sup_t |Phi_t| < infinity); constants are still
+    reported.  ValidationError for an empty grid.
     """
-    return stability_scan(sys, t_grid).constants
-
-
-def _constants(sys: PHSystem, ts: np.ndarray, b_ts: np.ndarray) -> CharConstants:
-    """The constants of a grid, ``b_ts[i]`` the B_t sample at ``ts[i]``, in any order."""
-    b_ts = b_ts[np.argsort(ts, kind="stable")].tolist()
+    b_ts = np.asarray(b_ts, dtype=float)[np.argsort(ts, kind="stable")].tolist()
+    if not b_ts:
+        raise ValidationError("t grid must be non-empty")
     B = max(b_ts)
     half = len(b_ts) // 2
     flagged = len(b_ts) >= 4 and max(b_ts[half:]) > 1.5 * max(b_ts[:half])
@@ -815,23 +783,24 @@ def _probe_values(sys: PHSystem, xs: np.ndarray) -> np.ndarray:
     return fv
 
 
-def _adversarial_w(st: _PhiStack, i: int) -> np.ndarray:
+def _adversarial_w(st: FundamentalMatrix, i: int) -> np.ndarray:
     """w = Phi_t(b)^{-1} y at t = st.ts[i], y from the worst singular
     direction of T_t: the adversarial probe is f = P1 Phi_t(x) w / (b - a).
     SingularMatrix naming t where Phi_t(b) cannot be inverted, rather than
     a probe set without its strongest probe."""
-    d, at_b = st.sys.d, st.cum[i, -1]
+    d, phi_b = st.sys.d, st.cum[i, -1]
     z = st.svd[2][i, -1].conj()  # direction achieving sigma_min, i.e. max |T^{-1}z|
     z12 = st.sys.W_pinv @ z
     try:
-        return la.inv(at_b) @ (-z12[:d] + at_b @ z12[d:])
+        return la.inv(phi_b) @ (-z12[:d] + phi_b @ z12[d:])
     except la.LinAlgError:
         raise SingularMatrix(
             f"Phi_t(b) cannot be inverted at t={float(st.ts[i])}: no adversarial probe"
         ) from None
 
 
-def _norm_lower(st: _PhiStack, i: int, g: _Grid, fv: np.ndarray, f_norms: np.ndarray) -> float:
+def _norm_lower(st: FundamentalMatrix, i: int, g: _Grid, fv: np.ndarray,
+                f_norms: np.ndarray) -> float:
     """Lower estimate of |R(it, -A)| at t = st.ts[i]: the largest
     |u|_H / |f|_H over the probes, those of :func:`_probe_values` (values
     ``fv`` at g.xs, H-norms ``f_norms``) and the adversarial one, up to
@@ -868,18 +837,16 @@ def check_characterisation(
     one grid, and all probes at one t are solved together.
     """
     ts = np.asarray(t_grid, dtype=float)
-    if not len(ts):
-        raise ValidationError("t grid must be non-empty")
     g = _Grid(sys, nodes)
     fv = _probe_values(sys, g.xs)
     fx = fv[:, -len(g.x) :]
     f_norms = _h_norms(g.x, fx, _by_piece(sys.pieces, g.bounds, fx))
     b_ts, inv_norms, r_lower = [], [], []
     for st in _stacks(sys, ts):
-        b_ts.append(st.sup_norms)
+        b_ts.extend(st.sup_norms.tolist())
         inv_norms.extend((1.0 / st.svd[1][:, -1]).tolist())
         r_lower.extend(_norm_lower(st, i, g, fv, f_norms) for i in range(len(st.ts)))
-    consts = _constants(sys, ts, np.concatenate(b_ts))
+    consts = char_constants(sys, ts, b_ts)  # ValidationError for an empty grid
     rows = []
     for t, r, inv_norm in zip(ts.tolist(), r_lower, inv_norms):
         bound = consts.C_tilde * (inv_norm + 1.0)

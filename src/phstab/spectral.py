@@ -106,11 +106,14 @@ _T_MAX = 1 << 53
 _ALPHA_MAX = 8  # the bound that ``_SLACK``'s rounding argument assumes
 
 
-def _engine_start(alpha: IrrationalSpec, ends) -> tuple[RealBall, int]:
+def _engine_start(alpha: IrrationalSpec, ends, tol: float) -> tuple[RealBall, int]:
     """alpha's ball and the working precision of one engine call whose
     windows end at the times ``ends``: 128 bits, plus what its largest |t|
-    costs (``_bits_for``). Raises OutOfRange for an end that is not finite
-    or lies past 2^53, and for a ball that reaches past |alpha| = 8."""
+    costs (``_bits_for``). Raises OutOfRange for a tol that is not positive
+    and finite, an end that is not finite or lies past 2^53, and a ball
+    that reaches past |alpha| = 8."""
+    if not 0 < tol < math.inf:  # tol <= 0 drops no cell; an infinite one bounds nothing
+        raise OutOfRange("tol must be positive and finite")
     reach = 0
     for t in ends:
         if not abs(t) <= _T_MAX:
@@ -456,9 +459,10 @@ class _Sup(_Engine):
     def __init__(self, ball, windows, tol):
         super().__init__(ball, windows, tol, 1.0)  # ||T_0^{-1}|| = 1
         self.scales = ((1.0, 0.0), self.sa)
-        af = self.sa[0]
-        self.l2_det = (4 + 4 * af * af + 2 * (1 - af) ** 2) * 1.01  # >= sup |F''|
-        self.l2_frob = (1 + af * af) * 1.01  # >= sup |R''|
+        af, wid = self.sa
+        a_abs, b_abs = abs(af) + wid, abs(1 - af) + wid  # >= |alpha|, |1 - alpha| on the ball
+        self.l2_det = (4 + 4 * a_abs**2 + 2 * b_abs**2) * 1.01  # >= sup |F''|
+        self.l2_frob = (1 + a_abs**2) * 1.01  # >= sup |R''|
         self.stuck = np.zeros(len(windows))  # certified bound over parked cells
         # root cells of width 2 (the last of a window shorter): the first
         # round bounds cells of width <= 1
@@ -593,8 +597,6 @@ class CertifiedInf:
 def _inf_windows(ball: RealBall, work: int, windows, tols):
     """Certified infima of h over each window [a, b] to its tol, from one
     engine run at ``work`` bits on alpha's enclosure ``ball``."""
-    if any(not tol > 0 for tol in tols):
-        raise OutOfRange("tol must be positive")
     with workprec(work):
         inf = _Inf(ball, windows, tols)
         inf.run()
@@ -611,7 +613,7 @@ def inf_h_interval(alpha: IrrationalSpec, a: float, b: float,
     branch-and-bound engine (see ``_Inf`` and ``_Engine``)."""
     if not b > a:
         raise OutOfRange(f"degenerate interval [{a}, {b}]")
-    ball, work = _engine_start(alpha, (a, b))
+    ball, work = _engine_start(alpha, (a, b), tol)
     return _inf_windows(ball, work, [(a, b)], [tol])[0]
 
 
@@ -649,9 +651,7 @@ def growth_curve(alpha: IrrationalSpec, eta_list, tol: float = 1e-3) -> GrowthCu
     etas = [float(e) for e in eta_list]
     if any(e <= 0 for e in etas) or any(b <= a for a, b in zip(etas, etas[1:])):
         raise OutOfRange("eta list must be positive and strictly increasing")
-    if not tol > 0:  # with tol <= 0 no cell is ever dropped
-        raise OutOfRange("tol must be positive")
-    ball, work = _engine_start(alpha, etas)
+    ball, work = _engine_start(alpha, etas, tol)
     windows = list(zip([0.0] + etas[:-1], etas))
     with workprec(work):
         sup = _Sup(ball, windows, [tol] * len(windows))
@@ -723,7 +723,7 @@ def sandwich_report(alpha: IrrationalSpec, odd_v_list,
     if not vs:
         return []
     # above min_odd_dist's first precision, 128 + bits(v) + 8
-    ball, work = _engine_start(alpha, [max(vs) + 1])
+    ball, work = _engine_start(alpha, [max(vs) + 1], tol)
     dists = []
     for v, got in zip(vs, nearest_odd(ball, vs)):
         if got is None:

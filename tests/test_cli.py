@@ -215,6 +215,43 @@ def test_sandwich_exit0(tmp_path):
     assert len(lines) == 6  # v in {1,3,5,7,9}
 
 
+_GOOD_SPECS = {
+    "decimal": {"kind": "decimal", "digits": "0.1", "bits": 60},
+    "quotients": {"kind": "quotients", "a": [1, 2]},
+    "surd": {"kind": "surd", "D": 8, "p": 1, "q": 2},
+    "rule": {"kind": "rule", "name": "construction",
+             "f": {"target": {"kind": "exp", "beta": "1"}, "bit_budget": 100}},
+}
+
+
+@pytest.mark.parametrize("kind, key, bad", [
+    # read as the double nearest 0.1, whose "guaranteed" 60-bit enclosure
+    # excludes 1/10 (exit 0)
+    ("decimal", "digits", 0.1),
+    # both read as the quotients (1, 2) (exit 0)
+    ("quotients", "a", [1.5, 2]),
+    ("quotients", "a", "12"),
+    # a traceback (exit 1)
+    ("surd", "p", 0.5),
+    ("surd", "q", 2.5),
+    ("decimal", "bits", 10.7),
+    # a bit budget that is no integer, or below construct's 64 bits (exit 0)
+    ("rule", "bit_budget", 100.5),
+    ("rule", "bit_budget", 40),
+])
+def test_alpha_spec_field_of_the_wrong_type_exits_2(kind, key, bad, tmp_path, capsys):
+    good = _GOOD_SPECS[kind]
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(good))
+    assert run(["growth", "--alpha-json", str(path), "--etas", "10"]) == 0
+    spec = {**good, "f": {**good["f"], key: bad}} if kind == "rule" else {**good, key: bad}
+    path.write_text(json.dumps(spec))
+    capsys.readouterr()
+    assert run(["growth", "--alpha-json", str(path), "--etas", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid alpha:" in err and "Traceback" not in err
+
+
 def test_phs_scan_and_constants(tmp_path):
     cfg = tmp_path / "sys.json"
     cfg.write_text(phs.phsystem_to_json(phs.universal_example(1.0 / 3.0)))
@@ -251,20 +288,20 @@ def test_phs_constants_are_those_of_the_scanned_grid(growing_b, tmp_path):
     assert consts["B"] == summary["scan"]["B_estimate"]
     system = phs.phsystem_from_json(growing_b.read_text())
     grid = np.linspace(0.5, 40.0, 64)
-    assert consts == dataclasses.asdict(phs.char_constants(system, grid))
+    assert consts == dataclasses.asdict(phs.stability_scan(system, grid).constants)
     assert consts["b_flagged"] is True
     assert consts["b_note"].startswith("WARNING: B_t grows across grid")
 
 
 def test_phs_builds_phi_once_per_grid_t(growing_b, monkeypatch):
     built = []
-    build = phs._PhiStack.__init__
+    build = phs.FundamentalMatrix.__init__
 
     def counted_build(self, sys, ts):
         built.extend(ts)
         build(self, sys, ts)
 
-    monkeypatch.setattr(phs._PhiStack, "__init__", counted_build)
+    monkeypatch.setattr(phs.FundamentalMatrix, "__init__", counted_build)
     assert run(["phs", "--config", str(growing_b), "--t-grid", "0.5:40:64"]) == 0
     assert built == np.linspace(0.5, 40.0, 64).tolist()
 
@@ -419,6 +456,10 @@ _SANDWICH_CSV = ("v,u,dist,inf_lower,inf_upper,ratio_lo,ratio_hi\n"
      "--curve", _File("eta,m_lower,m_upper\n0,1,1\n100,100,100\n")],
     ["rates", "--kind", "LowerBound", "--times", "10",
      "--curve", _File("eta,m_lower,m_upper\n1,1,1\ninf,100,100\n")],
+    # a tol that is not finite: exit 0 with an m_upper of inf, and a
+    # sandwich whose upper_ok can no longer fail
+    ["growth", "--surd", "2", "--etas", "10", "--tol", "inf"],
+    ["sandwich", "--surd", "2", "--odd-v", "1..3", "--tol", "inf"],
 ])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     if isinstance(argv[1], dict):  # an --alpha-json file

@@ -100,6 +100,24 @@ def test_decimal_literal_refuses_beyond_guarantee():
     assert (ball.value, ball.err) == (Fraction(141, 100), Fraction(1, 256))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: cf.DecimalLiteral(digits=0.1, bits=60),  # the double nearest 0.1
+    lambda: cf.DecimalLiteral(digits="1.5", bits=10.7),
+    lambda: cf.QuadraticSurd(D=8, p=0.5),
+    lambda: cf.QuadraticSurd(D=8, q=2.5),
+    lambda: cf.QuadraticSurd(D=8.0),
+    lambda: cf.ExplicitQuotients([1.5, 2]),
+    lambda: cf.ExplicitQuotients("12"),
+    lambda: cf.RuleQuotients(params={"bit_budget": 100.5}),
+    lambda: cf.RuleQuotients(params={"bit_budget": 63}),
+    lambda: cf.RuleQuotients(params=[1, 2]),
+])
+def test_specs_refuse_fields_of_the_wrong_type(make):
+    # integers are read with operator.index: a float is never truncated
+    with pytest.raises((TypeError, ValueError)):
+        make()
+
+
 def test_decimal_literal_short_prefix_ok():
     # 1.414213562373095 to 40 guaranteed bits pins the first few quotients
     lit = cf.DecimalLiteral(digits="1.414213562373095", bits=40)

@@ -36,14 +36,14 @@ if "scipy" in sys.modules:
 
 system = phs.universal_example(2 ** 0.5)
 xs = np.linspace(0.0, 1.0, 5)
-eig = phs.FundamentalMatrix(system, 7.3).at_many(xs)
+eig = phs.FundamentalMatrix(system, [7.3])(xs)
 if "scipy.linalg" in sys.modules:
     fail("the eigen path loaded scipy.linalg")
 phs._EIG_COND_MAX = 0.0
-phi = phs.FundamentalMatrix(system, 7.3)
-if not phi._stack.dense.all():
+phi = phs.FundamentalMatrix(system, [7.3])
+if not phi.dense.all():
     fail("the dense fallback was not taken")
-err = np.abs(phi.at_many(xs) - eig).max() / np.abs(eig).max()
+err = np.abs(phi(xs) - eig).max() / np.abs(eig).max()
 if not err <= 1e-10:
     fail(f"dense and eigen paths differ by {err:.3g} relative")
 if "scipy.linalg" not in sys.modules:

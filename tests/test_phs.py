@@ -96,19 +96,19 @@ def test_moore_penrose(sys2):
 
 def test_fundamental_matrix_diagonal_closed_form(sys2):
     t = 3.7
-    phi = P.FundamentalMatrix(sys2, t)
+    phi = P.FundamentalMatrix(sys2, [t])
     expect = np.diag([np.exp(-1j * t), np.exp(-1j * SQRT2 * t)])
-    assert np.abs(phi.at_b - expect).max() < 1e-14
-    assert np.allclose(phi(0.0), np.eye(2))
-    assert phi.B_t == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(phi.cum[0, -1] - expect).max() < 1e-14
+    assert np.allclose(phi([0.0])[0, 0], np.eye(2))
+    assert phi.sup_norms[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fundamental_matrix_inverse_bound(sys2):
     # |Phi_t(x)^{-1}| <= B_t |P1| |P1^{-1}| at sampled x
-    phi = P.FundamentalMatrix(sys2, 11.0)
-    bound = phi.B_t * 1.0 * 1.0
+    phi = P.FundamentalMatrix(sys2, [11.0])
+    bound = phi.sup_norms[0] * 1.0 * 1.0
     for x in np.linspace(0, 1, 17):
-        inv = np.linalg.inv(phi(float(x)))
+        inv = np.linalg.inv(phi([x])[0, 0])
         assert np.linalg.norm(inv, 2) <= bound + 1e-10
 
 
@@ -120,7 +120,7 @@ def test_two_piece_product_vs_ode_oracle():
         W=np.hstack([np.full((2, 2), 0.5), np.eye(2)]),
     )
     t = 7.3
-    phi = P.FundamentalMatrix(system, t)
+    phi = P.FundamentalMatrix(system, [t])
 
     def rhs(x, v):
         hk = system.pieces[system.piece_index(min(x, 1.0 - 1e-14))]
@@ -132,7 +132,7 @@ def test_two_piece_product_vs_ode_oracle():
     v0 = np.concatenate([np.eye(2).ravel(), np.zeros(4)])
     res = si.solve_ivp(rhs, (0.0, 1.0), v0, rtol=1e-12, atol=1e-13)
     vb = res.y[:4, -1].reshape(2, 2) + 1j * res.y[4:, -1].reshape(2, 2)
-    assert np.abs(vb - phi.at_b).max() < 1e-10
+    assert np.abs(vb - phi.cum[0, -1]).max() < 1e-10
 
 
 def test_boundary_matrix_t0(sys2):
@@ -203,7 +203,8 @@ def test_resolvent_quadrature_cap(sys2, monkeypatch):
 
 
 def test_char_constants_hand_formula(sys2):
-    c = P.char_constants(sys2, [1.0, 10.0, 50.0])
+    ts = [1.0, 10.0, 50.0]
+    c = P.char_constants(sys2, ts, P.FundamentalMatrix(sys2, ts).sup_norms)
     # (b-a)=1, P1=I, B=1; |W| = sqrt(2) since W W^T = M + I has top
     # eigenvalue 2; |S| = lambda_min(H)^{-1/2} = 2^{1/4}
     assert c.B == pytest.approx(1.0, abs=1e-10)
@@ -225,17 +226,36 @@ def test_scan_constants_are_those_of_its_grid(sys16):
     ts = np.linspace(0.5, 20.0, 2 * P._T_CHUNK)
     rep = P.stability_scan(sys16, ts)
     assert rep.constants.B == pytest.approx(
-        max(P.FundamentalMatrix(sys16, float(t)).B_t for t in ts), rel=1e-13)
+        max(P.FundamentalMatrix(sys16, [t]).sup_norms[0] for t in ts), rel=1e-13)
     assert rep.constants.b_flagged
-    assert P.char_constants(sys16, ts) == rep.constants
+    b_ts = np.concatenate([st.sup_norms for st in P._stacks(sys16, ts)])
+    assert P.char_constants(sys16, ts, b_ts) == rep.constants
+    assert P.char_constants(sys16, ts[::-1], b_ts[::-1]) == rep.constants
     backwards = asdict(P.stability_scan(sys16, ts[::-1]).constants)
     assert backwards == pytest.approx(asdict(rep.constants), rel=1e-13)
 
 
+def test_bench_tracer_sees_the_phi_builds_and_the_constants(sys2, monkeypatch):
+    # the names perfbench/tracer.py wraps are the ones the scan and the
+    # check run: each build of Phi_t and each assembly of the constants
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracer
+
+    for call in (P.stability_scan, P.check_characterisation):
+        tr = tracer.Tracer()
+        with tr.installed():
+            call(sys2, np.linspace(1.0, 20.0, P._T_CHUNK + 1))
+        stats = tr.end_job()
+        assert stats["phs.FundamentalMatrix.init"].calls == 2
+        assert stats["phs.char_constants"].calls == 1
+
+
 def test_empty_grid_is_refused(sys16):
-    for call in (P.stability_scan, P.char_constants, P.check_characterisation):
+    for call in (P.stability_scan, P.check_characterisation):
         with pytest.raises(ValidationError, match="t grid must be non-empty"):
             call(sys16, [])
+    with pytest.raises(ValidationError, match="t grid must be non-empty"):
+        P.char_constants(sys16, [], [])
 
 
 def test_check_characterisation_small_grid(sys2):
@@ -270,15 +290,20 @@ def sys16():
 
 
 def test_at_many_matches_pointwise(sys16):
-    phi = P.FundamentalMatrix(sys16, 6.3)
+    phi = P.FundamentalMatrix(sys16, [6.3])
     rng = np.random.default_rng(7)
     xs = np.concatenate([sys16.breaks, rng.uniform(sys16.a, sys16.b, 200)])
     rng.shuffle(xs)
-    many = phi.at_many(xs)
-    one = np.stack([phi(float(x)) for x in xs])
+    (many,) = phi(xs)
+    one = np.stack([phi([x])[0, 0] for x in xs])
     scale = np.abs(one).max(axis=(1, 2))[:, None, None]
     assert np.abs(many - one).max(axis=(1, 2)).max() <= 1e-13 * scale.max()
     assert (np.abs(many - one) <= 1e-13 * scale).all()
+    # a build over several t gives every t's points at once
+    both = P.FundamentalMatrix(sys16, [2.0, 6.3])(xs)
+    assert both.shape == (2, len(xs), 2, 2)
+    assert (np.abs(both[1] - many) <= 1e-13 * scale).all()
+    assert (np.abs(both[0] - P.FundamentalMatrix(sys16, [2.0])(xs)[0]) <= 1e-13 * scale).all()
     # independent reference: products of dense matrix exponentials
     p1inv = np.linalg.inv(sys16.P1)
     gens = [-p1inv @ (1j * 6.3 * np.linalg.inv(h) + sys16.P0) for h in sys16.pieces]
@@ -295,21 +320,21 @@ def test_at_many_matches_pointwise(sys16):
 
 
 def test_at_many_outside_interval_raises(sys16):
-    phi = P.FundamentalMatrix(sys16, 2.0)
+    phi = P.FundamentalMatrix(sys16, [2.0, 3.0])
     with pytest.raises(ValidationError):
-        phi.at_many(np.array([0.5, 1.0 + 1e-12]))
+        phi(np.array([0.5, 1.0 + 1e-12]))
     with pytest.raises(ValidationError):
-        phi.at_many(np.array([-1e-12]))
+        phi(np.array([-1e-12]))
     with pytest.raises(ValidationError):
-        phi(1.5)
+        phi([1.5])
 
 
 def test_expm_fallback_agrees_with_eigen_path(sys16, monkeypatch):
     f = lambda xs: np.stack([np.sin(3 * xs), np.cos(2 * xs) + 1j], axis=1)
     eig = P.resolvent_solve(sys16, 4.2, f, nodes=512, tol=1e-8)
     monkeypatch.setattr(P, "_EIG_COND_MAX", 0.0)
-    phi = P.FundamentalMatrix(sys16, 4.2)
-    assert phi._stack.dense.all()
+    phi = P.FundamentalMatrix(sys16, [4.2])
+    assert phi.dense.all()
     dense = P.resolvent_solve(sys16, 4.2, f, nodes=512, tol=1e-8)
     assert dense.residual <= 1e-8
     assert dense.nodes == eig.nodes
@@ -321,11 +346,11 @@ def _public_probes(system, t):
     """The probe right-hand sides of ``check_characterisation`` at t as
     callables for ``resolvent_solve``: the fixed probes, then the
     adversarial f = P1 Phi_t(x) w / (b - a)."""
-    phi = P.FundamentalMatrix(system, t)
+    phi = P.FundamentalMatrix(system, [t])
     n = len(P._probe_values(system, np.zeros(1)))
-    w = P._adversarial_w(phi._stack, 0)
+    w = P._adversarial_w(phi, 0)
     fixed = [lambda xs, p=p: P._probe_values(system, xs)[p] for p in range(n)]
-    return fixed + [lambda xs: (phi.at_many(xs) @ w) @ system.P1.T / (system.b - system.a)]
+    return fixed + [lambda xs: (phi(xs)[0] @ w) @ system.P1.T / (system.b - system.a)]
 
 
 def _assert_matches_public_probe_solves(system, t=3.0, nodes=256):
@@ -357,7 +382,7 @@ def test_public_probe_solves_match_on_the_dense_path_and_with_p0_zero(sys16, mon
     system = sys16
     if case == "dense":
         monkeypatch.setattr(P, "_EIG_COND_MAX", 0.0)
-        assert P.FundamentalMatrix(system, 3.0)._stack.dense.all()
+        assert P.FundamentalMatrix(system, [3.0]).dense.all()
     else:
         system = P.phsystem_from_json((DATA / "seeded16_p0_zero.json").read_text())
         assert not system.P0.any()
@@ -368,18 +393,18 @@ def test_check_characterisation_cost(sys16, monkeypatch):
     # one Phi_t build per (system, t), shared by the constants, T_t and the
     # probe solves; no scalar Phi_t(x) calls
     counts = {"call": 0, "phi_t": 0}
-    call, build = P.FundamentalMatrix.__call__, P._PhiStack.__init__
+    call, build = P.FundamentalMatrix.__call__, P.FundamentalMatrix.__init__
 
-    def counted_call(self, x):
+    def counted_call(self, xs):
         counts["call"] += 1
-        return call(self, x)
+        return call(self, xs)
 
     def counted_build(self, sys, ts, *args, **kw):
         counts["phi_t"] += len(ts)
         build(self, sys, ts, *args, **kw)
 
     monkeypatch.setattr(P.FundamentalMatrix, "__call__", counted_call)
-    monkeypatch.setattr(P._PhiStack, "__init__", counted_build)
+    monkeypatch.setattr(P.FundamentalMatrix, "__init__", counted_build)
     P.check_characterisation(sys16, [5.0], nodes=256)
     assert counts == {"call": 0, "phi_t": 1}
     counts["phi_t"] = 0
@@ -392,7 +417,7 @@ def test_probe_solves_compute_only_what_they_read(sys16, monkeypatch):
     # never evaluated at the Gauss nodes: per piece, exp(A s) y is applied
     # at the panel midpoints and at the grid, once each
     checks, offsets = [], []
-    residuals, apply = P._residuals, P._PhiStack.apply
+    residuals, apply = P._residuals, P.FundamentalMatrix.apply
 
     def counted_residuals(st, i, g, v, fx):
         checks.append(len(g.x))
@@ -403,7 +428,7 @@ def test_probe_solves_compute_only_what_they_read(sys16, monkeypatch):
         return apply(self, i, k, s, y)
 
     monkeypatch.setattr(P, "_residuals", counted_residuals)
-    monkeypatch.setattr(P._PhiStack, "apply", counted_apply)
+    monkeypatch.setattr(P.FundamentalMatrix, "apply", counted_apply)
     P.check_characterisation(sys16, [5.0], nodes=256)
     counts = P._Grid(sys16, 256).counts
     assert checks == []
@@ -440,7 +465,7 @@ def test_resolvent_solve_bits_are_pinned(sys16, nodes, tol):
     n, v_bits, *floats = _SOLVE_BITS[nodes, tol]
     got = (sol.boundary_residual, sol.ode_residual, sol.u_norm_H)
     assert sol.nodes == n
-    if _bits(P.FundamentalMatrix(sys16, 4.2).at_many(np.array(sys16.breaks))) == _PHI_BITS:
+    if _bits(P.FundamentalMatrix(sys16, [4.2])(sys16.breaks)[0]) == _PHI_BITS:
         assert _bits(sol.v) == v_bits
         assert [x.hex() for x in got] == floats
     else:
@@ -450,7 +475,7 @@ def test_resolvent_solve_bits_are_pinned(sys16, nodes, tol):
 def test_adversarial_direction_is_never_dropped(sys16, monkeypatch):
     # a Phi_t(b) that numpy cannot invert refuses the check, naming t,
     # instead of dropping the strongest probe and lowering R_lower
-    inv, at_b = np.linalg.inv, P.FundamentalMatrix(sys16, 5.0).at_b
+    inv, at_b = np.linalg.inv, P.FundamentalMatrix(sys16, [5.0]).cum[0, -1]
 
     def no_phi_b(a):
         if np.shape(a) == (2, 2) and np.allclose(a, at_b, rtol=1e-12, atol=0.0):
@@ -563,9 +588,9 @@ def test_stacked_build_matches_per_t(sys16):
     at_b = np.concatenate([s.cum[:, -1] for s in stacks])
     b_t = np.concatenate([s.sup_norms for s in stacks])
     for t, m, b in zip(ts, at_b, b_t):
-        phi = P.FundamentalMatrix(sys16, float(t))
-        assert np.abs(m - phi.at_b).max() <= 1e-13 * np.abs(phi.at_b).max()
-        assert b == pytest.approx(phi.B_t, rel=1e-13)
+        phi = P.FundamentalMatrix(sys16, [t])
+        assert np.abs(m - phi.cum[0, -1]).max() <= 1e-13 * np.abs(phi.cum[0, -1]).max()
+        assert b == pytest.approx(phi.sup_norms[0], rel=1e-13)
     rep = P.stability_scan(sys16, ts)
     T = np.stack([P.boundary_matrices(sys16, [t])[0] for t in ts])
     assert rep.t_grid == tuple(float(t) for t in ts)
@@ -575,7 +600,7 @@ def test_stacked_build_matches_per_t(sys16):
     np.testing.assert_allclose(rep.inv_norm, 1.0 / sv[:, -1], rtol=1e-13)
     assert rep.min_margin == pytest.approx(np.abs(np.linalg.det(T)).min(), rel=1e-13)
     assert rep.B_estimate == pytest.approx(
-        max(P.FundamentalMatrix(sys16, float(t)).B_t for t in ts), rel=1e-13
+        max(P.FundamentalMatrix(sys16, [t]).sup_norms[0] for t in ts), rel=1e-13
     )
 
 
@@ -602,8 +627,8 @@ def test_expm_fallback_for_some_pairs_in_one_batch(sys16, monkeypatch):
     np.testing.assert_allclose(mixed.sup_norms, ref.sup_norms, rtol=1e-10)
     i = int(np.argmax(mixed.dense.sum(axis=1)))
     xs = np.linspace(sys16.a, sys16.b, 101)
-    want = ref.at_many(i, xs)
-    assert np.abs(mixed.at_many(i, xs) - want).max() <= 1e-10 * np.abs(want).max()
+    want = ref(xs)
+    assert np.abs(mixed(xs) - want).max() <= 1e-10 * np.abs(want).max()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -622,7 +647,7 @@ def test_exp_overflow_names_t():
     with pytest.raises(ExpOverflow, match=r"at t=0\.0$"):
         P.stability_scan(system, ts)
     with pytest.raises(ExpOverflow, match=r"at t=0\.0$"):
-        P.FundamentalMatrix(system, 0.0)
+        P.FundamentalMatrix(system, [0.0])
 
 
 def test_multi_rhs_solve_matches_single_solves(sys16):
@@ -632,7 +657,7 @@ def test_multi_rhs_solve_matches_single_solves(sys16):
         lambda xs: np.stack([xs**2, -xs], axis=1) * (1 - 2j),
         lambda xs: np.zeros((len(xs), 2)),
     ]
-    st, g = P._PhiStack(sys16, [7.5]), P._Grid(sys16, 512)
+    st, g = P.FundamentalMatrix(sys16, [7.5]), P._Grid(sys16, 512)
 
     def solve(fs):
         fv = np.concatenate([g.values(f) for f in fs])
@@ -656,9 +681,9 @@ def test_multi_rhs_solve_matches_single_solves(sys16):
 
 def _reference_solve(system, t, f, nodes):
     """Brute-force resolvent solve: Phi_t(s)^{-1} at every Gauss node from
-    ``at_many``, the composite 8-point Gauss-Legendre rule on the uniform
+    ``FundamentalMatrix``, the composite 8-point Gauss-Legendre rule on the uniform
     panels of each piece, and the boundary solve; (x, (Hu)(x))."""
-    phi = P.FundamentalMatrix(system, t)
+    phi = P.FundamentalMatrix(system, [t])
     d, a, b = system.d, system.a, system.b
     p1inv = np.linalg.inv(system.P1)
     xi, wi = np.polynomial.legendre.leggauss(8)
@@ -668,7 +693,7 @@ def _reference_solve(system, t, f, nodes):
         grid = np.linspace(x0, x1, n + 1)
         h = (x1 - x0) / n
         s = (0.5 * (grid[:-1] + grid[1:])[:, None] + 0.5 * h * xi).ravel()
-        integrand = np.einsum("nij,nj->ni", np.linalg.inv(phi.at_many(s)), f(s) @ p1inv.T)
+        integrand = np.einsum("nij,nj->ni", np.linalg.inv(phi(s)[0]), f(s) @ p1inv.T)
         run = total + np.cumsum((integrand.reshape(n, 8, d) * (0.5 * h * wi)[:, None]).sum(axis=1),
                                 axis=0)
         xs.append(grid[1:])
@@ -676,8 +701,8 @@ def _reference_solve(system, t, f, nodes):
         total = run[-1]
     x, integral = np.concatenate(xs), np.concatenate(runs)
     (T,) = P.boundary_matrices(system, [t])
-    v_a = np.linalg.solve(T, -system.W[:, :d] @ phi.at_b @ total)
-    return x, np.einsum("nij,nj->ni", phi.at_many(x), v_a + integral)
+    v_a = np.linalg.solve(T, -system.W[:, :d] @ phi.cum[0, -1] @ total)
+    return x, np.einsum("nij,nj->ni", phi(x)[0], v_a + integral)
 
 
 @pytest.mark.parametrize("dense", [False, True])
@@ -688,7 +713,7 @@ def test_factored_quadrature_matches_brute_force(sys16, monkeypatch, dense):
     if dense:
         # the references above stay on the eigen path
         monkeypatch.setattr(P, "_EIG_COND_MAX", 0.0)
-        assert P.FundamentalMatrix(sys16, 4.2)._stack.dense.all()
+        assert P.FundamentalMatrix(sys16, [4.2]).dense.all()
     for t, nodes, (x, v) in cases:
         sol = P.resolvent_solve(sys16, t, f, nodes=nodes, tol=math.inf)
         assert np.array_equal(sol.x, x)
@@ -700,23 +725,24 @@ def test_adversarial_probe_is_phi_w(sys16, monkeypatch, dense):
     if dense:
         monkeypatch.setattr(P, "_EIG_COND_MAX", 0.0)
     t = 3.0
-    phi = P.FundamentalMatrix(sys16, t)
-    assert phi._stack.dense.all() == dense
+    phi = P.FundamentalMatrix(sys16, [t])
+    assert phi.dense.all() == dense
     # w = Phi_t(b)^{-1} y for the worst singular direction of T_t
     _, _, vh = np.linalg.svd(P.boundary_matrices(sys16, [t])[0])
     z12 = sys16.W_pinv @ vh[-1].conj()
-    w = np.linalg.solve(phi.at_b, -z12[:2] + phi.at_b @ z12[2:])
-    got = P._adversarial_w(phi._stack, 0)
+    at_b = phi.cum[0, -1]
+    w = np.linalg.solve(at_b, -z12[:2] + at_b @ z12[2:])
+    got = P._adversarial_w(phi, 0)
     assert np.abs(got - w).max() <= 1e-13 * np.abs(w).max()
     # the solve's propagation pass gives Phi_t(x) w on the grid, hence the
     # adversarial f = P1 Phi_t(x) w / (b - a), beside one more v
     g = P._Grid(sys16, 256)
     fv = P._probe_values(sys16, g.xs)
-    v, phi_w = P._solve_once(phi._stack, 0, g, fv, got)
+    v, phi_w = P._solve_once(phi, 0, g, fv, got)
     assert v.shape == (len(fv) + 1, len(g.x), 2)
-    want = phi.at_many(g.x) @ w
+    want = phi(g.x)[0] @ w
     assert np.abs(phi_w - want).max() <= 1e-13 * np.abs(want).max()
-    alone, none = P._solve_once(phi._stack, 0, g, fv)
+    alone, none = P._solve_once(phi, 0, g, fv)
     assert none is None
     assert np.abs(v[:-1] - alone).max() <= 1e-13 * np.abs(alone).max()
 

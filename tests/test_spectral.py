@@ -622,8 +622,34 @@ def test_engine_rejects_times_floats_cannot_hold(call):
         call()
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.inf, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda tol: sp.growth_curve(cf.SQRT2, [10.0], tol=tol),
+    lambda tol: sp.sandwich_report(cf.SQRT2, [1, 3], tol=tol),
+    lambda tol: sp.inf_h_interval(cf.SQRT2, 0.0, 2.0, tol=tol),
+], ids=["growth", "sandwich", "inf"])
+def test_engine_refuses_a_tol_that_is_not_positive_and_finite(call, tol):
+    # an infinite tol gave an m_upper of inf, and a sandwich upper_ok that
+    # cannot fail
+    with pytest.raises(OutOfRange, match="tol must be positive and finite"):
+        call(tol)
+
+
+@pytest.mark.parametrize("bits", [3, 4, 5, 6])
+@pytest.mark.parametrize("digits", ["0.3", "1.5", "2.25", "3.7"])
+def test_sup_second_derivative_bounds_hold_over_the_ball(digits, bits):
+    # F'' and R'' are bounded by 4 + 4 alpha^2 + 2 (1 - alpha)^2 and
+    # 1 + alpha^2 for every alpha of the ball, not only its midpoint; both
+    # are convex in alpha, so their largest value is at an end
+    ball = cf.DecimalLiteral(digits, bits).enclosure(bits)
+    sup = sp._Sup(ball, [(0.0, 10.0)], [1e-3])
+    ends = (ball.lower, ball.upper)
+    assert sup.l2_det >= max(4 + 4 * a * a + 2 * (1 - a) ** 2 for a in ends)
+    assert sup.l2_frob >= max(1 + a * a for a in ends)
+
+
 def test_engine_start_takes_windows_up_to_2_to_the_53():
-    ball, work = sp._engine_start(cf.SQRT2, [2**53])  # v = 2^53 - 1
+    ball, work = sp._engine_start(cf.SQRT2, [2**53], 1e-6)  # v = 2^53 - 1
     assert work == sp._bits_for(2.0**53, 128) and ball == cf.SQRT2.enclosure(work)
 
 
