@@ -29,7 +29,7 @@ import mpmath
 import numpy as np
 
 from . import __version__
-from .errors import InsufficientPrecision, PhstabError, ValidationError, VerificationFailed
+from .errors import PhstabError, ValidationError, VerificationFailed
 from . import contfrac, diophantine, alpha_factory, spectral, rates, phs
 
 EXIT_OK = 0
@@ -75,9 +75,7 @@ def _alpha_from_args(args: argparse.Namespace) -> contfrac.IrrationalSpec:
         if args.surd is not None:
             return contfrac.QuadraticSurd(D=args.surd, p=args.surd_p, q=args.surd_q)
         if args.quotients is not None:
-            return contfrac.ExplicitQuotients(
-                a=tuple(int(x) for x in args.quotients.split(","))
-            )
+            return contfrac.ExplicitQuotients(map(int, args.quotients.split(",")))
         if args.decimal is not None:
             return contfrac.DecimalLiteral(digits=args.decimal, bits=args.bits)
         return contfrac.spec_from_json(Path(args.alpha_json).read_text())
@@ -129,37 +127,38 @@ def _fraction(text: str) -> Fraction:
             f"{text!r} is not a finite rational number") from None
 
 
-def _write_output(text: str, out: str | None) -> list[str]:
-    if out is None:
-        sys.stdout.write(text)
-        return []
-    Path(out).write_text(text)
-    return [out]
-
-
-def _write_manifest(args: argparse.Namespace, outputs: list[str],
-                    **extra) -> None:
-    target = getattr(args, "manifest", None)
+def _emit(args: argparse.Namespace, text: str,
+          sidecar: tuple[str, str] | None = None, **extra) -> None:
+    """Write a run's output: ``text`` to ``--out`` (stdout without it),
+    then a ``sidecar = (suffix, body)`` to ``<out><suffix>`` (stdout, after
+    the output, without ``--out``), its body ending in "\\n", then, with an
+    ``--out`` or a ``--manifest``, the RunManifest: the subcommand, its
+    parameters, the library versions, the files written and ``extra``."""
+    parts = [(args.out, text)]
+    if sidecar is not None:
+        suffix, body = sidecar
+        parts.append((None if args.out is None else args.out + suffix, body + "\n"))
+    outputs = []
+    for path, body in parts:
+        if path is None:
+            sys.stdout.write(body)
+        else:
+            Path(path).write_text(body)
+            outputs.append(path)
+    target = args.manifest
     if target is None:
         if not outputs:
             return
         target = outputs[0] + ".manifest.json"
     import scipy  # for its version only: a run without a manifest skips it
 
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("func", "manifest") and not callable(v)
-    }
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("func", "manifest") and not callable(v)}
     manifest = {
         "subcommand": args.subcommand,
         "parameters": params,
-        "versions": {
-            "phstab": __version__,
-            "mpmath": mpmath.__version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
+        "versions": {"phstab": __version__, "mpmath": mpmath.__version__,
+                     "numpy": np.__version__, "scipy": scipy.__version__},
         "outputs": outputs,
         **extra,
     }
@@ -179,13 +178,8 @@ def cmd_cf(args: argparse.Namespace) -> int:
     # the two-sided bound lemma assumes an infinite expansion; a terminated
     # table is rational, and only the recurrence identities apply, which
     # the table holds by construction
-    report = (
-        _check_bounds(alpha, table)
-        if len(table) >= 2 and not table.terminated
-        else []
-    )
-    outputs = _write_output(table.to_csv(), args.out)
-    _write_manifest(args, outputs)
+    report = contfrac.check_bounds(table) if len(table) >= 2 and not table.terminated else []
+    _emit(args, table.to_csv())
     if table.terminated:
         print(f"# terminated after {len(table.quotients)} quotients (rational)",
               file=sys.stderr)
@@ -195,25 +189,6 @@ def cmd_cf(args: argparse.Namespace) -> int:
               f"{[r.n for r in bad]}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     return EXIT_OK
-
-
-def _check_bounds(alpha: contfrac.IrrationalSpec,
-                  table: contfrac.ConvergentTable) -> list[contfrac.BoundReport]:
-    """``check_bounds(table)``, naming the index a construction cannot
-    decide: alpha lies between its last two convergents, and nothing in
-    that interval fixes |alpha - p_n/q_n| for n = depth - 1 against the
-    lower bound, so a table that reaches the depth stays undecided there."""
-    try:
-        return contfrac.check_bounds(table)
-    except InsufficientPrecision:
-        if not (isinstance(alpha, contfrac.RuleQuotients)
-                and len(alpha.quotients) == len(table)):
-            raise
-        depth = len(table) - 1
-        raise InsufficientPrecision(
-            f"convergent bound n = {depth - 1} undecidable: a construction's last "
-            f"bound cannot be decided from its widest enclosure (depth {depth}); "
-            f"--terms {depth - 1} is the largest run that checks") from None
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -229,15 +204,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         ca = alpha_factory.construct(target, bit_budget=args.bits)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
-    outputs = _write_output(ca.table.to_csv(), args.out)
-    header = ca.header_json()
-    if args.out is not None:
-        hpath = args.out + ".header.json"
-        Path(hpath).write_text(header)
-        outputs.append(hpath)
-    else:
-        sys.stdout.write(header + "\n")
-    _write_manifest(args, outputs)
+    _emit(args, ca.table.to_csv(), (".header.json", ca.header_json()))
     return EXIT_OK
 
 
@@ -245,14 +212,12 @@ def cmd_growth(args: argparse.Namespace) -> int:
     alpha = _alpha_from_args(args)
     etas = _parsed("--etas", args.etas, _floats)
     curve = spectral.growth_curve(alpha, etas, tol=args.tol)
-    outputs = _write_output(curve.to_csv(), args.out)
     parked = [p.eta for p in curve.points if p.upper_parked]
+    _emit(args, curve.to_csv(), parked_etas=parked, loglog_slope=_loglog_slope(curve))
     if parked:
         print(f"# warning: m_upper at eta {parked} comes from cells parked at "
               f"the subdivision floor; it may sit more than tol above m_lower",
               file=sys.stderr)
-    _write_manifest(args, outputs, parked_etas=parked,
-                    loglog_slope=_loglog_slope(curve))
     return EXIT_OK
 
 
@@ -266,37 +231,15 @@ def _loglog_slope(curve: spectral.GrowthCurve) -> float | None:
     return float(np.polyfit(np.log(etas), np.log(mids), 1)[0])
 
 
-def _curve(text: str) -> spectral.GrowthCurve:
-    """A growth CSV (eta,m_lower,m_upper) as a curve."""
-    header, *lines = text.strip().splitlines()
-    if header != "eta,m_lower,m_upper":
-        raise ValueError(f"header {header!r} is not eta,m_lower,m_upper")
-    rows = [ln.split(",") for ln in lines]
-    pts = [spectral.GrowthPoint(eta=float(r[0]), m_lower=float(r[1]),
-                                m_upper=float(r[2]), witness=0.0)
-           for r in rows]
-    return spectral.GrowthCurve(tuple(pts))
-
-
-def _certificate(text: str) -> rates.PositiveIncreaseCertificate:
-    obj = json.loads(text)
-    return rates.PositiveIncreaseCertificate(
-        alpha_hat=obj["alpha_hat"], c=obj["c"],
-        lambda_grid=tuple(obj["lambda_grid"]),
-        t_grid=tuple(obj["t_grid"]))
-
-
 def cmd_rates(args: argparse.Namespace) -> int:
-    curve = _from_file("--curve", args.curve, _curve)
+    curve = _from_file("--curve", args.curve, spectral.GrowthCurve.from_csv)
     fn = rates.from_growth_curve(curve, which=args.which)
     ts = _parsed("--times", args.times, _floats)
-    cert = None
-    if args.certificate is not None:
-        cert = _from_file("--certificate", args.certificate, _certificate)
+    cert = None if args.certificate is None else _from_file(
+        "--certificate", args.certificate, rates.PositiveIncreaseCertificate.from_json)
     pred = rates.predict(fn, args.kind, ts, c=args.c, C=args.C,
                          certificate=cert)
-    outputs = _write_output(pred.to_csv(), args.out)
-    _write_manifest(args, outputs)
+    _emit(args, pred.to_csv())
     return EXIT_OK
 
 
@@ -313,27 +256,16 @@ def cmd_sandwich(args: argparse.Namespace) -> int:
     if not vs:
         raise ValidationError("no odd v in the requested range")
     reports = spectral.sandwich_report(alpha, vs, tol=args.tol)
-    outputs = _write_output(spectral.sandwich_to_csv(reports), args.out)
-    _write_manifest(args, outputs, ratio_span=[min(r.ratio_lo for r in reports),
-                                               max(r.ratio_hi for r in reports)])
-    if not all(r.upper_ok for r in reports):
-        return EXIT_VERIFY_FAIL
-    return EXIT_OK
+    _emit(args, spectral.sandwich_to_csv(reports),
+          ratio_span=[min(r.ratio_lo for r in reports), max(r.ratio_hi for r in reports)])
+    return EXIT_OK if all(r.upper_ok for r in reports) else EXIT_VERIFY_FAIL
 
 
 def cmd_phs(args: argparse.Namespace) -> int:
     system = phs.phsystem_from_json(Path(args.config).read_text())
     grid = _parsed("--t-grid", args.t_grid, _grid)
     report = phs.stability_scan(system, grid)
-    outputs = _write_output(report.to_csv(), args.out)
-    summary = report.to_json()
-    if args.out is not None:
-        jpath = args.out + ".constants.json"
-        Path(jpath).write_text(summary + "\n")
-        outputs.append(jpath)
-    else:
-        sys.stdout.write(summary + "\n")
-    _write_manifest(args, outputs)
+    _emit(args, report.to_csv(), (".constants.json", report.to_json()))
     return EXIT_OK
 
 
@@ -402,7 +334,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for label, ok in _SUITES[name]():
             lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {label}\n")
             failed = failed or not ok
-    _write_manifest(args, _write_output("".join(lines), args.out))
+    _emit(args, "".join(lines))
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 

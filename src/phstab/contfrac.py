@@ -24,6 +24,13 @@ _PRECISION_CAP = 1 << 22  # hard stop for adaptive refinement loops
 _T = TypeVar("_T")
 
 
+def _integer(x) -> int:
+    """``operator.index(x)``, refusing a bool, which would read as 0 or 1."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is a boolean, not an integer")
+    return operator.index(x)
+
+
 class IrrationalSpec:
     """Exact, precision-extendable description of a positive real number."""
 
@@ -49,7 +56,7 @@ class QuadraticSurd(IrrationalSpec):
     q: int = 1
 
     def __post_init__(self):
-        D, _, q = map(operator.index, (self.D, self.p, self.q))  # integers only
+        D, _, q = map(_integer, (self.D, self.p, self.q))  # integers only
         if D <= 0 or isqrt(D) ** 2 == D:
             raise ValueError("D must be a positive non-square integer")
         if q == 0:
@@ -93,7 +100,7 @@ class ExplicitQuotients(IrrationalSpec):
     a: tuple[int, ...]
 
     def __init__(self, a):
-        object.__setattr__(self, "a", tuple(operator.index(x) for x in a))
+        object.__setattr__(self, "a", tuple(map(_integer, a)))
         if not self.a:
             raise ValueError("quotient list must be nonempty")
         if any(x < 1 for x in self.a[1:]):
@@ -130,7 +137,7 @@ class RuleQuotients(IrrationalSpec):
     _quotients: Optional[tuple[int, ...]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if operator.index(dict(self.params).get("bit_budget", 4096)) < 64:
+        if _integer(dict(self.params).get("bit_budget", 4096)) < 64:
             raise ValueError("bit_budget must be >= 64, as construct requires")
 
     @property
@@ -170,7 +177,7 @@ class DecimalLiteral(IrrationalSpec):
     def __post_init__(self):
         if not isinstance(self.digits, str):  # a float would be read as its binary value
             raise TypeError(f"digits must be a string, not {self.digits!r}")
-        if operator.index(self.bits) < 1:
+        if _integer(self.bits) < 1:
             raise ValueError("guaranteed bit count must be >= 1")
         if self._value() <= 0:
             raise ValueError("represented value must be positive")
@@ -307,14 +314,25 @@ def check_bounds(table: ConvergentTable) -> list[BoundReport]:
     The enclosure precision starts at 4 bits(q_N) + 64 and doubles until
     every n is decided. A precision-capped source (a finite rule, a digit
     string) is judged on its widest enclosure; only when even that leaves
-    some n undecided does it raise.
+    some n undecided does it raise. A table to a construction's depth always
+    does, naming n = depth - 1: alpha lies between its last two convergents.
     """
     if len(table) < 2:
         raise ValueError("table needs at least 2 entries")
     need = 4 * table.convergents[-1].q.bit_length() + 64
-    return _refine(table.source, need,
-                   lambda ball: _bound_reports(table, ball.lower, ball.upper),
-                   "convergent bounds")
+    try:
+        return _refine(table.source, need,
+                       lambda ball: _bound_reports(table, ball.lower, ball.upper),
+                       "convergent bounds")
+    except InsufficientPrecision:
+        src = table.source
+        if not (isinstance(src, RuleQuotients) and len(src.quotients) == len(table)):
+            raise
+        n = len(table) - 2
+        raise InsufficientPrecision(
+            f"convergent bound n = {n} undecidable: a construction's last bound "
+            f"cannot be decided from its widest enclosure (depth {n + 1}); the "
+            f"table to a_{n} is the longest that checks") from None
 
 
 def _offsets(table: ConvergentTable, lo: Fraction,

@@ -895,8 +895,15 @@ def _mat_to_json(m: np.ndarray) -> list[list[str]]:
     return [[repr(float(v)) for v in row] for row in np.asarray(m)]
 
 
+def _entry(v) -> float:
+    """A number, or the numeric string the writer emits; not a bool."""
+    if isinstance(v, bool):
+        raise TypeError(f"entry {v!r} is a boolean, not a number")
+    return float(v)
+
+
 def _mat_from_json(rows: list[list[str]]) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in rows])
+    return np.array([[_entry(v) for v in row] for row in rows])
 
 
 def phsystem_to_json(sys: PHSystem) -> str:
@@ -918,11 +925,13 @@ def phsystem_to_json(sys: PHSystem) -> str:
 def phsystem_from_json(text: str) -> PHSystem:
     try:
         obj = json.loads(text)
+        if type(obj["d"]) is not int:
+            raise TypeError(f"d {obj['d']!r} is not an integer")
         return PHSystem(
-            d=int(obj["d"]),
+            d=obj["d"],
             P0=_mat_from_json(obj["P0"]),
             P1=_mat_from_json(obj["P1"]),
-            breaks=tuple(float(x) for x in obj["H"]["breaks"]),
+            breaks=tuple(map(_entry, obj["H"]["breaks"])),
             pieces=tuple(_mat_from_json(p) for p in obj["H"]["pieces"]),
             W=_mat_from_json(obj["W"]),
         )

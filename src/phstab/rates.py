@@ -202,6 +202,12 @@ class PositiveIncreaseCertificate:
             }
         )
 
+    @classmethod
+    def from_json(cls, text: str) -> PositiveIncreaseCertificate:
+        obj = json.loads(text)
+        return cls(alpha_hat=obj["alpha_hat"], c=obj["c"],
+                   lambda_grid=tuple(obj["lambda_grid"]), t_grid=tuple(obj["t_grid"]))
+
 
 @dataclass(frozen=True)
 class PositiveIncreaseRefutation:

@@ -640,6 +640,16 @@ class GrowthCurve:
         rows = [f"{p.eta!r},{p.m_lower!r},{p.m_upper!r}" for p in self.points]
         return "\n".join(["eta,m_lower,m_upper", *rows]) + "\n"
 
+    @classmethod
+    def from_csv(cls, text: str) -> GrowthCurve:
+        """The curve :meth:`to_csv` writes, each witness 0 (the CSV has none)."""
+        header, *lines = text.strip().splitlines()
+        if header != "eta,m_lower,m_upper":
+            raise ValueError(f"header {header!r} is not eta,m_lower,m_upper")
+        rows = [ln.split(",") for ln in lines]
+        return cls(tuple(GrowthPoint(float(r[0]), float(r[1]), float(r[2]), 0.0)
+                         for r in rows))
+
 
 def growth_curve(alpha: IrrationalSpec, eta_list, tol: float = 1e-3) -> GrowthCurve:
     """Bracket m_alpha(eta) = sup_{|t| <= eta} ||T_t^{-1}|| for each eta.

@@ -238,6 +238,12 @@ _GOOD_SPECS = {
     # a bit budget that is no integer, or below construct's 64 bits (exit 0)
     ("rule", "bit_budget", 100.5),
     ("rule", "bit_budget", 40),
+    # a JSON boolean, which operator.index reads as 1: the quotients (1, 2),
+    # a 1-bit ball and p = 1 or q = 1 (exit 0)
+    ("quotients", "a", [True, 2]),
+    ("decimal", "bits", True),
+    ("surd", "p", True),
+    ("surd", "q", True),
 ])
 def test_alpha_spec_field_of_the_wrong_type_exits_2(kind, key, bad, tmp_path, capsys):
     good = _GOOD_SPECS[kind]
@@ -484,6 +490,32 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, bad", [("d", 2.5), ("P1", [[True, "0.0"], ["0.0", "1.0"]])])
+def test_phs_config_with_a_fractional_d_or_a_boolean_entry_exits_2(field, bad, tmp_path,
+                                                                    capsys):
+    # both scanned with exit 0: d read as 2 by int(), true as 1.0 by float()
+    good = json.loads((Path(__file__).parent / "data" / "phs" / "universal_sqrt2.json")
+                      .read_text())
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps({**good, field: bad}))
+    assert run(["phs", "--config", str(cfg), "--t-grid", "0:1:3"]) == 2
+    err = capsys.readouterr().err
+    assert "error: malformed system config:" in err and "Traceback" not in err
+
+
+def test_construct_header_sidecar_is_the_header_line_it_prints(tmp_path, capsys):
+    argv = ["construct", "--powerlog", "4", "0", "--bits", "1024"]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "alpha.csv"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    header = (tmp_path / "alpha.csv.header.json").read_text()
+    assert header.endswith("}\n") and printed == out.read_text() + header
+    manifest = json.loads((tmp_path / "alpha.csv.manifest.json").read_text())
+    assert manifest["outputs"] == [str(out), str(out) + ".header.json"]
+
+
 def test_cf_past_a_construction_depth_exits_2(tmp_path, capsys):
     spec = tmp_path / "c.json"
     spec.write_text(json.dumps(
@@ -497,14 +529,15 @@ def test_cf_past_a_construction_depth_exits_2(tmp_path, capsys):
 
 def test_cf_at_a_construction_depth_names_the_undecidable_index(tmp_path, capsys):
     # depth 7: alpha lies between p_6/q_6 and p_7/q_7, so the bound at
-    # n = 6 cannot be decided, and --terms 6 is the longest table that checks
+    # n = 6 cannot be decided, and the table to a_6 (--terms 6) is the
+    # longest that checks
     spec = tmp_path / "c.json"
     spec.write_text(json.dumps(
         alpha_factory.construct(alpha_factory.PowerLog(4, 0), 1024).spec.to_json()))
     assert run(["cf", "--alpha-json", str(spec), "--terms", "7"]) == 2
     err = capsys.readouterr().err
     assert "n = 6" in err and "last bound" in err and "widest enclosure" in err
-    assert "--terms 6 is the largest run that checks" in err and "Traceback" not in err
+    assert "table to a_6 is the longest that checks" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "1:-inf:2"])

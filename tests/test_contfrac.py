@@ -111,9 +111,15 @@ def test_decimal_literal_refuses_beyond_guarantee():
     lambda: cf.RuleQuotients(params={"bit_budget": 100.5}),
     lambda: cf.RuleQuotients(params={"bit_budget": 63}),
     lambda: cf.RuleQuotients(params=[1, 2]),
+    lambda: cf.ExplicitQuotients([True, 2]),
+    lambda: cf.DecimalLiteral(digits="1.5", bits=True),
+    lambda: cf.QuadraticSurd(D=8, p=True),
+    lambda: cf.QuadraticSurd(D=8, q=True),
+    lambda: cf.RuleQuotients(params={"bit_budget": True}),
 ])
 def test_specs_refuse_fields_of_the_wrong_type(make):
-    # integers are read with operator.index: a float is never truncated
+    # integers are read with operator.index, a bool refused first: a float
+    # is never truncated, and a JSON true is not 1
     with pytest.raises((TypeError, ValueError)):
         make()
 
@@ -430,6 +436,16 @@ def test_check_bounds_on_a_constructed_alpha_near_its_depth(monkeypatch):
     with pytest.raises(InsufficientPrecision):
         cf.check_bounds(table)
     assert asked == [need << k for k in range(len(asked))]
+
+
+def test_check_bounds_at_a_construction_depth_names_the_undecidable_index():
+    # depth 7: alpha lies between p_6/q_6 and p_7/q_7, so nothing decides n = 6
+    spec = af.construct(af.PowerLog(4, 0), 1024).spec
+    with pytest.raises(InsufficientPrecision,
+                       match=r"n = 6 undecidable.*last bound.*widest enclosure.*"
+                             r"table to a_6 is the longest that checks"):
+        cf.check_bounds(cf.expand(spec, 7))
+    assert all(r.passed for r in cf.check_bounds(cf.expand(spec, 6)))
 
 
 def test_check_bounds_failure_margins_match_oracle():

@@ -2,6 +2,7 @@
 resolvent solves, and the characterisation constants."""
 
 import hashlib
+import json
 import math
 from dataclasses import asdict
 from pathlib import Path
@@ -271,6 +272,31 @@ def test_json_round_trip(sys2):
     assert np.allclose(again.pieces[0], sys2.pieces[0])
     with pytest.raises(ValidationError):
         P.phsystem_from_json("{\"d\": 2}")
+
+
+@pytest.mark.parametrize("path, bad", [
+    (("d",), 2.5),
+    (("d",), "2"),
+    (("d",), True),
+    (("P0", 0, 1), True),
+    (("P1", 0, 0), True),
+    (("W", 0, 2), True),
+    (("H", "breaks", 1), True),
+    (("H", "pieces", 0, 0, 0), False),
+])
+def test_config_refuses_a_non_integer_d_and_boolean_entries(path, bad):
+    # at the writer's format, d is a JSON integer and each entry a numeric
+    # string; int() read 2.5 as 2 and float() read true as 1.0
+    obj = json.loads((DATA / "universal_sqrt2.json").read_text())
+    P.phsystem_from_json(json.dumps(obj))
+    *outer, last = path
+    node = obj
+    for key in outer:
+        node = node[key]
+    node[last] = bad
+    with pytest.raises(ValidationError, match="malformed system config: .*"
+                                              + ("integer" if last == "d" else "boolean")):
+        P.phsystem_from_json(json.dumps(obj))
 
 
 @pytest.fixture(scope="module")

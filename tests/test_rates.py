@@ -11,6 +11,12 @@ from phstab import spectral as sp
 from phstab.errors import BelowRange, MissingCertificate, ValidationError
 
 
+def test_certificate_json_round_trip():
+    cert = R.positive_increase_estimate(R.power_fn(2), [2, 10, 100], [1, 10, 100])
+    assert isinstance(cert, R.PositiveIncreaseCertificate)
+    assert R.PositiveIncreaseCertificate.from_json(cert.to_json()) == cert
+
+
 def test_m_log_closed_values():
     m = R.power_fn(2)
     assert R.m_log(m)(1.0) == pytest.approx(2 * math.log(2), rel=1e-12)

@@ -224,6 +224,10 @@ def test_growth_curve_csv():
     lines = curve.to_csv().strip().splitlines()
     assert lines[0] == "eta,m_lower,m_upper"
     assert len(lines) == 3
+    # read back bit for bit; the CSV carries no witness
+    again = sp.GrowthCurve.from_csv(curve.to_csv())
+    assert again.points == tuple(sp.GrowthPoint(p.eta, p.m_lower, p.m_upper, 0.0)
+                                 for p in curve.points)
 
 
 def test_sandwich_constant_value():
