@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from mpmath.libmp import (from_int, from_rational, mpf_e, mpf_pi, mpi_add, mpi_div,
-                          mpi_exp, mpi_log, mpi_mul, mpi_pow, mpi_sub, round_ceiling,
-                          round_floor, to_int)
+from mpmath.libmp import (mpf_e, mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_pow,
+                          mpi_sub, round_ceiling, round_floor, to_int)
 
 from .contfrac import ConvergentTable, RuleQuotients, expand
 from .errors import (
@@ -25,6 +24,7 @@ from .errors import (
     ValidationError,
     VerificationFailed,
 )
+from .intervals import enclose, enclose_pi
 
 
 def _json_number(x: Fraction) -> float | str:
@@ -37,14 +37,6 @@ def _json_number(x: Fraction) -> float | str:
     return f if Fraction(repr(f)) == x else str(x)
 
 
-def _enclose(x, prec: int) -> tuple:
-    """The libmpi interval of an int, float or Fraction, outward to prec bits."""
-    if isinstance(x, int):  # q: no division, unlike from_rational
-        return from_int(x, prec, round_floor), from_int(x, prec, round_ceiling)
-    n, d = Fraction(x).as_integer_ratio()
-    return from_rational(n, d, prec, round_floor), from_rational(n, d, prec, round_ceiling)
-
-
 class DecayTarget:
     """A positive, decreasing target function f on (0, infinity)."""
 
@@ -52,10 +44,10 @@ class DecayTarget:
         """q -> the libmpi interval of 1 / (sqrt(f(pi*q)) * q), rounded
         outward at prec bits. Built once per target and precision, so pi and the
         target's constants are enclosed here, not per q."""
-        pi, g = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)), self._inv_sqrt_f(prec)
+        pi, g = enclose_pi(prec), self._inv_sqrt_f(prec)
 
         def x(q: int) -> tuple:
-            qi = _enclose(q, prec)
+            qi = enclose(q, prec)
             return mpi_div(g(mpi_mul(pi, qi, prec), q), qi, prec)
 
         return x
@@ -84,7 +76,7 @@ class ExpDecay(DecayTarget):
             raise ValueError("beta must be positive")
 
     def _inv_sqrt_f(self, prec: int) -> Callable[[tuple, int], tuple]:
-        half_beta = _enclose(self.beta / 2, prec)
+        half_beta = enclose(self.beta / 2, prec)
         return lambda t, q: mpi_exp(mpi_mul(half_beta, t, prec), prec)
 
     def log_value(self, t: float) -> float:
@@ -111,7 +103,7 @@ class PowerLog(DecayTarget):
 
     def _inv_sqrt_f(self, prec: int) -> Callable[[tuple, int], tuple]:
         e = mpf_e(prec, round_floor), mpf_e(prec, round_ceiling)
-        hp, hs = _enclose(self.p / 2, prec), _enclose(self.s / 2, prec)
+        hp, hs = enclose(self.p / 2, prec), enclose(self.s / 2, prec)
         if self.s == 0:
             return lambda t, q: mpi_pow(t, hp, prec)
         return lambda t, q: mpi_mul(mpi_pow(t, hp, prec), mpi_pow(
@@ -164,7 +156,7 @@ class Tabulated(DecayTarget):
         return (1 - theta) * math.log(f0) + theta * math.log(f1)
 
     def _inv_sqrt_f(self, prec: int) -> Callable[[tuple, int], tuple]:
-        one, neg_half = _enclose(1, prec), _enclose(Fraction(-1, 2), prec)
+        one, neg_half = enclose(1, prec), enclose(Fraction(-1, 2), prec)
 
         def g(t, q: int) -> tuple:
             # log_value's interpolant: its float knots and float t1 - t0 enter
@@ -172,8 +164,8 @@ class Tabulated(DecayTarget):
             # well before float(q) can raise, at q >= 2^1024
             t_float = math.pi * q if q.bit_length() < 1024 else math.inf
             t0, f0, t1, f1 = self._segment(t_float)
-            theta = mpi_div(mpi_sub(t, _enclose(t0, prec), prec), _enclose(t1 - t0, prec), prec)
-            log0, log1 = (mpi_log(_enclose(f, prec), prec) for f in (f0, f1))
+            theta = mpi_div(mpi_sub(t, enclose(t0, prec), prec), enclose(t1 - t0, prec), prec)
+            log0, log1 = (mpi_log(enclose(f, prec), prec) for f in (f0, f1))
             logf = mpi_add(mpi_mul(mpi_sub(one, theta, prec), log0, prec),
                            mpi_mul(theta, log1, prec), prec)
             return mpi_exp(mpi_mul(logf, neg_half, prec), prec)

@@ -417,6 +417,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse: 2 for a flag value it rejects, 0 after --help
+        return exc.code
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL

@@ -1,12 +1,15 @@
-"""Thin certified-interval layer on top of mpmath's interval context.
+"""Thin certified-interval layer on mpmath's raw ``libmpi`` intervals.
 
 Everything downstream manipulates exact Fractions or interval enclosures.
-This module is also the one place where they become floats: ``float_down``
-and ``float_up`` round an endpoint outward, and ``cos_sin`` encloses cosines
-and sines of float arrays with an error bound proven in advance. On the
-mpmath side, ``unit_phase`` takes the cosine and the sine of an interval
-angle from one pass. The global ``iv.prec`` is managed through
-``workprec`` so nested evaluations restore the caller's precision.
+An interval is a raw pair (lo, hi) of mpf tuples, computed by the
+``mpi_*`` primitives at a precision its caller passes, so no code reads
+or sets mpmath's global ``iv.prec``. This module is also the one place
+where intervals become floats: ``float_down`` and ``float_up`` round an
+endpoint outward, and ``cos_sin`` encloses cosines and sines of float
+arrays with an error bound proven in advance. On the mpmath side,
+``unit_phase`` takes the cosine and the sine of an interval angle from one
+pass. ``workprec`` (which sets ``iv.prec`` and restores it) has no caller
+in the library.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from math import gcd
 import mpmath
 import numpy as np
 from mpmath import iv
-from mpmath.libmp import (from_rational, fzero, mpf_add, mpf_shift, mpf_sub, mpi_cos_sin,
-                          round_ceiling, round_floor, round_nearest, to_float, to_rational)
+from mpmath.libmp import (from_int, from_rational, fzero, mpf_add, mpf_pi, mpf_shift, mpf_sub,
+                          mpi_cos_sin, round_ceiling, round_floor, round_nearest, to_float,
+                          to_rational)
 
 
 @contextmanager
@@ -34,13 +38,17 @@ def workprec(bits: int):
         iv.prec = old
 
 
-def fraction_bounds(x) -> tuple[Fraction, Fraction]:
-    """Exact rational endpoints of an interval (dyadic, hence exact)."""
-    lo_t, hi_t = x._mpi_
-    pl, ql = to_rational(lo_t)
-    ph, qh = to_rational(hi_t)
-    # int() strips gmpy's mpz so downstream stdlib code sees plain ints.
-    return Fraction(int(pl), int(ql)), Fraction(int(ph), int(qh))
+def enclose(x, prec: int) -> tuple:
+    """The libmpi interval of an int, float or Fraction, outward to prec bits."""
+    if isinstance(x, int):  # no division, unlike from_rational
+        return from_int(x, prec, round_floor), from_int(x, prec, round_ceiling)
+    n, d = Fraction(x).as_integer_ratio()
+    return from_rational(n, d, prec, round_floor), from_rational(n, d, prec, round_ceiling)
+
+
+def enclose_pi(prec: int) -> tuple:
+    """The libmpi interval of pi, outward to prec bits."""
+    return mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)
 
 
 @dataclass(frozen=True)
@@ -67,15 +75,17 @@ class RealBall:
         return cls(mid, hi - mid)
 
     @classmethod
-    def from_iv(cls, x) -> "RealBall":
-        lo, hi = fraction_bounds(x)
+    def from_mpi(cls, x) -> "RealBall":
+        """The ball of a raw mpmath interval (lo, hi); its dyadic ends are exact."""
+        # int() strips gmpy's mpz so downstream stdlib code sees plain ints.
+        lo, hi = (Fraction(*map(int, to_rational(e))) for e in x)
         return cls.from_bounds(lo, hi)
 
-    def to_iv(self):
-        """The ball as an mpmath interval, each end rounded outward at iv.prec."""
+    def to_mpi(self, prec: int) -> tuple:
+        """The ball as a raw mpmath interval, each end rounded outward to prec bits."""
         lo, hi, den = self.ends()
-        return iv.make_mpf((from_rational(lo, den, iv.prec, round_floor),
-                            from_rational(hi, den, iv.prec, round_ceiling)))
+        return (from_rational(lo, den, prec, round_floor),
+                from_rational(hi, den, prec, round_ceiling))
 
     def scale(self) -> tuple[float, float]:
         """(kf, wid): the float nearest the midpoint and the radius rounded
@@ -93,11 +103,11 @@ class RealBall:
         return mid - rad, mid + rad, d // g * f
 
 
-def unit_phase(theta) -> tuple:
-    """(iv.cos(theta), iv.sin(theta)) from one ``mpi_cos_sin`` pass, where
-    ``iv.cos`` and ``iv.sin`` each run a whole pass and keep half of it."""
-    c, s = mpi_cos_sin(iv.convert(theta)._mpi_, iv.prec)
-    return iv.make_mpf(c), iv.make_mpf(s)
+def unit_phase(theta, prec: int) -> tuple:
+    """(cos theta, sin theta) of the raw interval theta at prec bits, from
+    one ``mpi_cos_sin`` pass, where ``iv.cos`` and ``iv.sin`` each run a
+    whole pass and keep half of it."""
+    return mpi_cos_sin(theta, prec)
 
 
 # -- directed conversion to floats ------------------------------------------
@@ -113,10 +123,8 @@ def _to_float(x, rnd, lower: bool) -> float:
         if not lower and Fraction(f) < x:
             return math.nextafter(f, math.inf)
         return f
-    if hasattr(x, "_mpi_"):
-        x = x._mpi_[0 if lower else 1]
-    elif hasattr(x, "_mpf_"):
-        x = x._mpf_
+    if len(x) == 2:  # a raw interval (lo, hi), not an mpf tuple
+        x = x[0 if lower else 1]
     f = to_float(x, rnd=rnd)
     if abs(f) < _MIN_NORMAL and x != fzero:
         # gradual underflow rounds to nearest, whatever ``rnd`` asks
@@ -125,9 +133,9 @@ def _to_float(x, rnd, lower: bool) -> float:
 
 
 def float_down(x) -> float:
-    """Largest float <= x. For an interval, a float <= its lower endpoint;
-    x may also be a raw mpmath number (an mpf tuple). An mpmath value in
-    the subnormal range gets one float more of room.
+    """Largest float <= x, an int, float, Fraction or raw mpf tuple. For a
+    raw interval (lo, hi), a float <= lo. An mpmath value in the subnormal
+    range gets one float more of room.
 
     ``float()`` of an mpmath value rounds toward zero and of a Fraction to
     nearest, so neither is a bound on its own.
@@ -136,7 +144,7 @@ def float_down(x) -> float:
 
 
 def float_up(x) -> float:
-    """Smallest float >= x. For an interval, a float >= its upper endpoint."""
+    """Smallest float >= x. For a raw interval (lo, hi), a float >= hi."""
     return _to_float(x, round_ceiling, False)
 
 
@@ -168,7 +176,7 @@ def _cody_waite_parts() -> tuple[float, float, float, float]:
             rest -= part
         parts.append(float(rest))
         rest -= parts[-1]
-        return parts[0], parts[1], parts[2], float_up(abs(rest))
+        return parts[0], parts[1], parts[2], float_up(abs(rest)._mpf_)
 
 
 _P1, _P2, _P3, _P_ERR = _cody_waite_parts()
@@ -183,7 +191,7 @@ def _poly_err() -> float:
         gamma = 32 * mpmath.mpf(_U) / (1 - 32 * mpmath.mpf(_U))
         r = mpmath.mpf("0.8")
         bound = gamma * mpmath.cosh(r) + r**18 / mpmath.factorial(18)
-        return float_up(bound * (1 + mpmath.mpf(2) ** -20))
+        return float_up((bound * (1 + mpmath.mpf(2) ** -20))._mpf_)
 
 
 _POLY_ERR = _poly_err()

@@ -923,11 +923,13 @@ def phsystem_to_json(sys: PHSystem) -> str:
 
 
 def phsystem_from_json(text: str) -> PHSystem:
+    """The system ``phsystem_to_json`` writes. An "interval" field is
+    optional; if present, it must be the first and the last break."""
     try:
         obj = json.loads(text)
         if type(obj["d"]) is not int:
             raise TypeError(f"d {obj['d']!r} is not an integer")
-        return PHSystem(
+        system = PHSystem(
             d=obj["d"],
             P0=_mat_from_json(obj["P0"]),
             P1=_mat_from_json(obj["P1"]),
@@ -935,5 +937,9 @@ def phsystem_from_json(text: str) -> PHSystem:
             pieces=tuple(_mat_from_json(p) for p in obj["H"]["pieces"]),
             W=_mat_from_json(obj["W"]),
         )
+        if "interval" in obj and [_entry(x) for x in obj["interval"]] != [system.a, system.b]:
+            raise ValueError(f"interval {obj['interval']!r} is not [{system.a!r}, {system.b!r}], "
+                             "the first and the last break")
+        return system
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed system config: {exc}") from exc

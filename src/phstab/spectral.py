@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from mpmath import iv
-from mpmath.libmp import fzero, mpf_sign
+from mpmath.libmp import (fhalf, fone, from_int, fzero, mpf_sign, mpi_abs, mpi_add, mpi_div,
+                          mpi_mul, mpi_neg, mpi_sqrt, mpi_str, mpi_sub)
 
 from .contfrac import IrrationalSpec
 from .diophantine import min_odd_dist, nearest_odd
@@ -42,54 +41,54 @@ from .intervals import (
     RealBall,
     REDUCTION_RANGE,
     cos_sin,
+    enclose,
+    enclose_pi,
     float_down,
     float_up,
-    fraction_bounds,
     kernel_scale,
     unit_phase,
-    workprec,
 )
+
+# the exact intervals of the constants the formulas take
+_HALF, _ONE, _THREE, _FOUR = ((x, x) for x in (fhalf, fone, from_int(3), from_int(4)))
 
 
 class HEvaluator:
     """Evaluates det T_t = 1 + (e^{it} + e^{i alpha t})/2 and ||T_t^{-1}||
-    for an interval t and an mpmath enclosure a of alpha, by one formula
-    over the two phases (``terms``).
+    for a raw interval t and a raw enclosure a of alpha (``libmpi`` pairs)
+    at prec bits, by one formula over the two phases (``terms``)."""
 
-    All methods assume they run inside a ``workprec`` matching the precision
-    of a, as ``g_at_witness`` and the engine's mpmath fallback do.
-    """
+    def phases(self, t, a, prec):
+        """((cos t, sin t), (cos alpha t, sin alpha t)) as raw intervals."""
+        return unit_phase(t, prec), unit_phase(mpi_mul(a, t, prec), prec)
 
-    def phases(self, t, a):
-        """((cos t, sin t), (cos alpha t, sin alpha t)) as intervals."""
-        return unit_phase(t), unit_phase(a * t)
-
-    def terms(self, t, a):
+    def terms(self, t, a, prec):
         """Intervals (D, D', F, F'), D's lower end >= 0, for D = |det T_t|^2,
         F = ||T_t||_F^2 = 1 + 2 Re det T_t and their t-derivatives, with
         det' = i (e^{it} + alpha e^{i alpha t})/2."""
-        (c1, s1), (c2, s2) = self.phases(t, a)
-        half = iv.mpf(1) / 2
-        cs, sp = c1 + c2, s1 + a * s2
-        re, im = 1 + half * cs, half * (s1 + s2)
-        d = re * re + im * im
-        # the raw endpoint's sign: ``d.a < 0`` converts 0 inside mpmath's bare
-        # ``except:``, which swallows any exception, a KeyboardInterrupt too
-        if mpf_sign(d._mpi_[0]) < 0:
-            d = iv.make_mpf((fzero, d._mpi_[1]))
-        return d, im * (c1 + a * c2) - re * sp, 3 + cs, -sp
+        (c1, s1), (c2, s2) = self.phases(t, a, prec)
+        cs, sp = mpi_add(c1, c2, prec), mpi_add(s1, mpi_mul(a, s2, prec), prec)
+        re = mpi_add(_ONE, mpi_mul(_HALF, cs, prec), prec)
+        im = mpi_mul(_HALF, mpi_add(s1, s2, prec), prec)
+        d = mpi_add(mpi_mul(re, re, prec), mpi_mul(im, im, prec), prec)
+        if mpf_sign(d[0]) < 0:
+            d = fzero, d[1]
+        dd = mpi_sub(mpi_mul(im, mpi_add(c1, mpi_mul(a, c2, prec), prec), prec),
+                     mpi_mul(re, sp, prec), prec)
+        return d, dd, mpi_add(_THREE, cs, prec), mpi_neg(sp, prec)
 
-    def inv_norm_iv(self, t, a):
+    def inv_norm_iv(self, t, a, prec):
         """Interval for ||T_t^{-1}|| = sigma_max / |det| over interval t,
         with sigma_max^2 = (F + sqrt(F^2 - 4 D)) / 2."""
-        det2, _, frob2, _ = self.terms(t, a)
-        if mpf_sign(det2._mpi_[0]) <= 0:
-            raise SingularMatrix(f"|det|^2 enclosure {det2} touches zero at t={t}")
-        disc = frob2 * frob2 - 4 * det2
-        if mpf_sign(disc._mpi_[0]) < 0:
-            disc = iv.mpf([0, max(float_up(disc), 0.0)])
-        sigma2 = (frob2 + iv.sqrt(disc)) / 2
-        return iv.sqrt(sigma2 / det2)
+        det2, _, frob2, _ = self.terms(t, a, prec)
+        if mpf_sign(det2[0]) <= 0:
+            raise SingularMatrix(f"|det|^2 enclosure {mpi_str(det2, prec)} touches zero "
+                                 f"at t={mpi_str(t, prec)}")
+        disc = mpi_sub(mpi_mul(frob2, frob2, prec), mpi_mul(_FOUR, det2, prec), prec)
+        if mpf_sign(disc[0]) < 0:  # F^2 - 4 D = (s1^2 - s2^2)^2: the upper end is >= 0
+            disc = fzero, disc[1]
+        sigma2 = mpi_mul(_HALF, mpi_add(frob2, mpi_sqrt(disc, prec), prec), prec)
+        return mpi_sqrt(mpi_div(sigma2, det2, prec), prec)
 
 
 def _bits_for(t_magnitude: float, bits: int) -> int:
@@ -138,14 +137,13 @@ def g_at_witness(alpha: IrrationalSpec, u: int, v: int, bits: int = 128) -> Real
     g there can be astronomically small (that is the point of the shifted
     time), so precision is doubled until the enclosure is relatively tight.
     """
-    ev = HEvaluator()
     work = _bits_for(float(v) * 4, bits)
     while True:
-        with workprec(work):
-            enc = alpha.enclosure(work)
-            a = enc.to_iv()
-            delta = -(v * a - u) / (1 + a)
-            ball = RealBall.from_iv(iv.sqrt(ev.terms(iv.pi * (v + delta), a)[0]))
+        a, vi = alpha.enclosure(work).to_mpi(work), enclose(v, work)
+        delta = mpi_div(mpi_sub(enclose(u, work), mpi_mul(vi, a, work), work),
+                        mpi_add(_ONE, a, work), work)
+        t = mpi_mul(enclose_pi(work), mpi_add(vi, delta, work), work)
+        ball = RealBall.from_mpi(mpi_sqrt(HEvaluator().terms(t, a, work)[0], work))
         if ball.lower > 0 and ball.err < ball.lower / (1 << 20):
             return ball
         if work >= (1 << 20):
@@ -263,13 +261,15 @@ def _w_terms(ph, sa, k):
     return (f_lo, f_up, speed, 1.0 + w_re - er, 1.0 + w_re + er, r_speed), f_up - f_lo - wid, wid
 
 
-def _w_terms_mp(ev: HEvaluator, c: float, av, k):
-    """The bounds of ``_w_terms`` from the mpmath interval evaluation at c,
-    for k = 1 or iv.pi: w = 2 det T_{kc}, so F(c) = 4 D(kc), F'(c) =
-    4 k D'(kc), and R(c) = ||T_{kc}||_F^2 (``HEvaluator.terms``)."""
-    d, dd, f, df = ev.terms(k * iv.mpf(c), av)
-    return (max(float_down(4 * d), 0.0), float_up(4 * d), float_up(abs(4 * k * dd)),
-            float_down(f), float_up(f), float_up(abs(df)))
+def _w_terms_mp(ev: HEvaluator, c: float, av, k, prec):
+    """The bounds of ``_w_terms`` from the mpmath interval evaluation at c
+    and prec bits, for k = [1, 1] or pi's enclosure: w = 2 det T_{kc}, so
+    F(c) = 4 D(kc), F'(c) = 4 k D'(kc), and R(c) = ||T_{kc}||_F^2
+    (``HEvaluator.terms``)."""
+    d, dd, f, df = ev.terms(mpi_mul(k, enclose(c, prec), prec), av, prec)
+    d4, dd4 = mpi_mul(_FOUR, d, prec), mpi_mul(mpi_mul(_FOUR, k, prec), dd, prec)
+    return (max(float_down(d4), 0.0), float_up(d4), float_up(mpi_abs(dd4, prec)),
+            float_down(f), float_up(f), float_up(mpi_abs(df, prec)))
 
 
 _MIN_CELL = 1e-13
@@ -383,24 +383,20 @@ class _Engine:
     floor = None
     seeds = np.zeros(0), np.zeros(0, dtype=np.intp)
 
-    def __init__(self, ball: RealBall, windows, tol, init):
-        self.ev, self.ball, self.windows = HEvaluator(), ball, windows
-        self.sa = ball.scale()
+    def __init__(self, ball: RealBall, work: int, windows, tol, init):
+        self.ev, self.ball, self.work, self.windows = HEvaluator(), ball, work, windows
+        self.sa, self.av = ball.scale(), ball.to_mpi(work)
         self.tol = np.asarray(tol, dtype=float)
         self.best = np.full(len(windows), init)
         self.witness = np.array([a for a, _ in windows], dtype=float)
-
-    @cached_property
-    def av(self):
-        """alpha's mpmath enclosure, built at its first use."""
-        return self.ball.to_iv()
 
     def refill(self, terms, ts, rows):
         """The mpmath fallback: ``_w_terms_mp`` at ``k_mp`` overwrites the
         ``rows`` (a mask) of ``_w_terms``' six bounds; returns their indices."""
         idx = np.flatnonzero(rows)
         for i in idx:
-            for bound, x in zip(terms, _w_terms_mp(self.ev, float(ts[i]), self.av, self.k_mp)):
+            for bound, x in zip(terms, _w_terms_mp(self.ev, float(ts[i]), self.av, self.k_mp,
+                                                 self.work)):
                 bound[i] = x
         return idx
 
@@ -454,10 +450,10 @@ class _Sup(_Engine):
     read ||T_t^{-1}|| from the same six bounds, whoever filled them."""
 
     what = "sup of ||T_t^-1||"
-    k_mp = 1.0
+    k_mp = _ONE
 
-    def __init__(self, ball, windows, tol):
-        super().__init__(ball, windows, tol, 1.0)  # ||T_0^{-1}|| = 1
+    def __init__(self, ball, work, windows, tol):
+        super().__init__(ball, work, windows, tol, 1.0)  # ||T_0^{-1}|| = 1
         self.scales = ((1.0, 0.0), self.sa)
         af, wid = self.sa
         a_abs, b_abs = abs(af) + wid, abs(1 - af) + wid  # >= |alpha|, |1 - alpha| on the ball
@@ -541,13 +537,13 @@ class _Inf(_Engine):
     bound's slack (alpha's enclosure width counts with the slack)."""
 
     what = "inf of h"
-    k_mp = iv.pi
 
-    def __init__(self, ball, windows, tol):
-        super().__init__(ball, windows, tol, math.inf)
-        # pi and pi alpha from alpha's one mpmath enclosure, at the run's workprec
-        self.scales = (kernel_scale(iv.pi._mpi_), kernel_scale((iv.pi * self.av)._mpi_))
-        a_abs = float_up(abs(self.av))
+    def __init__(self, ball, work, windows, tol):
+        super().__init__(ball, work, windows, tol, math.inf)
+        # pi and pi alpha from alpha's one mpmath enclosure, at the run's work
+        self.k_mp = enclose_pi(work)
+        self.scales = kernel_scale(self.k_mp), kernel_scale(mpi_mul(self.k_mp, self.av, work))
+        a_abs = float_up(mpi_abs(self.av, work))
         self.l2 = 2 * math.pi**2 * ((1 + a_abs) ** 2 + 4 * (1 + a_abs**2)) * 1.0000001
         self.done_lo = np.full(len(windows), math.inf)
         a, b = np.array(windows, dtype=float).T
@@ -597,9 +593,8 @@ class CertifiedInf:
 def _inf_windows(ball: RealBall, work: int, windows, tols):
     """Certified infima of h over each window [a, b] to its tol, from one
     engine run at ``work`` bits on alpha's enclosure ``ball``."""
-    with workprec(work):
-        inf = _Inf(ball, windows, tols)
-        inf.run()
+    inf = _Inf(ball, work, windows, tols)
+    inf.run()
     lower = _sqrt_down(np.maximum(np.minimum(inf.done_lo, inf.best), 0.0))
     return [CertifiedInf(a, b, lo, up, wit)
             for (a, b), lo, up, wit in zip(windows, lower.tolist(),
@@ -663,9 +658,8 @@ def growth_curve(alpha: IrrationalSpec, eta_list, tol: float = 1e-3) -> GrowthCu
         raise OutOfRange("eta list must be positive and strictly increasing")
     ball, work = _engine_start(alpha, etas, tol)
     windows = list(zip([0.0] + etas[:-1], etas))
-    with workprec(work):
-        sup = _Sup(ball, windows, [tol] * len(windows))
-        sup.run()
+    sup = _Sup(ball, work, windows, [tol] * len(windows))
+    sup.run()
     inc = np.maximum.accumulate(sup.best)
     ups = np.maximum(inc * (1 + tol), sup.stuck)
     points = []
@@ -698,9 +692,7 @@ class SandwichReport:
 
 def _sandwich_bound(sq) -> float:
     """36 pi^2 / min{sq, 1} rounded up."""
-    with workprec(96):
-        pi_hi = fraction_bounds(iv.pi)[1]
-    return float_up(36 * pi_hi * pi_hi / min(sq, 1))
+    return float_up(36 * RealBall.from_mpi(enclose_pi(96)).upper ** 2 / min(sq, 1))
 
 
 _SANDWICH_CONST = _sandwich_bound(1)  # (1+alpha)^2 >= 1 for every alpha >= 0

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from phstab import alpha_factory as af
 from phstab import contfrac as cf
 from phstab.errors import CeilingUndecidable, MonotonicityViolation
+from phstab.intervals import enclose
 
 
 def _oracle_log_f(target, t):
@@ -91,7 +92,7 @@ class _Constant(af.DecayTarget):
     """f = 1/4 everywhere: not decreasing, so no target the package builds."""
 
     def _inv_sqrt_f(self, prec):
-        two = af._enclose(2, prec)
+        two = enclose(2, prec)
         return lambda t, q: two
 
 

@@ -87,9 +87,7 @@ def test_construct_rejected_target_exit2(flags, capsys):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1/0", "x"])
 def test_construct_unparsable_target_exit2(value, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["construct", "--exp", value])
-    assert exc.value.code == 2
+    assert run(["construct", "--exp", value]) == 2
     assert "not a finite rational number" in capsys.readouterr().err
 
 
@@ -481,11 +479,7 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
         cfg = tmp_path / "sys.json"
         cfg.write_text(phs.phsystem_to_json(phs.universal_example(2.0**0.5)))
         argv = [*argv, "--config", str(cfg)]
-    try:
-        code = run(argv)
-    except SystemExit as exc:  # argparse rejects a flag value itself
-        code = exc.code
-    assert code == 2
+    assert run(argv) == 2  # also where argparse rejects a flag value itself
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
 
@@ -575,10 +569,15 @@ def test_growth_and_sandwich_manifest_summaries(tmp_path):
 def test_bits_is_refused_where_it_does_nothing(argv, capsys):
     data = Path(__file__).parent / "data"
     argv = [str(data / a) if a.endswith((".csv", ".json")) else a for a in argv]
-    with pytest.raises(SystemExit) as exc:
-        run([*argv, "--bits", "8"])
-    assert exc.value.code == 2
+    assert run([*argv, "--bits", "8"]) == 2
     assert "unrecognized arguments: --bits 8" in capsys.readouterr().err
+
+
+def test_main_returns_argparse_exit_codes(capsys):
+    # argparse's SystemExit escaped main, where every other bad input returns 2
+    assert run(["growth", "--surd", "2", "--etas", "10", "--bits", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert run(["--help"]) == 0 and "usage:" in capsys.readouterr().out
 
 
 def test_manifest_records_the_parameters_alone(tmp_path):

@@ -19,15 +19,15 @@ def test_float_bounds_round_outward():
         third = mpmath.iv.mpf(1) / 3
         # plain float() truncates toward zero: below 1/3 at the upper end
         assert Fraction(float(third.b)) < THIRD
-        assert Fraction(float_down(third)) <= THIRD <= Fraction(float_up(third))
-        neg = -third
+        assert Fraction(float_down(third._mpi_)) <= THIRD <= Fraction(float_up(third._mpi_))
+        neg = (-third)._mpi_
         assert Fraction(float_down(neg)) <= -THIRD <= Fraction(float_up(neg))
     for x in (THIRD, -THIRD, Fraction(2, 7), Fraction(1, 10**30)):
         assert Fraction(float_down(x)) <= x <= Fraction(float_up(x))
         assert math.nextafter(float_down(x), math.inf) >= float_up(x)
     assert float_down(Fraction(1, 2)) == float_up(Fraction(1, 2)) == 0.5
     with mpmath.workprec(200):
-        y = mpmath.mpf(1) / 3
+        y = (mpmath.mpf(1) / 3)._mpf_
         assert Fraction(float_down(y)) <= THIRD <= Fraction(float_up(y))
 
 
@@ -91,7 +91,7 @@ def test_endpoint_signs_make_no_conversion(monkeypatch):
 
     convert = iv.convert
     # on [0, 7] the enclosure re * re + im * im of |det T_t|^2 dips below 0
-    wide, a = iv.mpf([0, 7]), iv.sqrt(2)
+    wide, a, one = iv.mpf([0, 7])._mpi_, iv.sqrt(2)._mpi_, iv.mpf(1.0)._mpi_
 
     def no_zero(x):
         if type(x) is int and x == 0:
@@ -100,13 +100,12 @@ def test_endpoint_signs_make_no_conversion(monkeypatch):
 
     monkeypatch.setattr(iv, "convert", no_zero)
     ev = spectral.HEvaluator()
-    with workprec(128):
-        d = ev.terms(wide, a)[0]
-        assert d._mpi_[0] == fzero and float_up(d) >= 4
-        with pytest.raises(SingularMatrix):
-            ev.inv_norm_iv(wide, a)
-        norm = ev.inv_norm_iv(iv.mpf(1.0), a)
-        assert 0 < float_down(norm) <= float_up(norm) < math.inf
+    d = ev.terms(wide, a, 128)[0]
+    assert d[0] == fzero and float_up(d) >= 4
+    with pytest.raises(SingularMatrix):
+        ev.inv_norm_iv(wide, a, 128)
+    norm = ev.inv_norm_iv(one, a, 128)
+    assert 0 < float_down(norm) <= float_up(norm) < math.inf
 
 
 @pytest.mark.parametrize("bits", [128, 1024])
@@ -118,8 +117,8 @@ def test_unit_phase_is_iv_cos_and_sin(bits):
     with workprec(bits):
         for theta in (0, 0.0, 1.0, -2.5, 1e6, 2.0**60, iv.mpf([0.5, 2.0]),
                       iv.mpf([-3.0, 40.0]), iv.pi / 2, iv.sqrt(2) * 3094):
-            c, s = unit_phase(theta)
-            assert c._mpi_ == iv.cos(theta)._mpi_ and s._mpi_ == iv.sin(theta)._mpi_
+            c, s = unit_phase(iv.convert(theta)._mpi_, bits)
+            assert c == iv.cos(theta)._mpi_ and s == iv.sin(theta)._mpi_
 
 
 def test_ball_ends():
@@ -133,7 +132,7 @@ def test_ball_ends():
         assert D > 0 and Fraction(L, D) == ball.lower and Fraction(H, D) == ball.upper
 
 
-def test_ball_to_iv_rounds_outward():
+def test_ball_to_mpi_rounds_outward():
     from mpmath import iv
     from mpmath.libmp import to_rational
 
@@ -143,15 +142,14 @@ def test_ball_to_iv_rounds_outward():
                  RealBall(Fraction(-7, 3), Fraction(1, 10**40)),
                  RealBall(Fraction(3, 1 << 70), Fraction(1, 1 << 80))):
         for prec in (24, 53, 200):
-            with workprec(prec):
-                lo, hi = (Fraction(*map(int, to_rational(x))) for x in ball.to_iv()._mpi_)
+            lo, hi = (Fraction(*map(int, to_rational(x))) for x in ball.to_mpi(prec))
             assert lo <= ball.lower and ball.upper <= hi
             slack = abs(ball.value) * Fraction(1, 1 << (prec - 1))
             assert ball.lower - lo <= slack and hi - ball.upper <= slack
     # dyadic ends with at most prec significant bits come out exactly
     ball = RealBall(Fraction(181, 128), Fraction(1, 256))
     with workprec(16):
-        assert ball.to_iv()._mpi_ == iv.mpf([float(ball.lower), float(ball.upper)])._mpi_
+        assert ball.to_mpi(16) == iv.mpf([float(ball.lower), float(ball.upper)])._mpi_
 
 
 def test_directed_conversion_in_the_subnormal_range():
@@ -161,5 +159,5 @@ def test_directed_conversion_in_the_subnormal_range():
     # whatever rounding it is asked for
     for man, exp in ((1, -1080), (3, -1074), (12345, -1090), (-1, -1080)):
         exact = Fraction(man) / (1 << -exp)
-        for x in (mpmath.mpf(from_man_exp(man, exp)), from_man_exp(man, exp)):
+        for x in (from_man_exp(man, exp), (from_man_exp(man, exp),) * 2):
             assert Fraction(float_down(x)) <= exact <= Fraction(float_up(x))

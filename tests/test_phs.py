@@ -299,6 +299,23 @@ def test_config_refuses_a_non_integer_d_and_boolean_entries(path, bad):
         P.phsystem_from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("interval", [["0.0", "5.0"], ["-1.0", "1.0"], ["0.0"]])
+def test_config_refuses_an_interval_that_is_not_the_breaks(interval):
+    # the interval was ignored: ["0.0", "5.0"] with breaks [0, 1] scanned [0, 1]
+    obj = json.loads((DATA / "universal_sqrt2.json").read_text())
+    for ok in ([0, 1.0], None):
+        if ok is None:
+            del obj["interval"]
+        else:
+            obj["interval"] = ok
+        system = P.phsystem_from_json(json.dumps(obj))
+        assert (system.a, system.b) == (0.0, 1.0)
+    obj["interval"] = interval
+    with pytest.raises(ValidationError, match="malformed system config: interval .* is not "
+                                              r"\[0\.0, 1\.0\], the first and the last break"):
+        P.phsystem_from_json(json.dumps(obj))
+
+
 @pytest.fixture(scope="module")
 def sys16():
     """A seeded 16-piece system with skew P0 and indefinite P1."""

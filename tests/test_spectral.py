@@ -18,8 +18,8 @@ from phstab import contfrac as cf
 from phstab import diophantine as dio
 from phstab import spectral as sp
 from phstab.errors import InsufficientPrecision, OutOfRange, SingularMatrix
-from phstab.intervals import (REDUCTION_RANGE, cos_sin, float_down, float_up,
-                              fraction_bounds, workprec)
+from phstab.intervals import (REDUCTION_RANGE, RealBall, cos_sin, float_down, float_up,
+                              workprec)
 
 THIRD = cf.ExplicitQuotients((0, 3))
 
@@ -28,15 +28,16 @@ def _det_oracle(alpha: float, t: float) -> complex:
     return 1.0 + 0.5 * (np.exp(1j * t) + np.exp(1j * alpha * t))
 
 
-def _alpha_iv(alpha, bits):
-    """alpha's enclosure at bits as an mpmath interval (call inside workprec)."""
-    return alpha.enclosure(bits).to_iv()
+def _alpha_mpi(alpha, bits):
+    """alpha's enclosure at bits as a raw mpmath interval."""
+    return alpha.enclosure(bits).to_mpi(bits)
 
 
 def _at(alpha, t, method, bits=256):
-    """HEvaluator.<method> at t (a float or an interval) inside workprec(bits)."""
-    with workprec(bits):
-        return getattr(sp.HEvaluator(), method)(iv.mpf(t), _alpha_iv(alpha, bits))
+    """HEvaluator.<method> at t (a float or an interval) at bits, each raw
+    interval it returns as an mpmath interval."""
+    out = getattr(sp.HEvaluator(), method)(iv.mpf(t)._mpi_, _alpha_mpi(alpha, bits), bits)
+    return [iv.make_mpf(x) for x in out] if method == "terms" else iv.make_mpf(out)
 
 
 def _ends(x):
@@ -86,11 +87,12 @@ def test_h_is_scaled_g():
     # h(t)^2 = |2 + e^{i pi t} + e^{i pi alpha t}|^2 = 4 g(pi t)^2: the inf
     # objective's mpmath terms against |det T|^2 at pi t and the 256-bit h
     ev = sp.HEvaluator()
+    a = _alpha_mpi(cf.SQRT2, 256)
     with workprec(256):
-        a = _alpha_iv(cf.SQRT2, 256)
+        pi = iv.pi._mpi_
         for t in (0.7, 2.0, 5.3):
-            f_lo, f_up, *_ = sp._w_terms_mp(ev, t, a, iv.pi)
-            g2 = ev.terms(iv.pi * t, a)[0]
+            f_lo, f_up, *_ = sp._w_terms_mp(ev, t, a, pi, 256)
+            g2 = iv.make_mpf(ev.terms((iv.pi * t)._mpi_, a, 256)[0])
             assert f_lo <= 4 * g2.a and 4 * g2.b <= f_up
             assert f_lo <= _h_256("sqrt2", t) ** 2 <= f_up
             assert f_up - f_lo < 1e-12
@@ -103,6 +105,23 @@ def test_inv_norm_against_numpy_oracle():
         T = M @ np.diag([np.exp(1j * t), np.exp(1j * a * t)]) + np.eye(2)
         oracle = np.linalg.norm(np.linalg.inv(T), ord=2)
         norm = _at(cf.SQRT2, t, "inv_norm_iv")
+        assert float(norm.a) - 1e-9 <= oracle <= float(norm.b) + 1e-9
+
+
+def test_inv_norm_on_an_interval_where_the_discriminant_straddles_zero():
+    # on [14.5, 15] the enclosure of F^2 - 4 D reaches below 0 while
+    # |det|^2 stays above it; only its lower end is clamped to 0
+    from mpmath.libmp import mpf_sign, mpi_mul, mpi_sub
+
+    a, t = _alpha_mpi(cf.SQRT2, 128), iv.mpf([14.5, 15.0])._mpi_
+    d, _, f, _ = sp.HEvaluator().terms(t, a, 128)
+    disc = mpi_sub(mpi_mul(f, f, 128), mpi_mul(sp._FOUR, d, 128), 128)
+    assert mpf_sign(disc[0]) < 0 < mpf_sign(d[0])
+    norm = iv.make_mpf(sp.HEvaluator().inv_norm_iv(t, a, 128))
+    M = np.full((2, 2), 0.5)
+    for x in np.linspace(14.5, 15.0, 51):
+        T = M @ np.diag([np.exp(1j * x), np.exp(1j * math.sqrt(2) * x)]) + np.eye(2)
+        oracle = np.linalg.norm(np.linalg.inv(T), ord=2)
         assert float(norm.a) - 1e-9 <= oracle <= float(norm.b) + 1e-9
 
 
@@ -145,6 +164,28 @@ def test_g_at_witness_pinned(u, v, value, err):
     assert (ball.value, ball.err) == (value, err)
 
 
+def test_no_call_reads_or_sets_the_global_iv_precision(monkeypatch):
+    # each raw-interval call takes its precision as an argument: the engine's
+    # mpmath fallbacks and g_at_witness's doubling loop leave iv.prec alone
+    touched, prec = [], type(iv).prec
+    monkeypatch.setattr(type(iv), "prec", property(
+        lambda ctx: touched.append("read") or prec.fget(ctx),
+        lambda ctx, n: touched.append(n) or prec.fset(ctx, n)))
+    mp_terms, terms = [], sp.HEvaluator.terms
+    monkeypatch.setattr(sp.HEvaluator, "terms",
+                        lambda self, *a: mp_terms.append(1) or terms(self, *a))
+    ca = af.construct(af.PowerLog(4, 0), 4096)
+    u, v = next((c.p, c.q) for c in ca.table.convergents
+                if c.p % 2 and c.q % 2 and c.q.bit_length() == 65)
+    for call in (lambda: sp.growth_curve(cf.SQRT2, [1e5]),  # points the kernel cannot decide
+                 lambda: sp.sandwich_report(cf.SQRT2, [1399999, 1400001]),  # pi t past 2^22
+                 lambda: sp.inf_h_interval(cf.SQRT2, 1.4e6 - 1, 1.4e6 + 1),
+                 lambda: sp.g_at_witness(ca.spec, u, v)):
+        mp_terms.clear()
+        call()
+        assert mp_terms and touched == []
+
+
 def test_mpmath_side_reads_two_phases(monkeypatch):
     # every mpmath evaluation of det T_t takes the phases of t and alpha t
     # from one mpi_cos_sin pass each; none forms (1 - alpha) t
@@ -163,14 +204,13 @@ def test_mpmath_side_reads_two_phases(monkeypatch):
         return list(zip(got[::2], got[1::2])) if len(got) % 2 == 0 else None
 
     ev = sp.HEvaluator()
-    with workprec(128):
-        a = _alpha_iv(cf.SQRT2, 128)
-        for evaluate in (lambda: ev.inv_norm_iv(iv.mpf(2.5), a),
-                         lambda: sp._w_terms_mp(ev, 2.5, a, 1.0),
-                         lambda: sp._w_terms_mp(ev, 2.5, a, iv.pi)):
-            evaluate()
-            (theta, phi), = pairs()
-            assert phi == pytest.approx(math.sqrt(2) * theta, rel=1e-12)
+    a, t = _alpha_mpi(cf.SQRT2, 128), iv.mpf(2.5)._mpi_
+    for evaluate in (lambda: ev.inv_norm_iv(t, a, 128),
+                     lambda: sp._w_terms_mp(ev, 2.5, a, sp._ONE, 128),
+                     lambda: sp._w_terms_mp(ev, 2.5, a, sp.enclose_pi(128), 128)):
+        evaluate()
+        (theta, phi), = pairs()
+        assert phi == pytest.approx(math.sqrt(2) * theta, rel=1e-12)
     sp.g_at_witness(cf.SQRT2, 7, 5)
     doublings = pairs()
     assert doublings and all(phi == pytest.approx(math.sqrt(2) * theta, rel=1e-12)
@@ -352,9 +392,9 @@ def test_fallback_at_deep_resonance_and_beyond_reduction_range(monkeypatch):
         visits[0] += 1
         return visit(self, *args)
 
-    def recorded(ev, c, av, k):
+    def recorded(ev, c, av, k, prec):
         mp_rows.append((visits[0], c, sys._getframe(1).f_code.co_name))
-        return w_terms_mp(ev, c, av, k)
+        return w_terms_mp(ev, c, av, k, prec)
 
     monkeypatch.setattr(sp._Sup, "visit", visit_counted)
     monkeypatch.setattr(sp, "_w_terms_mp", recorded)
@@ -646,7 +686,7 @@ def test_sup_second_derivative_bounds_hold_over_the_ball(digits, bits):
     # 1 + alpha^2 for every alpha of the ball, not only its midpoint; both
     # are convex in alpha, so their largest value is at an end
     ball = cf.DecimalLiteral(digits, bits).enclosure(bits)
-    sup = sp._Sup(ball, [(0.0, 10.0)], [1e-3])
+    sup = sp._Sup(ball, 128, [(0.0, 10.0)], [1e-3])
     ends = (ball.lower, ball.upper)
     assert sup.l2_det >= max(4 + 4 * a * a + 2 * (1 - a) ** 2 for a in ends)
     assert sup.l2_frob >= max(1 + a * a for a in ends)
@@ -711,10 +751,11 @@ def test_kernel_argument_error_covers_every_scale(name, work, monkeypatch):
     monkeypatch.setattr(sp, "cos_sin", lambda x, err: seen.append((x, err)) or cos_sin(x, err))
     ball = alpha.enclosure(work)
     lo, hi = ball.lower, ball.upper
+    sup = sp._Sup(ball, work, [(0.0, 2.0)], [1e-3])
+    inf = sp._Inf(ball, work, [(0.0, 2.0)], [1e-6])
     with workprec(work):
-        sup = sp._Sup(ball, [(0.0, 2.0)], [1e-3])
-        inf = sp._Inf(ball, [(0.0, 2.0)], [1e-6])
-        p_lo, p_hi = fraction_bounds(iv.pi)
+        pi = RealBall.from_mpi(iv.pi._mpi_)
+    p_lo, p_hi = pi.lower, pi.upper
     ends = {sup: [(1, 1), (lo, hi)],
             inf: [(p_lo, p_hi), (p_lo * lo, p_hi * hi)]}
     rng = np.random.default_rng(work)
@@ -777,9 +818,8 @@ def test_w_terms_enclose_256bit_values(name):
     # e^{ik alpha t} at 256 bits, with k = 1 (the sup's scales) and k = pi
     # (the inf's), at both ends of alpha's ball
     ball = _SHARED_BALL_ALPHAS[name].enclosure(204)
-    with workprec(204):
-        engines = {1.0: sp._Sup(ball, [(0.0, 2.0)], [1e-3]),
-                   sp._PI_UP: sp._Inf(ball, [(0.0, 2.0)], [1e-6])}
+    engines = {1.0: sp._Sup(ball, 204, [(0.0, 2.0)], [1e-3]),
+               sp._PI_UP: sp._Inf(ball, 204, [(0.0, 2.0)], [1e-6])}
     rng = np.random.default_rng(len(name))
     ts = np.concatenate([[0.0, 985.0, 3094.47], rng.uniform(-1e3, 1e3, 30)])
     for k, engine in engines.items():
