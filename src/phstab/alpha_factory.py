@@ -18,12 +18,7 @@ from mpmath.libmp import (mpf_e, mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, mp
                           mpi_sub, round_ceiling, round_floor, to_int)
 
 from .contfrac import ConvergentTable, RuleQuotients, expand
-from .errors import (
-    CeilingUndecidable,
-    MonotonicityViolation,
-    ValidationError,
-    VerificationFailed,
-)
+from .errors import InsufficientPrecision, ValidationError, VerificationFailed
 from .intervals import enclose, enclose_pi
 
 
@@ -73,7 +68,7 @@ class ExpDecay(DecayTarget):
     def __post_init__(self):
         object.__setattr__(self, "beta", Fraction(self.beta))
         if self.beta <= 0:
-            raise ValueError("beta must be positive")
+            raise ValidationError("beta must be positive")
 
     def _inv_sqrt_f(self, prec: int) -> Callable[[tuple, int], tuple]:
         half_beta = enclose(self.beta / 2, prec)
@@ -99,7 +94,7 @@ class PowerLog(DecayTarget):
         object.__setattr__(self, "p", Fraction(self.p))
         object.__setattr__(self, "s", Fraction(self.s))
         if self.p <= 0 or self.s < 0:
-            raise ValueError("need p > 0 and s >= 0")
+            raise ValidationError("need p > 0 and s >= 0")
 
     def _inv_sqrt_f(self, prec: int) -> Callable[[tuple, int], tuple]:
         e = mpf_e(prec, round_floor), mpf_e(prec, round_ceiling)
@@ -124,7 +119,7 @@ class PowerLog(DecayTarget):
 class Tabulated(DecayTarget):
     """Sampled (t, f) points with log-linear interpolation in between and
     log-linear extrapolation of the final segment beyond the last point.
-    MonotonicityViolation when built from a table that is not positive and
+    ValidationError when built from a table that is not positive and
     strictly decreasing at strictly increasing abscissae."""
 
     pts: tuple[tuple[Fraction, Fraction], ...]
@@ -133,14 +128,14 @@ class Tabulated(DecayTarget):
         norm = tuple((Fraction(t), Fraction(v)) for t, v in pts)
         object.__setattr__(self, "pts", norm)
         if len(norm) < 2:
-            raise ValueError("need at least two sample points")
+            raise ValidationError("need at least two sample points")
         ts, vs = zip(*norm)
         if any(v <= 0 for v in vs):
-            raise MonotonicityViolation("tabulated f must be positive")
+            raise ValidationError("tabulated f must be positive")
         if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
-            raise MonotonicityViolation("sample abscissae must increase")
+            raise ValidationError("sample abscissae must increase")
         if any(v2 >= v1 for v1, v2 in zip(vs, vs[1:])):
-            raise MonotonicityViolation("tabulated f must be decreasing")
+            raise ValidationError("tabulated f must be decreasing")
 
     def _segment(self, t: float):
         ts = [float(x) for x, _ in self.pts]
@@ -189,7 +184,7 @@ def target_from_json(obj: dict | str) -> DecayTarget:
         return PowerLog(p=Fraction(str(obj["p"])), s=Fraction(str(obj.get("s", 0))))
     if kind == "table":
         return Tabulated([(Fraction(str(t)), Fraction(str(v))) for t, v in obj["pts"]])
-    raise ValueError(f"unknown decay target kind {kind!r}")
+    raise ValidationError(f"unknown decay target kind {kind!r}")
 
 
 def _certified_ceil(evaluator: Callable, q: int, bit_budget: int, x64) -> int:
@@ -210,7 +205,7 @@ def _certified_ceil(evaluator: Callable, q: int, bit_budget: int, x64) -> int:
         if c == to_int(hi, round_ceiling) and lo[1] and lo[2] < 0:
             return int(c)
         prec = max(2 * prec, size + 64)
-    raise CeilingUndecidable(
+    raise InsufficientPrecision(
         f"enclosure of 1/(sqrt(f(pi*{q}))*{q}) straddles an integer at "
         f"{4 * bit_budget} bits"
     )
@@ -234,7 +229,7 @@ def _quotients_for(target: DecayTarget, bit_budget: int) -> list[int]:
         quotients.append(a)
         q_prev2, q_prev = q_prev, q_new
     if len(quotients) < 2:
-        raise ValueError("bit budget too small for even one quotient")
+        raise ValidationError("bit budget too small for even one quotient")
     return quotients
 
 
@@ -278,7 +273,7 @@ def construct(target: DecayTarget, bit_budget: int = 4096) -> ConstructedAlpha:
     extending until the next denominator would exceed the bit budget.
     """
     if bit_budget < 64:
-        raise ValueError("bit_budget must be >= 64")
+        raise ValidationError("bit_budget must be >= 64")
     quotients = _quotients_for(target, bit_budget)
     # a spec rebuilt from its JSON recomputes the same quotients
     spec = RuleQuotients(params={"target": target.to_json(), "bit_budget": bit_budget},

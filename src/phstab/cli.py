@@ -192,18 +192,13 @@ def cmd_cf(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    # alpha_factory raises ValueError only for inputs it rejects
-    try:
-        if args.exp is not None:
-            target: alpha_factory.DecayTarget = alpha_factory.ExpDecay(beta=args.exp)
-        elif args.powerlog is not None:
-            p, s = args.powerlog
-            target = alpha_factory.PowerLog(p=p, s=s)
-        else:
-            target = _from_file("--table", args.table, alpha_factory.target_from_json)
-        ca = alpha_factory.construct(target, bit_budget=args.bits)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    if args.exp is not None:
+        target: alpha_factory.DecayTarget = alpha_factory.ExpDecay(beta=args.exp)
+    elif args.powerlog is not None:
+        target = alpha_factory.PowerLog(*args.powerlog)
+    else:
+        target = _from_file("--table", args.table, alpha_factory.target_from_json)
+    ca = alpha_factory.construct(target, bit_budget=args.bits)
     _emit(args, ca.table.to_csv(), (".header.json", ca.header_json()))
     return EXIT_OK
 

@@ -17,7 +17,7 @@ from itertools import islice, pairwise, starmap
 from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
-from .errors import InsufficientPrecision, TableExhausted
+from .errors import InsufficientPrecision, TableExhausted, ValidationError
 from .intervals import RealBall
 
 _PRECISION_CAP = 1 << 22  # hard stop for adaptive refinement loops
@@ -27,7 +27,7 @@ _T = TypeVar("_T")
 def _integer(x) -> int:
     """``operator.index(x)``, refusing a bool, which would read as 0 or 1."""
     if isinstance(x, bool):
-        raise TypeError(f"{x!r} is a boolean, not an integer")
+        raise ValidationError(f"{x!r} is a boolean, not an integer")
     return operator.index(x)
 
 
@@ -58,11 +58,11 @@ class QuadraticSurd(IrrationalSpec):
     def __post_init__(self):
         D, _, q = map(_integer, (self.D, self.p, self.q))  # integers only
         if D <= 0 or isqrt(D) ** 2 == D:
-            raise ValueError("D must be a positive non-square integer")
+            raise ValidationError("D must be a positive non-square integer")
         if q == 0:
-            raise ValueError("q must be nonzero")
+            raise ValidationError("q must be nonzero")
         if self.enclosure(16).upper <= 0:
-            raise ValueError("represented value must be positive")
+            raise ValidationError("represented value must be positive")
 
     def quotient_iter(self) -> Iterator[int]:
         # Exact periodic algorithm on (P + sqrt(D))/Q, maintaining Q | D - P^2.
@@ -102,11 +102,11 @@ class ExplicitQuotients(IrrationalSpec):
     def __init__(self, a):
         object.__setattr__(self, "a", tuple(map(_integer, a)))
         if not self.a:
-            raise ValueError("quotient list must be nonempty")
+            raise ValidationError("quotient list must be nonempty")
         if any(x < 1 for x in self.a[1:]):
-            raise ValueError("quotients a_n must be >= 1 for n >= 1")
+            raise ValidationError("quotients a_n must be >= 1 for n >= 1")
         if self.value() <= 0:
-            raise ValueError("represented value must be positive")
+            raise ValidationError("represented value must be positive")
 
     def value(self) -> Fraction:
         v = Fraction(self.a[-1])
@@ -138,7 +138,7 @@ class RuleQuotients(IrrationalSpec):
 
     def __post_init__(self):
         if _integer(dict(self.params).get("bit_budget", 4096)) < 64:
-            raise ValueError("bit_budget must be >= 64, as construct requires")
+            raise ValidationError("bit_budget must be >= 64, as construct requires")
 
     @property
     def quotients(self) -> tuple[int, ...]:
@@ -176,11 +176,11 @@ class DecimalLiteral(IrrationalSpec):
 
     def __post_init__(self):
         if not isinstance(self.digits, str):  # a float would be read as its binary value
-            raise TypeError(f"digits must be a string, not {self.digits!r}")
+            raise ValidationError(f"digits must be a string, not {self.digits!r}")
         if _integer(self.bits) < 1:
-            raise ValueError("guaranteed bit count must be >= 1")
+            raise ValidationError("guaranteed bit count must be >= 1")
         if self._value() <= 0:
-            raise ValueError("represented value must be positive")
+            raise ValidationError("represented value must be positive")
 
     def _value(self) -> Fraction:
         return Fraction(self.digits)
@@ -219,11 +219,11 @@ def spec_from_json(obj: dict | str) -> IrrationalSpec:
         return ExplicitQuotients(obj["a"])
     if kind == "rule":  # a spec-level "bit_budget", which older files carry, is ignored
         if obj["name"] != "construction":
-            raise ValueError(f"unknown quotient rule {obj['name']!r}")
+            raise ValidationError(f"unknown quotient rule {obj['name']!r}")
         return RuleQuotients(params=obj.get("f", {}))
     if kind == "decimal":
         return DecimalLiteral(digits=obj["digits"], bits=obj["bits"])
-    raise ValueError(f"unknown spec kind {kind!r}")
+    raise ValidationError(f"unknown spec kind {kind!r}")
 
 
 def _convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int, int]]:
@@ -260,7 +260,7 @@ class ConvergentTable:
     def __post_init__(self):
         if min(self.quotients[1:], default=1) < 1:
             n = next(k for k, a in enumerate(self.quotients) if k and a < 1)
-            raise ValueError(f"a_{n} = {self.quotients[n]} violates a_n >= 1")
+            raise ValidationError(f"a_{n} = {self.quotients[n]} violates a_n >= 1")
         object.__setattr__(self, "convergents",
                            tuple(starmap(Convergent, _convergents(self.quotients))))
 
@@ -292,7 +292,7 @@ def expand(alpha: IrrationalSpec, n: int) -> ConvergentTable:
     ``RuleQuotients`` past its depth TableExhausted.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ValidationError("n must be >= 0")
     quotients = tuple(islice(alpha.quotient_iter(), n + 1))
     return ConvergentTable(alpha, quotients, terminated=len(quotients) <= n)
 
@@ -318,7 +318,7 @@ def check_bounds(table: ConvergentTable) -> list[BoundReport]:
     does, naming n = depth - 1: alpha lies between its last two convergents.
     """
     if len(table) < 2:
-        raise ValueError("table needs at least 2 entries")
+        raise ValidationError("table needs at least 2 entries")
     need = 4 * table.convergents[-1].q.bit_length() + 64
     try:
         return _refine(table.source, need,
@@ -484,9 +484,9 @@ def best_approx_check(table: ConvergentTable, qmax: int) -> bool:
     has min_p |q alpha - p| < |q_n alpha - p_n|.
     """
     if qmax > 10**5:
-        raise ValueError("qmax too large for exhaustive search")
+        raise ValidationError("qmax too large for exhaustive search")
     if qmax > table.convergents[-1].q:
-        raise ValueError("qmax exceeds the table's last denominator")
+        raise ValidationError("qmax exceeds the table's last denominator")
 
     def decide(ball: RealBall) -> Optional[bool]:
         dist = _distance_brackets(ball, qmax)

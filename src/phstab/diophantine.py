@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contfrac import ConvergentTable, IrrationalSpec, _offsets, _refine
-from .errors import TableExhausted, VerificationFailed
+from .errors import TableExhausted, ValidationError, VerificationFailed
 from .intervals import RealBall
 
 
@@ -46,7 +46,7 @@ def min_odd_dist(alpha: IrrationalSpec, v: int) -> tuple[int, RealBall]:
     Ties (possible only for rational alpha) break toward the smaller u.
     """
     if v < 1 or v % 2 == 0:
-        raise ValueError("v must be an odd positive integer")
+        raise ValidationError("v must be an odd positive integer")
 
     def decide(ball: RealBall) -> tuple[int, RealBall] | None:
         got = nearest_odd(ball, [v])[0]
@@ -67,7 +67,7 @@ class OddOddApproximant:
 
     def __post_init__(self):
         if self.u % 2 == 0 or self.v % 2 == 0 or self.v <= 0:
-            raise ValueError("u and v must be odd, v positive")
+            raise ValidationError("u and v must be odd, v positive")
 
 
 def odd_odd_stream(table: ConvergentTable, count: int) -> list[OddOddApproximant]:
@@ -76,7 +76,13 @@ def odd_odd_stream(table: ConvergentTable, count: int) -> list[OddOddApproximant
     Odd/odd convergents are taken directly; for a mixed-parity consecutive
     pair the difference (p_{n+1}-p_n)/(q_{n+1}-q_n) is odd/odd and satisfies
     the same quadratic error bound. Results have strictly increasing v and
-    certified err < 2/v^2; duplicate v keep the smaller error.
+    certified err < 2/v^2. A v reached twice keeps its first candidate's
+    structural bound: for sqrt 7, v = 17 is convergent 5 and also the
+    difference of convergents 6 and 7.
+
+    The stream is not every odd/odd record (odd v with |v alpha - u| below
+    that of every smaller odd v): for sqrt 5 it gives v = 3, 13, 55, ...
+    and misses v = 5, although 11/5 is closer than 7/3.
     """
     convs = table.convergents
 
@@ -146,7 +152,7 @@ def badly_approx_profile(table: ConvergentTable) -> ApproxProfile:
     cross-multiplication.
     """
     if len(table) < 3:
-        raise ValueError("table needs at least 3 entries")
+        raise ValidationError("table needs at least 3 entries")
     qs = table.quotients[1:]
     max_a = max(qs)
     bits = 4 * table.convergents[-1].q.bit_length() + 64

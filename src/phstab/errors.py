@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error the library raises on purpose is a PhstabError. The CLI exits 1
+on VerificationFailed and 2 on every other one.
+"""
 
 
 class PhstabError(Exception):
@@ -6,51 +10,25 @@ class PhstabError(Exception):
 
 
 class InsufficientPrecision(PhstabError):
-    """A certified decision could not be made at the available precision."""
+    """A certified decision could not be made at the available precision or
+    resolution (an enclosure straddling an integer, a quadrature grid cap)."""
 
 
 class TableExhausted(PhstabError):
     """A convergent table is too short for the requested operation."""
 
 
-class CeilingUndecidable(PhstabError):
-    """An enclosure straddles an integer so the ceiling is uncertain."""
-
-
-class MonotonicityViolation(PhstabError):
-    """A tabulated decay target is not decreasing."""
-
-
 class OutOfRange(PhstabError):
-    """Requested evaluation point lies outside the covered range."""
+    """A value lies outside the range a computation covers."""
 
 
 class SingularMatrix(PhstabError):
-    """A boundary-matrix determinant enclosure contains zero."""
+    """A boundary matrix is singular: its determinant enclosure contains
+    zero, or its smallest singular value is below the solver's tolerance."""
 
 
-class SingularBoundaryMatrix(SingularMatrix):
-    """The boundary matrix of a resolvent solve is (numerically) singular."""
-
-
-class QuadratureTooCoarse(PhstabError):
-    """Residual stayed above tolerance after the node-doubling cap."""
-
-
-class ExpOverflow(PhstabError):
-    """Matrix exponential entries exceeded the representable range."""
-
-
-class MissingCertificate(PhstabError):
-    """A rate theorem requiring positive increase was invoked without one."""
-
-
-class BelowRange(PhstabError):
-    """Inverse requested below the start of the function's range."""
-
-
-class ValidationError(PhstabError):
-    """A system invariant is violated; message names the offending matrix."""
+class ValidationError(PhstabError, ValueError):
+    """An input the library refuses; the message names the offending value."""
 
 
 class VerificationFailed(PhstabError):

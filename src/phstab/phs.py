@@ -35,13 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 import numpy.linalg as la
 
-from .errors import (
-    ExpOverflow,
-    QuadratureTooCoarse,
-    SingularBoundaryMatrix,
-    SingularMatrix,
-    ValidationError,
-)
+from .errors import InsufficientPrecision, OutOfRange, SingularMatrix, ValidationError
 
 __all__ = [
     "PHSystem",
@@ -322,13 +316,13 @@ class FundamentalMatrix:
         return out
 
     def _finite(self, mats: np.ndarray) -> None:
-        """ExpOverflow naming the first t (then piece) of the (t, piece)
+        """OutOfRange naming the first t (then piece) of the (t, piece)
         stack ``mats`` that holds a non-finite entry."""
         if np.isfinite(mats).all():
             return
         ok = np.isfinite(mats).reshape(*mats.shape[:2], -1).all(axis=2)
         i, k = np.argwhere(~ok)[0]
-        raise ExpOverflow(
+        raise OutOfRange(
             f"fundamental matrix overflowed on piece {k} at t={float(self.ts[i])}"
         )
 
@@ -569,7 +563,7 @@ def _solve_once(st: FundamentalMatrix, i: int, g: _Grid, fv: np.ndarray,
     U, sv, Vh = (m[i] for m in st.svd)
     # |det T_t| is the product of its singular values
     if np.prod(sv) <= _SINGULAR_TOL or sv[-1] <= _SINGULAR_TOL * sv[0]:
-        raise SingularBoundaryMatrix(
+        raise SingularMatrix(
             f"T_t singular or near-singular at t={t} (sigma_min={sv[-1]:.3e})"
         )
 
@@ -655,7 +649,7 @@ def resolvent_solve(
     an 8-point Gauss-Legendre panel, factored through its midpoint so that
     the piece's exponentials are taken at the 8 node offsets and the
     midpoints only.  If the residuals exceed ``tol`` the grid is doubled up
-    to ``_MAX_NODES`` (QuadratureTooCoarse beyond); ``tol=math.inf`` takes
+    to ``_MAX_NODES`` (InsufficientPrecision beyond); ``tol=math.inf`` takes
     the first grid as it is.
     """
     st = FundamentalMatrix(sys, [t])
@@ -680,7 +674,7 @@ def resolvent_solve(
         if sol.residual <= tol:
             return sol
         if 2 * n > _MAX_NODES:
-            raise QuadratureTooCoarse(
+            raise InsufficientPrecision(
                 f"residual {sol.residual:.3e} > {tol} at {n} nodes (cap {_MAX_NODES})"
             )
         n *= 2
@@ -898,12 +892,19 @@ def _mat_to_json(m: np.ndarray) -> list[list[str]]:
 def _entry(v) -> float:
     """A number, or the numeric string the writer emits; not a bool."""
     if isinstance(v, bool):
-        raise TypeError(f"entry {v!r} is a boolean, not a number")
+        raise ValidationError(f"entry {v!r} is a boolean, not a number")
     return float(v)
 
 
+def _array(v) -> list:
+    """A JSON array; a string, whose characters would read as its entries, is not."""
+    if not isinstance(v, list):
+        raise ValidationError(f"{v!r} is not a JSON array")
+    return v
+
+
 def _mat_from_json(rows: list[list[str]]) -> np.ndarray:
-    return np.array([[_entry(v) for v in row] for row in rows])
+    return np.array([[_entry(v) for v in _array(row)] for row in _array(rows)])
 
 
 def phsystem_to_json(sys: PHSystem) -> str:
@@ -923,23 +924,25 @@ def phsystem_to_json(sys: PHSystem) -> str:
 
 
 def phsystem_from_json(text: str) -> PHSystem:
-    """The system ``phsystem_to_json`` writes. An "interval" field is
-    optional; if present, it must be the first and the last break."""
+    """The system ``phsystem_to_json`` writes: breaks, pieces, matrices and
+    their rows are JSON arrays, entries numbers or numeric strings. An
+    "interval" field is optional; if present, it must be the first and the
+    last break."""
     try:
         obj = json.loads(text)
         if type(obj["d"]) is not int:
-            raise TypeError(f"d {obj['d']!r} is not an integer")
+            raise ValidationError(f"d {obj['d']!r} is not an integer")
         system = PHSystem(
             d=obj["d"],
             P0=_mat_from_json(obj["P0"]),
             P1=_mat_from_json(obj["P1"]),
-            breaks=tuple(map(_entry, obj["H"]["breaks"])),
-            pieces=tuple(_mat_from_json(p) for p in obj["H"]["pieces"]),
+            breaks=tuple(map(_entry, _array(obj["H"]["breaks"]))),
+            pieces=tuple(map(_mat_from_json, _array(obj["H"]["pieces"]))),
             W=_mat_from_json(obj["W"]),
         )
-        if "interval" in obj and [_entry(x) for x in obj["interval"]] != [system.a, system.b]:
-            raise ValueError(f"interval {obj['interval']!r} is not [{system.a!r}, {system.b!r}], "
-                             "the first and the last break")
+        if "interval" in obj and [*map(_entry, _array(obj["interval"]))] != [system.a, system.b]:
+            raise ValidationError(f"interval {obj['interval']!r} is not [{system.a!r}, "
+                                  f"{system.b!r}], the first and the last break")
         return system
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed system config: {exc}") from exc

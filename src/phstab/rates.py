@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .errors import BelowRange, MissingCertificate, ValidationError
+from .errors import OutOfRange, ValidationError
 from .spectral import GrowthCurve
 
 __all__ = [
@@ -153,13 +153,13 @@ def invert(fn: MonotoneFn, y: float) -> float:
     """Generalized inverse sup { eta : fn(eta) <= y } by bisection, to
     relative width ``_INV_RTOL``.
 
-    Raises BelowRange when y < fn(lo).  Values above the range (for a
+    Raises OutOfRange when y < fn(lo).  Values above the range (for a
     bounded domain) clamp to the domain endpoint, per the sup convention.
     """
     lo = fn.lo
     f_lo = fn(lo)
     if y < f_lo:
-        raise BelowRange(
+        raise OutOfRange(
             f"target {y} below fn({lo}) = {f_lo}; inverse undefined"
         )
     hi_cap = min(fn.hi, _DOMAIN_CAP)
@@ -181,15 +181,30 @@ def invert(fn: MonotoneFn, y: float) -> float:
     return lo
 
 
+def _finite_real(x) -> bool:
+    """x is an int or a finite float; a bool or a string is not."""
+    return type(x) is int or isinstance(x, float) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class PositiveIncreaseCertificate:
     """Evidence (not proof) that fn(lambda t)/fn(t) >= c lambda^alpha
-    over the recorded finite grids."""
+    over the recorded finite grids. ``alpha_hat`` is finite and > 0, ``c``
+    in (0, 1], and the grids hold finite numbers; ValidationError otherwise."""
 
     alpha_hat: float
     c: float
     lambda_grid: tuple[float, ...]
     t_grid: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not (_finite_real(self.alpha_hat) and self.alpha_hat > 0):
+            raise ValidationError(f"alpha_hat {self.alpha_hat!r} is not a finite number > 0")
+        if not (_finite_real(self.c) and 0 < self.c <= 1):
+            raise ValidationError(f"c {self.c!r} is not a finite number in (0, 1]")
+        bad = [x for x in (*self.lambda_grid, *self.t_grid) if not _finite_real(x)]
+        if bad:
+            raise ValidationError(f"grid entry {bad[0]!r} is not a finite number")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -205,8 +220,12 @@ class PositiveIncreaseCertificate:
     @classmethod
     def from_json(cls, text: str) -> PositiveIncreaseCertificate:
         obj = json.loads(text)
-        return cls(alpha_hat=obj["alpha_hat"], c=obj["c"],
-                   lambda_grid=tuple(obj["lambda_grid"]), t_grid=tuple(obj["t_grid"]))
+        if obj["kind"] != "positive-increase-certificate":
+            raise ValidationError(f"kind {obj['kind']!r} is not positive-increase-certificate")
+        grids = obj["lambda_grid"], obj["t_grid"]
+        if not all(isinstance(g, list) for g in grids):
+            raise ValidationError("lambda_grid and t_grid must be JSON arrays")
+        return cls(obj["alpha_hat"], obj["c"], *map(tuple, grids))
 
 
 @dataclass(frozen=True)
@@ -315,7 +334,7 @@ def predict(
         if certificate is None or isinstance(
             certificate, PositiveIncreaseRefutation
         ):
-            raise MissingCertificate(
+            raise ValidationError(
                 "RSS upper bound requires a positive-increase certificate"
             )
         pts = tuple((t, C / invert(fn, t)) for t in ts)

@@ -36,7 +36,7 @@ from mpmath.libmp import (fhalf, fone, from_int, fzero, mpf_sign, mpi_abs, mpi_a
 
 from .contfrac import IrrationalSpec
 from .diophantine import min_odd_dist, nearest_odd
-from .errors import InsufficientPrecision, OutOfRange, SingularMatrix
+from .errors import InsufficientPrecision, OutOfRange, SingularMatrix, ValidationError
 from .intervals import (
     RealBall,
     REDUCTION_RANGE,
@@ -640,7 +640,7 @@ class GrowthCurve:
         """The curve :meth:`to_csv` writes, each witness 0 (the CSV has none)."""
         header, *lines = text.strip().splitlines()
         if header != "eta,m_lower,m_upper":
-            raise ValueError(f"header {header!r} is not eta,m_lower,m_upper")
+            raise ValidationError(f"header {header!r} is not eta,m_lower,m_upper")
         rows = [ln.split(",") for ln in lines]
         return cls(tuple(GrowthPoint(float(r[0]), float(r[1]), float(r[2]), 0.0)
                          for r in rows))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from phstab import alpha_factory as af
 from phstab import contfrac as cf
-from phstab.errors import CeilingUndecidable, MonotonicityViolation
+from phstab.errors import InsufficientPrecision, ValidationError
 from phstab.intervals import enclose
 
 
@@ -99,7 +99,7 @@ class _Constant(af.DecayTarget):
 def test_an_integer_value_leaves_the_ceiling_undecidable():
     # f = 1/4 makes 1/sqrt(f(pi)) exactly 2, so every enclosure straddles
     # 2, up to 4 * 64 bits
-    with pytest.raises(CeilingUndecidable, match="straddles an integer at 256 bits"):
+    with pytest.raises(InsufficientPrecision, match="straddles an integer at 256 bits"):
         af._quotients_for(_Constant(), 64)
 
 
@@ -154,14 +154,14 @@ def test_constructed_alpha_in_one_two():
     (((2, 1), (1, Fraction(1, 2))), "abscissae must increase"),
 ])
 def test_tabulated_refuses_a_bad_table_when_built(pts, reason):
-    with pytest.raises(MonotonicityViolation, match=reason):
+    with pytest.raises(ValidationError, match=reason):
         af.Tabulated(pts)
-    with pytest.raises(MonotonicityViolation, match=reason):
+    with pytest.raises(ValidationError, match=reason):
         af.target_from_json({"kind": "table", "pts": [[str(t), str(v)] for t, v in pts]})
 
 
 def test_tabulated_validation_and_interpolation():
-    with pytest.raises(MonotonicityViolation):
+    with pytest.raises(ValidationError):
         af.Tabulated(((1.0, 0.5), (2.0, 0.9)))
     good = af.Tabulated(((1.0, 1.0), (10.0, 0.01), (100.0, 1e-6)))
     # log f is interpolated linearly in t between knots

@@ -464,6 +464,13 @@ _SANDWICH_CSV = ("v,u,dist,inf_lower,inf_upper,ratio_lo,ratio_hi\n"
     # sandwich whose upper_ok can no longer fail
     ["growth", "--surd", "2", "--etas", "10", "--tol", "inf"],
     ["sandwich", "--surd", "2", "--odd-v", "1..3", "--tol", "inf"],
+    # a certificate of malformed fields, or of another kind: predictions
+    # printed with exit 0
+    [*_RATES, "--curve", _File(_CURVE), "--certificate", _File(
+        '{"alpha_hat": "x", "c": null, "lambda_grid": "ab", "t_grid": "cd"}')],
+    [*_RATES, "--curve", _File(_CURVE), "--certificate", _File(
+        '{"kind": "positive-increase-refutation", "alpha_hat": 2, "c": 1, '
+        '"lambda_grid": [2], "t_grid": [1]}')],
 ])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     if isinstance(argv[1], dict):  # an --alpha-json file

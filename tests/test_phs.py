@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 
 from phstab import phs as P
 from phstab.errors import (
-    ExpOverflow,
-    QuadratureTooCoarse,
-    SingularBoundaryMatrix,
+    InsufficientPrecision,
+    OutOfRange,
     SingularMatrix,
     ValidationError,
 )
@@ -190,7 +189,7 @@ def test_resolvent_residuals_and_oracle(sys2):
 
 def test_resolvent_singular_boundary():
     s3 = P.universal_example(1.0 / 3.0)
-    with pytest.raises(SingularBoundaryMatrix):
+    with pytest.raises(SingularMatrix):
         P.resolvent_solve(s3, 3 * math.pi, lambda xs: np.ones((len(xs), 2)),
                           nodes=128)
 
@@ -199,7 +198,7 @@ def test_resolvent_quadrature_cap(sys2, monkeypatch):
     # noisy high-frequency forcing cannot hit an absurd tolerance
     monkeypatch.setattr(P, "_MAX_NODES", 128)
     f = lambda xs: np.stack([np.sin(5000 * xs), np.cos(5000 * xs)], axis=1)
-    with pytest.raises(QuadratureTooCoarse, match="at 128 nodes \\(cap 128\\)"):
+    with pytest.raises(InsufficientPrecision, match="at 128 nodes \\(cap 128\\)"):
         P.resolvent_solve(sys2, 1.0, f, nodes=64, tol=1e-14)
 
 
@@ -314,6 +313,21 @@ def test_config_refuses_an_interval_that_is_not_the_breaks(interval):
     with pytest.raises(ValidationError, match="malformed system config: interval .* is not "
                                               r"\[0\.0, 1\.0\], the first and the last break"):
         P.phsystem_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda c: {**{k: v for k, v in c.items() if k != "interval"},
+               "H": {**c["H"], "breaks": "01"}, "P1": ["10", "01"]},
+    lambda c: {**{k: v for k, v in c.items() if k != "interval"},
+               "H": {**c["H"], "breaks": "01"}},
+    lambda c: {**c, "interval": "01"},
+])
+def test_config_refuses_a_string_where_it_reads_an_array(mutate):
+    # a string's characters read as entries: "01" loaded as the breaks
+    # (0.0, 1.0), ["10", "01"] as P1 = I, and "01" passed as the interval
+    obj = json.loads((DATA / "universal_sqrt2.json").read_text())
+    with pytest.raises(ValidationError, match="malformed system config: '.*' is not a JSON array"):
+        P.phsystem_from_json(json.dumps(mutate(obj)))
 
 
 @pytest.fixture(scope="module")
@@ -685,11 +699,11 @@ def test_exp_overflow_names_t():
     )
     assert np.isfinite(P.boundary_matrices(system, [5000.0, 3000.0])).all()
     ts = [5000.0, 3000.0] + [2000.0 + k for k in range(P._T_CHUNK)] + [0.0, 4000.0]
-    with pytest.raises(ExpOverflow, match=r"at t=0\.0$"):
+    with pytest.raises(OutOfRange, match=r"at t=0\.0$"):
         P.boundary_matrices(system, ts)
-    with pytest.raises(ExpOverflow, match=r"at t=0\.0$"):
+    with pytest.raises(OutOfRange, match=r"at t=0\.0$"):
         P.stability_scan(system, ts)
-    with pytest.raises(ExpOverflow, match=r"at t=0\.0$"):
+    with pytest.raises(OutOfRange, match=r"at t=0\.0$"):
         P.FundamentalMatrix(system, [0.0])
 
 

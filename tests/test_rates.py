@@ -1,5 +1,6 @@
 """Rate calculus: M_log, generalized inverses, predictions, positive increase."""
 
+import json
 import math
 
 import pytest
@@ -8,13 +9,41 @@ from hypothesis import strategies as st
 
 from phstab import rates as R
 from phstab import spectral as sp
-from phstab.errors import BelowRange, MissingCertificate, ValidationError
+from phstab.errors import OutOfRange, ValidationError
 
 
 def test_certificate_json_round_trip():
     cert = R.positive_increase_estimate(R.power_fn(2), [2, 10, 100], [1, 10, 100])
     assert isinstance(cert, R.PositiveIncreaseCertificate)
     assert R.PositiveIncreaseCertificate.from_json(cert.to_json()) == cert
+
+
+@pytest.mark.parametrize("fields", [
+    {"alpha_hat": "x", "c": None, "lambda_grid": "ab", "t_grid": "cd"},
+    {"alpha_hat": True},
+    {"alpha_hat": 0.0},
+    {"alpha_hat": math.inf},
+    {"c": 0.0},
+    {"c": 1.5},
+    {"c": "1"},
+    {"lambda_grid": (2.0, math.nan)},
+    {"t_grid": ("1",)},
+])
+def test_certificate_refuses_a_malformed_field(fields):
+    good = {"alpha_hat": 2.0, "c": 1.0, "lambda_grid": (2.0,), "t_grid": (1.0,)}
+    with pytest.raises(ValidationError):
+        R.PositiveIncreaseCertificate(**{**good, **fields})
+
+
+@pytest.mark.parametrize("edit, reason", [
+    ({"kind": "positive-increase-refutation"}, "is not positive-increase-certificate"),
+    ({"lambda_grid": "2"}, "must be JSON arrays"),
+    ({"t_grid": {"1": 1}}, "must be JSON arrays"),
+])
+def test_certificate_json_refuses_another_kind_and_grids_that_are_no_arrays(edit, reason):
+    cert = R.positive_increase_estimate(R.power_fn(2), [2, 10, 100], [1, 10, 100])
+    with pytest.raises(ValidationError, match=reason):
+        R.PositiveIncreaseCertificate.from_json(json.dumps({**json.loads(cert.to_json()), **edit}))
 
 
 def test_m_log_closed_values():
@@ -37,9 +66,9 @@ def test_invert_round_trip_powerlog_form():
 
 def test_invert_below_range():
     fn = R.power_log_fn(2, 3)  # fn(e) = e^2
-    with pytest.raises(BelowRange):
+    with pytest.raises(OutOfRange):
         R.invert(fn, 0.1)
-    with pytest.raises(BelowRange):
+    with pytest.raises(OutOfRange):
         R.invert(fn, math.e**2 * (1 - 1e-12))
     assert R.invert(fn, math.e**2) == math.e
 
@@ -66,7 +95,7 @@ def test_rss_upper_inverse_square():
 
 
 def test_rss_upper_requires_certificate():
-    with pytest.raises(MissingCertificate):
+    with pytest.raises(ValidationError):
         R.predict(R.power_fn(2), "RSS-upper", [10.0])
 
 
