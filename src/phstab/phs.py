@@ -82,9 +82,7 @@ class PHSystem:
 
     def __post_init__(self) -> None:
         def frozen(m) -> np.ndarray:
-            m = np.asarray(m).astype(float, casting="same_kind")  # complex raises
-            m.flags.writeable = False
-            return m
+            return _frozen(np.asarray(m).astype(float, casting="same_kind"))  # complex raises
 
         for name in ("P0", "P1", "W"):
             object.__setattr__(self, name, frozen(getattr(self, name)))
@@ -120,9 +118,7 @@ class PHSystem:
     def W_pinv(self) -> np.ndarray:
         """Right inverse W+ = W^T (W W^T)^{-1}, formed once per system;
         validation has rank-tested W."""
-        wp = self.W.T @ la.inv(self.W @ self.W.T)
-        wp.flags.writeable = False
-        return wp
+        return _frozen(self.W.T @ la.inv(self.W @ self.W.T))
 
     @cached_property
     def norms(self) -> tuple[float, float, float, float, float, float]:
@@ -130,9 +126,66 @@ class PHSystem:
         once per system: |W|, |W+|, |P1|, |P1^{-1}| and the largest and
         smallest eigenvalue of H over the pieces."""
         ev = la.eigvalsh(np.stack(self.pieces))
-        mats = (self.W, self.W_pinv, self.P1, la.inv(self.P1))
+        mats = (self.W, self.W_pinv, self.P1, self.p1inv)
         return (*(float(la.norm(m, ord=2)) for m in mats), float(ev[:, -1].max()),
                 float(ev[:, 0].min()))
+
+    @cached_property
+    def p1inv(self) -> np.ndarray:
+        """P1^{-1}, formed once per system."""
+        return _frozen(la.inv(self.P1))
+
+    @cached_property
+    def hinv(self) -> np.ndarray:
+        """The stack of H_k^{-1} over the pieces, shape (pieces, d, d)."""
+        return _frozen(la.inv(np.stack(self.pieces)))
+
+    @cached_property
+    def modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """(mu, V, V^{-1}, outer, cond V) per piece when P0 = 0, else None
+        (and :func:`_eigen` builds Phi_t).
+
+        With P0 = 0, A_{t,k} = -i t M_k with M_k = P1^{-1} H_k^{-1}, and M_k is
+        self-adjoint in the H_k^{-1} inner product, so one real basis serves
+        every t: M_k V_k = V_k diag(mu_k) with V_k^T H_k^{-1} V_k = I.  One
+        stacked ``eigh`` of the H_k^{-1} that the generators use
+        (:attr:`hinv`; one of H_k would differ from them by up to
+        cond(H_k) eps), H_k^{-1} = U diag(g) U^T, gives L_k = U diag(g^{1/2})
+        with H_k^{-1} = L_k L_k^T, and one stacked ``eigh`` of the symmetric
+        L_k^T P1^{-1} L_k = Q diag(mu) Q^T gives V_k = U diag(g^{-1/2}) Q and
+        V_k^{-1} = Q^T L_k^T, also for an indefinite P1.  The columns of V_k
+        are scaled to unit length (the rows of V_k^{-1} inversely), so that
+        cond V_k is that of a unit-column basis, as in :func:`_eigen`;
+        unscaled it is sqrt(cond H_k).  A computed H_k^{-1} that is not
+        numerically positive definite (cond H_k near 1e16) has no such
+        basis: its piece takes unit factors and cond V_k = inf, so it is
+        dense at every build.  ``outer`` is :func:`_outer` of the pair.
+        """
+        if self.P0.any():
+            return None
+        g, U = la.eigh(self.hinv)
+        bad = g[:, :1] <= 0
+        g, U = np.where(bad, 1.0, g), np.where(bad[..., None], np.eye(self.d), U)
+        r = np.sqrt(g)[:, None, :]
+        Lt = (U * r).swapaxes(-1, -2)
+        mu, Q = la.eigh(Lt @ self.p1inv @ Lt.swapaxes(-1, -2))
+        V = (U / r) @ Q
+        scale = la.norm(V, axis=-2)
+        V, Vi = V / scale[:, None, :], scale[..., None] * (Q.swapaxes(-1, -2) @ Lt)
+        sv = la.svd(V, compute_uv=False)
+        cond = np.where(bad[:, 0], np.inf, sv[:, 0] / sv[:, -1])
+        return tuple(_frozen(m) for m in (mu, V, Vi, _outer(V, Vi), cond))
+
+    @cached_property
+    def _grids(self) -> dict[int, _Grid]:
+        """The solve grids by the node counts that callers passed in
+        (:func:`_grid`)."""
+        return {}
+
+
+def _frozen(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
 
 
 def _violations(sys: PHSystem) -> list[str]:
@@ -233,7 +286,10 @@ def _norm2(m: np.ndarray) -> np.ndarray:
 
 
 def _eigen(gens: np.ndarray):
-    """(lam, V, V^{-1}, dense) for a stack of generators (k, d, d).
+    """(lam, V, V^{-1}, dense) for a stack of generators (k, d, d), from
+    one stacked complex ``eig``, an ``svd`` of V for its condition and an
+    ``inv`` of V: the build of Phi_t for P0 != 0, where no basis serves
+    every t (with P0 = 0, :attr:`PHSystem.modes` does).
 
     ``dense`` marks the generators left to a dense matrix exponential: an
     ill-conditioned or non-finite eigenbasis, or (all of them) a failed
@@ -254,6 +310,13 @@ def _eigen(gens: np.ndarray):
     return lam, V, la.inv(V), dense
 
 
+def _outer(V: np.ndarray, Vi: np.ndarray) -> np.ndarray:
+    """The products V[:, j] V^{-1}[j, :] of eigenbases (..., d, d), flattened
+    for :func:`_exp_eig`: shape (..., d, d^2)."""
+    d = V.shape[-1]
+    return (V.swapaxes(-1, -2)[..., None] * Vi[..., None, :]).reshape(*V.shape[:-1], d * d)
+
+
 def _exp_eig(lam: np.ndarray, outer: np.ndarray, s: np.ndarray) -> np.ndarray:
     """exp(A s) = sum_k e^{lam_k s} V[:, k] V^{-1}[k, :] from A's
     eigenvalues ``lam`` (..., d) and the products ``outer`` (..., d, d^2):
@@ -265,34 +328,46 @@ class FundamentalMatrix:
     """Phi_t for a vector of t on one system, built together: exact
     matrix-exponential products across the constant-H pieces, Phi_t(a) = I.
 
-    The generators A_{t,k} = -P1^{-1}(i t H_k^{-1} + P0) of every (t, piece)
-    pair share one stacked eigendecomposition, so exp(A s) at a set of
-    points is one batched product over all pairs (:meth:`exps`) or, for one
-    pair (i, k), one product (:meth:`exp_at`, :meth:`apply`); a pair that
-    :func:`_eigen` marks dense takes a matrix exponential per point.
+    Each generator A_{t,k} = -P1^{-1}(i t H_k^{-1} + P0) has an
+    eigendecomposition, so exp(A s) at a set of points is one batched
+    product over all (t, piece) pairs (:meth:`exps`) or, for one pair
+    (i, k), one product (:meth:`exp_at`, :meth:`apply`).  With P0 = 0 the
+    real modal basis of each piece (:attr:`PHSystem.modes`, formed once per
+    system) serves every t, with lam = -i t mu_k.  Otherwise every pair of
+    the build shares one stacked complex eigendecomposition (:func:`_eigen`).
+    Either way a pair whose unit-column basis has cond V >= _EIG_COND_MAX
+    is marked dense and takes a matrix exponential per point.
     ``cum[i, k]`` is Phi_{t_i} at breakpoint k, from one batched matmul
     over t per piece, so ``cum[:, -1]`` is Phi_t(b); ``sup_norms`` holds
     the sampled B_t.  T_t and its SVD are taken once per build, on first
-    use; W+ once per system (:attr:`PHSystem.W_pinv`).
+    use; W+, P1^{-1} and the H_k^{-1} once per system (:attr:`PHSystem.W_pinv`,
+    ``p1inv``, ``hinv``).
     """
 
     def __init__(self, sys: PHSystem, ts) -> None:
         self.sys = sys
         self.ts = np.asarray(ts, dtype=float)
         n, k, d = len(self.ts), len(sys.pieces), sys.d
-        self.p1inv = la.inv(sys.P1)
-        self.hinv = la.inv(np.stack(sys.pieces))
+        self.p1inv, self.hinv = sys.p1inv, sys.hinv
         self.gens = -self.p1inv @ (
             1j * self.ts[:, None, None, None] * self.hinv + sys.P0
         )
-        lam, V, Vi, dense = _eigen(self.gens.reshape(n * k, d, d))
-        self.lam = lam.reshape(n, k, d)
-        self.V = V.reshape(n, k, d, d)
-        self.Vi = Vi.reshape(n, k, d, d)
-        self.outer = (
-            self.V.swapaxes(-1, -2)[..., None] * self.Vi[..., None, :]
-        ).reshape(n, k, d, d * d)
-        self.dense = dense.reshape(n, k)
+        modes = sys.modes
+        if modes is None:
+            lam, V, Vi, dense = _eigen(self.gens.reshape(n * k, d, d))
+            self.lam = lam.reshape(n, k, d)
+            self.V = V.reshape(n, k, d, d)
+            self.Vi = Vi.reshape(n, k, d, d)
+            self.outer = _outer(self.V, self.Vi)
+            self.dense = dense.reshape(n, k)
+        else:
+            # _EIG_COND_MAX is read at each build, not when the modes are formed
+            mu, V, Vi, outer, cond = modes
+            self.lam = -1j * self.ts[:, None, None] * mu
+            self.V, self.Vi, self.outer, self.dense = (
+                np.broadcast_to(m, (n, *m.shape))
+                for m in (V, Vi, outer, ~(cond < _EIG_COND_MAX))
+            )
         self.spans = np.diff(sys.breaks)
         steps = self.exps(self.spans[:, None])[:, :, 0]
         cum = np.empty((n, k + 1, d, d), dtype=complex)
@@ -501,7 +576,9 @@ class _Grid:
     with midpoints ``mids[k]``; ``x``, the concatenated grid, whose node j
     belongs to the piece ``bounds`` assigns it (a shared breakpoint node to
     the piece on its left); and ``xs``, every panel's 8 Gauss-Legendre
-    nodes followed by x, where right-hand sides are evaluated."""
+    nodes followed by x, where right-hand sides are evaluated.  Its arrays
+    are read-only: a grid is shared by the solves of one system
+    (:func:`_grid`), and ``ResolventSolution.x`` is its ``x``."""
 
     def __init__(self, sys: PHSystem, nodes: int) -> None:
         self.d, total = sys.d, sys.b - sys.a
@@ -517,6 +594,8 @@ class _Grid:
         # 8-point Gauss-Legendre on each panel [grid_j, grid_j+1]
         gauss = [(m[:, None] + 0.5 * h * _GL_NODES).ravel() for m, h in zip(self.mids, self.hs)]
         self.xs = np.concatenate(gauss + [self.x])
+        for m in (self.hs, *self.grids, self.x, self.bounds, *self.mids, self.xs):
+            m.flags.writeable = False
 
     def values(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """f(xs), as one right-hand side of shape (1, len(xs), d)."""
@@ -524,6 +603,16 @@ class _Grid:
         if vals.shape != (len(self.xs), self.d):
             raise ValidationError(f"right-hand side must return shape (n, {self.d}) arrays")
         return vals.astype(complex)[None]
+
+
+def _grid(sys: PHSystem, nodes: int) -> _Grid:
+    """The grid of ``nodes`` nodes on ``sys``, built once per system for
+    each node count a caller passes in; the doubled grids of a refinement
+    are built by :class:`_Grid` and not kept."""
+    g = sys._grids.get(nodes)
+    if g is None:
+        g = sys._grids[nodes] = _Grid(sys, nodes)
+    return g
 
 
 def _by_piece(mats: Sequence[np.ndarray], bounds: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -655,7 +744,7 @@ def resolvent_solve(
     st = FundamentalMatrix(sys, [t])
     n = nodes
     while True:
-        g = _Grid(sys, n)
+        g = _grid(sys, n) if n == nodes else _Grid(sys, n)
         fv = g.values(f)
         v, _ = _solve_once(st, 0, g, fv)
         bc, ode = _residuals(st, 0, g, v, fv[:, -len(g.x) :])
@@ -831,7 +920,7 @@ def check_characterisation(
     one grid, and all probes at one t are solved together.
     """
     ts = np.asarray(t_grid, dtype=float)
-    g = _Grid(sys, nodes)
+    g = _grid(sys, nodes)
     fv = _probe_values(sys, g.xs)
     fx = fv[:, -len(g.x) :]
     f_norms = _h_norms(g.x, fx, _by_piece(sys.pieces, g.bounds, fx))

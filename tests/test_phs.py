@@ -4,6 +4,7 @@ resolvent solves, and the characterisation constants."""
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -824,3 +825,160 @@ def test_sup_norms_equal_the_broadcast_products(sys16, monkeypatch):
         mats = stack.exps(s) @ stack.cum[:, :-1, None]
         want = P._norm2(mats).max(axis=(1, 2))
         assert np.array_equal(stack.sup_norms.view(np.int64), want.view(np.int64))
+
+
+def _generic_stacks(system, ts, monkeypatch):
+    """The stacked-eig builds of ``system``'s Phi_t over ``ts``: without its
+    modal pair, every build runs :func:`_eigen` on its gens."""
+    with monkeypatch.context() as m:
+        m.setattr(P.PHSystem, "modes", property(lambda self: None))
+        return list(P._stacks(system, ts))
+
+
+def _no_eig(monkeypatch):
+    def refused(a):
+        raise AssertionError("np.linalg.eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", refused)
+
+
+@pytest.mark.parametrize("name", ["universal_sqrt2", "seeded16_p0_zero", "indefinite_p1"])
+def test_modal_and_generic_phi_agree(name, sys16, monkeypatch):
+    if name == "indefinite_p1":
+        system = P.PHSystem(**_fields(sys16, P0=np.zeros((2, 2))))
+        assert np.array_equal(system.P1, np.diag([1.0, -2.0]))
+    else:
+        system = P.phsystem_from_json((DATA / f"{name}.json").read_text())
+    ts = np.arange(801) * 0.5  # t = 0, 0.5 ... 400
+    generic = _generic_stacks(system, ts, monkeypatch)
+    _no_eig(monkeypatch)
+    modal = list(P._stacks(system, ts))
+    assert not any(st.dense.any() for st in modal + generic)
+    for field in (lambda st: st.cum[:, -1], lambda st: st.T):
+        got, want = (np.concatenate([field(st) for st in sts]) for sts in (modal, generic))
+        # per t, relative to the largest entry: single entries cancel
+        err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+        assert err.max() <= 1e-12, err.max()
+    got, want = (np.concatenate([st.sup_norms for st in sts]) for sts in (modal, generic))
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_expm_fallback_for_some_pieces_of_a_p0_zero_system(sys16, monkeypatch):
+    # with P0 = 0 a piece's basis serves every t, so the piece is dense at
+    # every t; the generic build's unit-column eig basis has the same
+    # condition and marks the same pieces
+    system = P.PHSystem(**_fields(sys16, P0=np.zeros((2, 2))))
+    cond = system.modes[4]
+    monkeypatch.setattr(P, "_EIG_COND_MAX", float(np.median(cond)))
+    ts = np.linspace(0.5, 20.0, 9)
+    (ref,) = _generic_stacks(system, ts, monkeypatch)
+    (mixed,) = P._stacks(system, ts)
+    assert mixed.dense.any() and not mixed.dense.all()
+    assert np.array_equal(mixed.dense, np.broadcast_to(cond >= P._EIG_COND_MAX, (9, 16)))
+    assert np.array_equal(mixed.dense, ref.dense)
+    assert np.abs(mixed.cum - ref.cum).max() <= 1e-10 * np.abs(ref.cum).max()
+    np.testing.assert_allclose(mixed.sup_norms, ref.sup_norms, rtol=1e-10)
+    xs = np.linspace(system.a, system.b, 101)
+    want = ref(xs)
+    assert np.abs(mixed(xs) - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_a_piece_whose_computed_inverse_is_not_definite_is_dense(monkeypatch):
+    # near cond H_k = 1e16 the computed H_k^{-1} can have an eigenvalue <= 0:
+    # that piece has no modal basis and takes expm at every build, whatever
+    # the condition limit, and the other pieces keep theirs
+    system = P.phsystem_from_json((DATA / "seeded16_p0_zero.json").read_text())
+    hinv = np.array(system.hinv)
+    hinv[3] = np.diag([1.0, -1e-3])
+    system.__dict__["hinv"] = hinv  # stands in for such a computed inverse
+    monkeypatch.setattr(P, "_EIG_COND_MAX", math.inf)
+    ts = [0.5, 7.3]
+    (ref,) = _generic_stacks(system, ts, monkeypatch)
+    _no_eig(monkeypatch)
+    (got,) = P._stacks(system, ts)
+    assert np.array_equal(np.flatnonzero(got.dense.any(axis=0)), [3]) and got.dense[:, 3].all()
+    assert not ref.dense.any()
+    assert np.abs(got.cum - ref.cum).max() <= 1e-12 * np.abs(ref.cum).max()
+    np.testing.assert_allclose(got.sup_norms, ref.sup_norms, rtol=1e-12)
+
+
+def test_modal_structure_is_formed_once_per_system(monkeypatch):
+    # a scan, three solves and a characterisation check on one P0 = 0
+    # system: two eigh for the modal pair (of the H_k, then of
+    # L_k^T P1^{-1} L_k), one eigvalsh for the norms, one inv(P1), no eig,
+    # and one grid per node count that a caller passes in
+    system = P.phsystem_from_json((DATA / "seeded16_p0_zero.json").read_text())
+    calls, inverted = [], []
+    eigh, eigvalsh, inv, grid = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.inv, P._Grid
+    _no_eig(monkeypatch)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **kw: calls.append("eigh") or eigh(a, *r, **kw))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh") or eigvalsh(a))
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
+    monkeypatch.setattr(P, "_Grid", lambda sys, nodes: calls.append(nodes) or grid(sys, nodes))
+    P.stability_scan(system, np.linspace(0.5, 40.0, 64))
+    f = lambda xs: np.stack([np.sin(3 * xs), np.cos(2 * xs) + 1j], axis=1)
+    for t in (2.0, 5.5, 9.0):
+        P.resolvent_solve(system, t, f, nodes=256, tol=math.inf)
+    P.check_characterisation(system, [3.0], nodes=128)
+    assert Counter(calls) == {"eigh": 2, "eigvalsh": 1, 256: 1, 128: 1}
+    assert sum(np.array_equal(a, system.P1) for a in inverted) == 1
+
+
+def test_cached_grids_are_read_only_and_bounded(sys16):
+    system = P.PHSystem(**_fields(sys16))
+    f = lambda xs: np.stack([np.sin(3 * xs), np.cos(2 * xs) + 1j], axis=1)
+    first = P.resolvent_solve(system, 4.2, f, nodes=256, tol=math.inf)
+    with pytest.raises(ValueError, match="read-only"):
+        first.x[3] = 0.5
+    again = P.resolvent_solve(system, 4.2, f, nodes=256, tol=math.inf)
+    assert again.x is first.x
+    for field in ("v", "u"):
+        assert getattr(again, field).tobytes() == getattr(first, field).tobytes()
+    assert (again.boundary_residual, again.ode_residual, again.u_norm_H) == (
+        first.boundary_residual, first.ode_residual, first.u_norm_H)
+    # the doubled grids of a refinement are not kept
+    fresh = P.PHSystem(**_fields(sys16))
+    f20 = lambda xs: np.stack([np.sin(20 * xs), np.cos(20 * xs)], axis=1)
+    assert P.resolvent_solve(fresh, 5.0, f20, nodes=32, tol=1e-10).nodes == 256
+    assert list(fresh._grids) == [32]
+
+
+def _sweep_system(rng):
+    """A P0 = 0 system of 1-16 pieces: each H_k a rotated diag(l, l c) with
+    l in [0.5, 2] and cond H_k = c up to 1e12, P1 = R diag(e) R^T with
+    |e| in [0.5, 2] and signs that make it definite (either sign) or
+    indefinite."""
+    def rotated(diag):
+        c, s = np.cos(th := rng.uniform(0.0, np.pi)), np.sin(th)
+        r = np.array([[c, -s], [s, c]])
+        return r @ np.diag(diag) @ r.T
+
+    k = int(rng.integers(1, 17))
+    breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, k - 1)), [1.0]])
+    pieces = [rotated([lo, lo * 10.0 ** rng.uniform(0.0, 12.0)])
+              for lo in rng.uniform(0.5, 2.0, k)]
+    signs = [[1, 1], [-1, -1], [1, -1]][int(rng.integers(3))]
+    return P.PHSystem(d=2, P0=np.zeros((2, 2)), P1=rotated(signs * rng.uniform(0.5, 2.0, 2)),
+                      breaks=tuple(breaks.tolist()), pieces=tuple(pieces),
+                      W=np.hstack([np.full((2, 2), 0.5), np.eye(2)]))
+
+
+@pytest.mark.slow
+def test_modal_and_generic_phi_agree_on_a_seeded_sweep(monkeypatch):
+    rng = np.random.default_rng(34)
+    systems = [_sweep_system(rng) for _ in range(200)]
+    ts = np.array([0.0, 0.5, 3.7, 25.0, 100.0])
+    kinds, conds = set(), []
+    for system in systems:
+        (generic,) = _generic_stacks(system, ts, monkeypatch)
+        (modal,) = P._stacks(system, ts)
+        want = generic.cum[:, -1]
+        err = np.abs(modal.cum[:, -1] - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+        assert err.max() <= 1e-10, (len(system.pieces), err.max())
+        ev = np.linalg.eigvalsh(system.P1)
+        kinds.add("indefinite" if ev[0] < 0 < ev[1] else "definite")
+        ev = np.linalg.eigvalsh(np.stack(system.pieces))
+        conds.append((ev[:, -1] / ev[:, 0]).max())
+    assert kinds == {"definite", "indefinite"}
+    assert {len(s.pieces) for s in systems} == set(range(1, 17))
+    assert max(conds) > 1e11
