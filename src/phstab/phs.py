@@ -234,6 +234,15 @@ def _violations(sys: PHSystem) -> list[str]:
             errs.append(f"H piece {i}: not symmetric")
         elif la.eigvalsh(hk)[0] <= 0:
             errs.append(f"H piece {i}: not positive definite")
+        else:
+            # the LU factorisation that forms PHSystem.hinv may still find
+            # an exact zero pivot, or an inverse that overflows
+            try:
+                invertible = np.isfinite(la.inv(hk)).all()
+            except la.LinAlgError:
+                invertible = False
+            if not invertible:
+                errs.append(f"H piece {i}: singular to working precision")
     sv = la.svd(sys.W, compute_uv=False)
     if sv[-1] <= _RANK_TOL * sv[0]:
         errs.append("W: rank deficient")
@@ -324,6 +333,67 @@ def _exp_eig(lam: np.ndarray, outer: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.exp(lam[..., None, :] * s[..., None]) @ outer
 
 
+_MOD_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def _norms_eig(lam: np.ndarray, V: np.ndarray, R: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """|Phi_t(x_k + s_j)| for d = 2, shape (n, pieces, m), from each (t,
+    piece) pair's eigenvalues ``lam`` (n, pieces, 2), unit-column basis
+    ``V`` and R = V^{-1} Phi_t(x_k), without forming Phi_t(x); ``s``
+    (pieces, m).
+
+    With lam_0 the eigenvalue of larger real part, Phi_t(x_k + s) =
+    e^{lam_0 s} (A + w B) with w = e^{(lam_1 - lam_0) s}, |w| <= 1, and
+    A = V[:, 0] R[0, :], B = V[:, 1] R[1, :] of rank one.  So det(A + w B)
+    = w kappa with kappa = A00 B11 + A11 B00 - A01 B10 - A10 B01, which is
+    det V det R and is formed so (the four-term sum cancels to eps
+    cond(V)^2).  The phase delta of :func:`_norm2` is u delta0, u = w / |w|
+    and delta0 = kappa / |kappa|, and its four moduli |a + delta conj(e)|,
+    |b - delta conj(c)|, |a - delta conj(e)| and |b + delta conj(c)| are
+    |alpha + u beta| with alpha = x0 + |w| y1 and beta = |w| x1 + y0: for
+    the first, x0 = A00, y1 = delta0 conj(B11), x1 = B00 and y0 = delta0
+    conj(A11).  These are fixed per pair up to |w|, which is 1 when lam_0
+    and lam_1 differ only in their imaginary parts (every modal pair).  R
+    is scaled by a power of two, as M is in :func:`_norm2`, and a subnormal
+    kappa likewise.
+    """
+    swap = lam[..., 1].real > lam[..., 0].real
+    if swap.any():
+        lam = np.where(swap[..., None], lam[..., ::-1], lam)
+        V = np.where(swap[..., None, None], V[..., ::-1], V)
+        R = np.where(swap[..., None, None], R[..., ::-1, :], R)
+    # |A_ij|, |B_ij| <= max |R| for unit columns V
+    k = np.clip(np.frexp(np.abs(R.view(float)).max(axis=(-2, -1)))[1], -1000, 1000)
+    R = R * np.ldexp(1.0, -k)[..., None, None]
+    (v00, v01), (v10, v11) = np.moveaxis(V, (-2, -1), (0, 1))
+    (r00, r01), (r10, r11) = np.moveaxis(R, (-2, -1), (0, 1))
+    kappa = (v00 * v11 - v01 * v10) * (r00 * r11 - r01 * r10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = np.where(np.abs(kappa) < 2.0**-900, kappa * 2.0**600, kappa)
+    r = np.abs(kappa)
+    delta0 = np.divide(kappa, r, out=np.ones_like(kappa), where=r > 0)
+    # per modulus (last axis; column c = 0, 1, 0, 1 of the a, b row), with
+    # j = 0 for A and 1 for B: x_j = V[0, j] R[j, c] and y_j = +-delta0
+    # conj(V[1, j] R[j, 1 - c])
+    x = V[..., 0, :, None] * R[..., [0, 1, 0, 1]]
+    y = (V[..., 1, :, None] * R[..., [1, 0, 1, 0]]).conj() * (_MOD_SIGNS * delta0[..., None, None])
+    x0, x1, y0, y1 = (m[..., j, None, :] for m in (x, y) for j in (0, 1))
+    re, dim = lam.real, lam[..., 1].imag - lam[..., 0].imag
+    u = np.exp(1j * (dim[..., None] * s))[..., None]
+    if re.any():
+        aw = np.exp((re[..., 1] - re[..., 0])[..., None] * s)[..., None]
+        alpha, beta = x0 + aw * y1, aw * x1 + y0
+        grow = np.exp(re[..., 0, None] * s)
+    else:  # |w| = |e^{lam_0 s}| = 1: the same values, alpha and beta formed per pair
+        alpha, beta, grow = x0 + y1, x1 + y0, 1.0
+    z = u * beta
+    z += alpha
+    # hypot(m0, m1) = |m0 + i m1| on a complex view of the moduli: numpy's
+    # complex abs is vectorised, its hypot is not
+    h = np.abs(np.abs(z).view(complex))
+    return np.ldexp(0.5 * (h[..., 0] + h[..., 1]), k[..., None]) * grow
+
+
 class FundamentalMatrix:
     """Phi_t for a vector of t on one system, built together: exact
     matrix-exponential products across the constant-H pieces, Phi_t(a) = I.
@@ -401,14 +471,17 @@ class FundamentalMatrix:
             f"fundamental matrix overflowed on piece {k} at t={float(self.ts[i])}"
         )
 
-    def exps(self, s: np.ndarray) -> np.ndarray:
+    def exps(self, s: np.ndarray, i: int | None = None) -> np.ndarray:
         """exp(A_{t,k} s[k, j]) for offsets ``s`` (pieces, m) into each
-        piece, shape (len(ts), pieces, m, d, d)."""
-        n, k, d = self.lam.shape
-        out = _exp_eig(self.lam, self.outer, s[None]).reshape(n, k, s.shape[1], d, d)
-        for i, j in np.argwhere(self.dense):
-            out[i, j] = self.exp_at(i, j, s[j])
-        return out
+        piece, shape (len(ts), pieces, m, d, d); with ``i``, at t_i only,
+        shape (pieces, m, d, d)."""
+        rows = slice(None) if i is None else slice(i, i + 1)
+        lam = self.lam[rows]
+        n, k, d = lam.shape
+        out = _exp_eig(lam, self.outer[rows], s[None]).reshape(n, k, s.shape[1], d, d)
+        for r, j in np.argwhere(self.dense[rows]):
+            out[r, j] = self.exp_at(r if i is None else i, j, s[j])
+        return out if i is None else out[0]
 
     def exp_at(self, i: int, k: int, s: np.ndarray) -> np.ndarray:
         """Stack of exp(A_{t_i,k} s_j), shape (len(s), d, d)."""
@@ -432,8 +505,14 @@ class FundamentalMatrix:
 
     @cached_property
     def sup_norms(self) -> np.ndarray:
-        """Sampled sup_x |Phi_t(x)| per t (_B_SAMPLES points per piece)."""
+        """Sampled sup_x |Phi_t(x)| per t (_B_SAMPLES points per piece):
+        for d = 2 with no dense pair, from each pair's eigen-pairs in closed
+        form (:func:`_norms_eig`); otherwise from the formed Phi_t(x)."""
         s = np.linspace(0.0, self.spans, _B_SAMPLES, axis=1)
+        if self.sys.d == 2 and not self.dense.any():
+            norms = _norms_eig(self.lam, self.V, self.Vi @ self.cum[:, :-1], s)
+            self._finite(norms)
+            return norms.max(axis=(1, 2))
         e = self.exps(s)
         n, k, m, d, _ = e.shape
         # one (m d, d) @ (d, d) product per (t, piece) pair, not a
@@ -596,6 +675,18 @@ class _Grid:
         self.xs = np.concatenate(gauss + [self.x])
         for m in (self.hs, *self.grids, self.x, self.bounds, *self.mids, self.xs):
             m.flags.writeable = False
+        self._probes: tuple[np.ndarray, np.ndarray] | None = None
+
+    def probes(self, sys: PHSystem) -> tuple[np.ndarray, np.ndarray]:
+        """The values at xs of :func:`_probe_values` and their H-norms, which
+        no t changes: formed on first use, read-only, for the system whose
+        grid this is."""
+        if self._probes is None:
+            fv = _probe_values(sys, self.xs)
+            fx = fv[:, -len(self.x) :]
+            f_norms = _h_norms(self.x, fx, _by_piece(sys.pieces, self.bounds, fx))
+            self._probes = (_frozen(fv), _frozen(f_norms))
+        return self._probes
 
     def values(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """f(xs), as one right-hand side of shape (1, len(xs), d)."""
@@ -657,14 +748,15 @@ def _solve_once(st: FundamentalMatrix, i: int, g: _Grid, fv: np.ndarray,
         )
 
     cum_inv_t = la.inv(cum[:-1]).swapaxes(-1, -2)
+    # Phi(s)^{-1} P1^{-1} f(s) = cum_k^{-1} exp(-A_k (mid - x_k)) E_i P1^{-1} f(s)
+    # with E_i = exp(-A_k h_k xi_i / 2); gauss[k] stacks piece k's weighted
+    # E_i P1^{-1}, for every piece at once
+    wts = 0.5 * g.hs[:, None] * _GL_WEIGHTS
+    gauss = st.exps(-0.5 * g.hs[:, None] * _GL_NODES, i) @ p1inv * wts[..., None, None]
     runs: list[np.ndarray] = []  # per piece: integral_a^x Phi^{-1} P1^{-1} f at the grid
     cum_integral = np.zeros((len(fv), 1, d), dtype=complex)
     parts = np.split(fv[:, : -len(g.x)], 8 * np.cumsum(g.counts)[:-1], axis=1)
-    for k, (n, mid, h, part) in enumerate(zip(g.counts, g.mids, g.hs, parts)):
-        # Phi(s)^{-1} P1^{-1} f(s) = cum_k^{-1} exp(-A_k (mid - x_k)) E_i P1^{-1} f(s)
-        # with E_i = exp(-A_k h xi_i / 2); m stacks the weighted E_i P1^{-1}
-        wts = 0.5 * h * _GL_WEIGHTS
-        m = st.exp_at(i, k, -0.5 * h * _GL_NODES) @ p1inv * wts[:, None, None]
+    for k, (n, mid, m, part) in enumerate(zip(g.counts, g.mids, gauss, parts)):
         panels = part.reshape(len(fv), n, 8 * d) @ m.swapaxes(-1, -2).reshape(8 * d, d)
         per_panel = st.apply(i, k, sys.breaks[k] - mid, panels) @ cum_inv_t[k]
         run = cum_integral + np.concatenate(
@@ -855,10 +947,10 @@ def char_constants(sys: PHSystem, ts: Sequence[float], b_ts: Sequence[float]) ->
 def _probe_values(sys: PHSystem, xs: np.ndarray) -> np.ndarray:
     """The probe right-hand sides that do not depend on t, at the points
     ``xs``: the unit vectors e_j, their normalised sum, and sin(pi (x - a)
-    / (b - a)) e_j for j < 2; shape (probes, len(xs), d).  The adversarial
-    probe (:func:`_adversarial_w`) joins them in each solve."""
+    / (b - a)) e_j for j < 2; shape (probes, len(xs), d), real.  The
+    adversarial probe (:func:`_adversarial_w`) joins them in each solve."""
     d = sys.d
-    fv = np.zeros((d + 1 + min(d, 2), len(xs), d), dtype=complex)
+    fv = np.zeros((d + 1 + min(d, 2), len(xs), d))
     fv[: d + 1] = np.vstack([np.eye(d), np.ones(d) / math.sqrt(d)])[:, None]
     sine = np.sin(math.pi * (xs - sys.a) / (sys.b - sys.a))
     for j in range(min(d, 2)):
@@ -916,14 +1008,13 @@ def check_characterisation(
     only up to quadrature error, so that half is recorded as skipped.
 
     One stacked build of Phi_t over the grid serves B (hence C_tilde), T_t
-    and every probe solve; the t-independent probes are evaluated once, on
-    one grid, and all probes at one t are solved together.
+    and every probe solve; the t-independent probes are evaluated once per
+    system and node count, on the cached grid (:meth:`_Grid.probes`), and
+    all probes at one t are solved together.
     """
     ts = np.asarray(t_grid, dtype=float)
     g = _grid(sys, nodes)
-    fv = _probe_values(sys, g.xs)
-    fx = fv[:, -len(g.x) :]
-    f_norms = _h_norms(g.x, fx, _by_piece(sys.pieces, g.bounds, fx))
+    fv, f_norms = g.probes(sys)
     b_ts, inv_norms, r_lower = [], [], []
     for st in _stacks(sys, ts):
         b_ts.extend(st.sup_norms.tolist())

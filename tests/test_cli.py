@@ -341,6 +341,19 @@ def test_phs_non_finite_config_exits_2(where, value, message, tmp_path, capsys):
     assert message in err and "Traceback" not in err
 
 
+def test_phs_config_with_an_h_piece_lu_finds_singular_exits_2(tmp_path, capsys):
+    # a traceback from numpy's LinAlgError (exit 1) before validation refused it
+    config = json.loads(phs.phsystem_to_json(phs.universal_example(2.0**0.5)))
+    config["H"]["pieces"][0] = [["0.10287468153155428", "0.3037951306906277"],
+                                ["0.3037951306906277", "0.8971253184684458"]]
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["phs", "--config", str(cfg), "--t-grid", "0:10:5"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "H piece 0: singular to working precision" in err
+    assert "Traceback" not in err
+
+
 def test_verify_suites(capsys):
     assert run(["verify", "rates"]) == 0
     out = capsys.readouterr().out

@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -81,6 +82,29 @@ def test_validation_failures(sys2):
         with pytest.raises(ValidationError) as info:
             P.PHSystem(**_fields(sys2, **changes))
         assert str(info.value) == message
+
+
+# symmetric with eigvalsh > 0, but LU finds an exact zero pivot
+_SINGULAR_H = [[0.10287468153155428, 0.3037951306906277],
+               [0.3037951306906277, 0.8971253184684458]]
+
+
+def test_an_h_piece_that_lu_finds_singular_is_refused(sys2):
+    # it validated, and every build then raised numpy's LinAlgError
+    assert np.linalg.eigvalsh(_SINGULAR_H)[0] > 0
+    with pytest.raises(ValidationError, match=r"^H piece 1: singular to working precision$"):
+        P.PHSystem(**_fields(sys2, breaks=(0.0, 0.5, 1.0), pieces=(np.eye(2), _SINGULAR_H)))
+    # nor one whose inverse overflows: builds raised LinAlgError ("SVD did
+    # not converge") with P0 = 0, and OutOfRange otherwise
+    with pytest.raises(ValidationError, match=r"^H piece 0: singular to working precision$"):
+        P.PHSystem(**_fields(sys2, pieces=(np.diag([1e-310, 1.0]),)))
+    # a piece near cond H = 1e16 that inverts is kept: the modal path marks
+    # it dense, and builds run
+    near = np.array([[0.449411963312885, 0.4974342675611955],
+                     [0.4974342675611955, 0.550588036687115]])
+    system = P.PHSystem(**_fields(sys2, pieces=(near,)))
+    assert system.modes[4][0] == math.inf
+    assert np.isfinite(P.stability_scan(system, [1.0, 2.0]).abs_det).all()
 
 
 def test_moore_penrose(sys2):
@@ -470,6 +494,26 @@ def test_check_characterisation_cost(sys16, monkeypatch):
     assert counts == {"call": 0, "phi_t": 3}
 
 
+def test_probes_are_formed_once_per_grid(sys16, monkeypatch):
+    # the t-independent probe values and their H-norms sit on the cached
+    # grid: a second check with the same node count forms neither again
+    system = P.PHSystem(**_fields(sys16))
+    calls = []
+    probe_values = P._probe_values
+    monkeypatch.setattr(P, "_probe_values", lambda sys, xs: calls.append(len(xs)) or probe_values(sys, xs))
+    first = P.check_characterisation(system, [5.0, 2.0], nodes=256)
+    assert len(calls) == 1
+    again = P.check_characterisation(system, [5.0, 2.0], nodes=256)
+    assert len(calls) == 1
+    assert json.dumps(again) == json.dumps(first)  # repr: bit for bit
+    fv, f_norms = P._grid(system, 256).probes(system)
+    for m in (fv, f_norms):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0] = 0.0
+    P.check_characterisation(system, [5.0], nodes=128)
+    assert len(calls) == 2
+
+
 def test_probe_solves_compute_only_what_they_read(sys16, monkeypatch):
     # the probe solves form no residuals, and the adversarial probe is
     # never evaluated at the Gauss nodes: per piece, exp(A s) y is applied
@@ -812,19 +856,115 @@ def test_resolvent_rhs_of_wrong_shape_raises(sys2, shape):
         P.resolvent_solve(sys2, 4.2, lambda xs: np.ones(shape(len(xs))), nodes=256)
 
 
+def _formed_norms(stack):
+    """_norm2 of the broadcast stack of (d, d) products exp(A s) Phi_t(x_k)
+    at the sampled points, shape (len(ts), pieces, _B_SAMPLES)."""
+    s = np.linspace(0.0, stack.spans, P._B_SAMPLES, axis=1)
+    return P._norm2(stack.exps(s) @ stack.cum[:, :-1, None])
+
+
 def test_sup_norms_equal_the_broadcast_products(sys16, monkeypatch):
-    # one (m d, d) @ (d, d) product per (t, piece) pair gives the bits of
-    # the broadcast stack of (d, d) products, dense pairs included
+    # a build with a dense pair takes one (m d, d) @ (d, d) product per
+    # (t, piece) pair, which gives the bits of the broadcast stack of (d, d)
+    # products; a build without one samples the norms from the eigen-pairs
+    # in closed form, to 8 ulps of those products
     ts = np.linspace(0.5, 20.0, 16)
     (ref,) = P._stacks(sys16, ts)
+    want = _formed_norms(ref).max(axis=(1, 2))
+    assert (np.abs(ref.sup_norms - want) <= 8 * _EPS * want).all()
     monkeypatch.setattr(P, "_EIG_COND_MAX", float(np.median(np.linalg.cond(ref.V))))
     (mixed,) = P._stacks(sys16, ts)
     assert mixed.dense.any() and not mixed.dense.all()
-    for stack in (ref, mixed):
-        s = np.linspace(0.0, stack.spans, P._B_SAMPLES, axis=1)
-        mats = stack.exps(s) @ stack.cum[:, :-1, None]
-        want = P._norm2(mats).max(axis=(1, 2))
-        assert np.array_equal(stack.sup_norms.view(np.int64), want.view(np.int64))
+    want = _formed_norms(mixed).max(axis=(1, 2))
+    assert np.array_equal(mixed.sup_norms.view(np.int64), want.view(np.int64))
+
+
+_EPS = np.finfo(float).eps
+
+
+def _eig_norms(stack):
+    """:func:`P._norms_eig` of a build at its sampled points."""
+    s = np.linspace(0.0, stack.spans, P._B_SAMPLES, axis=1)
+    return P._norms_eig(stack.lam, stack.V, stack.Vi @ stack.cum[:, :-1], s)
+
+
+@pytest.mark.parametrize("name", ["universal_sqrt2", "seeded16_p0_zero", "sys16"])
+def test_sampled_norms_from_eigen_pairs_match_the_formed_products(name, sys16):
+    # every sample, t = 0 ... 50; sys16 has P0 != 0 (eigenvalues with real
+    # parts, |w| < 1) and an indefinite P1.  Both paths round lam s, so
+    # non-modal pairs drift apart with |lam s|: past t = 100, by up to 17 ulps
+    system = sys16 if name == "sys16" else P.phsystem_from_json((DATA / f"{name}.json").read_text())
+    for stack in P._stacks(system, np.linspace(0.0, 50.0, 161)):
+        assert not stack.dense.any()
+        got, want = _eig_norms(stack), _formed_norms(stack)
+        err = np.abs(got - want) / (_EPS * want)
+        assert err.max() <= 8, err.max()
+        assert np.array_equal(stack.sup_norms, got.max(axis=(1, 2)))
+
+
+def test_sampled_norms_from_eigen_pairs_scale_exactly():
+    # R (hence Phi_t(x_k)) scaled by 2^+-600 scales every norm exactly: the
+    # power-of-two scaling of R keeps kappa and the moduli in range.  The
+    # last pair has a subnormal det R, hence kappa
+    system = P.phsystem_from_json((DATA / "seeded16_p0_zero.json").read_text())
+    (stack,) = P._stacks(system, [0.5, 7.3, 31.0])
+    s = np.linspace(0.0, stack.spans, P._B_SAMPLES, axis=1)
+    R = stack.Vi @ stack.cum[:, :-1]
+    R[-1, -1] = [[1.0, 0.5], [1e-310, 0.0]]
+    base = P._norms_eig(stack.lam, stack.V, R, s)
+    assert np.isfinite(base).all() and (base > 0).all()
+    for e in (600, -600):
+        got = P._norms_eig(stack.lam, stack.V, R * 2.0**e, s)
+        assert np.array_equal(got, base * 2.0**e)
+    # the subnormal pair against its formed products
+    V, lam = stack.V[-1, -1], stack.lam[-1, -1]
+    mats = (V * np.exp(lam * s[-1, :, None])[:, None, :]) @ R[-1, -1]
+    want = np.linalg.norm(mats, ord=2, axis=(1, 2))
+    assert np.abs(base[-1, -1] - want).max() <= 8 * _EPS * want.max()
+
+
+def _mp_norms(gen, ss):
+    """|expm(gen s)| for each s, from 50-digit mpmath."""
+    with mp.workdps(50):
+        a = mp.matrix([[mp.mpc(complex(v)) for v in row] for row in gen])
+        return np.array([float(max(mp.svd_c(mp.expm(a * mp.mpf(float(s))), compute_uv=False)))
+                         for s in ss])
+
+
+@pytest.mark.parametrize("dt", [1e-12, -1e-12])
+def test_sampled_norms_from_an_ill_conditioned_eigenbasis(dt):
+    # P1^{-1} (i t + P0) is defective at t = 1, so near it cond V ~ 1e6:
+    # above, lam_1 - lam_0 is nearly imaginary; below, nearly real.  Against
+    # 50-digit expm, the closed form errs no more than twice the formed path
+    system = P.PHSystem(
+        d=2, P0=np.array([[0.0, 1.0], [-1.0, 0.0]]), P1=np.diag([1.0, -1.0]),
+        breaks=(0.0, 1.0), pieces=(np.eye(2),), W=np.hstack([_M, np.eye(2)]),
+    )
+    stack = P.FundamentalMatrix(system, [1.0 + dt])
+    assert 1e5 < np.linalg.cond(stack.V[0, 0]) < 1e7 and not stack.dense.any()
+    gap = stack.lam[0, 0, 1] - stack.lam[0, 0, 0]
+    assert (abs(gap.real) > abs(gap.imag)) == (dt < 0)
+    s = np.linspace(0.0, stack.spans, P._B_SAMPLES, axis=1)
+    want = _mp_norms(stack.gens[0, 0], s[0])
+    closed, formed = (np.abs(n[0, 0] - want) / want for n in (_eig_norms(stack), _formed_norms(stack)))
+    assert closed.max() <= 2 * formed.max(), (closed.max(), formed.max())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sampled_norm_overflow_names_t_then_piece():
+    # Phi_t(b) stays finite, but e^{lam_0 s} overflows on the second piece
+    # of the second t and the first piece of the third: the first t is named
+    system = P.PHSystem(
+        d=2, P0=np.array([[0.0, 1.0], [-1.0, 0.0]]), P1=np.diag([1.0, -1.0]),
+        breaks=(0.0, 1.0, 2.0), pieces=(np.eye(2), np.eye(2)), W=np.hstack([_M, np.eye(2)]),
+    )
+    (stack,) = P._stacks(system, [0.5, 0.25, 0.75])
+    assert not stack.dense.any()
+    stack.lam = stack.lam.copy()
+    stack.lam[1, 1] += 800.0
+    stack.lam[2, 0] += 800.0
+    with pytest.raises(OutOfRange, match=r"on piece 1 at t=0\.25$"):
+        stack.sup_norms
 
 
 def _generic_stacks(system, ts, monkeypatch):
