@@ -157,23 +157,28 @@ class PHSystem:
         are scaled to unit length (the rows of V_k^{-1} inversely), so that
         cond V_k is that of a unit-column basis, as in :func:`_eigen`;
         unscaled it is sqrt(cond H_k).  A computed H_k^{-1} that is not
-        numerically positive definite (cond H_k near 1e16) has no such
-        basis: its piece takes unit factors and cond V_k = inf, so it is
-        dense at every build.  ``outer`` is :func:`_outer` of the pair.
+        numerically positive definite (cond H_k near 1e16), or an
+        L_k^T P1^{-1} L_k that overflows, gives no such basis: its piece
+        takes unit factors and cond V_k = inf, so it is dense at every
+        build, where an overflow surfaces as OutOfRange.  ``outer`` is
+        :func:`_outer` of the pair.
         """
         if self.P0.any():
             return None
         g, U = la.eigh(self.hinv)
-        bad = g[:, :1] <= 0
-        g, U = np.where(bad, 1.0, g), np.where(bad[..., None], np.eye(self.d), U)
-        r = np.sqrt(g)[:, None, :]
-        Lt = (U * r).swapaxes(-1, -2)
-        mu, Q = la.eigh(Lt @ self.p1inv @ Lt.swapaxes(-1, -2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            Lt = (U * np.sqrt(g)[:, None, :]).swapaxes(-1, -2)
+            S = Lt @ self.p1inv @ Lt.swapaxes(-1, -2)
+        bad = (g[:, 0] <= 0) | ~np.isfinite(S).all(axis=(-2, -1))
+        eye, unit = np.eye(self.d), bad[:, None, None]
+        U, Lt, S = np.where(unit, eye, U), np.where(unit, eye, Lt), np.where(unit, self.p1inv, S)
+        r = np.sqrt(np.where(bad[:, None], 1.0, g))[:, None, :]
+        mu, Q = la.eigh(S)
         V = (U / r) @ Q
         scale = la.norm(V, axis=-2)
         V, Vi = V / scale[:, None, :], scale[..., None] * (Q.swapaxes(-1, -2) @ Lt)
         sv = la.svd(V, compute_uv=False)
-        cond = np.where(bad[:, 0], np.inf, sv[:, 0] / sv[:, -1])
+        cond = np.where(bad, np.inf, sv[:, 0] / sv[:, -1])
         return tuple(_frozen(m) for m in (mu, V, Vi, _outer(V, Vi), cond))
 
     @cached_property
@@ -337,31 +342,23 @@ _MOD_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def _norms_eig(lam: np.ndarray, V: np.ndarray, R: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """|Phi_t(x_k + s_j)| for d = 2, shape (n, pieces, m), from each (t,
-    piece) pair's eigenvalues ``lam`` (n, pieces, 2), unit-column basis
-    ``V`` and R = V^{-1} Phi_t(x_k), without forming Phi_t(x); ``s``
-    (pieces, m).
+    """|Phi_t(x_k + s_j)| for d = 2, shape (n, pieces, m), from each modal
+    (t, piece) pair's eigenvalues ``lam`` (n, pieces, 2), which are
+    imaginary (lam = -i t mu), its unit-column basis ``V`` and R = V^{-1}
+    Phi_t(x_k), without forming Phi_t(x); ``s`` (pieces, m).
 
-    With lam_0 the eigenvalue of larger real part, Phi_t(x_k + s) =
-    e^{lam_0 s} (A + w B) with w = e^{(lam_1 - lam_0) s}, |w| <= 1, and
-    A = V[:, 0] R[0, :], B = V[:, 1] R[1, :] of rank one.  So det(A + w B)
-    = w kappa with kappa = A00 B11 + A11 B00 - A01 B10 - A10 B01, which is
-    det V det R and is formed so (the four-term sum cancels to eps
-    cond(V)^2).  The phase delta of :func:`_norm2` is u delta0, u = w / |w|
-    and delta0 = kappa / |kappa|, and its four moduli |a + delta conj(e)|,
-    |b - delta conj(c)|, |a - delta conj(e)| and |b + delta conj(c)| are
-    |alpha + u beta| with alpha = x0 + |w| y1 and beta = |w| x1 + y0: for
-    the first, x0 = A00, y1 = delta0 conj(B11), x1 = B00 and y0 = delta0
-    conj(A11).  These are fixed per pair up to |w|, which is 1 when lam_0
-    and lam_1 differ only in their imaginary parts (every modal pair).  R
-    is scaled by a power of two, as M is in :func:`_norm2`, and a subnormal
-    kappa likewise.
+    Phi_t(x_k + s) = e^{lam_0 s} (A + w B) with w = e^{(lam_1 - lam_0) s},
+    |e^{lam_0 s}| = |w| = 1, and A = V[:, 0] R[0, :], B = V[:, 1] R[1, :] of
+    rank one.  So det(A + w B) = w kappa with kappa = A00 B11 + A11 B00 -
+    A01 B10 - A10 B01, which is det V det R and is formed so (the four-term
+    sum cancels to eps cond(V)^2).  The phase delta of :func:`_norm2` is w
+    delta0 with delta0 = kappa / |kappa|, and its four moduli |a + delta
+    conj(e)|, |b - delta conj(c)|, |a - delta conj(e)| and |b + delta
+    conj(c)| are |alpha + w beta| with alpha = x0 + y1 and beta = x1 + y0,
+    fixed per pair: for the first, x0 = A00, y1 = delta0 conj(B11), x1 =
+    B00 and y0 = delta0 conj(A11).  R is scaled by a power of two, as M is
+    in :func:`_norm2`, and a subnormal kappa likewise.
     """
-    swap = lam[..., 1].real > lam[..., 0].real
-    if swap.any():
-        lam = np.where(swap[..., None], lam[..., ::-1], lam)
-        V = np.where(swap[..., None, None], V[..., ::-1], V)
-        R = np.where(swap[..., None, None], R[..., ::-1, :], R)
     # |A_ij|, |B_ij| <= max |R| for unit columns V
     k = np.clip(np.frexp(np.abs(R.view(float)).max(axis=(-2, -1)))[1], -1000, 1000)
     R = R * np.ldexp(1.0, -k)[..., None, None]
@@ -377,21 +374,14 @@ def _norms_eig(lam: np.ndarray, V: np.ndarray, R: np.ndarray, s: np.ndarray) -> 
     # conj(V[1, j] R[j, 1 - c])
     x = V[..., 0, :, None] * R[..., [0, 1, 0, 1]]
     y = (V[..., 1, :, None] * R[..., [1, 0, 1, 0]]).conj() * (_MOD_SIGNS * delta0[..., None, None])
-    x0, x1, y0, y1 = (m[..., j, None, :] for m in (x, y) for j in (0, 1))
-    re, dim = lam.real, lam[..., 1].imag - lam[..., 0].imag
-    u = np.exp(1j * (dim[..., None] * s))[..., None]
-    if re.any():
-        aw = np.exp((re[..., 1] - re[..., 0])[..., None] * s)[..., None]
-        alpha, beta = x0 + aw * y1, aw * x1 + y0
-        grow = np.exp(re[..., 0, None] * s)
-    else:  # |w| = |e^{lam_0 s}| = 1: the same values, alpha and beta formed per pair
-        alpha, beta, grow = x0 + y1, x1 + y0, 1.0
-    z = u * beta
-    z += alpha
+    alpha, beta = x[..., 0, :] + y[..., 1, :], x[..., 1, :] + y[..., 0, :]
+    w = np.exp(1j * ((lam[..., 1].imag - lam[..., 0].imag)[..., None] * s))[..., None]
+    z = w * beta[..., None, :]
+    z += alpha[..., None, :]
     # hypot(m0, m1) = |m0 + i m1| on a complex view of the moduli: numpy's
     # complex abs is vectorised, its hypot is not
     h = np.abs(np.abs(z).view(complex))
-    return np.ldexp(0.5 * (h[..., 0] + h[..., 1]), k[..., None]) * grow
+    return np.ldexp(0.5 * (h[..., 0] + h[..., 1]), k[..., None])
 
 
 class FundamentalMatrix:
@@ -506,10 +496,11 @@ class FundamentalMatrix:
     @cached_property
     def sup_norms(self) -> np.ndarray:
         """Sampled sup_x |Phi_t(x)| per t (_B_SAMPLES points per piece):
-        for d = 2 with no dense pair, from each pair's eigen-pairs in closed
-        form (:func:`_norms_eig`); otherwise from the formed Phi_t(x)."""
+        for a modal build (P0 = 0) with d = 2 and no dense pair, from each
+        pair's eigen-pairs in closed form (:func:`_norms_eig`); otherwise
+        from the formed Phi_t(x)."""
         s = np.linspace(0.0, self.spans, _B_SAMPLES, axis=1)
-        if self.sys.d == 2 and not self.dense.any():
+        if self.sys.d == 2 and self.sys.modes is not None and not self.dense.any():
             norms = _norms_eig(self.lam, self.V, self.Vi @ self.cum[:, :-1], s)
             self._finite(norms)
             return norms.max(axis=(1, 2))
