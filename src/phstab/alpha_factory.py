@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from mpmath.libmp import (mpf_e, mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_pow,
-                          mpi_sub, round_ceiling, round_floor, to_int)
+from mpmath.libmp import (mpf_add, mpf_e, mpf_neg, mpi_add, mpi_div, mpi_exp, mpi_log,
+                          mpi_mul, mpi_pow, mpi_sub, round_ceiling, round_floor,
+                          round_nearest, to_float, to_int)
 
 from .contfrac import ConvergentTable, RuleQuotients, expand
 from .errors import InsufficientPrecision, ValidationError, VerificationFailed
@@ -43,17 +44,24 @@ class DecayTarget:
 
         def x(q: int) -> tuple:
             qi = enclose(q, prec)
-            return mpi_div(g(mpi_mul(pi, qi, prec), q), qi, prec)
+            return mpi_div(g(mpi_mul(pi, qi, prec)), qi, prec)
 
         return x
 
-    def _inv_sqrt_f(self, prec: int) -> Callable[[tuple, int], tuple]:
-        """(t, q) -> 1 / sqrt(f(t)) at prec bits, for the interval t of pi*q."""
+    def _inv_sqrt_f(self, prec: int) -> Callable[[tuple], tuple]:
+        """The interval t -> 1 / sqrt(f(t)) at prec bits: the one formula of f."""
         raise NotImplementedError
 
     def log_value(self, t: float) -> float:
-        """log f(t); immune to float under/overflow of f itself."""
-        raise NotImplementedError
+        """log f(t), the float nearest the midpoint of the interval formula at
+        128 bits, so immune to float under/overflow of f itself; inf for
+        t <= 0, ValidationError for a t that is not finite."""
+        if t <= 0:
+            return math.inf
+        if not math.isfinite(t):
+            raise ValidationError(f"log f needs a finite t, not {t!r}")
+        lo, hi = mpi_log(self._inv_sqrt_f(128)(enclose(t, 128)), 128)
+        return to_float(mpf_neg(mpf_add(lo, hi)), rnd=round_nearest)  # -2 * midpoint
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -70,14 +78,9 @@ class ExpDecay(DecayTarget):
         if self.beta <= 0:
             raise ValidationError("beta must be positive")
 
-    def _inv_sqrt_f(self, prec: int) -> Callable[[tuple, int], tuple]:
+    def _inv_sqrt_f(self, prec: int) -> Callable[[tuple], tuple]:
         half_beta = enclose(self.beta / 2, prec)
-        return lambda t, q: mpi_exp(mpi_mul(half_beta, t, prec), prec)
-
-    def log_value(self, t: float) -> float:
-        if t <= 0:
-            return math.inf
-        return -float(self.beta) * t
+        return lambda t: mpi_exp(mpi_mul(half_beta, t, prec), prec)
 
     def to_json(self) -> dict:
         return {"kind": "exp", "beta": _json_number(self.beta)}
@@ -96,20 +99,13 @@ class PowerLog(DecayTarget):
         if self.p <= 0 or self.s < 0:
             raise ValidationError("need p > 0 and s >= 0")
 
-    def _inv_sqrt_f(self, prec: int) -> Callable[[tuple, int], tuple]:
+    def _inv_sqrt_f(self, prec: int) -> Callable[[tuple], tuple]:
         e = mpf_e(prec, round_floor), mpf_e(prec, round_ceiling)
         hp, hs = enclose(self.p / 2, prec), enclose(self.s / 2, prec)
         if self.s == 0:
-            return lambda t, q: mpi_pow(t, hp, prec)
-        return lambda t, q: mpi_mul(mpi_pow(t, hp, prec), mpi_pow(
+            return lambda t: mpi_pow(t, hp, prec)
+        return lambda t: mpi_mul(mpi_pow(t, hp, prec), mpi_pow(
             mpi_log(mpi_add(e, t, prec), prec), hs, prec), prec)
-
-    def log_value(self, t: float) -> float:
-        if t <= 0:
-            return math.inf
-        return -float(self.p) * math.log(t) - float(self.s) * math.log(
-            math.log(math.e + t)
-        )
 
     def to_json(self) -> dict:
         return {"kind": "powerlog", "p": _json_number(self.p), "s": _json_number(self.s)}
@@ -143,22 +139,13 @@ class Tabulated(DecayTarget):
         (t0, f0), (t1, f1) = self.pts[i], self.pts[i + 1]
         return float(t0), float(f0), float(t1), float(f1)
 
-    def log_value(self, t: float) -> float:
-        if t <= 0:
-            return math.inf
-        t0, f0, t1, f1 = self._segment(t)
-        theta = (t - t0) / (t1 - t0)
-        return (1 - theta) * math.log(f0) + theta * math.log(f1)
-
-    def _inv_sqrt_f(self, prec: int) -> Callable[[tuple, int], tuple]:
+    def _inv_sqrt_f(self, prec: int) -> Callable[[tuple], tuple]:
         one, neg_half = enclose(1, prec), enclose(Fraction(-1, 2), prec)
 
-        def g(t, q: int) -> tuple:
-            # log_value's interpolant: its float knots and float t1 - t0 enter
-            # exactly; pi q is past the float range (inf: the last segment)
-            # well before float(q) can raise, at q >= 2^1024
-            t_float = math.pi * q if q.bit_length() < 1024 else math.inf
-            t0, f0, t1, f1 = self._segment(t_float)
+        def g(t) -> tuple:
+            # the float knots and float t1 - t0 enter exactly; a t past the
+            # float range reads as inf, which selects the last segment
+            t0, f0, t1, f1 = self._segment(to_float(t[0]))
             theta = mpi_div(mpi_sub(t, enclose(t0, prec), prec), enclose(t1 - t0, prec), prec)
             log0, log1 = (mpi_log(enclose(f, prec), prec) for f in (f0, f1))
             logf = mpi_add(mpi_mul(mpi_sub(one, theta, prec), log0, prec),

@@ -109,10 +109,8 @@ class ExplicitQuotients(IrrationalSpec):
             raise ValidationError("represented value must be positive")
 
     def value(self) -> Fraction:
-        v = Fraction(self.a[-1])
-        for x in reversed(self.a[:-1]):
-            v = x + 1 / v
-        return v
+        *_, (_, p, q) = _convergents(self.a)
+        return _coprime(p, q)
 
     def quotient_iter(self) -> Iterator[int]:
         return iter(self.a)

@@ -1103,7 +1103,7 @@ def phsystem_from_json(text: str) -> PHSystem:
         obj = json.loads(text)
         if type(obj["d"]) is not int:
             raise ValidationError(f"d {obj['d']!r} is not an integer")
-        system = PHSystem(
+        fields = dict(
             d=obj["d"],
             P0=_mat_from_json(obj["P0"]),
             P1=_mat_from_json(obj["P1"]),
@@ -1111,9 +1111,11 @@ def phsystem_from_json(text: str) -> PHSystem:
             pieces=tuple(map(_mat_from_json, _array(obj["H"]["pieces"]))),
             W=_mat_from_json(obj["W"]),
         )
-        if "interval" in obj and [*map(_entry, _array(obj["interval"]))] != [system.a, system.b]:
-            raise ValidationError(f"interval {obj['interval']!r} is not [{system.a!r}, "
-                                  f"{system.b!r}], the first and the last break")
-        return system
+        interval = [*map(_entry, _array(obj["interval"]))] if "interval" in obj else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed system config: {exc}") from exc
+    system = PHSystem(**fields)  # its own refusals read as themselves
+    if interval not in (None, [system.a, system.b]):
+        raise ValidationError(f"malformed system config: interval {obj['interval']!r} is not "
+                              f"[{system.a!r}, {system.b!r}], the first and the last break")
+    return system

@@ -88,12 +88,42 @@ def test_tabulated_past_the_float_range_takes_the_last_segment():
         assert qs[n] == _oracle_quotient(target, convs[n - 1].q)
 
 
+_LOG_TIMES = (1e-3, 0.5, 1.0, math.pi, 10.0, 55.5, 1e3, 1e6, 1e12, 1e100, 1e300)
+_FLAT = af.target_from_json('{"kind": "table", "pts": [[1, 1], [1e300, 0.9999999999999999]]}')
+
+
+@pytest.mark.parametrize("name", [*_PINNED, "flat"])
+def test_log_value_is_the_interval_formula_rounded(name):
+    target = _FLAT if name == "flat" else _PINNED[name][0]
+    with mpmath.workdps(80):
+        for t in _LOG_TIMES:
+            exact = _oracle_log_f(target, mpmath.mpf(t))
+            got = target.log_value(t)
+            if abs(exact) >= 1e-20:
+                assert abs(got - float(exact)) <= math.ulp(float(exact)), t
+            else:
+                assert abs(got - exact) <= mpmath.mpf(2) ** -110, t
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, -math.inf])
+def test_log_value_at_a_nonpositive_t_is_inf(t):
+    assert af.ExpDecay(1).log_value(t) == math.inf
+    assert _FLAT.log_value(t) == math.inf
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_log_value_refuses_a_t_that_is_not_finite(t):
+    for target in (af.ExpDecay(1), af.PowerLog(2, 1), _FLAT):
+        with pytest.raises(ValidationError, match="finite t"):
+            target.log_value(t)
+
+
 class _Constant(af.DecayTarget):
     """f = 1/4 everywhere: not decreasing, so no target the package builds."""
 
     def _inv_sqrt_f(self, prec):
         two = enclose(2, prec)
-        return lambda t, q: two
+        return lambda t: two
 
 
 def test_an_integer_value_leaves_the_ceiling_undecidable():

@@ -354,6 +354,19 @@ def test_phs_config_with_an_h_piece_lu_finds_singular_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_phs_config_refused_by_the_validator_reads_as_the_refusal(tmp_path, capsys):
+    # the reader wrapped it: "error: malformed system config: H piece 0: ..."
+    config = json.loads(phs.phsystem_to_json(phs.universal_example(2.0**0.5)))
+    config["H"]["pieces"][0] = [["0.10287468153155428", "0.3037951306906277"],
+                                ["0.3037951306906277", "0.8971253184684458"]]
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["phs", "--config", str(cfg), "--t-grid", "0:1:3"]) == 2
+    err = capsys.readouterr().err
+    assert "error: H piece 0: singular to working precision" in err
+    assert "malformed" not in err and "Traceback" not in err
+
+
 def test_verify_suites(capsys):
     assert run(["verify", "rates"]) == 0
     out = capsys.readouterr().out

@@ -146,6 +146,21 @@ def test_fundamental_matrix_inverse_bound(sys2):
         assert np.linalg.norm(inv, 2) <= bound + 1e-10
 
 
+def _ode_phi_b(system, t):
+    """Phi_t(b) by integrating the ODE across the pieces."""
+    d = system.d
+
+    def rhs(x, v):
+        hk = system.pieces[system.piece_index(min(x, system.b - 1e-14))]
+        A = -np.linalg.inv(system.P1) @ (1j * t * np.linalg.inv(hk) + system.P0)
+        dv = A @ (v[:d * d].reshape(d, d) + 1j * v[d * d:].reshape(d, d))
+        return np.concatenate([dv.real.ravel(), dv.imag.ravel()])
+
+    v0 = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])
+    res = si.solve_ivp(rhs, (system.a, system.b), v0, method="DOP853", rtol=1e-12, atol=1e-13)
+    return res.y[:d * d, -1].reshape(d, d) + 1j * res.y[d * d:, -1].reshape(d, d)
+
+
 def test_two_piece_product_vs_ode_oracle():
     system = P.PHSystem(
         d=2, P0=np.array([[0.0, 1.0], [-1.0, 0.0]]), P1=np.diag([1.0, -2.0]),
@@ -155,18 +170,41 @@ def test_two_piece_product_vs_ode_oracle():
     )
     t = 7.3
     phi = P.FundamentalMatrix(system, [t])
+    assert np.abs(_ode_phi_b(system, t) - phi.cum[0, -1]).max() < 1e-10
 
-    def rhs(x, v):
-        hk = system.pieces[system.piece_index(min(x, 1.0 - 1e-14))]
-        A = -np.linalg.inv(system.P1) @ (1j * t * np.linalg.inv(hk) + system.P0)
-        vv = v[:4].reshape(2, 2) + 1j * v[4:].reshape(2, 2)
-        dv = A @ vv
-        return np.concatenate([dv.real.ravel(), dv.imag.ravel()])
 
-    v0 = np.concatenate([np.eye(2).ravel(), np.zeros(4)])
-    res = si.solve_ivp(rhs, (0.0, 1.0), v0, rtol=1e-12, atol=1e-13)
-    vb = res.y[:4, -1].reshape(2, 2) + 1j * res.y[4:, -1].reshape(2, 2)
-    assert np.abs(vb - phi.cum[0, -1]).max() < 1e-10
+@pytest.mark.parametrize("p0", ["zero", "skew"])
+def test_two_piece_product_vs_ode_oracle_at_d3(p0):
+    # P0 = 0 builds from PHSystem.modes, a skew P0 from _eigen; neither
+    # takes the d = 2 closed form of the sampled norms
+    P0 = np.array([[0.0, 1.0, -0.5], [-1.0, 0.0, 0.8], [0.5, -0.8, 0.0]])
+    system = P.PHSystem(
+        d=3, P0=P0 if p0 == "skew" else np.zeros((3, 3)), P1=np.diag([1.0, -2.0, 1.5]),
+        breaks=(0.0, 0.4, 1.0),
+        pieces=(np.diag([1.0, 0.5, 2.0]),
+                np.array([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.7]])),
+        W=np.hstack([np.full((3, 3), 0.5), np.eye(3)]),
+    )
+    assert (system.modes is None) == (p0 == "skew")
+    t = 7.3
+    phi = P.FundamentalMatrix(system, [t])
+    assert np.abs(_ode_phi_b(system, t) - phi.cum[0, -1]).max() < 1e-10
+    # the sampled B_t is the largest singular value over its sample points
+    xs = np.concatenate([b + np.linspace(0.0, span, P._B_SAMPLES)[:-1]
+                         for b, span in zip(system.breaks, np.diff(system.breaks))])
+    want = np.linalg.svd(phi([*xs, system.b])[0], compute_uv=False)[:, 0].max()
+    assert phi.sup_norms[0] == pytest.approx(want, rel=1e-12)
+
+
+def test_d3_config_solves_and_checks():
+    system = P.phsystem_from_json((DATA / "seeded3_d3_skew.json").read_text())
+    assert system.d == 3 and system.P0.any() and len(system.pieces) == 3
+    sol = P.resolvent_solve(system, 4.2, lambda xs: np.outer(np.cos(xs), [1.0, -1.0, 0.5]),
+                            nodes=512, tol=1e-8)
+    assert sol.residual <= 1e-8
+    assert len(P._probe_values(system, np.zeros(1))) == 6
+    rows = P.check_characterisation(system, [1.0, 4.2, 9.0], nodes=512)
+    assert len(rows) == 3 and all(r["lower_ok"] for r in rows)
 
 
 def test_boundary_matrix_t0(sys2):
@@ -362,6 +400,23 @@ def test_config_refuses_a_string_where_it_reads_an_array(mutate):
     obj = json.loads((DATA / "universal_sqrt2.json").read_text())
     with pytest.raises(ValidationError, match="malformed system config: '.*' is not a JSON array"):
         P.phsystem_from_json(json.dumps(mutate(obj)))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (("H", "pieces", 0), [[str(v) for v in row] for row in _SINGULAR_H],
+     "H piece 0: singular to working precision"),
+    (("P1",), [["1.0", "0.0"], ["0.0", "1e-20"]], r"P1: not invertible \(eigenvalue near 0\)"),
+])
+def test_config_the_validator_refuses_reads_as_the_refusal(field, value, message):
+    # the reader's try wrapped these as "malformed system config: ..."
+    obj = json.loads((DATA / "universal_sqrt2.json").read_text())
+    *outer, last = field
+    node = obj
+    for key in outer:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        P.phsystem_from_json(json.dumps(obj))
 
 
 @pytest.fixture(scope="module")
@@ -759,6 +814,16 @@ def test_exp_overflow_names_t():
         P.stability_scan(system, ts)
     with pytest.raises(OutOfRange, match=r"at t=0\.0$"):
         P.FundamentalMatrix(system, [0.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_failed_stacked_eig_goes_dense_and_names_t(sys16):
+    # t = inf puts inf and nan in the generators: the stacked eig raises
+    # LinAlgError, every pair goes dense, and t = 2 still builds
+    with pytest.raises(OutOfRange, match=r"on piece 0 at t=inf$"):
+        P.FundamentalMatrix(sys16, [2.0, math.inf])
+    with pytest.raises(OutOfRange, match=r"at t=inf$"):
+        P.stability_scan(sys16, [2.0, math.inf])
 
 
 def test_multi_rhs_solve_matches_single_solves(sys16):

@@ -1,10 +1,10 @@
 """Golden ``phs`` runs: the CSV and ``.constants.json`` of
-``phstab phs --config <system> --t-grid 0.5:40:64`` for two stored systems.
+``phstab phs --config <system> --t-grid 0.5:40:64`` for three stored systems.
 
 ``tests/data/phs/`` holds, per system, the config (``<name>.json``) and the
 outputs (``<name>.csv``, ``<name>.csv.constants.json``). The systems are the
-universal example with alpha = sqrt 2, and a seeded 16-piece system with
-P0 = 0. LAPACK's last bits differ between builds, so floats are compared
+universal example with alpha = sqrt 2, a seeded 16-piece system with
+P0 = 0, and a seeded 3-piece system with d = 3 and a skew P0. LAPACK's last bits differ between builds, so floats are compared
 to ``rtol=1e-12``; every other field (the header, t, the verdict, counts,
 flags and notes) must be equal. A change that does change an output
 regenerates the data on purpose with
@@ -26,7 +26,7 @@ from phstab import cli, phs
 
 DATA = Path(__file__).parent / "data" / "phs"
 GRID = "0.5:40:64"
-NAMES = ("universal_sqrt2", "seeded16_p0_zero")
+NAMES = ("universal_sqrt2", "seeded16_p0_zero", "seeded3_d3_skew")
 RTOL = 1e-12
 
 
@@ -84,11 +84,26 @@ def _seeded16() -> phs.PHSystem:
     )
 
 
+def _seeded3_d3_skew() -> phs.PHSystem:
+    rng = np.random.default_rng(3)
+    breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, 2)), [1.0]])
+    pieces = []
+    for _ in range(3):
+        g = rng.normal(size=(3, 3))
+        pieces.append(g @ g.T + 0.5 * np.eye(3))
+    s = rng.normal(size=(3, 3))
+    return phs.PHSystem(
+        d=3, P0=s - s.T, P1=np.diag([1.0, -1.0, 2.0]),
+        breaks=tuple(float(x) for x in breaks), pieces=tuple(pieces),
+        W=np.hstack([np.full((3, 3), 0.5), np.eye(3)]),
+    )
+
+
 def _regenerate() -> None:
     """Write the configs (if missing) and the golden outputs."""
     DATA.mkdir(parents=True, exist_ok=True)
     systems = {"universal_sqrt2": lambda: phs.universal_example(math.sqrt(2)),
-               "seeded16_p0_zero": _seeded16}
+               "seeded16_p0_zero": _seeded16, "seeded3_d3_skew": _seeded3_d3_skew}
     for name in NAMES:
         cfg = DATA / f"{name}.json"
         if not cfg.exists():

@@ -305,6 +305,22 @@ def test_sandwich_upper_check_rounds_its_bound_up(monkeypatch):
     assert faked.inf_lower == between and faked.upper_ok
 
 
+class _NearZero(cf.IrrationalSpec):
+    """alpha = 2^-300: every enclosure coarser than 2^-300 holds 0."""
+
+    def enclosure(self, bits: int) -> RealBall:
+        return RealBall(Fraction(1, 2**300), Fraction(1, 2**bits))
+
+
+def test_sandwich_refines_each_v_and_widens_the_constant_for_a_ball_below_0():
+    # the engine's ball holds 0, so it decides no nearest odd u (each v goes
+    # through min_odd_dist) and the constant bounds (1 + alpha)^2 from below
+    # over a ball that reaches below 0
+    reports = sp.sandwich_report(_NearZero(), [1, 3])
+    assert [r.u for r in reports] == [1, 1]
+    assert all(r.upper_ok and r.constant >= sp._SANDWICH_CONST for r in reports)
+
+
 def test_sandwich_rejects_even_v():
     with pytest.raises(OutOfRange):
         sp.sandwich_report(cf.SQRT2, [2])
