@@ -180,8 +180,12 @@ def _cody_waite_parts() -> tuple[float, float, float, float]:
 
 
 _P1, _P2, _P3, _P_ERR = _cody_waite_parts()
+_PARTS = np.array([[_P1], [_P2], [_P3]])
 _COS = [float(Fraction((-1) ** j, math.factorial(2 * j))) for j in range(9)]
 _SIN = [float(Fraction((-1) ** j, math.factorial(2 * j + 1))) for j in range(9)]
+# one (cos_j, sin_j) column per Horner step, from degree 8 in r*r down
+_HORNER = np.array([_COS[::-1], _SIN[::-1]]).T[:, :, None]
+_QUADRANT = np.array([[0.0], [1.0]])
 
 
 def _poly_err() -> float:
@@ -200,10 +204,12 @@ _POLY_ERR = _poly_err()
 def cos_sin(x, arg_err=0.0):
     """Enclose cos and sin of a float array without calling libm.
 
-    Returns ``(c, s, pad_c, pad_s)`` with |cos(y) - c| <= pad_c and
+    Returns ``(cs, pads)``, two arrays of shape (2, *x.shape): rows
+    (c, s) and (pad_c, pad_s) with |cos(y) - c| <= pad_c and
     |sin(y) - s| <= pad_s for every real y with |y - x| <= arg_err,
-    elementwise. ``arg_err`` is the caller's argument error, for example
-    |t| * width(alpha) plus the rounding of ``alpha * t``.
+    elementwise. ``arg_err`` is the caller's argument error, a float or an
+    array of x's shape, for example |t| * width(alpha) plus the rounding of
+    ``alpha * t``.
 
     Reduction range: |x| <= 2^22. There k = rint(x * 2/pi) has at most 22
     bits, so k * P1 and k * P2 are exact (P1, P2 carry 30 bits of pi/2),
@@ -222,7 +228,12 @@ def cos_sin(x, arg_err=0.0):
       operations that form r;
     - polynomial: degree 16 (cos) and 17 (sin) Taylor polynomials in r,
       Horner in r*r, rounding <= gamma_32 cosh(0.8), remainder
-      <= 0.8^18 / 18!.
+      <= 0.8^18 / 18!. The two polynomials run as one chain over the
+      stacked rows (cos, sin), one coefficient per row and step, so each
+      element still takes the same 2 x 8 rounded operations (a product
+      and a sum per step) as a chain of its own, and the bound holds
+      unchanged. The quadrant k mod 4 then picks each result from the
+      rows (c, s, -c, -s), which is exact.
 
     The argument error d = ``arg_err`` then enters by Taylor's theorem:
     pad_c = e + (|s| + e) d + d^2 / 2 and pad_s = e + (|c| + e) d + d^2 / 2,
@@ -237,27 +248,35 @@ def cos_sin(x, arg_err=0.0):
     ``float_down``/``float_up`` or one ``nextafter`` per float operation.
     """
     x = np.asarray(x, dtype=float)
+    shape, x, d = x.shape, x.ravel(), np.ravel(arg_err)
     ok = np.abs(x) <= REDUCTION_RANGE
-    x = np.where(ok, x, 0.0)
+    every = ok.all()
+    if not every:
+        x = np.where(ok, x, 0.0)
     k = np.rint(x * (2 / math.pi))
-    t2 = (x - k * _P1) - k * _P2
-    p3 = k * _P3
-    r = t2 - p3
+    # rows k P1, k P2, k P3, then t2 = x - k P1 - k P2, r = t2 - k P3, k P3
+    kp = k * _PARTS
+    t2, r, p3 = kp
+    np.subtract(x, t2, out=t2)
+    t2 -= r
+    np.subtract(t2, p3, out=r)
     z = r * r
-    c = _COS[8]
-    s = _SIN[8]
-    for j in range(7, -1, -1):
-        c = c * z + _COS[j]
-        s = s * z + _SIN[j]
-    s = s * r
-    e = np.abs(k) * _P_ERR + 2.0**-52 * (np.abs(t2) + np.abs(p3) + np.abs(r)) + _POLY_ERR
-    q = k.astype(np.int64) & 3
-    swap = (q & 1).astype(bool)
-    cc, ss = np.where(swap, s, c), np.where(swap, c, s)
-    c, s = np.where((q == 1) | (q == 2), -cc, cc), np.where(q >= 2, -ss, ss)
-    d = arg_err
+    # rows c, s, -c, -s; one Horner chain runs on the first two
+    g = np.empty((4, x.size))
+    cs = g[:2]
+    np.multiply(_HORNER[0], z, out=cs)
+    for coef in _HORNER[1:-1]:
+        cs += coef
+        cs *= z
+    cs += _HORNER[-1]
+    cs[1] *= r
+    np.negative(cs, out=g[2:])
+    # quadrant k mod 4: cos is row -k of g, sin row 1 - k (mod 4)
+    cs = g[(_QUADRANT - k).astype(np.intp) & 3, np.arange(x.size)]
+    a = np.abs(kp)  # |t2|, |r|, |k P3|
+    e = np.abs(k) * _P_ERR + 2.0**-52 * (a[0] + a[2] + a[1]) + _POLY_ERR
     tail = e + 0.5 * d * d
-    pad_c = (tail + (np.abs(s) + e) * d) * (1 + 2.0**-50)
-    pad_s = (tail + (np.abs(c) + e) * d) * (1 + 2.0**-50)
-    return (np.where(ok, c, 0.0), np.where(ok, s, 0.0),
-            np.where(ok, pad_c, 1.0), np.where(ok, pad_s, 1.0))
+    pads = (tail + (np.abs(cs[::-1]) + e) * d) * (1 + 2.0**-50)  # |s| for cos, |c| for sin
+    if not every:
+        cs, pads = np.where(ok, cs, 0.0), np.where(ok, pads, 1.0)
+    return cs.reshape((2, *shape)), pads.reshape((2, *shape))

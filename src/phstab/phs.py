@@ -407,6 +407,9 @@ class FundamentalMatrix:
     def __init__(self, sys: PHSystem, ts) -> None:
         self.sys = sys
         self.ts = np.asarray(ts, dtype=float)
+        finite = np.isfinite(self.ts)
+        if not finite.all():
+            raise ValidationError(f"t={self.ts[~finite][0]} is not finite")
         n, k, d = len(self.ts), len(sys.pieces), sys.d
         self.p1inv, self.hinv = sys.p1inv, sys.hinv
         self.gens = -self.p1inv @ (

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from mpmath.libmp import (fhalf, fone, from_int, fzero, mpf_sign, mpi_abs, mpi_add, mpi_div,
@@ -203,29 +204,32 @@ def _phases(ts, scales):
     """cos/sin of K t for every scale K and time t in one kernel call.
 
     A scale is (kf, wid) from ``RealBall.scale`` or ``kernel_scale``: kf
-    the float nearest K's midpoint, wid >= its radius. Returns per scale
-    a tuple (cos, sin, pad_cos, pad_sin, wid_cos, wid_sin), and a mask of
-    the times at which some K t leaves the kernel's reduction range. The
-    wid_ terms are what K's enclosure width alone costs, that is, what an
-    interval evaluation pays too.
+    the float nearest K's midpoint, wid >= its radius. Returns three arrays
+    of shape (2, scales, times), rows cos and sin: the values, their pads
+    and what K's enclosure width alone costs (that is, what an interval
+    evaluation pays too); and a mask of the times at which some K t leaves
+    the kernel's reduction range.
 
     The argument error of x = fl(kf t) is |K t - x| <= |t| wid +
     2^-53 |kf t| + 2^-53 |x|: K's width, kf's rounding to nearest and the
     product's. ``rnd`` = 2^-52 takes the last two, as 2^-53 |kf t| <=
     2^-53 |x| (1 + 2^-53); (1 + _REL) takes what is left over and the
     rounding of err itself. kf = 1.0 is exact, and so is its product."""
-    k, wid = (np.array(v)[:, None] for v in zip(*scales))
-    at, x = np.abs(ts), k * ts
+    k, wid = np.asarray(scales, dtype=float).T[:, :, None]
+    x = k * ts
+    w, ax = np.abs(ts) * wid, np.abs(x)
     rnd = np.where(k == 1.0, 0.0, 2.0**-52)
-    err = (at * wid + np.abs(x) * rnd) * (1 + _REL)
-    c, s, pc, ps = (v.reshape(x.shape) for v in cos_sin(x.ravel(), err.ravel()))
-    w = at * wid
-    half = 0.5 * w * w
-    oor = ~(np.abs(x) <= REDUCTION_RANGE).all(axis=0)
-    return list(zip(c, s, pc, ps, np.abs(s) * w + half, np.abs(c) * w + half)), oor
+    cs, pads = cos_sin(x, (w + ax * rnd) * (1 + _REL))
+    oor = ~(ax <= REDUCTION_RANGE).all(axis=0)
+    # a cosine's width cost is |sin| w + w^2 / 2, a sine's |cos| w + w^2 / 2
+    return (cs, pads, np.abs(cs[::-1]) * w + 0.5 * w * w), oor
 
 
 # -- the terms of the two objectives ---------------------------------------
+
+# added to the rows (cos, sin) of a phase: 2 to the first; -0.0 leaves the
+# second exactly as it is, signed zeros included
+_TWO = np.array([[2.0], [-0.0]])
 
 
 def _w_terms(ph, sa, k):
@@ -237,28 +241,36 @@ def _w_terms(ph, sa, k):
     bounds the width of the F bracket that alpha's enclosure width alone
     causes (an interval evaluation pays it too; its square terms count
     where w is near 0), ``own`` the rest of its width, which is the
-    kernel's own rounding. k is a float >= the slopes' factor."""
-    (c1, s1, pc1, ps1, wc1, ws1), (c2, s2, pc2, ps2, wc2, ws2) = ph
+    kernel's own rounding. k is a float >= the slopes' factor.
+
+    Each pair of rows below is (re, im) of one quantity, and every element
+    takes the same float operations as the scalar formula in its comment."""
+    cs, pads, wd = ph
     af, a_err = sa
     ka = abs(af) + a_err
-    w_re, w_im = 2.0 + c1 + c2, s1 + s2
-    wr, wi = np.abs(w_re), np.abs(w_im)
-    er, ei = pc1 + pc2 + _SLACK, ps1 + ps2 + _SLACK
-    f_lo = (np.maximum(wr - er, 0.0) ** 2 + np.maximum(wi - ei, 0.0) ** 2) * (1 - _REL)
-    f_up = ((wr + er) ** 2 + (wi + ei) ** 2) * (1 + _REL)
-    ewr, ewi = wc1 + wc2, ws1 + ws2
-    wid = (4 * wr + ewr) * ewr + (4 * wi + ewi) * ewi
+    ww = cs[:, 0] + _TWO + cs[:, 1]  # w_re = 2 + c1 + c2, w_im = s1 + s2
+    aw = np.abs(ww)  # wr, wi
+    e = pads[:, 0] + pads[:, 1] + _SLACK  # er = pc1 + pc2 + _SLACK, ei likewise
+    lo = np.maximum(aw - e, 0.0) ** 2
+    f_lo = (lo[0] + lo[1]) * (1 - _REL)
+    hi = (aw + e) ** 2
+    f_up = (hi[0] + hi[1]) * (1 + _REL)
+    ew = wd[:, 0] + wd[:, 1]
+    sq = (4 * aw + ew) * ew
+    wid = sq[0] + sq[1]  # (4 wr + ewr) ewr + (4 wi + ewi) ewi
     # F' = 2 Re(conj(w) w') with w' = k (v_r + i v_i):
-    # v_r = -(sin(kx) + alpha sin(k alpha x)), v_i = cos(..) + alpha cos(..)
-    vr, vi = -(s1 + af * s2), c1 + af * c2
-    evr = ps1 + ka * ps2 + a_err * (1 + ps2) + _SLACK
-    evi = pc1 + ka * pc2 + a_err * (1 + pc2) + _SLACK
-    dot = np.abs(w_re * vr + w_im * vi)
-    spread = (wr * evr + np.abs(vr) * er + er * evr
-              + wi * evi + np.abs(vi) * ei + ei * evi)
+    # v_r = -(sin(kx) + alpha sin(k alpha x)), v_i = cos(..) + alpha cos(..);
+    # v holds -v_r and v_i, ev their errors
+    v = cs[::-1, 0] + af * cs[::-1, 1]
+    ev = pads[::-1, 0] + ka * pads[::-1, 1] + a_err * (1 + pads[::-1, 1]) + _SLACK
+    p = ww * v
+    dot = np.abs(p[1] - p[0])  # |w_re v_r + w_im v_i|
+    av = np.abs(v)
+    x, y, z = aw * ev, av * e, e * ev
+    spread = x[0] + y[0] + z[0] + x[1] + y[1] + z[1]
     speed = 2 * k * (dot + spread + 2.0**-44) * (1 + _REL)
-    r_speed = np.abs(vr) + evr
-    return (f_lo, f_up, speed, 1.0 + w_re - er, 1.0 + w_re + er, r_speed), f_up - f_lo - wid, wid
+    r = 1.0 + ww[0]
+    return (f_lo, f_up, speed, r - e[0], r + e[0], av[0] + ev[0]), f_up - f_lo - wid, wid
 
 
 def _w_terms_mp(ev: HEvaluator, c: float, av, k, prec):
@@ -297,9 +309,10 @@ def _norm_lo(f_up, r_lo):
 # -- one branch-and-bound engine for every window of a call -----------------
 
 # A round bounds at most this many cells with one kernel call (unless its
-# frontier alone is larger): ``cos_sin`` costs a flat ~100 us from 4 to 64
-# elements and ~125 us at 256 (2-core Xeon, CPython 3.11, numpy 2.4), so a
-# small frontier is split several levels down first. 128, 256 and 512 gave
+# frontier alone is larger): ``cos_sin`` costs ~71 us at 4 elements, ~75 us
+# at 64 and ~93 us at 256, a whole ``_Sup`` round ~290 us at 8 cells and
+# ~360 us at 128 (2-core Xeon, CPython 3.11, numpy 2.4), so a small
+# frontier is split several levels down first. 128, 256 and 512 gave
 # the same sandwich bench times, 128 the best growth times.
 _ROUND_CELLS = 128
 # A round is bounded in slices of this many cells and points (~400 bytes of
@@ -360,8 +373,9 @@ def _improve(best, witness, vals, ts, w, reduce):
     new = best.copy()
     reduce.at(new, w, vals)
     hit = (new != best)[w] & (vals == new[w])
-    best[w[hit]] = vals[hit]  # tied points write the same value
-    witness[w[hit]] = ts[hit]
+    w = w[hit]
+    best[w] = vals[hit]  # tied points write the same value
+    witness[w] = ts[hit]
 
 
 class _Engine:
@@ -385,15 +399,21 @@ class _Engine:
 
     def __init__(self, ball: RealBall, work: int, windows, tol, init):
         self.ev, self.ball, self.work, self.windows = HEvaluator(), ball, work, windows
-        self.sa, self.av = ball.scale(), ball.to_mpi(work)
+        self.sa = ball.scale()
         self.tol = np.asarray(tol, dtype=float)
         self.best = np.full(len(windows), init)
         self.witness = np.array([a for a, _ in windows], dtype=float)
 
+    @cached_property
+    def av(self):
+        """alpha's enclosure as a raw mpmath interval at the run's working
+        precision, formed when the mpmath side first needs it."""
+        return self.ball.to_mpi(self.work)
+
     def refill(self, terms, ts, rows):
         """The mpmath fallback: ``_w_terms_mp`` at ``k_mp`` overwrites the
         ``rows`` (a mask) of ``_w_terms``' six bounds; returns their indices."""
-        idx = np.flatnonzero(rows)
+        idx = rows.nonzero()[0]
         for i in idx:
             for bound, x in zip(terms, _w_terms_mp(self.ev, float(ts[i]), self.av, self.k_mp,
                                                  self.work)):
@@ -408,18 +428,23 @@ class _Engine:
         room = np.maximum(np.bincount(w, minlength=len(self.windows)), _MAX_FRONTIER)
         while c.size:
             c, r, w = _split(c, r, w, depth, self.floor)
-            ts, rs, ws = (np.concatenate(x) for x in
-                          ((c, pts), (r, np.zeros(pts.size)), (w, pts_w)))
-            pts, pts_w = pts[:0], pts_w[:0]
-            bound, depth = np.empty(c.size), np.empty(c.size)
+            ts, rs, ws = c, r, w
+            if pts.size:  # the seeds, in the first round only
+                ts, rs, ws = (np.concatenate(x) for x in
+                              ((c, pts), (r, np.zeros(pts.size)), (w, pts_w)))
+                pts, pts_w = pts[:0], pts_w[:0]
             rb = rs + (np.abs(ts) + rs) * 2.0**-52  # covers rounded centres
+            parts = []
             for i in range(0, ts.size, _MAX_FRONTIER):
                 s = slice(i, i + _MAX_FRONTIER)
                 n = max(c.size - i, 0)  # the slice's cells come first
-                bound[s], depth[s] = self.visit(ts[s], rs[s], rb[s], ws[s], n,
-                                                *_phases(ts[s], self.scales))
-            keep = self.close(c, r, w, bound)
+                parts.append(self.visit(ts[s], rs[s], rb[s], ws[s], n,
+                                        *_phases(ts[s], self.scales)))
+            bound, depth = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+            keep = self.close(c, r, w, bound).nonzero()[0]
             c, r, w, depth = c[keep], r[keep], w[keep], depth[keep]
+            if w.size <= _MAX_FRONTIER:  # no window's cap is below that
+                continue
             held = np.bincount(w, minlength=room.size)
             k = np.argmax(held - room)
             if held[k] > room[k]:
@@ -454,7 +479,7 @@ class _Sup(_Engine):
 
     def __init__(self, ball, work, windows, tol):
         super().__init__(ball, work, windows, tol, 1.0)  # ||T_0^{-1}|| = 1
-        self.scales = ((1.0, 0.0), self.sa)
+        self.scales = np.array([(1.0, 0.0), self.sa])
         af, wid = self.sa
         a_abs, b_abs = abs(af) + wid, abs(1 - af) + wid  # >= |alpha|, |1 - alpha| on the ball
         self.l2_det = (4 + 4 * a_abs**2 + 2 * b_abs**2) * 1.01  # >= sup |F''|
@@ -474,30 +499,39 @@ class _Sup(_Engine):
     def incumbent(self, w):
         return np.maximum.accumulate(self.best)[w]
 
-    def _cell_up(self, terms, rb):
-        f_lo, _, speed, _, r_up, r_speed = terms
-        f_cell = _minus_down(f_lo, speed * rb + 0.5 * self.l2_det * rb * rb)
+    def threshold(self, w):
+        """incumbent(w) * (1 + tol): a cell whose bound is at most this closes."""
+        return (np.maximum.accumulate(self.best) * (1 + self.tol))[w]
+
+    def _centred(self, terms, rb):
+        """The centred form's slack |F'(c)| r + L r^2 / 2 on F."""
+        return terms[2] * rb + 0.5 * self.l2_det * rb * rb
+
+    def _ups(self, terms, rb, centred):
+        """Upper bounds on ||T^{-1}|| at the points and over their cells,
+        from one ``_norm_up`` call on both."""
+        f_lo, _, _, _, r_up, r_speed = terms
         r_cell = _plus_up(r_up, r_speed * rb + 0.5 * self.l2_frob * rb * rb)
-        return _norm_up(f_cell, r_cell)
+        return _norm_up(np.array((f_lo, _minus_down(f_lo, centred))), np.array((r_up, r_cell)))
 
     def visit(self, ts, rs, rb, w, n, ph, oor):
         """Raise the incumbents; upper bounds and depths of the cells (all rows)."""
         terms, own, wid = _w_terms(ph, self.sa, 1.0)
         tol = self.tol[w]
-        lo, up = _norm_lo(terms[1], terms[3]), _norm_up(terms[0], terms[4])
+        lo, centred = _norm_lo(terms[1], terms[3]), self._centred(terms, rb)
+        up, ub = self._ups(terms, rb, centred)
         went = (up > self.incumbent(w)) & (oor | ((up > lo * (1 + tol / 4)) & (own >= wid)))
         pts = self.refill(terms, ts, went)
         if pts.size:
-            lo = _norm_lo(terms[1], terms[3])
+            lo, centred = _norm_lo(terms[1], terms[3]), self._centred(terms, rb)
+            ub = self._ups(terms, rb, centred)[1]
         _improve(self.best, self.witness, lo, ts, w, np.maximum)
 
-        ub = self._cell_up(terms, rb)
-        centred = terms[2] * rb + 0.5 * self.l2_det * rb * rb
-        back = (ub > self.incumbent(w) * (1 + tol)) & (
+        back = (ub > self.threshold(w)) & (
             oor | (own >= wid + centred) | ((rs < _MIN_CELL) & np.isinf(ub)))
         cells = self.refill(terms, ts, back & ~went)  # no row goes twice
         if cells.size:
-            ub = self._cell_up(terms, rb)
+            ub = self._ups(terms, rb, self._centred(terms, rb))[1]
         for i in sorted((*pts, *cells)):
             if np.isinf(ub[i]) and rs[i] < _MIN_CELL:
                 raise self._unresolved(w[i], ts[i], rs[i])
@@ -519,7 +553,7 @@ class _Sup(_Engine):
 
     def close(self, c, r, w, ub):
         """The cells that stay open; parked ones raise their window's bound."""
-        live = ub > self.incumbent(w) * (1 + self.tol[w])
+        live = ub > self.threshold(w)
         park = live & (r < self.floor(c))
         np.maximum.at(self.stuck, w[park], ub[park])
         return live & ~park
@@ -542,7 +576,8 @@ class _Inf(_Engine):
         super().__init__(ball, work, windows, tol, math.inf)
         # pi and pi alpha from alpha's one mpmath enclosure, at the run's work
         self.k_mp = enclose_pi(work)
-        self.scales = kernel_scale(self.k_mp), kernel_scale(mpi_mul(self.k_mp, self.av, work))
+        self.scales = np.array([kernel_scale(self.k_mp),
+                                kernel_scale(mpi_mul(self.k_mp, self.av, work))])
         a_abs = float_up(mpi_abs(self.av, work))
         self.l2 = 2 * math.pi**2 * ((1 + a_abs) ** 2 + 4 * (1 + a_abs**2)) * 1.0000001
         self.done_lo = np.full(len(windows), math.inf)

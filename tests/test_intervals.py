@@ -32,7 +32,7 @@ def test_float_bounds_round_outward():
 
 
 def _check_enclosure(xs, errs, offsets):
-    c, s, pc, ps = cos_sin(np.array(xs), np.array(errs))
+    (c, s), (pc, ps) = cos_sin(np.array(xs), np.array(errs))
     with mpmath.workprec(200):
         for x, e, off, ci, si, pci, psi in zip(xs, errs, offsets, c, s, pc, ps):
             y = mpmath.mpf(x) + mpmath.mpf(off) * e  # |y - x| <= arg_err
@@ -68,10 +68,72 @@ def test_cos_sin_with_argument_error(x, err, off):
 
 
 def test_cos_sin_outside_range_is_trivial():
-    c, s, pc, ps = cos_sin(np.array([REDUCTION_RANGE, 2 * REDUCTION_RANGE, np.nan]))
+    (c, s), (pc, ps) = cos_sin(np.array([REDUCTION_RANGE, 2 * REDUCTION_RANGE, np.nan]))
     assert pc[0] < 1e-14 and ps[0] < 1e-14
     assert list(c[1:]) == [0.0, 0.0] and list(s[1:]) == [0.0, 0.0]
     assert list(pc[1:]) == [1.0, 1.0] and list(ps[1:]) == [1.0, 1.0]
+
+
+def _cos_sin_reference(x, arg_err=0.0):
+    """The kernel as two separate Horner chains and a quadrant fix-up by
+    ``where``: the stacked kernel must give the same bits."""
+    from phstab.intervals import _COS, _P1, _P2, _P3, _P_ERR, _POLY_ERR, _SIN
+
+    x = np.asarray(x, dtype=float)
+    ok = np.abs(x) <= REDUCTION_RANGE
+    x = np.where(ok, x, 0.0)
+    k = np.rint(x * (2 / math.pi))
+    t2 = (x - k * _P1) - k * _P2
+    p3 = k * _P3
+    r = t2 - p3
+    z = r * r
+    c = _COS[8]
+    s = _SIN[8]
+    for j in range(7, -1, -1):
+        c = c * z + _COS[j]
+        s = s * z + _SIN[j]
+    s = s * r
+    e = np.abs(k) * _P_ERR + 2.0**-52 * (np.abs(t2) + np.abs(p3) + np.abs(r)) + _POLY_ERR
+    q = k.astype(np.int64) & 3
+    swap = (q & 1).astype(bool)
+    cc, ss = np.where(swap, s, c), np.where(swap, c, s)
+    c, s = np.where((q == 1) | (q == 2), -cc, cc), np.where(q >= 2, -ss, ss)
+    d = arg_err
+    tail = e + 0.5 * d * d
+    pad_c = (tail + (np.abs(s) + e) * d) * (1 + 2.0**-50)
+    pad_s = (tail + (np.abs(c) + e) * d) * (1 + 2.0**-50)
+    return (np.where(ok, c, 0.0), np.where(ok, s, 0.0),
+            np.where(ok, pad_c, 1.0), np.where(ok, pad_s, 1.0))
+
+
+_ANY_X = st.one_of(
+    st.floats(-REDUCTION_RANGE, REDUCTION_RANGE),
+    st.floats(REDUCTION_RANGE, 1e300, exclude_min=True).map(lambda v: v * (-1) ** int(v)),
+    st.sampled_from([math.inf, -math.inf, math.nan, REDUCTION_RANGE, -REDUCTION_RANGE, -0.0]),
+)
+
+
+@given(st.lists(_ANY_X, min_size=1, max_size=40),
+       st.one_of(st.just(0.0), st.floats(0.0, 1e-3), st.just("array")),
+       st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_cos_sin_is_bit_for_bit_the_two_chain_kernel(xs, arg_err, rnd):
+    # same float operations on every element: equal bits, signed zeros
+    # included, in range and out of it, for a scalar and an array arg_err
+    x = np.array(xs)
+    if arg_err == "array":
+        arg_err = np.array([rnd.choice([0.0, rnd.uniform(0.0, 1e-3)]) for _ in xs])
+    (c, s), (pc, ps) = cos_sin(x, arg_err)
+    for got, want in zip((c, s, pc, ps), _cos_sin_reference(x, arg_err)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_cos_sin_keeps_the_shape_of_its_argument():
+    x = np.linspace(-50.0, 50.0, 12).reshape(3, 4)
+    (c, s), (pc, ps) = cos_sin(x, np.full(x.shape, 1e-9))
+    for got, want in zip((c, s, pc, ps), _cos_sin_reference(x.ravel(), 1e-9)):
+        assert got.shape == (3, 4) and np.array_equal(got.ravel(), want)
 
 
 class _Interrupt(BaseException):

@@ -4,6 +4,7 @@ resolvent solves, and the characterisation constants."""
 import hashlib
 import json
 import math
+import warnings
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -817,13 +818,31 @@ def test_exp_overflow_names_t():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_failed_stacked_eig_goes_dense_and_names_t(sys16):
-    # t = inf puts inf and nan in the generators: the stacked eig raises
-    # LinAlgError, every pair goes dense, and t = 2 still builds
-    with pytest.raises(OutOfRange, match=r"on piece 0 at t=inf$"):
-        P.FundamentalMatrix(sys16, [2.0, math.inf])
-    with pytest.raises(OutOfRange, match=r"at t=inf$"):
-        P.stability_scan(sys16, [2.0, math.inf])
+def test_a_failed_stacked_eig_goes_dense(sys16, monkeypatch):
+    # the stacked eig raises LinAlgError at finite t: every pair goes dense,
+    # and the dense exponentials give the same Phi_t
+    want = P.FundamentalMatrix(sys16, [2.0, 3.0]).cum[:, -1]
+
+    def failed(a):
+        raise np.linalg.LinAlgError("eig did not converge")
+
+    monkeypatch.setattr(P.la, "eig", failed)
+    st = P.FundamentalMatrix(sys16, [2.0, 3.0])
+    assert st.dense.all()
+    np.testing.assert_allclose(st.cum[:, -1], want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_t_that_is_not_finite_is_refused_as_such(sys16, bad):
+    # not reported as an overflow: nothing overflowed, the input was not finite
+    name = "nan" if math.isnan(bad) else repr(bad)
+    for call in (lambda: P.FundamentalMatrix(sys16, [2.0, bad]),
+                 lambda: P.stability_scan(P.universal_example(math.sqrt(2)), [1.0, bad]),
+                 lambda: P.resolvent_solve(sys16, bad, lambda xs: np.ones((len(xs), 2)))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=rf"^t={name} is not finite$"):
+                call()
 
 
 def test_multi_rhs_solve_matches_single_solves(sys16):
