@@ -423,6 +423,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except MemoryError as exc:  # an input too large to hold (a grid, a range of v)
+        print(f"error: out of memory: {str(exc) or 'the input is too large'}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -105,7 +106,7 @@ class PHSystem:
         interior breakpoint, the last piece at b.  ``x`` may be an array,
         which gives an array of indices."""
         xs = np.asarray(x, dtype=float)
-        outside = (xs < self.a) | (xs > self.b)
+        outside = ~((xs >= self.a) & (xs <= self.b))  # NaN is outside
         if outside.any():
             bad = float(xs[outside][0])
             raise ValidationError(f"x={bad} outside [{self.a}, {self.b}]")
@@ -400,8 +401,8 @@ class FundamentalMatrix:
     ``cum[i, k]`` is Phi_{t_i} at breakpoint k, from one batched matmul
     over t per piece, so ``cum[:, -1]`` is Phi_t(b); ``sup_norms`` holds
     the sampled B_t.  T_t and its SVD are taken once per build, on first
-    use; W+, P1^{-1} and the H_k^{-1} once per system (:attr:`PHSystem.W_pinv`,
-    ``p1inv``, ``hinv``).
+    use; W+, P1^{-1} and the H_k^{-1} once per system, and read from
+    ``sys`` (:attr:`PHSystem.W_pinv`, ``p1inv``, ``hinv``).
     """
 
     def __init__(self, sys: PHSystem, ts) -> None:
@@ -411,10 +412,7 @@ class FundamentalMatrix:
         if not finite.all():
             raise ValidationError(f"t={self.ts[~finite][0]} is not finite")
         n, k, d = len(self.ts), len(sys.pieces), sys.d
-        self.p1inv, self.hinv = sys.p1inv, sys.hinv
-        self.gens = -self.p1inv @ (
-            1j * self.ts[:, None, None, None] * self.hinv + sys.P0
-        )
+        self.gens = -sys.p1inv @ (1j * self.ts[:, None, None, None] * sys.hinv + sys.P0)
         modes = sys.modes
         if modes is None:
             lam, V, Vi, dense = _eigen(self.gens.reshape(n * k, d, d))
@@ -654,7 +652,8 @@ class _Grid:
     (:func:`_grid`), and ``ResolventSolution.x`` is its ``x``."""
 
     def __init__(self, sys: PHSystem, nodes: int) -> None:
-        self.d, total = sys.d, sys.b - sys.a
+        nodes = _node_count(nodes)
+        self.sys, total = sys, sys.b - sys.a
         spans = np.diff(sys.breaks)
         self.counts = [max(16, int(round(nodes * ln / total))) for ln in spans.tolist()]
         self.hs = spans / self.counts
@@ -671,50 +670,69 @@ class _Grid:
             m.flags.writeable = False
         self._probes: tuple[np.ndarray, np.ndarray] | None = None
 
-    def probes(self, sys: PHSystem) -> tuple[np.ndarray, np.ndarray]:
+    def by_piece(self, mats: Sequence[np.ndarray], y: np.ndarray) -> np.ndarray:
+        """Rows M_k y_j with M_k the matrix of the piece owning node j, for
+        y of shape (..., len(x), d)."""
+        my = np.empty_like(y)
+        for k, m in enumerate(mats):
+            sl = slice(self.bounds[k], self.bounds[k + 1])
+            my[..., sl, :] = y[..., sl, :] @ m.T
+        return my
+
+    def h_norms(self, y: np.ndarray, my: np.ndarray) -> np.ndarray:
+        """Weighted norms sqrt(integral y^* M y), shape (...), by the
+        trapezoid rule on x from the rows ``my`` = M y of :meth:`by_piece`."""
+        quad = np.einsum("...ni,...ni->...n", np.conj(y), my).real
+        return np.sqrt(np.maximum(np.trapezoid(quad, self.x, axis=-1), 0.0))
+
+    def probes(self) -> tuple[np.ndarray, np.ndarray]:
         """The values at xs of :func:`_probe_values` and their H-norms, which
-        no t changes: formed on first use, read-only, for the system whose
-        grid this is."""
+        no t changes: formed on first use, read-only."""
         if self._probes is None:
-            fv = _probe_values(sys, self.xs)
+            fv = _probe_values(self.sys, self.xs)
             fx = fv[:, -len(self.x) :]
-            f_norms = _h_norms(self.x, fx, _by_piece(sys.pieces, self.bounds, fx))
+            f_norms = self.h_norms(fx, self.by_piece(self.sys.pieces, fx))
             self._probes = (_frozen(fv), _frozen(f_norms))
         return self._probes
 
     def values(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """f(xs), as one right-hand side of shape (1, len(xs), d)."""
-        vals = np.asarray(f(self.xs))
-        if vals.shape != (len(self.xs), self.d):
-            raise ValidationError(f"right-hand side must return shape (n, {self.d}) arrays")
-        return vals.astype(complex)[None]
+        """f(xs), as one right-hand side of shape (1, len(xs), d);
+        ValidationError for another shape or a value that is not finite."""
+        vals, d = np.asarray(f(self.xs)), self.sys.d
+        if vals.shape != (len(self.xs), d):
+            raise ValidationError(f"right-hand side must return shape (n, {d}) arrays")
+        vals = vals.astype(complex)
+        # a finite sum has finite terms, and one reduction costs a tenth of
+        # a per-row test on every solve; a sum that overflows on finite
+        # values is told apart below
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = vals.sum()
+        if not np.isfinite(total):
+            bad = ~np.isfinite(vals).all(axis=1)
+            if bad.any():
+                x = float(self.xs[bad].min())
+                raise ValidationError(f"right-hand side is not finite at x={x!r}")
+        return vals[None]
+
+
+def _node_count(nodes) -> int:
+    """``nodes`` as an int; ValidationError unless it is an integer >= 1
+    (a bool is not)."""
+    if isinstance(nodes, bool) or not isinstance(nodes, numbers.Integral) or nodes < 1:
+        raise ValidationError(f"nodes {nodes!r} is not an integer >= 1")
+    return int(nodes)
 
 
 def _grid(sys: PHSystem, nodes: int) -> _Grid:
     """The grid of ``nodes`` nodes on ``sys``, built once per system for
     each node count a caller passes in; the doubled grids of a refinement
-    are built by :class:`_Grid` and not kept."""
+    are built by :class:`_Grid` and not kept.  The count is checked before
+    the lookup, where True would find the grid of 1."""
+    nodes = _node_count(nodes)
     g = sys._grids.get(nodes)
     if g is None:
         g = sys._grids[nodes] = _Grid(sys, nodes)
     return g
-
-
-def _by_piece(mats: Sequence[np.ndarray], bounds: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rows M_k y_j with M_k the matrix of the piece owning node j (see
-    :class:`_Grid`), for y of shape (..., n, d)."""
-    my = np.empty_like(y)
-    for k, m in enumerate(mats):
-        sl = slice(bounds[k], bounds[k + 1])
-        my[..., sl, :] = y[..., sl, :] @ m.T
-    return my
-
-
-def _h_norms(x: np.ndarray, y: np.ndarray, my: np.ndarray) -> np.ndarray:
-    """Weighted norms sqrt(integral y^* M y), shape (...), by the trapezoid
-    rule on ``x`` from the rows ``my`` = M y of :func:`_by_piece`."""
-    quad = np.einsum("...ni,...ni->...n", np.conj(y), my).real
-    return np.sqrt(np.maximum(np.trapezoid(quad, x, axis=-1), 0.0))
 
 
 def _solve_once(st: FundamentalMatrix, i: int, g: _Grid, fv: np.ndarray,
@@ -732,7 +750,7 @@ def _solve_once(st: FundamentalMatrix, i: int, g: _Grid, fv: np.ndarray,
     so its integral (x - a) w / (b - a) is exact and f is never evaluated
     at the Gauss nodes.  Phi_t(x) w on g.x, which gives that f, is returned
     beside v from the same propagation pass (None without ``w``)."""
-    sys, p1inv, d = st.sys, st.p1inv, st.sys.d
+    sys, d = st.sys, st.sys.d
     t, cum = float(st.ts[i]), st.cum[i]
     U, sv, Vh = (m[i] for m in st.svd)
     # |det T_t| is the product of its singular values
@@ -746,7 +764,7 @@ def _solve_once(st: FundamentalMatrix, i: int, g: _Grid, fv: np.ndarray,
     # with E_i = exp(-A_k h_k xi_i / 2); gauss[k] stacks piece k's weighted
     # E_i P1^{-1}, for every piece at once
     wts = 0.5 * g.hs[:, None] * _GL_WEIGHTS
-    gauss = st.exps(-0.5 * g.hs[:, None] * _GL_NODES, i) @ p1inv * wts[..., None, None]
+    gauss = st.exps(-0.5 * g.hs[:, None] * _GL_NODES, i) @ sys.p1inv * wts[..., None, None]
     runs: list[np.ndarray] = []  # per piece: integral_a^x Phi^{-1} P1^{-1} f at the grid
     cum_integral = np.zeros((len(fv), 1, d), dtype=complex)
     parts = np.split(fv[:, : -len(g.x)], 8 * np.cumsum(g.counts)[:-1], axis=1)
@@ -789,18 +807,18 @@ def _residuals(
     condition W[v(b); v(a)] = 0 and (ii) v' = A_k v + P1^{-1} f at the
     9-point stencil centres inside one piece's grid (its breakpoints
     included), over max(|v|, 1) on that grid; shapes (len(v),) each."""
-    sys, d, x, bounds = st.sys, st.sys.d, g.x, g.bounds
+    sys, d, x = st.sys, st.sys.d, g.x
     bc = v[:, -1] @ sys.W[:, :d].T + v[:, 0] @ sys.W[:, d:].T
     boundary_residual = la.norm(bc, axis=1)
 
     # the stencil sums are taken once over all of x
-    brk = bounds[1:-1] - 1  # interior breakpoint nodes
+    brk = g.bounds[1:-1] - 1  # interior breakpoint nodes
     first, last = np.concatenate([[0], brk]), np.append(brk, len(x) - 1)
     c = np.arange(4, len(x) - 4)
     own = np.searchsorted(brk, c)  # a centre on a breakpoint: the left piece
     inside = (c - first[own] >= 4) & (last[own] - c >= 4)
     dv = sum(cf * v[:, j : j + len(c)] for j, cf in enumerate(_FD9) if cf != 0.0)
-    rhs_v = (_by_piece(st.gens[i], bounds, v) + fx @ st.p1inv.T)[:, 4:-4]
+    rhs_v = (g.by_piece(st.gens[i], v) + fx @ sys.p1inv.T)[:, 4:-4]
     err = np.abs(dv / (x[first + 1] - x[first])[own, None] - rhs_v).max(axis=2)
     absv = np.abs(v).max(axis=2)
     scale = np.maximum(np.maximum.reduceat(absv, first, axis=1), absv[:, last])
@@ -825,8 +843,11 @@ def resolvent_solve(
     the piece's exponentials are taken at the 8 node offsets and the
     midpoints only.  If the residuals exceed ``tol`` the grid is doubled up
     to ``_MAX_NODES`` (InsufficientPrecision beyond); ``tol=math.inf`` takes
-    the first grid as it is.
+    the first grid as it is.  ValidationError for a ``nodes`` that is not an
+    integer >= 1 or a ``tol`` that is NaN or not positive.
     """
+    if not tol > 0:
+        raise ValidationError(f"tol {tol!r} is not a positive number")
     st = FundamentalMatrix(sys, [t])
     n = nodes
     while True:
@@ -835,7 +856,7 @@ def resolvent_solve(
         v, _ = _solve_once(st, 0, g, fv)
         bc, ode = _residuals(st, 0, g, v, fv[:, -len(g.x) :])
         # u = H^{-1} v and |u|_H^2 = integral of v^* H^{-1} v
-        u = _by_piece(st.hinv, g.bounds, v)
+        u = g.by_piece(sys.hinv, v)
         sol = ResolventSolution(
             t=float(st.ts[0]),
             x=g.x,
@@ -844,7 +865,7 @@ def resolvent_solve(
             boundary_residual=float(bc[0]),
             ode_residual=float(ode[0]),
             nodes=n,
-            u_norm_H=float(_h_norms(g.x, v, u)[0]),
+            u_norm_H=float(g.h_norms(v, u)[0]),
         )
         if sol.residual <= tol:
             return sol
@@ -968,18 +989,17 @@ def _adversarial_w(st: FundamentalMatrix, i: int) -> np.ndarray:
         ) from None
 
 
-def _norm_lower(st: FundamentalMatrix, i: int, g: _Grid, fv: np.ndarray,
-                f_norms: np.ndarray) -> float:
+def _norm_lower(st: FundamentalMatrix, i: int, g: _Grid) -> float:
     """Lower estimate of |R(it, -A)| at t = st.ts[i]: the largest
-    |u|_H / |f|_H over the probes, those of :func:`_probe_values` (values
-    ``fv`` at g.xs, H-norms ``f_norms``) and the adversarial one, up to
-    quadrature error.  Since every ratio is at most |R|, R_lower <= |R|: it
-    can refute an upper bound on |R|, never confirm one."""
-    sys = st.sys
+    |u|_H / |f|_H over the probes, those of :func:`_probe_values`
+    (:meth:`_Grid.probes`) and the adversarial one, up to quadrature error.
+    Since every ratio is at most |R|, R_lower <= |R|: it can refute an
+    upper bound on |R|, never confirm one."""
+    sys, (fv, f_norms) = st.sys, g.probes()
     v, phi_w = _solve_once(st, i, g, fv, _adversarial_w(st, i))
     f_adv = phi_w @ sys.P1.T / (sys.b - sys.a)
-    f_norms = np.append(f_norms, _h_norms(g.x, f_adv, _by_piece(sys.pieces, g.bounds, f_adv)))
-    u_norms = _h_norms(g.x, v, _by_piece(st.hinv, g.bounds, v))
+    f_norms = np.append(f_norms, g.h_norms(f_adv, g.by_piece(sys.pieces, f_adv)))
+    u_norms = g.h_norms(v, g.by_piece(sys.hinv, v))
     return max(
         (un / fn for un, fn in zip(u_norms.tolist(), f_norms.tolist()) if fn > 0),
         default=0.0,
@@ -1001,19 +1021,18 @@ def check_characterisation(
     could verify: |T_t^{-1}| <= C (R_lower + 1) implies it.  R_lower holds
     only up to quadrature error, so that half is recorded as skipped.
 
-    One stacked build of Phi_t over the grid serves B (hence C_tilde), T_t
-    and every probe solve; the t-independent probes are evaluated once per
-    system and node count, on the cached grid (:meth:`_Grid.probes`), and
-    all probes at one t are solved together.
+    One build of Phi_t per _T_CHUNK (16) values of t serves their B_t
+    (hence C_tilde), T_t and every probe solve; the t-independent probes
+    are evaluated once per system and node count, on the cached grid
+    (:meth:`_Grid.probes`), and all probes at one t are solved together.
     """
     ts = np.asarray(t_grid, dtype=float)
     g = _grid(sys, nodes)
-    fv, f_norms = g.probes(sys)
     b_ts, inv_norms, r_lower = [], [], []
     for st in _stacks(sys, ts):
         b_ts.extend(st.sup_norms.tolist())
         inv_norms.extend((1.0 / st.svd[1][:, -1]).tolist())
-        r_lower.extend(_norm_lower(st, i, g, fv, f_norms) for i in range(len(st.ts)))
+        r_lower.extend(_norm_lower(st, i, g) for i in range(len(st.ts)))
     consts = char_constants(sys, ts, b_ts)  # ValidationError for an empty grid
     rows = []
     for t, r, inv_norm in zip(ts.tolist(), r_lower, inv_norms):

@@ -7,7 +7,7 @@ supremum over [-i eta, i eta].  Three rate formulas are supported:
 * ``BattyDuyckaerts``: bound(t) = c / M_log^{-1}(t / c), where
   M_log(eta) = M(eta) (log(1 + M(eta)) + log(1 + eta)).
 * ``RSS-upper``: bound(t) = C / M^{-1}(t); valid only when M is of
-  positive increase, so a certificate is required.
+  positive increase, so a certificate that M meets is required.
 * ``LowerBound``: bound(t) = c / M^{-1}(C t).
 
 Generalized inverses follow the sup convention
@@ -294,6 +294,28 @@ def positive_increase_estimate(
 
 _KINDS = ("BattyDuyckaerts", "RSS-upper", "LowerBound")
 
+# relative slack of a certificate check: a fitted c lambda^alpha_hat
+# meets its own ratios only up to a few roundings
+_CERT_RTOL = 1e-12
+
+
+def _check_certificate(fn: MonotoneFn, cert: PositiveIncreaseCertificate) -> None:
+    """ValidationError unless fn(lambda t)/fn(t) >= c lambda^alpha_hat, up to
+    the relative slack ``_CERT_RTOL``, at every point (lambda, t) of the
+    certificate's grids with t >= fn.lo and lambda t <= fn.hi (naming the
+    first that fails), or when no point lies there."""
+    pts = [(lam, t) for lam in cert.lambda_grid for t in cert.t_grid
+           if fn.lo <= t and lam * t <= fn.hi]
+    if not pts:
+        raise ValidationError("certificate has no grid point (lambda, t) in fn's domain")
+    for lam, t in pts:
+        ratio, want = fn(lam * t) / fn(t), cert.c * lam**cert.alpha_hat
+        if ratio < want * (1 - _CERT_RTOL):
+            raise ValidationError(
+                f"certificate fails at (lambda, t) = ({lam!r}, {t!r}): "
+                f"fn(lambda t)/fn(t) = {ratio!r} < c lambda^alpha_hat = {want!r}"
+            )
+
 
 @dataclass(frozen=True)
 class DecayPrediction:
@@ -320,7 +342,9 @@ def predict(
 
     ``fn`` is the growth function M.  Constants default to 1 (the
     underlying theorems assert existence, not values), yielding
-    shape-only predictions.
+    shape-only predictions.  RSS-upper takes a positive-increase
+    ``certificate`` and checks that ``fn`` meets it (ValidationError
+    otherwise).
     """
     if kind not in _KINDS:
         raise ValidationError(f"kind must be one of {_KINDS}")
@@ -337,6 +361,7 @@ def predict(
             raise ValidationError(
                 "RSS upper bound requires a positive-increase certificate"
             )
+        _check_certificate(fn, certificate)
         pts = tuple((t, C / invert(fn, t)) for t in ts)
     elif kind == "BattyDuyckaerts":
         ml = m_log(fn)

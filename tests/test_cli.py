@@ -576,6 +576,32 @@ def test_phs_non_finite_grid_end_names_the_grid(grid, tmp_path, capsys):
     assert f"--t-grid: cannot read {grid!r}" in err and "overflow" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["phs", "--config", str(Path(__file__).parent / "data" / "phs" / "universal_sqrt2.json"),
+     "--t-grid", "0:1:1e17"],
+    ["sandwich", "--surd", "2", "--odd-v", "1..100000000000000001"],
+])
+def test_an_input_too_large_to_hold_exits_2(argv, capsys):
+    # 1e17 points lie past the address space: the allocation fails at once
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
+def test_rates_rss_with_a_certificate_its_curve_does_not_meet_exit2(tmp_path, capsys):
+    # a flat curve is not of positive increase, whatever a certificate claims
+    g = tmp_path / "g.csv"
+    g.write_text("eta,m_lower,m_upper\n10.0,5.0,5.0\n100.0,5.0,5.0\n1000.0,5.0,5.0\n")
+    cert = tmp_path / "cert.json"
+    claim = rates.PositiveIncreaseCertificate(2.0, 1.0, (2.0, 10.0), (10.0, 100.0))
+    cert.write_text(claim.to_json())
+    assert run(["rates", "--curve", str(g), "--kind", "RSS-upper",
+                "--certificate", str(cert), "--times", "4,100"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: certificate fails at (lambda, t) = (2.0, 10.0)" in err
+
+
 def test_growth_and_sandwich_manifest_summaries(tmp_path):
     out = tmp_path / "g.csv"
     assert run(["growth", "--surd", "2", "--etas", "10,100", "--out", str(out)]) == 0

@@ -4,6 +4,7 @@ resolvent solves, and the characterisation constants."""
 import hashlib
 import json
 import math
+import signal
 import warnings
 from collections import Counter
 from dataclasses import asdict
@@ -571,7 +572,7 @@ def test_probes_are_formed_once_per_grid(sys16, monkeypatch):
     again = P.check_characterisation(system, [5.0, 2.0], nodes=256)
     assert len(calls) == 1
     assert json.dumps(again) == json.dumps(first)  # repr: bit for bit
-    fv, f_norms = P._grid(system, 256).probes(system)
+    fv, f_norms = P._grid(system, 256).probes()
     for m in (fv, f_norms):
         with pytest.raises(ValueError, match="read-only"):
             m[0] = 0.0
@@ -858,7 +859,7 @@ def test_multi_rhs_solve_matches_single_solves(sys16):
         fv = np.concatenate([g.values(f) for f in fs])
         v, _ = P._solve_once(st, 0, g, fv)
         res = np.maximum(*P._residuals(st, 0, g, v, fv[:, -len(g.x):]))
-        return v, P._h_norms(g.x, v, P._by_piece(st.hinv, g.bounds, v)), res
+        return v, g.h_norms(v, g.by_piece(sys16.hinv, v)), res
 
     many = solve(fs)
     assert len(many[0]) == len(fs)
@@ -947,6 +948,75 @@ def test_adversarial_probe_is_phi_w(sys16, monkeypatch, dense):
 def test_resolvent_rhs_of_wrong_shape_raises(sys2, shape):
     with pytest.raises(ValidationError, match=r"must return shape \(n, 2\)"):
         P.resolvent_solve(sys2, 4.2, lambda xs: np.ones(shape(len(xs))), nodes=256)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf * 1j])
+def test_resolvent_rhs_that_is_not_finite_raises(sys2, value):
+    # a value f cannot give is bad input, not a precision problem: no grid
+    # doubling, and the message names the first such x
+    def f(xs):
+        vals = np.ones((len(xs), 2), dtype=complex)
+        vals[xs >= 0.5, 1] = value
+        return vals
+
+    with pytest.raises(ValidationError, match=r"right-hand side is not finite at x=0\.5$"):
+        P.resolvent_solve(sys2, 3.0, f, nodes=256)
+    # finite values whose sum overflows are values
+    huge = P._Grid(sys2, 64).values(lambda xs: np.full((len(xs), 2), 1e308))
+    assert (huge == 1e308).all()
+
+
+def _refused_within(seconds, call, match):
+    """call() raises ValidationError matching ``match``; an alarm ends a
+    call that would loop instead."""
+
+    def stop(signum, frame):
+        raise TimeoutError(f"no refusal within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        with pytest.raises(ValidationError, match=match):
+            call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("nodes", [0, -5, 2.5, True, 256.0, "256", None])
+def test_a_node_count_that_is_not_an_integer_of_at_least_1_is_refused(nodes):
+    system = P.universal_example(SQRT2)
+    f = lambda xs: np.stack([np.sin(3 * xs), np.cos(2 * xs)], axis=1)
+    P._grid(system, 1)  # a cached grid that True (== 1) must not find
+    P._grid(system, 256)  # and one that 256.0 must not find
+    match = rf"nodes {nodes!r} is not an integer >= 1"
+    _refused_within(10, lambda: P.resolvent_solve(system, 3.0, f, nodes=nodes), match)
+    _refused_within(10, lambda: P.check_characterisation(system, [3.0], nodes=nodes), match)
+    with pytest.raises(ValidationError, match=match):
+        P._Grid(system, nodes)
+
+
+def test_a_numpy_integer_node_count_is_a_node_count(sys2):
+    f = lambda xs: np.stack([np.sin(3 * xs), np.cos(2 * xs)], axis=1)
+    want = P.resolvent_solve(sys2, 3.0, f, nodes=64, tol=math.inf)
+    got = P.resolvent_solve(sys2, 3.0, f, nodes=np.int64(64), tol=math.inf)
+    assert got.nodes == 64 and np.array_equal(got.v, want.v)
+    assert P.check_characterisation(sys2, [3.0], nodes=np.int32(64)) == \
+        P.check_characterisation(sys2, [3.0], nodes=64)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, -math.inf])
+def test_resolvent_solve_refuses_a_tol_that_is_nan_or_not_positive(sys2, tol):
+    f = lambda xs: np.stack([np.sin(3 * xs), np.cos(2 * xs)], axis=1)
+    with pytest.raises(ValidationError, match=rf"tol {tol!r} is not a positive number"):
+        P.resolvent_solve(sys2, 3.0, f, nodes=64, tol=tol)
+
+
+def test_a_nan_point_is_outside_the_interval(sys2):
+    with pytest.raises(ValidationError, match=r"x=nan outside \[0\.0, 1\.0\]"):
+        sys2.piece_index([0.5, math.nan])
+    with pytest.raises(ValidationError, match=r"x=nan outside"):
+        P.FundamentalMatrix(sys2, [1.0])([math.nan])
 
 
 def _formed_norms(stack):

@@ -99,6 +99,22 @@ def test_rss_upper_requires_certificate():
         R.predict(R.power_fn(2), "RSS-upper", [10.0])
 
 
+def test_rss_upper_checks_that_fn_meets_its_certificate():
+    # eta^2 meets the fit to eta^2 (to a few roundings) but not a claim of
+    # alpha_hat = 3, and eta^2 on [1, 10] holds no point of that grid
+    m = R.power_fn(2)
+    fit = R.positive_increase_estimate(m, [2, 10, 100], [1, 10, 100])
+    (t, bound), = R.predict(m, "RSS-upper", [1e2], certificate=fit).points
+    assert bound == pytest.approx(0.1, rel=1e-9)
+    steep = R.PositiveIncreaseCertificate(3.0, 1.0, (1.0, 2.0), (1.0, 10.0))
+    with pytest.raises(ValidationError, match=r"fails at \(lambda, t\) = \(2\.0, 1\.0\)"):
+        R.predict(m, "RSS-upper", [1e2], certificate=steep)
+    short = R.MonotoneFn(lambda x: x**2, lo=1.0, hi=10.0)
+    far = R.PositiveIncreaseCertificate(2.0, 1.0, (100.0,), (1.0, 10.0))
+    with pytest.raises(ValidationError, match="no grid point"):
+        R.predict(short, "RSS-upper", [50.0], certificate=far)
+
+
 def test_batty_duyckaerts_mlog_round_trip():
     eps = 0.1
     gl = R.m_log(R.power_log_fn(2, 2 + eps))
