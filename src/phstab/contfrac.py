@@ -25,10 +25,14 @@ _T = TypeVar("_T")
 
 
 def _integer(x) -> int:
-    """``operator.index(x)``, refusing a bool, which would read as 0 or 1."""
+    """``operator.index(x)``, refusing a bool, which would read as 0 or 1,
+    and whatever is no integer (a float, a string) with ValidationError."""
     if isinstance(x, bool):
         raise ValidationError(f"{x!r} is a boolean, not an integer")
-    return operator.index(x)
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValidationError(f"{x!r} is not an integer") from None
 
 
 class IrrationalSpec:

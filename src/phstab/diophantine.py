@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contfrac import ConvergentTable, IrrationalSpec, _offsets, _refine
+from .contfrac import ConvergentTable, IrrationalSpec, _integer, _offsets, _refine
 from .errors import TableExhausted, ValidationError, VerificationFailed
 from .intervals import RealBall
 
@@ -44,7 +44,9 @@ def min_odd_dist(alpha: IrrationalSpec, v: int) -> tuple[int, RealBall]:
     the one-v case of :func:`nearest_odd`, refined until it decides.
 
     Ties (possible only for rational alpha) break toward the smaller u.
+    A v that is not an odd positive integer raises ValidationError.
     """
+    v = _integer(v)
     if v < 1 or v % 2 == 0:
         raise ValidationError("v must be an odd positive integer")
 
@@ -83,7 +85,12 @@ def odd_odd_stream(table: ConvergentTable, count: int) -> list[OddOddApproximant
     The stream is not every odd/odd record (odd v with |v alpha - u| below
     that of every smaller odd v): for sqrt 5 it gives v = 3, 13, 55, ...
     and misses v = 5, although 11/5 is closer than 7/3.
+
+    A count that is not an integer >= 1 raises ValidationError.
     """
+    count = _integer(count)
+    if count < 1:
+        raise ValidationError(f"count {count} is below 1")
     convs = table.convergents
 
     def eps_hi(n: int) -> Fraction:

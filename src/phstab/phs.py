@@ -528,8 +528,11 @@ class FundamentalMatrix:
 
 
 def _stacks(sys: PHSystem, ts):
-    """Builds of Phi_t over ``ts``, _T_CHUNK values of t each."""
+    """Builds of Phi_t over ``ts``, _T_CHUNK values of t each; a grid that
+    is not one-dimensional raises ValidationError."""
     ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValidationError(f"t grid must be one-dimensional, not of shape {ts.shape}")
     for lo in range(0, len(ts), _T_CHUNK):
         yield FundamentalMatrix(sys, ts[lo : lo + _T_CHUNK])
 

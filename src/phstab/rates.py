@@ -153,28 +153,41 @@ def invert(fn: MonotoneFn, y: float) -> float:
     """Generalized inverse sup { eta : fn(eta) <= y } by bisection, to
     relative width ``_INV_RTOL``.
 
-    Raises OutOfRange when y < fn(lo).  Values above the range (for a
-    bounded domain) clamp to the domain endpoint, per the sup convention.
+    Raises OutOfRange when y < fn(lo), and ValidationError for a NaN y or
+    an fn value past the float range (naming its eta).  Values above the
+    range (for a bounded domain, y = inf included) clamp to the domain
+    endpoint, per the sup convention.
     """
+    if math.isnan(y):
+        raise ValidationError("target y is nan; inverse undefined")
+
+    def f(eta: float) -> float:
+        try:
+            return fn(eta)
+        except OverflowError:
+            raise ValidationError(f"fn({eta!r}) overflows while inverting y = {y!r}") from None
+
     lo = fn.lo
-    f_lo = fn(lo)
+    f_lo = f(lo)
     if y < f_lo:
         raise OutOfRange(
             f"target {y} below fn({lo}) = {f_lo}; inverse undefined"
         )
     hi_cap = min(fn.hi, _DOMAIN_CAP)
-    hi = max(lo, 1.0)
-    while hi < hi_cap and fn(min(hi, hi_cap)) <= y:
-        hi = hi * 2
+    below, hi = lo, max(lo, 1.0)  # f(below) <= y is known
+    while hi < hi_cap and (hi == below or f(hi) <= y):
+        below, hi = hi, hi * 2
+    if hi >= hi_cap and f(hi_cap) <= y:  # below the cap, f(hi) > y
+        return hi_cap
     hi = min(hi, hi_cap)
-    if fn(hi) <= y:
-        return hi
+    if 0.5 * (lo + hi) == below:  # the first midpoint (lo = 0) is known
+        lo = below
     # invariant: fn(lo) <= y < fn(hi)
     while hi - lo > _INV_RTOL * max(abs(lo), 1e-300):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if fn(mid) <= y:
+        if f(mid) <= y:
             lo = mid
         else:
             hi = mid
@@ -186,11 +199,22 @@ def _finite_real(x) -> bool:
     return type(x) is int or isinstance(x, float) and math.isfinite(x)
 
 
+def _check_grids(lambda_grid, t_grid) -> None:
+    """ValidationError unless every entry is a finite number and every
+    dilation factor lambda is >= 1."""
+    bad = [x for x in (*lambda_grid, *t_grid) if not _finite_real(x)]
+    if bad:
+        raise ValidationError(f"grid entry {bad[0]!r} is not a finite number")
+    if any(lam < 1 for lam in lambda_grid):
+        raise ValidationError(f"dilation factor {min(lambda_grid)!r} is below 1")
+
+
 @dataclass(frozen=True)
 class PositiveIncreaseCertificate:
     """Evidence (not proof) that fn(lambda t)/fn(t) >= c lambda^alpha
     over the recorded finite grids. ``alpha_hat`` is finite and > 0, ``c``
-    in (0, 1], and the grids hold finite numbers; ValidationError otherwise."""
+    in (0, 1], the grids hold finite numbers and every lambda is >= 1;
+    ValidationError otherwise."""
 
     alpha_hat: float
     c: float
@@ -202,9 +226,7 @@ class PositiveIncreaseCertificate:
             raise ValidationError(f"alpha_hat {self.alpha_hat!r} is not a finite number > 0")
         if not (_finite_real(self.c) and 0 < self.c <= 1):
             raise ValidationError(f"c {self.c!r} is not a finite number in (0, 1]")
-        bad = [x for x in (*self.lambda_grid, *self.t_grid) if not _finite_real(x)]
-        if bad:
-            raise ValidationError(f"grid entry {bad[0]!r} is not a finite number")
+        _check_grids(self.lambda_grid, self.t_grid)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -240,6 +262,29 @@ class PositiveIncreaseRefutation:
 _ALPHA_MARGIN = 0.05
 
 
+def _dilation_ratios(fn: MonotoneFn, lams, ts) -> list[tuple[float, float, float]]:
+    """(lambda, t, fn(lambda t)/fn(t)) at the grid points with lambda > 1,
+    t >= fn.lo and lambda t <= fn.hi, lambda outer and t inner (lambda = 1
+    is met by every c <= 1 and states nothing); ValidationError if none,
+    or naming (lambda, t) where the ratio is not finite and positive
+    (fn(t) = 0, or an fn value past the float range)."""
+    ratios = []
+    for lam in lams:
+        for t in ts:
+            if lam > 1 and fn.lo <= t and lam * t <= fn.hi:
+                try:
+                    r = fn(lam * t) / fn(t)
+                except (OverflowError, ZeroDivisionError):
+                    r = math.nan
+                if not (math.isfinite(r) and r > 0):
+                    raise ValidationError(f"fn(lambda t)/fn(t) at (lambda, t) = ({lam!r}, {t!r}) "
+                                          "is not a finite number > 0")
+                ratios.append((lam, t, r))
+    if not ratios:
+        raise ValidationError("no grid point (lambda > 1, t) has t and lambda*t in fn's domain")
+    return ratios
+
+
 def positive_increase_estimate(
     fn: MonotoneFn,
     lambda_grid: Sequence[float],
@@ -248,30 +293,18 @@ def positive_increase_estimate(
     """Fit the largest alpha and c in (0, 1] with
     fn(lambda t)/fn(t) >= c lambda^alpha over the grids.
 
-    Grid points with lambda * t outside the domain are skipped.  Returns a
-    certificate when the fitted exponent clears a fixed margin, otherwise
-    refutation evidence listing the flattest ratios at the largest lambdas.
+    The grids hold finite numbers, every lambda >= 1, and the fit reads
+    the points of :func:`_dilation_ratios` (ValidationError otherwise).
+    Returns a certificate when the fitted exponent clears a fixed margin,
+    otherwise refutation evidence listing the flattest ratios at the
+    largest lambdas.
     """
+    _check_grids(lambda_grid, t_grid)
     lams = sorted(set(float(x) for x in lambda_grid))
     ts = sorted(set(float(x) for x in t_grid))
-    if not lams or not ts:
-        raise ValidationError("grids must be non-empty")
-    if lams[0] < 1.0:
-        raise ValidationError("dilation factors must be >= 1")
-    ratios: list[tuple[float, float, float]] = []
-    for lam in lams:
-        if lam == 1.0:
-            continue
-        for t in ts:
-            if t < fn.lo or lam * t > fn.hi:
-                continue
-            ratios.append((lam, t, fn(lam * t) / fn(t)))
-    if not ratios:
-        raise ValidationError("no grid point has lambda*t inside the domain")
+    ratios = _dilation_ratios(fn, lams, ts)
     # largest alpha satisfying r >= lambda^alpha pointwise, then c for margin
-    alpha_hat = min(
-        math.log(max(r, 1e-300)) / math.log(lam) for lam, _, r in ratios
-    )
+    alpha_hat = min(math.log(r) / math.log(lam) for lam, _, r in ratios)
     alpha_hat = max(alpha_hat, 0.0)
     if alpha_hat > _ALPHA_MARGIN:
         c = min(
@@ -301,15 +334,14 @@ _CERT_RTOL = 1e-12
 
 def _check_certificate(fn: MonotoneFn, cert: PositiveIncreaseCertificate) -> None:
     """ValidationError unless fn(lambda t)/fn(t) >= c lambda^alpha_hat, up to
-    the relative slack ``_CERT_RTOL``, at every point (lambda, t) of the
-    certificate's grids with t >= fn.lo and lambda t <= fn.hi (naming the
-    first that fails), or when no point lies there."""
-    pts = [(lam, t) for lam in cert.lambda_grid for t in cert.t_grid
-           if fn.lo <= t and lam * t <= fn.hi]
-    if not pts:
-        raise ValidationError("certificate has no grid point (lambda, t) in fn's domain")
-    for lam, t in pts:
-        ratio, want = fn(lam * t) / fn(t), cert.c * lam**cert.alpha_hat
+    the relative slack ``_CERT_RTOL``, at every point of
+    :func:`_dilation_ratios` over the certificate's grids (naming the first
+    that fails)."""
+    for lam, t, ratio in _dilation_ratios(fn, cert.lambda_grid, cert.t_grid):
+        try:
+            want = cert.c * lam**cert.alpha_hat
+        except OverflowError:  # past the float range: no finite ratio meets it
+            want = math.inf
         if ratio < want * (1 - _CERT_RTOL):
             raise ValidationError(
                 f"certificate fails at (lambda, t) = ({lam!r}, {t!r}): "

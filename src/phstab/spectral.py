@@ -35,7 +35,7 @@ import numpy as np
 from mpmath.libmp import (fhalf, fone, from_int, fzero, mpf_sign, mpi_abs, mpi_add, mpi_div,
                           mpi_mul, mpi_neg, mpi_sqrt, mpi_str, mpi_sub)
 
-from .contfrac import IrrationalSpec
+from .contfrac import IrrationalSpec, _integer
 from .diophantine import min_odd_dist, nearest_odd
 from .errors import InsufficientPrecision, OutOfRange, SingularMatrix, ValidationError
 from .intervals import (
@@ -752,8 +752,10 @@ def sandwich_report(alpha: IrrationalSpec, odd_v_list,
     rounds, so a row's certified bracket, within its tol, depends on the
     other v. A v whose odd distance has a float lower end of 0 (alpha's
     enclosure does not separate v*alpha from u, or the distance is below
-    the float range) gets no positive window tol: OutOfRange names it."""
-    vs = [int(v) for v in odd_v_list]
+    the float range) gets no positive window tol: OutOfRange names it, as
+    it names a v that is not positive or is even; a v that is not an
+    integer (a float, a bool, a string) raises ValidationError."""
+    vs = [_integer(v) for v in odd_v_list]
     for v in vs:
         if v <= 0 or v % 2 == 0:
             raise OutOfRange(f"v={v} is not a positive odd integer")

@@ -150,6 +150,13 @@ def test_rates_pipeline(tmp_path):
     assert float(rows[0][1]) == pytest.approx(0.1, rel=1e-6)
 
 
+def test_rates_with_c_t_past_the_float_range_clamps_to_the_curve_end(capsys):
+    # C t = inf lies above the range: the sup convention gives the last eta
+    assert run(["rates", "--curve", str(Path(__file__).parent / "data" / "growth_sqrt2.csv"),
+                "--kind", "LowerBound", "--times", "10", "--C", "1e308"]) == 0
+    assert capsys.readouterr().out == "t,bound,kind\n10.0,0.0001,LowerBound\n"
+
+
 def test_rates_refuses_non_finite_upper_knot(tmp_path, capsys):
     g = tmp_path / "g.csv"
     g.write_text("eta,m_lower,m_upper\n50.0,233.9,236.2\n500.0,2305.8,inf\n")

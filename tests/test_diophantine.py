@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from phstab import contfrac as cf
 from phstab import diophantine as dio
-from phstab.errors import InsufficientPrecision
+from phstab.errors import InsufficientPrecision, ValidationError
 
 
 def test_odd_odd_stream_sqrt2_prefix():
@@ -52,6 +52,21 @@ def test_min_odd_dist_sqrt2():
 def test_min_odd_dist_rejects_even_v():
     with pytest.raises(ValueError):
         dio.min_odd_dist(cf.SQRT2, 4)
+
+
+@pytest.mark.parametrize("call, message", [
+    # a float v had no bit_length; a count of 0 indexed an empty list, and
+    # -1 silently dropped the last approximant
+    (lambda: dio.min_odd_dist(cf.SQRT2, 3.0), "3.0 is not an integer"),
+    (lambda: dio.min_odd_dist(cf.SQRT2, True), "True is a boolean"),
+    (lambda: dio.odd_odd_stream(cf.expand(cf.SQRT2, 10), 0), "count 0 is below 1"),
+    (lambda: dio.odd_odd_stream(cf.expand(cf.SQRT2, 10), -1), "count -1 is below 1"),
+    (lambda: dio.odd_odd_stream(cf.expand(cf.SQRT2, 10), 2.0), "2.0 is not an integer"),
+    (lambda: dio.odd_odd_stream(cf.expand(cf.SQRT2, 10), "3"), "'3' is not an integer"),
+], ids=["v-float", "v-bool", "count-zero", "count-negative", "count-float", "count-str"])
+def test_a_v_or_a_count_that_is_no_integer_is_refused(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 def test_min_odd_dist_rational_exact():

@@ -324,6 +324,15 @@ def test_bench_tracer_sees_the_phi_builds_and_the_constants(sys2, monkeypatch):
         assert stats["phs.char_constants"].calls == 1
 
 
+@pytest.mark.parametrize("grid", [3.0, [[1.0, 2.0]]], ids=["scalar", "two-dimensional"])
+def test_a_grid_that_is_not_one_dimensional_is_refused(sys2, grid):
+    # numpy raised a bare TypeError (len() of unsized object) or ValueError
+    for call in (P.stability_scan, P.boundary_matrices, P.check_characterisation):
+        with pytest.raises(ValidationError, match="t grid must be one-dimensional"):
+            call(sys2, grid)
+    assert P.boundary_matrices(sys2, []).shape == (0, 2, 2)
+
+
 def test_empty_grid_is_refused(sys16):
     for call in (P.stability_scan, P.check_characterisation):
         with pytest.raises(ValidationError, match="t grid must be non-empty"):

@@ -28,6 +28,7 @@ def test_certificate_json_round_trip():
     {"c": "1"},
     {"lambda_grid": (2.0, math.nan)},
     {"t_grid": ("1",)},
+    {"lambda_grid": (0.5, 2.0)},  # a lambda below 1 states no increase
 ])
 def test_certificate_refuses_a_malformed_field(fields):
     good = {"alpha_hat": 2.0, "c": 1.0, "lambda_grid": (2.0,), "t_grid": (1.0,)}
@@ -73,6 +74,37 @@ def test_invert_below_range():
     assert R.invert(fn, math.e**2) == math.e
 
 
+def test_invert_refuses_a_nan_target_and_names_an_overflowing_eta():
+    m = R.power_fn(2)
+    with pytest.raises(ValidationError, match="target y is nan"):
+        R.invert(m, math.nan)  # was 0.0
+    # x**2 overflows at eta = 2^512 on the way up (an OverflowError before)
+    with pytest.raises(ValidationError, match=r"fn\(1\.3407807929942597e\+154\) overflows"):
+        R.invert(m, math.inf)
+    with pytest.raises(ValidationError, match="overflows"):
+        R.predict(m, "LowerBound", [1e308], C=10.0)  # C t = inf
+    # on a bounded domain y = inf is above the range and clamps to hi
+    assert R.invert(R.MonotoneFn(lambda x: x * x, lo=0.0, hi=10.0), math.inf) == 10.0
+
+
+def test_invert_evaluates_fn_once_per_point():
+    # the bracket [lo, hi] doubles from max(lo, 1): fn(lo) was evaluated
+    # again at its first step, and fn(hi) again after the loop
+    seen = []
+
+    def square(x):
+        seen.append(x)
+        return x * x
+
+    for fn, y in [(R.MonotoneFn(square, lo=1.5), 100.0),  # the bracket stops below the cap
+                  (R.MonotoneFn(square, lo=1.5, hi=6.0), 100.0),  # clamped at hi
+                  (R.MonotoneFn(square, lo=1.5, hi=6.0), 20.0)]:  # clamped, then bisected
+        seen.clear()
+        x = R.invert(fn, y)
+        assert len(seen) == len(set(seen)), sorted(seen)
+        assert x * x <= y < (x * (1 + 1e-8)) ** 2 or x == fn.hi
+
+
 def test_generalized_inverse_flat_segments():
     # fn constant on [1, 2]: sup convention picks the right endpoint
     def step(x):
@@ -113,6 +145,40 @@ def test_rss_upper_checks_that_fn_meets_its_certificate():
     far = R.PositiveIncreaseCertificate(2.0, 1.0, (100.0,), (1.0, 10.0))
     with pytest.raises(ValidationError, match="no grid point"):
         R.predict(short, "RSS-upper", [50.0], certificate=far)
+    # lambda = 1 is met by every c <= 1: a grid of no other lambda states nothing
+    ones = R.PositiveIncreaseCertificate(2.0, 1.0, (1.0,), (1.0, 10.0))
+    with pytest.raises(ValidationError, match="no grid point"):
+        R.predict(m, "RSS-upper", [1e2], certificate=ones)
+
+
+@pytest.mark.parametrize("fn, cert, message", [
+    # fn(0) = 0 (a ZeroDivisionError before), and (1e200)^2 past the float
+    # range (an OverflowError)
+    (R.power_fn(2), R.PositiveIncreaseCertificate(2.0, 1.0, (2.0,), (0.0,)),
+     r"at \(lambda, t\) = \(2\.0, 0\.0\) is not a finite number > 0"),
+    (R.power_fn(2), R.PositiveIncreaseCertificate(2.0, 1.0, (1e200,), (1.0,)),
+     r"at \(lambda, t\) = \(1e\+200, 1\.0\) is not a finite number > 0"),
+    # a finite ratio against a c lambda^alpha_hat past the float range
+    (R.MonotoneFn(lambda x: x, lo=1.0), R.PositiveIncreaseCertificate(2.0, 1.0, (1e200,), (1.0,)),
+     r"certificate fails at \(lambda, t\) = \(1e\+200, 1\.0\).*= inf"),
+], ids=["fn-zero", "ratio-overflow", "bound-overflow"])
+def test_rss_upper_refuses_a_certificate_check_it_cannot_compute(fn, cert, message):
+    with pytest.raises(ValidationError, match=message):
+        R.predict(fn, "RSS-upper", [10.0], certificate=cert)
+
+
+@pytest.mark.parametrize("lams, ts, message", [
+    ([2], [0, 1], r"at \(lambda, t\) = \(2\.0, 0\.0\)"),  # fn(0) = 0
+    ([1e200], [1.0], r"at \(lambda, t\) = \(1e\+200, 1\.0\)"),  # fn(1e200) overflows
+    ([math.nan], [1.0], "grid entry nan"),  # a refutation of alpha_hat nan before
+    ([2.0], [math.inf], "grid entry inf"),
+    ([2.0], ["1"], "grid entry '1'"),
+    ([0.5, 2.0], [1.0], "dilation factor 0.5 is below 1"),
+    ([], [1.0], "no grid point"),  # "grids must be non-empty" before
+], ids=["fn-zero", "overflow", "lambda-nan", "t-inf", "t-str", "lambda-below-1", "empty"])
+def test_positive_increase_estimate_refuses_a_grid_it_cannot_fit(lams, ts, message):
+    with pytest.raises(ValidationError, match=message):
+        R.positive_increase_estimate(R.power_fn(2), lams, ts)
 
 
 def test_batty_duyckaerts_mlog_round_trip():

@@ -17,7 +17,7 @@ from phstab import alpha_factory as af
 from phstab import contfrac as cf
 from phstab import diophantine as dio
 from phstab import spectral as sp
-from phstab.errors import InsufficientPrecision, OutOfRange, SingularMatrix
+from phstab.errors import InsufficientPrecision, OutOfRange, SingularMatrix, ValidationError
 from phstab.intervals import (REDUCTION_RANGE, RealBall, cos_sin, float_down, float_up,
                               workprec)
 
@@ -324,6 +324,16 @@ def test_sandwich_refines_each_v_and_widens_the_constant_for_a_ball_below_0():
 def test_sandwich_rejects_even_v():
     with pytest.raises(OutOfRange):
         sp.sandwich_report(cf.SQRT2, [2])
+
+
+@pytest.mark.parametrize("v, message", [
+    (3.5, "3.5 is not an integer"),  # read as the window of v = 3
+    (True, "True is a boolean"),  # read as v = 1
+    ("3", "'3' is not an integer"),  # read as v = 3
+])
+def test_sandwich_refuses_a_v_that_is_no_integer(v, message):
+    with pytest.raises(ValidationError, match=message):
+        sp.sandwich_report(cf.SQRT2, [v])
 
 
 @given(t=st.floats(min_value=0.0, max_value=200.0))
